@@ -49,7 +49,6 @@ from .onebit import (
     build_coefficients,
     mirror_descent,
     solve_relaxed,
-    solve_relaxed_chain,
     solve_symbol,
 )
 from .phase import (
@@ -100,7 +99,6 @@ __all__ = [
     "sep_upper_bound",
     "simulate_transmission",
     "solve_relaxed",
-    "solve_relaxed_chain",
     "solve_symbol",
     "write_csv",
     "zf_precode",

@@ -2,9 +2,9 @@
 
 Each outer round solves the T per-slot transmit designs against the current
 effective channel, then re-optimizes the phase shifts against the new frame,
-warm-starting from the incumbent phases. The loop stops when the squared
-change ||X_i - X_{i-1}||_F^2 + ||theta_i - theta_{i-1}||^2 of the complex
-variables falls below stop_tol, or after max_outer rounds.
+warm-starting from the incumbent (initially uniform random) phases. The loop
+stops when the squared change ||X_i - X_{i-1}||_F^2 + ||theta_i - theta_{i-1}||^2
+of the complex variables falls below stop_tol, or after max_outer rounds.
 
 Neither inner solver is exact (rounding and a nonconvex projection are
 involved), so the driver never asserts monotone progress; it records the
@@ -17,15 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baselines import relaxed_slp
 from .channel import ChannelSet, PhaseShifts, effective_matrix
 from .constellation import SymbolFrame, margin
-from .onebit import (
-    OneBitFrame,
-    SolveOptions,
-    build_coefficients,
-    solve_relaxed,
-    solve_symbol,
-)
+from .onebit import OneBitFrame, SolveOptions, frame_array, solve_symbol
 from .phase import ApgOptions, apg_optimize, build_phase_coefficients
 
 
@@ -33,13 +28,11 @@ from .phase import ApgOptions, apg_optimize, build_phase_coefficients
 class AoConfig:
     """Outer-loop controls plus the options of both inner solvers.
 
-    theta_init is "random" (uniform phases from the seeded rng) or "ones".
     x_mode "onebit" runs the full design; "relaxed" keeps the box-relaxed
-    frame instead (used by the infinite-resolution baseline when its phases
-    are re-optimized). With theta_first the phase step leads each round and
-    is skipped in round one, where no frame exists yet. n_starts > 1 repeats
-    the whole loop from independent random initializations and keeps the run
-    with the best worst-case margin (ties go to the earliest start).
+    frame of relaxed_slp instead (used by the infinite-resolution baseline
+    when its phases are re-optimized). n_starts > 1 repeats the whole loop
+    from independent random initializations and keeps the run with the best
+    worst-case margin (ties go to the earliest start).
     """
 
     power: float
@@ -47,9 +40,7 @@ class AoConfig:
     stop_tol: float = 1e-4
     solve: SolveOptions = field(default_factory=SolveOptions)
     apg: ApgOptions = field(default_factory=ApgOptions)
-    theta_init: str = "random"
     x_mode: str = "onebit"
-    theta_first: bool = False
     n_starts: int = 1
     seed: int | None = None
 
@@ -60,8 +51,6 @@ class AoConfig:
             raise ValueError("need at least one outer round")
         if self.stop_tol <= 0:
             raise ValueError("stop_tol must be positive")
-        if self.theta_init not in ("random", "ones"):
-            raise ValueError("theta_init must be 'random' or 'ones'")
         if self.x_mode not in ("onebit", "relaxed"):
             raise ValueError("x_mode must be 'onebit' or 'relaxed'")
         if self.n_starts < 1:
@@ -74,15 +63,14 @@ class AoIterationRecord:
     worst_margin: float
     sq_change: float
     md_converged: list
-    apg_converged: bool | None  # None when the phase step was skipped
+    apg_converged: bool
 
 
 def frame_margins(ch: ChannelSet, phases: PhaseShifts, frame,
                   symbols: SymbolFrame) -> np.ndarray:
     """Sector margins alpha for every (user, slot) of a concrete design."""
-    x = frame.x if hasattr(frame, "x") else np.atleast_2d(np.asarray(frame, dtype=complex))
     h_eff = effective_matrix(ch, phases)
-    z = (h_eff @ x.T) * np.conj(symbols.symbols)
+    z = (h_eff @ frame_array(frame).T) * np.conj(symbols.symbols)
     return margin(z, symbols.constellation)
 
 
@@ -112,32 +100,16 @@ def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
 
 def _single_run(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
                 rng: np.random.Generator):
-    n_elements = ch.g.shape[0]
-    constellation = symbols.constellation
-    n_slots = symbols.n_slots
-
-    if cfg.theta_init == "ones":
-        phases = PhaseShifts.ones(n_elements)
-    else:
-        phases = PhaseShifts.random(n_elements, rng)
-
-    frame = None
+    phases = PhaseShifts.random(ch.g.shape[0], rng)
     x_prev = None
     theta_prev = phases.theta
     trace: list = []
 
     for it in range(1, cfg.max_outer + 1):
-        apg_converged = None
-        if cfg.theta_first and frame is not None:
-            phases, apg_converged = _phase_step(ch, frame, symbols, phases, cfg)
+        frame, md_converged = _x_step(effective_matrix(ch, phases), symbols, cfg, rng)
+        phases, apg_converged = _phase_step(ch, frame, symbols, phases, cfg)
 
-        h_eff = effective_matrix(ch, phases)
-        frame, md_converged = _x_step(h_eff, symbols, constellation, cfg, rng)
-
-        if not cfg.theta_first:
-            phases, apg_converged = _phase_step(ch, frame, symbols, phases, cfg)
-
-        x = frame.x if hasattr(frame, "x") else frame
+        x = frame_array(frame)
         if x_prev is None:
             sq_change = np.inf
         else:
@@ -154,26 +126,20 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
     return frame, phases, trace
 
 
-def _x_step(h_eff, symbols: SymbolFrame, constellation, cfg: AoConfig, rng):
+def _x_step(h_eff, symbols: SymbolFrame, cfg: AoConfig, rng):
     """T independent per-slot designs; returns (frame, md statuses)."""
+    if cfg.x_mode == "relaxed":
+        res = relaxed_slp(h_eff, symbols, cfg.power, cfg.solve)
+        return res.x, res.converged.tolist()
     rows = []
     statuses = []
-    if cfg.x_mode == "onebit":
-        for t in range(symbols.n_slots):
-            res = solve_symbol(h_eff, symbols.symbols[:, t], constellation,
-                               cfg.power, cfg.solve, rng)
-            rows.append(res.xbar)
-            statuses.append(res.md.converged)
-        amplitude = np.sqrt(cfg.power / (2 * h_eff.shape[1]))
-        return OneBitFrame(xbar=np.stack(rows), amplitude=float(amplitude)), statuses
-    m = h_eff.shape[1]
     for t in range(symbols.n_slots):
-        coeff = build_coefficients(h_eff, symbols.symbols[:, t], constellation,
-                                   cfg.power)
-        xrel, md = solve_relaxed(coeff, cfg.solve.mu, cfg.solve.md)
-        rows.append(xrel[:m] + 1j * xrel[m:])
-        statuses.append(md.converged)
-    return np.stack(rows), statuses
+        res = solve_symbol(h_eff, symbols.symbols[:, t], symbols.constellation,
+                           cfg.power, cfg.solve, rng)
+        rows.append(res.xbar)
+        statuses.append(res.md.converged)
+    amplitude = np.sqrt(cfg.power / (2 * h_eff.shape[1]))
+    return OneBitFrame(xbar=np.stack(rows), amplitude=float(amplitude)), statuses
 
 
 def _phase_step(ch: ChannelSet, frame, symbols: SymbolFrame,

@@ -18,7 +18,7 @@ from .onebit import (
     OneBitFrame,
     SolveOptions,
     build_coefficients,
-    solve_relaxed_chain,
+    solve_relaxed,
 )
 
 # singular values below max(sv) * this are treated as zero in the ZF inverse
@@ -94,10 +94,9 @@ def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
                 opts: SolveOptions | None = None) -> RelaxedFrame:
     """Box-relaxed symbol-level precoder: the one-bit solver without rounding.
 
-    Runs the identical coefficient construction and dual solve as the one-bit
-    path, so for opts.mu >= 5e-4 its per-slot relaxation values match that
-    solver bit for bit under the same options; smaller mu values are reached
-    through warm-started continuation.
+    Runs the identical coefficient construction and dual solve (solve_relaxed,
+    with its mu-continuation) as the one-bit path, so its per-slot relaxation
+    values match that solver bit for bit under the same options.
     """
     if opts is None:
         opts = SolveOptions()
@@ -109,7 +108,7 @@ def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
     for t in range(symbols.n_slots):
         coeff = build_coefficients(h_eff, symbols.symbols[:, t],
                                    symbols.constellation, power)
-        xrel, md = solve_relaxed_chain(coeff, opts.mu, opts.md)
+        xrel, md = solve_relaxed(coeff, opts.mu, opts.md)
         rows[t] = xrel[:m] + 1j * xrel[m:]
         values[t] = -md.value
         converged[t] = md.converged

@@ -42,7 +42,7 @@ from .constellation import (
     bit_errors,
     decide_index,
 )
-from .onebit import MdOptions, SolveOptions, solve_symbol
+from .onebit import MdOptions, SolveOptions, frame_array, solve_symbol
 from .phase import ApgOptions
 
 CSV_COLUMNS = (
@@ -65,7 +65,10 @@ THETA_POLICIES = ("shared", "random", "reoptimized")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Inner-solver settings shared by all channels of an experiment."""
+    """Inner-solver settings shared by all channels of an experiment.
+
+    Values the inner solvers reject fail here, not inside a channel run.
+    """
 
     mu: float = 5e-4
     md_max_iter: int = 20000
@@ -77,7 +80,9 @@ class SolverConfig:
     ao_max_outer: int = 20
     ao_stop_tol: float = 1e-4
     n_starts: int = 1
-    theta_init: str = "random"
+
+    def __post_init__(self):
+        self.ao_config(1.0)
 
     def solve_options(self) -> SolveOptions:
         return SolveOptions(mu=self.mu,
@@ -91,8 +96,8 @@ class SolverConfig:
     def ao_config(self, power: float, x_mode: str = "onebit") -> AoConfig:
         return AoConfig(power=power, max_outer=self.ao_max_outer,
                         stop_tol=self.ao_stop_tol, solve=self.solve_options(),
-                        apg=self.apg_options(), theta_init=self.theta_init,
-                        x_mode=x_mode, n_starts=self.n_starts)
+                        apg=self.apg_options(), x_mode=x_mode,
+                        n_starts=self.n_starts)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -225,9 +230,8 @@ def simulate_transmission(frame, phases: PhaseShifts, ch: ChannelSet,
         raise ValueError("sigma2 must be positive")
     if n_noise < 1:
         raise ValueError("need at least one noise draw")
-    x = frame.x if hasattr(frame, "x") else np.atleast_2d(np.asarray(frame, dtype=complex))
     h_eff = effective_matrix(ch, phases)
-    z = h_eff @ x.T
+    z = h_eff @ frame_array(frame).T
     shape = (n_noise,) + z.shape
     noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     y = z[None, :, :] + np.sqrt(sigma2 / 2.0) * noise
@@ -309,7 +313,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
             ch, symbols, cfg.solver.ao_config(cfg.power), rng=rng)
         dt = time.perf_counter() - t0
         last = trace[-1]
-        ok = all(last.md_converged) and last.apg_converged is not False
+        ok = all(last.md_converged) and last.apg_converged
         put("onebit-md", frame, phases, ch, ok,
             "ok" if ok else "inner-solver-nonconverged", dt)
         theta_shared = phases
@@ -337,7 +341,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
             _, phases, trace = alternating_optimize(
                 ch, symbols, cfg.solver.ao_config(cfg.power, x_mode="relaxed"),
                 rng=rng)
-            ok = all(trace[-1].md_converged) and trace[-1].apg_converged is not False
+            ok = all(trace[-1].md_converged) and trace[-1].apg_converged
         else:
             phases = baseline_theta() if with_irs else ones
         channel = ch if with_irs else bare

@@ -26,7 +26,8 @@ import numpy as np
 
 from .constellation import PskConstellation
 
-_SIGN_TIEBREAK_DOC = "zeros round to +s"
+# lifted entries within this relative distance of +/-s count as saturated
+FRACTIONAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,14 @@ class OneBitFrame:
         sign_im = np.where(x.imag >= 0, 1.0, -1.0)
         return cls(xbar=amplitude * np.concatenate([sign_re, sign_im], axis=1),
                    amplitude=amplitude)
+
+
+def frame_array(frame) -> np.ndarray:
+    """Complex (T, M) transmit array of a plain array or of a frame with a
+    complex (T, M) view .x, such as OneBitFrame."""
+    if hasattr(frame, "x"):
+        return frame.x
+    return np.atleast_2d(np.asarray(frame, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -180,15 +189,13 @@ class MdOptions:
 
     tol is on the KL gradient-mapping residual with unit reference step,
     r(lam) = ||T_1(lam) - lam||_1, which vanishes exactly at simplex-KKT
-    points. Backtracking shrinks the step by `shrink` until the prox-model
-    sufficient-decrease test holds; the accepted step is grown by `grow` at
-    the start of the next iteration.
+    points. Backtracking halves the step until the prox-model
+    sufficient-decrease test holds; the accepted step is doubled at the start
+    of the next iteration.
     """
 
     max_iter: int = 20000
     tol: float = 1e-6
-    shrink: float = 0.5
-    grow: float = 2.0
     record_trace: bool = False
 
 
@@ -208,25 +215,6 @@ class MdResult:
     n_iter: int
     residual: float
     trace: list
-
-
-def _md_step(lam: np.ndarray, grad: np.ndarray, step: float) -> np.ndarray:
-    """Multiplicative update lam_k * exp(-step * grad_k), renormalized.
-
-    Computed in log space with a max shift so large gradients cannot overflow.
-    Coordinates already at exactly zero stay at zero.
-    """
-    with np.errstate(divide="ignore"):
-        w = np.log(lam) - step * grad
-    w -= w.max()
-    e = np.exp(w)
-    return e / e.sum()
-
-
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    """KL divergence sum p log(p/q) with the 0 log 0 convention."""
-    mask = p > 0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
 
 def mirror_descent(coeff: CoefficientMatrix, mu: float,
@@ -267,7 +255,7 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
 
     # log(lam) is carried across iterations (recovered from the softmax
     # normalization) so the loop body never calls log on lam itself; exact
-    # zeros give -inf and stay zero through exp, matching _md_step
+    # zeros give -inf and stay zero through exp
     with np.errstate(divide="ignore"):
         log_lam = np.log(lam)
     trace: list = []
@@ -289,7 +277,7 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
             break
         if it == opts.max_iter:
             break
-        step *= opts.grow
+        step *= 2.0
         while True:
             w = log_lam - step * grad
             w -= w.max()
@@ -305,7 +293,7 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
             model = f + float(grad @ (lam_new - lam)) + kl / step
             if f_new <= model:
                 break
-            step *= opts.shrink
+            step *= 0.5
         lam, y, f = lam_new, y_new, f_new
         log_lam = w - np.log(se)
 
@@ -313,46 +301,34 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
                     residual=residual, trace=trace)
 
 
+# (mu, tol) warm-start stages of solve_relaxed; stages at or below the
+# target mu are skipped, so the solve is a single cold start when the target
+# is no smaller than the first stage
+MU_STAGES = ((5e-4, 1e-7), (2e-5, 1e-7))
+
+
 def solve_relaxed(coeff: CoefficientMatrix, mu: float,
                   opts: MdOptions = MdOptions()):
     """Dual solve plus primal recovery; shared by the one-bit and box designs.
 
-    Returns (xbar_relaxed, MdResult).
-    """
-    md = mirror_descent(coeff, mu, opts)
-    return recover_x(md.lam, coeff, mu), md
-
-
-# default warm-start schedule for solve_relaxed_chain; stages at or below the
-# target mu are skipped, so the chain degenerates to a single cold solve when
-# the target is no smaller than the first stage
-MU_STAGES = ((5e-4, 1e-7), (2e-5, 1e-7))
-
-
-def solve_relaxed_chain(coeff: CoefficientMatrix, mu: float,
-                        opts: MdOptions = MdOptions(), stages=MU_STAGES):
-    """solve_relaxed with mu-continuation warm starts.
-
     Small mu makes the dual poorly conditioned (the Huber window shrinks),
-    so a cold start can take tens of thousands of iterations. Solving a short
-    schedule of decreasing mu values, each initialized at the previous dual
-    iterate, reaches the same point several times faster. Returns
-    (xbar_relaxed, MdResult) for the final stage.
+    so a cold start can take tens of thousands of iterations. The solve
+    therefore runs the MU_STAGES above the target first, each initialized at
+    the previous dual iterate, which reaches the same point several times
+    faster. Returns (xbar_relaxed, MdResult) for the final stage.
     """
     lam = None
-    for stage_mu, stage_tol in stages:
-        if stage_mu <= mu:
-            continue
-        md = mirror_descent(coeff, stage_mu,
-                            dataclasses.replace(opts, tol=stage_tol), lam0=lam)
-        lam = md.lam
+    for stage_mu, stage_tol in MU_STAGES:
+        if stage_mu > mu:
+            lam = mirror_descent(coeff, stage_mu,
+                                 dataclasses.replace(opts, tol=stage_tol), lam0=lam).lam
     md = mirror_descent(coeff, mu, opts, lam0=lam)
     return recover_x(md.lam, coeff, mu), md
 
 
 def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, restarts: int,
               rng: np.random.Generator | None = None,
-              fractional_tol: float = 1e-6) -> np.ndarray:
+              fractional_tol: float = FRACTIONAL_TOL) -> np.ndarray:
     """Round a box point to the one-bit alphabet by block improvement.
 
     Entries saturated to within fractional_tol of +/-s are frozen at their
@@ -405,7 +381,12 @@ class SolveOptions:
     mu: float = 5e-4
     md: MdOptions = field(default_factory=MdOptions)
     mbi_restarts: int = 5
-    fractional_tol: float = 1e-6
+
+    def __post_init__(self):
+        if self.mu <= 0:
+            raise ValueError("mu must be positive")
+        if self.mbi_restarts < 1:
+            raise ValueError("need at least one MBI restart")
 
 
 @dataclass
@@ -438,8 +419,8 @@ def solve_symbol(h_eff, symbols, constellation: PskConstellation, power: float,
     """
     coeff = build_coefficients(h_eff, symbols, constellation, power)
     xrel, md = solve_relaxed(coeff, opts.mu, opts.md)
-    xbar = mbi_round(xrel, coeff, opts.mbi_restarts, rng, opts.fractional_tol)
-    n_frac = int(np.sum(np.abs(xrel) < coeff.amplitude * (1.0 - opts.fractional_tol)))
+    xbar = mbi_round(xrel, coeff, opts.mbi_restarts, rng)
+    n_frac = int(np.sum(np.abs(xrel) < coeff.amplitude * (1.0 - FRACTIONAL_TOL)))
     relax_value = -md.value
     power_total = coeff.n_lifted * coeff.amplitude ** 2
     return SymbolSolveResult(

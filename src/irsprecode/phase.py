@@ -24,6 +24,10 @@ from scipy.special import logsumexp, softmax
 
 from .channel import ChannelSet
 from .constellation import PskConstellation, SymbolFrame
+from .onebit import frame_array
+
+# consecutive smoothed-objective increases that reset the APG momentum
+RESTART_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ def build_phase_coefficients(ch: ChannelSet, frame, symbols: SymbolFrame,
     (T, M)) or a plain complex (T, M) array; the phase step treats both the
     one-bit design and continuous baselines uniformly.
     """
-    x = frame.x if hasattr(frame, "x") else np.atleast_2d(np.asarray(frame, dtype=complex))
+    x = frame_array(frame)
     s = symbols.symbols  # (K, T)
     k, t = s.shape
     if x.shape != (t, ch.h_d.shape[1]):
@@ -132,13 +136,11 @@ def project_unit_modulus(theta_bar) -> np.ndarray:
                            np.where(zero, 0.0, b / safe)])
 
 
-def momentum_sequence(n: int, classical: bool = False):
-    """First n momentum pairs (zeta_r, psi_r), r = 0..n-1.
+def momentum_sequence(n: int):
+    """First n momentum pairs (zeta_r, psi_r), r = 0..n-1, as apg_optimize uses them.
 
-    zeta follows zeta_r = (1 + sqrt(1 + 4 zeta_{r-1}^2)) / 2 from zeta_{-1}=0.
-    The default psi_r = (zeta_r - 1) / zeta_r uses the current zeta; the
-    classical accelerated scheme uses the previous one, kept here behind a
-    flag for comparison.
+    zeta follows zeta_r = (1 + sqrt(1 + 4 zeta_{r-1}^2)) / 2 from zeta_{-1}=0,
+    and psi_r = (zeta_r - 1) / zeta_r.
     """
     zeta = np.empty(n)
     psi = np.empty(n)
@@ -146,10 +148,7 @@ def momentum_sequence(n: int, classical: bool = False):
     for r in range(n):
         cur = (1.0 + np.sqrt(1.0 + 4.0 * prev * prev)) / 2.0
         zeta[r] = cur
-        if classical:
-            psi[r] = 0.0 if r == 0 else (prev - 1.0) / cur
-        else:
-            psi[r] = (cur - 1.0) / cur
+        psi[r] = (cur - 1.0) / cur
         prev = cur
     return zeta, psi
 
@@ -162,22 +161,18 @@ class ApgOptions:
     tau starts at the exact smoothed-gradient Lipschitz bound sigma_max^2 /
     delta, is halved optimistically each iteration, and backtracks (doubling,
     capped at the bound where the descent lemma accepts unconditionally).
-    restart_window consecutive smoothed-objective increases reset the
-    momentum recursion.
+    The momentum weights follow momentum_sequence; RESTART_WINDOW consecutive
+    smoothed-objective increases restart it from psi_0 = 0.
     """
 
     delta: float = 1e-2
     max_iter: int = 500
     tol: float = 1e-6
-    restart_window: int = 5
-    classical_momentum: bool = False
     record_trace: bool = False
 
     def __post_init__(self):
         if self.delta <= 0 or self.tol < 0 or self.max_iter < 1:
             raise ValueError("invalid APG options")
-        if self.restart_window < 1:
-            raise ValueError("restart window must be at least 1")
 
 
 @dataclass
@@ -220,10 +215,11 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
                          smoothed=lse_value(theta, coeffs, delta),
                          converged=True, n_iter=0, trace=[])
 
+    _, psis = momentum_sequence(opts.max_iter)
     best_theta = theta
     best_val = max_constraint(theta, coeffs)
     theta_prev = theta
-    zeta_prev = 0.0
+    r = 0  # position in the momentum sequence
     h_prev = lse_value(theta, coeffs, delta)
     tau = lipschitz
     rise_streak = 0
@@ -232,12 +228,8 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     it = 0
 
     for it in range(1, opts.max_iter + 1):
-        zeta = (1.0 + np.sqrt(1.0 + 4.0 * zeta_prev * zeta_prev)) / 2.0
-        if opts.classical_momentum:
-            psi = (zeta_prev - 1.0) / zeta if it > 1 else 0.0
-        else:
-            psi = (zeta - 1.0) / zeta
-        z = theta + psi * (theta - theta_prev)
+        z = theta + psis[r] * (theta - theta_prev)
+        r += 1
         g = lse_gradient(z, coeffs, delta)
         h_z = lse_value(z, coeffs, delta)
 
@@ -262,13 +254,12 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
         # nonconvex projection plus momentum can cycle; kill the momentum
         # after a sustained smoothed-objective rise (next psi becomes 0)
         rise_streak = rise_streak + 1 if h_new > h_prev else 0
-        if rise_streak >= opts.restart_window:
-            zeta = 1.0 if opts.classical_momentum else 0.0
+        if rise_streak >= RESTART_WINDOW:
+            r = 0
             rise_streak = 0
 
         change = float(np.linalg.norm(theta_new - theta))
         theta_prev, theta = theta, theta_new
-        zeta_prev = zeta
         h_prev = h_new
         if change <= opts.tol:
             converged = True

@@ -39,7 +39,7 @@ from irsprecode.onebit import (
     dual_value,
     mirror_descent,
     recover_x,
-    solve_relaxed_chain,
+    solve_relaxed,
     solve_symbol,
     worst_objective,
 )
@@ -181,7 +181,7 @@ def test_criterion_04_fractional_entries():
         order = (4, 8)[i % 2]
         rng = np.random.default_rng(1000 + i)
         coeff, _, _, _ = _slot_instance(rng, m=32, k=k, order=order, power=1.0, n=8)
-        xrel, md = solve_relaxed_chain(coeff, 1e-6, MdOptions(max_iter=20000, tol=1e-6))
+        xrel, md = solve_relaxed(coeff, 1e-6, MdOptions(max_iter=20000, tol=1e-6))
         n_frac = int(np.sum(np.abs(xrel) < coeff.amplitude * (1 - 1e-6)))
         if n_frac <= 2 * k - 1:
             ok_count += 1

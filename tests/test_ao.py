@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from irsprecode.ao import AoConfig, alternating_optimize, frame_margins
+from irsprecode.baselines import relaxed_slp
 from irsprecode.channel import (
     GeometryConfig,
     PhaseShifts,
@@ -110,13 +111,15 @@ def test_trace_replicates_hand_driven_steps():
 
 
 def test_phase_step_never_hurts_margin():
-    # theta starts at all-ones, so the margin before the first phase step is
-    # known; best-iterate tracking makes the step at least as good
+    # the starting phases are the first draw of the seeded rng, so the margin
+    # before the first phase step is known; best-iterate tracking makes the
+    # step at least as good
     for seed in range(5):
         ch, sym = instance(seed, m=6, n=6)
-        cfg = AoConfig(power=POWER, max_outer=1, theta_init="ones", seed=seed)
+        cfg = AoConfig(power=POWER, max_outer=1, seed=seed)
         frame, phases, trace = alternating_optimize(ch, sym, cfg)
-        before = float(frame_margins(ch, PhaseShifts.ones(6), frame, sym).min())
+        start = PhaseShifts.random(6, np.random.default_rng(seed))
+        before = float(frame_margins(ch, start, frame, sym).min())
         assert trace[0].worst_margin >= before - 1e-12
 
 
@@ -138,15 +141,13 @@ def test_relaxed_mode_returns_box_frame():
     assert np.abs(frame.real).max() <= s + 1e-12
     assert np.abs(frame.imag).max() <= s + 1e-12
     assert np.isfinite(trace[-1].worst_margin)
-
-
-def test_theta_first_skips_round_one_phase_step():
-    ch, sym = instance(8)
-    cfg = AoConfig(power=POWER, theta_first=True, max_outer=2,
-                   stop_tol=1e-300, seed=15)
-    _, _, trace = alternating_optimize(ch, sym, cfg)
-    assert trace[0].apg_converged is None
-    assert isinstance(trace[1].apg_converged, bool)
+    # the relaxed signal step is the box baseline's solve, mu-continuation
+    # included, on the round's effective channel
+    cfg = AoConfig(power=POWER, x_mode="relaxed", max_outer=1,
+                   solve=SolveOptions(mu=1e-4), seed=13)
+    frame, _, _ = alternating_optimize(ch, sym, cfg)
+    h_eff = effective_matrix(ch, PhaseShifts.random(4, np.random.default_rng(13)))
+    assert np.array_equal(frame, relaxed_slp(h_eff, sym, POWER, cfg.solve).x)
 
 
 def test_multi_start_selects_best_of_its_runs():
@@ -185,8 +186,6 @@ def test_config_validation():
         AoConfig(power=1.0, max_outer=0)
     with pytest.raises(ValueError):
         AoConfig(power=1.0, stop_tol=0.0)
-    with pytest.raises(ValueError):
-        AoConfig(power=1.0, theta_init="zeros")
     with pytest.raises(ValueError):
         AoConfig(power=1.0, x_mode="quantized")
     with pytest.raises(ValueError):

@@ -121,12 +121,13 @@ def test_relaxed_large_mu_shrinks_solution():
     assert np.linalg.norm(big.x) < 1e-3 * np.linalg.norm(small.x)
 
 
-def test_relaxed_matches_onebit_solver_internal_stage():
+@pytest.mark.parametrize("mu", [5e-4, 1e-4, 2e-5])
+def test_relaxed_matches_onebit_solver_internal_stage(mu):
     ch, rng = channels(101, m=6, n=3, k=3)
     phases = PhaseShifts.random(3, rng)
     h_eff = effective_matrix(ch, phases)
     sym = SymbolFrame.random(QPSK, 3, 4, rng)
-    opts = SolveOptions()
+    opts = SolveOptions(mu=mu)
     res = relaxed_slp(h_eff, sym, power=100.0, opts=opts)
     m = 6
     for t in range(4):

@@ -85,6 +85,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown solver config keys"):
             SolverConfig.from_dict({"mu": 1e-3, "bogus": 1})
 
+    @pytest.mark.parametrize("solver", [{"mbi_restarts": 0}, {"delta": 0},
+                                        {"ao_max_outer": 0}, {"mu": 0}],
+                             ids=["mbi_restarts", "delta", "ao_max_outer", "mu"])
+    def test_bad_solver_settings_rejected_on_load(self, solver):
+        # rejected when the config loads, not later inside a channel run
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict({"m": 4, "solver": solver})
+
 
 class TestSimulate:
     def test_vanishing_noise_no_errors(self):

@@ -245,15 +245,6 @@ def test_momentum_recursion_and_growth():
         prev = zeta[r]
 
 
-def test_momentum_classical_variant():
-    zeta, psi = momentum_sequence(5, classical=True)
-    zeta_p, _ = momentum_sequence(5)
-    assert np.array_equal(zeta, zeta_p)  # same zeta recursion
-    assert psi[0] == 0.0
-    for r in range(1, 5):
-        assert psi[r] == pytest.approx((zeta[r - 1] - 1.0) / zeta[r], abs=1e-15)
-
-
 # --- APG ---------------------------------------------------------------------
 
 def test_apg_iterates_feasible_and_best_tracked():
@@ -338,8 +329,6 @@ def test_apg_option_validation():
         ApgOptions(delta=0.0)
     with pytest.raises(ValueError):
         ApgOptions(max_iter=0)
-    with pytest.raises(ValueError):
-        ApgOptions(restart_window=0)
     coeffs = PhaseCoefficients(eta=np.ones((4, 2)), vbar=np.zeros(2))
     with pytest.raises(ValueError):
         apg_optimize(coeffs, np.ones(6), ApgOptions())
