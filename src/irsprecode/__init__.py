@@ -37,6 +37,7 @@ from .harness import (
     ExperimentConfig,
     SolverConfig,
     channel_realization,
+    draw_noise,
     run_experiment,
     simulate_transmission,
     write_csv,
@@ -83,6 +84,7 @@ __all__ = [
     "build_coefficients",
     "build_phase_coefficients",
     "channel_realization",
+    "draw_noise",
     "effective_channel",
     "effective_matrix",
     "frame_margins",

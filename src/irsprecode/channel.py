@@ -7,7 +7,6 @@ power law L(d) = g_ref * d**(-exponent) with g_ref a linear power gain.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -216,30 +216,41 @@ def inv_db_to_sigma2(inv_sigma2_db: float) -> float:
     return 10.0 ** (-inv_sigma2_db / 10.0)
 
 
+def draw_noise(n_noise: int, n_users: int, n_slots: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """Complex (n_noise, K, T) noise block with i.i.d. standard normal real
+    and imaginary parts (all real parts are drawn first).
+
+    simulate_transmission scales it to CN(0, sigma2), so one block serves
+    every scheme and noise level of a channel.
+    """
+    if n_noise < 1:
+        raise ValueError("need at least one noise draw")
+    shape = (n_noise, n_users, n_slots)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def simulate_transmission(frame, phases: PhaseShifts, ch: ChannelSet,
-                          symbols: SymbolFrame, sigma2: float, n_noise: int,
-                          rng: np.random.Generator):
+                          symbols: SymbolFrame, sigma2: float, noise):
     """Count decision errors of a fixed design under AWGN.
 
-    Draws n_noise i.i.d. CN(0, sigma2) noise samples per (user, slot); the
-    draw order is fixed, so generators seeded identically yield the same
-    noise for every scheme and noise level. Returns (bit_errors, sym_errors,
-    bits, syms).
+    noise is a block from draw_noise; each of its n_noise (K, T) slices,
+    scaled by sqrt(sigma2 / 2), is added to the noise-free receive points.
+    Returns (bit_errors, sym_errors, bits, syms).
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    if n_noise < 1:
-        raise ValueError("need at least one noise draw")
     h_eff = effective_matrix(ch, phases)
     z = h_eff @ frame_array(frame).T
-    shape = (n_noise,) + z.shape
-    noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    noise = np.asarray(noise)
+    if noise.ndim != 3 or noise.shape[0] < 1 or noise.shape[1:] != z.shape:
+        raise ValueError("noise must be an (n_noise >= 1, K, T) block")
     y = z[None, :, :] + np.sqrt(sigma2 / 2.0) * noise
     c = symbols.constellation
     decided = decide_index(y, c)
     sym_err = int(np.sum(decided != symbols.indices[None, :, :]))
-    bit_err = bit_errors(np.broadcast_to(symbols.indices, shape), decided, c)
-    syms = int(np.prod(shape))
+    bit_err = bit_errors(np.broadcast_to(symbols.indices, noise.shape), decided, c)
+    syms = noise.size
     return bit_err, sym_err, syms * c.bits_per_symbol, syms
 
 
@@ -387,6 +398,8 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         else:  # pragma: no cover - registry and config validation forbid this
             raise AssertionError(f"unhandled scheme {scheme}")
 
+    # one noise block serves every scheme and noise point (common random numbers)
+    noise = draw_noise(cfg.n_noise, cfg.k, cfg.t, _substream(cfg, index, _TAG_NOISE))
     out = {}
     for scheme in cfg.schemes:
         frame, phases, channel, ok, status, runtime = designs[scheme]
@@ -395,8 +408,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         bits = syms = 0
         for sigma2 in sigma2s:
             be, se, bits, syms = simulate_transmission(
-                frame, phases, channel, symbols, sigma2, cfg.n_noise,
-                _substream(cfg, index, _TAG_NOISE))
+                frame, phases, channel, symbols, sigma2, noise)
             bit_err.append(be)
             sym_err.append(se)
         out[scheme] = _SchemeOutcome(ok=ok, status=status, worst_margin=worst,

@@ -337,6 +337,10 @@ def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, restarts: int,
     first from the sign rounding of the relaxed point (zeros to +s), then
     from i.i.d. uniform sign draws. The best restart is returned, so the
     result is never worse than naive sign rounding.
+
+    Each restart keeps the flip deltas d_j = 2 x_j c_j of the fractional
+    entries; flipping entry j only negates d_j (exactly, in floating point),
+    so a pass costs one subtraction instead of rebuilding every delta.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -358,18 +362,20 @@ def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, restarts: int,
         if r > 0:
             x[frac] = s * (2.0 * rng.integers(0, 2, size=frac.size) - 1.0)
         w = ct @ x
+        cur = w.max()
+        d = 2.0 * (ct_frac * x[frac])  # w - d[:, j] is w after entry j flips
         while True:
-            cur = w.max()
-            cand = w[:, None] - 2.0 * (ct_frac * x[frac][None, :])
+            cand = w[:, None] - d
             cand_max = cand.max(axis=0)
             j = int(np.argmin(cand_max))
             if cand_max[j] >= cur:
                 break
             x[frac[j]] = -x[frac[j]]
             w = cand[:, j].copy()
-        val = w.max()
-        if val < best_val:
-            best_val = val
+            d[:, j] = -d[:, j]
+            cur = cand_max[j]
+        if cur < best_val:
+            best_val = cur
             best_x = x
     return best_x
 

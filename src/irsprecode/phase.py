@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .channel import ChannelSet
 from .constellation import PskConstellation, SymbolFrame
@@ -102,12 +101,26 @@ def max_constraint(theta_bar, coeffs: PhaseCoefficients) -> float:
 
 
 def lse_value(theta_bar, coeffs: PhaseCoefficients, delta: float) -> float:
-    """Log-sum-exp smoothing of the max constraint; overflow-safe."""
+    """Log-sum-exp smoothing of the max constraint; overflow-safe.
+
+    With a = vals / delta, a_max its maximum and m the number of entries
+    equal to it, the value is delta (log1p(sum_{a_i < a_max} exp(a_i - a_max)
+    / m) + log m + a_max): the maxima are taken out of the sum for precision.
+    This is the arithmetic of scipy.special.logsumexp (SciPy 1.17), step for
+    step, so both give the same bits on finite input; the shape-(1,) arrays
+    keep every scalar operation on the same NumPy loops as SciPy's.
+    """
     if delta <= 0:
         raise ValueError("delta must be positive")
     theta_bar = np.asarray(theta_bar, dtype=float)
-    vals = theta_bar @ coeffs.eta + coeffs.vbar
-    return float(delta * logsumexp(vals / delta))
+    a = (theta_bar @ coeffs.eta + coeffs.vbar) / delta
+    a_max = a.max(keepdims=True)
+    at_max = a == a_max
+    m = np.sum(at_max, keepdims=True, dtype=float)
+    e = np.exp(a - a_max)
+    e[at_max] = 0.0
+    s = e.sum(keepdims=True) / m
+    return float(delta * (np.log1p(s) + np.log(m) + a_max)[0])
 
 
 def lse_gradient(theta_bar, coeffs: PhaseCoefficients, delta: float) -> np.ndarray:
@@ -115,8 +128,9 @@ def lse_gradient(theta_bar, coeffs: PhaseCoefficients, delta: float) -> np.ndarr
     if delta <= 0:
         raise ValueError("delta must be positive")
     theta_bar = np.asarray(theta_bar, dtype=float)
-    vals = theta_bar @ coeffs.eta + coeffs.vbar
-    return coeffs.eta @ softmax(vals / delta)
+    a = (theta_bar @ coeffs.eta + coeffs.vbar) / delta
+    e = np.exp(a - a.max())
+    return coeffs.eta @ (e / e.sum())
 
 
 def project_unit_modulus(theta_bar) -> np.ndarray:

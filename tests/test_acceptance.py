@@ -25,6 +25,7 @@ from irsprecode.constellation import PskConstellation, SymbolFrame, margin, sep_
 from irsprecode.harness import (
     ExperimentConfig,
     channel_realization,
+    draw_noise,
     run_experiment,
     simulate_transmission,
     timing_report,
@@ -301,8 +302,8 @@ def test_criterion_08_sep_bound_validity():
     margins = frame_margins(ch, theta, x, sym)
     assert margins.min() > 0
     sigma2 = 2.0 * (margins.min() / 2.2) ** 2
-    _, sym_err, _, syms = simulate_transmission(
-        x, theta, ch, sym, sigma2, 100000, np.random.default_rng(4))
+    noise = draw_noise(100000, 2, 3, np.random.default_rng(4))
+    _, sym_err, _, syms = simulate_transmission(x, theta, ch, sym, sigma2, noise)
     ser = sym_err / syms
     bound = np.minimum(1.0, sep_upper_bound(margins, sigma2, c))
     bavg = float(bound.mean())

@@ -1,6 +1,5 @@
 """Experiment harness tests: configs, pairing, determinism, aggregation."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +14,7 @@ from irsprecode.harness import (
     ExperimentConfig,
     SolverConfig,
     channel_realization,
+    draw_noise,
     inv_db_to_sigma2,
     run_experiment,
     simulate_transmission,
@@ -99,8 +99,8 @@ class TestSimulate:
         ch, phases, x, symbols = fixed_design()
         margins = frame_margins(ch, phases, x, symbols)
         assert margins.min() > 0  # precondition for the zero-error claim
-        be, se, bits, syms = simulate_transmission(
-            x, phases, ch, symbols, 1e-30, 4, np.random.default_rng(0))
+        noise = draw_noise(4, symbols.n_users, symbols.n_slots, np.random.default_rng(0))
+        be, se, bits, syms = simulate_transmission(x, phases, ch, symbols, 1e-30, noise)
         assert (be, se) == (0, 0)
         assert syms == 4 * symbols.n_users * symbols.n_slots
         assert bits == 2 * syms
@@ -108,11 +108,12 @@ class TestSimulate:
     def test_same_seed_same_counts(self):
         ch, phases, x, symbols = fixed_design(1)
         sigma2 = inv_db_to_sigma2(38.0)
-        a = simulate_transmission(x, phases, ch, symbols, sigma2, 50,
-                                  np.random.default_rng(7))
-        b = simulate_transmission(x, phases, ch, symbols, sigma2, 50,
-                                  np.random.default_rng(7))
-        assert a == b
+
+        def counts():
+            noise = draw_noise(50, symbols.n_users, symbols.n_slots, np.random.default_rng(7))
+            return simulate_transmission(x, phases, ch, symbols, sigma2, noise)
+
+        assert counts() == counts()
 
     def test_empirical_ser_within_bound(self):
         # union bound on the symbol error probability, Monte-Carlo checked
@@ -120,8 +121,9 @@ class TestSimulate:
         margins = frame_margins(ch, phases, x, symbols)
         sigma2 = float((margins.min() / 2.2) ** 2 * 2)  # moderate error rate
         n_noise = 10000
-        _, se, _, syms = simulate_transmission(
-            x, phases, ch, symbols, sigma2, n_noise, np.random.default_rng(3))
+        noise = draw_noise(n_noise, symbols.n_users, symbols.n_slots,
+                           np.random.default_rng(3))
+        _, se, _, syms = simulate_transmission(x, phases, ch, symbols, sigma2, noise)
         ser = se / syms
         bound = float(np.minimum(sep_upper_bound(margins, sigma2, QPSK), 1.0).mean())
         mc_sd = np.sqrt(max(ser * (1 - ser), 1e-12) / syms)
@@ -130,12 +132,15 @@ class TestSimulate:
 
     def test_invalid_args(self):
         ch, phases, x, symbols = fixed_design(3)
+        k, t = symbols.n_users, symbols.n_slots
+        noise = draw_noise(1, k, t, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            simulate_transmission(x, phases, ch, symbols, 0.0, 1,
-                                  np.random.default_rng(0))
+            simulate_transmission(x, phases, ch, symbols, 0.0, noise)
         with pytest.raises(ValueError):
-            simulate_transmission(x, phases, ch, symbols, 1.0, 0,
-                                  np.random.default_rng(0))
+            draw_noise(0, k, t, np.random.default_rng(0))
+        for bad in (noise[0], noise[:0], noise[:, :, :-1]):
+            with pytest.raises(ValueError):
+                simulate_transmission(x, phases, ch, symbols, 1.0, bad)
 
 
 class TestRunExperiment:
@@ -168,6 +173,39 @@ class TestRunExperiment:
         monkeypatch.setattr(hn, "alternating_optimize", boom)
         recs = run_experiment(small_cfg(schemes=("zf-quant", "zf-quant-noirs")))
         assert all(r.n_channels_ok == 4 for r in recs)
+
+    def test_shared_noise_block_matches_a_fresh_draw_per_point(self, monkeypatch):
+        # each (scheme, noise point) counts errors under exactly the noise a
+        # fresh _TAG_NOISE substream of its channel draws
+        import irsprecode.harness as hn
+
+        cfg = small_cfg(schemes=("onebit-md", "zf-quant", "relaxed-quant-noirs"),
+                        noise_grid_db=(10.0, 20.0, 30.0), n_noise=3, n_channels=3)
+        calls = []
+        real = hn.simulate_transmission
+
+        def spy(frame, phases, ch, symbols, sigma2, noise):
+            calls.append((frame, phases, ch, symbols, sigma2))
+            return real(frame, phases, ch, symbols, sigma2, noise)
+
+        monkeypatch.setattr(hn, "simulate_transmission", spy)
+        _, per_channel = run_experiment(cfg, keep_channel_detail=True)
+        shape = (cfg.n_noise, cfg.k, cfg.t)
+        pending = iter(calls)
+        total_errors = 0
+        for i, outcomes in enumerate(per_channel):
+            for scheme in cfg.schemes:
+                for j, db in enumerate(cfg.noise_grid_db):
+                    frame, phases, ch, symbols, sigma2 = next(pending)
+                    assert sigma2 == inv_db_to_sigma2(db)
+                    rng = hn._substream(cfg, i, hn._TAG_NOISE)
+                    fresh = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    be, se, _, _ = real(frame, phases, ch, symbols, sigma2, fresh)
+                    assert (be, se) == (outcomes[scheme].bit_err[j],
+                                        outcomes[scheme].sym_err[j])
+                    total_errors += be
+        assert next(pending, None) is None
+        assert total_errors > 0
 
     def test_thread_count_does_not_change_output(self, tmp_path):
         cfg = small_cfg(n_channels=5,

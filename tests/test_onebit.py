@@ -7,6 +7,8 @@ implemented inside the tests themselves.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsprecode.channel import (
     GeometryConfig,
@@ -338,6 +340,68 @@ def test_mbi_requires_rng_for_random_restarts():
         mbi_round(np.array([0.0, 0.5]), coeff, restarts=2, rng=None)
     with pytest.raises(ValueError):
         mbi_round(np.array([0.0, 0.5]), coeff, restarts=0, rng=None)
+
+
+def _mbi_round_reference(xbar_relaxed, coeff, restarts, rng=None,
+                         fractional_tol=1e-6):
+    """The rounding loop that rebuilds every flip delta on each pass."""
+    s = coeff.amplitude
+    xbar_relaxed = np.asarray(xbar_relaxed, dtype=float)
+    base = np.where(xbar_relaxed >= 0, s, -s)
+    frac = np.flatnonzero(np.abs(xbar_relaxed) < s * (1.0 - fractional_tol))
+    if frac.size == 0:
+        return base
+    ct = coeff.c.T
+    ct_frac = ct[:, frac]
+    best_x = None
+    best_val = np.inf
+    for r in range(restarts):
+        x = base.copy()
+        if r > 0:
+            x[frac] = s * (2.0 * rng.integers(0, 2, size=frac.size) - 1.0)
+        w = ct @ x
+        while True:
+            cur = w.max()
+            cand = w[:, None] - 2.0 * (ct_frac * x[frac][None, :])
+            cand_max = cand.max(axis=0)
+            j = int(np.argmin(cand_max))
+            if cand_max[j] >= cur:
+                break
+            x[frac[j]] = -x[frac[j]]
+            w = cand[:, j].copy()
+        val = w.max()
+        if val < best_val:
+            best_val = val
+            best_x = x
+    return best_x
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 8), k=st.integers(1, 3),
+       order=st.sampled_from([2, 4, 8]), restarts=st.sampled_from([1, 5]),
+       saturated=st.sampled_from([0.0, 0.4, 1.0]),
+       integer_c=st.booleans(), coarse_x=st.booleans())
+def test_mbi_bit_exact_against_reference_loop(seed, m, k, order, restarts, saturated,
+                                             integer_c, coarse_x):
+    # BPSK (order 2, cot = 0), integer coefficients and three-level relaxed
+    # points make exact ties in the best-flip choice common
+    rng = np.random.default_rng(seed)
+    coeff, _, _, _ = random_instance(rng, m=m, k=k, order=order)
+    if integer_c:
+        coeff = CoefficientMatrix(c=rng.integers(-2, 3, size=coeff.c.shape).astype(float),
+                                  amplitude=coeff.amplitude)
+    s = coeff.amplitude
+    if coarse_x:
+        xrel = s * rng.choice([-0.5, 0.0, 0.5], size=coeff.n_lifted)
+    else:
+        xrel = s * rng.uniform(-1, 1, size=coeff.n_lifted)
+    sat = rng.random(coeff.n_lifted) < saturated
+    xrel[sat] = s * rng.choice([-1.0, 1.0], size=int(sat.sum()))
+    rng_got, rng_want = (np.random.default_rng(seed + 1) for _ in range(2))
+    got = mbi_round(xrel, coeff, restarts, rng_got)
+    want = _mbi_round_reference(xrel, coeff, restarts, rng_want)
+    assert np.array_equal(got, want)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 # --- solve_symbol ------------------------------------------------------------

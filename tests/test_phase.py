@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp, softmax
 
 from irsprecode.channel import (
     ChannelSet,
@@ -162,6 +165,36 @@ def test_lse_gradient_is_softmax_combination():
     w /= w.sum()
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(lse_gradient(tb, coeffs, delta), coeffs.eta @ w, atol=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6), n_cols=st.integers(1, 60),
+       log_scale=st.floats(-3.0, 8.0), delta=st.sampled_from([1e-4, 1e-2, 1.0]),
+       n_max=st.integers(1, 5), integer_eta=st.booleans())
+def test_lse_bit_exact_against_scipy(seed, n, n_cols, log_scale, delta, n_max,
+                                     integer_eta):
+    # integer eta and theta make products and sums exact, so copies of the
+    # largest column give exactly repeated maxima; |vals / delta| reaches 1e8
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale * delta
+    if integer_eta:
+        eta = rng.integers(-3, 4, size=(2 * n, 2 * n_cols)).astype(float)
+        tb = rng.integers(-2, 3, size=2 * n).astype(float)
+        vbar = np.round(rng.uniform(-1, 1, 2 * n_cols) * 8) * scale / 8
+    else:
+        eta = rng.standard_normal((2 * n, 2 * n_cols)) * scale
+        tb = random_theta_bar(n, rng)
+        vbar = rng.uniform(-1, 1, 2 * n_cols) * scale
+    j = int(np.argmax(tb @ eta + vbar))
+    others = np.delete(np.arange(2 * n_cols), j)
+    for i in rng.choice(others, size=min(n_max - 1, others.size), replace=False):
+        eta[:, i], vbar[i] = eta[:, j], vbar[j]
+    coeffs = PhaseCoefficients(eta=eta, vbar=vbar)
+    a = (tb @ coeffs.eta + coeffs.vbar) / delta
+    if integer_eta:
+        assert np.count_nonzero(a == a.max()) >= min(n_max, 2 * n_cols)
+    assert lse_value(tb, coeffs, delta) == float(delta * logsumexp(a))
+    assert np.array_equal(lse_gradient(tb, coeffs, delta), coeffs.eta @ softmax(a))
 
 
 def test_lse_gradient_finite_difference():
