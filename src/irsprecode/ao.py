@@ -2,13 +2,18 @@
 
 Each outer round solves the T per-slot transmit designs against the current
 effective channel, then re-optimizes the phase shifts against the new frame,
-warm-starting from the incumbent (initially uniform random) phases. The loop
-stops when the squared change ||X_i - X_{i-1}||_F^2 + ||theta_i - theta_{i-1}||^2
-of the complex variables falls below stop_tol, or after max_outer rounds.
+warm-starting from the previous round's (initially uniform random) phases.
 
-Neither inner solver is exact (rounding and a nonconvex projection are
-involved), so the driver never asserts monotone progress; it records the
-worst margin per round and propagates inner-solver statuses in the trace.
+The objective is the worst-case margin over all (user, slot) pairs. Neither
+inner solver is exact (rounding and a nonconvex projection are involved), so
+a round can lower it. The loop keeps the round with the highest worst
+margin so far (round 1 to start with; only a strictly higher margin replaces
+it, so ties go to the earliest round). It stops at the first of: a round
+that does not beat that best round, a squared change
+||X_i - X_{i-1}||_F^2 + ||theta_i - theta_{i-1}||^2 of the complex
+variables below stop_tol, or max_outer rounds. It returns the best round's
+design; the trace records every round that ran, with its worst margin and
+inner-solver statuses.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ from .phase import ApgOptions, apg_optimize, build_phase_coefficients
 @dataclass(frozen=True)
 class AoConfig:
     """Outer-loop controls plus the options of both inner solvers.
+
+    A run stops after the first round whose worst margin does not strictly
+    beat the best so far, once the squared change drops below stop_tol, or
+    after max_outer rounds, and returns its best round's design.
 
     x_mode "onebit" runs the full design; "relaxed" keeps the box-relaxed
     frame of relaxed_slp instead (used by the infinite-resolution baseline
@@ -65,6 +74,11 @@ class AoIterationRecord:
     md_converged: list
     apg_converged: bool
 
+    @property
+    def converged(self) -> bool:
+        """Whether every inner solve of the round converged."""
+        return all(self.md_converged) and self.apg_converged
+
 
 def frame_margins(ch: ChannelSet, phases: PhaseShifts, frame,
                   symbols: SymbolFrame) -> np.ndarray:
@@ -74,14 +88,26 @@ def frame_margins(ch: ChannelSet, phases: PhaseShifts, frame,
     return margin(z, symbols.constellation)
 
 
+def best_round(trace: list) -> AoIterationRecord:
+    """The round a run returns: the first with the highest worst margin.
+
+    A later round replaces the incumbent only with a strictly higher margin,
+    so ties keep the earliest round and a NaN margin never replaces one (nor
+    is replaced, in round 1).
+    """
+    return max(trace, key=lambda rec: rec.worst_margin)
+
+
 def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
                          rng: np.random.Generator | None = None):
     """Run the outer loop; returns (frame, phases, trace).
 
-    frame is a OneBitFrame for x_mode "onebit" and a complex (T, M) array in
-    the relaxed mode. The rng argument overrides cfg.seed when supplied (the
-    harness passes per-channel substreams). With n_starts > 1 the trace of
-    the winning start is returned.
+    frame and phases are the design of the best round, best_round(trace);
+    the trace holds every round that ran. frame is a OneBitFrame for x_mode
+    "onebit" and a complex (T, M) array in the relaxed mode. The rng argument
+    overrides cfg.seed when supplied (the harness passes per-channel
+    substreams). With n_starts > 1 the trace of the winning start is
+    returned.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
@@ -104,6 +130,7 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
     x_prev = None
     theta_prev = phases.theta
     trace: list = []
+    best = None  # (worst margin, frame, phases) of the best round so far
 
     for it in range(1, cfg.max_outer + 1):
         frame, md_converged = _x_step(effective_matrix(ch, phases), symbols, cfg, rng)
@@ -118,11 +145,15 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
         worst = float(frame_margins(ch, phases, frame, symbols).min())
         trace.append(AoIterationRecord(it, worst, sq_change, md_converged,
                                        apg_converged))
+        improved = best is None or worst > best[0]
+        if improved:
+            best = (worst, frame, phases)
         x_prev = x
         theta_prev = phases.theta
-        if sq_change < cfg.stop_tol:
+        if not improved or sq_change < cfg.stop_tol:
             break
 
+    _, frame, phases = best
     return frame, phases, trace
 
 

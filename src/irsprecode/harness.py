@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ao import AoConfig, alternating_optimize, frame_margins
+from .ao import AoConfig, alternating_optimize, best_round, frame_margins
 from .baselines import (
     RESERVED_SCHEMES,
     SCHEMES,
@@ -323,8 +323,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         frame, phases, trace = alternating_optimize(
             ch, symbols, cfg.solver.ao_config(cfg.power), rng=rng)
         dt = time.perf_counter() - t0
-        last = trace[-1]
-        ok = all(last.md_converged) and last.apg_converged
+        ok = best_round(trace).converged
         put("onebit-md", frame, phases, ch, ok,
             "ok" if ok else "inner-solver-nonconverged", dt)
         theta_shared = phases
@@ -352,7 +351,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
             _, phases, trace = alternating_optimize(
                 ch, symbols, cfg.solver.ao_config(cfg.power, x_mode="relaxed"),
                 rng=rng)
-            ok = all(trace[-1].md_converged) and trace[-1].apg_converged
+            ok = best_round(trace).converged
         else:
             phases = baseline_theta() if with_irs else ones
         channel = ch if with_irs else bare

@@ -360,6 +360,7 @@ def _ordering_gaps(detail, cfg):
     return worst
 
 
+@pytest.mark.slow
 def test_criterion_09_desk_scale_ordering(desk_run):
     records, detail, elapsed = desk_run
     gap = _ordering_gaps(detail, DESK_CONFIG)
@@ -379,6 +380,7 @@ def test_criterion_09_desk_scale_ordering(desk_run):
                     f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_10_thread_determinism(desk_run, tmp_path):
     records, _, _ = desk_run
     p1 = tmp_path / "threads1.csv"

@@ -4,8 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irsprecode.ao import AoConfig, alternating_optimize, frame_margins
+from irsprecode.ao import AoConfig, alternating_optimize, best_round, frame_margins
 from irsprecode.baselines import relaxed_slp
 from irsprecode.channel import (
     GeometryConfig,
@@ -77,11 +79,12 @@ def test_stopping_rule_uses_squared_change():
 
 
 def test_trace_replicates_hand_driven_steps():
-    # drive the two inner solvers by hand with the same rng stream and
-    # check the driver reports exactly the same designs and statistics
+    # drive the two inner solvers by hand with the same rng stream: the
+    # loop must report exactly the same rounds, stop where the rule says
+    # and return the first round with the highest worst margin
     ch, sym = instance(4)
     m = 4
-    cfg = AoConfig(power=POWER, max_outer=3, seed=11)
+    cfg = AoConfig(power=POWER, seed=11)
     frame, phases, trace = alternating_optimize(ch, sym, cfg)
 
     rng = np.random.default_rng(11)
@@ -89,7 +92,8 @@ def test_trace_replicates_hand_driven_steps():
     amplitude = float(np.sqrt(POWER / (2 * m)))
     x_prev = None
     th_prev = ph.theta
-    for rec in trace:
+    best = None  # (worst margin, frame, phases) of the first best round
+    for i, rec in enumerate(trace, start=1):
         h_eff = effective_matrix(ch, ph)
         rows = [solve_symbol(h_eff, sym.symbols[:, t], QPSK, POWER, cfg.solve, rng).xbar
                 for t in range(sym.n_slots)]
@@ -102,12 +106,48 @@ def test_trace_replicates_hand_driven_steps():
         else:
             sq = (float(np.sum(np.abs(fr.x - x_prev) ** 2))
                   + float(np.sum(np.abs(ph.theta - th_prev) ** 2)))
+        worst = float(frame_margins(ch, ph, fr, sym).min())
+        assert rec.iteration == i
         assert rec.sq_change == sq
-        assert rec.worst_margin == float(frame_margins(ch, ph, fr, sym).min())
+        assert rec.worst_margin == worst
+        improved = best is None or worst > best[0]
+        if improved:
+            best = (worst, fr, ph)
+        stop = not improved or sq < cfg.stop_tol or i == cfg.max_outer
+        assert stop == (i == len(trace))
         x_prev = fr.x
         th_prev = ph.theta
-    assert np.array_equal(frame.xbar, fr.xbar)
-    assert np.array_equal(phases.theta, ph.theta)
+    # this instance stops on a round that did not improve, well before the
+    # cap, and that round is not the one returned
+    assert 1 < len(trace) < cfg.max_outer and trace[-1].worst_margin <= best[0]
+    assert not np.array_equal(fr.xbar, best[1].xbar)
+    assert np.array_equal(frame.xbar, best[1].xbar)
+    assert np.array_equal(phases.theta, best[2].theta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4), n=st.integers(1, 4),
+       k=st.integers(1, 2), t=st.integers(1, 3), order=st.sampled_from([2, 4, 8]),
+       max_outer=st.integers(1, 6), stop_tol=st.sampled_from([1e-300, 1e-4, 1e2]),
+       x_mode=st.sampled_from(["onebit", "relaxed"]))
+def test_returns_best_round_and_stops_at_first_non_improving(seed, m, n, k, t, order,
+                                                             max_outer, stop_tol,
+                                                             x_mode):
+    ch, sym = instance(seed, m=m, n=n, k=k, t=t, order=order)
+    cfg = AoConfig(power=POWER, max_outer=max_outer, stop_tol=stop_tol,
+                   x_mode=x_mode, seed=seed)
+    frame, phases, trace = alternating_optimize(ch, sym, cfg)
+    margins = [rec.worst_margin for rec in trace]
+    assert float(frame_margins(ch, phases, frame, sym).min()) == max(margins)
+    assert best_round(trace) is trace[margins.index(max(margins))]
+    assert 1 <= len(trace) <= max_outer
+    # every round but the last beat all rounds before it
+    for i in range(1, len(trace) - 1):
+        assert margins[i] > max(margins[:i])
+    # a last round that improved too (round 1 always does) stopped on the
+    # change or the cap
+    if len(trace) == 1 or margins[-1] > max(margins[:-1]):
+        assert trace[-1].sq_change < stop_tol or len(trace) == max_outer
 
 
 def test_phase_step_never_hurts_margin():

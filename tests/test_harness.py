@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from irsprecode.ao import frame_margins
+from irsprecode.ao import AoIterationRecord, frame_margins
 from irsprecode.channel import ChannelSet, PhaseShifts
 from irsprecode.constellation import PskConstellation, SymbolFrame, sep_upper_bound
 from irsprecode.harness import (
@@ -206,6 +206,33 @@ class TestRunExperiment:
                     total_errors += be
         assert next(pending, None) is None
         assert total_errors > 0
+
+    @pytest.mark.parametrize("best_converged", [True, False])
+    def test_ao_status_comes_from_the_returned_round(self, monkeypatch, best_converged):
+        # the joint design and the reoptimized relaxed design take their
+        # status from the round alternating_optimize returns (the first with
+        # the highest worst margin), not from the last round that ran
+        import irsprecode.harness as hn
+
+        real = hn.alternating_optimize
+
+        def fake(ch, symbols, cfg, rng=None):
+            frame, phases, _ = real(ch, symbols, cfg, rng=rng)
+            n_slots = symbols.n_slots
+            best = AoIterationRecord(1, 0.2, np.inf, [best_converged] * n_slots,
+                                     best_converged)
+            last = AoIterationRecord(2, 0.1, 1.0, [not best_converged] * n_slots,
+                                     not best_converged)
+            return frame, phases, [best, last]
+
+        monkeypatch.setattr(hn, "alternating_optimize", fake)
+        cfg = small_cfg(schemes=("onebit-md", "relaxed"), theta_policy="reoptimized",
+                        n_channels=2)
+        _, per_channel = run_experiment(cfg, keep_channel_detail=True)
+        want = "ok" if best_converged else "inner-solver-nonconverged"
+        for outcomes in per_channel:
+            assert outcomes["onebit-md"].status == want
+            assert outcomes["relaxed"].ok == best_converged
 
     def test_thread_count_does_not_change_output(self, tmp_path):
         cfg = small_cfg(n_channels=5,

@@ -17,7 +17,10 @@ from irsprecode.channel import (
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
 from irsprecode.onebit import OneBitFrame
 from irsprecode.phase import (
+    RESTART_WINDOW,
     ApgOptions,
+    ApgResult,
+    ApgTraceRecord,
     PhaseCoefficients,
     apg_optimize,
     build_phase_coefficients,
@@ -365,3 +368,129 @@ def test_apg_option_validation():
     coeffs = PhaseCoefficients(eta=np.ones((4, 2)), vbar=np.zeros(2))
     with pytest.raises(ValueError):
         apg_optimize(coeffs, np.ones(6), ApgOptions())
+
+
+# test-local copy of the APG loop before value, gradient and true objective
+# shared one constraint-value product per point: each kernel call forms
+# theta_bar @ eta + vbar afresh
+def _ref_values(tb, coeffs):
+    return np.asarray(tb, dtype=float) @ coeffs.eta + coeffs.vbar
+
+
+def _ref_max(tb, coeffs):
+    return float(np.max(_ref_values(tb, coeffs)))
+
+
+def _ref_lse(tb, coeffs, delta):
+    a = _ref_values(tb, coeffs) / delta
+    a_max = a.max(keepdims=True)
+    at_max = a == a_max
+    m = np.sum(at_max, keepdims=True, dtype=float)
+    e = np.exp(a - a_max)
+    e[at_max] = 0.0
+    s = e.sum(keepdims=True) / m
+    return float(delta * (np.log1p(s) + np.log(m) + a_max)[0])
+
+
+def _ref_grad(tb, coeffs, delta):
+    a = _ref_values(tb, coeffs) / delta
+    e = np.exp(a - a.max())
+    return coeffs.eta @ (e / e.sum())
+
+
+def _ref_apg(coeffs, theta_bar_init, opts):
+    delta = opts.delta
+    theta = project_unit_modulus(theta_bar_init)
+    sigma = float(np.linalg.norm(coeffs.eta, 2))
+    lipschitz = sigma * sigma / delta
+    if lipschitz == 0.0:
+        return ApgResult(theta_bar=theta, value=_ref_max(theta, coeffs),
+                         smoothed=_ref_lse(theta, coeffs, delta),
+                         converged=True, n_iter=0, trace=[])
+    _, psis = momentum_sequence(opts.max_iter)
+    best_theta = theta
+    best_val = _ref_max(theta, coeffs)
+    theta_prev = theta
+    r = 0
+    h_prev = _ref_lse(theta, coeffs, delta)
+    tau = lipschitz
+    rise_streak = 0
+    converged = False
+    trace = []
+    it = 0
+    for it in range(1, opts.max_iter + 1):
+        z = theta + psis[r] * (theta - theta_prev)
+        r += 1
+        g = _ref_grad(z, coeffs, delta)
+        h_z = _ref_lse(z, coeffs, delta)
+        tau = max(tau * 0.5, lipschitz * 2.0 ** -52)
+        while True:
+            theta_new = project_unit_modulus(z - g / tau)
+            h_new = _ref_lse(theta_new, coeffs, delta)
+            if tau >= lipschitz:
+                break
+            d = theta_new - z
+            if h_new <= h_z + float(g @ d) + 0.5 * tau * float(d @ d):
+                break
+            tau = min(tau * 2.0, lipschitz)
+        val = _ref_max(theta_new, coeffs)
+        if val < best_val:
+            best_val = val
+            best_theta = theta_new
+        if opts.record_trace:
+            trace.append(ApgTraceRecord(it, h_new, val, 1.0 / tau, theta_new))
+        rise_streak = rise_streak + 1 if h_new > h_prev else 0
+        if rise_streak >= RESTART_WINDOW:
+            r = 0
+            rise_streak = 0
+        change = float(np.linalg.norm(theta_new - theta))
+        theta_prev, theta = theta, theta_new
+        h_prev = h_new
+        if change <= opts.tol:
+            converged = True
+            break
+    return ApgResult(theta_bar=best_theta, value=best_val,
+                     smoothed=_ref_lse(best_theta, coeffs, delta),
+                     converged=converged, n_iter=it, trace=trace)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["bpsk", "qpsk", "16psk", "repeated-max", "zero-eta"]),
+       n=st.integers(1, 5), n_cols=st.integers(1, 12),
+       delta=st.sampled_from([1e-3, 1e-2, 1.0]), max_iter=st.integers(1, 80),
+       tol=st.sampled_from([0.0, 1e-6, 1e-2]))
+def test_apg_bit_exact_against_reference_loop(seed, kind, n, n_cols, delta, max_iter,
+                                              tol):
+    # protocol coefficients (BPSK has cot = 0), integer data whose copied
+    # columns tie exactly for the maximum at the start and along the way,
+    # and an all-zero eta (constant objective, immediate return)
+    rng = np.random.default_rng(seed)
+    if kind in ("bpsk", "qpsk", "16psk"):
+        order = {"bpsk": 2, "qpsk": 4, "16psk": 16}[kind]
+        ch, frame, sym, c = random_setup(rng, m=4, n=n, k=2, t=max(1, n_cols // 4),
+                                         order=order)
+        coeffs = build_phase_coefficients(ch, frame, sym, c)
+    elif kind == "repeated-max":
+        eta = rng.integers(-3, 4, size=(2 * n, 2 * n_cols)).astype(float)
+        vbar = rng.integers(-2, 3, size=2 * n_cols).astype(float)
+        eta[:, n_cols:] = eta[:, :n_cols]
+        vbar[n_cols:] = vbar[:n_cols]
+        coeffs = PhaseCoefficients(eta=eta, vbar=vbar)
+    else:
+        coeffs = PhaseCoefficients(eta=np.zeros((2 * n, 2 * n_cols)),
+                                   vbar=rng.uniform(-1, 1, 2 * n_cols))
+    init = random_theta_bar(coeffs.n_lifted // 2, rng)
+    if kind == "repeated-max":
+        init = np.round(init)  # integer start: exact constraint values
+    opts = ApgOptions(delta=delta, max_iter=max_iter, tol=tol, record_trace=True)
+    got = apg_optimize(coeffs, init, opts)
+    want = _ref_apg(coeffs, init, opts)
+    assert np.array_equal(got.theta_bar, want.theta_bar)
+    assert (got.value, got.smoothed, got.converged, got.n_iter) == (
+        want.value, want.smoothed, want.converged, want.n_iter)
+    assert len(got.trace) == len(want.trace)
+    for a, b in zip(got.trace, want.trace):
+        assert (a.iteration, a.smoothed, a.true_value, a.step) == (
+            b.iteration, b.smoothed, b.true_value, b.step)
+        assert np.array_equal(a.theta_bar, b.theta_bar)
