@@ -51,15 +51,14 @@ class AoConfig:
     apg: ApgOptions = field(default_factory=ApgOptions)
     x_mode: str = "onebit"
     n_starts: int = 1
-    seed: int | None = None
 
     def __post_init__(self):
-        if self.power <= 0:
-            raise ValueError("power must be positive")
+        if not 0 < self.power < np.inf:
+            raise ValueError("power must be positive and finite")
         if self.max_outer < 1:
             raise ValueError("need at least one outer round")
-        if self.stop_tol <= 0:
-            raise ValueError("stop_tol must be positive")
+        if not 0 < self.stop_tol < np.inf:
+            raise ValueError("stop_tol must be positive and finite")
         if self.x_mode not in ("onebit", "relaxed"):
             raise ValueError("x_mode must be 'onebit' or 'relaxed'")
         if self.n_starts < 1:
@@ -99,25 +98,22 @@ def best_round(trace: list) -> AoIterationRecord:
 
 
 def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
-                         rng: np.random.Generator | None = None):
+                         rng: np.random.Generator):
     """Run the outer loop; returns (frame, phases, trace).
 
     frame and phases are the design of the best round, best_round(trace);
     the trace holds every round that ran. frame is a OneBitFrame for x_mode
-    "onebit" and a complex (T, M) array in the relaxed mode. The rng argument
-    overrides cfg.seed when supplied (the harness passes per-channel
-    substreams). With n_starts > 1 the trace of the winning start is
-    returned.
+    "onebit" and a complex (T, M) array in the relaxed mode. rng drives every
+    random draw of the run (the harness passes per-channel substreams). With
+    n_starts > 1 the trace of the winning start is returned.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     if cfg.n_starts == 1:
         return _single_run(ch, symbols, cfg, rng)
     best = None
     best_margin = -np.inf
     for seed in rng.integers(0, 2 ** 63, size=cfg.n_starts):
         run = _single_run(ch, symbols, cfg, np.random.default_rng(int(seed)))
-        worst = float(frame_margins(ch, run[1], run[0], symbols).min())
+        worst = best_round(run[2]).worst_margin
         if worst > best_margin:
             best_margin = worst
             best = run
@@ -162,15 +158,11 @@ def _x_step(h_eff, symbols: SymbolFrame, cfg: AoConfig, rng):
     if cfg.x_mode == "relaxed":
         res = relaxed_slp(h_eff, symbols, cfg.power, cfg.solve)
         return res.x, res.converged.tolist()
-    rows = []
-    statuses = []
-    for t in range(symbols.n_slots):
-        res = solve_symbol(h_eff, symbols.symbols[:, t], symbols.constellation,
-                           cfg.power, cfg.solve, rng)
-        rows.append(res.xbar)
-        statuses.append(res.md.converged)
-    amplitude = np.sqrt(cfg.power / (2 * h_eff.shape[1]))
-    return OneBitFrame(xbar=np.stack(rows), amplitude=float(amplitude)), statuses
+    results = [solve_symbol(h_eff, symbols.symbols[:, t], symbols.constellation,
+                            cfg.power, cfg.solve, rng)
+               for t in range(symbols.n_slots)]
+    return (OneBitFrame.from_slots([res.xbar for res in results], cfg.power),
+            [res.md.converged for res in results])
 
 
 def _phase_step(ch: ChannelSet, frame, symbols: SymbolFrame,

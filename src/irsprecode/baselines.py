@@ -18,6 +18,7 @@ from .onebit import (
     OneBitFrame,
     SolveOptions,
     build_coefficients,
+    onebit_amplitude,
     solve_relaxed,
 )
 
@@ -66,13 +67,12 @@ def zf_precode(h_eff: np.ndarray, symbols: SymbolFrame, power: float) -> ZfFrame
 def quantize_onebit(x: np.ndarray, power: float, n_antennas: int) -> OneBitFrame:
     """Elementwise sign quantization of real and imaginary parts to +/- s.
 
-    s = sqrt(power / (2 * n_antennas)); zeros quantize to +s by convention.
+    s = onebit_amplitude(power, n_antennas); zeros quantize to +s by convention.
     """
     x = np.atleast_2d(np.asarray(x, dtype=complex))
     if x.shape[1] != n_antennas:
         raise ValueError(f"frame has {x.shape[1]} antennas, expected {n_antennas}")
-    amplitude = float(np.sqrt(power / (2 * n_antennas)))
-    return OneBitFrame.from_complex(x, amplitude)
+    return OneBitFrame.from_complex(x, onebit_amplitude(power, n_antennas))
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,3 @@ def _make_schemes() -> dict:
 
 
 SCHEMES = _make_schemes()
-
-# identifier reserved in the result schema for a scheme this package does not
-# implement; requesting it must fail loudly rather than silently skip
-RESERVED_SCHEMES = ("onebit-gemm", "onebit-gemm-noirs")

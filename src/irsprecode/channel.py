@@ -29,20 +29,6 @@ class PathLossModel:
     irs_user_ref_gain: float = DEFAULT_HOP_LOSS[0]
     irs_user_exponent: float = DEFAULT_HOP_LOSS[1]
 
-    def to_dict(self) -> dict:
-        return {
-            "direct_ref_gain": self.direct_ref_gain,
-            "direct_exponent": self.direct_exponent,
-            "bs_irs_ref_gain": self.bs_irs_ref_gain,
-            "bs_irs_exponent": self.bs_irs_exponent,
-            "irs_user_ref_gain": self.irs_user_ref_gain,
-            "irs_user_exponent": self.irs_user_exponent,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PathLossModel":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class GeometryConfig:
@@ -52,23 +38,6 @@ class GeometryConfig:
     irs_pos: tuple = (20.0, 10.0)
     user_center: tuple = (30.0, 0.0)
     user_radius: float = 10.0
-
-    def to_dict(self) -> dict:
-        return {
-            "bs_pos": list(self.bs_pos),
-            "irs_pos": list(self.irs_pos),
-            "user_center": list(self.user_center),
-            "user_radius": self.user_radius,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeometryConfig":
-        return cls(
-            bs_pos=tuple(d.get("bs_pos", (0.0, 0.0))),
-            irs_pos=tuple(d.get("irs_pos", (20.0, 10.0))),
-            user_center=tuple(d.get("user_center", (30.0, 0.0))),
-            user_radius=float(d.get("user_radius", 10.0)),
-        )
 
 
 def path_loss(distance, ref_gain: float, exponent: float):
@@ -114,23 +83,6 @@ class Scenario:
     def d_irs_user(self) -> np.ndarray:
         return np.linalg.norm(self.user_pos - self.irs_pos[None, :], axis=1)
 
-    def to_dict(self) -> dict:
-        return {
-            "bs_pos": self.bs_pos.tolist(),
-            "irs_pos": self.irs_pos.tolist(),
-            "user_pos": self.user_pos.tolist(),
-            "path_loss": self.path_loss_model.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Scenario":
-        return cls(
-            bs_pos=np.asarray(d["bs_pos"], dtype=float),
-            irs_pos=np.asarray(d["irs_pos"], dtype=float),
-            user_pos=np.asarray(d["user_pos"], dtype=float),
-            path_loss_model=PathLossModel.from_dict(d["path_loss"]),
-        )
-
 
 def sample_scenario(geometry: GeometryConfig, n_users: int, rng: np.random.Generator,
                     path_loss_model: PathLossModel | None = None) -> Scenario:
@@ -160,7 +112,7 @@ class ChannelSet:
     """Direct channels h_d (K x M), BS-to-surface G (N x M), surface-to-user h_r (K x N).
 
     Rows of h_d and h_r are the (unconjugated) channel vectors; effective rows
-    h_k^H are produced by effective_channel / effective_matrix.
+    h_k^H are the rows of effective_matrix.
     """
 
     h_d: np.ndarray
@@ -278,13 +230,6 @@ class PhaseShifts:
         return cls(np.ones(n_elements, dtype=complex))
 
 
-def effective_channel(ch: ChannelSet, phases: PhaseShifts, k: int) -> np.ndarray:
-    """Row vector h_k^H = h_{d,k}^H + theta^T Diag(h_{r,k})^H G, length M."""
-    if not 0 <= k < ch.n_users:
-        raise IndexError(f"user index {k} out of range for K={ch.n_users}")
-    return np.conj(ch.h_d[k]) + (phases.theta * np.conj(ch.h_r[k])) @ ch.g
-
-
 def effective_matrix(ch: ChannelSet, phases: PhaseShifts) -> np.ndarray:
-    """K x M matrix whose k-th row is h_k^H."""
+    """K x M matrix whose k-th row is h_k^H = h_{d,k}^H + theta^T Diag(h_{r,k})^H G."""
     return np.conj(ch.h_d) + (phases.theta[None, :] * np.conj(ch.h_r)) @ ch.g

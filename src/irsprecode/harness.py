@@ -20,7 +20,6 @@ import numpy as np
 
 from .ao import AoConfig, alternating_optimize, best_round, frame_margins
 from .baselines import (
-    RESERVED_SCHEMES,
     SCHEMES,
     no_irs_variant,
     quantize_onebit,
@@ -42,7 +41,7 @@ from .constellation import (
     bit_errors,
     decide_index,
 )
-from .onebit import MdOptions, SolveOptions, frame_array, solve_symbol
+from .onebit import MdOptions, OneBitFrame, SolveOptions, frame_array, solve_symbol
 from .phase import ApgOptions
 
 CSV_COLUMNS = (
@@ -67,19 +66,20 @@ THETA_POLICIES = ("shared", "random", "reoptimized")
 class SolverConfig:
     """Inner-solver settings shared by all channels of an experiment.
 
-    Values the inner solvers reject fail here, not inside a channel run.
+    Defaults are those of the solvers' own option classes. Values the inner
+    solvers reject fail here, not inside a channel run.
     """
 
-    mu: float = 5e-4
-    md_max_iter: int = 20000
-    md_tol: float = 1e-6
-    mbi_restarts: int = 5
-    delta: float = 1e-2
-    apg_max_iter: int = 500
-    apg_tol: float = 1e-6
-    ao_max_outer: int = 20
-    ao_stop_tol: float = 1e-4
-    n_starts: int = 1
+    mu: float = SolveOptions.mu
+    md_max_iter: int = MdOptions.max_iter
+    md_tol: float = MdOptions.tol
+    mbi_restarts: int = SolveOptions.mbi_restarts
+    delta: float = ApgOptions.delta
+    apg_max_iter: int = ApgOptions.max_iter
+    apg_tol: float = ApgOptions.tol
+    ao_max_outer: int = AoConfig.max_outer
+    ao_stop_tol: float = AoConfig.stop_tol
+    n_starts: int = AoConfig.n_starts
 
     def __post_init__(self):
         self.ao_config(1.0)
@@ -98,9 +98,6 @@ class SolverConfig:
                         stop_tol=self.ao_stop_tol, solve=self.solve_options(),
                         apg=self.apg_options(), x_mode=x_mode,
                         n_starts=self.n_starts)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
@@ -144,18 +141,18 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if self.power <= 0:
-            raise ValueError("power must be positive")
+        if not 0 < self.power < np.inf:
+            raise ValueError("power must be positive and finite")
         object.__setattr__(self, "noise_grid_db",
                            tuple(float(v) for v in self.noise_grid_db))
         if not self.noise_grid_db:
             raise ValueError("noise_grid_db must be nonempty")
+        if not np.all(np.isfinite(self.noise_grid_db)):
+            raise ValueError("noise_grid_db values must be finite")
         if isinstance(self.schemes, str):
             raise ValueError("schemes must be a sequence of identifiers, not a string")
         object.__setattr__(self, "schemes", tuple(self.schemes))
         for s in self.schemes:
-            if s in RESERVED_SCHEMES:
-                raise ValueError(f"scheme {s!r} is reserved but not implemented")
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}; valid: {sorted(SCHEMES)}")
         if len(set(self.schemes)) != len(self.schemes):
@@ -256,14 +253,21 @@ def simulate_transmission(frame, phases: PhaseShifts, ch: ChannelSet,
 
 @dataclass(frozen=True)
 class _SchemeOutcome:
-    ok: bool
-    status: str
+    status: str  # "ok" or the failure reason
     worst_margin: float
     runtime_s: float
     bit_err: tuple
     sym_err: tuple
     bits: int
     syms: int
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
+
+
+def _status(converged: bool) -> str:
+    return "ok" if converged else "inner-solver-nonconverged"
 
 
 def _substream(cfg: ExperimentConfig, index: int, tag: int) -> np.random.Generator:
@@ -288,14 +292,11 @@ def _onebit_direct(h_eff, symbols: SymbolFrame, cfg: ExperimentConfig,
                    rng: np.random.Generator):
     """Single one-bit design pass used when there is no reflected path."""
     opts = cfg.solver.solve_options()
-    rows = []
-    ok = True
-    for t in range(symbols.n_slots):
-        res = solve_symbol(h_eff, symbols.symbols[:, t], symbols.constellation,
-                           cfg.power, opts, rng)
-        rows.append(res.xbar[:cfg.m] + 1j * res.xbar[cfg.m:])
-        ok = ok and res.md.converged
-    return np.array(rows), ok
+    results = [solve_symbol(h_eff, symbols.symbols[:, t], symbols.constellation,
+                            cfg.power, opts, rng)
+               for t in range(symbols.n_slots)]
+    return (OneBitFrame.from_slots([res.xbar for res in results], cfg.power),
+            all(res.md.converged for res in results))
 
 
 def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
@@ -308,11 +309,11 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
     ones = PhaseShifts.ones(cfg.n)
     sigma2s = [inv_db_to_sigma2(v) for v in cfg.noise_grid_db]
 
-    # (frame-ish, phases, channel, ok, status, runtime) per scheme
+    # (frame-ish, phases, channel, status, runtime) per scheme
     designs = {}
 
-    def put(scheme, frame, phases, channel, ok, status, runtime):
-        designs[scheme] = (frame, phases, channel, ok, status, runtime)
+    def put(scheme, frame, phases, channel, status, runtime):
+        designs[scheme] = (frame, phases, channel, status, runtime)
 
     want = set(cfg.schemes)
 
@@ -323,9 +324,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         frame, phases, trace = alternating_optimize(
             ch, symbols, cfg.solver.ao_config(cfg.power), rng=rng)
         dt = time.perf_counter() - t0
-        ok = best_round(trace).converged
-        put("onebit-md", frame, phases, ch, ok,
-            "ok" if ok else "inner-solver-nonconverged", dt)
+        put("onebit-md", frame, phases, ch, _status(best_round(trace).converged), dt)
         theta_shared = phases
 
     def baseline_theta() -> PhaseShifts:
@@ -372,27 +371,21 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
             rng = _design_rng(cfg, index, scheme)
             t0 = time.perf_counter()
             frame, ok = _onebit_direct(np.conj(bare.h_d), symbols, cfg, rng)
-            put(scheme, frame, ones, bare, ok,
-                "ok" if ok else "inner-solver-nonconverged",
-                time.perf_counter() - t0)
+            put(scheme, frame, ones, bare, _status(ok), time.perf_counter() - t0)
         elif spec.x_mode == "relaxed":
             frame, phases, dt, ok = relaxed_design(with_irs)
-            put(scheme, frame, phases, channel, ok,
-                "ok" if ok else "inner-solver-nonconverged", dt)
+            put(scheme, frame, phases, channel, _status(ok), dt)
         elif spec.x_mode == "relaxed-quant":
             frame, phases, dt, ok = relaxed_design(with_irs)
             t0 = time.perf_counter()
             q = quantize_onebit(np.asarray(frame), cfg.power, cfg.m)
-            put(scheme, q, phases, channel, ok,
-                "ok" if ok else "inner-solver-nonconverged",
-                dt + time.perf_counter() - t0)
+            put(scheme, q, phases, channel, _status(ok), dt + time.perf_counter() - t0)
         elif spec.x_mode == "zf-quant":
             phases = baseline_theta() if with_irs else ones
             t0 = time.perf_counter()
             zf = zf_precode(effective_matrix(channel, phases), symbols, cfg.power)
             q = quantize_onebit(zf.x, cfg.power, cfg.m)
-            put(scheme, q, phases, channel, zf.full_rank,
-                "ok" if zf.full_rank else "rank-deficient",
+            put(scheme, q, phases, channel, "ok" if zf.full_rank else "rank-deficient",
                 time.perf_counter() - t0)
         else:  # pragma: no cover - registry and config validation forbid this
             raise AssertionError(f"unhandled scheme {scheme}")
@@ -401,7 +394,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
     noise = draw_noise(cfg.n_noise, cfg.k, cfg.t, _substream(cfg, index, _TAG_NOISE))
     out = {}
     for scheme in cfg.schemes:
-        frame, phases, channel, ok, status, runtime = designs[scheme]
+        frame, phases, channel, status, runtime = designs[scheme]
         worst = float(frame_margins(channel, phases, frame, symbols).min())
         bit_err, sym_err = [], []
         bits = syms = 0
@@ -410,7 +403,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
                 frame, phases, channel, symbols, sigma2, noise)
             bit_err.append(be)
             sym_err.append(se)
-        out[scheme] = _SchemeOutcome(ok=ok, status=status, worst_margin=worst,
+        out[scheme] = _SchemeOutcome(status=status, worst_margin=worst,
                                      runtime_s=runtime, bit_err=tuple(bit_err),
                                      sym_err=tuple(sym_err), bits=bits, syms=syms)
     return out

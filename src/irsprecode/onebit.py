@@ -30,6 +30,12 @@ from .constellation import PskConstellation
 FRACTIONAL_TOL = 1e-6
 
 
+def onebit_amplitude(power: float, n_antennas: int) -> float:
+    """Per-component one-bit magnitude s = sqrt(P / 2M), so that every
+    one-bit transmit vector has ||x||^2 = P."""
+    return float(np.sqrt(power / (2 * n_antennas)))
+
+
 @dataclass(frozen=True)
 class OneBitFrame:
     """T transmit vectors with every lifted entry at exactly +/-s.
@@ -70,6 +76,13 @@ class OneBitFrame:
         """Complex (T, M) view of the frame."""
         m = self.n_antennas
         return self.xbar[:, :m] + 1j * self.xbar[:, m:]
+
+    @classmethod
+    def from_slots(cls, xbars, power: float) -> "OneBitFrame":
+        """Stack per-slot lifted one-bit designs, each in {-s, +s}^{2M} with
+        s = onebit_amplitude(power, M), into a frame."""
+        xbar = np.stack(xbars)
+        return cls(xbar=xbar, amplitude=onebit_amplitude(power, xbar.shape[1] // 2))
 
     @classmethod
     def from_complex(cls, x, amplitude: float) -> "OneBitFrame":
@@ -138,8 +151,7 @@ def build_coefficients(h_eff, symbols, constellation: PskConstellation,
     a = np.concatenate([g.real, -g.imag], axis=1)  # (K, 2M)
     b = constellation.cot_half_sector * np.concatenate([g.imag, g.real], axis=1)
     c = np.concatenate([-a + b, -a - b], axis=0).T  # (2M, 2K)
-    amplitude = float(np.sqrt(power / c.shape[0]))
-    return CoefficientMatrix(c=c, amplitude=amplitude)
+    return CoefficientMatrix(c=c, amplitude=onebit_amplitude(power, h_eff.shape[1]))
 
 
 def worst_objective(xbar, coeff: CoefficientMatrix) -> float:
@@ -156,10 +168,14 @@ def huber(y, rho: float):
     return np.where(ay <= rho, y * y / (2.0 * rho), ay - rho / 2.0)
 
 
+def _check_mu(mu: float) -> None:
+    if not 0 < mu < np.inf:
+        raise ValueError("mu must be positive and finite")
+
+
 def dual_value(lam, coeff: CoefficientMatrix, mu: float) -> float:
     """f_mu(lam) = s * sum_m huber_{mu s}(cbar_m lam)."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     s = coeff.amplitude
     y = coeff.c @ np.asarray(lam, dtype=float)
     return float(s * huber(y, mu * s).sum())
@@ -167,8 +183,7 @@ def dual_value(lam, coeff: CoefficientMatrix, mu: float) -> float:
 
 def dual_gradient(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
     """Gradient of f_mu; equals -C^T xbar*(lam) with xbar* from recover_x."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     s = coeff.amplitude
     y = coeff.c @ np.asarray(lam, dtype=float)
     d = np.clip(y / (mu * s), -1.0, 1.0)
@@ -177,8 +192,7 @@ def dual_gradient(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
 
 def recover_x(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
     """Inner minimizer xbar*(lam) = -clip(C lam / mu, [-s, s]) of the box problem."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     s = coeff.amplitude
     return -np.clip((coeff.c @ np.asarray(lam, dtype=float)) / mu, -s, s)
 
@@ -197,6 +211,10 @@ class MdOptions:
     max_iter: int = 20000
     tol: float = 1e-6
     record_trace: bool = False
+
+    def __post_init__(self):
+        if self.max_iter < 0 or not 0 <= self.tol < np.inf:
+            raise ValueError("invalid mirror-descent options")
 
 
 @dataclass
@@ -230,8 +248,7 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
     too small to resolve in floating point), so progress cannot stall on
     rounding noise near the optimum. f_mu never increases beyond rounding.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _check_mu(mu)
     n = coeff.n_constraints
     s = coeff.amplitude
     rho = mu * s
@@ -389,8 +406,7 @@ class SolveOptions:
     mbi_restarts: int = 5
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        _check_mu(self.mu)
         if self.mbi_restarts < 1:
             raise ValueError("need at least one MBI restart")
 
@@ -410,7 +426,6 @@ class SymbolSolveResult:
     lam: np.ndarray
     relax_value: float
     onebit_lower_bound: float
-    n_fractional: int
     md: MdResult
 
 
@@ -426,7 +441,6 @@ def solve_symbol(h_eff, symbols, constellation: PskConstellation, power: float,
     coeff = build_coefficients(h_eff, symbols, constellation, power)
     xrel, md = solve_relaxed(coeff, opts.mu, opts.md)
     xbar = mbi_round(xrel, coeff, opts.mbi_restarts, rng)
-    n_frac = int(np.sum(np.abs(xrel) < coeff.amplitude * (1.0 - FRACTIONAL_TOL)))
     relax_value = -md.value
     power_total = coeff.n_lifted * coeff.amplitude ** 2
     return SymbolSolveResult(
@@ -436,7 +450,6 @@ def solve_symbol(h_eff, symbols, constellation: PskConstellation, power: float,
         lam=md.lam,
         relax_value=relax_value,
         onebit_lower_bound=relax_value - opts.mu * power_total / 2.0,
-        n_fractional=n_frac,
         md=md,
     )
 

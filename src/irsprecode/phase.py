@@ -191,7 +191,7 @@ class ApgOptions:
     record_trace: bool = False
 
     def __post_init__(self):
-        if self.delta <= 0 or self.tol < 0 or self.max_iter < 1:
+        if not (0 < self.delta < np.inf and 0 <= self.tol < np.inf) or self.max_iter < 1:
             raise ValueError("invalid APG options")
 
 

@@ -35,8 +35,8 @@ def instance(seed, m=4, n=4, k=2, t=2, order=4):
 
 def test_single_round_runs_each_step_once():
     ch, sym = instance(0)
-    cfg = AoConfig(power=POWER, max_outer=1, seed=1)
-    frame, phases, trace = alternating_optimize(ch, sym, cfg)
+    cfg = AoConfig(power=POWER, max_outer=1)
+    frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(1))
     assert len(trace) == 1
     assert isinstance(frame, OneBitFrame)
     assert isinstance(phases, PhaseShifts)
@@ -47,9 +47,9 @@ def test_single_round_runs_each_step_once():
 
 def test_deterministic_given_seed():
     ch, sym = instance(1)
-    cfg = AoConfig(power=POWER, seed=7)
-    f1, p1, t1 = alternating_optimize(ch, sym, cfg)
-    f2, p2, t2 = alternating_optimize(ch, sym, cfg)
+    cfg = AoConfig(power=POWER)
+    f1, p1, t1 = alternating_optimize(ch, sym, cfg, np.random.default_rng(7))
+    f2, p2, t2 = alternating_optimize(ch, sym, cfg, np.random.default_rng(7))
     assert np.array_equal(f1.xbar, f2.xbar)
     assert np.array_equal(p1.theta, p2.theta)
     assert [r.worst_margin for r in t1] == [r.worst_margin for r in t2]
@@ -57,7 +57,8 @@ def test_deterministic_given_seed():
 
 def test_feasibility_of_outputs():
     ch, sym = instance(2)
-    frame, phases, _ = alternating_optimize(ch, sym, AoConfig(power=POWER, seed=3))
+    frame, phases, _ = alternating_optimize(ch, sym, AoConfig(power=POWER),
+                                            np.random.default_rng(3))
     s = np.sqrt(POWER / (2 * 4))
     assert np.all(np.abs(frame.xbar) == s)
     assert np.abs(np.abs(phases.theta) - 1.0).max() <= 1e-12
@@ -67,14 +68,14 @@ def test_feasibility_of_outputs():
 def test_stopping_rule_uses_squared_change():
     ch, sym = instance(3)
     # any finite change beats a huge tolerance: stops right after round 2
-    cfg = AoConfig(power=POWER, stop_tol=1e12, seed=5)
-    _, _, trace = alternating_optimize(ch, sym, cfg)
+    cfg = AoConfig(power=POWER, stop_tol=1e12)
+    _, _, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(5))
     assert len(trace) == 2
     assert trace[0].sq_change == np.inf
     assert np.isfinite(trace[1].sq_change)
     # and the cap is respected with an unreachable tolerance
-    cfg = AoConfig(power=POWER, stop_tol=1e-300, max_outer=4, seed=5)
-    _, _, trace = alternating_optimize(ch, sym, cfg)
+    cfg = AoConfig(power=POWER, stop_tol=1e-300, max_outer=4)
+    _, _, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(5))
     assert len(trace) == 4
 
 
@@ -84,8 +85,8 @@ def test_trace_replicates_hand_driven_steps():
     # and return the first round with the highest worst margin
     ch, sym = instance(4)
     m = 4
-    cfg = AoConfig(power=POWER, seed=11)
-    frame, phases, trace = alternating_optimize(ch, sym, cfg)
+    cfg = AoConfig(power=POWER)
+    frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(11))
 
     rng = np.random.default_rng(11)
     ph = PhaseShifts.random(4, rng)
@@ -135,8 +136,8 @@ def test_returns_best_round_and_stops_at_first_non_improving(seed, m, n, k, t, o
                                                              x_mode):
     ch, sym = instance(seed, m=m, n=n, k=k, t=t, order=order)
     cfg = AoConfig(power=POWER, max_outer=max_outer, stop_tol=stop_tol,
-                   x_mode=x_mode, seed=seed)
-    frame, phases, trace = alternating_optimize(ch, sym, cfg)
+                   x_mode=x_mode)
+    frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(seed))
     margins = [rec.worst_margin for rec in trace]
     assert float(frame_margins(ch, phases, frame, sym).min()) == max(margins)
     assert best_round(trace) is trace[margins.index(max(margins))]
@@ -156,8 +157,8 @@ def test_phase_step_never_hurts_margin():
     # step at least as good
     for seed in range(5):
         ch, sym = instance(seed, m=6, n=6)
-        cfg = AoConfig(power=POWER, max_outer=1, seed=seed)
-        frame, phases, trace = alternating_optimize(ch, sym, cfg)
+        cfg = AoConfig(power=POWER, max_outer=1)
+        frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(seed))
         start = PhaseShifts.random(6, np.random.default_rng(seed))
         before = float(frame_margins(ch, start, frame, sym).min())
         assert trace[0].worst_margin >= before - 1e-12
@@ -166,16 +167,16 @@ def test_phase_step_never_hurts_margin():
 def test_inner_nonconvergence_propagates_as_status():
     ch, sym = instance(6)
     weak = SolveOptions(md=MdOptions(max_iter=2, tol=1e-16))
-    cfg = AoConfig(power=POWER, max_outer=2, solve=weak, seed=9)
-    frame, phases, trace = alternating_optimize(ch, sym, cfg)
+    cfg = AoConfig(power=POWER, max_outer=2, solve=weak)
+    frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(9))
     assert any(not c for rec in trace for c in rec.md_converged)
     assert isinstance(frame, OneBitFrame)  # output still feasible
 
 
 def test_relaxed_mode_returns_box_frame():
     ch, sym = instance(7)
-    cfg = AoConfig(power=POWER, x_mode="relaxed", max_outer=2, seed=13)
-    frame, phases, trace = alternating_optimize(ch, sym, cfg)
+    cfg = AoConfig(power=POWER, x_mode="relaxed", max_outer=2)
+    frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(13))
     assert isinstance(frame, np.ndarray) and frame.dtype == complex
     s = np.sqrt(POWER / (2 * 4))
     assert np.abs(frame.real).max() <= s + 1e-12
@@ -184,16 +185,16 @@ def test_relaxed_mode_returns_box_frame():
     # the relaxed signal step is the box baseline's solve, mu-continuation
     # included, on the round's effective channel
     cfg = AoConfig(power=POWER, x_mode="relaxed", max_outer=1,
-                   solve=SolveOptions(mu=1e-4), seed=13)
-    frame, _, _ = alternating_optimize(ch, sym, cfg)
+                   solve=SolveOptions(mu=1e-4))
+    frame, _, _ = alternating_optimize(ch, sym, cfg, np.random.default_rng(13))
     h_eff = effective_matrix(ch, PhaseShifts.random(4, np.random.default_rng(13)))
     assert np.array_equal(frame, relaxed_slp(h_eff, sym, POWER, cfg.solve).x)
 
 
 def test_multi_start_selects_best_of_its_runs():
     ch, sym = instance(9)
-    cfg = AoConfig(power=POWER, n_starts=4, seed=21)
-    frame, phases, trace = alternating_optimize(ch, sym, cfg)
+    cfg = AoConfig(power=POWER, n_starts=4)
+    frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(21))
     got = float(frame_margins(ch, phases, frame, sym).min())
 
     single = dataclasses.replace(cfg, n_starts=1)
@@ -220,8 +221,12 @@ def test_frame_margins_matches_direct_computation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        AoConfig(power=0.0)
+    for power in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            AoConfig(power=power)
+    for stop_tol in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            AoConfig(power=1.0, stop_tol=stop_tol)
     with pytest.raises(ValueError):
         AoConfig(power=1.0, max_outer=0)
     with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from irsprecode.baselines import (
-    RESERVED_SCHEMES,
     SCHEMES,
     no_irs_variant,
     quantize_onebit,
@@ -171,5 +170,3 @@ def test_scheme_registry():
     for name, spec in SCHEMES.items():
         assert spec.name == name
         assert spec.with_irs == (not name.endswith("-noirs"))
-    assert "onebit-gemm" in RESERVED_SCHEMES
-    assert not (set(RESERVED_SCHEMES) & set(SCHEMES))

@@ -10,7 +10,6 @@ from irsprecode.channel import (
     PhaseShifts,
     Scenario,
     complex_to_pairs,
-    effective_channel,
     effective_matrix,
     pairs_to_complex,
     path_loss,
@@ -136,17 +135,17 @@ def test_phase_shifts_validation_and_lifting():
     assert np.all(PhaseShifts.ones(4).theta == 1.0 + 0j)
 
 
-def test_effective_channel_scalar_hand_case():
+def test_effective_matrix_scalar_hand_case():
     # M = N = K = 1: h^H = conj(h_d) + theta * conj(h_r) * g
     h_d = np.array([[0.3 - 0.4j]])
     g = np.array([[1.1 + 0.2j]])
     h_r = np.array([[-0.5 + 0.9j]])
     theta = np.exp(1j * 0.7)
     ch = ChannelSet(h_d=h_d, g=g, h_r=h_r)
-    got = effective_channel(ch, PhaseShifts([theta]), 0)
+    got = effective_matrix(ch, PhaseShifts([theta]))
     want = np.conj(h_d[0, 0]) + theta * np.conj(h_r[0, 0]) * g[0, 0]
-    assert got.shape == (1,)
-    assert got[0] == pytest.approx(want)
+    assert got.shape == (1, 1)
+    assert got[0, 0] == pytest.approx(want)
 
 
 def test_effective_matrix_matches_rows_and_diag_form():
@@ -160,14 +159,14 @@ def test_effective_matrix_matches_rows_and_diag_form():
     p = PhaseShifts.random(n, rng)
     h_eff = effective_matrix(ch, p)
     big_theta = np.diag(p.theta)
+    assert h_eff.shape == (k, m)
     for kk in range(k):
-        row = effective_channel(ch, p, kk)
+        # row k is h_{d,k}^H + theta^T Diag(h_{r,k})^H G, and the Diag form
+        # h_{d,k}^H + h_{r,k}^H Theta G must agree
+        row = np.conj(ch.h_d[kk]) + (p.theta * np.conj(ch.h_r[kk])) @ ch.g
         assert np.allclose(h_eff[kk], row)
-        # the Diag form h_{d,k}^H + h_{r,k}^H Theta G must agree
         alt = np.conj(ch.h_d[kk]) + np.conj(ch.h_r[kk]) @ big_theta @ ch.g
-        assert np.allclose(row, alt, atol=1e-12)
-    with pytest.raises(IndexError):
-        effective_channel(ch, p, k)
+        assert np.allclose(h_eff[kk], alt, atol=1e-12)
 
 
 def test_channel_json_roundtrip_pairs():
@@ -193,9 +192,3 @@ def test_pairs_helpers():
     with pytest.raises(ValueError):
         pairs_to_complex([[1.0, 2.0, 3.0]])
 
-
-def test_scenario_dict_roundtrip():
-    sc = sample_scenario(GeometryConfig(), 3, np.random.default_rng(5))
-    back = Scenario.from_dict(sc.to_dict())
-    assert np.allclose(back.user_pos, sc.user_pos)
-    assert back.path_loss_model == sc.path_loss_model

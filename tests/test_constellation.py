@@ -6,6 +6,8 @@ Frozen reference values were computed with an independent oracle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsprecode.constellation import (
     PskConstellation,
@@ -123,6 +125,19 @@ def test_margin_nonpositive_when_decided_elsewhere():
         z = rng.standard_normal(400) + 1j * rng.standard_normal(400)
         wrong = decide_index(z * s, c) != s_idx
         assert np.all(margin(z[wrong], c) <= 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(re=st.floats(-1e6, 1e6, allow_subnormal=False),
+       im=st.floats(-1e6, 1e6, allow_subnormal=False),
+       scale=st.floats(1e-6, 1e6), order=st.sampled_from([2, 4, 8, 16]))
+def test_margin_positively_homogeneous(re, im, scale, order):
+    c = PskConstellation(order)
+    z = complex(re, im)
+    # both sides round a handful of times on terms of this size; the floor
+    # covers products that underflow
+    size = scale * (abs(re) + abs(im) * c.cot_half_sector)
+    assert abs(margin(scale * z, c) - scale * margin(z, c)) <= 1e-14 * size + 1e-300
 
 
 # --- sep_upper_bound --------------------------------------------------------

@@ -1,11 +1,13 @@
 """Experiment harness tests: configs, pairing, determinism, aggregation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from irsprecode.ao import AoIterationRecord, frame_margins
+from irsprecode.baselines import SCHEMES
 from irsprecode.channel import ChannelSet, PhaseShifts
 from irsprecode.constellation import PskConstellation, SymbolFrame, sep_upper_bound
 from irsprecode.harness import (
@@ -75,8 +77,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(power=0.0)
 
-    def test_reserved_scheme_rejected(self):
-        with pytest.raises(ValueError, match="reserved"):
+    def test_unimplemented_scheme_rejected_as_unknown(self):
+        with pytest.raises(ValueError, match="unknown scheme 'onebit-gemm'"):
             small_cfg(schemes=("onebit-gemm",))
 
     def test_unknown_keys_rejected(self):
@@ -86,12 +88,30 @@ class TestConfig:
             SolverConfig.from_dict({"mu": 1e-3, "bogus": 1})
 
     @pytest.mark.parametrize("solver", [{"mbi_restarts": 0}, {"delta": 0},
-                                        {"ao_max_outer": 0}, {"mu": 0}],
-                             ids=["mbi_restarts", "delta", "ao_max_outer", "mu"])
+                                        {"ao_max_outer": 0}, {"mu": 0},
+                                        {"mu": math.nan}, {"mu": math.inf},
+                                        {"delta": math.nan}, {"md_max_iter": -1},
+                                        {"md_tol": -1}, {"md_tol": math.nan},
+                                        {"apg_tol": math.nan}, {"ao_stop_tol": math.nan}],
+                             ids=["mbi_restarts", "delta", "ao_max_outer", "mu",
+                                  "mu_nan", "mu_inf", "delta_nan", "md_max_iter_negative",
+                                  "md_tol_negative", "md_tol_nan", "apg_tol_nan",
+                                  "ao_stop_tol_nan"])
     def test_bad_solver_settings_rejected_on_load(self, solver):
         # rejected when the config loads, not later inside a channel run
+        # (a NaN mu would hang mirror descent's backtracking)
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"m": 4, "solver": solver})
+
+    @pytest.mark.parametrize("text", [
+        '{"power": NaN}', '{"power": Infinity}', '{"noise_grid_db": [NaN]}',
+        '{"noise_grid_db": [30.0, Infinity]}', '{"noise_grid_db": [-Infinity]}',
+        '{"solver": {"mu": NaN}}',
+    ])
+    def test_non_finite_json_values_rejected_on_load(self, text):
+        # json.loads accepts these literals; the config must not
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_json(text)
 
 
 class TestSimulate:
@@ -313,6 +333,54 @@ class TestRunExperiment:
         b = run_experiment(small_cfg(schemes=("zf-quant",), n_channels=2,
                                      theta_policy="random"))
         assert a == b
+
+
+def assert_tallies(cfg, records, per_channel):
+    """What the records must satisfy given the run: every channel counted,
+    ok or failed, and the bits and errors consistent with what was sent."""
+    bits_per_symbol = int(math.log2(cfg.order))
+    assert len(per_channel) == cfg.n_channels
+    assert [(r.scheme, r.inv_sigma2_db) for r in records] == [
+        (s, db) for s in cfg.schemes for db in cfg.noise_grid_db]
+    for r in records:
+        n_ok = sum(res[r.scheme].ok for res in per_channel)
+        assert (r.n_channels_ok, r.n_channels_failed) == (n_ok, cfg.n_channels - n_ok)
+        assert r.syms == n_ok * cfg.k * cfg.t * cfg.n_noise
+        assert r.bits == r.syms * bits_per_symbol
+        # a Gray-labelled symbol error flips between 1 and log2(L) bits
+        assert 0 <= r.sym_errors <= r.bit_errors <= bits_per_symbol * r.sym_errors
+        assert r.sym_errors <= r.syms
+        assert r.ber == (r.bit_errors / r.bits if r.bits else 0.0)
+
+
+class TestEdgeRuns:
+    @pytest.mark.parametrize("order", [2, 16])
+    def test_extreme_psk_orders_tally(self, order):
+        # BPSK has cot(pi/L) = 0; 16-PSK carries four bits per symbol
+        cfg = small_cfg(order=order, n_channels=2, n_noise=2, schemes=tuple(SCHEMES),
+                        noise_grid_db=(10.0, 40.0))
+        records, per_channel = run_experiment(cfg, keep_channel_detail=True)
+        assert_tallies(cfg, records, per_channel)
+        assert sum(r.bit_errors for r in records) > 0
+        assert all(res["onebit-md"].ok for res in per_channel)
+
+    def test_more_users_than_antennas(self):
+        # K > M: zero forcing is rank deficient on every channel and is
+        # counted as failed with its reason, while the one-bit design runs
+        cfg = small_cfg(m=2, k=3, n_channels=3,
+                        schemes=("onebit-md", "zf-quant", "onebit-md-noirs", "zf-quant-noirs"))
+        records, per_channel = run_experiment(cfg, keep_channel_detail=True)
+        assert_tallies(cfg, records, per_channel)
+        for res in per_channel:
+            assert res["zf-quant"].status == "rank-deficient"
+            assert res["zf-quant-noirs"].status == "rank-deficient"
+            assert res["onebit-md"].ok and res["onebit-md-noirs"].ok
+            assert np.isfinite(res["onebit-md"].worst_margin)
+        for r in records:
+            if r.scheme.startswith("zf-quant"):
+                assert (r.n_channels_ok, r.n_channels_failed) == (0, cfg.n_channels)
+            else:
+                assert r.n_channels_ok == cfg.n_channels and r.bits > 0
 
 
 class TestCsv:

@@ -1,17 +1,24 @@
-"""Source hygiene: every name a module in src/ or tests/ imports is used.
+"""Source hygiene: no unused imports, and a package surface the README matches.
 
-No linter ships with the project, so this AST scan stands in for the
+No linter ships with the project, so an AST scan stands in for the
 unused-import check. A name counts as used when it appears as an identifier
 anywhere in the module or is listed in the module's __all__ (a re-export).
+The README's Python blocks are checked against irsprecode.__all__, and its
+"Library" example is run.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
+import irsprecode
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"```python\n(.*?)```", README, flags=re.S)
 
 
 def unused_imports(source: str) -> list:
@@ -44,3 +51,27 @@ def test_scan_flags_only_unused_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_exported_names_resolve():
+    assert len(set(irsprecode.__all__)) == len(irsprecode.__all__)
+    for name in irsprecode.__all__:
+        assert getattr(irsprecode, name, None) is not None, name
+
+
+def test_readme_imports_only_exported_names():
+    imported = [alias.name for block in README_BLOCKS for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "irsprecode"
+                for alias in node.names]
+    assert imported
+    assert sorted(set(imported) - set(irsprecode.__all__)) == []
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.split("## Library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    # the printed worst margin is the returned design's, i.e. the best round's
+    assert float(capsys.readouterr().out) == irsprecode.best_round(namespace["trace"]).worst_margin
+    assert namespace["frame"].x.shape == (50, 32)

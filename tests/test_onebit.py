@@ -205,8 +205,18 @@ def test_positive_mu_required():
     coeff = CoefficientMatrix(c=np.ones((2, 2)), amplitude=1.0)
     lam = np.array([0.5, 0.5])
     for fn in (dual_value, dual_gradient, recover_x):
+        for mu in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                fn(lam, coeff, mu)
+
+
+def test_solver_option_validation():
+    for bad in (dict(max_iter=-1), dict(tol=-1.0), dict(tol=np.nan), dict(tol=np.inf)):
         with pytest.raises(ValueError):
-            fn(lam, coeff, 0.0)
+            MdOptions(**bad)
+    for bad in (dict(mu=0.0), dict(mu=np.nan), dict(mu=np.inf), dict(mbi_restarts=0)):
+        with pytest.raises(ValueError):
+            SolveOptions(**bad)
 
 
 # --- mirror descent ----------------------------------------------------------
@@ -427,6 +437,23 @@ def test_solve_symbol_band_against_brute_force():
         if res.objective <= bf + 0.05 * (bf - res.onebit_lower_bound) + 1e-12:
             hits += 1
     assert hits >= 27
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6), k=st.integers(1, 3),
+       order=st.sampled_from([2, 4, 8, 16]), power=st.sampled_from([1.0, 100.0]))
+def test_solve_symbol_between_lower_bound_and_sign_rounding(seed, m, k, order, power):
+    # weak duality makes the certificate a lower bound at any dual point, and
+    # MBI starts from the sign rounding of the relaxed point and only keeps
+    # improving flips
+    rng = np.random.default_rng(seed)
+    coeff, h_eff, sym, c = random_instance(rng, m=m, k=k, order=order, power=power)
+    res = solve_symbol(h_eff, sym, c, power, SolveOptions(), rng)
+    s = coeff.amplitude
+    signs = np.where(res.xbar_relaxed >= 0, s, -s)
+    tol = 1e-12 * (1.0 + s * np.abs(coeff.c).sum())
+    assert res.onebit_lower_bound <= res.objective + tol
+    assert res.objective <= worst_objective(signs, coeff) + tol
 
 
 def test_solve_symbol_deterministic_given_seed():

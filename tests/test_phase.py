@@ -253,6 +253,17 @@ def test_project_unit_norms():
     assert np.abs(tb[:n] ** 2 + tb[n:] ** 2 - 1.0).max() <= 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(theta_bar=st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.floats(-1e6, 1e6, allow_subnormal=False),
+                       min_size=2 * n, max_size=2 * n)))
+def test_project_feasible_and_idempotent(theta_bar):
+    got = project_unit_modulus(np.array(theta_bar))
+    n = got.size // 2
+    assert np.abs(np.hypot(got[:n], got[n:]) - 1.0).max() <= 1e-12
+    assert np.abs(project_unit_modulus(got) - got).max() <= 1e-15
+
+
 def test_project_rejects_odd_length():
     with pytest.raises(ValueError):
         project_unit_modulus(np.ones(3))
@@ -361,10 +372,10 @@ def test_apg_improves_over_init_on_protocol_instances():
 
 
 def test_apg_option_validation():
-    with pytest.raises(ValueError):
-        ApgOptions(delta=0.0)
-    with pytest.raises(ValueError):
-        ApgOptions(max_iter=0)
+    for bad in (dict(delta=0.0), dict(delta=np.nan), dict(delta=np.inf),
+                dict(tol=-1.0), dict(tol=np.nan), dict(max_iter=0)):
+        with pytest.raises(ValueError):
+            ApgOptions(**bad)
     coeffs = PhaseCoefficients(eta=np.ones((4, 2)), vbar=np.zeros(2))
     with pytest.raises(ValueError):
         apg_optimize(coeffs, np.ones(6), ApgOptions())
