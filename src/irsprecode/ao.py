@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import relaxed_slp
 from .channel import ChannelSet, PhaseShifts, effective_matrix
 from .constellation import SymbolFrame, margin
 from .onebit import OneBitFrame, SolveOptions, frame_array, solve_symbol
@@ -35,13 +34,12 @@ class AoConfig:
 
     A run stops after the first round whose worst margin does not strictly
     beat the best so far, once the squared change drops below stop_tol, or
-    after max_outer rounds, and returns its best round's design.
+    after max_outer rounds, and returns its best round's design, a
+    OneBitFrame and its phases.
 
-    x_mode "onebit" runs the full design; "relaxed" keeps the box-relaxed
-    frame of relaxed_slp instead (used by the infinite-resolution baseline
-    when its phases are re-optimized). n_starts > 1 repeats the whole loop
-    from independent random initializations and keeps the run with the best
-    worst-case margin (ties go to the earliest start).
+    n_starts > 1 repeats the whole loop from independent random
+    initializations and keeps the run with the best worst-case margin (ties
+    go to the earliest start).
     """
 
     power: float
@@ -49,7 +47,6 @@ class AoConfig:
     stop_tol: float = 1e-4
     solve: SolveOptions = field(default_factory=SolveOptions)
     apg: ApgOptions = field(default_factory=ApgOptions)
-    x_mode: str = "onebit"
     n_starts: int = 1
 
     def __post_init__(self):
@@ -59,8 +56,6 @@ class AoConfig:
             raise ValueError("need at least one outer round")
         if not 0 < self.stop_tol < np.inf:
             raise ValueError("stop_tol must be positive and finite")
-        if self.x_mode not in ("onebit", "relaxed"):
-            raise ValueError("x_mode must be 'onebit' or 'relaxed'")
         if self.n_starts < 1:
             raise ValueError("need at least one start")
 
@@ -102,10 +97,10 @@ def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
     """Run the outer loop; returns (frame, phases, trace).
 
     frame and phases are the design of the best round, best_round(trace);
-    the trace holds every round that ran. frame is a OneBitFrame for x_mode
-    "onebit" and a complex (T, M) array in the relaxed mode. rng drives every
-    random draw of the run (the harness passes per-channel substreams). With
-    n_starts > 1 the trace of the winning start is returned.
+    the trace holds every round that ran. frame is always a OneBitFrame. rng
+    drives every random draw of the run (the harness passes per-channel
+    substreams). With n_starts > 1 the trace of the winning start is
+    returned.
     """
     if cfg.n_starts == 1:
         return _single_run(ch, symbols, cfg, rng)
@@ -132,7 +127,7 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
         frame, md_converged = _x_step(effective_matrix(ch, phases), symbols, cfg, rng)
         phases, apg_converged = _phase_step(ch, frame, symbols, phases, cfg)
 
-        x = frame_array(frame)
+        x = frame.x
         if x_prev is None:
             sq_change = np.inf
         else:
@@ -154,10 +149,7 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
 
 
 def _x_step(h_eff, symbols: SymbolFrame, cfg: AoConfig, rng):
-    """T independent per-slot designs; returns (frame, md statuses)."""
-    if cfg.x_mode == "relaxed":
-        res = relaxed_slp(h_eff, symbols, cfg.power, cfg.solve)
-        return res.x, res.converged.tolist()
+    """T independent per-slot one-bit designs; returns (frame, md statuses)."""
     results = [solve_symbol(h_eff, symbols.symbols[:, t], symbols.constellation,
                             cfg.power, cfg.solve, rng)
                for t in range(symbols.n_slots)]

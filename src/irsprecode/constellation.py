@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import erfc
 
 _ALLOWED_ORDERS = (2, 4, 8, 16)
+
+# elementwise math.erfc (object-dtype result)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 # popcount for 4-bit Gray labels, enough for L <= 16
 _POPCOUNT4 = np.array([bin(i).count("1") for i in range(16)], dtype=np.int64)
@@ -39,7 +43,8 @@ class PskConstellation:
 
 def q_function(x):
     """Gaussian tail probability Q(x) = P[N(0,1) > x], via erfc."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    return 0.5 * np.asarray(_erfc(np.asarray(x, dtype=float) / np.sqrt(2.0)),
+                            dtype=float)
 
 
 def decide_index(y, c: PskConstellation):

@@ -59,7 +59,7 @@ _TAG_THETA = 3
 _TAG_DESIGN_BASE = 16
 _CANONICAL_ORDER = tuple(SCHEMES)
 
-THETA_POLICIES = ("shared", "random", "reoptimized")
+THETA_POLICIES = ("shared", "random")
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,10 @@ class SolverConfig:
         return ApgOptions(delta=self.delta, max_iter=self.apg_max_iter,
                           tol=self.apg_tol)
 
-    def ao_config(self, power: float, x_mode: str = "onebit") -> AoConfig:
+    def ao_config(self, power: float) -> AoConfig:
         return AoConfig(power=power, max_outer=self.ao_max_outer,
                         stop_tol=self.ao_stop_tol, solve=self.solve_options(),
-                        apg=self.apg_options(), x_mode=x_mode,
-                        n_starts=self.n_starts)
+                        apg=self.apg_options(), n_starts=self.n_starts)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
@@ -113,12 +112,10 @@ class ExperimentConfig:
 
     noise_grid_db lists 1/sigma^2 values in dB. power is linear. theta_policy
     sets how baseline schemes obtain phase shifts: "shared" reuses the joint
-    design's output, "reoptimized" reruns the alternating loop in relaxed
-    mode for the box-relaxed schemes (other baselines still share), and
-    "random" always draws fresh phases. Schemes with no phase source fall
-    back to random phases. record_runtime toggles the wall-time column;
-    switch it off to make CSV output byte-reproducible across machines and
-    worker counts.
+    design's output and "random" always draws fresh phases. Schemes with no
+    phase source fall back to random phases. record_runtime toggles the
+    wall-time column; switch it off to make CSV output byte-reproducible
+    across machines and worker counts.
     """
 
     m: int = 128
@@ -147,8 +144,13 @@ class ExperimentConfig:
                            tuple(float(v) for v in self.noise_grid_db))
         if not self.noise_grid_db:
             raise ValueError("noise_grid_db must be nonempty")
-        if not np.all(np.isfinite(self.noise_grid_db)):
-            raise ValueError("noise_grid_db values must be finite")
+        for v in self.noise_grid_db:
+            try:
+                sigma2 = inv_db_to_sigma2(v)
+            except OverflowError:
+                sigma2 = np.inf
+            if not 0 < sigma2 < np.inf:
+                raise ValueError(f"no positive finite noise variance at {v} dB")
         if isinstance(self.schemes, str):
             raise ValueError("schemes must be a sequence of identifiers, not a string")
         object.__setattr__(self, "schemes", tuple(self.schemes))
@@ -159,8 +161,8 @@ class ExperimentConfig:
             raise ValueError("duplicate scheme identifiers")
         if self.theta_policy not in THETA_POLICIES:
             raise ValueError(f"theta_policy must be one of {THETA_POLICIES}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -328,10 +330,10 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         theta_shared = phases
 
     def baseline_theta() -> PhaseShifts:
-        # policies other than "random" reuse the joint design's phases for
-        # schemes that cannot optimize their own (falling back to random
-        # phases when the joint scheme is not part of the run)
-        if cfg.theta_policy != "random" and theta_shared is not None:
+        # "shared" reuses the joint design's phases for schemes that cannot
+        # optimize their own (falling back to random phases when the joint
+        # scheme is not part of the run)
+        if cfg.theta_policy == "shared" and theta_shared is not None:
             return theta_shared
         return PhaseShifts.random(cfg.n, _substream(cfg, index, _TAG_THETA))
 
@@ -344,20 +346,12 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         if with_irs in relaxed_cache:
             return relaxed_cache[with_irs]
         t0 = time.perf_counter()
-        ok = True
-        if with_irs and cfg.theta_policy == "reoptimized":
-            rng = _design_rng(cfg, index, "relaxed")
-            _, phases, trace = alternating_optimize(
-                ch, symbols, cfg.solver.ao_config(cfg.power, x_mode="relaxed"),
-                rng=rng)
-            ok = best_round(trace).converged
-        else:
-            phases = baseline_theta() if with_irs else ones
+        phases = baseline_theta() if with_irs else ones
         channel = ch if with_irs else bare
         res = relaxed_slp(effective_matrix(channel, phases), symbols,
                           cfg.power, cfg.solver.solve_options())
         out = (rescale_to_power(res.x, cfg.power), phases,
-               time.perf_counter() - t0, ok and bool(res.converged.all()))
+               time.perf_counter() - t0, bool(res.converged.all()))
         relaxed_cache[with_irs] = out
         return out
 

@@ -182,12 +182,20 @@ def dual_value(lam, coeff: CoefficientMatrix, mu: float) -> float:
 
 
 def dual_gradient(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
-    """Gradient of f_mu; equals -C^T xbar*(lam) with xbar* from recover_x."""
+    """Gradient of f_mu; equals -C^T xbar*(lam) with xbar* from recover_x.
+    Bit-equal to mirror_descent's, which runs the same kernel."""
     _check_mu(mu)
     s = coeff.amplitude
     y = coeff.c @ np.asarray(lam, dtype=float)
-    d = np.clip(y / (mu * s), -1.0, 1.0)
-    return s * (coeff.c.T @ d)
+    return _dual_grad(np.ascontiguousarray(coeff.c.T), y, s, mu * s)
+
+
+def _dual_grad(ct, y, s: float, rho: float) -> np.ndarray:
+    """(s / rho) C^T clip(y, +/-rho) for y = C lam and ct = C^T; clips y in place."""
+    np.clip(y, -rho, rho, out=y)
+    grad = ct @ y
+    grad *= s / rho
+    return grad
 
 
 def recover_x(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
@@ -280,9 +288,7 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
     residual = np.inf
     it = 0
     for it in range(opts.max_iter + 1):
-        np.clip(y, -rho, rho, out=y)
-        grad = ct @ y
-        grad *= s / rho
+        grad = _dual_grad(ct, y, s, rho)
         w = log_lam - grad
         w -= w.max()
         e = np.exp(w)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsprecode.ao import AoConfig, alternating_optimize, best_round, frame_margins
-from irsprecode.baselines import relaxed_slp
 from irsprecode.channel import (
     GeometryConfig,
     PhaseShifts,
@@ -129,14 +128,11 @@ def test_trace_replicates_hand_driven_steps():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4), n=st.integers(1, 4),
        k=st.integers(1, 2), t=st.integers(1, 3), order=st.sampled_from([2, 4, 8]),
-       max_outer=st.integers(1, 6), stop_tol=st.sampled_from([1e-300, 1e-4, 1e2]),
-       x_mode=st.sampled_from(["onebit", "relaxed"]))
+       max_outer=st.integers(1, 6), stop_tol=st.sampled_from([1e-300, 1e-4, 1e2]))
 def test_returns_best_round_and_stops_at_first_non_improving(seed, m, n, k, t, order,
-                                                             max_outer, stop_tol,
-                                                             x_mode):
+                                                             max_outer, stop_tol):
     ch, sym = instance(seed, m=m, n=n, k=k, t=t, order=order)
-    cfg = AoConfig(power=POWER, max_outer=max_outer, stop_tol=stop_tol,
-                   x_mode=x_mode)
+    cfg = AoConfig(power=POWER, max_outer=max_outer, stop_tol=stop_tol)
     frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(seed))
     margins = [rec.worst_margin for rec in trace]
     assert float(frame_margins(ch, phases, frame, sym).min()) == max(margins)
@@ -171,24 +167,6 @@ def test_inner_nonconvergence_propagates_as_status():
     frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(9))
     assert any(not c for rec in trace for c in rec.md_converged)
     assert isinstance(frame, OneBitFrame)  # output still feasible
-
-
-def test_relaxed_mode_returns_box_frame():
-    ch, sym = instance(7)
-    cfg = AoConfig(power=POWER, x_mode="relaxed", max_outer=2)
-    frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(13))
-    assert isinstance(frame, np.ndarray) and frame.dtype == complex
-    s = np.sqrt(POWER / (2 * 4))
-    assert np.abs(frame.real).max() <= s + 1e-12
-    assert np.abs(frame.imag).max() <= s + 1e-12
-    assert np.isfinite(trace[-1].worst_margin)
-    # the relaxed signal step is the box baseline's solve, mu-continuation
-    # included, on the round's effective channel
-    cfg = AoConfig(power=POWER, x_mode="relaxed", max_outer=1,
-                   solve=SolveOptions(mu=1e-4))
-    frame, _, _ = alternating_optimize(ch, sym, cfg, np.random.default_rng(13))
-    h_eff = effective_matrix(ch, PhaseShifts.random(4, np.random.default_rng(13)))
-    assert np.array_equal(frame, relaxed_slp(h_eff, sym, POWER, cfg.solve).x)
 
 
 def test_multi_start_selects_best_of_its_runs():
@@ -231,8 +209,6 @@ def test_config_validation():
         AoConfig(power=1.0, max_outer=0)
     with pytest.raises(ValueError):
         AoConfig(power=1.0, stop_tol=0.0)
-    with pytest.raises(ValueError):
-        AoConfig(power=1.0, x_mode="quantized")
     with pytest.raises(ValueError):
         AoConfig(power=1.0, n_starts=0)
 

@@ -4,11 +4,15 @@ No linter ships with the project, so an AST scan stands in for the
 unused-import check. A name counts as used when it appears as an identifier
 anywhere in the module or is listed in the module's __all__ (a re-export).
 The README's Python blocks are checked against irsprecode.__all__, and its
-"Library" example is run.
+"Library" example is run. The package needs numpy only: no module imports
+scipy, and importing the harness leaves it unloaded.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +21,7 @@ import irsprecode
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+PACKAGE_DIR = Path(irsprecode.__file__).resolve().parent
 README = (ROOT / "README.md").read_text()
 README_BLOCKS = re.findall(r"```python\n(.*?)```", README, flags=re.S)
 
@@ -75,3 +80,36 @@ def test_readme_library_example_runs(capsys):
     # the printed worst margin is the returned design's, i.e. the best round's
     assert float(capsys.readouterr().out) == irsprecode.best_round(namespace["trace"]).worst_margin
     assert namespace["frame"].x.shape == (50, 32)
+
+
+def imported_packages(source: str) -> set:
+    """Top-level package of every absolute import in a module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_package_does_not_import_scipy():
+    assert imported_packages("import scipy.linalg as la\nfrom numpy import pi\n"
+                             "from . import x\n") == {"scipy", "numpy"}
+    assert "scipy" in imported_packages("def f():\n    from scipy.special import erfc\n")
+    offenders = [p.name for p in sorted(PACKAGE_DIR.rglob("*.py"))
+                 if "scipy" in imported_packages(p.read_text())]
+    assert offenders == []
+
+
+def test_harness_import_leaves_scipy_unloaded():
+    # a fresh interpreter, so that no other test's scipy import counts
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, irsprecode.harness; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

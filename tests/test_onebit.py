@@ -176,6 +176,39 @@ def test_dual_gradient_finite_difference():
         checked += 1
 
 
+def md_gradient_reference(lam, coeff, mu):
+    """mirror_descent's in-loop gradient arithmetic, written out."""
+    s = coeff.amplitude
+    rho = mu * s
+    ct = np.ascontiguousarray(coeff.c.T)
+    y = coeff.c @ lam
+    np.clip(y, -rho, rho, out=y)
+    grad = ct @ y
+    grad *= s / rho
+    return grad
+
+
+def test_dual_gradient_is_the_gradient_mirror_descent_runs():
+    # the gradient oracles (criterion 2) check dual_gradient, so it must be
+    # bit-equal to what mirror descent steps with, on desk-sized slots
+    rng = np.random.default_rng(8)
+    mu = 5e-4
+    for _ in range(100):
+        coeff, _, _, _ = random_instance(rng, m=32, k=4, n=16)
+        lam = rng.dirichlet(np.ones(coeff.n_constraints))
+        assert np.array_equal(dual_gradient(lam, coeff, mu),
+                              md_gradient_reference(lam, coeff, mu))
+        # mirror descent's residual at the uniform start comes from that
+        # gradient
+        n = coeff.n_constraints
+        uniform = np.full(n, 1.0 / n)
+        w = np.log(uniform) - dual_gradient(uniform, coeff, mu)
+        w -= w.max()
+        e = np.exp(w)
+        md = mirror_descent(coeff, mu, MdOptions(max_iter=0))
+        assert md.residual == float(np.abs(e / e.sum() - uniform).sum())
+
+
 def test_recover_x_branch_cases():
     c = np.array([[1.0, 0.0], [0.0, 1.0]])
     coeff = CoefficientMatrix(c=c, amplitude=2.0)
