@@ -3,6 +3,9 @@
 Each outer round solves the T per-slot transmit designs against the current
 effective channel, then re-optimizes the phase shifts against the new frame,
 warm-starting from the previous round's (initially uniform random) phases.
+From round 2 on, each slot's mirror descent starts at that slot's previous
+dual point mixed with the uniform point, (1 - eps) lam + eps / 2K with
+eps = WARM_START_MIX; round 1 starts at the uniform point.
 
 The objective is the worst-case margin over all (user, slot) pairs. Neither
 inner solver is exact (rounding and a nonconvex projection are involved), so
@@ -27,6 +30,10 @@ from .constellation import SymbolFrame, margin
 from .onebit import OneBitFrame, SolveOptions, frame_array, solve_symbol
 from .phase import ApgOptions, apg_optimize, build_phase_coefficients
 
+# uniform-point weight of a warm start: an exact zero in lam stays zero under
+# MD's multiplicative update, so its residual test could pass at a non-KKT point
+WARM_START_MIX = 1e-6
+
 
 @dataclass(frozen=True)
 class AoConfig:
@@ -35,7 +42,8 @@ class AoConfig:
     A run stops after the first round whose worst margin does not strictly
     beat the best so far, once the squared change drops below stop_tol, or
     after max_outer rounds, and returns its best round's design, a
-    OneBitFrame and its phases.
+    OneBitFrame and its phases. Rounds after the first warm-start each
+    slot's mirror descent from its previous dual point (module docstring).
 
     n_starts > 1 repeats the whole loop from independent random
     initializations and keeps the run with the best worst-case margin (ties
@@ -120,11 +128,13 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
     phases = PhaseShifts.random(ch.g.shape[0], rng)
     x_prev = None
     theta_prev = phases.theta
+    lams = [None] * symbols.n_slots
     trace: list = []
     best = None  # (worst margin, frame, phases) of the best round so far
 
     for it in range(1, cfg.max_outer + 1):
-        frame, md_converged = _x_step(effective_matrix(ch, phases), symbols, cfg, rng)
+        frame, lams, md_converged = _x_step(effective_matrix(ch, phases), symbols,
+                                            cfg, rng, lams)
         phases, apg_converged = _phase_step(ch, frame, symbols, phases, cfg)
 
         x = frame.x
@@ -148,13 +158,16 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
     return frame, phases, trace
 
 
-def _x_step(h_eff, symbols: SymbolFrame, cfg: AoConfig, rng):
-    """T independent per-slot one-bit designs; returns (frame, md statuses)."""
+def _x_step(h_eff, symbols: SymbolFrame, cfg: AoConfig, rng, lams: list):
+    """T independent per-slot one-bit designs, slot t warm-started from
+    lams[t] (None for a cold start); returns (frame, dual points, md statuses)."""
     results = [solve_symbol(h_eff, symbols.symbols[:, t], symbols.constellation,
-                            cfg.power, cfg.solve, rng)
-               for t in range(symbols.n_slots)]
+                            cfg.power, cfg.solve, rng,
+                            None if lam is None
+                            else (1.0 - WARM_START_MIX) * lam + WARM_START_MIX / lam.size)
+               for t, lam in enumerate(lams)]
     return (OneBitFrame.from_slots([res.xbar for res in results], cfg.power),
-            [res.md.converged for res in results])
+            [res.lam for res in results], [res.md.converged for res in results])
 
 
 def _phase_step(ch: ChannelSet, frame, symbols: SymbolFrame,

@@ -331,16 +331,18 @@ MU_STAGES = ((5e-4, 1e-7), (2e-5, 1e-7))
 
 
 def solve_relaxed(coeff: CoefficientMatrix, mu: float,
-                  opts: MdOptions = MdOptions()):
+                  opts: MdOptions = MdOptions(), lam0: np.ndarray | None = None):
     """Dual solve plus primal recovery; shared by the one-bit and box designs.
 
     Small mu makes the dual poorly conditioned (the Huber window shrinks),
     so a cold start can take tens of thousands of iterations. The solve
     therefore runs the MU_STAGES above the target first, each initialized at
     the previous dual iterate, which reaches the same point several times
-    faster. Returns (xbar_relaxed, MdResult) for the final stage.
+    faster. The first stage starts at lam0 (a simplex point) if given, else
+    at the uniform point; the stages run either way. Returns (xbar_relaxed,
+    MdResult) for the final stage.
     """
-    lam = None
+    lam = lam0
     for stage_mu, stage_tol in MU_STAGES:
         if stage_mu > mu:
             lam = mirror_descent(coeff, stage_mu,
@@ -405,11 +407,12 @@ def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, restarts: int,
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the per-slot one-bit solve."""
+    """Knobs for the per-slot one-bit solve. mbi_restarts = 1, the default,
+    improves the sign rounding of the relaxed point alone and draws no rng."""
 
     mu: float = 5e-4
     md: MdOptions = field(default_factory=MdOptions)
-    mbi_restarts: int = 5
+    mbi_restarts: int = 1
 
     def __post_init__(self):
         _check_mu(self.mu)
@@ -437,15 +440,16 @@ class SymbolSolveResult:
 
 def solve_symbol(h_eff, symbols, constellation: PskConstellation, power: float,
                  opts: SolveOptions = SolveOptions(),
-                 rng: np.random.Generator | None = None) -> SymbolSolveResult:
+                 rng: np.random.Generator | None = None,
+                 lam0: np.ndarray | None = None) -> SymbolSolveResult:
     """Design the one-bit transmit vector for one slot.
 
-    Pipeline: coefficient assembly, dual mirror descent, closed-form primal
-    recovery, MBI rounding of the fractional entries. Deterministic given the
-    rng state and options.
+    Pipeline: coefficient assembly, dual mirror descent from lam0 (see
+    solve_relaxed), closed-form primal recovery, MBI rounding of the
+    fractional entries. Deterministic given the rng state, options and lam0.
     """
     coeff = build_coefficients(h_eff, symbols, constellation, power)
-    xrel, md = solve_relaxed(coeff, opts.mu, opts.md)
+    xrel, md = solve_relaxed(coeff, opts.mu, opts.md, lam0)
     xbar = mbi_round(xrel, coeff, opts.mbi_restarts, rng)
     relax_value = -md.value
     power_total = coeff.n_lifted * coeff.amplitude ** 2

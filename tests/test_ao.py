@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsprecode.ao import AoConfig, alternating_optimize, best_round, frame_margins
+from irsprecode import onebit
+from irsprecode.ao import (
+    WARM_START_MIX,
+    AoConfig,
+    alternating_optimize,
+    best_round,
+    frame_margins,
+)
+from irsprecode.baselines import no_irs_variant
 from irsprecode.channel import (
     GeometryConfig,
     PhaseShifts,
@@ -79,9 +87,10 @@ def test_stopping_rule_uses_squared_change():
 
 
 def test_trace_replicates_hand_driven_steps():
-    # drive the two inner solvers by hand with the same rng stream: the
-    # loop must report exactly the same rounds, stop where the rule says
-    # and return the first round with the highest worst margin
+    # drive the two inner solvers by hand with the same rng stream, each
+    # slot's MD warm-started from its previous dual point mixed with the
+    # uniform point: the loop must report exactly the same rounds, stop where
+    # the rule says and return the first round with the highest worst margin
     ch, sym = instance(4)
     m = 4
     cfg = AoConfig(power=POWER)
@@ -92,12 +101,19 @@ def test_trace_replicates_hand_driven_steps():
     amplitude = float(np.sqrt(POWER / (2 * m)))
     x_prev = None
     th_prev = ph.theta
+    lams = [None] * sym.n_slots
     best = None  # (worst margin, frame, phases) of the first best round
     for i, rec in enumerate(trace, start=1):
         h_eff = effective_matrix(ch, ph)
-        rows = [solve_symbol(h_eff, sym.symbols[:, t], QPSK, POWER, cfg.solve, rng).xbar
-                for t in range(sym.n_slots)]
-        fr = OneBitFrame(xbar=np.stack(rows), amplitude=amplitude)
+        starts = [None if lam is None
+                  else (1 - WARM_START_MIX) * lam + WARM_START_MIX / (2 * sym.n_users)
+                  for lam in lams]
+        results = [solve_symbol(h_eff, sym.symbols[:, t], QPSK, POWER, cfg.solve, rng,
+                                lam0=starts[t])
+                   for t in range(sym.n_slots)]
+        assert rec.md_converged == [res.md.converged for res in results]
+        lams = [res.lam for res in results]
+        fr = OneBitFrame(xbar=np.stack([res.xbar for res in results]), amplitude=amplitude)
         coeffs = build_phase_coefficients(ch, fr, sym, QPSK)
         apg = apg_optimize(coeffs, ph.theta_bar, cfg.apg)
         ph = PhaseShifts.from_theta_bar(apg.theta_bar)
@@ -145,6 +161,32 @@ def test_returns_best_round_and_stops_at_first_non_improving(seed, m, n, k, t, o
     # change or the cap
     if len(trace) == 1 or margins[-1] > max(margins[:-1]):
         assert trace[-1].sq_change < stop_tol or len(trace) == max_outer
+
+
+def test_zero_reflected_path_stops_after_a_warm_round_two(monkeypatch):
+    # without a reflected path the phases cannot change the channel, so
+    # round 2 re-solves round 1's slots: the warm-started MD is done in a few
+    # iterations, the change falls below stop_tol and round 1 is returned
+    ch, sym = instance(12, m=8, n=4, k=2, t=6)
+    bare = no_irs_variant(ch)
+    cfg = AoConfig(power=POWER)
+    first, _, _ = alternating_optimize(bare, sym, dataclasses.replace(cfg, max_outer=1),
+                                       np.random.default_rng(13))
+    iters = []
+    mirror_descent = onebit.mirror_descent
+
+    def spy(*args, **kwargs):
+        res = mirror_descent(*args, **kwargs)
+        iters.append(res.n_iter)
+        return res
+
+    monkeypatch.setattr(onebit, "mirror_descent", spy)
+    frame, _, trace = alternating_optimize(bare, sym, cfg, np.random.default_rng(13))
+    assert len(trace) == 2 and len(iters) == 2 * sym.n_slots
+    assert max(iters[sym.n_slots:]) <= 3 < min(iters[:sym.n_slots])
+    assert trace[1].sq_change < cfg.stop_tol
+    assert best_round(trace) is trace[0]
+    assert np.array_equal(frame.xbar, first.xbar)
 
 
 def test_phase_step_never_hurts_margin():

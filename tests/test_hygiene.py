@@ -5,7 +5,8 @@ unused-import check. A name counts as used when it appears as an identifier
 anywhere in the module or is listed in the module's __all__ (a re-export).
 The README's Python blocks are checked against irsprecode.__all__, and its
 "Library" example is run. The package needs numpy only: no module imports
-scipy, and importing the harness leaves it unloaded.
+scipy, and importing the harness leaves it unloaded. No module reads the
+process environment, so solver behaviour is set by arguments alone.
 """
 
 import ast
@@ -113,3 +114,32 @@ def test_harness_import_leaves_scipy_unloaded():
          "if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def reads_environment(source: str) -> bool:
+    """Whether a module reads os.environ or os.getenv, as an attribute of os
+    (under any alias) or imported from it."""
+    tree = ast.parse(source)
+    os_names = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names if alias.name == "os"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENV_READERS
+                and isinstance(node.value, ast.Name) and node.value.id in os_names):
+            return True
+        if (isinstance(node, ast.ImportFrom) and node.module == "os"
+                and any(alias.name in ENV_READERS for alias in node.names)):
+            return True
+    return False
+
+
+def test_package_does_not_read_the_environment():
+    assert reads_environment("import os\nx = os.environ.get('A')\n")
+    assert reads_environment("import os as o\nx = o.getenv('A')\n")
+    assert reads_environment("def f():\n    from os import environ\n")
+    assert not reads_environment("import os\nos.path.join('a')\nenviron = {}\n")
+    offenders = [p.name for p in sorted(PACKAGE_DIR.rglob("*.py"))
+                 if reads_environment(p.read_text())]
+    assert offenders == []

@@ -17,6 +17,7 @@ from irsprecode.channel import (
     sample_channels,
     sample_scenario,
 )
+from irsprecode.ao import WARM_START_MIX
 from irsprecode.constellation import PskConstellation, margin
 from irsprecode.onebit import (
     CoefficientMatrix,
@@ -506,6 +507,76 @@ def test_solve_relaxed_shared_path_bit_exact():
     xrel, md = solve_relaxed(coeff, opts.mu, opts.md)
     assert np.array_equal(res.xbar_relaxed, xrel)
     assert res.relax_value == -md.value
+
+
+# --- warm starts -------------------------------------------------------------
+
+def _mixed(lam):
+    """AO's warm start: lam mixed with the uniform point."""
+    return (1.0 - WARM_START_MIX) * lam + WARM_START_MIX / lam.size
+
+
+def _fw_gap(lam, coeff, mu):
+    """Frank-Wolfe gap g.lam - min g: by convexity it bounds f_mu(lam) - min f_mu."""
+    g = dual_gradient(lam, coeff, mu)
+    return float(g @ lam - g.min())
+
+
+def test_mixed_warm_start_recovers_a_zeroed_optimal_entry():
+    # an exact zero stays zero under the multiplicative update: unmixed, MD
+    # certifies the optimum of a face as converged; mixed, it reaches the
+    # cold relax_value
+    rng = np.random.default_rng(20)
+    mu = SolveOptions().mu
+    for _ in range(5):
+        coeff, h_eff, sym, c = random_instance(rng, m=8, k=3)
+        cold = solve_symbol(h_eff, sym, c, 100.0)
+        i = int(np.argmax(cold.lam))
+        assert cold.lam[i] > 0.1
+        lam0 = cold.lam.copy()
+        lam0[i] = 0.0
+        lam0 /= lam0.sum()
+        _, raw = solve_relaxed(coeff, mu, lam0=lam0)
+        assert raw.converged and raw.lam[i] == 0.0
+        assert -raw.value < cold.relax_value - _fw_gap(cold.lam, coeff, mu)
+        warm = solve_symbol(h_eff, sym, c, 100.0, lam0=_mixed(lam0))
+        assert warm.md.converged and warm.lam[i] > 0.1
+        bound = max(_fw_gap(warm.lam, coeff, mu), _fw_gap(cold.lam, coeff, mu))
+        assert abs(warm.relax_value - cold.relax_value) <= bound
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), drift=st.sampled_from([0.01, 0.3, np.pi]))
+def test_mixed_warm_start_agrees_with_cold_start_on_desk_slots(seed, drift):
+    # as in AO: the dual point of one phase setting warm-starts the slot at
+    # phases moved by up to drift radians per element
+    rng = np.random.default_rng(seed)
+    c = QPSK
+    ch = sample_channels(sample_scenario(GeometryConfig(), 4, rng), 32, 16, rng)
+    theta = np.exp(2j * np.pi * rng.random(16))
+    moved = theta * np.exp(1j * drift * rng.uniform(-1, 1, 16))
+    sym = c.points[rng.integers(0, 4, 4)]
+    prev = solve_symbol(effective_matrix(ch, PhaseShifts(theta)), sym, c, 100.0)
+    h_eff = effective_matrix(ch, PhaseShifts(moved))
+    cold = solve_symbol(h_eff, sym, c, 100.0)
+    warm = solve_symbol(h_eff, sym, c, 100.0, lam0=_mixed(prev.lam))
+    assert cold.md.converged and warm.md.converged
+    coeff = build_coefficients(h_eff, sym, c, 100.0)
+    mu = SolveOptions().mu
+    bound = max(_fw_gap(warm.lam, coeff, mu), _fw_gap(cold.lam, coeff, mu))
+    assert abs(warm.relax_value - cold.relax_value) <= bound
+
+
+def test_solve_relaxed_rejects_warm_start_off_the_simplex():
+    rng = np.random.default_rng(21)
+    coeff, _, _, _ = random_instance(rng, m=6, k=2)
+    n = coeff.n_constraints
+    bad = (np.full(n, 0.5), np.r_[-0.1, np.full(n - 1, 1.1 / (n - 1))],
+           np.full(n + 1, 1.0 / (n + 1)))
+    for lam0 in bad:
+        for mu in (SolveOptions().mu, 1e-5):  # with and without the mu stages
+            with pytest.raises(ValueError, match="simplex"):
+                solve_relaxed(coeff, mu, lam0=lam0)
 
 
 # --- brute force -------------------------------------------------------------
