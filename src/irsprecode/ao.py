@@ -60,12 +60,12 @@ class AoConfig:
     def __post_init__(self):
         if not 0 < self.power < np.inf:
             raise ValueError("power must be positive and finite")
-        if self.max_outer < 1:
-            raise ValueError("need at least one outer round")
+        if not isinstance(self.max_outer, int) or self.max_outer < 1:
+            raise ValueError("need at least one outer round, as an integer")
         if not 0 < self.stop_tol < np.inf:
             raise ValueError("stop_tol must be positive and finite")
-        if self.n_starts < 1:
-            raise ValueError("need at least one start")
+        if not isinstance(self.n_starts, int) or self.n_starts < 1:
+            raise ValueError("need at least one start, as an integer")
 
 
 @dataclass

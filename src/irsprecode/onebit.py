@@ -183,19 +183,28 @@ def dual_value(lam, coeff: CoefficientMatrix, mu: float) -> float:
 
 def dual_gradient(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
     """Gradient of f_mu; equals -C^T xbar*(lam) with xbar* from recover_x.
-    Bit-equal to mirror_descent's, which runs the same kernel."""
+    Bit-equal to mirror_descent's, which runs the same kernels."""
     _check_mu(mu)
     s = coeff.amplitude
-    y = coeff.c @ np.asarray(lam, dtype=float)
-    return _dual_grad(np.ascontiguousarray(coeff.c.T), y, s, mu * s)
+    y_c, _ = _clipped_value(coeff.c @ np.asarray(lam, dtype=float), s, mu * s)
+    return _dual_grad(np.ascontiguousarray(coeff.c.T), y_c, s, mu * s)
 
 
-def _dual_grad(ct, y, s: float, rho: float) -> np.ndarray:
-    """(s / rho) C^T clip(y, +/-rho) for y = C lam and ct = C^T; clips y in place."""
-    np.clip(y, -rho, rho, out=y)
-    grad = ct @ y
-    grad *= s / rho
-    return grad
+def _clipped_value(y, s: float, rho: float):
+    """(y_c, s sum huber_rho(y)) for y = C lam, y_c = clip(y, +/-rho)."""
+    y_c = np.clip(y, -rho, rho)
+    return y_c, s / rho * float(y_c @ (y - 0.5 * y_c))
+
+
+def _dual_grad(ct, y_c, s: float, rho: float) -> np.ndarray:
+    """(s / rho) C^T y_c for ct = C^T and y_c from _clipped_value."""
+    return (ct @ y_c) * (s / rho)
+
+
+def _sigma_max_sq(a: np.ndarray) -> float:
+    """sigma_max(a)^2 from the smaller Gram matrix of a; 0 for a zero matrix."""
+    gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
+    return float(np.linalg.eigvalsh(gram)[-1])
 
 
 def recover_x(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
@@ -211,9 +220,9 @@ class MdOptions:
 
     tol is on the KL gradient-mapping residual with unit reference step,
     r(lam) = ||T_1(lam) - lam||_1, which vanishes exactly at simplex-KKT
-    points. Backtracking halves the step until the prox-model
-    sufficient-decrease test holds; the accepted step is doubled at the start
-    of the next iteration.
+    points. Backtracking halves the step, down to the floor mu/sigma_max(C)^2,
+    until the closed-form prox-model sufficient-decrease test holds; the
+    accepted step is doubled at the start of the next iteration.
     """
 
     max_iter: int = 20000
@@ -221,7 +230,8 @@ class MdOptions:
     record_trace: bool = False
 
     def __post_init__(self):
-        if self.max_iter < 0 or not 0 <= self.tol < np.inf:
+        if (not isinstance(self.max_iter, int) or self.max_iter < 0
+                or not 0 <= self.tol < np.inf):
             raise ValueError("invalid mirror-descent options")
 
 
@@ -248,13 +258,14 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
                    lam0: np.ndarray | None = None) -> MdResult:
     """Minimize f_mu over the simplex by entropic mirror descent.
 
-    Starts from the uniform point unless a warm start lam0 (a simplex point)
-    is given. Each iteration takes the multiplicative update with a
-    backtracked step satisfying the Bregman sufficient-decrease test; steps
-    at or below the descent-lemma floor mu/sigma_max(C)^2 are always
-    accepted (the test holds mathematically there even when the decrease is
-    too small to resolve in floating point), so progress cannot stall on
-    rounding noise near the optimum. f_mu never increases beyond rounding.
+    Starts from the uniform point unless a warm start lam0 (a finite simplex
+    point) is given. Each iteration takes the update lam+ = lam exp(-step g)/Z
+    with a backtracked step; as KL(lam+ || lam) = -step <g, lam+> - log Z, the
+    Bregman sufficient-decrease test is f(lam+) <= f - <g, lam> - log Z/step.
+    f(lam+) = (s/rho) y_c . (y - y_c/2) for y = C lam+ and y_c = clip(y, +/-rho),
+    the y_c the next gradient uses. Steps at or below mu/sigma_max(C)^2 (from
+    the Gram matrix) are always accepted, so progress cannot stall on rounding
+    noise near the optimum. f_mu never increases beyond rounding.
     """
     _check_mu(mu)
     n = coeff.n_constraints
@@ -266,29 +277,29 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
         lam = np.full(n, 1.0 / n)
     else:
         lam = np.asarray(lam0, dtype=float).copy()
-        if lam.shape != (n,) or lam.min() < 0 or abs(lam.sum() - 1.0) > 1e-9:
+        if (lam.shape != (n,) or not np.isfinite(lam).all() or lam.min() < 0
+                or abs(lam.sum() - 1.0) > 1e-9):
             raise ValueError("warm start must be a point on the simplex")
-    y = c @ lam
-    f = float(s * huber(y, rho).sum())
+    y_c, f = _clipped_value(c @ lam, s, rho)
 
     # Pinsker gives KL >= ||.||_1^2 / 2 >= ||.||_2^2 / 2, and the Huber
     # curvature caps the dual Hessian at sigma_max(C)^2 / mu, so any step
     # <= safe_step satisfies the sufficient-decrease model exactly
-    sigma = float(np.linalg.norm(c, 2))
-    safe_step = mu / (sigma * sigma) if sigma > 0 else 1.0
+    sigma_sq = _sigma_max_sq(ct)
+    safe_step = mu / sigma_sq if sigma_sq > 0 else 1.0
     step = safe_step
 
-    # log(lam) is carried across iterations (recovered from the softmax
-    # normalization) so the loop body never calls log on lam itself; exact
-    # zeros give -inf and stay zero through exp
-    with np.errstate(divide="ignore"):
+    # log(lam) is carried over from the softmax normalization, so the loop never
+    # takes it of lam; exact zeros give -inf and stay zero through exp
+    if lam.all():
         log_lam = np.log(lam)
+    else:
+        with np.errstate(divide="ignore"):
+            log_lam = np.log(lam)
     trace: list = []
     converged = False
-    residual = np.inf
-    it = 0
-    for it in range(opts.max_iter + 1):
-        grad = _dual_grad(ct, y, s, rho)
+    for it in range(opts.max_iter + 1):  # runs at least once: max_iter >= 0
+        grad = _dual_grad(ct, y_c, s, rho)
         w = log_lam - grad
         w -= w.max()
         e = np.exp(w)
@@ -301,24 +312,21 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
         if it == opts.max_iter:
             break
         step *= 2.0
+        model = f - float(grad @ lam)
         while True:
             w = log_lam - step * grad
-            w -= w.max()
+            w_max = w.max()
+            w -= w_max
             e = np.exp(w)
             se = e.sum()
             lam_new = e / se
-            y_new = c @ lam_new
-            f_new = float(s * huber(y_new, rho).sum())
-            if step <= safe_step:
-                break
-            mask = lam_new > 0
-            kl = float(np.sum(lam_new[mask] * ((w[mask] - np.log(se)) - log_lam[mask])))
-            model = f + float(grad @ (lam_new - lam)) + kl / step
-            if f_new <= model:
+            log_se = np.log(se)
+            y_c_new, f_new = _clipped_value(c @ lam_new, s, rho)
+            if step <= safe_step or f_new <= model - (w_max + log_se) / step:
                 break
             step *= 0.5
-        lam, y, f = lam_new, y_new, f_new
-        log_lam = w - np.log(se)
+        lam, y_c, f = lam_new, y_c_new, f_new
+        log_lam = w - log_se
 
     return MdResult(lam=lam, value=f, converged=converged, n_iter=it,
                     residual=residual, trace=trace)
@@ -416,8 +424,8 @@ class SolveOptions:
 
     def __post_init__(self):
         _check_mu(self.mu)
-        if self.mbi_restarts < 1:
-            raise ValueError("need at least one MBI restart")
+        if not isinstance(self.mbi_restarts, int) or self.mbi_restarts < 1:
+            raise ValueError("need at least one MBI restart, as an integer")
 
 
 @dataclass

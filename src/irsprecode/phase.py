@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .constellation import PskConstellation, SymbolFrame
-from .onebit import frame_array
+from .onebit import _sigma_max_sq, frame_array
 
 # consecutive smoothed-objective increases that reset the APG momentum
 RESTART_WINDOW = 5
@@ -191,7 +191,8 @@ class ApgOptions:
     record_trace: bool = False
 
     def __post_init__(self):
-        if not (0 < self.delta < np.inf and 0 <= self.tol < np.inf) or self.max_iter < 1:
+        if not (0 < self.delta < np.inf and 0 <= self.tol < np.inf
+                and isinstance(self.max_iter, int) and self.max_iter >= 1):
             raise ValueError("invalid APG options")
 
 
@@ -226,8 +227,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     if theta.size != coeffs.n_lifted:
         raise ValueError("phase vector length must match coefficient rows")
 
-    sigma = float(np.linalg.norm(coeffs.eta, 2))
-    lipschitz = sigma * sigma / delta
+    lipschitz = _sigma_max_sq(coeffs.eta) / delta
     if lipschitz == 0.0:
         # constant objective over Phi; the init is already optimal
         val = max_constraint(theta, coeffs)

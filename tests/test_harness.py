@@ -1,5 +1,6 @@
 """Experiment harness tests: configs, pairing, determinism, aggregation."""
 
+import dataclasses
 import json
 import math
 
@@ -102,14 +103,20 @@ class TestConfig:
                                         {"mu": math.nan}, {"mu": math.inf},
                                         {"delta": math.nan}, {"md_max_iter": -1},
                                         {"md_tol": -1}, {"md_tol": math.nan},
-                                        {"apg_tol": math.nan}, {"ao_stop_tol": math.nan}],
+                                        {"apg_tol": math.nan}, {"ao_stop_tol": math.nan},
+                                        {"md_max_iter": 10.5}, {"mbi_restarts": 1.5},
+                                        {"ao_max_outer": 2.5}, {"apg_max_iter": 3.5},
+                                        {"n_starts": 1.5}],
                              ids=["mbi_restarts", "delta", "ao_max_outer", "mu",
                                   "mu_nan", "mu_inf", "delta_nan", "md_max_iter_negative",
                                   "md_tol_negative", "md_tol_nan", "apg_tol_nan",
-                                  "ao_stop_tol_nan"])
+                                  "ao_stop_tol_nan", "md_max_iter_fractional",
+                                  "mbi_restarts_fractional", "ao_max_outer_fractional",
+                                  "apg_max_iter_fractional", "n_starts_fractional"])
     def test_bad_solver_settings_rejected_on_load(self, solver):
         # rejected when the config loads, not later inside a channel run
-        # (a NaN mu would hang mirror descent's backtracking)
+        # (a NaN mu would hang mirror descent's backtracking; a fractional
+        # count would raise TypeError in the first channel)
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"m": 4, "solver": solver})
 
@@ -389,6 +396,58 @@ class TestEdgeRuns:
                 assert (r.n_channels_ok, r.n_channels_failed) == (0, cfg.n_channels)
             else:
                 assert r.n_channels_ok == cfg.n_channels and r.bits > 0
+
+    def test_all_zero_channels(self, monkeypatch):
+        # every coefficient matrix is zero: mirror descent returns at its
+        # zero-Gram branch, APG at its zero-Lipschitz branch, and zero forcing
+        # is counted rank deficient; every pair is still tallied
+        import irsprecode.harness as hn
+        import irsprecode.onebit as ob
+
+        def zero_channels(seed, index, m, n, k):
+            return ChannelSet(h_d=np.zeros((k, m)), g=np.zeros((n, m)), h_r=np.zeros((k, n)))
+
+        md_runs = []
+        real_md = ob.mirror_descent
+
+        def spy(*args, **kwargs):
+            md = real_md(*args, **kwargs)
+            md_runs.append((md.n_iter, md.converged))
+            return md
+
+        monkeypatch.setattr(hn, "channel_realization", zero_channels)
+        monkeypatch.setattr(ob, "mirror_descent", spy)
+        cfg = small_cfg(n_channels=2, schemes=tuple(SCHEMES))
+        records, per_channel = run_experiment(cfg, keep_channel_detail=True)
+        assert_tallies(cfg, records, per_channel)
+        assert md_runs and set(md_runs) == {(0, True)}
+        for res in per_channel:
+            assert {s: o.status for s, o in res.items() if not o.ok} == {
+                "zf-quant": "rank-deficient", "zf-quant-noirs": "rank-deficient"}
+            assert all(np.isfinite(o.worst_margin) for o in res.values())
+
+    def test_zero_reflected_path(self, monkeypatch):
+        # with G = 0 the surface does nothing: each scheme on the surface
+        # channel sees the direct channel of its no-surface twin
+        import irsprecode.harness as hn
+
+        def no_surface(seed, index, m, n, k):
+            return hn.no_irs_variant(channel_realization(seed, index, m, n, k))
+
+        monkeypatch.setattr(hn, "channel_realization", no_surface)
+        cfg = small_cfg(n_channels=2, n_noise=2, schemes=tuple(SCHEMES),
+                        noise_grid_db=(10.0, 40.0))
+        records, per_channel = run_experiment(cfg, keep_channel_detail=True)
+        assert_tallies(cfg, records, per_channel)
+        for res in per_channel:
+            assert all(o.ok for o in res.values())
+            for scheme in ("relaxed", "relaxed-quant", "zf-quant"):
+                with_surface, without = (dataclasses.replace(res[name], runtime_s=0.0)
+                                         for name in (scheme, scheme + "-noirs"))
+                assert with_surface == without
+            # AO's first round is the no-surface design, and AO never
+            # returns a round worse than its first
+            assert res["onebit-md"].worst_margin >= res["onebit-md-noirs"].worst_margin
 
 
 class TestCsv:

@@ -6,7 +6,9 @@ anywhere in the module or is listed in the module's __all__ (a re-export).
 The README's Python blocks are checked against irsprecode.__all__, and its
 "Library" example is run. The package needs numpy only: no module imports
 scipy, and importing the harness leaves it unloaded. No module reads the
-process environment, so solver behaviour is set by arguments alone.
+process environment, so solver behaviour is set by arguments alone. No module
+takes a spectral norm by SVD: the solvers' step bounds come from
+onebit._sigma_max_sq, an eigenvalue of the smaller Gram matrix.
 """
 
 import ast
@@ -142,4 +144,31 @@ def test_package_does_not_read_the_environment():
     assert not reads_environment("import os\nos.path.join('a')\nenviron = {}\n")
     offenders = [p.name for p in sorted(PACKAGE_DIR.rglob("*.py"))
                  if reads_environment(p.read_text())]
+    assert offenders == []
+
+
+def spectral_norm_calls(source: str) -> list:
+    """Lines of norm(a, 2) / norm(a, ord=2) calls, the SVD-based matrix 2-norm."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        order = [kw.value for kw in node.keywords if kw.arg == "ord"] + node.args[1:2]
+        if name == "norm" and any(isinstance(o, ast.Constant) and o.value == 2
+                                  for o in order):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_package_takes_no_svd_spectral_norm():
+    assert spectral_norm_calls("import numpy as np\nx = np.linalg.norm(a, 2)\n"
+                               "y = la.norm(a, ord=2)\n") == [2, 3]
+    assert spectral_norm_calls("from numpy.linalg import norm\ndef f(a):\n"
+                               "    return norm(a, 2)\n") == [3]
+    assert spectral_norm_calls("np.linalg.norm(a)\nnp.linalg.norm(a, axis=1)\n"
+                               "np.linalg.norm(a, 1)\nnp.linalg.norm(a, ord='fro')\n") == []
+    offenders = [p.name for p in sorted(PACKAGE_DIR.rglob("*.py"))
+                 if spectral_norm_calls(p.read_text())]
     assert offenders == []

@@ -23,6 +23,7 @@ from irsprecode.onebit import (
     CoefficientMatrix,
     MdOptions,
     SolveOptions,
+    _sigma_max_sq,
     brute_force_onebit,
     build_coefficients,
     dual_gradient,
@@ -306,6 +307,99 @@ def test_md_reports_nonconvergence_instead_of_failing():
     assert np.isfinite(res.value)
 
 
+@pytest.mark.parametrize("shape", [(64, 8), (8, 64), (256, 28), (32, 400), (6, 6), (1, 5)])
+def test_sigma_max_sq_matches_the_svd_norm(shape):
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal(shape)
+    a[:, -1] = a[:, 0]  # rank deficient, so the Gram matrix is singular
+    want = np.linalg.norm(a, 2) ** 2
+    assert abs(_sigma_max_sq(a) - want) <= 1e-12 * want
+    assert _sigma_max_sq(np.zeros(shape)) == 0.0
+
+
+def _md_reference(coeff, mu, opts, lam0=None):
+    """The mirror-descent loop with the Bregman model from its definition:
+    masked KL sum, Huber value from huber(), safe step from the SVD norm."""
+    n = coeff.n_constraints
+    s = coeff.amplitude
+    rho = mu * s
+    c = coeff.c
+    ct = np.ascontiguousarray(c.T)
+    lam = np.full(n, 1.0 / n) if lam0 is None else np.asarray(lam0, dtype=float).copy()
+    y = c @ lam
+    f = float(s * huber(y, rho).sum())
+    sigma = float(np.linalg.norm(c, 2))
+    safe_step = mu / (sigma * sigma) if sigma > 0 else 1.0
+    step = safe_step
+    with np.errstate(divide="ignore"):
+        log_lam = np.log(lam)
+    converged = False
+    residual = np.inf
+    it = 0
+    for it in range(opts.max_iter + 1):
+        grad = (ct @ np.clip(y, -rho, rho)) * (s / rho)
+        w = log_lam - grad
+        w -= w.max()
+        e = np.exp(w)
+        residual = float(np.abs(e / e.sum() - lam).sum())
+        if residual <= opts.tol:
+            converged = True
+            break
+        if it == opts.max_iter:
+            break
+        step *= 2.0
+        while True:
+            w = log_lam - step * grad
+            w -= w.max()
+            e = np.exp(w)
+            se = e.sum()
+            lam_new = e / se
+            y_new = c @ lam_new
+            f_new = float(s * huber(y_new, rho).sum())
+            if step <= safe_step:
+                break
+            mask = lam_new > 0
+            kl = float(np.sum(lam_new[mask] * ((w[mask] - np.log(se)) - log_lam[mask])))
+            model = f + float(grad @ (lam_new - lam)) + kl / step
+            if f_new <= model:
+                break
+            step *= 0.5
+        lam, y, f = lam_new, y_new, f_new
+        log_lam = w - np.log(se)
+    return lam, f, converged, it, residual
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([2, 4, 8, 16]),
+       size=st.sampled_from([(32, 4, 16), (128, 14, 32), (8, 3, 4)]),
+       start=st.sampled_from(["cold", "mixed", "zeros", "zero-matrix"]))
+def test_md_matches_the_reference_loop(seed, order, size, start):
+    # the closed-form model, the clipped Huber value and the Gram-matrix
+    # safe step change rounding only: the same step decisions, so the same
+    # iteration count and iterates, at the solver's mu
+    mu = SolveOptions().mu
+    rng = np.random.default_rng(seed)
+    m, k, n = size
+    coeff, _, _, _ = random_instance(rng, m=m, k=k, order=order, n=n)
+    if start == "zero-matrix":
+        coeff = CoefficientMatrix(c=np.zeros_like(coeff.c), amplitude=coeff.amplitude)
+    lam0 = None
+    if start != "cold":
+        lam0 = rng.dirichlet(np.ones(coeff.n_constraints))
+        if start == "zeros":
+            lam0[rng.permutation(lam0.size)[:lam0.size // 2]] = 0.0
+            lam0 /= lam0.sum()
+        else:
+            lam0 = _mixed(lam0)
+    opts = MdOptions(max_iter=400)
+    md = mirror_descent(coeff, mu, opts, lam0=lam0)
+    lam, value, converged, n_iter, residual = _md_reference(coeff, mu, opts, lam0)
+    assert (md.n_iter, md.converged) == (n_iter, converged)
+    assert np.abs(md.lam - lam).sum() <= 1e-12
+    assert abs(md.value - value) <= 1e-12 * abs(value)
+    assert abs(md.value - dual_value(md.lam, coeff, mu)) <= 1e-12 * abs(md.value)
+
+
 # --- MBI rounding ------------------------------------------------------------
 
 def test_mbi_exhaustive_oracle_small_fractional_sets():
@@ -571,8 +665,10 @@ def test_solve_relaxed_rejects_warm_start_off_the_simplex():
     rng = np.random.default_rng(21)
     coeff, _, _, _ = random_instance(rng, m=6, k=2)
     n = coeff.n_constraints
+    # NaN passes both the sign and the sum test, so finiteness is its own check
     bad = (np.full(n, 0.5), np.r_[-0.1, np.full(n - 1, 1.1 / (n - 1))],
-           np.full(n + 1, 1.0 / (n + 1)))
+           np.full(n + 1, 1.0 / (n + 1)), np.r_[np.nan, np.full(n - 1, 1.0 / (n - 1))],
+           np.r_[np.inf, np.zeros(n - 1)])
     for lam0 in bad:
         for mu in (SolveOptions().mu, 1e-5):  # with and without the mu stages
             with pytest.raises(ValueError, match="simplex"):
