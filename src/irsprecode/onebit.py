@@ -183,7 +183,8 @@ def dual_value(lam, coeff: CoefficientMatrix, mu: float) -> float:
 
 def dual_gradient(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
     """Gradient of f_mu; equals -C^T xbar*(lam) with xbar* from recover_x.
-    Bit-equal to mirror_descent's, which runs the same kernels."""
+    Bit-equal to mirror_descent's, which runs the same kernels; y_c comes from
+    _clipped_value, the one home of the clip, and its Huber value goes unused."""
     _check_mu(mu)
     s = coeff.amplitude
     y_c, _ = _clipped_value(coeff.c @ np.asarray(lam, dtype=float), s, mu * s)
@@ -291,11 +292,7 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
 
     # log(lam) is carried over from the softmax normalization, so the loop never
     # takes it of lam; exact zeros give -inf and stay zero through exp
-    if lam.all():
-        log_lam = np.log(lam)
-    else:
-        with np.errstate(divide="ignore"):
-            log_lam = np.log(lam)
+    log_lam = np.log(lam, out=np.full(n, -np.inf), where=lam > 0)
     trace: list = []
     converged = False
     for it in range(opts.max_iter + 1):  # runs at least once: max_iter >= 0

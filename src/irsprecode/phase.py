@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .constellation import PskConstellation, SymbolFrame
-from .onebit import _sigma_max_sq, frame_array
+from .onebit import frame_array
 
 # consecutive smoothed-objective increases that reset the APG momentum
 RESTART_WINDOW = 5
@@ -227,7 +227,8 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     if theta.size != coeffs.n_lifted:
         raise ValueError("phase vector length must match coefficient rows")
 
-    lipschitz = _sigma_max_sq(coeffs.eta) / delta
+    sigma = float(np.linalg.norm(coeffs.eta, 2))
+    lipschitz = sigma * sigma / delta
     if lipschitz == 0.0:
         # constant objective over Phi; the init is already optimal
         val = max_constraint(theta, coeffs)

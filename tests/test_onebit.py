@@ -20,6 +20,7 @@ from irsprecode.channel import (
 from irsprecode.ao import WARM_START_MIX
 from irsprecode.constellation import PskConstellation, margin
 from irsprecode.onebit import (
+    MU_STAGES,
     CoefficientMatrix,
     MdOptions,
     SolveOptions,
@@ -369,15 +370,23 @@ def _md_reference(coeff, mu, opts, lam0=None):
     return lam, f, converged, it, residual
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([2, 4, 8, 16]),
        size=st.sampled_from([(32, 4, 16), (128, 14, 32), (8, 3, 4)]),
-       start=st.sampled_from(["cold", "mixed", "zeros", "zero-matrix"]))
-def test_md_matches_the_reference_loop(seed, order, size, start):
+       start=st.sampled_from(["cold", "mixed", "zeros", "zero-matrix"]),
+       mu=st.sampled_from([stage_mu for stage_mu, _ in MU_STAGES] + [1e-6]))
+def test_md_matches_the_reference_loop(seed, order, size, start, mu):
     # the closed-form model, the clipped Huber value and the Gram-matrix
     # safe step change rounding only: the same step decisions, so the same
-    # iteration count and iterates, at the solver's mu
-    mu = SolveOptions().mu
+    # iteration count and iterates, at the solver's mu (the first stage).
+    # Below it the loop amplifies any last-bit difference over non-converged
+    # iterations, the reference's own included: at mu = 2e-5, perturbing its
+    # start by 1e-16 relative moved its lam by 2e-4 in l1 after 400 iterations
+    # (seed 164470, 16-PSK, 64x8, zero-holding start), so there the iterates
+    # are not compared. At mu = 1e-6 the same 1e-16 perturbation also moved
+    # the reference's iteration of convergence (seed 981892: 194 -> 193), so
+    # there only md's own value is checked
+    assert MU_STAGES[0][0] == SolveOptions().mu
     rng = np.random.default_rng(seed)
     m, k, n = size
     coeff, _, _, _ = random_instance(rng, m=m, k=k, order=order, n=n)
@@ -393,11 +402,15 @@ def test_md_matches_the_reference_loop(seed, order, size, start):
             lam0 = _mixed(lam0)
     opts = MdOptions(max_iter=400)
     md = mirror_descent(coeff, mu, opts, lam0=lam0)
+    assert abs(md.value - dual_value(md.lam, coeff, mu)) <= 1e-12 * abs(md.value)
+    if mu < MU_STAGES[-1][0]:
+        return
     lam, value, converged, n_iter, residual = _md_reference(coeff, mu, opts, lam0)
     assert (md.n_iter, md.converged) == (n_iter, converged)
+    if mu < SolveOptions().mu:
+        return
     assert np.abs(md.lam - lam).sum() <= 1e-12
     assert abs(md.value - value) <= 1e-12 * abs(value)
-    assert abs(md.value - dual_value(md.lam, coeff, mu)) <= 1e-12 * abs(md.value)
 
 
 # --- MBI rounding ------------------------------------------------------------

@@ -15,7 +15,7 @@ from irsprecode.channel import (
     sample_scenario,
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
-from irsprecode.onebit import OneBitFrame, _sigma_max_sq
+from irsprecode.onebit import OneBitFrame
 from irsprecode.phase import (
     RESTART_WINDOW,
     ApgOptions,
@@ -412,10 +412,8 @@ def _ref_grad(tb, coeffs, delta):
 def _ref_apg(coeffs, theta_bar_init, opts):
     delta = opts.delta
     theta = project_unit_modulus(theta_bar_init)
-    # the loop under test, not its spectral bound, is the reference: the
-    # bound comes from the package helper (checked against the SVD norm in
-    # test_onebit) so that both loops start from the same tau
-    lipschitz = _sigma_max_sq(coeffs.eta) / delta
+    sigma = float(np.linalg.norm(coeffs.eta, 2))
+    lipschitz = sigma * sigma / delta
     if lipschitz == 0.0:
         return ApgResult(theta_bar=theta, value=_ref_max(theta, coeffs),
                          smoothed=_ref_lse(theta, coeffs, delta),
