@@ -9,14 +9,12 @@ eps = WARM_START_MIX; round 1 starts at the uniform point.
 
 The objective is the worst-case margin over all (user, slot) pairs. Neither
 inner solver is exact (rounding and a nonconvex projection are involved), so
-a round can lower it. The loop keeps the round with the highest worst
-margin so far (round 1 to start with; only a strictly higher margin replaces
-it, so ties go to the earliest round). It stops at the first of: a round
-that does not beat that best round, a squared change
-||X_i - X_{i-1}||_F^2 + ||theta_i - theta_{i-1}||^2 of the complex
-variables below stop_tol, or max_outer rounds. It returns the best round's
-design; the trace records every round that ran, with its worst margin and
-inner-solver statuses.
+a round can lower it. The loop stops at the first round whose worst margin
+does not beat the previous round's by more than MARGIN_RTOL times its
+magnitude, and returns the previous round's design; otherwise it stops after
+max_outer rounds and returns the last. The tolerance keeps last-bit rounding
+in either inner solver from deciding how many rounds run. The trace records
+every round that ran, with its worst margin and inner-solver statuses.
 """
 
 from __future__ import annotations
@@ -34,16 +32,20 @@ from .phase import ApgOptions, apg_optimize, build_phase_coefficients
 # MD's multiplicative update, so its residual test could pass at a non-KKT point
 WARM_START_MIX = 1e-6
 
+# a round improves when its worst margin rises by more than this, relative:
+# rounding in the inner solvers moves it by a few ulps, real progress by >1e-5
+MARGIN_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class AoConfig:
     """Outer-loop controls plus the options of both inner solvers.
 
-    A run stops after the first round whose worst margin does not strictly
-    beat the best so far, once the squared change drops below stop_tol, or
-    after max_outer rounds, and returns its best round's design, a
-    OneBitFrame and its phases. Rounds after the first warm-start each
-    slot's mirror descent from its previous dual point (module docstring).
+    A run stops after the first round whose worst margin does not beat the
+    previous round's by more than MARGIN_RTOL relative, or after max_outer
+    rounds, and returns its best round's design, a OneBitFrame and its
+    phases. Rounds after the first warm-start each slot's mirror descent from
+    its previous dual point (module docstring).
 
     n_starts > 1 repeats the whole loop from independent random
     initializations and keeps the run with the best worst-case margin (ties
@@ -52,7 +54,6 @@ class AoConfig:
 
     power: float
     max_outer: int = 20
-    stop_tol: float = 1e-4
     solve: SolveOptions = field(default_factory=SolveOptions)
     apg: ApgOptions = field(default_factory=ApgOptions)
     n_starts: int = 1
@@ -62,8 +63,6 @@ class AoConfig:
             raise ValueError("power must be positive and finite")
         if not isinstance(self.max_outer, int) or self.max_outer < 1:
             raise ValueError("need at least one outer round, as an integer")
-        if not 0 < self.stop_tol < np.inf:
-            raise ValueError("stop_tol must be positive and finite")
         if not isinstance(self.n_starts, int) or self.n_starts < 1:
             raise ValueError("need at least one start, as an integer")
 
@@ -72,7 +71,6 @@ class AoConfig:
 class AoIterationRecord:
     iteration: int
     worst_margin: float
-    sq_change: float
     md_converged: list
     apg_converged: bool
 
@@ -91,21 +89,26 @@ def frame_margins(ch: ChannelSet, phases: PhaseShifts, frame,
 
 
 def best_round(trace: list) -> AoIterationRecord:
-    """The round a run returns: the first with the highest worst margin.
+    """The round a run returns: the last, unless it did not improve.
 
-    A later round replaces the incumbent only with a strictly higher margin,
-    so ties keep the earliest round and a NaN margin never replaces one (nor
-    is replaced, in round 1).
+    Every earlier round beat its predecessor by more than MARGIN_RTOL
+    relative, or the run would have stopped there. A NaN margin never counts
+    as an improvement.
     """
-    return max(trace, key=lambda rec: rec.worst_margin)
+    if len(trace) > 1:
+        prev = trace[-2].worst_margin
+        if not trace[-1].worst_margin > prev + MARGIN_RTOL * abs(prev):
+            return trace[-2]
+    return trace[-1]
 
 
 def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
                          rng: np.random.Generator):
     """Run the outer loop; returns (frame, phases, trace).
 
-    frame and phases are the design of the best round, best_round(trace);
-    the trace holds every round that ran. frame is always a OneBitFrame. rng
+    frame and phases are the design of the best round, best_round(trace):
+    the round before the last when the last did not improve, else the last.
+    The trace holds every round that ran. frame is always a OneBitFrame. rng
     drives every random draw of the run (the harness passes per-channel
     substreams). With n_starts > 1 the trace of the winning start is
     returned.
@@ -126,36 +129,20 @@ def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
 def _single_run(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
                 rng: np.random.Generator):
     phases = PhaseShifts.random(ch.g.shape[0], rng)
-    x_prev = None
-    theta_prev = phases.theta
     lams = [None] * symbols.n_slots
     trace: list = []
-    best = None  # (worst margin, frame, phases) of the best round so far
+    design = None  # (frame, phases) of the last round that improved
 
     for it in range(1, cfg.max_outer + 1):
         frame, lams, md_converged = _x_step(effective_matrix(ch, phases), symbols,
                                             cfg, rng, lams)
         phases, apg_converged = _phase_step(ch, frame, symbols, phases, cfg)
-
-        x = frame.x
-        if x_prev is None:
-            sq_change = np.inf
-        else:
-            sq_change = (float(np.sum(np.abs(x - x_prev) ** 2))
-                         + float(np.sum(np.abs(phases.theta - theta_prev) ** 2)))
         worst = float(frame_margins(ch, phases, frame, symbols).min())
-        trace.append(AoIterationRecord(it, worst, sq_change, md_converged,
-                                       apg_converged))
-        improved = best is None or worst > best[0]
-        if improved:
-            best = (worst, frame, phases)
-        x_prev = x
-        theta_prev = phases.theta
-        if not improved or sq_change < cfg.stop_tol:
+        trace.append(AoIterationRecord(it, worst, md_converged, apg_converged))
+        if best_round(trace) is not trace[-1]:
             break
-
-    _, frame, phases = best
-    return frame, phases, trace
+        design = frame, phases
+    return (*design, trace)
 
 
 def _x_step(h_eff, symbols: SymbolFrame, cfg: AoConfig, rng, lams: list):

@@ -78,7 +78,6 @@ class SolverConfig:
     apg_max_iter: int = ApgOptions.max_iter
     apg_tol: float = ApgOptions.tol
     ao_max_outer: int = AoConfig.max_outer
-    ao_stop_tol: float = AoConfig.stop_tol
     n_starts: int = AoConfig.n_starts
 
     def __post_init__(self):
@@ -95,8 +94,8 @@ class SolverConfig:
 
     def ao_config(self, power: float) -> AoConfig:
         return AoConfig(power=power, max_outer=self.ao_max_outer,
-                        stop_tol=self.ao_stop_tol, solve=self.solve_options(),
-                        apg=self.apg_options(), n_starts=self.n_starts)
+                        solve=self.solve_options(), apg=self.apg_options(),
+                        n_starts=self.n_starts)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":

@@ -247,8 +247,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("best_converged", [True, False])
     def test_ao_status_comes_from_the_returned_round(self, monkeypatch, best_converged):
         # the joint design takes its status from the round
-        # alternating_optimize returns (the first with the highest worst
-        # margin), not from the last round that ran
+        # alternating_optimize returns (here the first: the last round did
+        # not improve on it), not from the last round that ran
         import irsprecode.harness as hn
 
         real = hn.alternating_optimize
@@ -256,9 +256,8 @@ class TestRunExperiment:
         def fake(ch, symbols, cfg, rng=None):
             frame, phases, _ = real(ch, symbols, cfg, rng=rng)
             n_slots = symbols.n_slots
-            best = AoIterationRecord(1, 0.2, np.inf, [best_converged] * n_slots,
-                                     best_converged)
-            last = AoIterationRecord(2, 0.1, 1.0, [not best_converged] * n_slots,
+            best = AoIterationRecord(1, 0.2, [best_converged] * n_slots, best_converged)
+            last = AoIterationRecord(2, 0.1, [not best_converged] * n_slots,
                                      not best_converged)
             return frame, phases, [best, last]
 
