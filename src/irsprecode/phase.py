@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .constellation import PskConstellation, SymbolFrame
-from .onebit import frame_array
+from .onebit import _sigma_max_sq, frame_array
 
 # consecutive smoothed-objective increases that reset the APG momentum
 RESTART_WINDOW = 5
@@ -179,8 +179,9 @@ class ApgOptions:
 
     tol is on the iterate change ||theta_new - theta||_2. The inverse step
     tau starts at the exact smoothed-gradient Lipschitz bound sigma_max^2 /
-    delta, is halved optimistically each iteration, and backtracks (doubling,
-    capped at the bound where the descent lemma accepts unconditionally).
+    delta (sigma_max^2 from onebit._sigma_max_sq), is halved optimistically
+    each iteration, and backtracks (doubling, capped at the bound where the
+    descent lemma accepts unconditionally).
     The momentum weights follow momentum_sequence; RESTART_WINDOW consecutive
     smoothed-objective increases restart it from psi_0 = 0.
     """
@@ -227,8 +228,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     if theta.size != coeffs.n_lifted:
         raise ValueError("phase vector length must match coefficient rows")
 
-    sigma = float(np.linalg.norm(coeffs.eta, 2))
-    lipschitz = sigma * sigma / delta
+    lipschitz = _sigma_max_sq(coeffs.eta) / delta
     if lipschitz == 0.0:
         # constant objective over Phi; the init is already optimal
         val = max_constraint(theta, coeffs)

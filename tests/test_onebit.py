@@ -308,7 +308,8 @@ def test_md_reports_nonconvergence_instead_of_failing():
     assert np.isfinite(res.value)
 
 
-@pytest.mark.parametrize("shape", [(64, 8), (8, 64), (256, 28), (32, 400), (6, 6), (1, 5)])
+@pytest.mark.parametrize("shape", [(64, 8), (8, 64), (256, 28), (32, 400), (64, 2800),
+                                   (6, 6), (1, 5)])
 def test_sigma_max_sq_matches_the_svd_norm(shape):
     rng = np.random.default_rng(12)
     a = rng.standard_normal(shape)
