@@ -46,8 +46,8 @@ def zf_precode(h_eff: np.ndarray, symbols: SymbolFrame, power: float) -> ZfFrame
     k, m = h_eff.shape
     if symbols.n_users != k:
         raise ValueError(f"symbol frame has {symbols.n_users} users, channel has {k}")
-    if power <= 0:
-        raise ValueError(f"power must be positive, got {power}")
+    if not 0 < power < np.inf:
+        raise ValueError(f"power must be positive and finite, got {power}")
 
     sv = np.linalg.svd(h_eff, compute_uv=False)
     full_rank = bool(m >= k and sv.min() > RANK_RTOL * sv.max())
@@ -122,8 +122,8 @@ def rescale_to_power(x: np.ndarray, power: float) -> np.ndarray:
     to the full per-slot power budget (entries no longer box-bounded) gives
     the matching unquantized full-power design. Zero slots stay zero.
     """
-    if power <= 0:
-        raise ValueError(f"power must be positive, got {power}")
+    if not 0 < power < np.inf:
+        raise ValueError(f"power must be positive and finite, got {power}")
     x = np.atleast_2d(np.asarray(x, dtype=complex))
     norms = np.linalg.norm(x, axis=1)
     scale = np.ones_like(norms)

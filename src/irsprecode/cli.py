@@ -20,6 +20,15 @@ def _parse_schemes(text: str) -> tuple:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irsprecode",
@@ -43,12 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
     dump_p = fix_sub.add_parser(
         "dump", help="emit one channel realization as JSON")
     dump_p.add_argument("--out", required=True, help="output JSON path")
-    dump_p.add_argument("--seed", type=int, default=0)
-    dump_p.add_argument("--index", type=int, default=0,
+    dump_p.add_argument("--seed", type=_int_at_least(0), default=0)
+    dump_p.add_argument("--index", type=_int_at_least(0), default=0,
                         help="channel index within the experiment")
-    dump_p.add_argument("--m", type=int, default=128, help="transmit antennas")
-    dump_p.add_argument("--n", type=int, default=32, help="surface elements")
-    dump_p.add_argument("--k", type=int, default=14, help="users")
+    dump_p.add_argument("--m", type=_int_at_least(1), default=128,
+                        help="transmit antennas")
+    dump_p.add_argument("--n", type=_int_at_least(1), default=32,
+                        help="surface elements")
+    dump_p.add_argument("--k", type=_int_at_least(1), default=14, help="users")
     return parser
 
 

@@ -32,7 +32,9 @@ FRACTIONAL_TOL = 1e-6
 
 def onebit_amplitude(power: float, n_antennas: int) -> float:
     """Per-component one-bit magnitude s = sqrt(P / 2M), so that every
-    one-bit transmit vector has ||x||^2 = P."""
+    one-bit transmit vector has ||x||^2 = P. P must be positive and finite."""
+    if not 0 < power < np.inf:
+        raise ValueError(f"power must be positive and finite, got {power}")
     return float(np.sqrt(power / (2 * n_antennas)))
 
 
@@ -141,8 +143,6 @@ def build_coefficients(h_eff, symbols, constellation: PskConstellation,
         constellation: the PSK alphabet (sets cot(pi/L)).
         power: total transmit power P; the one-bit amplitude is sqrt(P/2M).
     """
-    if power <= 0:
-        raise ValueError("power must be positive")
     h_eff = np.atleast_2d(np.asarray(h_eff, dtype=complex))
     symbols = np.asarray(symbols, dtype=complex).ravel()
     if symbols.size != h_eff.shape[0]:

@@ -8,6 +8,7 @@ from irsprecode.baselines import (
     no_irs_variant,
     quantize_onebit,
     relaxed_slp,
+    rescale_to_power,
     zf_precode,
 )
 from irsprecode.channel import (
@@ -88,6 +89,22 @@ def test_quantize_idempotent_and_zero_convention():
     assert np.array_equal(again.x, x)
     zero = quantize_onebit(np.zeros((2, 2), dtype=complex), power=9.0, n_antennas=2)
     assert np.array_equal(zero.x, np.full((2, 2), s + 1j * s))
+
+
+@pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf, 0.0])
+def test_power_must_be_positive_and_finite(power):
+    # a NaN power used to run mirror descent to its iteration cap and return
+    # NaN frames, and an infinite one built a one-bit frame of amplitude inf
+    ch, rng = channels(0)
+    h_eff = effective_matrix(ch, PhaseShifts.ones(4))
+    sym = SymbolFrame.random(QPSK, 3, 2, rng)
+    x = crandn(rng, (2, 8))
+    calls = [lambda: relaxed_slp(h_eff, sym, power), lambda: zf_precode(h_eff, sym, power),
+             lambda: quantize_onebit(x, power, 8), lambda: rescale_to_power(x, power),
+             lambda: build_coefficients(h_eff, sym.symbols[:, 0], QPSK, power)]
+    for call in calls:
+        with pytest.raises(ValueError, match="power must be positive and finite"):
+            call()
 
 
 def test_relaxed_bound_dominates_brute_force():

@@ -78,6 +78,20 @@ def test_fixtures_dump_round_trip(tmp_path):
     assert np.allclose(loaded.h_r, ref.h_r)
 
 
+@pytest.mark.parametrize("flag, value", [("--m", "0"), ("--n", "0"), ("--k", "0"),
+                                         ("--seed", "-1"), ("--index", "-1"),
+                                         ("--m", "two")])
+def test_fixtures_dump_rejects_bad_arguments(tmp_path, capsys, flag, value):
+    # --m 0 used to write a channel with no antennas, and a negative seed or
+    # index ended in a NumPy traceback
+    out = tmp_path / "fix.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["fixtures", "dump", "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "fix.json"
     proc = subprocess.run(
