@@ -40,11 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True,
                        help="path to a JSON experiment config")
     run_p.add_argument("--out", required=True, help="output CSV path")
-    run_p.add_argument("--seed", type=int, default=None,
+    run_p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="override the config seed")
     run_p.add_argument("--schemes", type=str, default=None,
                        help="comma-separated scheme list override")
-    run_p.add_argument("--threads", type=int, default=1,
+    run_p.add_argument("--threads", type=_int_at_least(1), default=1,
                        help="worker processes (output does not depend on this)")
 
     fix_p = sub.add_parser("fixtures", help="fixture utilities")

@@ -11,16 +11,14 @@ _ALLOWED_ORDERS = (2, 4, 8, 16)
 # elementwise math.erfc (object-dtype result)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
-# popcount for 4-bit Gray labels, enough for L <= 16
-_POPCOUNT4 = np.array([bin(i).count("1") for i in range(16)], dtype=np.int64)
-
 
 class PskConstellation:
     """Unit-energy L-PSK alphabet with points exp(j*2*pi*l/L).
 
     Decision sectors are half-open: phases in [2*pi*l/L - pi/L, 2*pi*l/L + pi/L)
     map to point l, so a boundary angle resolves to the counter-clockwise
-    neighbour deterministically.
+    neighbour deterministically. gray_distance[a, b] is the number of bits
+    in which the Gray labels of points a and b differ.
     """
 
     def __init__(self, order: int):
@@ -32,6 +30,8 @@ class PskConstellation:
         self.points = np.exp(2j * np.pi * np.arange(self.order) / self.order)
         # cot(pi/L); exactly zero for BPSK so the margin reduces to Re{z}
         self.cot_half_sector = 0.0 if self.order == 2 else 1.0 / np.tan(np.pi / self.order)
+        g = gray_code(np.arange(self.order)).tolist()
+        self.gray_distance = np.array([[(a ^ b).bit_count() for b in g] for a in g])
 
     @property
     def bits_per_symbol(self) -> int:
@@ -50,16 +50,19 @@ def q_function(x):
 def decide_index(y, c: PskConstellation):
     """Index of the half-open decision sector containing each entry of y.
 
-    y = 0 falls in sector 0 by the same convention (its phase is taken as 0).
+    The index is floor((angle(y) + pi/L) / (2*pi/L)) mod L, the mod taken as
+    & (L - 1) since L is a power of two. y = 0 falls in sector 0 by the same
+    convention (its phase is taken as 0). A scalar y gives a scalar.
     """
     half = np.pi / c.order
-    idx = np.floor((np.angle(y) + half) / (2.0 * half)).astype(np.int64)
-    return np.mod(idx, c.order)
-
-
-def decide(y, c: PskConstellation):
-    """Hard decision: the constellation point whose sector contains y."""
-    return c.points[decide_index(y, c)]
+    # angle() makes a fresh array (0-d for scalar y), reused in place below
+    sector = np.angle(y)[...]
+    sector += half
+    sector /= 2.0 * half
+    np.floor(sector, out=sector)
+    idx = sector.astype(np.int64)
+    idx &= c.order - 1
+    return idx[()]
 
 
 def margin(z, c: PskConstellation):
@@ -90,22 +93,16 @@ def gray_code(index):
     return np.bitwise_xor(index, index >> 1)
 
 
-def gray_bits(symbol, c: PskConstellation) -> np.ndarray:
-    """Gray-label bits of one constellation point, most significant bit first."""
-    if c.order & (c.order - 1) != 0:
-        raise ValueError("Gray labeling needs a power-of-two order")
-    idx = int(np.argmin(np.abs(c.points - symbol)))
-    if abs(c.points[idx] - symbol) > 1e-9:
-        raise ValueError(f"{symbol!r} is not a point of {c!r}")
-    g = int(gray_code(idx))
-    nbits = c.bits_per_symbol
-    return np.array([(g >> (nbits - 1 - b)) & 1 for b in range(nbits)], dtype=np.uint8)
-
-
 def bit_errors(sent_index, decided_index, c: PskConstellation):
-    """Number of differing Gray-label bits, summed over all entries."""
-    diff = np.bitwise_xor(gray_code(sent_index), gray_code(decided_index))
-    return int(_POPCOUNT4[diff].sum())
+    """Number of differing Gray-label bits, summed over all entries.
+
+    The two index arrays broadcast against each other, so a K x T block of
+    sent indices can face an (n_noise, K, T) block of decisions as is. Each
+    (sent, decided) pair is tallied once and weighted by c.gray_distance.
+    """
+    pairs = np.asarray(decided_index) + c.order * np.asarray(sent_index)
+    tally = np.bincount(pairs.ravel(), minlength=c.order ** 2)
+    return int(tally @ c.gray_distance.ravel())
 
 
 class SymbolFrame:

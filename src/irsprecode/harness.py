@@ -243,11 +243,13 @@ def simulate_transmission(frame, phases: PhaseShifts, ch: ChannelSet,
     noise = np.asarray(noise)
     if noise.ndim != 3 or noise.shape[0] < 1 or noise.shape[1:] != z.shape:
         raise ValueError("noise must be an (n_noise >= 1, K, T) block")
-    y = z[None, :, :] + np.sqrt(sigma2 / 2.0) * noise
+    # noise * a + z is bit-for-bit z + a * noise, built in one buffer
+    y = np.multiply(noise, np.sqrt(sigma2 / 2.0), dtype=complex)
+    y += z
     c = symbols.constellation
     decided = decide_index(y, c)
-    sym_err = int(np.sum(decided != symbols.indices[None, :, :]))
-    bit_err = bit_errors(np.broadcast_to(symbols.indices, noise.shape), decided, c)
+    sym_err = int(np.count_nonzero(decided != symbols.indices))
+    bit_err = bit_errors(symbols.indices, decided, c)
     syms = noise.size
     return bit_err, sym_err, syms * c.bits_per_symbol, syms
 

@@ -66,6 +66,19 @@ def test_run_threads_flag(tmp_path, config_file):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--threads", "-2"),
+                                         ("--seed", "-1"), ("--threads", "one")])
+def test_run_rejects_bad_arguments(tmp_path, config_file, capsys, flag, value):
+    # --threads 0 and --seed -1 used to end in a traceback from the harness
+    _, cfg_path = config_file
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg_path), "--out", str(out), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fixtures_dump_round_trip(tmp_path):
     out = tmp_path / "fix.json"
     rc = main(["fixtures", "dump", "--out", str(out), "--seed", "5",

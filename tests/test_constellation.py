@@ -2,10 +2,13 @@
 
 Frozen reference values were computed with an independent oracle
 (scipy.integrate.quad of the standard normal pdf) and are pinned here.
+Decisions and bit-error counts are checked bit for bit against the plain
+array formulation in counting_oracles.
 """
 
 import numpy as np
 import pytest
+from counting_oracles import decide, gray_bits, reference_bit_errors, reference_decide_index
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +16,7 @@ from irsprecode.constellation import (
     PskConstellation,
     SymbolFrame,
     bit_errors,
-    decide,
     decide_index,
-    gray_bits,
     gray_code,
     margin,
     q_function,
@@ -210,6 +211,59 @@ def test_bit_errors_counts_gray_distance():
     # Gray labels 00,01,11,10: distances 0,1,2,1
     assert bit_errors(sent, got, c) == 4
     assert bit_errors(np.array([2]), np.array([2]), c) == 0
+
+
+@pytest.mark.parametrize("order", [2, 4, 8, 16])
+def test_gray_distance_table_is_the_hamming_distance_of_gray_bits(order):
+    c = PskConstellation(order)
+    labels = [gray_bits(p, c) for p in c.points]
+    want = [[int(np.sum(a != b)) for b in labels] for a in labels]
+    assert np.array_equal(c.gray_distance, want)
+
+
+# --- bit identity with the plain array formulation ---------------------------
+
+_ZERO = st.sampled_from([0.0, -0.0])
+_MAGNITUDE = st.one_of(st.floats(1e-300, 1e300),
+                       st.integers(-300, 300).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def receive_points(draw, order):
+    """Receive points that stress the sector rule: points on sector
+    boundaries, signed zeros, the negative real axis with a +0 or -0
+    imaginary part, and magnitudes from 1e-300 to 1e300."""
+    kind = draw(st.sampled_from(["boundary", "diagonal", "zero", "negative-real",
+                                 "any"]))
+    r = draw(_MAGNITUDE)
+    if kind == "boundary":
+        edge = draw(st.integers(0, order - 1))
+        return complex(r * np.exp(1j * np.pi * (2 * edge + 1) / order))
+    if kind == "diagonal":
+        return complex(r * draw(st.sampled_from([1, -1])), r * draw(st.sampled_from([1, -1])))
+    if kind == "zero":
+        return complex(draw(_ZERO), draw(_ZERO))
+    if kind == "negative-real":
+        return complex(-r, draw(_ZERO))
+    return complex(r * np.exp(1j * draw(st.floats(-np.pi, np.pi))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.sampled_from([2, 4, 8, 16]), n_noise=st.sampled_from([1, 3, 400]),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_decisions_and_bit_errors_match_the_reference(order, n_noise, seed, data):
+    c = PskConstellation(order)
+    pool = data.draw(st.lists(receive_points(order), min_size=1, max_size=32))
+    rng = np.random.default_rng(seed)
+    y = np.array(pool)[rng.integers(0, len(pool), size=(n_noise, 2, 3))]
+    sent = rng.integers(0, order, size=(2, 3))
+    got, want = decide_index(y, c), reference_decide_index(y, c)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert bit_errors(sent, got, c) == reference_bit_errors(
+        np.broadcast_to(sent, y.shape), want, c)
+    for point in pool:
+        got, want = decide_index(point, c), reference_decide_index(point, c)
+        assert type(got) is type(want) and got == want
 
 
 # --- SymbolFrame -------------------------------------------------------------

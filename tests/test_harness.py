@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from counting_oracles import reference_simulate_transmission
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from irsprecode.ao import AoIterationRecord, frame_margins
-from irsprecode.baselines import SCHEMES
-from irsprecode.channel import ChannelSet, PhaseShifts
+from irsprecode.baselines import SCHEMES, zf_precode
+from irsprecode.channel import ChannelSet, PhaseShifts, effective_matrix
 from irsprecode.constellation import PskConstellation, SymbolFrame, sep_upper_bound
 from irsprecode.harness import (
     CSV_COLUMNS,
@@ -44,7 +47,6 @@ def fixed_design(seed=0, m=6, k=2, t=3):
     rng = np.random.default_rng(seed)
     symbols = SymbolFrame.random(QPSK, k, t, rng)
     phases = PhaseShifts.random(4, rng)
-    from irsprecode.channel import effective_matrix
     h_eff = effective_matrix(ch, phases)
     rows = [solve_symbol(h_eff, symbols.symbols[:, j], QPSK, 100.0, rng=rng).xbar
             for j in range(t)]
@@ -166,6 +168,58 @@ class TestSimulate:
         mc_sd = np.sqrt(max(ser * (1 - ser), 1e-12) / syms)
         assert ser <= bound + 3 * mc_sd
         assert ser > 0  # the check is vacuous if nothing errors
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.sampled_from([2, 4, 8, 16]), n_noise=st.sampled_from([1, 3, 400]),
+           seed=st.integers(0, 2 ** 32 - 1), log_sigma2=st.floats(-300, 300),
+           design=st.sampled_from(["one-bit", "zero"]), zero_noise=st.booleans())
+    def test_counts_match_the_reference(self, order, n_noise, seed, log_sigma2,
+                                        design, zero_noise):
+        # the in-place counting path gives the plain formulation's counts
+        # exactly, also where signed zeros meet in the noise or the design
+        rng = np.random.default_rng(seed)
+        c = PskConstellation(order)
+        ch = channel_realization(seed % 1000, 0, 6, 4, 2)
+        phases = PhaseShifts.random(4, rng)
+        symbols = SymbolFrame.random(c, 2, 3, rng)
+        x = rng.choice([-1.0, 1.0], size=(3, 6)) + 1j * rng.choice([-1.0, 1.0], size=(3, 6))
+        if design == "zero":
+            x = np.zeros((3, 6), dtype=complex)
+        noise = draw_noise(n_noise, 2, 3, rng)
+        if zero_noise:
+            for part in (noise.real, noise.imag):
+                hit = rng.random(noise.shape) < 0.3
+                part[hit] = rng.choice([0.0, -0.0], size=int(hit.sum()))
+        sigma2 = 10.0 ** log_sigma2
+        assert (simulate_transmission(x, phases, ch, symbols, sigma2, noise)
+                == reference_simulate_transmission(x, phases, ch, symbols, sigma2, noise))
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.sampled_from([2, 4, 8, 16]), seed=st.integers(0, 2 ** 32 - 1),
+           n_noise=st.sampled_from([1, 3, 50]), wobble=st.floats(0.0, 0.3),
+           shrink=st.floats(1e-6, 0.9))
+    def test_positive_margin_design_is_error_free_as_noise_vanishes(
+            self, order, seed, n_noise, wobble, shrink):
+        # a random design near zero forcing; once every scaled noise sample is
+        # shorter than margin * sin(pi/L), the distance from each receive point
+        # to its sector's edges, no decision can be wrong
+        rng = np.random.default_rng(seed)
+        c = PskConstellation(order)
+        ch = channel_realization(seed % 1000, 0, 8, 4, 3)
+        phases = PhaseShifts.random(4, rng)
+        symbols = SymbolFrame.random(c, 3, 5, rng)
+        x = zf_precode(effective_matrix(ch, phases), symbols, 100.0).x
+        x = x + wobble * np.abs(x).mean() * (rng.standard_normal(x.shape)
+                                             + 1j * rng.standard_normal(x.shape))
+        worst = frame_margins(ch, phases, x, symbols).min()
+        reach = np.abs(effective_matrix(ch, phases)).sum(axis=1).max() * np.abs(x).max()
+        assume(worst > 1e-9 * reach)  # well clear of rounding
+        noise = draw_noise(n_noise, 3, 5, rng)
+        radius = worst * np.sin(np.pi / order)
+        sigma2 = 2.0 * (shrink * radius / np.abs(noise).max()) ** 2
+        be, se, bits, syms = simulate_transmission(x, phases, ch, symbols, sigma2, noise)
+        assert (be, se) == (0, 0)
+        assert syms == n_noise * 3 * 5 and bits == syms * c.bits_per_symbol
 
     def test_invalid_args(self):
         ch, phases, x, symbols = fixed_design(3)
@@ -377,6 +431,26 @@ class TestEdgeRuns:
         assert_tallies(cfg, records, per_channel)
         assert sum(r.bit_errors for r in records) > 0
         assert all(res["onebit-md"].ok for res in per_channel)
+
+    def test_large_noise_block_counts_match_the_reference(self, monkeypatch):
+        # 20000 noise draws per channel: the tallies hold (bits = ok channels
+        # x K x T x n_noise x 2) and the counts equal those of the plain array
+        # formulation channel by channel
+        import irsprecode.harness as hn
+
+        cfg = small_cfg(m=8, k=2, t=4, n_channels=2, n_noise=20000,
+                        schemes=("zf-quant", "relaxed-quant-noirs"))
+        records, per_channel = run_experiment(cfg, keep_channel_detail=True)
+        monkeypatch.setattr(hn, "simulate_transmission", reference_simulate_transmission)
+        _, reference = run_experiment(cfg, keep_channel_detail=True)
+        assert_tallies(cfg, records, per_channel)
+        assert sum(r.bit_errors for r in records) > 0
+
+        def counts(outcomes):
+            return [{s: (o.status, o.bit_err, o.sym_err, o.bits, o.syms)
+                     for s, o in res.items()} for res in outcomes]
+
+        assert counts(per_channel) == counts(reference)
 
     def test_more_users_than_antennas(self):
         # K > M: zero forcing is rank deficient on every channel and is
