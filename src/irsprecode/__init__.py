@@ -10,7 +10,7 @@ layers (onebit, phase, baselines) are importable from their modules.
 """
 
 from .ao import AoConfig, alternating_optimize, best_round, frame_margins
-from .channel import ChannelSet, GeometryConfig, sample_channels, sample_scenario
+from .channel import ChannelSet, drop_users, sample_channels
 from .constellation import PskConstellation, SymbolFrame
 from .harness import (
     ExperimentConfig,
@@ -27,17 +27,16 @@ __all__ = [
     "AoConfig",
     "ChannelSet",
     "ExperimentConfig",
-    "GeometryConfig",
     "PskConstellation",
     "SolverConfig",
     "SymbolFrame",
     "alternating_optimize",
     "best_round",
     "channel_realization",
+    "drop_users",
     "frame_margins",
     "run_experiment",
     "sample_channels",
-    "sample_scenario",
     "timing_report",
     "write_csv",
 ]

@@ -159,6 +159,6 @@ def _x_step(h_eff, symbols: SymbolFrame, cfg: AoConfig, rng, lams: list):
 
 def _phase_step(ch: ChannelSet, frame, symbols: SymbolFrame,
                 phases: PhaseShifts, cfg: AoConfig):
-    coeffs = build_phase_coefficients(ch, frame, symbols, symbols.constellation)
+    coeffs = build_phase_coefficients(ch, frame, symbols)
     res = apg_optimize(coeffs, phases.theta_bar, cfg.apg)
     return PhaseShifts.from_theta_bar(res.theta_bar), res.converged

@@ -46,8 +46,6 @@ def zf_precode(h_eff: np.ndarray, symbols: SymbolFrame, power: float) -> ZfFrame
     k, m = h_eff.shape
     if symbols.n_users != k:
         raise ValueError(f"symbol frame has {symbols.n_users} users, channel has {k}")
-    if not 0 < power < np.inf:
-        raise ValueError(f"power must be positive and finite, got {power}")
 
     sv = np.linalg.svd(h_eff, compute_uv=False)
     full_rank = bool(m >= k and sv.min() > RANK_RTOL * sv.max())
@@ -57,22 +55,17 @@ def zf_precode(h_eff: np.ndarray, symbols: SymbolFrame, power: float) -> ZfFrame
     else:
         w = np.linalg.pinv(h_eff, rcond=RANK_RTOL)
 
-    x = (w @ symbols.symbols).T  # (T, M)
-    norms = np.linalg.norm(x, axis=1)
-    ok = norms > 0
-    x[ok] *= np.sqrt(power) / norms[ok, None]
-    return ZfFrame(x=x, full_rank=full_rank)
+    return ZfFrame(x=rescale_to_power((w @ symbols.symbols).T, power), full_rank=full_rank)
 
 
-def quantize_onebit(x: np.ndarray, power: float, n_antennas: int) -> OneBitFrame:
+def quantize_onebit(x: np.ndarray, power: float) -> OneBitFrame:
     """Elementwise sign quantization of real and imaginary parts to +/- s.
 
-    s = onebit_amplitude(power, n_antennas); zeros quantize to +s by convention.
+    s = onebit_amplitude(power, M) for the frame's M = x.shape[1] antennas;
+    zeros quantize to +s by convention.
     """
     x = np.atleast_2d(np.asarray(x, dtype=complex))
-    if x.shape[1] != n_antennas:
-        raise ValueError(f"frame has {x.shape[1]} antennas, expected {n_antennas}")
-    return OneBitFrame.from_complex(x, onebit_amplitude(power, n_antennas))
+    return OneBitFrame.from_complex(x, onebit_amplitude(power, x.shape[1]))
 
 
 @dataclass(frozen=True)

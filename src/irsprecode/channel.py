@@ -1,43 +1,28 @@
-"""Scenario geometry, path loss, Rayleigh fading, and effective channels.
+"""Drop geometry, path loss, Rayleigh fading, and effective channels.
 
-A drop places the base station, the reflecting surface, and K single-antenna
-users on a 2-D plane. Each link is flat Rayleigh fading scaled by a distance
-power law L(d) = g_ref * d**(-exponent) with g_ref a linear power gain.
+Every drop uses one fixed layout on a 2-D plane: the base station at BS_POS,
+the reflecting surface at IRS_POS, and K single-antenna users uniform over the
+disk of radius USER_RADIUS around USER_CENTER. Each link is flat Rayleigh
+fading scaled by a distance power law L(d) = g_ref * d**(-exponent) with g_ref
+a linear power gain: DIRECT_LOSS on the base-station-to-user links and
+HOP_LOSS on each of the two reflected hops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # Direct link reference gain -15 dB with exponent 3.2; the two reflected hops
 # jointly carry a -20 dB reference with exponent 2.2 each, split evenly per
 # hop (only the product is observable in the cascade).
-DEFAULT_DIRECT_LOSS = (10.0 ** -1.5, 3.2)
-DEFAULT_HOP_LOSS = (10.0 ** -1.0, 2.2)
-
-
-@dataclass(frozen=True)
-class PathLossModel:
-    """Reference gains (linear) and exponents per link class."""
-
-    direct_ref_gain: float = DEFAULT_DIRECT_LOSS[0]
-    direct_exponent: float = DEFAULT_DIRECT_LOSS[1]
-    bs_irs_ref_gain: float = DEFAULT_HOP_LOSS[0]
-    bs_irs_exponent: float = DEFAULT_HOP_LOSS[1]
-    irs_user_ref_gain: float = DEFAULT_HOP_LOSS[0]
-    irs_user_exponent: float = DEFAULT_HOP_LOSS[1]
-
-
-@dataclass(frozen=True)
-class GeometryConfig:
-    """Drop geometry: fixed BS/IRS positions, users uniform in a disk."""
-
-    bs_pos: tuple = (0.0, 0.0)
-    irs_pos: tuple = (20.0, 10.0)
-    user_center: tuple = (30.0, 0.0)
-    user_radius: float = 10.0
+DIRECT_LOSS = (10.0 ** -1.5, 3.2)
+HOP_LOSS = (10.0 ** -1.0, 2.2)
+BS_POS = (0.0, 0.0)
+IRS_POS = (20.0, 10.0)
+USER_CENTER = (30.0, 0.0)
+USER_RADIUS = 10.0
 
 
 def path_loss(distance, ref_gain: float, exponent: float):
@@ -48,58 +33,15 @@ def path_loss(distance, ref_gain: float, exponent: float):
     return ref_gain * distance ** (-exponent)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One geometric drop: positions plus the path-loss model."""
-
-    bs_pos: np.ndarray
-    irs_pos: np.ndarray
-    user_pos: np.ndarray  # (K, 2)
-    path_loss_model: PathLossModel = field(default_factory=PathLossModel)
-
-    def __post_init__(self):
-        object.__setattr__(self, "bs_pos", np.asarray(self.bs_pos, dtype=float))
-        object.__setattr__(self, "irs_pos", np.asarray(self.irs_pos, dtype=float))
-        object.__setattr__(self, "user_pos", np.atleast_2d(np.asarray(self.user_pos, dtype=float)))
-        if self.user_pos.shape[0] < 1 or self.user_pos.shape[1] != 2:
-            raise ValueError("user_pos must be a (K, 2) array with K >= 1")
-        d = np.concatenate([[self.d_bs_irs], self.d_bs_user, self.d_irs_user])
-        if np.any(d <= 0):
-            raise ValueError("degenerate geometry: coincident nodes")
-
-    @property
-    def n_users(self) -> int:
-        return self.user_pos.shape[0]
-
-    @property
-    def d_bs_irs(self) -> float:
-        return float(np.linalg.norm(self.irs_pos - self.bs_pos))
-
-    @property
-    def d_bs_user(self) -> np.ndarray:
-        return np.linalg.norm(self.user_pos - self.bs_pos[None, :], axis=1)
-
-    @property
-    def d_irs_user(self) -> np.ndarray:
-        return np.linalg.norm(self.user_pos - self.irs_pos[None, :], axis=1)
-
-
-def sample_scenario(geometry: GeometryConfig, n_users: int, rng: np.random.Generator,
-                    path_loss_model: PathLossModel | None = None) -> Scenario:
-    """Draw user positions uniformly over the disk (sqrt-radius correction)."""
+def drop_users(n_users: int, rng: np.random.Generator) -> np.ndarray:
+    """(K, 2) user positions uniform over the user disk (sqrt-radius correction)."""
     if n_users < 1:
         raise ValueError("need at least one user")
     u = rng.random((n_users, 2))
-    r = geometry.user_radius * np.sqrt(u[:, 0])
+    r = USER_RADIUS * np.sqrt(u[:, 0])
     phi = 2.0 * np.pi * u[:, 1]
-    center = np.asarray(geometry.user_center, dtype=float)
-    pos = center[None, :] + np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
-    return Scenario(
-        bs_pos=np.asarray(geometry.bs_pos, dtype=float),
-        irs_pos=np.asarray(geometry.irs_pos, dtype=float),
-        user_pos=pos,
-        path_loss_model=path_loss_model or PathLossModel(),
-    )
+    center = np.asarray(USER_CENTER, dtype=float)
+    return center[None, :] + np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
 
 
 def crandn(rng: np.random.Generator, shape) -> np.ndarray:
@@ -176,20 +118,25 @@ def pairs_to_complex(lst) -> np.ndarray:
     return a[..., 0] + 1j * a[..., 1]
 
 
-def sample_channels(scenario: Scenario, n_antennas: int, n_elements: int,
+def sample_channels(user_pos, n_antennas: int, n_elements: int,
                     rng: np.random.Generator) -> ChannelSet:
-    """Rayleigh-fade every link with variance set by its path loss.
+    """Rayleigh-fade every link of a drop with variance set by its path loss.
 
-    Draw order is fixed (h_d, then G, then h_r) so a seeded generator yields
-    reproducible channels.
+    user_pos is a (K, 2) array of user positions, such as drop_users returns;
+    a user on the base station or the surface has no positive distance, and
+    path_loss rejects it. Draw order is fixed (h_d, then G, then h_r) so a
+    seeded generator yields reproducible channels.
     """
-    pl = scenario.path_loss_model
-    gain_d = path_loss(scenario.d_bs_user, pl.direct_ref_gain, pl.direct_exponent)
-    h_d = np.sqrt(gain_d)[:, None] * crandn(rng, (scenario.n_users, n_antennas))
-    gain_g = path_loss(scenario.d_bs_irs, pl.bs_irs_ref_gain, pl.bs_irs_exponent)
+    user_pos = np.asarray(user_pos, dtype=float)
+    if user_pos.ndim != 2 or user_pos.shape[0] < 1 or user_pos.shape[1] != 2:
+        raise ValueError("user_pos must be a (K, 2) array with K >= 1")
+    k = user_pos.shape[0]
+    gain_d = path_loss(np.linalg.norm(user_pos - BS_POS, axis=1), *DIRECT_LOSS)
+    gain_g = path_loss(np.linalg.norm(np.subtract(IRS_POS, BS_POS)), *HOP_LOSS)
+    gain_r = path_loss(np.linalg.norm(user_pos - IRS_POS, axis=1), *HOP_LOSS)
+    h_d = np.sqrt(gain_d)[:, None] * crandn(rng, (k, n_antennas))
     g = np.sqrt(gain_g) * crandn(rng, (n_elements, n_antennas))
-    gain_r = path_loss(scenario.d_irs_user, pl.irs_user_ref_gain, pl.irs_user_exponent)
-    h_r = np.sqrt(gain_r)[:, None] * crandn(rng, (scenario.n_users, n_elements))
+    h_r = np.sqrt(gain_r)[:, None] * crandn(rng, (k, n_elements))
     return ChannelSet(h_d=h_d, g=g, h_r=h_r)
 
 

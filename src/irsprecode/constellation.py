@@ -99,8 +99,14 @@ def bit_errors(sent_index, decided_index, c: PskConstellation):
     The two index arrays broadcast against each other, so a K x T block of
     sent indices can face an (n_noise, K, T) block of decisions as is. Each
     (sent, decided) pair is tallied once and weighted by c.gray_distance.
+    Indices outside [0, L) raise ValueError.
     """
-    pairs = np.asarray(decided_index) + c.order * np.asarray(sent_index)
+    sent_index = np.asarray(sent_index)
+    decided_index = np.asarray(decided_index)
+    for a in (sent_index, decided_index):
+        if a.size and (a.min() < 0 or a.max() >= c.order):
+            raise ValueError("symbol index out of range")
+    pairs = decided_index + c.order * sent_index
     tally = np.bincount(pairs.ravel(), minlength=c.order ** 2)
     return int(tally @ c.gray_distance.ravel())
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -27,14 +26,7 @@ from .baselines import (
     rescale_to_power,
     zf_precode,
 )
-from .channel import (
-    ChannelSet,
-    GeometryConfig,
-    PhaseShifts,
-    effective_matrix,
-    sample_channels,
-    sample_scenario,
-)
+from .channel import ChannelSet, PhaseShifts, drop_users, effective_matrix, sample_channels
 from .constellation import (
     PskConstellation,
     SymbolFrame,
@@ -179,13 +171,6 @@ class ExperimentConfig:
             d["solver"] = SolverConfig.from_dict(d["solver"])
         return cls(**d)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class BerRecord:
@@ -287,8 +272,7 @@ def channel_realization(seed: int, index: int, m: int, n: int, k: int) -> Channe
     sees; lets fixtures and cross-implementation checks reproduce it exactly."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index, _TAG_CHANNEL))
     rng = np.random.default_rng(ss)
-    scenario = sample_scenario(GeometryConfig(), k, rng)
-    return sample_channels(scenario, m, n, rng)
+    return sample_channels(drop_users(k, rng), m, n, rng)
 
 
 def _onebit_direct(h_eff, symbols: SymbolFrame, cfg: ExperimentConfig,
@@ -373,13 +357,13 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         elif spec.x_mode == "relaxed-quant":
             frame, phases, dt, ok = relaxed_design(with_irs)
             t0 = time.perf_counter()
-            q = quantize_onebit(np.asarray(frame), cfg.power, cfg.m)
+            q = quantize_onebit(np.asarray(frame), cfg.power)
             put(scheme, q, phases, channel, _status(ok), dt + time.perf_counter() - t0)
         elif spec.x_mode == "zf-quant":
             phases = baseline_theta() if with_irs else ones
             t0 = time.perf_counter()
             zf = zf_precode(effective_matrix(channel, phases), symbols, cfg.power)
-            q = quantize_onebit(zf.x, cfg.power, cfg.m)
+            q = quantize_onebit(zf.x, cfg.power)
             put(scheme, q, phases, channel, "ok" if zf.full_rank else "rank-deficient",
                 time.perf_counter() - t0)
         else:  # pragma: no cover - registry and config validation forbid this

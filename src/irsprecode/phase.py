@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .constellation import PskConstellation, SymbolFrame
+from .constellation import SymbolFrame
 from .onebit import _sigma_max_sq, frame_array
 
 # consecutive smoothed-objective increases that reset the APG momentum
@@ -62,8 +62,7 @@ class PhaseCoefficients:
         return self.eta.shape[1]
 
 
-def build_phase_coefficients(ch: ChannelSet, frame, symbols: SymbolFrame,
-                             constellation: PskConstellation) -> PhaseCoefficients:
+def build_phase_coefficients(ch: ChannelSet, frame, symbols: SymbolFrame) -> PhaseCoefficients:
     """Assemble (eta, vbar) from channels, transmit frame, and symbols.
 
     frame may be a OneBitFrame (or anything with a complex .x of shape
@@ -83,7 +82,7 @@ def build_phase_coefficients(ch: ChannelSet, frame, symbols: SymbolFrame,
     u = gx[:, None, :] * np.conj(ch.h_r)[None, :, :] * s_conj_t[:, :, None]  # (T, K, N)
     v = (x @ np.conj(ch.h_d).T) * s_conj_t  # (T, K)
 
-    cot = constellation.cot_half_sector
+    cot = symbols.constellation.cot_half_sector
     q = np.concatenate([u.real, -u.imag], axis=2)  # (T, K, 2N)
     p = cot * np.concatenate([u.imag, u.real], axis=2)
     n2 = q.shape[2]

@@ -15,11 +15,10 @@ import pytest
 
 from irsprecode.ao import AoConfig, alternating_optimize, frame_margins
 from irsprecode.channel import (
-    GeometryConfig,
     PhaseShifts,
+    drop_users,
     effective_matrix,
     sample_channels,
-    sample_scenario,
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin, sep_upper_bound
 from irsprecode.harness import (
@@ -64,8 +63,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 def _slot_instance(rng, m, k, order, power=100.0, n=4):
     """Protocol-scaled single-slot instance: channels, random phases, symbols."""
     c = PskConstellation(order)
-    sc = sample_scenario(GeometryConfig(), k, rng)
-    ch = sample_channels(sc, m, n, rng)
+    ch = sample_channels(drop_users(k, rng), m, n, rng)
     h_eff = effective_matrix(ch, PhaseShifts.random(n, rng))
     sym = c.points[rng.integers(0, order, k)]
     return build_coefficients(h_eff, sym, c, power), h_eff, sym, c
@@ -126,11 +124,10 @@ def test_criterion_02_gradient_oracles():
     for i in range(20):
         prng = np.random.default_rng(500 + i)
         c = PskConstellation(4)
-        sc = sample_scenario(GeometryConfig(), 2, prng)
-        ch = sample_channels(sc, 6, 4, prng)
+        ch = sample_channels(drop_users(2, prng), 6, 4, prng)
         sym = SymbolFrame.random(c, 2, 3, prng)
         frame = prng.standard_normal((3, 6)) + 1j * prng.standard_normal((3, 6))
-        coeffs = build_phase_coefficients(ch, frame, sym, c)
+        coeffs = build_phase_coefficients(ch, frame, sym)
         tb = prng.standard_normal(coeffs.n_lifted)
         delta = (1e-1, 1e-2)[i % 2]
         g = lse_gradient(tb, coeffs, delta)
@@ -205,11 +202,10 @@ def test_criterion_05_lse_sandwich_and_feasibility():
     for i in range(10):
         rng = np.random.default_rng(200 + i)
         c = PskConstellation(4)
-        sc = sample_scenario(GeometryConfig(), 2, rng)
-        ch = sample_channels(sc, 8, 4, rng)
+        ch = sample_channels(drop_users(2, rng), 8, 4, rng)
         sym = SymbolFrame.random(c, 2, 3, rng)
         frame = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-        coeffs = build_phase_coefficients(ch, frame, sym, c)
+        coeffs = build_phase_coefficients(ch, frame, sym)
         span = np.log(coeffs.n_constraints)
         for j in range(100):
             tb = rng.standard_normal(coeffs.n_lifted)
@@ -264,8 +260,7 @@ def test_criterion_07_joint_small_instance_quality():
     hits = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        sc = sample_scenario(GeometryConfig(), k, rng)
-        ch = sample_channels(sc, m, n, rng)
+        ch = sample_channels(drop_users(k, rng), m, n, rng)
         sym = SymbolFrame.random(c, k, 1, rng)
         best = -np.inf
         for i in range(16):

@@ -18,11 +18,10 @@ from irsprecode.ao import (
 )
 from irsprecode.baselines import no_irs_variant
 from irsprecode.channel import (
-    GeometryConfig,
     PhaseShifts,
+    drop_users,
     effective_matrix,
     sample_channels,
-    sample_scenario,
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
 from irsprecode.onebit import MdOptions, OneBitFrame, SolveOptions, solve_symbol
@@ -35,8 +34,7 @@ POWER = 100.0
 def instance(seed, m=4, n=4, k=2, t=2, order=4):
     rng = np.random.default_rng(seed)
     c = PskConstellation(order)
-    sc = sample_scenario(GeometryConfig(), k, rng)
-    ch = sample_channels(sc, m, n, rng)
+    ch = sample_channels(drop_users(k, rng), m, n, rng)
     sym = SymbolFrame.random(c, k, t, rng)
     return ch, sym
 
@@ -128,7 +126,7 @@ def test_trace_replicates_hand_driven_steps():
         assert rec.md_converged == [res.md.converged for res in results]
         lams = [res.lam for res in results]
         fr = OneBitFrame(xbar=np.stack([res.xbar for res in results]), amplitude=amplitude)
-        coeffs = build_phase_coefficients(ch, fr, sym, QPSK)
+        coeffs = build_phase_coefficients(ch, fr, sym)
         apg = apg_optimize(coeffs, ph.theta_bar, cfg.apg)
         ph = PhaseShifts.from_theta_bar(apg.theta_bar)
         worst = float(frame_margins(ch, ph, fr, sym).min())
@@ -271,8 +269,7 @@ def test_small_joint_instances_near_grid_oracle():
     hits = 0
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        sc = sample_scenario(GeometryConfig(), 1, rng)
-        ch = sample_channels(sc, m, n, rng)
+        ch = sample_channels(drop_users(1, rng), m, n, rng)
         sym = SymbolFrame.random(c4, 1, 1, rng)
         best = -np.inf
         for i in range(16):

@@ -12,12 +12,11 @@ from irsprecode.baselines import (
     zf_precode,
 )
 from irsprecode.channel import (
-    GeometryConfig,
     PhaseShifts,
     crandn,
+    drop_users,
     effective_matrix,
     sample_channels,
-    sample_scenario,
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame
 from irsprecode.onebit import (
@@ -33,8 +32,7 @@ QPSK = PskConstellation(4)
 
 def channels(seed, m=8, n=4, k=3):
     rng = np.random.default_rng(seed)
-    sc = sample_scenario(GeometryConfig(), k, rng)
-    return sample_channels(sc, m, n, rng), rng
+    return sample_channels(drop_users(k, rng), m, n, rng), rng
 
 
 def test_zf_scalar_channel():
@@ -77,7 +75,7 @@ def test_zf_more_users_than_antennas_flagged():
 
 def test_quantize_signs_and_amplitude():
     x = np.array([[3.0 - 2.0j, -0.5 + 4.0j]])
-    frame = quantize_onebit(x, power=16.0, n_antennas=2)
+    frame = quantize_onebit(x, power=16.0)
     s = np.sqrt(16.0 / 4)
     assert np.array_equal(frame.x, np.array([[s - 1j * s, -s + 1j * s]]))
 
@@ -85,9 +83,9 @@ def test_quantize_signs_and_amplitude():
 def test_quantize_idempotent_and_zero_convention():
     s = np.sqrt(9.0 / 4)
     x = np.array([[s + 1j * s, -s - 1j * s]])
-    again = quantize_onebit(x, power=9.0, n_antennas=2)
+    again = quantize_onebit(x, power=9.0)
     assert np.array_equal(again.x, x)
-    zero = quantize_onebit(np.zeros((2, 2), dtype=complex), power=9.0, n_antennas=2)
+    zero = quantize_onebit(np.zeros((2, 2), dtype=complex), power=9.0)
     assert np.array_equal(zero.x, np.full((2, 2), s + 1j * s))
 
 
@@ -100,7 +98,7 @@ def test_power_must_be_positive_and_finite(power):
     sym = SymbolFrame.random(QPSK, 3, 2, rng)
     x = crandn(rng, (2, 8))
     calls = [lambda: relaxed_slp(h_eff, sym, power), lambda: zf_precode(h_eff, sym, power),
-             lambda: quantize_onebit(x, power, 8), lambda: rescale_to_power(x, power),
+             lambda: quantize_onebit(x, power), lambda: rescale_to_power(x, power),
              lambda: build_coefficients(h_eff, sym.symbols[:, 0], QPSK, power)]
     for call in calls:
         with pytest.raises(ValueError, match="power must be positive and finite"):
@@ -173,7 +171,7 @@ def test_no_irs_phase_coefficients_vanish():
     sym = SymbolFrame.random(QPSK, 2, 2, rng)
     s = np.sqrt(100.0 / 8)
     frame = OneBitFrame(xbar=s * rng.choice([-1.0, 1.0], size=(2, 8)), amplitude=s)
-    coeffs = build_phase_coefficients(no_irs_variant(ch), frame, sym, QPSK)
+    coeffs = build_phase_coefficients(no_irs_variant(ch), frame, sym)
     assert np.all(coeffs.eta == 0)
     assert np.all(np.isfinite(coeffs.vbar))
 

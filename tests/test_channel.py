@@ -1,21 +1,25 @@
-"""Geometry, path-loss, fading-statistics, and serialization tests."""
+"""Drop geometry, path-loss, fading-statistics, and serialization tests."""
 
 import numpy as np
 import pytest
 
 from irsprecode.channel import (
+    BS_POS,
+    DIRECT_LOSS,
+    HOP_LOSS,
+    IRS_POS,
+    USER_CENTER,
+    USER_RADIUS,
     ChannelSet,
-    GeometryConfig,
-    PathLossModel,
     PhaseShifts,
-    Scenario,
     complex_to_pairs,
+    drop_users,
     effective_matrix,
     pairs_to_complex,
     path_loss,
     sample_channels,
-    sample_scenario,
 )
+from irsprecode.harness import channel_realization
 
 
 def test_path_loss_frozen_value():
@@ -35,76 +39,88 @@ def test_path_loss_properties():
 
 
 def test_default_hop_split_matches_cascade_product():
-    pl = PathLossModel()
-    # product of per-hop reference gains must equal the -20 dB cascade reference
-    assert pl.bs_irs_ref_gain * pl.irs_user_ref_gain == pytest.approx(10.0 ** -2.0)
-    assert pl.bs_irs_exponent == pl.irs_user_exponent == 2.2
-    assert pl.direct_ref_gain == pytest.approx(10.0 ** -1.5)
-    assert pl.direct_exponent == 3.2
+    # product of the two per-hop reference gains must equal the -20 dB cascade reference
+    assert HOP_LOSS[0] * HOP_LOSS[0] == pytest.approx(10.0 ** -2.0)
+    assert HOP_LOSS[1] == 2.2
+    assert DIRECT_LOSS[0] == pytest.approx(10.0 ** -1.5)
+    assert DIRECT_LOSS[1] == 3.2
 
 
-def test_sample_scenario_disk_statistics():
-    geometry = GeometryConfig()
+def test_drop_users_disk_statistics():
     rng = np.random.default_rng(123)
-    pos = np.concatenate(
-        [sample_scenario(geometry, 50, rng).user_pos for _ in range(400)], axis=0
-    )
+    pos = np.concatenate([drop_users(50, rng) for _ in range(400)], axis=0)
+    assert pos.shape == (20000, 2)
     n = pos.shape[0]
-    center = np.asarray(geometry.user_center)
+    center = np.asarray(USER_CENTER)
     radii = np.linalg.norm(pos - center, axis=1)
-    assert radii.max() <= geometry.user_radius + 1e-12
+    assert radii.max() <= USER_RADIUS + 1e-12
     # mean position -> disk center within 3 sigma; per-coordinate std is R/2
-    se = geometry.user_radius / 2 / np.sqrt(n)
+    se = USER_RADIUS / 2 / np.sqrt(n)
     assert np.all(np.abs(pos.mean(axis=0) - center) <= 3 * se)
     # uniform disk: mean radius is 2R/3
     se_r = radii.std() / np.sqrt(n)
-    assert abs(radii.mean() - 2 * geometry.user_radius / 3) <= 3 * se_r
+    assert abs(radii.mean() - 2 * USER_RADIUS / 3) <= 3 * se_r
+    with pytest.raises(ValueError):
+        drop_users(0, rng)
 
 
-def test_scenario_distances_and_validation():
-    sc = Scenario(bs_pos=(0, 0), irs_pos=(20, 10), user_pos=[[30, 0]])
-    assert sc.d_bs_irs == pytest.approx(np.hypot(20, 10))
-    assert sc.d_bs_user[0] == pytest.approx(30.0)
-    assert sc.d_irs_user[0] == pytest.approx(np.hypot(10, 10))
-    with pytest.raises(ValueError):
-        Scenario(bs_pos=(0, 0), irs_pos=(0, 0), user_pos=[[30, 0]])
-    with pytest.raises(ValueError):
-        Scenario(bs_pos=(0, 0), irs_pos=(20, 10), user_pos=[[0, 0]])
+def test_sample_channels_rejects_bad_user_positions():
+    rng = np.random.default_rng(0)
+    for node in (BS_POS, IRS_POS):  # zero distance to the base station or the surface
+        with pytest.raises(ValueError, match="positive distance"):
+            sample_channels([[30.0, 0.0], node], 4, 3, rng)
+    for bad in ([30.0, 0.0], [[30.0, 0.0, 1.0]], np.zeros((0, 2)), [[[30.0, 0.0]]]):
+        with pytest.raises(ValueError, match=r"\(K, 2\)"):
+            sample_channels(bad, 4, 3, rng)
 
 
 def test_sample_channels_variance_matches_path_loss():
-    # empirical per-entry variance within 2% of L(d) with 1e5 samples per link
-    sc = Scenario(bs_pos=(0, 0), irs_pos=(20, 10), user_pos=[[30, 0]])
+    # empirical per-entry variance within 2% of L(d) with 1e5 samples per link;
+    # the user at (30, 0) is 30 from the BS, and the BS-surface and
+    # surface-user distances are sqrt(20^2 + 10^2) and sqrt(10^2 + 10^2)
+    user_pos = [[30.0, 0.0]]
     rng = np.random.default_rng(77)
-    ch = sample_channels(sc, n_antennas=100_000, n_elements=1, rng=rng)
-    pl = sc.path_loss_model
+    ch = sample_channels(user_pos, n_antennas=100_000, n_elements=1, rng=rng)
     var_d = np.mean(np.abs(ch.h_d[0]) ** 2)
-    expect_d = path_loss(30.0, pl.direct_ref_gain, pl.direct_exponent)
+    expect_d = path_loss(30.0, *DIRECT_LOSS)
     assert abs(var_d / expect_d - 1) < 0.02
     var_g = np.mean(np.abs(ch.g) ** 2)
-    expect_g = path_loss(sc.d_bs_irs, pl.bs_irs_ref_gain, pl.bs_irs_exponent)
+    expect_g = path_loss(np.sqrt(500.0), *HOP_LOSS)
     assert abs(var_g / expect_g - 1) < 0.02
     # h_r is only 1 entry here; check it separately with a wide surface
-    ch2 = sample_channels(sc, n_antennas=1, n_elements=100_000, rng=rng)
+    ch2 = sample_channels(user_pos, n_antennas=1, n_elements=100_000, rng=rng)
     var_r = np.mean(np.abs(ch2.h_r[0]) ** 2)
-    expect_r = path_loss(sc.d_irs_user[0], pl.irs_user_ref_gain, pl.irs_user_exponent)
+    expect_r = path_loss(np.sqrt(200.0), *HOP_LOSS)
     assert abs(var_r / expect_r - 1) < 0.02
 
 
-def test_sample_channels_zero_gain_gives_zero_channels():
-    pl = PathLossModel(direct_ref_gain=0.0, bs_irs_ref_gain=0.0, irs_user_ref_gain=0.0)
-    sc = Scenario(bs_pos=(0, 0), irs_pos=(20, 10), user_pos=[[30, 0]], path_loss_model=pl)
-    ch = sample_channels(sc, 4, 3, np.random.default_rng(0))
-    assert np.all(ch.h_d == 0) and np.all(ch.g == 0) and np.all(ch.h_r == 0)
-
-
 def test_sample_channels_deterministic_under_seed():
-    sc = Scenario(bs_pos=(0, 0), irs_pos=(20, 10), user_pos=[[30, 0], [25, 5]])
-    a = sample_channels(sc, 8, 4, np.random.default_rng(99))
-    b = sample_channels(sc, 8, 4, np.random.default_rng(99))
+    user_pos = np.array([[30.0, 0.0], [25.0, 5.0]])
+    a = sample_channels(user_pos, 8, 4, np.random.default_rng(99))
+    b = sample_channels(user_pos, 8, 4, np.random.default_rng(99))
     assert np.array_equal(a.h_d, b.h_d)
     assert np.array_equal(a.g, b.g)
     assert np.array_equal(a.h_r, b.h_r)
+
+
+def test_channel_draw_frozen_values():
+    # recorded from the drop code before its geometry became module constants;
+    # guards the draw order (positions, then h_d, G, h_r) and every constant
+    pos = drop_users(3, np.random.default_rng(0))
+    np.testing.assert_allclose(pos, [[29.01032898796341, 7.9193888665780205],
+                                     [32.01328711764977, 0.20982701333471246],
+                                     [37.696793388100275, -4.699616522751955]],
+                               rtol=1e-12)
+    ch = channel_realization(0, 0, 4, 3, 2)
+    assert (ch.n_users, ch.n_antennas, ch.n_elements) == (2, 4, 3)
+    got = [ch.h_d[0, 0], ch.h_d[1, 3], ch.g[0, 0], ch.g[2, 1], ch.h_r[0, 0], ch.h_r[1, 2]]
+    want = [-3.6667266779714225e-05 - 0.00011729435219252763j,
+            -0.00026643858417429664 + 0.00020956950916225175j,
+            0.00996952374483725 - 0.006345160225246768j,
+            0.001078247530012538 - 0.009305194025167381j,
+            -0.001835123804089911 + 0.0001672293086879033j,
+            0.006834507030059557 - 0.010930196047413986j]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_channel_set_validation():

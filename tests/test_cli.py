@@ -23,7 +23,7 @@ def config_file(tmp_path):
                            n_channels=3, schemes=("onebit-md", "zf-quant"),
                            seed=21, record_runtime=False)
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps(cfg.to_dict()))
     return cfg, path
 
 

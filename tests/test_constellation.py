@@ -213,6 +213,14 @@ def test_bit_errors_counts_gray_distance():
     assert bit_errors(np.array([2]), np.array([2]), c) == 0
 
 
+@pytest.mark.parametrize("sent, decided", [(0, 5), (0, 4), (0, -1), (4, 0), (-1, 3)])
+def test_bit_errors_rejects_indices_outside_the_constellation(sent, decided):
+    # (0, 5) used to land in the table cell of (1, 1) and count 0 bit errors
+    c = PskConstellation(4)
+    with pytest.raises(ValueError, match="out of range"):
+        bit_errors(np.array([[sent, 0]]), np.array([[decided, 0]]), c)
+
+
 @pytest.mark.parametrize("order", [2, 4, 8, 16])
 def test_gray_distance_table_is_the_hamming_distance_of_gray_bits(order):
     c = PskConstellation(order)

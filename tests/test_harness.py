@@ -58,9 +58,9 @@ def fixed_design(seed=0, m=6, k=2, t=3):
 class TestConfig:
     def test_json_round_trip(self):
         cfg = small_cfg(solver=SolverConfig(mu=1e-3, n_starts=2))
-        again = ExperimentConfig.from_json(cfg.to_json())
+        # the path the command line takes: JSON text through from_dict
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
-        assert isinstance(json.loads(cfg.to_json()), dict)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -130,7 +130,7 @@ class TestConfig:
     def test_non_finite_json_values_rejected_on_load(self, text):
         # json.loads accepts these literals; the config must not
         with pytest.raises(ValueError):
-            ExperimentConfig.from_json(text)
+            ExperimentConfig.from_dict(json.loads(text))
 
 
 class TestSimulate:

@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsprecode.channel import (
-    GeometryConfig,
     PhaseShifts,
+    drop_users,
     effective_matrix,
     sample_channels,
-    sample_scenario,
 )
 from irsprecode.ao import WARM_START_MIX
 from irsprecode.constellation import PskConstellation, margin
@@ -44,8 +43,7 @@ QPSK = PskConstellation(4)
 def random_instance(rng, m=8, k=2, order=4, power=100.0, n=4):
     """Protocol-scaled random slot instance (geometry + fading + random phases)."""
     c = PskConstellation(order)
-    sc = sample_scenario(GeometryConfig(), k, rng)
-    ch = sample_channels(sc, m, n, rng)
+    ch = sample_channels(drop_users(k, rng), m, n, rng)
     h_eff = effective_matrix(ch, PhaseShifts.random(n, rng))
     sym = c.points[rng.integers(0, order, k)]
     return build_coefficients(h_eff, sym, c, power), h_eff, sym, c
@@ -660,7 +658,7 @@ def test_mixed_warm_start_agrees_with_cold_start_on_desk_slots(seed, drift):
     # phases moved by up to drift radians per element
     rng = np.random.default_rng(seed)
     c = QPSK
-    ch = sample_channels(sample_scenario(GeometryConfig(), 4, rng), 32, 16, rng)
+    ch = sample_channels(drop_users(4, rng), 32, 16, rng)
     theta = np.exp(2j * np.pi * rng.random(16))
     moved = theta * np.exp(1j * drift * rng.uniform(-1, 1, 16))
     sym = c.points[rng.integers(0, 4, 4)]

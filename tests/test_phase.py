@@ -8,11 +8,10 @@ from scipy.special import logsumexp, softmax
 
 from irsprecode.channel import (
     ChannelSet,
-    GeometryConfig,
     PhaseShifts,
+    drop_users,
     effective_matrix,
     sample_channels,
-    sample_scenario,
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
 from irsprecode.onebit import OneBitFrame, _sigma_max_sq
@@ -36,8 +35,7 @@ QPSK = PskConstellation(4)
 
 def random_setup(rng, m=6, n=4, k=2, t=3, order=4, power=100.0):
     c = PskConstellation(order)
-    sc = sample_scenario(GeometryConfig(), k, rng)
-    ch = sample_channels(sc, m, n, rng)
+    ch = sample_channels(drop_users(k, rng), m, n, rng)
     sym = SymbolFrame.random(c, k, t, rng)
     s = np.sqrt(power / (2 * m))
     xbar = s * rng.choice([-1.0, 1.0], size=(t, 2 * m))
@@ -55,7 +53,7 @@ def test_phase_coefficients_hand_case():
                     h_r=np.array([[1 + 1j]]))
     frame = np.array([[1 + 1j]])
     sym = SymbolFrame.from_symbols(np.array([[1 + 0j]]), QPSK)
-    coeffs = build_phase_coefficients(ch, frame, sym, QPSK)
+    coeffs = build_phase_coefficients(ch, frame, sym)
     assert coeffs.eta.shape == (2, 2)
     assert np.allclose(coeffs.eta[:, 0], [-1.5, 0.5])
     assert np.allclose(coeffs.eta[:, 1], [-0.5, -1.5])
@@ -70,7 +68,7 @@ def test_phase_coefficients_match_direct_margin():
         k, t = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         order = int(rng.choice([2, 4, 8]))
         ch, frame, sym, c = random_setup(rng, m=5, n=4, k=k, t=t, order=order)
-        coeffs = build_phase_coefficients(ch, frame, sym, c)
+        coeffs = build_phase_coefficients(ch, frame, sym)
         phases = PhaseShifts.random(4, rng)
         h_eff = effective_matrix(ch, phases)
         z = (h_eff @ frame.x.T).T * np.conj(sym.symbols).T  # (T, K)
@@ -85,7 +83,7 @@ def test_phase_coefficients_zero_g_direct_only():
     rng = np.random.default_rng(1)
     ch, frame, sym, c = random_setup(rng)
     ch0 = ChannelSet(h_d=ch.h_d, g=np.zeros_like(ch.g), h_r=ch.h_r)
-    coeffs = build_phase_coefficients(ch0, frame, sym, c)
+    coeffs = build_phase_coefficients(ch0, frame, sym)
     assert np.all(coeffs.eta == 0)
     # vbar alone carries the direct-link margins
     h_eff = np.conj(ch.h_d)
@@ -101,10 +99,10 @@ def test_phase_coefficients_dimension_errors():
     ch, frame, sym, c = random_setup(rng, m=6, t=3)
     bad = np.ones((3, 5), dtype=complex)  # wrong antenna count
     with pytest.raises(ValueError):
-        build_phase_coefficients(ch, bad, sym, c)
+        build_phase_coefficients(ch, bad, sym)
     sym_bad = SymbolFrame.random(c, 3, 3, np.random.default_rng(0))  # wrong K
     with pytest.raises(ValueError):
-        build_phase_coefficients(ch, frame, sym_bad, c)
+        build_phase_coefficients(ch, frame, sym_bad)
     with pytest.raises(ValueError):
         PhaseCoefficients(eta=np.ones((3, 2)), vbar=np.zeros(2))
     with pytest.raises(ValueError):
@@ -132,7 +130,7 @@ def test_lse_equal_terms_closed_form():
 def test_lse_sandwich_on_random_probes():
     rng = np.random.default_rng(4)
     ch, frame, sym, c = random_setup(rng, m=6, n=4, k=2, t=3)
-    coeffs = build_phase_coefficients(ch, frame, sym, c)
+    coeffs = build_phase_coefficients(ch, frame, sym)
     delta = 1e-2
     slack = delta * np.log(coeffs.n_constraints)
     for _ in range(1000):
@@ -160,7 +158,7 @@ def test_lse_gradient_zero_eta():
 def test_lse_gradient_is_softmax_combination():
     rng = np.random.default_rng(5)
     ch, frame, sym, c = random_setup(rng)
-    coeffs = build_phase_coefficients(ch, frame, sym, c)
+    coeffs = build_phase_coefficients(ch, frame, sym)
     tb = random_theta_bar(4, rng)
     delta = 1e-2
     vals = tb @ coeffs.eta + coeffs.vbar
@@ -204,7 +202,7 @@ def test_lse_gradient_finite_difference():
     rng = np.random.default_rng(6)
     for _ in range(20):
         ch, frame, sym, c = random_setup(rng, m=5, n=3, k=2, t=2)
-        coeffs = build_phase_coefficients(ch, frame, sym, c)
+        coeffs = build_phase_coefficients(ch, frame, sym)
         tb = random_theta_bar(3, rng)
         delta = 1e-2
         g = lse_gradient(tb, coeffs, delta)
@@ -297,7 +295,7 @@ def test_momentum_recursion_and_growth():
 def test_apg_iterates_feasible_and_best_tracked():
     rng = np.random.default_rng(9)
     ch, frame, sym, c = random_setup(rng, m=6, n=4, k=2, t=3)
-    coeffs = build_phase_coefficients(ch, frame, sym, c)
+    coeffs = build_phase_coefficients(ch, frame, sym)
     init = random_theta_bar(4, rng)
     res = apg_optimize(coeffs, init, ApgOptions(record_trace=True))
     n = 4
@@ -314,7 +312,7 @@ def test_apg_iterates_feasible_and_best_tracked():
 def test_apg_sandwich_at_returned_point():
     rng = np.random.default_rng(10)
     ch, frame, sym, c = random_setup(rng)
-    coeffs = build_phase_coefficients(ch, frame, sym, c)
+    coeffs = build_phase_coefficients(ch, frame, sym)
     opts = ApgOptions(delta=1e-2)
     res = apg_optimize(coeffs, random_theta_bar(4, rng), opts)
     slack = opts.delta * np.log(coeffs.n_constraints)
@@ -349,7 +347,7 @@ def test_apg_zero_eta_immediate():
 def test_apg_deterministic():
     rng = np.random.default_rng(12)
     ch, frame, sym, c = random_setup(rng)
-    coeffs = build_phase_coefficients(ch, frame, sym, c)
+    coeffs = build_phase_coefficients(ch, frame, sym)
     init = random_theta_bar(4, rng)
     a = apg_optimize(coeffs, init, ApgOptions())
     b = apg_optimize(coeffs, init, ApgOptions())
@@ -362,7 +360,7 @@ def test_apg_improves_over_init_on_protocol_instances():
     better = 0
     for _ in range(20):
         ch, frame, sym, c = random_setup(rng, m=8, n=8, k=2, t=4)
-        coeffs = build_phase_coefficients(ch, frame, sym, c)
+        coeffs = build_phase_coefficients(ch, frame, sym)
         init = random_theta_bar(8, rng)
         res = apg_optimize(coeffs, init, ApgOptions())
         assert res.value <= max_constraint(init, coeffs) + 1e-15
@@ -480,7 +478,7 @@ def test_apg_bit_exact_against_reference_loop(seed, kind, n, n_cols, delta, max_
         order = {"bpsk": 2, "qpsk": 4, "16psk": 16}[kind]
         ch, frame, sym, c = random_setup(rng, m=4, n=n, k=2, t=max(1, n_cols // 4),
                                          order=order)
-        coeffs = build_phase_coefficients(ch, frame, sym, c)
+        coeffs = build_phase_coefficients(ch, frame, sym)
     elif kind == "repeated-max":
         eta = rng.integers(-3, 4, size=(2 * n, 2 * n_cols)).astype(float)
         vbar = rng.integers(-2, 3, size=2 * n_cols).astype(float)
