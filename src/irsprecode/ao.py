@@ -4,8 +4,12 @@ Each outer round solves the T per-slot transmit designs against the current
 effective channel, then re-optimizes the phase shifts against the new frame,
 warm-starting from the previous round's (initially uniform random) phases.
 From round 2 on, each slot's mirror descent starts at that slot's previous
-dual point mixed with the uniform point, (1 - eps) lam + eps / 2K with
-eps = WARM_START_MIX; round 1 starts at the uniform point.
+dual point mixed with the uniform point, warm_start(lam) = (1 - eps) lam +
+eps / 2K with eps = WARM_START_MIX; round 1 starts at the uniform point. Each
+round's record keeps its (T, 2K) block of dual points. The last round's
+x-step ran at the phases the loop returns when it stopped on the margin rule,
+so warm_start(trace[-1].lams) also starts a box solve at those phases (the
+harness's shared-phase relaxed baseline) next to its optimum.
 
 The objective is the worst-case margin over all (user, slot) pairs. Neither
 inner solver is exact (rounding and a nonconvex projection are involved), so
@@ -67,17 +71,27 @@ class AoConfig:
             raise ValueError("need at least one start, as an integer")
 
 
-@dataclass
+@dataclass(eq=False)
 class AoIterationRecord:
+    """One outer round: its worst margin, inner-solver statuses and the
+    (T, 2K) dual points its x-step ended at, one row per slot."""
+
     iteration: int
     worst_margin: float
     md_converged: list
     apg_converged: bool
+    lams: np.ndarray
 
     @property
     def converged(self) -> bool:
         """Whether every inner solve of the round converged."""
         return all(self.md_converged) and self.apg_converged
+
+
+def warm_start(lams: np.ndarray) -> np.ndarray:
+    """Mirror-descent start points from dual points (one per row, or one),
+    each mixed with the uniform point by WARM_START_MIX."""
+    return (1.0 - WARM_START_MIX) * lams + WARM_START_MIX / lams.shape[-1]
 
 
 def frame_margins(ch: ChannelSet, phases: PhaseShifts, frame,
@@ -129,32 +143,32 @@ def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
 def _single_run(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
                 rng: np.random.Generator):
     phases = PhaseShifts.random(ch.g.shape[0], rng)
-    lams = [None] * symbols.n_slots
+    lam0 = None
     trace: list = []
     design = None  # (frame, phases) of the last round that improved
 
     for it in range(1, cfg.max_outer + 1):
         frame, lams, md_converged = _x_step(effective_matrix(ch, phases), symbols,
-                                            cfg, rng, lams)
+                                            cfg, rng, lam0)
         phases, apg_converged = _phase_step(ch, frame, symbols, phases, cfg)
         worst = float(frame_margins(ch, phases, frame, symbols).min())
-        trace.append(AoIterationRecord(it, worst, md_converged, apg_converged))
+        trace.append(AoIterationRecord(it, worst, md_converged, apg_converged, lams))
         if best_round(trace) is not trace[-1]:
             break
         design = frame, phases
+        lam0 = warm_start(lams)
     return (*design, trace)
 
 
-def _x_step(h_eff, symbols: SymbolFrame, cfg: AoConfig, rng, lams: list):
-    """T independent per-slot one-bit designs, slot t warm-started from
-    lams[t] (None for a cold start); returns (frame, dual points, md statuses)."""
+def _x_step(h_eff, symbols: SymbolFrame, cfg: AoConfig, rng, lam0):
+    """T independent per-slot one-bit designs, slot t's mirror descent started
+    at lam0[t] (lam0 None: every slot cold); returns (frame, (T, 2K) dual
+    points, md statuses)."""
     results = [solve_symbol(h_eff, symbols.symbols[:, t], symbols.constellation,
-                            cfg.power, cfg.solve, rng,
-                            None if lam is None
-                            else (1.0 - WARM_START_MIX) * lam + WARM_START_MIX / lam.size)
-               for t, lam in enumerate(lams)]
+                            cfg.power, cfg.solve, rng, None if lam0 is None else lam0[t])
+               for t in range(symbols.n_slots)]
     return (OneBitFrame.from_slots([res.xbar for res in results], cfg.power),
-            [res.lam for res in results], [res.md.converged for res in results])
+            np.stack([res.lam for res in results]), [res.md.converged for res in results])
 
 
 def _phase_step(ch: ChannelSet, frame, symbols: SymbolFrame,

@@ -84,12 +84,17 @@ class RelaxedFrame:
 
 
 def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
-                opts: SolveOptions | None = None) -> RelaxedFrame:
+                opts: SolveOptions | None = None,
+                lam0: np.ndarray | None = None) -> RelaxedFrame:
     """Box-relaxed symbol-level precoder: the one-bit solver without rounding.
 
     Runs the identical coefficient construction and dual solve (solve_relaxed,
     with its mu-continuation) as the one-bit path, so its per-slot relaxation
-    values match that solver bit for bit under the same options.
+    values match that solver bit for bit under the same options and starts.
+    lam0, a (T, 2K) block of simplex points, starts slot t's dual solve at
+    row t; None starts every slot at the uniform point. The harness passes
+    ao.warm_start of the joint design's last dual points when it solves at
+    that design's phases, where they sit next to the optimum.
     """
     if opts is None:
         opts = SolveOptions()
@@ -101,7 +106,8 @@ def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
     for t in range(symbols.n_slots):
         coeff = build_coefficients(h_eff, symbols.symbols[:, t],
                                    symbols.constellation, power)
-        xrel, md = solve_relaxed(coeff, opts.mu, opts.md)
+        xrel, md = solve_relaxed(coeff, opts.mu, opts.md,
+                                 None if lam0 is None else lam0[t])
         rows[t] = xrel[:m] + 1j * xrel[m:]
         values[t] = -md.value
         converged[t] = md.converged

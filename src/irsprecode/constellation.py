@@ -52,11 +52,14 @@ def decide_index(y, c: PskConstellation):
 
     The index is floor((angle(y) + pi/L) / (2*pi/L)) mod L, the mod taken as
     & (L - 1) since L is a power of two. y = 0 falls in sector 0 by the same
-    convention (its phase is taken as 0). A scalar y gives a scalar.
+    convention (its phase is taken as 0). A scalar y gives a scalar. A NaN
+    entry has no sector and raises ValueError.
     """
     half = np.pi / c.order
     # angle() makes a fresh array (0-d for scalar y), reused in place below
     sector = np.angle(y)[...]
+    if np.isnan(sector).any():
+        raise ValueError("receive point is NaN")
     sector += half
     sector /= 2.0 * half
     np.floor(sector, out=sector)

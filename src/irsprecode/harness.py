@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ao import AoConfig, alternating_optimize, best_round, frame_margins
+from .ao import AoConfig, alternating_optimize, best_round, frame_margins, warm_start
 from .baselines import (
     SCHEMES,
     no_irs_variant,
@@ -304,7 +304,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
 
     want = set(cfg.schemes)
 
-    theta_shared = None
+    theta_shared = last_lams = None
     if "onebit-md" in want:
         rng = _design_rng(cfg, index, "onebit-md")
         t0 = time.perf_counter()
@@ -313,6 +313,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         dt = time.perf_counter() - t0
         put("onebit-md", frame, phases, ch, _status(best_round(trace).converged), dt)
         theta_shared = phases
+        last_lams = trace[-1].lams
 
     def baseline_theta() -> PhaseShifts:
         # "shared" reuses the joint design's phases for schemes that cannot
@@ -333,8 +334,11 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         t0 = time.perf_counter()
         phases = baseline_theta() if with_irs else ones
         channel = ch if with_irs else bare
+        # a margin-rule stop ran AO's last x-step at the phases it returned,
+        # so its dual points solve this box dual there to MD's tolerance
+        lam0 = warm_start(last_lams) if phases is theta_shared else None
         res = relaxed_slp(effective_matrix(channel, phases), symbols,
-                          cfg.power, cfg.solver.solve_options())
+                          cfg.power, cfg.solver.solve_options(), lam0)
         out = (rescale_to_power(res.x, cfg.power), phases,
                time.perf_counter() - t0, bool(res.converged.all()))
         relaxed_cache[with_irs] = out

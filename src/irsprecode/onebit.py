@@ -468,30 +468,3 @@ def solve_symbol(h_eff, symbols, constellation: PskConstellation, power: float,
         md=md,
     )
 
-
-def brute_force_onebit(coeff: CoefficientMatrix):
-    """Exact minimizer of max_k c_k^T xbar over the one-bit alphabet.
-
-    Enumerates all 2^(2M) sign patterns (guarded to 2M <= 24) in chunks.
-    Ties resolve to the smallest code, i.e. the lexicographically first
-    pattern in (-s first) coordinate order. Returns (xbar, value).
-    """
-    n = coeff.n_lifted
-    if n > 24:
-        raise ValueError(f"brute force capped at 2M <= 24, got {n}")
-    s = coeff.amplitude
-    best_val = np.inf
-    best_code = -1
-    total = 1 << n
-    chunk = 1 << 16
-    shifts = np.arange(n, dtype=np.int64)
-    for lo in range(0, total, chunk):
-        codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        signs = (((codes[:, None] >> shifts) & 1) * 2 - 1).astype(float)
-        vals = (signs @ coeff.c).max(axis=1) * s
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_code = int(codes[i])
-    signs = ((best_code >> shifts) & 1) * 2 - 1
-    return signs.astype(float) * s, best_val

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from onebit_oracles import brute_force_onebit
 
 from irsprecode.ao import AoConfig, alternating_optimize, frame_margins
 from irsprecode.channel import (
@@ -33,7 +34,6 @@ from irsprecode.harness import (
 from irsprecode.onebit import (
     MdOptions,
     SolveOptions,
-    brute_force_onebit,
     build_coefficients,
     dual_gradient,
     dual_value,

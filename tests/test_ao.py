@@ -125,6 +125,7 @@ def test_trace_replicates_hand_driven_steps():
                    for t in range(sym.n_slots)]
         assert rec.md_converged == [res.md.converged for res in results]
         lams = [res.lam for res in results]
+        assert np.array_equal(rec.lams, np.stack(lams))
         fr = OneBitFrame(xbar=np.stack([res.xbar for res in results]), amplitude=amplitude)
         coeffs = build_phase_coefficients(ch, fr, sym)
         apg = apg_optimize(coeffs, ph.theta_bar, cfg.apg)

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from onebit_oracles import brute_force_onebit
 
+from irsprecode import onebit
+from irsprecode.ao import AoConfig, alternating_optimize, warm_start
 from irsprecode.baselines import (
     SCHEMES,
     no_irs_variant,
@@ -21,8 +26,8 @@ from irsprecode.channel import (
 from irsprecode.constellation import PskConstellation, SymbolFrame
 from irsprecode.onebit import (
     SolveOptions,
-    brute_force_onebit,
     build_coefficients,
+    dual_gradient,
     solve_symbol,
     worst_objective,
 )
@@ -150,6 +155,49 @@ def test_relaxed_matches_onebit_solver_internal_stage(mu):
         assert np.array_equal(res.x[t], full.xbar_relaxed[:m] + 1j * full.xbar_relaxed[m:])
         assert res.relax_values[t] == full.relax_value
         assert res.converged[t] == full.md.converged
+
+
+@settings(max_examples=20, deadline=None)
+@given(order=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2 ** 32 - 1))
+def test_warm_start_from_ao_matches_a_cold_solve(order, seed):
+    # at the phases AO returns, its last round's dual points start the box
+    # solve next to the optimum: every slot converges, each value is within
+    # the Frank-Wolfe gaps (g.lam - min g >= f_mu(lam) - min f_mu, by
+    # convexity) of the cold solve's, and mirror descent runs fewer iterations
+    ch, rng = channels(seed)
+    sym = SymbolFrame.random(PskConstellation(order), 3, 6, rng)
+    cfg = AoConfig(power=100.0)
+    _, phases, trace = alternating_optimize(ch, sym, cfg, rng)
+    h_eff = effective_matrix(ch, phases)
+    runs = []
+    real = onebit.mirror_descent
+
+    def spy(*args, **kwargs):
+        md = real(*args, **kwargs)
+        runs.append(md)
+        return md
+
+    solved = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(onebit, "mirror_descent", spy)
+        for start in ("cold", "warm"):
+            runs.clear()
+            lam0 = warm_start(trace[-1].lams) if start == "warm" else None
+            res = relaxed_slp(h_eff, sym, cfg.power, cfg.solve, lam0)
+            assert len(runs) == sym.n_slots  # one MD call per slot at the default mu
+            solved[start] = res, list(runs)
+    (cold, cold_md), (warm, warm_md) = solved["cold"], solved["warm"]
+    assert warm.converged.all()
+    warm_iters, cold_iters = (sum(md.n_iter for md in mds) for mds in (warm_md, cold_md))
+    assert warm_iters < cold_iters or warm_iters == cold_iters == 0
+    mu = cfg.solve.mu
+    for t in range(sym.n_slots):
+        coeff = build_coefficients(h_eff, sym.symbols[:, t], sym.constellation, cfg.power)
+        gaps = []
+        for md in (warm_md[t], cold_md[t]):
+            g = dual_gradient(md.lam, coeff, mu)
+            gaps.append(float(g @ md.lam - g.min()))
+        assert abs(warm.relax_values[t] - cold.relax_values[t]) <= max(gaps)
 
 
 def test_no_irs_zeroes_reflected_path():

@@ -95,6 +95,24 @@ def test_decide_negative_real_axis():
     assert decide_index(complex(-1.0, -0.0), c) == 2
 
 
+@pytest.mark.parametrize("y", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                               complex(np.inf, np.nan),
+                               np.array([[1 + 1j, -1j], [complex(np.nan, 1.0), 1.0]])],
+                         ids=["nan-real", "nan-imag", "inf-nan", "array"])
+def test_decide_rejects_nan(y):
+    # a NaN has no sector; it used to come out as sector 0 with a cast warning
+    with np.errstate(invalid="raise"):
+        with pytest.raises(ValueError, match="NaN"):
+            decide_index(y, PskConstellation(4))
+
+
+def test_decide_keeps_infinite_points():
+    # infinite parts still have an angle, so they still have a sector
+    c = PskConstellation(4)
+    assert decide_index(complex(np.inf, np.inf), c) == 1
+    assert decide_index(complex(-np.inf, 0.0), c) == 2
+
+
 # --- margin ----------------------------------------------------------------
 
 def test_margin_formula_cases():

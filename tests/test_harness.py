@@ -1,6 +1,7 @@
 """Experiment harness tests: configs, pairing, determinism, aggregation."""
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -10,7 +11,7 @@ from counting_oracles import reference_simulate_transmission
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from irsprecode.ao import AoIterationRecord, frame_margins
+from irsprecode.ao import AoIterationRecord, frame_margins, warm_start
 from irsprecode.baselines import SCHEMES, zf_precode
 from irsprecode.channel import ChannelSet, PhaseShifts, effective_matrix
 from irsprecode.constellation import PskConstellation, SymbolFrame, sep_upper_bound
@@ -246,12 +247,62 @@ class TestRunExperiment:
             assert 0 <= r.bit_errors <= r.bits
             assert 0 <= r.sym_errors <= r.syms
 
-    def test_scheme_subset_invariance(self):
-        # adding schemes to a run must not perturb existing schemes' numbers
-        lone = run_experiment(small_cfg(schemes=("onebit-md",)))
-        joint = run_experiment(small_cfg(
-            schemes=("onebit-md", "relaxed", "zf-quant", "onebit-md-noirs")))
-        assert [r for r in joint if r.scheme == "onebit-md"] == lone
+    @pytest.mark.parametrize("policy", ["random", "shared"])
+    def test_relaxed_starts_warm_only_at_the_joint_designs_phases(self, monkeypatch,
+                                                                  policy):
+        # "random": the box solve runs cold at the channel's random phases and
+        # equals a direct relaxed_slp there. "shared": it runs at AO's phases
+        # from warm_start of AO's last dual points, and equals that call
+        import irsprecode.harness as hn
+
+        cfg = small_cfg(schemes=("onebit-md", "relaxed", "relaxed-quant"),
+                        n_channels=2, theta_policy=policy)
+        designs, boxes = [], []
+        real_ao, real_box = hn.alternating_optimize, hn.relaxed_slp
+
+        def ao_spy(*args, **kwargs):
+            designs.append(real_ao(*args, **kwargs))
+            return designs[-1]
+
+        def box_spy(h_eff, symbols, power, opts, lam0):
+            boxes.append((h_eff, symbols, lam0, real_box(h_eff, symbols, power, opts, lam0)))
+            return boxes[-1][-1]
+
+        monkeypatch.setattr(hn, "alternating_optimize", ao_spy)
+        monkeypatch.setattr(hn, "relaxed_slp", box_spy)
+        run_experiment(cfg)
+        assert len(boxes) == len(designs) == cfg.n_channels
+        opts = cfg.solver.solve_options()
+        for i, ((_, phases, trace), (h_eff, symbols, lam0, res)) in enumerate(
+                zip(designs, boxes)):
+            if policy == "shared":
+                want = warm_start(trace[-1].lams)
+                assert np.array_equal(lam0, want)
+            else:
+                phases = PhaseShifts.random(cfg.n, hn._substream(cfg, i, hn._TAG_THETA))
+                want = None
+                assert lam0 is None
+            ch = channel_realization(cfg.seed, i, cfg.m, cfg.n, cfg.k)
+            assert np.array_equal(h_eff, effective_matrix(ch, phases))
+            direct = real_box(h_eff, symbols, cfg.power, opts, want)
+            for name in ("x", "relax_values", "converged"):
+                assert np.array_equal(getattr(res, name), getattr(direct, name))
+
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.permutations(tuple(SCHEMES)),
+           keep=st.lists(st.booleans(), min_size=len(SCHEMES), max_size=len(SCHEMES)),
+           policy=st.sampled_from(["shared", "random"]))
+    def test_scheme_subset_invariance(self, order, keep, policy):
+        # adding schemes to a run must not perturb existing schemes' numbers,
+        # except that the shared-phase baselines take onebit-md's phases and
+        # dual points: a subset's records equal the full run's when it holds
+        # onebit-md (or the baselines draw random phases), else those of the
+        # run of every scheme but onebit-md
+        subset = [s for s, k in zip(order, keep) if k]
+        assume(subset)
+        ref = _subset_reference(policy, policy == "random" or "onebit-md" in subset)
+        recs = run_experiment(_subset_cfg(tuple(subset), policy))
+        assert recs == [r for s in subset for r in ref if r.scheme == s]
 
     def test_zf_only_run_skips_slp_solvers(self, monkeypatch):
         import irsprecode.harness as hn
@@ -308,11 +359,12 @@ class TestRunExperiment:
         real = hn.alternating_optimize
 
         def fake(ch, symbols, cfg, rng=None):
-            frame, phases, _ = real(ch, symbols, cfg, rng=rng)
-            n_slots = symbols.n_slots
-            best = AoIterationRecord(1, 0.2, [best_converged] * n_slots, best_converged)
+            frame, phases, trace = real(ch, symbols, cfg, rng=rng)
+            n_slots, lams = symbols.n_slots, trace[-1].lams
+            best = AoIterationRecord(1, 0.2, [best_converged] * n_slots, best_converged,
+                                     lams)
             last = AoIterationRecord(2, 0.1, [not best_converged] * n_slots,
-                                     not best_converged)
+                                     not best_converged, lams)
             return frame, phases, [best, last]
 
         monkeypatch.setattr(hn, "alternating_optimize", fake)
@@ -401,6 +453,17 @@ class TestRunExperiment:
         b = run_experiment(small_cfg(schemes=("zf-quant",), n_channels=2,
                                      theta_policy="random"))
         assert a == b
+
+
+def _subset_cfg(schemes, policy):
+    return small_cfg(n_channels=2, n_noise=2, schemes=schemes, theta_policy=policy)
+
+
+@functools.cache
+def _subset_reference(policy, with_joint):
+    """Records of the run of all 8 schemes, or of the 7 without onebit-md."""
+    schemes = tuple(s for s in SCHEMES if with_joint or s != "onebit-md")
+    return run_experiment(_subset_cfg(schemes, policy))
 
 
 def assert_tallies(cfg, records, per_channel):
@@ -499,9 +562,13 @@ class TestEdgeRuns:
                 "zf-quant": "rank-deficient", "zf-quant-noirs": "rank-deficient"}
             assert all(np.isfinite(o.worst_margin) for o in res.values())
 
-    def test_zero_reflected_path(self, monkeypatch):
+    @pytest.mark.parametrize("policy", ["random", "shared"])
+    def test_zero_reflected_path(self, monkeypatch, policy):
         # with G = 0 the surface does nothing: each scheme on the surface
-        # channel sees the direct channel of its no-surface twin
+        # channel sees the direct channel of its no-surface twin. Under
+        # "shared" the surface box solve starts from AO's last dual points
+        # and its twin from the uniform point, so both stop within MD's
+        # tolerance of one optimum but not on the same bits
         import irsprecode.harness as hn
 
         def no_surface(seed, index, m, n, k):
@@ -509,15 +576,21 @@ class TestEdgeRuns:
 
         monkeypatch.setattr(hn, "channel_realization", no_surface)
         cfg = small_cfg(n_channels=2, n_noise=2, schemes=tuple(SCHEMES),
-                        noise_grid_db=(10.0, 40.0))
+                        noise_grid_db=(10.0, 40.0), theta_policy=policy)
         records, per_channel = run_experiment(cfg, keep_channel_detail=True)
         assert_tallies(cfg, records, per_channel)
+        exact = ("zf-quant",) if policy == "shared" else ("relaxed", "relaxed-quant",
+                                                          "zf-quant")
         for res in per_channel:
             assert all(o.ok for o in res.values())
-            for scheme in ("relaxed", "relaxed-quant", "zf-quant"):
+            for scheme in exact:
                 with_surface, without = (dataclasses.replace(res[name], runtime_s=0.0)
                                          for name in (scheme, scheme + "-noirs"))
                 assert with_surface == without
+            for scheme in ("relaxed", "relaxed-quant"):
+                assert res[scheme].status == res[scheme + "-noirs"].status
+            assert res["relaxed"].worst_margin == pytest.approx(
+                res["relaxed-noirs"].worst_margin, rel=1e-4)
             # AO's first round is the no-surface design, and AO never
             # returns a round worse than its first
             assert res["onebit-md"].worst_margin >= res["onebit-md-noirs"].worst_margin

@@ -1,8 +1,9 @@
 """Source hygiene: no unused imports, and a package surface the README matches.
 
-No linter ships with the project, so an AST scan stands in for the
-unused-import check. A name counts as used when it appears as an identifier
-anywhere in the module or is listed in the module's __all__ (a re-export).
+No linter ships with the project, so an AST scan of src/, tests/ and
+perfbench/ stands in for the unused-import check. A name counts as used when
+it appears as an identifier anywhere in the module or is listed in the
+module's __all__ (a re-export).
 The README's Python blocks are checked against irsprecode.__all__, and its
 "Library" example is run. The package needs numpy only: no module imports
 scipy, and importing the harness leaves it unloaded. No module reads the
@@ -24,7 +25,8 @@ import pytest
 import irsprecode
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+SOURCES = sorted(p for d in ("src", "tests", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
 PACKAGE_DIR = Path(irsprecode.__file__).resolve().parent
 README = (ROOT / "README.md").read_text()
 README_BLOCKS = re.findall(r"```python\n(.*?)```", README, flags=re.S)

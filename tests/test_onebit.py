@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from onebit_oracles import brute_force_onebit
 
 from irsprecode.channel import (
     PhaseShifts,
@@ -24,7 +25,6 @@ from irsprecode.onebit import (
     MdOptions,
     SolveOptions,
     _sigma_max_sq,
-    brute_force_onebit,
     build_coefficients,
     dual_gradient,
     dual_value,
