@@ -10,6 +10,7 @@ import sys
 from .harness import (
     ExperimentConfig,
     channel_realization,
+    check_schemes,
     run_experiment,
     timing_report,
     write_csv,
@@ -17,7 +18,11 @@ from .harness import (
 
 
 def _parse_schemes(text: str) -> tuple:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+    """argparse type: a comma-separated list that check_schemes accepts."""
+    try:
+        return check_schemes(s.strip() for s in text.split(",") if s.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_at_least(low: int):
@@ -42,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="output CSV path")
     run_p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="override the config seed")
-    run_p.add_argument("--schemes", type=str, default=None,
+    run_p.add_argument("--schemes", type=_parse_schemes, default=None,
                        help="comma-separated scheme list override")
     run_p.add_argument("--threads", type=_int_at_least(1), default=1,
                        help="worker processes (output does not depend on this)")
@@ -69,7 +74,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.schemes is not None:
-        cfg = dataclasses.replace(cfg, schemes=_parse_schemes(args.schemes))
+        cfg = dataclasses.replace(cfg, schemes=args.schemes)
     records = run_experiment(cfg, threads=args.threads)
     write_csv(records, args.out)
     print(f"wrote {len(records)} records ({len(cfg.schemes)} schemes x "

@@ -97,6 +97,21 @@ class SolverConfig:
         return cls(**d)
 
 
+def check_schemes(schemes) -> tuple:
+    """schemes as a tuple of known identifiers, at least one and none twice."""
+    if isinstance(schemes, str):
+        raise ValueError("schemes must be a sequence of identifiers, not a string")
+    schemes = tuple(schemes)
+    if not schemes:
+        raise ValueError("schemes must be nonempty")
+    for s in schemes:
+        if s not in SCHEMES:
+            raise ValueError(f"unknown scheme {s!r}; valid: {sorted(SCHEMES)}")
+    if len(set(schemes)) != len(schemes):
+        raise ValueError("duplicate scheme identifiers")
+    return schemes
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full experiment description; JSON round-trippable.
@@ -142,14 +157,7 @@ class ExperimentConfig:
                 sigma2 = np.inf
             if not 0 < sigma2 < np.inf:
                 raise ValueError(f"no positive finite noise variance at {v} dB")
-        if isinstance(self.schemes, str):
-            raise ValueError("schemes must be a sequence of identifiers, not a string")
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ValueError(f"unknown scheme {s!r}; valid: {sorted(SCHEMES)}")
-        if len(set(self.schemes)) != len(self.schemes):
-            raise ValueError("duplicate scheme identifiers")
+        object.__setattr__(self, "schemes", check_schemes(self.schemes))
         if self.theta_policy not in THETA_POLICIES:
             raise ValueError(f"theta_policy must be one of {THETA_POLICIES}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:

@@ -159,26 +159,9 @@ def worst_objective(xbar, coeff: CoefficientMatrix) -> float:
     return float(np.max(coeff.c.T @ np.asarray(xbar, dtype=float)))
 
 
-def huber(y, rho: float):
-    """Huber function: y^2/(2 rho) for |y| <= rho, |y| - rho/2 beyond."""
-    if rho <= 0:
-        raise ValueError("huber width must be positive")
-    y = np.asarray(y, dtype=float)
-    ay = np.abs(y)
-    return np.where(ay <= rho, y * y / (2.0 * rho), ay - rho / 2.0)
-
-
 def _check_mu(mu: float) -> None:
     if not 0 < mu < np.inf:
         raise ValueError("mu must be positive and finite")
-
-
-def dual_value(lam, coeff: CoefficientMatrix, mu: float) -> float:
-    """f_mu(lam) = s * sum_m huber_{mu s}(cbar_m lam)."""
-    _check_mu(mu)
-    s = coeff.amplitude
-    y = coeff.c @ np.asarray(lam, dtype=float)
-    return float(s * huber(y, mu * s).sum())
 
 
 def dual_gradient(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
@@ -222,8 +205,8 @@ class MdOptions:
     tol is on the KL gradient-mapping residual with unit reference step,
     r(lam) = ||T_1(lam) - lam||_1, which vanishes exactly at simplex-KKT
     points. Backtracking halves the step, down to the floor mu/sigma_max(C)^2,
-    until the closed-form prox-model sufficient-decrease test holds; the
-    accepted step is doubled at the start of the next iteration.
+    until the closed-form prox-model sufficient-decrease test holds; the next
+    iteration doubles the accepted step only if it needed no halving.
     """
 
     max_iter: int = 20000
@@ -266,7 +249,8 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
     f(lam+) = (s/rho) y_c . (y - y_c/2) for y = C lam+ and y_c = clip(y, +/-rho),
     the y_c the next gradient uses. Steps at or below mu/sigma_max(C)^2 (from
     the Gram matrix) are always accepted, so progress cannot stall on rounding
-    noise near the optimum. f_mu never increases beyond rounding.
+    noise near the optimum. A step is doubled for the next iteration only if
+    it was accepted without backtracking. f_mu never increases beyond rounding.
     """
     _check_mu(mu)
     n = coeff.n_constraints
@@ -288,7 +272,7 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
     # <= safe_step satisfies the sufficient-decrease model exactly
     sigma_sq = _sigma_max_sq(ct)
     safe_step = mu / sigma_sq if sigma_sq > 0 else 1.0
-    step = safe_step
+    step = first = safe_step  # first: the step an iteration tries first
 
     # log(lam) is carried over from the softmax normalization, so the loop never
     # takes it of lam; exact zeros give -inf and stay zero through exp
@@ -308,7 +292,9 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
             break
         if it == opts.max_iter:
             break
-        step *= 2.0
+        if step == first:  # no halving; a step that just failed is not raised
+            step *= 2.0
+        first = step
         model = f - float(grad @ lam)
         while True:
             w = log_lam - step * grad

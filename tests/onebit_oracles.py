@@ -1,15 +1,35 @@
-"""Exhaustive one-bit optimum, the reference the solver's rounding is
-measured against.
+"""Reference values the one-bit solver is measured against.
 
 brute_force_onebit enumerates every sign pattern of a small slot, so it
 gives the exact minimum of the one-bit problem that mirror descent and MBI
 approach; tests bound the solver's gap to it and check the relaxation's
 lower bound against it.
+
+huber and dual_value evaluate the smoothed dual from its definition, one
+Huber term per lifted entry; mirror descent takes the same value from the
+clipped image instead, and tests compare the two.
 """
 
 import numpy as np
 
-from irsprecode.onebit import CoefficientMatrix
+from irsprecode.onebit import CoefficientMatrix, _check_mu
+
+
+def huber(y, rho: float):
+    """Huber function: y^2/(2 rho) for |y| <= rho, |y| - rho/2 beyond."""
+    if rho <= 0:
+        raise ValueError("huber width must be positive")
+    y = np.asarray(y, dtype=float)
+    ay = np.abs(y)
+    return np.where(ay <= rho, y * y / (2.0 * rho), ay - rho / 2.0)
+
+
+def dual_value(lam, coeff: CoefficientMatrix, mu: float) -> float:
+    """f_mu(lam) = s * sum_m huber_{mu s}(cbar_m lam)."""
+    _check_mu(mu)
+    s = coeff.amplitude
+    y = coeff.c @ np.asarray(lam, dtype=float)
+    return float(s * huber(y, mu * s).sum())
 
 
 def brute_force_onebit(coeff: CoefficientMatrix):

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from onebit_oracles import brute_force_onebit
+from onebit_oracles import brute_force_onebit, dual_value
 
 from irsprecode.ao import AoConfig, alternating_optimize, frame_margins
 from irsprecode.channel import (
@@ -36,7 +36,6 @@ from irsprecode.onebit import (
     SolveOptions,
     build_coefficients,
     dual_gradient,
-    dual_value,
     mirror_descent,
     recover_x,
     solve_relaxed,

@@ -67,9 +67,13 @@ def test_run_threads_flag(tmp_path, config_file):
 
 
 @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--threads", "-2"),
-                                         ("--seed", "-1"), ("--threads", "one")])
+                                         ("--seed", "-1"), ("--threads", "one"),
+                                         ("--schemes", ","), ("--schemes", ""),
+                                         ("--schemes", "foo"),
+                                         ("--schemes", "onebit-md,onebit-md")])
 def test_run_rejects_bad_arguments(tmp_path, config_file, capsys, flag, value):
-    # --threads 0 and --seed -1 used to end in a traceback from the harness
+    # --threads 0, --seed -1, an unknown and a repeated scheme used to end in
+    # a traceback from the harness; an empty scheme list wrote a header-only CSV
     _, cfg_path = config_file
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:

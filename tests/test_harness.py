@@ -76,6 +76,11 @@ class TestConfig:
             small_cfg(schemes="onebit-md")
         with pytest.raises(ValueError):
             small_cfg(schemes=("onebit-md", "onebit-md"))
+        # an empty list used to load and run to a header-only CSV
+        with pytest.raises(ValueError, match="schemes must be nonempty"):
+            small_cfg(schemes=())
+        with pytest.raises(ValueError, match="schemes must be nonempty"):
+            ExperimentConfig.from_dict({"m": 4, "schemes": []})
         with pytest.raises(ValueError):
             small_cfg(theta_policy="fixed")
         with pytest.raises(ValueError):
