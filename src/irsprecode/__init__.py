@@ -9,7 +9,7 @@ The names below are the library surface the README documents; the solver
 layers (onebit, phase, baselines) are importable from their modules.
 """
 
-from .ao import AoConfig, alternating_optimize, best_round, frame_margins
+from .ao import alternating_optimize, best_round, frame_margins
 from .channel import ChannelSet, drop_users, sample_channels
 from .constellation import PskConstellation, SymbolFrame
 from .harness import (
@@ -24,7 +24,6 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AoConfig",
     "ChannelSet",
     "ExperimentConfig",
     "PskConstellation",

@@ -16,21 +16,21 @@ inner solver is exact (rounding and a nonconvex projection are involved), so
 a round can lower it. The loop stops at the first round whose worst margin
 does not beat the previous round's by more than MARGIN_RTOL times its
 magnitude, and returns the previous round's design; otherwise it stops after
-max_outer rounds and returns the last. The tolerance keeps last-bit rounding
+ao_max_outer rounds and returns the last. The tolerance keeps last-bit rounding
 in either inner solver from deciding how many rounds run. The trace records
 every round that ran, with its worst margin and inner-solver statuses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelSet, PhaseShifts, effective_matrix
 from .constellation import SymbolFrame, margin
-from .onebit import OneBitFrame, SolveOptions, frame_array, solve_symbol
-from .phase import ApgOptions, apg_optimize, build_phase_coefficients
+from .onebit import OneBitFrame, SolverConfig, frame_array, solve_symbol
+from .phase import apg_optimize, build_phase_coefficients
 
 # uniform-point weight of a warm start: an exact zero in lam stays zero under
 # MD's multiplicative update, so its residual test could pass at a non-KKT point
@@ -39,36 +39,6 @@ WARM_START_MIX = 1e-6
 # a round improves when its worst margin rises by more than this, relative:
 # rounding in the inner solvers moves it by a few ulps, real progress by >1e-5
 MARGIN_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class AoConfig:
-    """Outer-loop controls plus the options of both inner solvers.
-
-    A run stops after the first round whose worst margin does not beat the
-    previous round's by more than MARGIN_RTOL relative, or after max_outer
-    rounds, and returns its best round's design, a OneBitFrame and its
-    phases. Rounds after the first warm-start each slot's mirror descent from
-    its previous dual point (module docstring).
-
-    n_starts > 1 repeats the whole loop from independent random
-    initializations and keeps the run with the best worst-case margin (ties
-    go to the earliest start).
-    """
-
-    power: float
-    max_outer: int = 20
-    solve: SolveOptions = field(default_factory=SolveOptions)
-    apg: ApgOptions = field(default_factory=ApgOptions)
-    n_starts: int = 1
-
-    def __post_init__(self):
-        if not 0 < self.power < np.inf:
-            raise ValueError("power must be positive and finite")
-        if not isinstance(self.max_outer, int) or self.max_outer < 1:
-            raise ValueError("need at least one outer round, as an integer")
-        if not isinstance(self.n_starts, int) or self.n_starts < 1:
-            raise ValueError("need at least one start, as an integer")
 
 
 @dataclass(eq=False)
@@ -116,23 +86,29 @@ def best_round(trace: list) -> AoIterationRecord:
     return trace[-1]
 
 
-def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
-                         rng: np.random.Generator):
-    """Run the outer loop; returns (frame, phases, trace).
+def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, power: float,
+                         rng: np.random.Generator, opts: SolverConfig = SolverConfig()):
+    """Run the outer loop at transmit power `power`; returns (frame, phases, trace).
 
     frame and phases are the design of the best round, best_round(trace):
-    the round before the last when the last did not improve, else the last.
-    The trace holds every round that ran. frame is always a OneBitFrame. rng
-    drives every random draw of the run (the harness passes per-channel
-    substreams). With n_starts > 1 the trace of the winning start is
-    returned.
+    the round before the last when the last did not improve, else the last
+    (at most opts.ao_max_outer rounds run). The trace holds every round that
+    ran. frame is always a OneBitFrame. rng drives every random draw of the
+    run (the harness passes per-channel substreams). The inner solvers read
+    their own fields of opts.
+
+    opts.n_starts > 1 repeats the whole loop from independent random
+    initializations and keeps the run with the best worst-case margin (ties
+    go to the earliest start); the trace of the winning start is returned.
     """
-    if cfg.n_starts == 1:
-        return _single_run(ch, symbols, cfg, rng)
+    if not 0 < power < np.inf:
+        raise ValueError(f"power must be positive and finite, got {power}")
+    if opts.n_starts == 1:
+        return _single_run(ch, symbols, power, opts, rng)
     best = None
     best_margin = -np.inf
-    for seed in rng.integers(0, 2 ** 63, size=cfg.n_starts):
-        run = _single_run(ch, symbols, cfg, np.random.default_rng(int(seed)))
+    for seed in rng.integers(0, 2 ** 63, size=opts.n_starts):
+        run = _single_run(ch, symbols, power, opts, np.random.default_rng(int(seed)))
         worst = best_round(run[2]).worst_margin
         if worst > best_margin:
             best_margin = worst
@@ -140,17 +116,17 @@ def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
     return best
 
 
-def _single_run(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
-                rng: np.random.Generator):
+def _single_run(ch: ChannelSet, symbols: SymbolFrame, power: float,
+                opts: SolverConfig, rng: np.random.Generator):
     phases = PhaseShifts.random(ch.g.shape[0], rng)
     lam0 = None
     trace: list = []
     design = None  # (frame, phases) of the last round that improved
 
-    for it in range(1, cfg.max_outer + 1):
+    for it in range(1, opts.ao_max_outer + 1):
         frame, lams, md_converged = _x_step(effective_matrix(ch, phases), symbols,
-                                            cfg, rng, lam0)
-        phases, apg_converged = _phase_step(ch, frame, symbols, phases, cfg)
+                                            power, opts, rng, lam0)
+        phases, apg_converged = _phase_step(ch, frame, symbols, phases, opts)
         worst = float(frame_margins(ch, phases, frame, symbols).min())
         trace.append(AoIterationRecord(it, worst, md_converged, apg_converged, lams))
         if best_round(trace) is not trace[-1]:
@@ -160,19 +136,19 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, cfg: AoConfig,
     return (*design, trace)
 
 
-def _x_step(h_eff, symbols: SymbolFrame, cfg: AoConfig, rng, lam0):
+def _x_step(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig, rng, lam0):
     """T independent per-slot one-bit designs, slot t's mirror descent started
     at lam0[t] (lam0 None: every slot cold); returns (frame, (T, 2K) dual
     points, md statuses)."""
     results = [solve_symbol(h_eff, symbols.symbols[:, t], symbols.constellation,
-                            cfg.power, cfg.solve, rng, None if lam0 is None else lam0[t])
+                            power, opts, rng, None if lam0 is None else lam0[t])
                for t in range(symbols.n_slots)]
-    return (OneBitFrame.from_slots([res.xbar for res in results], cfg.power),
+    return (OneBitFrame.from_slots([res.xbar for res in results], power),
             np.stack([res.lam for res in results]), [res.md.converged for res in results])
 
 
 def _phase_step(ch: ChannelSet, frame, symbols: SymbolFrame,
-                phases: PhaseShifts, cfg: AoConfig):
+                phases: PhaseShifts, opts: SolverConfig):
     coeffs = build_phase_coefficients(ch, frame, symbols)
-    res = apg_optimize(coeffs, phases.theta_bar, cfg.apg)
+    res = apg_optimize(coeffs, phases.theta_bar, opts)
     return PhaseShifts.from_theta_bar(res.theta_bar), res.converged

@@ -16,7 +16,7 @@ from .channel import ChannelSet
 from .constellation import SymbolFrame
 from .onebit import (
     OneBitFrame,
-    SolveOptions,
+    SolverConfig,
     build_coefficients,
     onebit_amplitude,
     solve_relaxed,
@@ -84,20 +84,18 @@ class RelaxedFrame:
 
 
 def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
-                opts: SolveOptions | None = None,
+                opts: SolverConfig = SolverConfig(),
                 lam0: np.ndarray | None = None) -> RelaxedFrame:
     """Box-relaxed symbol-level precoder: the one-bit solver without rounding.
 
     Runs the identical coefficient construction and dual solve (solve_relaxed,
     with its mu-continuation) as the one-bit path, so its per-slot relaxation
-    values match that solver bit for bit under the same options and starts.
+    values match that solver bit for bit under the same settings and starts.
     lam0, a (T, 2K) block of simplex points, starts slot t's dual solve at
     row t; None starts every slot at the uniform point. The harness passes
     ao.warm_start of the joint design's last dual points when it solves at
     that design's phases, where they sit next to the optimum.
     """
-    if opts is None:
-        opts = SolveOptions()
     h_eff = np.atleast_2d(np.asarray(h_eff, dtype=complex))
     m = h_eff.shape[1]
     rows = np.empty((symbols.n_slots, m), dtype=complex)
@@ -106,7 +104,7 @@ def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
     for t in range(symbols.n_slots):
         coeff = build_coefficients(h_eff, symbols.symbols[:, t],
                                    symbols.constellation, power)
-        xrel, md = solve_relaxed(coeff, opts.mu, opts.md,
+        xrel, md = solve_relaxed(coeff, opts.mu, opts,
                                  None if lam0 is None else lam0[t])
         rows[t] = xrel[:m] + 1j * xrel[m:]
         values[t] = -md.value

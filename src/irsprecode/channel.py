@@ -28,7 +28,7 @@ USER_RADIUS = 10.0
 def path_loss(distance, ref_gain: float, exponent: float):
     """Linear power gain ref_gain * d**(-exponent)."""
     distance = np.asarray(distance, dtype=float)
-    if np.any(distance <= 0):
+    if not np.all(distance > 0):
         raise ValueError("path loss needs a positive distance")
     return ref_gain * distance ** (-exponent)
 
@@ -147,7 +147,7 @@ class PhaseShifts:
         theta = np.asarray(theta, dtype=complex).ravel()
         if theta.size < 1:
             raise ValueError("need at least one element")
-        if np.any(np.abs(np.abs(theta) - 1.0) > 1e-10):
+        if not np.all(np.abs(np.abs(theta) - 1.0) <= 1e-10):
             raise ValueError("phase shifts must be unit modulus")
         self.theta = theta
 

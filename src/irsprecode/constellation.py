@@ -84,7 +84,7 @@ def sep_upper_bound(alpha, sigma2: float, c: PskConstellation):
     The raw value is kept (it can exceed 1 for small or negative margins);
     clip to 1 when reporting it as a probability.
     """
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError(f"noise variance must be positive, got {sigma2}")
     scale = np.sin(np.pi / c.order) * np.sqrt(2.0 / sigma2)
     return 2.0 * q_function(np.asarray(alpha, dtype=float) * scale)

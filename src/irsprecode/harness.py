@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ao import AoConfig, alternating_optimize, best_round, frame_margins, warm_start
+from .ao import alternating_optimize, best_round, frame_margins, warm_start
 from .baselines import (
     SCHEMES,
     no_irs_variant,
@@ -33,8 +33,15 @@ from .constellation import (
     bit_errors,
     decide_index,
 )
-from .onebit import MdOptions, OneBitFrame, SolveOptions, frame_array, solve_symbol
-from .phase import ApgOptions
+from .onebit import (
+    OneBitFrame,
+    SolverConfig,
+    check_count,
+    check_real,
+    frame_array,
+    is_real,
+    solve_symbol,
+)
 
 CSV_COLUMNS = (
     "scheme", "inv_sigma2_db", "ber", "ser", "bit_errors", "bits",
@@ -52,49 +59,6 @@ _TAG_DESIGN_BASE = 16
 _CANONICAL_ORDER = tuple(SCHEMES)
 
 THETA_POLICIES = ("shared", "random")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Inner-solver settings shared by all channels of an experiment.
-
-    Defaults are those of the solvers' own option classes. Values the inner
-    solvers reject fail here, not inside a channel run.
-    """
-
-    mu: float = SolveOptions.mu
-    md_max_iter: int = MdOptions.max_iter
-    md_tol: float = MdOptions.tol
-    mbi_restarts: int = SolveOptions.mbi_restarts
-    delta: float = ApgOptions.delta
-    apg_max_iter: int = ApgOptions.max_iter
-    apg_tol: float = ApgOptions.tol
-    ao_max_outer: int = AoConfig.max_outer
-    n_starts: int = AoConfig.n_starts
-
-    def __post_init__(self):
-        self.ao_config(1.0)
-
-    def solve_options(self) -> SolveOptions:
-        return SolveOptions(mu=self.mu,
-                            md=MdOptions(max_iter=self.md_max_iter, tol=self.md_tol),
-                            mbi_restarts=self.mbi_restarts)
-
-    def apg_options(self) -> ApgOptions:
-        return ApgOptions(delta=self.delta, max_iter=self.apg_max_iter,
-                          tol=self.apg_tol)
-
-    def ao_config(self, power: float) -> AoConfig:
-        return AoConfig(power=power, max_outer=self.ao_max_outer,
-                        solve=self.solve_options(), apg=self.apg_options(),
-                        n_starts=self.n_starts)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverConfig":
-        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 def check_schemes(schemes) -> tuple:
@@ -141,11 +105,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("m", "n", "k", "t", "order", "n_channels", "n_noise"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if not 0 < self.power < np.inf:
-            raise ValueError("power must be positive and finite")
+            check_count(name, getattr(self, name), 1)
+        PskConstellation(self.order)  # raises ValueError on an unsupported order
+        check_real("power", self.power, positive=True)
+        if (not isinstance(self.noise_grid_db, (list, tuple))
+                or not all(map(is_real, self.noise_grid_db))):
+            raise ValueError(f"noise_grid_db must be a list of numbers, "
+                             f"got {self.noise_grid_db!r}")
         object.__setattr__(self, "noise_grid_db",
                            tuple(float(v) for v in self.noise_grid_db))
         if not self.noise_grid_db:
@@ -160,8 +126,13 @@ class ExperimentConfig:
         object.__setattr__(self, "schemes", check_schemes(self.schemes))
         if self.theta_policy not in THETA_POLICIES:
             raise ValueError(f"theta_policy must be one of {THETA_POLICIES}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or not 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if not isinstance(self.record_runtime, bool):
+            raise ValueError(f"record_runtime must be true or false, got {self.record_runtime!r}")
+        if not isinstance(self.solver, SolverConfig):
+            raise ValueError("solver must be a SolverConfig")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -229,7 +200,7 @@ def simulate_transmission(frame, phases: PhaseShifts, ch: ChannelSet,
     scaled by sqrt(sigma2 / 2), is added to the noise-free receive points.
     Returns (bit_errors, sym_errors, bits, syms).
     """
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError("sigma2 must be positive")
     h_eff = effective_matrix(ch, phases)
     z = h_eff @ frame_array(frame).T
@@ -286,9 +257,8 @@ def channel_realization(seed: int, index: int, m: int, n: int, k: int) -> Channe
 def _onebit_direct(h_eff, symbols: SymbolFrame, cfg: ExperimentConfig,
                    rng: np.random.Generator):
     """Single one-bit design pass used when there is no reflected path."""
-    opts = cfg.solver.solve_options()
     results = [solve_symbol(h_eff, symbols.symbols[:, t], symbols.constellation,
-                            cfg.power, opts, rng)
+                            cfg.power, cfg.solver, rng)
                for t in range(symbols.n_slots)]
     return (OneBitFrame.from_slots([res.xbar for res in results], cfg.power),
             all(res.md.converged for res in results))
@@ -317,7 +287,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         rng = _design_rng(cfg, index, "onebit-md")
         t0 = time.perf_counter()
         frame, phases, trace = alternating_optimize(
-            ch, symbols, cfg.solver.ao_config(cfg.power), rng=rng)
+            ch, symbols, cfg.power, rng, cfg.solver)
         dt = time.perf_counter() - t0
         put("onebit-md", frame, phases, ch, _status(best_round(trace).converged), dt)
         theta_shared = phases
@@ -346,7 +316,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         # so its dual points solve this box dual there to MD's tolerance
         lam0 = warm_start(last_lams) if phases is theta_shared else None
         res = relaxed_slp(effective_matrix(channel, phases), symbols,
-                          cfg.power, cfg.solver.solve_options(), lam0)
+                          cfg.power, cfg.solver, lam0)
         out = (rescale_to_power(res.x, cfg.power), phases,
                time.perf_counter() - t0, bool(res.converged.all()))
         relaxed_cache[with_irs] = out

@@ -19,8 +19,8 @@ by maximum-block-improvement over its fractional entries.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -28,6 +28,64 @@ from .constellation import PskConstellation
 
 # lifted entries within this relative distance of +/-s count as saturated
 FRACTIONAL_TOL = 1e-6
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number; bools are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Reject a setting that is not an int (bools excluded) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_real(name: str, value, positive: bool) -> None:
+    """Reject a setting that is not a finite real above 0 (positive) or >= 0."""
+    if not (is_real(value) and (value > 0 if positive else value >= 0) and value < np.inf):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be a finite {sign} number, got {value!r}")
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Settings of the joint design; each solver reads its own fields.
+
+    - mu, the relaxed dual's Tikhonov weight: solve_symbol, relaxed_slp
+    - md_max_iter, md_tol (on the KL gradient-mapping residual): mirror_descent
+    - mbi_restarts (1 improves the sign rounding alone, with no rng draws):
+      solve_symbol
+    - delta (smoothing width), apg_max_iter, apg_tol: apg_optimize
+    - ao_max_outer (round cap), n_starts: alternating_optimize
+
+    Values a solver would reject fail here, when the settings load.
+    """
+
+    mu: float = 5e-4
+    md_max_iter: int = 20000
+    md_tol: float = 1e-6
+    mbi_restarts: int = 1
+    delta: float = 1e-2
+    apg_max_iter: int = 500
+    apg_tol: float = 1e-6
+    ao_max_outer: int = 20
+    n_starts: int = 1
+
+    def __post_init__(self):
+        for name, low in (("md_max_iter", 0), ("mbi_restarts", 1), ("apg_max_iter", 1),
+                          ("ao_max_outer", 1), ("n_starts", 1)):
+            check_count(name, getattr(self, name), low)
+        for name, positive in (("mu", True), ("md_tol", False), ("delta", True),
+                               ("apg_tol", False)):
+            check_real(name, getattr(self, name), positive)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SolverConfig":
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
+        return cls(**d)
 
 
 def onebit_amplitude(power: float, n_antennas: int) -> float:
@@ -55,8 +113,8 @@ class OneBitFrame:
         object.__setattr__(self, "xbar", xbar)
         if xbar.ndim != 2 or xbar.shape[1] % 2:
             raise ValueError("frame must be T x 2M")
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
+        if not 0 < self.amplitude < np.inf:
+            raise ValueError("amplitude must be positive and finite")
         if not np.all(np.abs(xbar) == self.amplitude):
             raise ValueError("every entry must have magnitude exactly s")
 
@@ -121,8 +179,8 @@ class CoefficientMatrix:
             raise ValueError("coefficient matrix must be 2M x 2K")
         if not np.all(np.isfinite(self.c)):
             raise ValueError("coefficients must be finite")
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
+        if not 0 < self.amplitude < np.inf:
+            raise ValueError("amplitude must be positive and finite")
 
     @property
     def n_lifted(self) -> int:
@@ -159,16 +217,11 @@ def worst_objective(xbar, coeff: CoefficientMatrix) -> float:
     return float(np.max(coeff.c.T @ np.asarray(xbar, dtype=float)))
 
 
-def _check_mu(mu: float) -> None:
-    if not 0 < mu < np.inf:
-        raise ValueError("mu must be positive and finite")
-
-
 def dual_gradient(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
     """Gradient of f_mu; equals -C^T xbar*(lam) with xbar* from recover_x.
     Bit-equal to mirror_descent's, which runs the same kernels; y_c comes from
     _clipped_value, the one home of the clip, and its Huber value goes unused."""
-    _check_mu(mu)
+    check_real("mu", mu, positive=True)
     s = coeff.amplitude
     y_c, _ = _clipped_value(coeff.c @ np.asarray(lam, dtype=float), s, mu * s)
     return _dual_grad(np.ascontiguousarray(coeff.c.T), y_c, s, mu * s)
@@ -193,38 +246,9 @@ def _sigma_max_sq(a: np.ndarray) -> float:
 
 def recover_x(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
     """Inner minimizer xbar*(lam) = -clip(C lam / mu, [-s, s]) of the box problem."""
-    _check_mu(mu)
+    check_real("mu", mu, positive=True)
     s = coeff.amplitude
     return -np.clip((coeff.c @ np.asarray(lam, dtype=float)) / mu, -s, s)
-
-
-@dataclass(frozen=True)
-class MdOptions:
-    """Mirror-descent controls.
-
-    tol is on the KL gradient-mapping residual with unit reference step,
-    r(lam) = ||T_1(lam) - lam||_1, which vanishes exactly at simplex-KKT
-    points. Backtracking halves the step, down to the floor mu/sigma_max(C)^2,
-    until the closed-form prox-model sufficient-decrease test holds; the next
-    iteration doubles the accepted step only if it needed no halving.
-    """
-
-    max_iter: int = 20000
-    tol: float = 1e-6
-    record_trace: bool = False
-
-    def __post_init__(self):
-        if (not isinstance(self.max_iter, int) or self.max_iter < 0
-                or not 0 <= self.tol < np.inf):
-            raise ValueError("invalid mirror-descent options")
-
-
-@dataclass
-class MdTraceRecord:
-    iteration: int
-    value: float
-    step: float
-    residual: float
 
 
 @dataclass
@@ -234,11 +258,10 @@ class MdResult:
     converged: bool
     n_iter: int
     residual: float
-    trace: list
 
 
 def mirror_descent(coeff: CoefficientMatrix, mu: float,
-                   opts: MdOptions = MdOptions(),
+                   opts: SolverConfig = SolverConfig(),
                    lam0: np.ndarray | None = None) -> MdResult:
     """Minimize f_mu over the simplex by entropic mirror descent.
 
@@ -251,8 +274,11 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
     the Gram matrix) are always accepted, so progress cannot stall on rounding
     noise near the optimum. A step is doubled for the next iteration only if
     it was accepted without backtracking. f_mu never increases beyond rounding.
+    Stops after opts.md_max_iter iterations, or once the KL gradient-mapping
+    residual with unit reference step, r(lam) = ||T_1(lam) - lam||_1, which
+    vanishes exactly at simplex-KKT points, is at most opts.md_tol.
     """
-    _check_mu(mu)
+    check_real("mu", mu, positive=True)
     n = coeff.n_constraints
     s = coeff.amplitude
     rho = mu * s
@@ -277,20 +303,17 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
     # log(lam) is carried over from the softmax normalization, so the loop never
     # takes it of lam; exact zeros give -inf and stay zero through exp
     log_lam = np.log(lam, out=np.full(n, -np.inf), where=lam > 0)
-    trace: list = []
     converged = False
-    for it in range(opts.max_iter + 1):  # runs at least once: max_iter >= 0
+    for it in range(opts.md_max_iter + 1):  # runs at least once: md_max_iter >= 0
         grad = _dual_grad(ct, y_c, s, rho)
         w = log_lam - grad
         w -= w.max()
         e = np.exp(w)
         residual = float(np.abs(e / e.sum() - lam).sum())
-        if opts.record_trace:
-            trace.append(MdTraceRecord(it, f, step, residual))
-        if residual <= opts.tol:
+        if residual <= opts.md_tol:
             converged = True
             break
-        if it == opts.max_iter:
+        if it == opts.md_max_iter:
             break
         if step == first:  # no halving; a step that just failed is not raised
             step *= 2.0
@@ -312,17 +335,17 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
         log_lam = w - log_se
 
     return MdResult(lam=lam, value=f, converged=converged, n_iter=it,
-                    residual=residual, trace=trace)
+                    residual=residual)
 
 
-# (mu, tol) warm-start stages of solve_relaxed; stages at or below the
+# (mu, md_tol) warm-start stages of solve_relaxed; stages at or below the
 # target mu are skipped, so the solve is a single cold start when the target
 # is no smaller than the first stage
 MU_STAGES = ((5e-4, 1e-7), (2e-5, 1e-7))
 
 
 def solve_relaxed(coeff: CoefficientMatrix, mu: float,
-                  opts: MdOptions = MdOptions(), lam0: np.ndarray | None = None):
+                  opts: SolverConfig = SolverConfig(), lam0: np.ndarray | None = None):
     """Dual solve plus primal recovery; shared by the one-bit and box designs.
 
     Small mu makes the dual poorly conditioned (the Huber window shrinks),
@@ -336,8 +359,8 @@ def solve_relaxed(coeff: CoefficientMatrix, mu: float,
     lam = lam0
     for stage_mu, stage_tol in MU_STAGES:
         if stage_mu > mu:
-            lam = mirror_descent(coeff, stage_mu,
-                                 dataclasses.replace(opts, tol=stage_tol), lam0=lam).lam
+            lam = mirror_descent(coeff, stage_mu, replace(opts, md_tol=stage_tol),
+                                 lam0=lam).lam
     md = mirror_descent(coeff, mu, opts, lam0=lam)
     return recover_x(md.lam, coeff, mu), md
 
@@ -396,21 +419,6 @@ def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, restarts: int,
     return best_x
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    """Knobs for the per-slot one-bit solve. mbi_restarts = 1, the default,
-    improves the sign rounding of the relaxed point alone and draws no rng."""
-
-    mu: float = 5e-4
-    md: MdOptions = field(default_factory=MdOptions)
-    mbi_restarts: int = 1
-
-    def __post_init__(self):
-        _check_mu(self.mu)
-        if not isinstance(self.mbi_restarts, int) or self.mbi_restarts < 1:
-            raise ValueError("need at least one MBI restart, as an integer")
-
-
 @dataclass
 class SymbolSolveResult:
     """One-bit design for a single slot, with its relaxation certificates.
@@ -430,17 +438,18 @@ class SymbolSolveResult:
 
 
 def solve_symbol(h_eff, symbols, constellation: PskConstellation, power: float,
-                 opts: SolveOptions = SolveOptions(),
+                 opts: SolverConfig = SolverConfig(),
                  rng: np.random.Generator | None = None,
                  lam0: np.ndarray | None = None) -> SymbolSolveResult:
     """Design the one-bit transmit vector for one slot.
 
     Pipeline: coefficient assembly, dual mirror descent from lam0 (see
-    solve_relaxed), closed-form primal recovery, MBI rounding of the
-    fractional entries. Deterministic given the rng state, options and lam0.
+    solve_relaxed) at opts.mu, closed-form primal recovery, MBI rounding of
+    the fractional entries with opts.mbi_restarts starts. Deterministic given
+    the rng state, settings and lam0.
     """
     coeff = build_coefficients(h_eff, symbols, constellation, power)
-    xrel, md = solve_relaxed(coeff, opts.mu, opts.md, lam0)
+    xrel, md = solve_relaxed(coeff, opts.mu, opts, lam0)
     xbar = mbi_round(xrel, coeff, opts.mbi_restarts, rng)
     relax_value = -md.value
     power_total = coeff.n_lifted * coeff.amplitude ** 2

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .constellation import SymbolFrame
-from .onebit import _sigma_max_sq, frame_array
+from .onebit import SolverConfig, _sigma_max_sq, frame_array
 
 # consecutive smoothed-objective increases that reset the APG momentum
 RESTART_WINDOW = 5
@@ -110,7 +110,7 @@ def _lse(vals: np.ndarray, delta: float, eta: np.ndarray | None = None):
     same bits on finite input; the shape-(1,) arrays keep every scalar
     operation on the same NumPy loops as SciPy's.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     a = vals / delta
     a_max = a.max(keepdims=True)
@@ -172,30 +172,6 @@ def momentum_sequence(n: int):
     return zeta, psi
 
 
-@dataclass(frozen=True)
-class ApgOptions:
-    """Accelerated projected gradient controls.
-
-    tol is on the iterate change ||theta_new - theta||_2. The inverse step
-    tau starts at the exact smoothed-gradient Lipschitz bound sigma_max^2 /
-    delta (sigma_max^2 from onebit._sigma_max_sq), is halved optimistically
-    each iteration, and backtracks (doubling, capped at the bound where the
-    descent lemma accepts unconditionally).
-    The momentum weights follow momentum_sequence; RESTART_WINDOW consecutive
-    smoothed-objective increases restart it from psi_0 = 0.
-    """
-
-    delta: float = 1e-2
-    max_iter: int = 500
-    tol: float = 1e-6
-    record_trace: bool = False
-
-    def __post_init__(self):
-        if not (0 < self.delta < np.inf and 0 <= self.tol < np.inf
-                and isinstance(self.max_iter, int) and self.max_iter >= 1):
-            raise ValueError("invalid APG options")
-
-
 @dataclass
 class ApgTraceRecord:
     iteration: int
@@ -216,11 +192,21 @@ class ApgResult:
 
 
 def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
-                 opts: ApgOptions = ApgOptions()) -> ApgResult:
+                 opts: SolverConfig = SolverConfig(),
+                 record_trace: bool = False) -> ApgResult:
     """Minimize the smoothed worst constraint over the unit-modulus set.
 
-    The initial point is projected onto Phi and participates in best-iterate
-    tracking, so the returned value never exceeds the initial objective.
+    Smooths at width opts.delta; stops after opts.apg_max_iter iterations or
+    once the iterate change ||theta_new - theta||_2 is at most opts.apg_tol.
+    The inverse step tau starts at the exact smoothed-gradient Lipschitz
+    bound sigma_max^2 / delta (from onebit._sigma_max_sq), is halved
+    optimistically each iteration, and backtracks (doubling, capped at the
+    bound where the descent lemma accepts unconditionally). The momentum
+    weights follow momentum_sequence; RESTART_WINDOW consecutive
+    smoothed-objective increases restart it from psi_0 = 0. record_trace
+    keeps one ApgTraceRecord per iteration. The initial point is projected
+    onto Phi and counts in best-iterate tracking, so the returned value never
+    exceeds the initial objective.
     """
     delta = opts.delta
     theta = project_unit_modulus(theta_bar_init)
@@ -235,7 +221,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
                          smoothed=lse_value(theta, coeffs, delta),
                          converged=True, n_iter=0, trace=[])
 
-    _, psis = momentum_sequence(opts.max_iter)
+    _, psis = momentum_sequence(opts.apg_max_iter)
     # the start point goes through the public kernels, which perfbench's
     # tracer wraps and requires to run; psi_0 = 0 makes it the first
     # extrapolated point too. Every later point costs one product: its
@@ -254,7 +240,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     trace: list = []
     it = 0
 
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, opts.apg_max_iter + 1):
         if it > 1:
             z = theta + psis[r] * (theta - theta_prev)
             r += 1
@@ -277,7 +263,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
             best_val = val
             best_theta = theta_new
             best_h = h_new
-        if opts.record_trace:
+        if record_trace:
             trace.append(ApgTraceRecord(it, h_new, val, 1.0 / tau, theta_new))
 
         # nonconvex projection plus momentum can cycle; kill the momentum
@@ -290,7 +276,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
         change = float(np.linalg.norm(theta_new - theta))
         theta_prev, theta = theta, theta_new
         h_prev = h_new
-        if change <= opts.tol:
+        if change <= opts.apg_tol:
             converged = True
             break
 

@@ -12,7 +12,7 @@ clipped image instead, and tests compare the two.
 
 import numpy as np
 
-from irsprecode.onebit import CoefficientMatrix, _check_mu
+from irsprecode.onebit import CoefficientMatrix, check_real
 
 
 def huber(y, rho: float):
@@ -26,7 +26,7 @@ def huber(y, rho: float):
 
 def dual_value(lam, coeff: CoefficientMatrix, mu: float) -> float:
     """f_mu(lam) = s * sum_m huber_{mu s}(cbar_m lam)."""
-    _check_mu(mu)
+    check_real("mu", mu, positive=True)
     s = coeff.amplitude
     y = coeff.c @ np.asarray(lam, dtype=float)
     return float(s * huber(y, mu * s).sum())

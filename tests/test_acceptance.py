@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from onebit_oracles import brute_force_onebit, dual_value
 
-from irsprecode.ao import AoConfig, alternating_optimize, frame_margins
+from irsprecode.ao import alternating_optimize, frame_margins
 from irsprecode.channel import (
     PhaseShifts,
     drop_users,
@@ -32,8 +32,7 @@ from irsprecode.harness import (
     write_csv,
 )
 from irsprecode.onebit import (
-    MdOptions,
-    SolveOptions,
+    SolverConfig,
     build_coefficients,
     dual_gradient,
     mirror_descent,
@@ -43,7 +42,6 @@ from irsprecode.onebit import (
     worst_objective,
 )
 from irsprecode.phase import (
-    ApgOptions,
     apg_optimize,
     build_phase_coefficients,
     lse_gradient,
@@ -78,7 +76,7 @@ def test_criterion_01_dual_primal_consistency():
     for i in range(100):
         rng = np.random.default_rng(i)
         coeff, _, _, _ = _slot_instance(rng, m=16, k=3, order=(4, 8)[i % 2])
-        md = mirror_descent(coeff, mu, MdOptions(max_iter=20000, tol=1e-8))
+        md = mirror_descent(coeff, mu, SolverConfig(md_max_iter=20000, md_tol=1e-8))
         n_conv += md.converged
         x = recover_x(md.lam, coeff, mu)
         lhs = worst_objective(x, coeff) + 0.5 * mu * float(x @ x)
@@ -155,7 +153,7 @@ def test_criterion_03_brute_force_band():
         rng = np.random.default_rng(i)
         coeff, h_eff, sym, c = _slot_instance(rng, m=4, k=2, order=4)
         _, bf_val = brute_force_onebit(coeff)
-        res = solve_symbol(h_eff, sym, c, 100.0, SolveOptions(mbi_restarts=5),
+        res = solve_symbol(h_eff, sym, c, 100.0, SolverConfig(mbi_restarts=5),
                            rng=np.random.default_rng(5000 + i))
         if res.onebit_lower_bound <= bf_val + 1e-12:
             bound_ok += 1
@@ -178,7 +176,7 @@ def test_criterion_04_fractional_entries():
         order = (4, 8)[i % 2]
         rng = np.random.default_rng(1000 + i)
         coeff, _, _, _ = _slot_instance(rng, m=32, k=k, order=order, power=1.0, n=8)
-        xrel, md = solve_relaxed(coeff, 1e-6, MdOptions(max_iter=20000, tol=1e-6))
+        xrel, md = solve_relaxed(coeff, 1e-6, SolverConfig(md_max_iter=20000, md_tol=1e-6))
         n_frac = int(np.sum(np.abs(xrel) < coeff.amplitude * (1 - 1e-6)))
         if n_frac <= 2 * k - 1:
             ok_count += 1
@@ -214,7 +212,7 @@ def test_criterion_05_lse_sandwich_and_feasibility():
             sandwich_ok &= mx <= val <= mx + delta * span
             probes += 1
         res = apg_optimize(coeffs, rng.standard_normal(coeffs.n_lifted),
-                           ApgOptions(max_iter=200, record_trace=True))
+                           SolverConfig(apg_max_iter=200), record_trace=True)
         n = coeffs.n_lifted // 2
         for rec in res.trace:
             tb = rec.theta_bar
@@ -268,9 +266,9 @@ def test_criterion_07_joint_small_instance_quality():
                 h_eff = np.conj(ch.h_d) + (theta * np.conj(ch.h_r)) @ ch.g
                 z = (xs @ h_eff[0]) * np.conj(sym.symbols[0, 0])
                 best = max(best, margin(z, c).max())
-        cfg = AoConfig(power=power, n_starts=5, apg=ApgOptions(delta=1e-3))
-        frame, phases, _ = alternating_optimize(ch, sym, cfg,
-                                                rng=np.random.default_rng(10000 + seed))
+        cfg = SolverConfig(n_starts=5, delta=1e-3)
+        frame, phases, _ = alternating_optimize(ch, sym, power,
+                                                np.random.default_rng(10000 + seed), cfg)
         got = float(frame_margins(ch, phases, frame, sym).min())
         if got >= best - 0.05 * abs(best):
             hits += 1

@@ -11,7 +11,6 @@ from irsprecode import ao, onebit
 from irsprecode.ao import (
     MARGIN_RTOL,
     WARM_START_MIX,
-    AoConfig,
     alternating_optimize,
     best_round,
     frame_margins,
@@ -24,8 +23,8 @@ from irsprecode.channel import (
     sample_channels,
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
-from irsprecode.onebit import MdOptions, OneBitFrame, SolveOptions, solve_symbol
-from irsprecode.phase import ApgOptions, apg_optimize, build_phase_coefficients
+from irsprecode.onebit import OneBitFrame, SolverConfig, solve_symbol
+from irsprecode.phase import apg_optimize, build_phase_coefficients
 
 QPSK = PskConstellation(4)
 POWER = 100.0
@@ -41,8 +40,8 @@ def instance(seed, m=4, n=4, k=2, t=2, order=4):
 
 def test_single_round_runs_each_step_once():
     ch, sym = instance(0)
-    cfg = AoConfig(power=POWER, max_outer=1)
-    frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(1))
+    cfg = SolverConfig(ao_max_outer=1)
+    frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(1), cfg)
     assert len(trace) == 1
     assert isinstance(frame, OneBitFrame)
     assert isinstance(phases, PhaseShifts)
@@ -52,9 +51,8 @@ def test_single_round_runs_each_step_once():
 
 def test_deterministic_given_seed():
     ch, sym = instance(1)
-    cfg = AoConfig(power=POWER)
-    f1, p1, t1 = alternating_optimize(ch, sym, cfg, np.random.default_rng(7))
-    f2, p2, t2 = alternating_optimize(ch, sym, cfg, np.random.default_rng(7))
+    f1, p1, t1 = alternating_optimize(ch, sym, POWER, np.random.default_rng(7))
+    f2, p2, t2 = alternating_optimize(ch, sym, POWER, np.random.default_rng(7))
     assert np.array_equal(f1.xbar, f2.xbar)
     assert np.array_equal(p1.theta, p2.theta)
     assert [r.worst_margin for r in t1] == [r.worst_margin for r in t2]
@@ -62,8 +60,7 @@ def test_deterministic_given_seed():
 
 def test_feasibility_of_outputs():
     ch, sym = instance(2)
-    frame, phases, _ = alternating_optimize(ch, sym, AoConfig(power=POWER),
-                                            np.random.default_rng(3))
+    frame, phases, _ = alternating_optimize(ch, sym, POWER, np.random.default_rng(3))
     s = np.sqrt(POWER / (2 * 4))
     assert np.all(np.abs(frame.xbar) == s)
     assert np.abs(np.abs(phases.theta) - 1.0).max() <= 1e-12
@@ -78,9 +75,9 @@ def test_a_rise_of_one_ulp_stops_the_loop(monkeypatch):
     # round 2 reads one ulp above round 1: rounding, not progress, so the
     # loop stops there and returns round 1's design
     ch, sym = instance(3)
-    cfg = AoConfig(power=POWER, max_outer=5)
+    cfg = SolverConfig(ao_max_outer=5)
     first, first_phases, _ = alternating_optimize(
-        ch, sym, dataclasses.replace(cfg, max_outer=1), np.random.default_rng(5))
+        ch, sym, POWER, np.random.default_rng(5), dataclasses.replace(cfg, ao_max_outer=1))
     seen = []
 
     def fake(*args):
@@ -91,7 +88,7 @@ def test_a_rise_of_one_ulp_stops_the_loop(monkeypatch):
         return margins
 
     monkeypatch.setattr(ao, "frame_margins", fake)
-    frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(5))
+    frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(5), cfg)
     assert len(trace) == 2
     assert trace[1].worst_margin == np.nextafter(trace[0].worst_margin, np.inf)
     assert best_round(trace) is trace[0]
@@ -106,8 +103,8 @@ def test_trace_replicates_hand_driven_steps():
     # the rule says and return the last round that improved
     ch, sym = instance(4)
     m = 4
-    cfg = AoConfig(power=POWER)
-    frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(11))
+    cfg = SolverConfig()
+    frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(11))
 
     rng = np.random.default_rng(11)
     ph = PhaseShifts.random(4, rng)
@@ -120,7 +117,7 @@ def test_trace_replicates_hand_driven_steps():
         starts = [None if lam is None
                   else (1 - WARM_START_MIX) * lam + WARM_START_MIX / (2 * sym.n_users)
                   for lam in lams]
-        results = [solve_symbol(h_eff, sym.symbols[:, t], QPSK, POWER, cfg.solve, rng,
+        results = [solve_symbol(h_eff, sym.symbols[:, t], QPSK, POWER, cfg, rng,
                                 lam0=starts[t])
                    for t in range(sym.n_slots)]
         assert rec.md_converged == [res.md.converged for res in results]
@@ -128,7 +125,7 @@ def test_trace_replicates_hand_driven_steps():
         assert np.array_equal(rec.lams, np.stack(lams))
         fr = OneBitFrame(xbar=np.stack([res.xbar for res in results]), amplitude=amplitude)
         coeffs = build_phase_coefficients(ch, fr, sym)
-        apg = apg_optimize(coeffs, ph.theta_bar, cfg.apg)
+        apg = apg_optimize(coeffs, ph.theta_bar, cfg)
         ph = PhaseShifts.from_theta_bar(apg.theta_bar)
         worst = float(frame_margins(ch, ph, fr, sym).min())
         assert rec.iteration == i
@@ -136,12 +133,12 @@ def test_trace_replicates_hand_driven_steps():
         improved = prev is None or improves(worst, prev)
         if improved:
             returned = (fr, ph)
-        stop = not improved or i == cfg.max_outer
+        stop = not improved or i == cfg.ao_max_outer
         assert stop == (i == len(trace))
         prev = worst
     # this instance stops on a round that did not improve, well before the
     # cap, and that round is not the one returned
-    assert 1 < len(trace) < cfg.max_outer and not improved
+    assert 1 < len(trace) < cfg.ao_max_outer and not improved
     assert not np.array_equal(fr.xbar, returned[0].xbar)
     assert np.array_equal(frame.xbar, returned[0].xbar)
     assert np.array_equal(phases.theta, returned[1].theta)
@@ -154,8 +151,8 @@ def test_trace_replicates_hand_driven_steps():
 def test_returns_best_round_and_stops_at_first_non_improving(seed, m, n, k, t, order,
                                                              max_outer):
     ch, sym = instance(seed, m=m, n=n, k=k, t=t, order=order)
-    cfg = AoConfig(power=POWER, max_outer=max_outer)
-    frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(seed))
+    frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(seed),
+                                                SolverConfig(ao_max_outer=max_outer))
     margins = [rec.worst_margin for rec in trace]
     assert 1 <= len(trace) <= max_outer
     # every round but the last beat its predecessor by more than the tolerance
@@ -177,9 +174,8 @@ def test_zero_reflected_path_stops_after_a_warm_round_two(monkeypatch):
     # iterations, the worst margin does not rise and round 1 is returned
     ch, sym = instance(12, m=8, n=4, k=2, t=6)
     bare = no_irs_variant(ch)
-    cfg = AoConfig(power=POWER)
-    first, _, _ = alternating_optimize(bare, sym, dataclasses.replace(cfg, max_outer=1),
-                                       np.random.default_rng(13))
+    first, _, _ = alternating_optimize(bare, sym, POWER, np.random.default_rng(13),
+                                       SolverConfig(ao_max_outer=1))
     iters = []
     mirror_descent = onebit.mirror_descent
 
@@ -189,7 +185,7 @@ def test_zero_reflected_path_stops_after_a_warm_round_two(monkeypatch):
         return res
 
     monkeypatch.setattr(onebit, "mirror_descent", spy)
-    frame, _, trace = alternating_optimize(bare, sym, cfg, np.random.default_rng(13))
+    frame, _, trace = alternating_optimize(bare, sym, POWER, np.random.default_rng(13))
     assert len(trace) == 2 and len(iters) == 2 * sym.n_slots
     assert max(iters[sym.n_slots:]) <= 3 < min(iters[:sym.n_slots])
     assert not improves(trace[1].worst_margin, trace[0].worst_margin)
@@ -203,8 +199,8 @@ def test_phase_step_never_hurts_margin():
     # step at least as good
     for seed in range(5):
         ch, sym = instance(seed, m=6, n=6)
-        cfg = AoConfig(power=POWER, max_outer=1)
-        frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(seed))
+        frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(seed),
+                                                    SolverConfig(ao_max_outer=1))
         start = PhaseShifts.random(6, np.random.default_rng(seed))
         before = float(frame_margins(ch, start, frame, sym).min())
         assert trace[0].worst_margin >= before - 1e-12
@@ -212,25 +208,23 @@ def test_phase_step_never_hurts_margin():
 
 def test_inner_nonconvergence_propagates_as_status():
     ch, sym = instance(6)
-    weak = SolveOptions(md=MdOptions(max_iter=2, tol=1e-16))
-    cfg = AoConfig(power=POWER, max_outer=2, solve=weak)
-    frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(9))
+    weak = SolverConfig(md_max_iter=2, md_tol=1e-16, ao_max_outer=2)
+    frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(9), weak)
     assert any(not c for rec in trace for c in rec.md_converged)
     assert isinstance(frame, OneBitFrame)  # output still feasible
 
 
 def test_multi_start_selects_best_of_its_runs():
     ch, sym = instance(9)
-    cfg = AoConfig(power=POWER, n_starts=4)
-    frame, phases, trace = alternating_optimize(ch, sym, cfg, np.random.default_rng(21))
+    cfg = SolverConfig(n_starts=4)
+    frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(21), cfg)
     got = float(frame_margins(ch, phases, frame, sym).min())
 
     single = dataclasses.replace(cfg, n_starts=1)
     rng = np.random.default_rng(21)
     margins = []
     for s in rng.integers(0, 2 ** 63, size=4):
-        f, p, _ = alternating_optimize(ch, sym, single,
-                                       rng=np.random.default_rng(int(s)))
+        f, p, _ = alternating_optimize(ch, sym, POWER, np.random.default_rng(int(s)), single)
         margins.append(float(frame_margins(ch, p, f, sym).min()))
     assert got == max(margins)
 
@@ -249,13 +243,14 @@ def test_frame_margins_matches_direct_computation():
 
 
 def test_config_validation():
+    ch, sym = instance(0)
     for power in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            AoConfig(power=power)
+        with pytest.raises(ValueError, match="power must be positive and finite"):
+            alternating_optimize(ch, sym, power, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        AoConfig(power=1.0, max_outer=0)
+        SolverConfig(ao_max_outer=0)
     with pytest.raises(ValueError):
-        AoConfig(power=1.0, n_starts=0)
+        SolverConfig(n_starts=0)
 
 
 def test_small_joint_instances_near_grid_oracle():
@@ -279,9 +274,9 @@ def test_small_joint_instances_near_grid_oracle():
                 h_eff = np.conj(ch.h_d) + (theta * np.conj(ch.h_r)) @ ch.g
                 z = (xs @ h_eff[0]) * np.conj(sym.symbols[0, 0])
                 best = max(best, float(margin(z, c4).max()))
-        cfg = AoConfig(power=POWER, n_starts=3, apg=ApgOptions(delta=1e-3))
-        frame, phases, _ = alternating_optimize(ch, sym, cfg,
-                                                rng=np.random.default_rng(10000 + seed))
+        cfg = SolverConfig(n_starts=3, delta=1e-3)
+        frame, phases, _ = alternating_optimize(ch, sym, POWER,
+                                                np.random.default_rng(10000 + seed), cfg)
         got = float(frame_margins(ch, phases, frame, sym).min())
         if got >= best - 0.05 * abs(best):
             hits += 1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from onebit_oracles import brute_force_onebit
 
 from irsprecode import onebit
-from irsprecode.ao import AoConfig, alternating_optimize, warm_start
+from irsprecode.ao import alternating_optimize, warm_start
 from irsprecode.baselines import (
     SCHEMES,
     no_irs_variant,
@@ -25,7 +25,7 @@ from irsprecode.channel import (
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame
 from irsprecode.onebit import (
-    SolveOptions,
+    SolverConfig,
     build_coefficients,
     dual_gradient,
     solve_symbol,
@@ -113,7 +113,7 @@ def test_power_must_be_positive_and_finite(power):
 def test_relaxed_bound_dominates_brute_force():
     # weak duality: relax_value - mu*P/2 can never exceed the best one-bit
     # objective, and no box point can beat relax_value in regularized terms
-    opts = SolveOptions()
+    opts = SolverConfig()
     power = 100.0
     for seed in range(20):
         ch, rng = channels(seed, m=4, n=2, k=2)
@@ -135,8 +135,8 @@ def test_relaxed_large_mu_shrinks_solution():
     ch, rng = channels(100, m=4, n=2, k=2)
     h_eff = effective_matrix(ch, PhaseShifts.ones(2))
     sym = SymbolFrame.random(QPSK, 2, 1, rng)
-    small = relaxed_slp(h_eff, sym, power=100.0, opts=SolveOptions(mu=1e-4))
-    big = relaxed_slp(h_eff, sym, power=100.0, opts=SolveOptions(mu=1e6))
+    small = relaxed_slp(h_eff, sym, power=100.0, opts=SolverConfig(mu=1e-4))
+    big = relaxed_slp(h_eff, sym, power=100.0, opts=SolverConfig(mu=1e6))
     assert np.linalg.norm(big.x) < 1e-3 * np.linalg.norm(small.x)
 
 
@@ -146,7 +146,7 @@ def test_relaxed_matches_onebit_solver_internal_stage(mu):
     phases = PhaseShifts.random(3, rng)
     h_eff = effective_matrix(ch, phases)
     sym = SymbolFrame.random(QPSK, 3, 4, rng)
-    opts = SolveOptions(mu=mu)
+    opts = SolverConfig(mu=mu)
     res = relaxed_slp(h_eff, sym, power=100.0, opts=opts)
     m = 6
     for t in range(4):
@@ -166,8 +166,8 @@ def test_warm_start_from_ao_matches_a_cold_solve(order, seed):
     # convexity) of the cold solve's, and mirror descent runs fewer iterations
     ch, rng = channels(seed)
     sym = SymbolFrame.random(PskConstellation(order), 3, 6, rng)
-    cfg = AoConfig(power=100.0)
-    _, phases, trace = alternating_optimize(ch, sym, cfg, rng)
+    power, cfg = 100.0, SolverConfig()
+    _, phases, trace = alternating_optimize(ch, sym, power, rng, cfg)
     h_eff = effective_matrix(ch, phases)
     runs = []
     real = onebit.mirror_descent
@@ -183,16 +183,16 @@ def test_warm_start_from_ao_matches_a_cold_solve(order, seed):
         for start in ("cold", "warm"):
             runs.clear()
             lam0 = warm_start(trace[-1].lams) if start == "warm" else None
-            res = relaxed_slp(h_eff, sym, cfg.power, cfg.solve, lam0)
+            res = relaxed_slp(h_eff, sym, power, cfg, lam0)
             assert len(runs) == sym.n_slots  # one MD call per slot at the default mu
             solved[start] = res, list(runs)
     (cold, cold_md), (warm, warm_md) = solved["cold"], solved["warm"]
     assert warm.converged.all()
     warm_iters, cold_iters = (sum(md.n_iter for md in mds) for mds in (warm_md, cold_md))
     assert warm_iters < cold_iters or warm_iters == cold_iters == 0
-    mu = cfg.solve.mu
+    mu = cfg.mu
     for t in range(sym.n_slots):
-        coeff = build_coefficients(h_eff, sym.symbols[:, t], sym.constellation, cfg.power)
+        coeff = build_coefficients(h_eff, sym.symbols[:, t], sym.constellation, power)
         gaps = []
         for md in (warm_md[t], cold_md[t]):
             g = dual_gradient(md.lam, coeff, mu)

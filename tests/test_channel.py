@@ -145,6 +145,11 @@ def test_phase_shifts_validation_and_lifting():
         PhaseShifts(np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         PhaseShifts.from_theta_bar(np.ones(3))
+    # NaN must fail the distance-from-the-circle check too
+    with pytest.raises(ValueError):
+        PhaseShifts([np.nan])
+    with pytest.raises(ValueError):
+        PhaseShifts.from_theta_bar([np.nan, 0.0])
     rng = np.random.default_rng(1)
     r = PhaseShifts.random(16, rng)
     assert np.allclose(np.abs(r.theta), 1.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import inspect
 import json
 import math
 
@@ -11,6 +12,7 @@ from counting_oracles import reference_simulate_transmission
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from irsprecode import ao, harness, onebit, phase
 from irsprecode.ao import AoIterationRecord, frame_margins, warm_start
 from irsprecode.baselines import SCHEMES, zf_precode
 from irsprecode.channel import ChannelSet, PhaseShifts, effective_matrix
@@ -95,6 +97,17 @@ class TestConfig:
             with pytest.raises(ValueError, match="noise variance"):
                 small_cfg(noise_grid_db=(30.0, db))
         assert small_cfg(noise_grid_db=(3000.0, -3000.0)).noise_grid_db == (3000.0, -3000.0)
+        # these used to load: a string grid iterated to (3.0, 0.0) dB, an
+        # unsupported order failed in the first channel, any truthy string
+        # switched the runtime column on, and True passed as 1
+        for bad in (dict(noise_grid_db="30"), dict(noise_grid_db=30.0),
+                    dict(noise_grid_db=(30.0, "38")), dict(noise_grid_db=(True,)),
+                    dict(order=3), dict(order=32), dict(record_runtime="no"),
+                    dict(record_runtime=1), dict(m=True), dict(n_channels=True),
+                    dict(seed=True), dict(power=True), dict(power="100"),
+                    dict(power=math.nan), dict(solver={"mu": 1e-3})):
+            with pytest.raises(ValueError):
+                small_cfg(**bad)
 
     def test_unimplemented_scheme_rejected_as_unknown(self):
         with pytest.raises(ValueError, match="unknown scheme 'onebit-gemm'"):
@@ -114,17 +127,23 @@ class TestConfig:
                                         {"apg_tol": math.nan}, {"ao_stop_tol": math.nan},
                                         {"md_max_iter": 10.5}, {"mbi_restarts": 1.5},
                                         {"ao_max_outer": 2.5}, {"apg_max_iter": 3.5},
-                                        {"n_starts": 1.5}],
+                                        {"n_starts": 1.5}, {"mu": "0.1"},
+                                        {"md_tol": "1e-6"}, {"mu": True},
+                                        {"md_tol": False}, {"n_starts": True},
+                                        {"apg_max_iter": "500"}],
                              ids=["mbi_restarts", "delta", "ao_max_outer", "mu",
                                   "mu_nan", "mu_inf", "delta_nan", "md_max_iter_negative",
                                   "md_tol_negative", "md_tol_nan", "apg_tol_nan",
                                   "ao_stop_tol_nan", "md_max_iter_fractional",
                                   "mbi_restarts_fractional", "ao_max_outer_fractional",
-                                  "apg_max_iter_fractional", "n_starts_fractional"])
+                                  "apg_max_iter_fractional", "n_starts_fractional",
+                                  "mu_string", "md_tol_string", "mu_bool", "md_tol_bool",
+                                  "n_starts_bool", "apg_max_iter_string"])
     def test_bad_solver_settings_rejected_on_load(self, solver):
         # rejected when the config loads, not later inside a channel run
         # (a NaN mu would hang mirror descent's backtracking; a fractional
-        # count would raise TypeError in the first channel)
+        # count would raise TypeError in the first channel; a string used to
+        # raise TypeError on load and a bool passed as 0 or 1)
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"m": 4, "solver": solver})
 
@@ -240,6 +259,30 @@ class TestSimulate:
                 simulate_transmission(x, phases, ch, symbols, 1.0, bad)
 
 
+# per solver setting: a non-default value, the function that reads it (module
+# and name as its caller looks it up) and what that function's (arguments,
+# result) pairs from one 2-channel run show only when the value reached it
+SETTING_READERS = {
+    "mu": (1e-3, onebit, "mirror_descent",
+           lambda calls: all(a["mu"] == 1e-3 for a, _ in calls)),
+    "md_max_iter": (2, onebit, "mirror_descent",
+                    lambda calls: max(md.n_iter for _, md in calls) == 2),
+    "md_tol": (1e-2, onebit, "mirror_descent",
+               lambda calls: any(md.converged and md.residual > 1e-6 for _, md in calls)),
+    "mbi_restarts": (3, onebit, "mbi_round",
+                     lambda calls: all(a["restarts"] == 3 for a, _ in calls)),
+    "delta": (5e-2, phase, "_lse", lambda calls: all(a["delta"] == 5e-2 for a, _ in calls)),
+    "apg_max_iter": (2, ao, "apg_optimize",
+                     lambda calls: max(res.n_iter for _, res in calls) == 2),
+    # a unit-modulus step moves by at most 2 sqrt(N) = 4, so APG stops at once
+    "apg_tol": (5.0, ao, "apg_optimize",
+                lambda calls: all(res.converged and res.n_iter == 1 for _, res in calls)),
+    "ao_max_outer": (1, harness, "alternating_optimize",
+                     lambda calls: all(len(trace) == 1 for _, (_, _, trace) in calls)),
+    "n_starts": (2, ao, "_single_run", lambda calls: len(calls) == 4),
+}
+
+
 class TestRunExperiment:
     def test_record_layout(self):
         cfg = small_cfg()
@@ -277,7 +320,7 @@ class TestRunExperiment:
         monkeypatch.setattr(hn, "relaxed_slp", box_spy)
         run_experiment(cfg)
         assert len(boxes) == len(designs) == cfg.n_channels
-        opts = cfg.solver.solve_options()
+        opts = cfg.solver
         for i, ((_, phases, trace), (h_eff, symbols, lam0, res)) in enumerate(
                 zip(designs, boxes)):
             if policy == "shared":
@@ -363,8 +406,8 @@ class TestRunExperiment:
 
         real = hn.alternating_optimize
 
-        def fake(ch, symbols, cfg, rng=None):
-            frame, phases, trace = real(ch, symbols, cfg, rng=rng)
+        def fake(ch, symbols, power, rng, opts):
+            frame, phases, trace = real(ch, symbols, power, rng, opts)
             n_slots, lams = symbols.n_slots, trace[-1].lams
             best = AoIterationRecord(1, 0.2, [best_converged] * n_slots, best_converged,
                                      lams)
@@ -458,6 +501,30 @@ class TestRunExperiment:
         b = run_experiment(small_cfg(schemes=("zf-quant",), n_channels=2,
                                      theta_policy="random"))
         assert a == b
+
+    @pytest.mark.parametrize("name", sorted(SETTING_READERS))
+    def test_each_solver_setting_reaches_its_reader(self, monkeypatch, name):
+        # the benchmark digests cover default settings only; here each
+        # setting at a non-default value changes what its reader does in a
+        # run, and the same check fails at the default
+        value, module, fn_name, shows = SETTING_READERS[name]
+        real = getattr(module, fn_name)
+        sig = inspect.signature(real)
+        calls = []
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((bound.arguments, out))
+            return out
+
+        monkeypatch.setattr(module, fn_name, spy)
+        cfg = small_cfg(n_channels=2, schemes=("onebit-md", "relaxed", "onebit-md-noirs"))
+        for solver, want in ((SolverConfig(), False), (SolverConfig(**{name: value}), True)):
+            calls.clear()
+            run_experiment(dataclasses.replace(cfg, solver=solver))
+            assert calls and shows(calls) == want
 
 
 def _subset_cfg(schemes, policy):

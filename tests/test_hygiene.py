@@ -4,8 +4,9 @@ No linter ships with the project, so an AST scan of src/, tests/ and
 perfbench/ stands in for the unused-import check. A name counts as used when
 it appears as an identifier anywhere in the module or is listed in the
 module's __all__ (a re-export).
-The README's Python blocks are checked against irsprecode.__all__, and its
-"Library" example is run. The package needs numpy only: no module imports
+The README's Python blocks are checked against irsprecode.__all__, its
+"Library" example is run and its JSON config loads. Every SolverConfig
+field is read by some package code outside the class, so no setting is dead. The package needs numpy only: no module imports
 scipy, and importing the harness leaves it unloaded. No module reads the
 process environment, so solver behaviour is set by arguments alone. Mirror
 descent's safe step and APG's Lipschitz bound come from onebit._sigma_max_sq,
@@ -14,6 +15,8 @@ norm by SVD.
 """
 
 import ast
+import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -23,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import irsprecode
+from irsprecode.harness import ExperimentConfig, SolverConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for d in ("src", "tests", "perfbench")
@@ -30,6 +34,7 @@ SOURCES = sorted(p for d in ("src", "tests", "perfbench")
 PACKAGE_DIR = Path(irsprecode.__file__).resolve().parent
 README = (ROOT / "README.md").read_text()
 README_BLOCKS = re.findall(r"```python\n(.*?)```", README, flags=re.S)
+README_JSON = re.findall(r"```json\n(.*?)```", README, flags=re.S)
 
 
 def unused_imports(source: str) -> list:
@@ -86,6 +91,37 @@ def test_readme_library_example_runs(capsys):
     # the printed worst margin is the returned design's, i.e. the best round's
     assert float(capsys.readouterr().out) == irsprecode.best_round(namespace["trace"]).worst_margin
     assert namespace["frame"].x.shape == (50, 32)
+
+
+def test_readme_config_loads():
+    assert len(README_JSON) == 1
+    cfg = ExperimentConfig.from_dict(json.loads(README_JSON[0]))
+    assert cfg.solver == SolverConfig()  # the example restates defaults
+
+
+def attributes_read(source: str, skip_class: str) -> set:
+    """Names read as attributes (x.name) anywhere in a module outside the
+    body of the class named skip_class."""
+    found = set()
+    stack = [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef) and node.name == skip_class:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_solver_setting_is_read():
+    assert attributes_read("class C:\n    def f(self):\n        return self.a\n"
+                           "def g(o):\n    o.c = o.b\n", "C") == {"b"}
+    read = set().union(*(attributes_read(p.read_text(), "SolverConfig")
+                         for p in sorted(PACKAGE_DIR.rglob("*.py"))))
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert len(fields) == 9
+    assert sorted(fields - read) == []
 
 
 def imported_packages(source: str) -> set:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from onebit_oracles import brute_force_onebit, dual_value, huber
 
+from irsprecode import onebit
 from irsprecode.channel import (
     PhaseShifts,
     drop_users,
@@ -22,8 +23,8 @@ from irsprecode.constellation import PskConstellation, margin
 from irsprecode.onebit import (
     MU_STAGES,
     CoefficientMatrix,
-    MdOptions,
-    SolveOptions,
+    OneBitFrame,
+    SolverConfig,
     _sigma_max_sq,
     build_coefficients,
     dual_gradient,
@@ -88,6 +89,14 @@ def test_worst_objective_is_negated_margin():
         assert worst_objective(xbar, coeff) == pytest.approx(-margin(z, c).min(), rel=1e-10)
 
 
+def test_onebit_frame_validation():
+    OneBitFrame(xbar=[[2.0, -2.0]], amplitude=2.0)
+    for xbar, amplitude in (([[2.0, -2.0]], 0.0), ([[2.0, 1.0]], 2.0), ([[2.0]], 2.0),
+                            ([[np.nan, np.nan]], np.nan), ([[np.inf, -np.inf]], np.inf)):
+        with pytest.raises(ValueError):
+            OneBitFrame(xbar=xbar, amplitude=amplitude)
+
+
 def test_coefficient_matrix_validation():
     with pytest.raises(ValueError):
         CoefficientMatrix(c=np.ones((3, 2)), amplitude=1.0)
@@ -95,6 +104,9 @@ def test_coefficient_matrix_validation():
         CoefficientMatrix(c=np.ones((2, 2)), amplitude=0.0)
     with pytest.raises(ValueError):
         CoefficientMatrix(c=np.array([[np.nan, 1.0], [0.0, 1.0]]), amplitude=1.0)
+    for amplitude in (np.nan, np.inf):  # NaN must fail the range check too
+        with pytest.raises(ValueError):
+            CoefficientMatrix(c=np.ones((2, 2)), amplitude=amplitude)
     with pytest.raises(ValueError):
         build_coefficients(np.ones((1, 1)), np.ones(1), QPSK, -1.0)
     with pytest.raises(ValueError):
@@ -204,7 +216,7 @@ def test_dual_gradient_is_the_gradient_mirror_descent_runs():
         w = np.log(uniform) - dual_gradient(uniform, coeff, mu)
         w -= w.max()
         e = np.exp(w)
-        md = mirror_descent(coeff, mu, MdOptions(max_iter=0))
+        md = mirror_descent(coeff, mu, SolverConfig(md_max_iter=0))
         assert md.residual == float(np.abs(e / e.sum() - uniform).sum())
 
 
@@ -243,19 +255,19 @@ def test_positive_mu_required():
 
 
 def test_solver_option_validation():
-    for bad in (dict(max_iter=-1), dict(tol=-1.0), dict(tol=np.nan), dict(tol=np.inf)):
+    # mirror descent's and the per-slot solve's settings
+    for bad in (dict(md_max_iter=-1), dict(md_tol=-1.0), dict(md_tol=np.nan),
+                dict(md_tol=np.inf), dict(mu=0.0), dict(mu=np.nan), dict(mu=np.inf),
+                dict(mbi_restarts=0)):
         with pytest.raises(ValueError):
-            MdOptions(**bad)
-    for bad in (dict(mu=0.0), dict(mu=np.nan), dict(mu=np.inf), dict(mbi_restarts=0)):
-        with pytest.raises(ValueError):
-            SolveOptions(**bad)
+            SolverConfig(**bad)
 
 
 # --- mirror descent ----------------------------------------------------------
 
 def test_md_zero_matrix_stays_uniform():
     coeff = CoefficientMatrix(c=np.zeros((4, 4)), amplitude=1.0)
-    res = mirror_descent(coeff, 1e-3, MdOptions())
+    res = mirror_descent(coeff, 1e-3, SolverConfig())
     assert res.converged and res.n_iter == 0
     assert np.allclose(res.lam, 0.25)
 
@@ -263,7 +275,7 @@ def test_md_zero_matrix_stays_uniform():
 def test_md_iterates_stay_on_simplex():
     rng = np.random.default_rng(8)
     coeff, _, _, _ = random_instance(rng, m=8, k=3)
-    res = mirror_descent(coeff, 5e-4, MdOptions(tol=1e-8))
+    res = mirror_descent(coeff, 5e-4, SolverConfig(md_tol=1e-8))
     assert res.converged
     assert res.lam.min() >= 0
     assert abs(res.lam.sum() - 1.0) <= 1e-12
@@ -279,7 +291,7 @@ def test_md_two_column_grid_oracle():
         c2[:, 1] = np.roll(c2[:, 1], 1) + 0.3 * c2[:, 0]
         coeff = CoefficientMatrix(c=c2, amplitude=coeff.amplitude)
         mu = 5e-4
-        res = mirror_descent(coeff, mu, MdOptions(tol=1e-9))
+        res = mirror_descent(coeff, mu, SolverConfig(md_tol=1e-9))
         p = np.linspace(0.0, 1.0, 10001)
         grid = np.stack([p, 1 - p])
         vals = coeff.amplitude * huber(coeff.c @ grid, mu * coeff.amplitude).sum(axis=0)
@@ -292,23 +304,40 @@ def test_md_two_column_grid_oracle():
        start=st.sampled_from(["cold", "mixed", "zeros"]))
 def test_md_monotone_objective_trace(seed, order, size, start):
     # every accepted step passes the sufficient-decrease test or sits at the
-    # safe step, whichever step the previous iteration ended on
+    # safe step, whichever step the previous iteration ended on. Spies on the
+    # two kernels read the values off: the value of the accepted point is the
+    # last one computed before each gradient.
     rng = np.random.default_rng(seed)
     m, k, n = size
     coeff, _, _, _ = random_instance(rng, m=m, k=k, order=order, n=n)
-    opts = MdOptions(max_iter=400, tol=1e-8, record_trace=True)
-    res = mirror_descent(coeff, SolveOptions().mu, opts, lam0=_start(rng, coeff, start))
-    values = np.array([r.value for r in res.trace])
+    opts = SolverConfig(md_max_iter=400, md_tol=1e-8)
+    clipped_value, dual_grad = onebit._clipped_value, onebit._dual_grad
+    last, accepted = [], []
+
+    def value_spy(*args):
+        out = clipped_value(*args)
+        last[:] = [out[1]]
+        return out
+
+    def grad_spy(*args):
+        accepted.append(last[0])
+        return dual_grad(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(onebit, "_clipped_value", value_spy)
+        mp.setattr(onebit, "_dual_grad", grad_spy)
+        res = mirror_descent(coeff, SolverConfig().mu, opts, lam0=_start(rng, coeff, start))
+    values = np.array(accepted)
+    assert values.size == res.n_iter + 1 and values[-1] == res.value
     assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1]))
-    assert res.trace[-1].residual == res.residual
     if res.converged:
-        assert res.residual <= opts.tol
+        assert res.residual <= opts.md_tol
 
 
 def test_md_reports_nonconvergence_instead_of_failing():
     rng = np.random.default_rng(11)
     coeff, _, _, _ = random_instance(rng, m=8, k=3)
-    res = mirror_descent(coeff, 5e-4, MdOptions(max_iter=2, tol=1e-14))
+    res = mirror_descent(coeff, 5e-4, SolverConfig(md_max_iter=2, md_tol=1e-14))
     assert not res.converged
     assert res.n_iter == 2
     assert np.isfinite(res.value)
@@ -360,16 +389,16 @@ def _md_reference(coeff, mu, opts, lam0=None, double_always=False):
     residual = np.inf
     it = 0
     grow = True
-    for it in range(opts.max_iter + 1):
+    for it in range(opts.md_max_iter + 1):
         grad = (ct @ np.clip(y, -rho, rho)) * (s / rho)
         w = log_lam - grad
         w -= w.max()
         e = np.exp(w)
         residual = float(np.abs(e / e.sum() - lam).sum())
-        if residual <= opts.tol:
+        if residual <= opts.md_tol:
             converged = True
             break
-        if it == opts.max_iter:
+        if it == opts.md_max_iter:
             break
         if grow or double_always:
             step *= 2.0
@@ -412,21 +441,21 @@ def test_md_matches_the_reference_loop(seed, order, size, start, mu):
     # iterates are not compared. At mu = 1e-6 the same perturbation also
     # moved the reference's iteration of convergence (seed 0, 16-PSK, 64x8,
     # zero-holding start: 320 -> 315), so there only md's own value is checked
-    assert MU_STAGES[0][0] == SolveOptions().mu
+    assert MU_STAGES[0][0] == SolverConfig().mu
     rng = np.random.default_rng(seed)
     m, k, n = size
     coeff, _, _, _ = random_instance(rng, m=m, k=k, order=order, n=n)
     if start == "zero-matrix":
         coeff = CoefficientMatrix(c=np.zeros_like(coeff.c), amplitude=coeff.amplitude)
     lam0 = _start(rng, coeff, "mixed" if start == "zero-matrix" else start)
-    opts = MdOptions(max_iter=400)
+    opts = SolverConfig(md_max_iter=400)
     md = mirror_descent(coeff, mu, opts, lam0=lam0)
     assert abs(md.value - dual_value(md.lam, coeff, mu)) <= 1e-12 * abs(md.value)
     if mu < MU_STAGES[-1][0]:
         return
     lam, value, converged, n_iter, residual = _md_reference(coeff, mu, opts, lam0)
     assert (md.n_iter, md.converged) == (n_iter, converged)
-    if mu < SolveOptions().mu:
+    if mu < SolverConfig().mu:
         return
     assert np.abs(md.lam - lam).sum() <= 1e-12
     assert abs(md.value - value) <= 1e-12 * abs(value)
@@ -447,7 +476,7 @@ def test_md_step_rule_tries_fewer_points(monkeypatch):
 
     monkeypatch.setitem(globals(), "huber", spy)
     rng = np.random.default_rng(20)
-    opts = SolveOptions().md
+    opts = SolverConfig()
     totals = {True: 0, False: 0}
     for m, k, n, count in ((32, 4, 16, 40), (128, 14, 32, 8)):
         for _ in range(count):
@@ -456,7 +485,7 @@ def test_md_step_rule_tries_fewer_points(monkeypatch):
                 for double_always in totals:
                     calls.clear()
                     _, _, converged, _, _ = _md_reference(
-                        coeff, SolveOptions().mu, opts, lam0, double_always)
+                        coeff, SolverConfig().mu, opts, lam0, double_always)
                     assert converged
                     totals[double_always] += len(calls) - 1
     assert totals[False] < totals[True], totals
@@ -609,7 +638,7 @@ def test_mbi_bit_exact_against_reference_loop(seed, m, k, order, restarts, satur
 def test_solve_symbol_trivial_single_antenna_bpsk():
     c2 = PskConstellation(2)
     res = solve_symbol(np.array([[1.0 + 0j]]), np.array([1.0 + 0j]), c2, 2.0,
-                       SolveOptions(), np.random.default_rng(0))
+                       SolverConfig(), np.random.default_rng(0))
     s = 1.0  # sqrt(2/2)
     assert res.xbar[0] == pytest.approx(s)
     assert -res.objective == pytest.approx(s)  # margin = s
@@ -621,7 +650,7 @@ def test_solve_symbol_band_against_brute_force():
     hits = 0
     for _ in range(30):
         coeff, h_eff, sym, c = random_instance(rng, m=4, k=2)
-        res = solve_symbol(h_eff, sym, c, 100.0, SolveOptions(), rng)
+        res = solve_symbol(h_eff, sym, c, 100.0, SolverConfig(), rng)
         _, bf = brute_force_onebit(coeff)
         assert res.onebit_lower_bound <= bf + 1e-12
         if res.objective <= bf + 0.05 * (bf - res.onebit_lower_bound) + 1e-12:
@@ -638,7 +667,7 @@ def test_solve_symbol_between_lower_bound_and_sign_rounding(seed, m, k, order, p
     # improving flips
     rng = np.random.default_rng(seed)
     coeff, h_eff, sym, c = random_instance(rng, m=m, k=k, order=order, power=power)
-    res = solve_symbol(h_eff, sym, c, power, SolveOptions(), rng)
+    res = solve_symbol(h_eff, sym, c, power, SolverConfig(), rng)
     s = coeff.amplitude
     signs = np.where(res.xbar_relaxed >= 0, s, -s)
     tol = 1e-12 * (1.0 + s * np.abs(coeff.c).sum())
@@ -649,8 +678,8 @@ def test_solve_symbol_between_lower_bound_and_sign_rounding(seed, m, k, order, p
 def test_solve_symbol_deterministic_given_seed():
     rng = np.random.default_rng(17)
     coeff, h_eff, sym, c = random_instance(rng, m=6, k=2)
-    a = solve_symbol(h_eff, sym, c, 100.0, SolveOptions(), np.random.default_rng(5))
-    b = solve_symbol(h_eff, sym, c, 100.0, SolveOptions(), np.random.default_rng(5))
+    a = solve_symbol(h_eff, sym, c, 100.0, SolverConfig(), np.random.default_rng(5))
+    b = solve_symbol(h_eff, sym, c, 100.0, SolverConfig(), np.random.default_rng(5))
     assert np.array_equal(a.xbar, b.xbar)
     assert a.objective == b.objective
 
@@ -658,9 +687,9 @@ def test_solve_symbol_deterministic_given_seed():
 def test_solve_relaxed_shared_path_bit_exact():
     rng = np.random.default_rng(18)
     coeff, h_eff, sym, c = random_instance(rng, m=6, k=2)
-    opts = SolveOptions()
+    opts = SolverConfig()
     res = solve_symbol(h_eff, sym, c, 100.0, opts, np.random.default_rng(1))
-    xrel, md = solve_relaxed(coeff, opts.mu, opts.md)
+    xrel, md = solve_relaxed(coeff, opts.mu, opts)
     assert np.array_equal(res.xbar_relaxed, xrel)
     assert res.relax_value == -md.value
 
@@ -683,7 +712,7 @@ def test_mixed_warm_start_recovers_a_zeroed_optimal_entry():
     # certifies the optimum of a face as converged; mixed, it reaches the
     # cold relax_value
     rng = np.random.default_rng(20)
-    mu = SolveOptions().mu
+    mu = SolverConfig().mu
     for _ in range(5):
         coeff, h_eff, sym, c = random_instance(rng, m=8, k=3)
         cold = solve_symbol(h_eff, sym, c, 100.0)
@@ -718,7 +747,7 @@ def test_mixed_warm_start_agrees_with_cold_start_on_desk_slots(seed, drift):
     warm = solve_symbol(h_eff, sym, c, 100.0, lam0=_mixed(prev.lam))
     assert cold.md.converged and warm.md.converged
     coeff = build_coefficients(h_eff, sym, c, 100.0)
-    mu = SolveOptions().mu
+    mu = SolverConfig().mu
     bound = max(_fw_gap(warm.lam, coeff, mu), _fw_gap(cold.lam, coeff, mu))
     assert abs(warm.relax_value - cold.relax_value) <= bound
 
@@ -732,7 +761,7 @@ def test_solve_relaxed_rejects_warm_start_off_the_simplex():
            np.full(n + 1, 1.0 / (n + 1)), np.r_[np.nan, np.full(n - 1, 1.0 / (n - 1))],
            np.r_[np.inf, np.zeros(n - 1)])
     for lam0 in bad:
-        for mu in (SolveOptions().mu, 1e-5):  # with and without the mu stages
+        for mu in (SolverConfig().mu, 1e-5):  # with and without the mu stages
             with pytest.raises(ValueError, match="simplex"):
                 solve_relaxed(coeff, mu, lam0=lam0)
 
@@ -759,7 +788,7 @@ def test_brute_force_beats_random_signs_and_relaxation_bound():
         x = s * rng.choice([-1.0, 1.0], coeff.n_lifted)
         assert bf <= worst_objective(x, coeff) + 1e-12
     # box relaxation optimum lower-bounds the one-bit optimum
-    xrel, md = solve_relaxed(coeff, 5e-4, MdOptions(tol=1e-9))
+    xrel, md = solve_relaxed(coeff, 5e-4, SolverConfig(md_tol=1e-9))
     power = coeff.n_lifted * s**2
     assert -md.value - 5e-4 * power / 2 <= bf + 1e-12
 

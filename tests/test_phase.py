@@ -14,10 +14,9 @@ from irsprecode.channel import (
     sample_channels,
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
-from irsprecode.onebit import OneBitFrame, _sigma_max_sq
+from irsprecode.onebit import OneBitFrame, SolverConfig, _sigma_max_sq
 from irsprecode.phase import (
     RESTART_WINDOW,
-    ApgOptions,
     ApgResult,
     ApgTraceRecord,
     PhaseCoefficients,
@@ -297,7 +296,7 @@ def test_apg_iterates_feasible_and_best_tracked():
     ch, frame, sym, c = random_setup(rng, m=6, n=4, k=2, t=3)
     coeffs = build_phase_coefficients(ch, frame, sym)
     init = random_theta_bar(4, rng)
-    res = apg_optimize(coeffs, init, ApgOptions(record_trace=True))
+    res = apg_optimize(coeffs, init, record_trace=True)
     n = 4
     for rec in res.trace:
         tb = rec.theta_bar
@@ -313,7 +312,7 @@ def test_apg_sandwich_at_returned_point():
     rng = np.random.default_rng(10)
     ch, frame, sym, c = random_setup(rng)
     coeffs = build_phase_coefficients(ch, frame, sym)
-    opts = ApgOptions(delta=1e-2)
+    opts = SolverConfig(delta=1e-2)
     res = apg_optimize(coeffs, random_theta_bar(4, rng), opts)
     slack = opts.delta * np.log(coeffs.n_constraints)
     assert res.value <= res.smoothed <= res.value + slack
@@ -327,7 +326,7 @@ def test_apg_single_direction_circle_oracle():
         eta = np.stack([g, np.zeros(2)], axis=1)
         coeffs = PhaseCoefficients(eta=eta, vbar=np.array([0.0, -1e3]))
         res = apg_optimize(coeffs, random_theta_bar(1, rng),
-                           ApgOptions(delta=1e-2, max_iter=2000, tol=1e-12))
+                           SolverConfig(delta=1e-2, apg_max_iter=2000, apg_tol=1e-12))
         ang = np.linspace(0, 2 * np.pi, 20001)
         grid = np.min(np.cos(ang) * g[0] + np.sin(ang) * g[1])
         want = -np.hypot(g[0], g[1])
@@ -338,7 +337,7 @@ def test_apg_single_direction_circle_oracle():
 def test_apg_zero_eta_immediate():
     coeffs = PhaseCoefficients(eta=np.zeros((4, 6)), vbar=np.linspace(-1, 1, 6))
     init = np.array([1.0, 0.0, 0.0, 1.0])
-    res = apg_optimize(coeffs, init, ApgOptions())
+    res = apg_optimize(coeffs, init, SolverConfig())
     assert res.converged and res.n_iter == 0
     assert res.value == pytest.approx(1.0)
     assert np.array_equal(res.theta_bar, init)
@@ -349,8 +348,8 @@ def test_apg_deterministic():
     ch, frame, sym, c = random_setup(rng)
     coeffs = build_phase_coefficients(ch, frame, sym)
     init = random_theta_bar(4, rng)
-    a = apg_optimize(coeffs, init, ApgOptions())
-    b = apg_optimize(coeffs, init, ApgOptions())
+    a = apg_optimize(coeffs, init, SolverConfig())
+    b = apg_optimize(coeffs, init, SolverConfig())
     assert np.array_equal(a.theta_bar, b.theta_bar)
     assert a.value == b.value and a.n_iter == b.n_iter
 
@@ -362,7 +361,7 @@ def test_apg_improves_over_init_on_protocol_instances():
         ch, frame, sym, c = random_setup(rng, m=8, n=8, k=2, t=4)
         coeffs = build_phase_coefficients(ch, frame, sym)
         init = random_theta_bar(8, rng)
-        res = apg_optimize(coeffs, init, ApgOptions())
+        res = apg_optimize(coeffs, init, SolverConfig())
         assert res.value <= max_constraint(init, coeffs) + 1e-15
         if res.value < max_constraint(init, coeffs) - 1e-12:
             better += 1
@@ -371,12 +370,12 @@ def test_apg_improves_over_init_on_protocol_instances():
 
 def test_apg_option_validation():
     for bad in (dict(delta=0.0), dict(delta=np.nan), dict(delta=np.inf),
-                dict(tol=-1.0), dict(tol=np.nan), dict(max_iter=0)):
+                dict(apg_tol=-1.0), dict(apg_tol=np.nan), dict(apg_max_iter=0)):
         with pytest.raises(ValueError):
-            ApgOptions(**bad)
+            SolverConfig(**bad)
     coeffs = PhaseCoefficients(eta=np.ones((4, 2)), vbar=np.zeros(2))
     with pytest.raises(ValueError):
-        apg_optimize(coeffs, np.ones(6), ApgOptions())
+        apg_optimize(coeffs, np.ones(6), SolverConfig())
 
 
 # test-local copy of the APG loop before value, gradient and true objective
@@ -407,7 +406,7 @@ def _ref_grad(tb, coeffs, delta):
     return coeffs.eta @ (e / e.sum())
 
 
-def _ref_apg(coeffs, theta_bar_init, opts):
+def _ref_apg(coeffs, theta_bar_init, opts, record_trace):
     delta = opts.delta
     theta = project_unit_modulus(theta_bar_init)
     lipschitz = _sigma_max_sq(coeffs.eta) / delta
@@ -415,7 +414,7 @@ def _ref_apg(coeffs, theta_bar_init, opts):
         return ApgResult(theta_bar=theta, value=_ref_max(theta, coeffs),
                          smoothed=_ref_lse(theta, coeffs, delta),
                          converged=True, n_iter=0, trace=[])
-    _, psis = momentum_sequence(opts.max_iter)
+    _, psis = momentum_sequence(opts.apg_max_iter)
     best_theta = theta
     best_val = _ref_max(theta, coeffs)
     theta_prev = theta
@@ -426,7 +425,7 @@ def _ref_apg(coeffs, theta_bar_init, opts):
     converged = False
     trace = []
     it = 0
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, opts.apg_max_iter + 1):
         z = theta + psis[r] * (theta - theta_prev)
         r += 1
         g = _ref_grad(z, coeffs, delta)
@@ -445,7 +444,7 @@ def _ref_apg(coeffs, theta_bar_init, opts):
         if val < best_val:
             best_val = val
             best_theta = theta_new
-        if opts.record_trace:
+        if record_trace:
             trace.append(ApgTraceRecord(it, h_new, val, 1.0 / tau, theta_new))
         rise_streak = rise_streak + 1 if h_new > h_prev else 0
         if rise_streak >= RESTART_WINDOW:
@@ -454,7 +453,7 @@ def _ref_apg(coeffs, theta_bar_init, opts):
         change = float(np.linalg.norm(theta_new - theta))
         theta_prev, theta = theta, theta_new
         h_prev = h_new
-        if change <= opts.tol:
+        if change <= opts.apg_tol:
             converged = True
             break
     return ApgResult(theta_bar=best_theta, value=best_val,
@@ -491,9 +490,9 @@ def test_apg_bit_exact_against_reference_loop(seed, kind, n, n_cols, delta, max_
     init = random_theta_bar(coeffs.n_lifted // 2, rng)
     if kind == "repeated-max":
         init = np.round(init)  # integer start: exact constraint values
-    opts = ApgOptions(delta=delta, max_iter=max_iter, tol=tol, record_trace=True)
-    got = apg_optimize(coeffs, init, opts)
-    want = _ref_apg(coeffs, init, opts)
+    opts = SolverConfig(delta=delta, apg_max_iter=max_iter, apg_tol=tol)
+    got = apg_optimize(coeffs, init, opts, record_trace=True)
+    want = _ref_apg(coeffs, init, opts, record_trace=True)
     assert np.array_equal(got.theta_bar, want.theta_bar)
     assert (got.value, got.smoothed, got.converged, got.n_iter) == (
         want.value, want.smoothed, want.converged, want.n_iter)
