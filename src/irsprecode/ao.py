@@ -4,12 +4,13 @@ Each outer round solves the T per-slot transmit designs against the current
 effective channel, then re-optimizes the phase shifts against the new frame,
 warm-starting from the previous round's (initially uniform random) phases.
 From round 2 on, each slot's mirror descent starts at that slot's previous
-dual point mixed with the uniform point, warm_start(lam) = (1 - eps) lam +
-eps / 2K with eps = WARM_START_MIX; round 1 starts at the uniform point. Each
-round's record keeps its (T, 2K) block of dual points. The last round's
-x-step ran at the phases the loop returns when it stopped on the margin rule,
-so warm_start(trace[-1].lams) also starts a box solve at those phases (the
-harness's shared-phase relaxed baseline) next to its optimum.
+dual point mixed with the uniform point, onebit.warm_start(lam) = (1 - eps)
+lam + eps / 2K with eps = WARM_START_MIX; round 1 starts cold, at the
+quadratic-model point of onebit.model_start. Each round's record keeps its
+(T, 2K) block of dual points. The last round's x-step ran at the phases the
+loop returns when it stopped on the margin rule, so warm_start(trace[-1].lams)
+also starts a box solve at those phases (the harness's shared-phase relaxed
+baseline) next to its optimum.
 
 The objective is the worst-case margin over all (user, slot) pairs. Neither
 inner solver is exact (rounding and a nonconvex projection are involved), so
@@ -29,12 +30,8 @@ import numpy as np
 
 from .channel import ChannelSet, PhaseShifts, effective_matrix
 from .constellation import SymbolFrame, margin
-from .onebit import OneBitFrame, SolverConfig, frame_array, solve_symbol
+from .onebit import OneBitFrame, SolverConfig, frame_array, solve_symbol, warm_start
 from .phase import apg_optimize, build_phase_coefficients
-
-# uniform-point weight of a warm start: an exact zero in lam stays zero under
-# MD's multiplicative update, so its residual test could pass at a non-KKT point
-WARM_START_MIX = 1e-6
 
 # a round improves when its worst margin rises by more than this, relative:
 # rounding in the inner solvers moves it by a few ulps, real progress by >1e-5
@@ -56,12 +53,6 @@ class AoIterationRecord:
     def converged(self) -> bool:
         """Whether every inner solve of the round converged."""
         return all(self.md_converged) and self.apg_converged
-
-
-def warm_start(lams: np.ndarray) -> np.ndarray:
-    """Mirror-descent start points from dual points (one per row, or one),
-    each mixed with the uniform point by WARM_START_MIX."""
-    return (1.0 - WARM_START_MIX) * lams + WARM_START_MIX / lams.shape[-1]
 
 
 def frame_margins(ch: ChannelSet, phases: PhaseShifts, frame,

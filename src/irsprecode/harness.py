@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ao import alternating_optimize, best_round, frame_margins, warm_start
+from .ao import alternating_optimize, best_round, frame_margins
 from .baselines import (
     SCHEMES,
     no_irs_variant,
@@ -41,6 +41,7 @@ from .onebit import (
     frame_array,
     is_real,
     solve_symbol,
+    warm_start,
 )
 
 CSV_COLUMNS = (

@@ -338,6 +338,44 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
                     residual=residual)
 
 
+# uniform-point weight of a start point: an exact zero in lam stays zero under
+# MD's multiplicative update, so its residual test could pass at a non-KKT point
+WARM_START_MIX = 1e-6
+
+
+def warm_start(lams: np.ndarray) -> np.ndarray:
+    """Mirror-descent start points from dual points (one per row, or one),
+    each mixed with the uniform point by WARM_START_MIX."""
+    return (1.0 - WARM_START_MIX) * lams + WARM_START_MIX / lams.shape[-1]
+
+
+def model_start(coeff: CoefficientMatrix) -> np.ndarray:
+    """Cold start of solve_relaxed: the minimizer of the dual's quadratic model.
+
+    Inside the Huber window f_mu is (s / 2 rho) lam^T G lam with G = C^T C,
+    and at the solver's mu nearly every entry of C lam sits there at the
+    optimum. (G_AA + eps I) v = 1 is solved on an active set A, at first every
+    index, dropping the nonpositive entries of v until none are left (A never
+    empties: sum(v) = v^T (G_AA + eps I) v > 0); eps = 1e-9 max diag(G) covers
+    the singular G of BPSK or K > M. v / sum(v) is then mixed by warm_start.
+    A zero or non-finite G gives the uniform point."""
+    g = coeff.c.T @ coeff.c
+    n = g.shape[0]
+    scale = g.diagonal().max()
+    if not (np.isfinite(g).all() and scale > 0):
+        return np.full(n, 1.0 / n)
+    active = np.arange(n)
+    while True:
+        sub = g[np.ix_(active, active)] + 1e-9 * scale * np.eye(active.size)
+        v = np.linalg.solve(sub, np.ones(active.size))
+        if v.min() > 0:
+            break
+        active = active[v > 0]
+    lam = np.zeros(n)
+    lam[active] = v / v.sum()
+    return warm_start(lam)
+
+
 # (mu, md_tol) warm-start stages of solve_relaxed; stages at or below the
 # target mu are skipped, so the solve is a single cold start when the target
 # is no smaller than the first stage
@@ -353,10 +391,10 @@ def solve_relaxed(coeff: CoefficientMatrix, mu: float,
     therefore runs the MU_STAGES above the target first, each initialized at
     the previous dual iterate, which reaches the same point several times
     faster. The first stage starts at lam0 (a simplex point) if given, else
-    at the uniform point; the stages run either way. Returns (xbar_relaxed,
+    at model_start(coeff); the stages run either way. Returns (xbar_relaxed,
     MdResult) for the final stage.
     """
-    lam = lam0
+    lam = model_start(coeff) if lam0 is None else lam0
     for stage_mu, stage_tol in MU_STAGES:
         if stage_mu > mu:
             lam = mirror_descent(coeff, stage_mu, replace(opts, md_tol=stage_tol),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from onebit_oracles import brute_force_onebit
 
 from irsprecode import onebit
-from irsprecode.ao import alternating_optimize, warm_start
+from irsprecode.ao import alternating_optimize
 from irsprecode.baselines import (
     SCHEMES,
     no_irs_variant,
@@ -29,6 +29,7 @@ from irsprecode.onebit import (
     build_coefficients,
     dual_gradient,
     solve_symbol,
+    warm_start,
     worst_objective,
 )
 

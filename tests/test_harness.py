@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from irsprecode import ao, harness, onebit, phase
-from irsprecode.ao import AoIterationRecord, frame_margins, warm_start
+from irsprecode.ao import AoIterationRecord, frame_margins
 from irsprecode.baselines import SCHEMES, zf_precode
 from irsprecode.channel import ChannelSet, PhaseShifts, effective_matrix
 from irsprecode.constellation import PskConstellation, SymbolFrame, sep_upper_bound
@@ -30,7 +30,7 @@ from irsprecode.harness import (
     timing_report,
     write_csv,
 )
-from irsprecode.onebit import solve_symbol
+from irsprecode.onebit import solve_symbol, warm_start
 
 QPSK = PskConstellation(4)
 

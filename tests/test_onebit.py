@@ -18,10 +18,10 @@ from irsprecode.channel import (
     effective_matrix,
     sample_channels,
 )
-from irsprecode.ao import WARM_START_MIX
 from irsprecode.constellation import PskConstellation, margin
 from irsprecode.onebit import (
     MU_STAGES,
+    WARM_START_MIX,
     CoefficientMatrix,
     OneBitFrame,
     SolverConfig,
@@ -30,9 +30,11 @@ from irsprecode.onebit import (
     dual_gradient,
     mbi_round,
     mirror_descent,
+    model_start,
     recover_x,
     solve_relaxed,
     solve_symbol,
+    warm_start,
     worst_objective,
 )
 
@@ -475,20 +477,27 @@ def test_md_step_rule_tries_fewer_points(monkeypatch):
         return real(y, rho)
 
     monkeypatch.setitem(globals(), "huber", spy)
-    rng = np.random.default_rng(20)
     opts = SolverConfig()
     totals = {True: 0, False: 0}
+    for _, coeff, mixed in _step_rule_slots():
+        for lam0 in (None, mixed):
+            for double_always in totals:
+                calls.clear()
+                _, _, converged, _, _ = _md_reference(
+                    coeff, SolverConfig().mu, opts, lam0, double_always)
+                assert converged
+                totals[double_always] += len(calls) - 1
+    assert totals[False] < totals[True], totals
+
+
+def _step_rule_slots():
+    """(m, coeff, mixed start) of the fixed set of 40 desk-size (64x8) and 8
+    paper-size (256x28) QPSK slots, in the order they are drawn."""
+    rng = np.random.default_rng(20)
     for m, k, n, count in ((32, 4, 16, 40), (128, 14, 32, 8)):
         for _ in range(count):
             coeff, _, _, _ = random_instance(rng, m=m, k=k, n=n)
-            for lam0 in (None, _start(rng, coeff, "mixed")):
-                for double_always in totals:
-                    calls.clear()
-                    _, _, converged, _, _ = _md_reference(
-                        coeff, SolverConfig().mu, opts, lam0, double_always)
-                    assert converged
-                    totals[double_always] += len(calls) - 1
-    assert totals[False] < totals[True], totals
+            yield m, coeff, _start(rng, coeff, "mixed")
 
 
 # --- MBI rounding ------------------------------------------------------------
@@ -750,6 +759,85 @@ def test_mixed_warm_start_agrees_with_cold_start_on_desk_slots(seed, drift):
     mu = SolverConfig().mu
     bound = max(_fw_gap(warm.lam, coeff, mu), _fw_gap(cold.lam, coeff, mu))
     assert abs(warm.relax_value - cold.relax_value) <= bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([2, 4, 16]),
+       size=st.sampled_from([(32, 4, 16), (4, 6, 4), (1, 3, 2), (8, 3, 4)]),
+       zero=st.booleans())
+def test_model_start_is_an_interior_simplex_point(seed, order, size, zero):
+    # BPSK duplicates each user's column pair (singular G), m <= k makes G
+    # rank deficient, and a zero C falls back to the uniform point
+    m, k, n = size
+    coeff, _, _, _ = random_instance(np.random.default_rng(seed), m=m, k=k, order=order,
+                                     n=n)
+    if zero:
+        coeff = CoefficientMatrix(c=np.zeros_like(coeff.c), amplitude=coeff.amplitude)
+    lam = model_start(coeff)
+    assert lam.shape == (2 * k,) and np.isfinite(lam).all() and lam.min() > 0
+    assert abs(lam.sum() - 1.0) <= 1e-12
+    if zero:
+        assert np.array_equal(lam, np.full(2 * k, 1.0 / (2 * k)))
+
+
+def test_model_start_falls_back_to_uniform_on_an_overflowing_gram():
+    coeff = CoefficientMatrix(c=np.full((4, 4), 1e200), amplitude=1.0)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(model_start(coeff), np.full(4, 0.25))
+
+
+def test_model_start_minimizes_the_quadratic_model():
+    # with C lam inside the Huber window f_mu is the quadratic model. With
+    # orthogonal columns its minimizer weighs column j by 1 / ||c_j||^2, and MD
+    # from the start stops at its first residual test. A column whose
+    # projection on another goes past that one's length (c_0 . c_1 >= ||c_0||^2)
+    # gets weight 0: its entry of v turns negative and is dropped
+    q, _ = np.linalg.qr(np.random.default_rng(22).standard_normal((12, 4)))
+    d = np.array([1.0, 2.0, 3.0, 4.0])
+    coeff = CoefficientMatrix(c=q * d, amplitude=1.0)
+    want = d ** -2 / np.sum(d ** -2)
+    lam = model_start(coeff)
+    assert np.abs(lam - warm_start(want)).max() <= 1e-8  # the ridge eps moves it
+    md = mirror_descent(coeff, 10.0, SolverConfig(), lam0=lam)
+    assert np.abs(coeff.c @ md.lam).max() < 10.0 * coeff.amplitude
+    assert md.converged and md.n_iter == 0
+    dominated = CoefficientMatrix(c=np.array([[1.0, 1.2], [0.0, 0.5]]), amplitude=1.0)
+    assert np.array_equal(model_start(dominated), warm_start(np.array([1.0, 0.0])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([2, 4, 8, 16]))
+def test_model_start_agrees_with_a_uniform_start_on_desk_slots(seed, order):
+    coeff, _, _, _ = random_instance(np.random.default_rng(seed), m=32, k=4, order=order,
+                                     n=16)
+    mu = SolverConfig().mu
+    _, cold = solve_relaxed(coeff, mu)
+    _, uniform = solve_relaxed(coeff, mu, lam0=np.full(8, 1.0 / 8))
+    assert cold.converged and uniform.converged
+    bound = max(_fw_gap(cold.lam, coeff, mu), _fw_gap(uniform.lam, coeff, mu))
+    assert abs(cold.value - uniform.value) <= bound
+
+
+def test_model_start_takes_fewer_md_iterations():
+    # cold solve_relaxed, which starts at model_start, against mirror descent
+    # from the uniform point, at the solver's mu and tolerance. Measured on
+    # the step-rule slot set: desk size 571 against 965 iterations, paper
+    # size 218 against 430; on 30 desk-size slots of each order, BPSK 239
+    # against 364, 8-PSK 881 against 1546, 16-PSK 2855 against 5256
+    mu = SolverConfig().mu
+    totals = {}
+    slots = [(m, coeff) for m, coeff, _ in _step_rule_slots()]
+    rng = np.random.default_rng(21)
+    for order in (2, 8, 16):
+        slots += [(order, random_instance(rng, m=32, k=4, order=order, n=16)[0])
+                  for _ in range(30)]
+    for key, coeff in slots:
+        model, uniform = solve_relaxed(coeff, mu)[1], mirror_descent(coeff, mu)
+        assert model.converged and uniform.converged
+        total = totals.setdefault(key, [0, 0])
+        total[0] += model.n_iter
+        total[1] += uniform.n_iter
+    assert all(model < uniform for model, uniform in totals.values()), totals
 
 
 def test_solve_relaxed_rejects_warm_start_off_the_simplex():
