@@ -143,6 +143,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {d!r}")
         d = dict(d)
         unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:

@@ -82,6 +82,8 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"solver must be a JSON object, got {d!r}")
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown solver config keys: {sorted(unknown)}")

@@ -119,6 +119,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown solver config keys"):
             SolverConfig.from_dict({"mu": 1e-3, "bogus": 1})
 
+    @pytest.mark.parametrize("solver", [5, None, "x", [1], [["mu", 1e-3]], 1e-3, True])
+    def test_solver_entry_must_be_an_object(self, solver):
+        # a number or null used to raise TypeError, and a string or list was
+        # read as a collection of "unknown solver config keys"
+        with pytest.raises(ValueError, match="solver must be a JSON object"):
+            ExperimentConfig.from_dict({"m": 4, "solver": solver})
+
+    @pytest.mark.parametrize("config", [[1, 2], 5, None, "m", [["m", 4]]])
+    def test_config_must_be_an_object(self, config):
+        # a list, number or null used to raise TypeError
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            ExperimentConfig.from_dict(config)
+
     @pytest.mark.parametrize("solver", [{"mbi_restarts": 0}, {"delta": 0},
                                         {"ao_max_outer": 0}, {"mu": 0},
                                         {"mu": math.nan}, {"mu": math.inf},
