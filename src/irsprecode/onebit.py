@@ -231,7 +231,8 @@ def dual_gradient(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
 
 def _clipped_value(y, s: float, rho: float):
     """(y_c, s sum huber_rho(y)) for y = C lam, y_c = clip(y, +/-rho)."""
-    y_c = np.clip(y, -rho, rho)
+    y_c = np.maximum(y, -rho)
+    np.minimum(y_c, rho, out=y_c)
     return y_c, s / rho * float(y_c @ (y - 0.5 * y_c))
 
 
@@ -305,13 +306,18 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
     # log(lam) is carried over from the softmax normalization, so the loop never
     # takes it of lam; exact zeros give -inf and stay zero through exp
     log_lam = np.log(lam, out=np.full(n, -np.inf), where=lam > 0)
+    # ufunc reductions skip the array methods' dispatch; gap holds T_1(lam) - lam
+    vmax, vsum = np.maximum.reduce, np.add.reduce
+    gap = np.empty(n)
     converged = False
     for it in range(opts.md_max_iter + 1):  # runs at least once: md_max_iter >= 0
         grad = _dual_grad(ct, y_c, s, rho)
         w = log_lam - grad
-        w -= w.max()
+        w -= vmax(w)
         e = np.exp(w)
-        residual = float(np.abs(e / e.sum() - lam).sum())
+        np.divide(e, vsum(e), out=gap)
+        gap -= lam
+        residual = float(vsum(np.abs(gap, out=gap)))
         if residual <= opts.md_tol:
             converged = True
             break
@@ -323,10 +329,10 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
         model = f - float(grad @ lam)
         while True:
             w = log_lam - step * grad
-            w_max = w.max()
+            w_max = vmax(w)
             w -= w_max
             e = np.exp(w)
-            se = e.sum()
+            se = vsum(e)
             lam_new = e / se
             log_se = np.log(se)
             y_c_new, f_new = _clipped_value(c @ lam_new, s, rho)
@@ -418,8 +424,9 @@ def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, restarts: int,
     result is never worse than naive sign rounding.
 
     Each restart keeps the flip deltas d_j = 2 x_j c_j of the fractional
-    entries; flipping entry j only negates d_j (exactly, in floating point),
-    so a pass costs one subtraction instead of rebuilding every delta.
+    entries as the contiguous rows of one block; flipping entry j only negates
+    d_j (exactly, in floating point), so a pass costs one subtraction instead
+    of rebuilding every delta.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -433,7 +440,7 @@ def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, restarts: int,
         raise ValueError("random restarts need an rng")
 
     ct = coeff.c.T  # (2K, 2M)
-    ct_frac = ct[:, frac]
+    c_frac = coeff.c[frac]  # (n_frac, 2K)
     best_x = None
     best_val = np.inf
     for r in range(restarts):
@@ -442,16 +449,16 @@ def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, restarts: int,
             x[frac] = s * (2.0 * rng.integers(0, 2, size=frac.size) - 1.0)
         w = ct @ x
         cur = w.max()
-        d = 2.0 * (ct_frac * x[frac])  # w - d[:, j] is w after entry j flips
+        d = 2.0 * (c_frac * x[frac, None])  # w - d[j] is w after entry j flips
         while True:
-            cand = w[:, None] - d
-            cand_max = cand.max(axis=0)
+            cand = w - d
+            cand_max = np.maximum.reduce(cand, axis=1)
             j = int(np.argmin(cand_max))
             if cand_max[j] >= cur:
                 break
             x[frac[j]] = -x[frac[j]]
-            w = cand[:, j].copy()
-            d[:, j] = -d[:, j]
+            w = cand[j]
+            np.negative(d[j], out=d[j])
             cur = cand_max[j]
         if cur < best_val:
             best_val = cur
