@@ -2,66 +2,44 @@
 
 A change that claims bit-identical results is checked here; a change that
 moves results on purpose updates the goldens and says so in CHANGES.md.
-Each run's digest is perfbench's: the sha256 of the result rows without the
-runtime column, so the desk run's equals what
-`python3 perfbench/run.py --workload desk --seed 0 --seconds 3.6` prints, and
-the bercurve run's what `--workload bercurve --seed 0 --seconds 2.4` prints.
-The per-scheme counts are compared first, so a failure names the scheme that
-moved. Floating-point results can differ in the last bits between NumPy and
-BLAS builds; the goldens were taken on GOLDEN_BUILD, and a failure names the
-build it ran on.
+Each run is a perfbench workload at --seed 0, and its digest is perfbench's
+(the sha256 of the result rows without the runtime column), so the desk
+golden equals what `python3 perfbench/run.py --workload desk --seed 0
+--seconds 3.6` prints and the bercurve golden what `--workload bercurve
+--seed 0 --seconds 2.4` prints. The per-scheme counts are compared first, so
+a failure names the scheme that moved. Floating-point results can differ in
+the last bits between NumPy and BLAS builds; the goldens were taken on
+GOLDEN_BUILD, and a failure names the build it ran on.
 """
 
-import hashlib
-import json
-import platform
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from irsprecode.harness import CSV_COLUMNS, ExperimentConfig, run_experiment
+from irsprecode.harness import run_experiment
 
-GOLDEN_BUILD = "numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0, Python 3.11.7, x86_64"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from bench import digest, machine_info  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
-_DESK = dict(m=32, n=16, k=4, t=50, order=4, power=100.0, theta_policy="shared",
-             record_runtime=False)
+GOLDEN_BUILD = "numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0, Python 3.11.7"
 
-CASES = {
-    # perfbench's desk workload at --seed 0: 3 channels
-    "desk": dict(
-        config=dict(_DESK, seed=314, n_channels=3, n_noise=1,
-                    noise_grid_db=(22.0, 26.0, 30.0, 34.0, 38.0, 42.0),
-                    schemes=("onebit-md", "relaxed", "relaxed-quant", "zf-quant",
-                             "onebit-md-noirs")),
-        digest="c9573a71998059ea0cff660084731d9c6e21f4ada0beba56aa461d75416c5469",
-        counts={"onebit-md": (3, 1699, 1416), "relaxed": (3, 1415, 1200),
-                "relaxed-quant": (3, 1718, 1440), "zf-quant": (3, 1735, 1457),
-                "onebit-md-noirs": (3, 2048, 1691)},
-    ),
-    # perfbench's bercurve workload at --seed 0: 4 channels
-    "bercurve": dict(
-        config=dict(_DESK, seed=2718, n_channels=4, n_noise=400,
-                    noise_grid_db=tuple(float(v) for v in range(20, 51, 2)),
-                    schemes=("zf-quant", "zf-quant-noirs", "relaxed-quant-noirs",
-                             "relaxed-noirs")),
-        digest="4c1dc81a63c4707b8c7998430f9a3209994d525bb4703567d7afedf3d345bcee",
-        counts={"zf-quant": (4, 1668208, 1421379), "zf-quant-noirs": (4, 1914666, 1611191),
-                "relaxed-quant-noirs": (4, 1908994, 1605474),
-                "relaxed-noirs": (4, 1588189, 1342767)},
-    ),
+# workload: (channels, digest, per scheme (channels ok, bit errors and
+# symbol errors summed over the noise grid))
+GOLDENS = {
+    "desk": (3, "c9573a71998059ea0cff660084731d9c6e21f4ada0beba56aa461d75416c5469",
+             {"onebit-md": (3, 1699, 1416), "relaxed": (3, 1415, 1200),
+              "relaxed-quant": (3, 1718, 1440), "zf-quant": (3, 1735, 1457),
+              "onebit-md-noirs": (3, 2048, 1691)}),
+    "bercurve": (4, "4c1dc81a63c4707b8c7998430f9a3209994d525bb4703567d7afedf3d345bcee",
+                 {"zf-quant": (4, 1668208, 1421379), "zf-quant-noirs": (4, 1914666, 1611191),
+                  "relaxed-quant-noirs": (4, 1908994, 1605474),
+                  "relaxed-noirs": (4, 1588189, 1342767)}),
 }
-
-_DIGEST_COLUMNS = tuple(c for c in CSV_COLUMNS if c != "mean_runtime_s")
-
-
-def digest(records) -> str:
-    """sha256 of the result rows without the runtime column (perfbench's)."""
-    rows = [[getattr(r, c) for c in _DIGEST_COLUMNS] for r in records]
-    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
 def scheme_counts(records) -> dict:
-    """Per scheme: (channels ok, bit errors and symbol errors over the grid)."""
     out = {}
     for r in records:
         ok, bits, syms = out.get(r.scheme, (r.n_channels_ok, 0, 0))
@@ -69,23 +47,15 @@ def scheme_counts(records) -> dict:
     return out
 
 
-def build() -> str:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas_name = f"{blas['name']} {blas['version']}"
-    except (KeyError, TypeError):
-        blas_name = "unknown"
-    return (f"numpy {np.__version__}, BLAS {blas_name}, Python "
-            f"{platform.python_version()}, {platform.machine()}")
-
-
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(GOLDENS))
 def test_results_equal_the_goldens(name):
-    case = CASES[name]
-    records = run_experiment(ExperimentConfig(**case["config"]))
-    where = f"{name} run on {build()}; goldens taken on {GOLDEN_BUILD}"
+    n_channels, want_digest, want_counts = GOLDENS[name]
+    records = run_experiment(WORKLOADS[name].config(0, n_channels))
+    info = machine_info()
+    where = (f"{name} run on numpy {info['numpy']}, BLAS {info['blas']}, Python "
+             f"{info['python']}; goldens taken on {GOLDEN_BUILD}")
     counts = scheme_counts(records)
-    for scheme, want in case["counts"].items():
+    for scheme, want in want_counts.items():
         assert counts[scheme] == want, f"{scheme} moved ({where})"
-    assert counts.keys() == case["counts"].keys(), where
-    assert digest(records) == case["digest"], where
+    assert counts.keys() == want_counts.keys(), where
+    assert digest(records) == want_digest, where
