@@ -1,12 +1,13 @@
-"""Frozen results: small desk and bercurve runs against pinned outputs.
+"""Frozen results: small desk, bercurve and paper runs against pinned outputs.
 
 A change that claims bit-identical results is checked here; a change that
 moves results on purpose updates the goldens and says so in CHANGES.md.
 Each run is a perfbench workload at --seed 0, and its digest is perfbench's
 (the sha256 of the result rows without the runtime column), so the desk
 golden equals what `python3 perfbench/run.py --workload desk --seed 0
---seconds 3.6` prints and the bercurve golden what `--workload bercurve
---seed 0 --seconds 2.4` prints. The per-scheme counts are compared first, so
+--seconds 3.6` prints, the bercurve golden what `--workload bercurve
+--seed 0 --seconds 2.4` prints and the paper golden what `--workload paper
+--seed 0 --seconds 5` prints. The per-scheme counts are compared first, so
 a failure names the scheme that moved. Floating-point results can differ in
 the last bits between NumPy and BLAS builds; the goldens were taken on
 GOLDEN_BUILD, and a failure names the build it ran on.
@@ -36,6 +37,9 @@ GOLDENS = {
                  {"zf-quant": (4, 1668208, 1421379), "zf-quant-noirs": (4, 1914666, 1611191),
                   "relaxed-quant-noirs": (4, 1908994, 1605474),
                   "relaxed-noirs": (4, 1588189, 1342767)}),
+    "paper": (1, "253bf33b42c23e6f90aae8434a0af6f66f72884f3a44ef52beeafb47702229b4",
+              {"onebit-md": (1, 1078, 1008), "relaxed": (1, 689, 649),
+               "relaxed-quant": (1, 1218, 1137), "zf-quant": (1, 1262, 1172)}),
 }
 
 
