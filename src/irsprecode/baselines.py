@@ -142,19 +142,12 @@ def no_irs_variant(ch: ChannelSet) -> ChannelSet:
 class SchemeSpec:
     """How the harness builds a transmit frame for one scheme identifier."""
 
-    name: str
     x_mode: str           # "onebit" | "relaxed" | "relaxed-quant" | "zf-quant"
     with_irs: bool
 
 
-def _make_schemes() -> dict:
-    out = {}
-    for base, mode in (("onebit-md", "onebit"), ("relaxed", "relaxed"),
-                       ("relaxed-quant", "relaxed-quant"), ("zf-quant", "zf-quant")):
-        out[base] = SchemeSpec(name=base, x_mode=mode, with_irs=True)
-        noirs = base + "-noirs"
-        out[noirs] = SchemeSpec(name=noirs, x_mode=mode, with_irs=False)
-    return out
-
-
-SCHEMES = _make_schemes()
+# the harness keys each scheme's design substream by its place in this order
+SCHEMES = {base + suffix: SchemeSpec(x_mode=mode, with_irs=not suffix)
+           for base, mode in (("onebit-md", "onebit"), ("relaxed", "relaxed"),
+                              ("relaxed-quant", "relaxed-quant"), ("zf-quant", "zf-quant"))
+           for suffix in ("", "-noirs")}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -257,124 +258,83 @@ def channel_realization(seed: int, index: int, m: int, n: int, k: int) -> Channe
     return sample_channels(drop_users(k, rng), m, n, rng)
 
 
-def _onebit_direct(h_eff, symbols: SymbolFrame, cfg: ExperimentConfig,
-                   rng: np.random.Generator):
-    """Single one-bit design pass used when there is no reflected path."""
-    results = [solve_symbol(h_eff, symbols.symbols[:, t], symbols.constellation,
-                            cfg.power, cfg.solver, rng)
-               for t in range(symbols.n_slots)]
-    return (OneBitFrame.from_slots([res.xbar for res in results], cfg.power),
-            all(res.md.converged for res in results))
-
-
 def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
     """Design and simulate every requested scheme on one channel draw."""
     const = PskConstellation(cfg.order)
     ch = channel_realization(cfg.seed, index, cfg.m, cfg.n, cfg.k)
     symbols = SymbolFrame.random(const, cfg.k, cfg.t,
                                  _substream(cfg, index, _TAG_SYMBOLS))
+    # one noise block serves every scheme and noise point (common random numbers)
+    noise = draw_noise(cfg.n_noise, cfg.k, cfg.t, _substream(cfg, index, _TAG_NOISE))
     bare = no_irs_variant(ch)
     ones = PhaseShifts.ones(cfg.n)
-    sigma2s = [inv_db_to_sigma2(v) for v in cfg.noise_grid_db]
 
-    # (frame-ish, phases, channel, status, runtime) per scheme
-    designs = {}
-
-    def put(scheme, frame, phases, channel, status, runtime):
-        designs[scheme] = (frame, phases, channel, status, runtime)
-
-    want = set(cfg.schemes)
-
-    theta_shared = last_lams = None
-    if "onebit-md" in want:
-        rng = _design_rng(cfg, index, "onebit-md")
+    ao_phases = None
+    if "onebit-md" in cfg.schemes:
         t0 = time.perf_counter()
-        frame, phases, trace = alternating_optimize(
-            ch, symbols, cfg.power, rng, cfg.solver)
-        dt = time.perf_counter() - t0
-        put("onebit-md", frame, phases, ch, _status(best_round(trace).converged), dt)
-        theta_shared = phases
-        last_lams = trace[-1].lams
+        ao_frame, ao_phases, trace = alternating_optimize(
+            ch, symbols, cfg.power, _design_rng(cfg, index, "onebit-md"), cfg.solver)
+        ao_runtime = time.perf_counter() - t0
+    # "shared" reuses the joint design's phases for schemes that cannot
+    # optimize their own (falling back to random phases when the joint
+    # scheme is not part of the run)
+    if cfg.theta_policy == "shared" and ao_phases is not None:
+        theta = ao_phases
+    else:
+        theta = PhaseShifts.random(cfg.n, _substream(cfg, index, _TAG_THETA))
 
-    def baseline_theta() -> PhaseShifts:
-        # "shared" reuses the joint design's phases for schemes that cannot
-        # optimize their own (falling back to random phases when the joint
-        # scheme is not part of the run)
-        if cfg.theta_policy == "shared" and theta_shared is not None:
-            return theta_shared
-        return PhaseShifts.random(cfg.n, _substream(cfg, index, _TAG_THETA))
-
-    relaxed_cache = {}
-
-    def relaxed_design(with_irs: bool):
+    @functools.cache
+    def box(with_irs: bool):
         # one box solve backs both the unquantized curve (rescaled to the
         # full power budget) and the naively quantized curve (sign rounding
         # is invariant to the per-slot rescale)
-        if with_irs in relaxed_cache:
-            return relaxed_cache[with_irs]
         t0 = time.perf_counter()
-        phases = baseline_theta() if with_irs else ones
-        channel = ch if with_irs else bare
+        channel, phases = (ch, theta) if with_irs else (bare, ones)
         # a margin-rule stop ran AO's last x-step at the phases it returned,
         # so its dual points solve this box dual there to MD's tolerance
-        lam0 = warm_start(last_lams) if phases is theta_shared else None
+        lam0 = warm_start(trace[-1].lams) if phases is ao_phases else None
         res = relaxed_slp(effective_matrix(channel, phases), symbols,
                           cfg.power, cfg.solver, lam0)
-        out = (rescale_to_power(res.x, cfg.power), phases,
-               time.perf_counter() - t0, bool(res.converged.all()))
-        relaxed_cache[with_irs] = out
-        return out
-
-    for scheme in cfg.schemes:
-        if scheme == "onebit-md":
-            continue
-        spec = SCHEMES[scheme]
-        with_irs = spec.with_irs
-        channel = ch if with_irs else bare
-        if spec.x_mode == "onebit":
-            rng = _design_rng(cfg, index, scheme)
-            t0 = time.perf_counter()
-            frame, ok = _onebit_direct(np.conj(bare.h_d), symbols, cfg, rng)
-            put(scheme, frame, ones, bare, _status(ok), time.perf_counter() - t0)
-        elif spec.x_mode == "relaxed":
-            frame, phases, dt, ok = relaxed_design(with_irs)
-            put(scheme, frame, phases, channel, _status(ok), dt)
-        elif spec.x_mode == "relaxed-quant":
-            frame, phases, dt, ok = relaxed_design(with_irs)
-            t0 = time.perf_counter()
-            q = quantize_onebit(np.asarray(frame), cfg.power)
-            put(scheme, q, phases, channel, _status(ok), dt + time.perf_counter() - t0)
-        elif spec.x_mode == "zf-quant":
-            phases = baseline_theta() if with_irs else ones
-            t0 = time.perf_counter()
-            zf = zf_precode(effective_matrix(channel, phases), symbols, cfg.power)
-            q = quantize_onebit(zf.x, cfg.power)
-            put(scheme, q, phases, channel, "ok" if zf.full_rank else "rank-deficient",
+        return (rescale_to_power(res.x, cfg.power), _status(res.converged.all()),
                 time.perf_counter() - t0)
-        else:  # pragma: no cover - registry and config validation forbid this
-            raise AssertionError(f"unhandled scheme {scheme}")
 
-    # one noise block serves every scheme and noise point (common random numbers)
-    noise = draw_noise(cfg.n_noise, cfg.k, cfg.t, _substream(cfg, index, _TAG_NOISE))
     out = {}
     for scheme in cfg.schemes:
-        frame, phases, channel, status, runtime = designs[scheme]
+        spec = SCHEMES[scheme]
+        channel, phases = (ch, theta) if spec.with_irs else (bare, ones)
+        t0 = time.perf_counter()
+        if scheme == "onebit-md":
+            frame, phases, runtime = ao_frame, ao_phases, ao_runtime
+            status = _status(best_round(trace).converged)
+        elif spec.x_mode == "onebit":
+            h_eff, rng = np.conj(bare.h_d), _design_rng(cfg, index, scheme)
+            results = [solve_symbol(h_eff, symbols.symbols[:, t], const,
+                                    cfg.power, cfg.solver, rng)
+                       for t in range(cfg.t)]
+            frame = OneBitFrame.from_slots([res.xbar for res in results], cfg.power)
+            status = _status(all(res.md.converged for res in results))
+            runtime = time.perf_counter() - t0
+        elif spec.x_mode == "relaxed":
+            frame, status, runtime = box(spec.with_irs)
+        elif spec.x_mode == "relaxed-quant":
+            x, status, runtime = box(spec.with_irs)
+            t0 = time.perf_counter()
+            frame = quantize_onebit(x, cfg.power)
+            runtime += time.perf_counter() - t0
+        else:  # "zf-quant"
+            zf = zf_precode(effective_matrix(channel, phases), symbols, cfg.power)
+            frame = quantize_onebit(zf.x, cfg.power)
+            status = "ok" if zf.full_rank else "rank-deficient"
+            runtime = time.perf_counter() - t0
+        counts = [simulate_transmission(frame, phases, channel, symbols,
+                                        inv_db_to_sigma2(db), noise)
+                  for db in cfg.noise_grid_db]
+        bit_err, sym_err, bits, syms = zip(*counts)
         worst = float(frame_margins(channel, phases, frame, symbols).min())
-        bit_err, sym_err = [], []
-        bits = syms = 0
-        for sigma2 in sigma2s:
-            be, se, bits, syms = simulate_transmission(
-                frame, phases, channel, symbols, sigma2, noise)
-            bit_err.append(be)
-            sym_err.append(se)
         out[scheme] = _SchemeOutcome(status=status, worst_margin=worst,
-                                     runtime_s=runtime, bit_err=tuple(bit_err),
-                                     sym_err=tuple(sym_err), bits=bits, syms=syms)
+                                     runtime_s=runtime, bit_err=bit_err,
+                                     sym_err=sym_err, bits=bits[0], syms=syms[0])
     return out
-
-
-def _run_channel_star(args):
-    return _run_channel(*args)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1,
@@ -394,8 +354,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
         per_channel = [_run_channel(cfg, i) for i in range(cfg.n_channels)]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            per_channel = list(pool.map(_run_channel_star,
-                                        [(cfg, i) for i in range(cfg.n_channels)],
+            per_channel = list(pool.map(functools.partial(_run_channel, cfg),
+                                        range(cfg.n_channels),
                                         chunksize=max(1, cfg.n_channels // (4 * threads))))
 
     records = []

@@ -232,5 +232,4 @@ def test_scheme_registry():
     }
     assert set(SCHEMES) == expected
     for name, spec in SCHEMES.items():
-        assert spec.name == name
         assert spec.with_irs == (not name.endswith("-noirs"))

@@ -349,6 +349,13 @@ class TestRunExperiment:
             for name in ("x", "relax_values", "converged"):
                 assert np.array_equal(getattr(res, name), getattr(direct, name))
 
+    def test_design_substreams_follow_the_registry_order(self):
+        # a scheme's design draws come from the substream at its place in
+        # SCHEMES, so reordering the registry would re-key every scheme's draws
+        assert harness._CANONICAL_ORDER == tuple(SCHEMES) == (
+            "onebit-md", "onebit-md-noirs", "relaxed", "relaxed-noirs",
+            "relaxed-quant", "relaxed-quant-noirs", "zf-quant", "zf-quant-noirs")
+
     @settings(max_examples=40, deadline=None)
     @given(order=st.permutations(tuple(SCHEMES)),
            keep=st.lists(st.booleans(), min_size=len(SCHEMES), max_size=len(SCHEMES)),
