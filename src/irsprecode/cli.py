@@ -68,9 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        cfg = ExperimentConfig.from_dict(json.load(fh))
+def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
+    try:
+        with open(args.config) as fh:
+            cfg = ExperimentConfig.from_dict(json.load(fh))
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        parser.error(f"argument --config: {exc}")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.schemes is not None:
@@ -96,9 +99,10 @@ def _cmd_fixtures_dump(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "run":
-        return _cmd_run(args)
+        return _cmd_run(args, parser)
     if args.command == "fixtures":
         return _cmd_fixtures_dump(args)
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover

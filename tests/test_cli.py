@@ -83,6 +83,23 @@ def test_run_rejects_bad_arguments(tmp_path, config_file, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ['{"solver": 5}', '{"m": 0}', "{not json", None])
+def test_run_rejects_a_bad_config(tmp_path, capsys, text):
+    # a config that does not load, or a missing config file, used to end in
+    # a traceback with exit 1
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert exc.value.code == 2
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: irsprecode")
+    assert error.startswith("irsprecode: error: argument --config: ")
+    assert not out.exists()
+
+
 def test_fixtures_dump_round_trip(tmp_path):
     out = tmp_path / "fix.json"
     rc = main(["fixtures", "dump", "--out", str(out), "--seed", "5",
