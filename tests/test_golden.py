@@ -10,9 +10,14 @@ golden equals what `python3 perfbench/run.py --workload desk --seed 0
 --seed 0 --seconds 5` prints. The per-scheme counts are compared first, so
 a failure names the scheme that moved. Floating-point results can differ in
 the last bits between NumPy and BLAS builds; the goldens were taken on
-GOLDEN_BUILD, and a failure names the build it ran on.
+GOLDEN_BUILD, and a failure names the build it ran on. The same configs
+also run with BLAS pinned to 1 and to 2 threads, which must give equal
+digests on any build.
 """
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,8 +25,10 @@ import pytest
 
 from irsprecode.harness import run_experiment
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 from bench import digest, machine_info  # noqa: E402
+from run import BLAS_PIN  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 GOLDEN_BUILD = "numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0, Python 3.11.7"
@@ -43,6 +50,11 @@ GOLDENS = {
 }
 
 
+def build() -> str:
+    info = machine_info()
+    return f"numpy {info['numpy']}, BLAS {info['blas']}, Python {info['python']}"
+
+
 def scheme_counts(records) -> dict:
     out = {}
     for r in records:
@@ -55,11 +67,41 @@ def scheme_counts(records) -> dict:
 def test_results_equal_the_goldens(name):
     n_channels, want_digest, want_counts = GOLDENS[name]
     records = run_experiment(WORKLOADS[name].config(0, n_channels))
-    info = machine_info()
-    where = (f"{name} run on numpy {info['numpy']}, BLAS {info['blas']}, Python "
-             f"{info['python']}; goldens taken on {GOLDEN_BUILD}")
+    where = f"{name} run on {build()}; goldens taken on {GOLDEN_BUILD}"
     counts = scheme_counts(records)
     for scheme, want in want_counts.items():
         assert counts[scheme] == want, f"{scheme} moved ({where})"
     assert counts.keys() == want_counts.keys(), where
     assert digest(records) == want_digest, where
+
+
+# prints the BLAS thread count read back from OpenBLAS and each golden
+# config's digest, for the {workload: channels} map in argv[1]
+_DIGESTS_UNDER_PIN = """
+import json, sys
+from bench import digest, machine_info
+from workloads import WORKLOADS
+from irsprecode.harness import run_experiment
+print(json.dumps({"blas_threads": machine_info()["blas_threads"], "digests": {
+    name: digest(run_experiment(WORKLOADS[name].config(0, n)))
+    for name, n in json.loads(sys.argv[1]).items()}}))
+"""
+
+
+def test_digests_do_not_depend_on_the_blas_thread_count():
+    # the golden configs run in one process with BLAS on 1 thread and in
+    # another with 2; the read-back shows that each pin took effect
+    channels = json.dumps({name: n for name, (n, _, _) in GOLDENS.items()})
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench"),
+                            os.environ.get("PYTHONPATH", "")])
+    runs = {}
+    for threads in (1, 2):
+        env = dict(os.environ, PYTHONPATH=path, **{k: str(threads) for k in BLAS_PIN})
+        proc = subprocess.run([sys.executable, "-c", _DIGESTS_UNDER_PIN, channels],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = json.loads(proc.stdout)
+        assert runs[threads]["blas_threads"] == threads, \
+            f"BLAS did not run on the {threads} threads pinned ({build()})"
+    assert runs[1]["digests"] == runs[2]["digests"], \
+        f"digests depend on the BLAS thread count ({build()})"
