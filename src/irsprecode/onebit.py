@@ -296,13 +296,6 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
             raise ValueError("warm start must be a point on the simplex")
     y_c, f = _clipped_value(c @ lam, s, rho)
 
-    # Pinsker gives KL >= ||.||_1^2 / 2 >= ||.||_2^2 / 2, and the Huber
-    # curvature caps the dual Hessian at sigma_max(C)^2 / mu, so any step
-    # <= safe_step satisfies the sufficient-decrease model exactly
-    sigma_sq = _sigma_max_sq(ct)
-    safe_step = mu / sigma_sq if sigma_sq > 0 else 1.0
-    step = first = safe_step  # first: the step an iteration tries first
-
     # log(lam) is carried over from the softmax normalization, so the loop never
     # takes it of lam; exact zeros give -inf and stay zero through exp
     log_lam = np.log(lam, out=np.full(n, -np.inf), where=lam > 0)
@@ -323,6 +316,14 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
             break
         if it == opts.md_max_iter:
             break
+        if it == 0:
+            # Pinsker gives KL >= ||.||_1^2 / 2 >= ||.||_2^2 / 2, and the Huber
+            # curvature caps the dual Hessian at sigma_max(C)^2 / mu, so any
+            # step <= safe_step satisfies the sufficient-decrease model exactly;
+            # a call that stops at its first residual test never needs it
+            sigma_sq = _sigma_max_sq(ct)
+            safe_step = mu / sigma_sq if sigma_sq > 0 else 1.0
+            step = first = safe_step  # first: the step an iteration tries first
         if step == first:  # no halving; a step that just failed is not raised
             step *= 2.0
         first = step
