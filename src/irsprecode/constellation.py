@@ -51,9 +51,10 @@ def decide_index(y, c: PskConstellation):
     """Index of the half-open decision sector containing each entry of y.
 
     The index is floor((angle(y) + pi/L) / (2*pi/L)) mod L, the mod taken as
-    & (L - 1) since L is a power of two. y = 0 falls in sector 0 by the same
-    convention (its phase is taken as 0). A scalar y gives a scalar. A NaN
-    entry has no sector and raises ValueError.
+    & (L - 1) since L is a power of two. A zero y has np.angle's phase,
+    which follows the signs of its zeros: a +0 real part gives 0 (sector 0)
+    and a -0 real part gives +/-pi (sector L/2 for every L). A scalar y
+    gives a scalar. A NaN entry has no sector and raises ValueError.
     """
     half = np.pi / c.order
     # angle() makes a fresh array (0-d for scalar y), reused in place below

@@ -85,6 +85,9 @@ def test_decide_zero_input_sector_zero():
     c = PskConstellation(8)
     assert decide_index(0.0 + 0.0j, c) == 0
     assert decide(0j, c) == pytest.approx(1.0 + 0j)
+    # a zero with a negative-zero real part has phase +/-pi: sector L/2
+    assert decide_index(complex(-0.0, 0.0), PskConstellation(4)) == 2
+    assert decide_index(complex(-0.0, -0.0), PskConstellation(4)) == 2
 
 
 def test_decide_negative_real_axis():
