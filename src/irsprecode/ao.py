@@ -5,8 +5,9 @@ effective channel, then re-optimizes the phase shifts against the new frame,
 warm-starting from the previous round's (initially uniform random) phases.
 From round 2 on, each slot's mirror descent starts at that slot's previous
 dual point mixed with the uniform point, onebit.warm_start(lam) = (1 - eps)
-lam + eps / 2K with eps = WARM_START_MIX; round 1 starts cold, at the
-quadratic-model point of onebit.model_start. Each round's record keeps its
+lam + eps / 2K with eps = WARM_START_MIX; round 1 starts cold, at
+onebit.model_start, the minimizer of the dual's piecewise-quadratic model,
+where MD mostly stops at its first residual test. Each round's record keeps its
 (T, 2K) block of dual points. The last round's x-step ran at the phases the
 loop returns when it stopped on the margin rule, so warm_start(trace[-1].lams)
 also starts a box solve at those phases (the harness's shared-phase relaxed

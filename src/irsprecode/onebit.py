@@ -316,11 +316,10 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
             break
         if it == opts.md_max_iter:
             break
-        if it == 0:
+        if it == 0:  # a call that stops at its first residual test skips this
             # Pinsker gives KL >= ||.||_1^2 / 2 >= ||.||_2^2 / 2, and the Huber
             # curvature caps the dual Hessian at sigma_max(C)^2 / mu, so any
-            # step <= safe_step satisfies the sufficient-decrease model exactly;
-            # a call that stops at its first residual test never needs it
+            # step <= safe_step satisfies the sufficient-decrease model exactly
             sigma_sq = _sigma_max_sq(ct)
             safe_step = mu / sigma_sq if sigma_sq > 0 else 1.0
             step = first = safe_step  # first: the step an iteration tries first
@@ -358,30 +357,56 @@ def warm_start(lams: np.ndarray) -> np.ndarray:
     return (1.0 - WARM_START_MIX) * lams + WARM_START_MIX / lams.shape[-1]
 
 
-def model_start(coeff: CoefficientMatrix) -> np.ndarray:
-    """Cold start of solve_relaxed: the minimizer of the dual's quadratic model.
+def model_start(coeff: CoefficientMatrix, mu: float) -> np.ndarray:
+    """Cold start of solve_relaxed: the minimizer of the dual's piecewise-quadratic model.
 
-    Inside the Huber window f_mu is (s / 2 rho) lam^T G lam with G = C^T C,
-    and at the solver's mu nearly every entry of C lam sits there at the
-    optimum. (G_AA + eps I) v = 1 is solved on an active set A, at first every
-    index, dropping the nonpositive entries of v until none are left (A never
-    empties: sum(v) = v^T (G_AA + eps I) v > 0); eps = 1e-9 max diag(G) covers
-    the singular G of BPSK or K > M. v / sum(v) is then mixed by warm_start.
-    A zero or non-finite G gives the uniform point."""
-    g = coeff.c.T @ coeff.c
+    With the Huber window W = {m : |(C lam)_m| <= rho = mu s} and the signs
+    sigma of the clipped entries held fixed, f_mu is the quadratic
+    (s / 2 rho) lam^T G_W lam + s b^T lam + const, G_W = C_W^T C_W and
+    b = C_Wbar^T sigma. Its simplex KKT system, (G_W + eps I)_AA lam_A +
+    rho b_A = tau 1 and sum(lam_A) = 1, is solved on an active set A, at first
+    every index, dropping the negative entries of lam until none are left;
+    eps = 1e-9 max diag(G) covers the singular G of BPSK or K > M. W and sigma
+    are then recomputed at lam until they repeat, at most 2K times; the first
+    pass, with W every entry, minimizes the quadratic model. lam is mixed by
+    warm_start. A zero or non-finite G = C^T C gives the uniform point, and a
+    pass with non-finite values returns the previous one."""
+    c = coeff.c
+    g = c.T @ c
     n = g.shape[0]
+    lam = np.full(n, 1.0 / n)
     scale = g.diagonal().max()
     if not (np.isfinite(g).all() and scale > 0):
-        return np.full(n, 1.0 / n)
-    active = np.arange(n)
-    while True:
-        sub = g[np.ix_(active, active)] + 1e-9 * scale * np.eye(active.size)
-        v = np.linalg.solve(sub, np.ones(active.size))
-        if v.min() > 0:
+        return lam
+    rho = mu * coeff.amplitude
+    sigma = np.zeros(c.shape[0])  # sign of each clipped entry, 0 inside W
+    rhs = np.empty((2, n))  # the right-hand sides 1 and b, as rows
+    for _ in range(n + 1):
+        g.flat[::n + 1] += 1e-9 * scale
+        rhs[0] = 1.0
+        np.matmul(c.T, sigma, out=rhs[1])
+        while True:
+            v, u = np.linalg.solve(g, rhs.T).T
+            w = v * (1.0 + rho * u.sum()) - (rho * v.sum()) * u  # sum(v) lam
+            drop = w < 0
+            if not drop.any():
+                break
+            # a dropped index gets an identity row and column and zero
+            # right-hand sides, so its entries of v, u and w are 0 from now on
+            g[drop] = g[:, drop] = 0.0
+            g[drop, drop] = 1.0
+            rhs[:, drop] = 0.0
+        total = w.sum()  # w >= 0 now, so w / total is finite if total is
+        if not 0 < total < np.inf:
             break
-        active = active[v > 0]
-    lam = np.zeros(n)
-    lam[active] = v / v.sum()
+        lam = w / total
+        y = c @ lam
+        clipped = np.sign(y) * (np.abs(y) > rho)
+        if (clipped == sigma).all():
+            break
+        sigma = clipped
+        inside = c[sigma == 0.0]
+        g = inside.T @ inside
     return warm_start(lam)
 
 
@@ -400,10 +425,11 @@ def solve_relaxed(coeff: CoefficientMatrix, mu: float,
     therefore runs the MU_STAGES above the target first, each initialized at
     the previous dual iterate, which reaches the same point several times
     faster. The first stage starts at lam0 (a simplex point) if given, else
-    at model_start(coeff); the stages run either way. Returns (xbar_relaxed,
+    at model_start for that stage's mu, where MD mostly stops at its first
+    residual test; the stages run either way. Returns (xbar_relaxed,
     MdResult) for the final stage.
     """
-    lam = model_start(coeff) if lam0 is None else lam0
+    lam = model_start(coeff, max(mu, MU_STAGES[0][0])) if lam0 is None else lam0
     for stage_mu, stage_tol in MU_STAGES:
         if stage_mu > mu:
             lam = mirror_descent(coeff, stage_mu, replace(opts, md_tol=stage_tol),

@@ -8,11 +8,16 @@ lower bound against it.
 huber and dual_value evaluate the smoothed dual from its definition, one
 Huber term per lifted entry; mirror descent takes the same value from the
 clipped image instead, and tests compare the two.
+
+quadratic_model_start is the cold start the solver used before it took the
+Huber clipping into account: the minimizer of the dual's quadratic model
+alone. onebit.model_start equals it when no entry of C lam leaves the Huber
+window, and tests require the solver's start to need fewer MD iterations.
 """
 
 import numpy as np
 
-from irsprecode.onebit import CoefficientMatrix, check_real
+from irsprecode.onebit import CoefficientMatrix, check_real, warm_start
 
 
 def huber(y, rho: float):
@@ -30,6 +35,30 @@ def dual_value(lam, coeff: CoefficientMatrix, mu: float) -> float:
     s = coeff.amplitude
     y = coeff.c @ np.asarray(lam, dtype=float)
     return float(s * huber(y, mu * s).sum())
+
+
+def quadratic_model_start(coeff: CoefficientMatrix) -> np.ndarray:
+    """Minimizer of the dual's quadratic model (s / 2 rho) lam^T G lam, G = C^T C.
+
+    (G_AA + eps I) v = 1 is solved on an active set A, at first every index,
+    dropping the nonpositive entries of v until none are left; eps = 1e-9
+    max diag(G). v / sum(v) is then mixed by warm_start. A zero or
+    non-finite G gives the uniform point."""
+    g = coeff.c.T @ coeff.c
+    n = g.shape[0]
+    scale = g.diagonal().max()
+    if not (np.isfinite(g).all() and scale > 0):
+        return np.full(n, 1.0 / n)
+    active = np.arange(n)
+    while True:
+        sub = g[np.ix_(active, active)] + 1e-9 * scale * np.eye(active.size)
+        v = np.linalg.solve(sub, np.ones(active.size))
+        if v.min() > 0:
+            break
+        active = active[v > 0]
+    lam = np.zeros(n)
+    lam[active] = v / v.sum()
+    return warm_start(lam)
 
 
 def brute_force_onebit(coeff: CoefficientMatrix):

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from irsprecode import onebit
 from irsprecode.harness import run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,17 +37,17 @@ GOLDEN_BUILD = "numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0, Python 3.11.7"
 # workload: (channels, digest, per scheme (channels ok, bit errors and
 # symbol errors summed over the noise grid))
 GOLDENS = {
-    "desk": (3, "c9573a71998059ea0cff660084731d9c6e21f4ada0beba56aa461d75416c5469",
+    "desk": (3, "72888463b5200151720270f465a2918b0dd718f4f899d2fe4c9aa7c4583c449f",
              {"onebit-md": (3, 1699, 1416), "relaxed": (3, 1415, 1200),
               "relaxed-quant": (3, 1718, 1440), "zf-quant": (3, 1735, 1457),
               "onebit-md-noirs": (3, 2048, 1691)}),
-    "bercurve": (4, "4c1dc81a63c4707b8c7998430f9a3209994d525bb4703567d7afedf3d345bcee",
+    "bercurve": (4, "1a1f74df8ee1f93e141906923fefaa700108150b6fa5c62d5d5832b84ebd92f1",
                  {"zf-quant": (4, 1668208, 1421379), "zf-quant-noirs": (4, 1914666, 1611191),
                   "relaxed-quant-noirs": (4, 1908994, 1605474),
-                  "relaxed-noirs": (4, 1588189, 1342767)}),
-    "paper": (1, "253bf33b42c23e6f90aae8434a0af6f66f72884f3a44ef52beeafb47702229b4",
-              {"onebit-md": (1, 1078, 1008), "relaxed": (1, 689, 649),
-               "relaxed-quant": (1, 1218, 1137), "zf-quant": (1, 1262, 1172)}),
+                  "relaxed-noirs": (4, 1588252, 1342815)}),
+    "paper": (1, "8d96c8f07c7e7e9cbc24115d4036021d924bbc47ee19556dbaf5153880121584",
+              {"onebit-md": (1, 1079, 1008), "relaxed": (1, 689, 649),
+               "relaxed-quant": (1, 1218, 1137), "zf-quant": (1, 1258, 1168)}),
 }
 
 
@@ -75,12 +76,30 @@ def test_results_equal_the_goldens(name):
     assert digest(records) == want_digest, where
 
 
+def test_cold_box_solves_start_at_their_optimum(monkeypatch):
+    # channel 0 of the bercurve golden config: its one box solve (relaxed-noirs
+    # and relaxed-quant-noirs) runs 50 cold slots, one MD call each. Measured:
+    # 0 MD iterations from onebit.model_start, 408 from the quadratic model's
+    # minimizer that it replaced; a lost start fails here without a timing
+    iters = []
+
+    def spy(*args, real=onebit.mirror_descent, **kwargs):
+        md = real(*args, **kwargs)
+        iters.append(md.n_iter)
+        return md
+
+    monkeypatch.setattr(onebit, "mirror_descent", spy)
+    run_experiment(WORKLOADS["bercurve"].config(0, 1))
+    assert len(iters) == 50 and sum(iters) <= 10, iters
+
+
 # prints the BLAS thread count read back from OpenBLAS and each golden
 # config's digest, for the {workload: channels} map in argv[1]
 _DIGESTS_UNDER_PIN = """
 import json, sys
 from bench import digest, machine_info
 from workloads import WORKLOADS
+from irsprecode import onebit
 from irsprecode.harness import run_experiment
 print(json.dumps({"blas_threads": machine_info()["blas_threads"], "digests": {
     name: digest(run_experiment(WORKLOADS[name].config(0, n)))
