@@ -99,7 +99,6 @@ _DIGESTS_UNDER_PIN = """
 import json, sys
 from bench import digest, machine_info
 from workloads import WORKLOADS
-from irsprecode import onebit
 from irsprecode.harness import run_experiment
 print(json.dumps({"blas_threads": machine_info()["blas_threads"], "digests": {
     name: digest(run_experiment(WORKLOADS[name].config(0, n)))
