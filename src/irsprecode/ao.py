@@ -3,15 +3,11 @@
 Each outer round solves the T per-slot transmit designs against the current
 effective channel, then re-optimizes the phase shifts against the new frame,
 warm-starting from the previous round's (initially uniform random) phases.
-From round 2 on, each slot's mirror descent starts at that slot's previous
-dual point mixed with the uniform point, onebit.warm_start(lam) = (1 - eps)
-lam + eps / 2K with eps = WARM_START_MIX; round 1 starts cold, at
-onebit.model_start, the minimizer of the dual's piecewise-quadratic model,
-where MD mostly stops at its first residual test. Each round's record keeps its
-(T, 2K) block of dual points. The last round's x-step ran at the phases the
-loop returns when it stopped on the margin rule, so warm_start(trace[-1].lams)
-also starts a box solve at those phases (the harness's shared-phase relaxed
-baseline) next to its optimum.
+Every round's slot solves start cold, at onebit.model_start. Each round's
+record keeps its (T, 2K) block of dual points. The last round's x-step ran at
+the phases the loop returns when it stopped on the margin rule, so
+onebit.warm_start(trace[-1].lams) starts a box solve at those phases (the
+harness's shared-phase relaxed baseline) next to its optimum.
 
 The objective is the worst-case margin over all (user, slot) pairs. Neither
 inner solver is exact (rounding and a nonconvex projection are involved), so
@@ -31,7 +27,7 @@ import numpy as np
 
 from .channel import ChannelSet, PhaseShifts, effective_matrix
 from .constellation import SymbolFrame, margin
-from .onebit import OneBitFrame, SolverConfig, frame_array, solve_symbol, warm_start
+from .onebit import OneBitFrame, SolverConfig, frame_array, solve_symbol
 from .phase import apg_optimize, build_phase_coefficients
 
 # a round improves when its worst margin rises by more than this, relative:
@@ -111,29 +107,26 @@ def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, power: float,
 def _single_run(ch: ChannelSet, symbols: SymbolFrame, power: float,
                 opts: SolverConfig, rng: np.random.Generator):
     phases = PhaseShifts.random(ch.g.shape[0], rng)
-    lam0 = None
     trace: list = []
     design = None  # (frame, phases) of the last round that improved
 
     for it in range(1, opts.ao_max_outer + 1):
         frame, lams, md_converged = _x_step(effective_matrix(ch, phases), symbols,
-                                            power, opts, rng, lam0)
+                                            power, opts, rng)
         phases, apg_converged = _phase_step(ch, frame, symbols, phases, opts)
         worst = float(frame_margins(ch, phases, frame, symbols).min())
         trace.append(AoIterationRecord(it, worst, md_converged, apg_converged, lams))
         if best_round(trace) is not trace[-1]:
             break
         design = frame, phases
-        lam0 = warm_start(lams)
     return (*design, trace)
 
 
-def _x_step(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig, rng, lam0):
-    """T independent per-slot one-bit designs, slot t's mirror descent started
-    at lam0[t] (lam0 None: every slot cold); returns (frame, (T, 2K) dual
-    points, md statuses)."""
+def _x_step(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig, rng):
+    """T independent cold per-slot one-bit designs; returns (frame, (T, 2K)
+    dual points, md statuses)."""
     results = [solve_symbol(h_eff, symbols.symbols[:, t], symbols.constellation,
-                            power, opts, rng, None if lam0 is None else lam0[t])
+                            power, opts, rng)
                for t in range(symbols.n_slots)]
     return (OneBitFrame.from_slots([res.xbar for res in results], power),
             np.stack([res.lam for res in results]), [res.md.converged for res in results])

@@ -99,11 +99,18 @@ class ChannelSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelSet":
-        return cls(
-            h_d=pairs_to_complex(d["h_d"]),
-            g=pairs_to_complex(d["g"]),
-            h_r=pairs_to_complex(d["h_r"]),
-        )
+        """Inverse of to_dict; the arrays' shapes must match its k, m and n."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a channel must be a JSON object, got {type(d).__name__}")
+        missing = [key for key in ("k", "m", "n", "h_d", "g", "h_r") if key not in d]
+        if missing:
+            raise ValueError(f"channel is missing keys: {missing}")
+        ch = cls(*(pairs_to_complex(d[key]) for key in ("h_d", "g", "h_r")))
+        sizes = (ch.n_users, ch.n_antennas, ch.n_elements)
+        if sizes != (d["k"], d["m"], d["n"]):
+            raise ValueError(f"channel arrays have (k, m, n) = {sizes}, "
+                             f"but the file says {(d['k'], d['m'], d['n'])}")
+        return ch
 
 
 def complex_to_pairs(a: np.ndarray) -> list:

@@ -348,8 +348,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
     (records, per_channel) where per_channel[i][scheme] holds channel i's
     raw outcome (for paired per-channel statistics).
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    check_count("threads", threads, 1)
     if threads == 1:
         per_channel = [_run_channel(cfg, i) for i in range(cfg.n_channels)]
     else:

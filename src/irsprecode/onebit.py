@@ -513,17 +513,16 @@ class SymbolSolveResult:
 
 def solve_symbol(h_eff, symbols, constellation: PskConstellation, power: float,
                  opts: SolverConfig = SolverConfig(),
-                 rng: np.random.Generator | None = None,
-                 lam0: np.ndarray | None = None) -> SymbolSolveResult:
+                 rng: np.random.Generator | None = None) -> SymbolSolveResult:
     """Design the one-bit transmit vector for one slot.
 
-    Pipeline: coefficient assembly, dual mirror descent from lam0 (see
-    solve_relaxed) at opts.mu, closed-form primal recovery, MBI rounding of
-    the fractional entries with opts.mbi_restarts starts. Deterministic given
-    the rng state, settings and lam0.
+    Pipeline: coefficient assembly, a cold dual solve at opts.mu (mirror
+    descent from model_start, see solve_relaxed), closed-form primal
+    recovery, MBI rounding of the fractional entries with opts.mbi_restarts
+    starts. Deterministic given the rng state and settings.
     """
     coeff = build_coefficients(h_eff, symbols, constellation, power)
-    xrel, md = solve_relaxed(coeff, opts.mu, opts, lam0)
+    xrel, md = solve_relaxed(coeff, opts.mu, opts)
     xbar = mbi_round(xrel, coeff, opts.mbi_restarts, rng)
     relax_value = -md.value
     power_total = coeff.n_lifted * coeff.amplitude ** 2

@@ -22,7 +22,7 @@ from irsprecode.channel import (
     sample_channels,
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
-from irsprecode.onebit import WARM_START_MIX, OneBitFrame, SolverConfig, solve_symbol
+from irsprecode.onebit import OneBitFrame, SolverConfig, solve_symbol
 from irsprecode.phase import apg_optimize, build_phase_coefficients
 
 QPSK = PskConstellation(4)
@@ -96,10 +96,9 @@ def test_a_rise_of_one_ulp_stops_the_loop(monkeypatch):
 
 
 def test_trace_replicates_hand_driven_steps():
-    # drive the two inner solvers by hand with the same rng stream, each
-    # slot's MD warm-started from its previous dual point mixed with the
-    # uniform point: the loop must report exactly the same rounds, stop where
-    # the rule says and return the last round that improved
+    # drive the two inner solvers by hand with the same rng stream, every
+    # slot of every round solved cold: the loop must report exactly the same
+    # rounds, stop where the rule says and return the last round that improved
     ch, sym = instance(4)
     m = 4
     cfg = SolverConfig()
@@ -108,20 +107,14 @@ def test_trace_replicates_hand_driven_steps():
     rng = np.random.default_rng(11)
     ph = PhaseShifts.random(4, rng)
     amplitude = float(np.sqrt(POWER / (2 * m)))
-    lams = [None] * sym.n_slots
     returned = None  # (frame, phases) of the last round that improved
     prev = None
     for i, rec in enumerate(trace, start=1):
         h_eff = effective_matrix(ch, ph)
-        starts = [None if lam is None
-                  else (1 - WARM_START_MIX) * lam + WARM_START_MIX / (2 * sym.n_users)
-                  for lam in lams]
-        results = [solve_symbol(h_eff, sym.symbols[:, t], QPSK, POWER, cfg, rng,
-                                lam0=starts[t])
+        results = [solve_symbol(h_eff, sym.symbols[:, t], QPSK, POWER, cfg, rng)
                    for t in range(sym.n_slots)]
         assert rec.md_converged == [res.md.converged for res in results]
-        lams = [res.lam for res in results]
-        assert np.array_equal(rec.lams, np.stack(lams))
+        assert np.array_equal(rec.lams, np.stack([res.lam for res in results]))
         fr = OneBitFrame(xbar=np.stack([res.xbar for res in results]), amplitude=amplitude)
         coeffs = build_phase_coefficients(ch, fr, sym)
         apg = apg_optimize(coeffs, ph.theta_bar, cfg)
@@ -167,31 +160,34 @@ def test_returns_best_round_and_stops_at_first_non_improving(seed, m, n, k, t, o
     assert float(frame_margins(ch, phases, frame, sym).min()) == best_round(trace).worst_margin
 
 
-def test_zero_reflected_path_stops_after_a_warm_round_two(monkeypatch):
+def test_zero_reflected_path_repeats_round_one(monkeypatch):
     # without a reflected path the phases cannot change the channel, so
-    # round 2 re-solves round 1's slots: the warm-started MD is done in a few
-    # iterations, where a uniform start on the same slots takes more, the
-    # worst margin does not rise and round 1 is returned. (Round 1's cold
-    # start, onebit.model_start, converges in 0 iterations on this instance.)
+    # round 2 re-solves round 1's slots from the same cold start: it
+    # reproduces round 1's frame and dual points bit for bit with no MD
+    # iteration, the worst margin does not rise and round 1 is returned
     ch, sym = instance(12, m=8, n=4, k=2, t=6)
     bare = no_irs_variant(ch)
     first, _, _ = alternating_optimize(bare, sym, POWER, np.random.default_rng(13),
                                        SolverConfig(ao_max_outer=1))
-    calls = []
-    mirror_descent = onebit.mirror_descent
+    steps, iters = [], []
 
-    def spy(coeff, mu, opts, lam0):
-        res = mirror_descent(coeff, mu, opts, lam0)
-        calls.append((coeff, mu, opts, res.n_iter))
-        return res
+    def step_spy(*args, real=ao._x_step):
+        steps.append(real(*args))
+        return steps[-1]
 
-    monkeypatch.setattr(onebit, "mirror_descent", spy)
+    def md_spy(*args, real=onebit.mirror_descent, **kwargs):
+        md = real(*args, **kwargs)
+        iters.append(md.n_iter)
+        return md
+
+    monkeypatch.setattr(ao, "_x_step", step_spy)
+    monkeypatch.setattr(onebit, "mirror_descent", md_spy)
     frame, _, trace = alternating_optimize(bare, sym, POWER, np.random.default_rng(13))
-    assert len(trace) == 2 and len(calls) == 2 * sym.n_slots
-    round_two = calls[sym.n_slots:]
-    uniform = [mirror_descent(coeff, mu, opts).n_iter for coeff, mu, opts, _ in round_two]
-    assert max(n_iter for *_, n_iter in round_two) <= 3 < min(uniform)
-    assert not improves(trace[1].worst_margin, trace[0].worst_margin)
+    assert len(trace) == len(steps) == 2 and len(iters) == 2 * sym.n_slots
+    assert np.array_equal(steps[1][0].xbar, steps[0][0].xbar)
+    assert np.array_equal(trace[1].lams, trace[0].lams)
+    assert iters[sym.n_slots:] == [0] * sym.n_slots
+    assert trace[1].worst_margin == trace[0].worst_margin
     assert best_round(trace) is trace[0]
     assert np.array_equal(frame.xbar, first.xbar)
 

@@ -207,6 +207,19 @@ def test_channel_json_roundtrip_pairs():
     assert np.array_equal(back.h_r, ch.h_r)
 
 
+def test_channel_from_dict_rejects_malformed_files():
+    # these used to load a (2, 3) channel under k, m = 7, 99, or to raise
+    # KeyError or TypeError instead of a load error
+    rng = np.random.default_rng(9)
+    d = ChannelSet(h_d=rng.standard_normal((2, 3)), g=rng.standard_normal((4, 3)),
+                   h_r=rng.standard_normal((2, 4))).to_dict()
+    missing = {key: v for key, v in d.items() if key != "h_d"}
+    for bad, match in ((dict(d, m=99, k=7), r"\(k, m, n\)"), (dict(d, n=5), r"\(k, m, n\)"),
+                       (missing, "missing keys: \\['h_d'\\]"), ([d], "JSON object")):
+        with pytest.raises(ValueError, match=match):
+            ChannelSet.from_dict(bad)
+
+
 def test_pairs_helpers():
     a = np.array([[1 + 2j, -3j]])
     assert pairs_to_complex(complex_to_pairs(a)).tolist() == a.tolist()

@@ -706,7 +706,7 @@ def test_solve_relaxed_shared_path_bit_exact():
 # --- warm starts -------------------------------------------------------------
 
 def _mixed(lam):
-    """AO's warm start: lam mixed with the uniform point."""
+    """The shared-phase box's warm start: lam mixed with the uniform point."""
     return (1.0 - WARM_START_MIX) * lam + WARM_START_MIX / lam.size
 
 
@@ -719,12 +719,12 @@ def _fw_gap(lam, coeff, mu):
 def test_mixed_warm_start_recovers_a_zeroed_optimal_entry():
     # an exact zero stays zero under the multiplicative update: unmixed, MD
     # certifies the optimum of a face as converged; mixed, it reaches the
-    # cold relax_value
+    # cold relax value -f_mu
     rng = np.random.default_rng(20)
     mu = SolverConfig().mu
     for _ in range(5):
-        coeff, h_eff, sym, c = random_instance(rng, m=8, k=3)
-        cold = solve_symbol(h_eff, sym, c, 100.0)
+        coeff, _, _, _ = random_instance(rng, m=8, k=3)
+        _, cold = solve_relaxed(coeff, mu)
         i = int(np.argmax(cold.lam))
         assert cold.lam[i] > 0.1
         lam0 = cold.lam.copy()
@@ -732,33 +732,33 @@ def test_mixed_warm_start_recovers_a_zeroed_optimal_entry():
         lam0 /= lam0.sum()
         _, raw = solve_relaxed(coeff, mu, lam0=lam0)
         assert raw.converged and raw.lam[i] == 0.0
-        assert -raw.value < cold.relax_value - _fw_gap(cold.lam, coeff, mu)
-        warm = solve_symbol(h_eff, sym, c, 100.0, lam0=_mixed(lam0))
-        assert warm.md.converged and warm.lam[i] > 0.1
+        assert -raw.value < -cold.value - _fw_gap(cold.lam, coeff, mu)
+        _, warm = solve_relaxed(coeff, mu, lam0=_mixed(lam0))
+        assert warm.converged and warm.lam[i] > 0.1
         bound = max(_fw_gap(warm.lam, coeff, mu), _fw_gap(cold.lam, coeff, mu))
-        assert abs(warm.relax_value - cold.relax_value) <= bound
+        assert abs(warm.value - cold.value) <= bound
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), drift=st.sampled_from([0.01, 0.3, np.pi]))
 def test_mixed_warm_start_agrees_with_cold_start_on_desk_slots(seed, drift):
-    # as in AO: the dual point of one phase setting warm-starts the slot at
-    # phases moved by up to drift radians per element
+    # as in the shared-phase box solve: the dual point of one phase setting
+    # warm-starts the slot at phases moved by up to drift radians per element
     rng = np.random.default_rng(seed)
     c = QPSK
+    mu = SolverConfig().mu
     ch = sample_channels(drop_users(4, rng), 32, 16, rng)
     theta = np.exp(2j * np.pi * rng.random(16))
     moved = theta * np.exp(1j * drift * rng.uniform(-1, 1, 16))
     sym = c.points[rng.integers(0, 4, 4)]
-    prev = solve_symbol(effective_matrix(ch, PhaseShifts(theta)), sym, c, 100.0)
-    h_eff = effective_matrix(ch, PhaseShifts(moved))
-    cold = solve_symbol(h_eff, sym, c, 100.0)
-    warm = solve_symbol(h_eff, sym, c, 100.0, lam0=_mixed(prev.lam))
-    assert cold.md.converged and warm.md.converged
-    coeff = build_coefficients(h_eff, sym, c, 100.0)
-    mu = SolverConfig().mu
+    _, prev = solve_relaxed(
+        build_coefficients(effective_matrix(ch, PhaseShifts(theta)), sym, c, 100.0), mu)
+    coeff = build_coefficients(effective_matrix(ch, PhaseShifts(moved)), sym, c, 100.0)
+    _, cold = solve_relaxed(coeff, mu)
+    _, warm = solve_relaxed(coeff, mu, lam0=_mixed(prev.lam))
+    assert cold.converged and warm.converged
     bound = max(_fw_gap(warm.lam, coeff, mu), _fw_gap(cold.lam, coeff, mu))
-    assert abs(warm.relax_value - cold.relax_value) <= bound
+    assert abs(warm.value - cold.value) <= bound
 
 
 @settings(max_examples=80, deadline=None)
