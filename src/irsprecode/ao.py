@@ -3,11 +3,10 @@
 Each outer round solves the T per-slot transmit designs against the current
 effective channel, then re-optimizes the phase shifts against the new frame,
 warm-starting from the previous round's (initially uniform random) phases.
-Every round's slot solves start cold, at onebit.model_start. Each round's
-record keeps its (T, 2K) block of dual points. The last round's x-step ran at
-the phases the loop returns when it stopped on the margin rule, so
-onebit.warm_start(trace[-1].lams) starts a box solve at those phases (the
-harness's shared-phase relaxed baseline) next to its optimum.
+Every slot solve starts cold, at onebit.model_start, and each round's record
+keeps its (T, 2K) block of dual points. After a margin-rule stop the last
+round's x-step ran at the phases the loop returns, so a box solve there from
+trace[-1].lams reproduces the cold solve bit for bit.
 
 The objective is the worst-case margin over all (user, slot) pairs. Neither
 inner solver is exact (rounding and a nonconvex projection are involved), so
@@ -129,7 +128,7 @@ def _x_step(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig, rng):
                             power, opts, rng)
                for t in range(symbols.n_slots)]
     return (OneBitFrame.from_slots([res.xbar for res in results], power),
-            np.stack([res.lam for res in results]), [res.md.converged for res in results])
+            np.stack([res.md.lam for res in results]), [res.md.converged for res in results])
 
 
 def _phase_step(ch: ChannelSet, frame, symbols: SymbolFrame,

@@ -92,10 +92,8 @@ def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
     with its mu-continuation) as the one-bit path, so its per-slot relaxation
     values match that solver bit for bit under the same settings and starts.
     lam0, a (T, 2K) block of simplex points, starts slot t's dual solve at
-    row t; None starts every slot cold, at onebit.model_start, which is the
-    optimum of the piecewise-quadratic model of the slot's dual and mostly
-    needs no MD iteration. The harness passes onebit.warm_start of the joint
-    design's last dual points when it solves at that design's phases.
+    row t; None starts every slot cold, at onebit.model_start. At the joint
+    design's phases the harness passes its last dual points as they are.
     """
     h_eff = np.atleast_2d(np.asarray(h_eff, dtype=complex))
     m = h_eff.shape[1]

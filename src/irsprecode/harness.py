@@ -42,7 +42,6 @@ from .onebit import (
     frame_array,
     is_real,
     solve_symbol,
-    warm_start,
 )
 
 CSV_COLUMNS = (
@@ -290,9 +289,9 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         # is invariant to the per-slot rescale)
         t0 = time.perf_counter()
         channel, phases = (ch, theta) if with_irs else (bare, ones)
-        # a margin-rule stop ran AO's last x-step at the phases it returned,
-        # so its dual points solve this box dual there to MD's tolerance
-        lam0 = warm_start(trace[-1].lams) if phases is ao_phases else None
+        # a cold solve starts at model_start; at AO's phases its last dual
+        # points reproduce that solve after a margin-rule stop, at less cost
+        lam0 = trace[-1].lams if phases is ao_phases else None
         res = relaxed_slp(effective_matrix(channel, phases), symbols,
                           cfg.power, cfg.solver, lam0)
         return (rescale_to_power(res.x, cfg.power), _status(res.converged.all()),

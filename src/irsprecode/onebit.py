@@ -346,15 +346,10 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
                     residual=residual)
 
 
-# uniform-point weight of a start point: an exact zero in lam stays zero under
-# MD's multiplicative update, so its residual test could pass at a non-KKT point
+# uniform-point weight of model_start's point: an exact zero in lam stays zero
+# under MD's multiplicative update, so its residual test could pass at a
+# non-KKT point
 WARM_START_MIX = 1e-6
-
-
-def warm_start(lams: np.ndarray) -> np.ndarray:
-    """Mirror-descent start points from dual points (one per row, or one),
-    each mixed with the uniform point by WARM_START_MIX."""
-    return (1.0 - WARM_START_MIX) * lams + WARM_START_MIX / lams.shape[-1]
 
 
 def model_start(coeff: CoefficientMatrix, mu: float) -> np.ndarray:
@@ -368,9 +363,10 @@ def model_start(coeff: CoefficientMatrix, mu: float) -> np.ndarray:
     every index, dropping the negative entries of lam until none are left;
     eps = 1e-9 max diag(G) covers the singular G of BPSK or K > M. W and sigma
     are then recomputed at lam until they repeat, at most 2K times; the first
-    pass, with W every entry, minimizes the quadratic model. lam is mixed by
-    warm_start. A zero or non-finite G = C^T C gives the uniform point, and a
-    pass with non-finite values returns the previous one."""
+    pass, with W every entry, minimizes the quadratic model. lam is mixed with
+    the uniform point by WARM_START_MIX. A zero or non-finite G = C^T C gives
+    the uniform point, and a pass with non-finite values returns the previous
+    one."""
     c = coeff.c
     g = c.T @ c
     n = g.shape[0]
@@ -407,7 +403,7 @@ def model_start(coeff: CoefficientMatrix, mu: float) -> np.ndarray:
         sigma = clipped
         inside = c[sigma == 0.0]
         g = inside.T @ inside
-    return warm_start(lam)
+    return (1.0 - WARM_START_MIX) * lam + WARM_START_MIX / n
 
 
 # (mu, md_tol) warm-start stages of solve_relaxed; stages at or below the
@@ -505,7 +501,6 @@ class SymbolSolveResult:
     xbar: np.ndarray
     objective: float
     xbar_relaxed: np.ndarray
-    lam: np.ndarray
     relax_value: float
     onebit_lower_bound: float
     md: MdResult
@@ -530,7 +525,6 @@ def solve_symbol(h_eff, symbols, constellation: PskConstellation, power: float,
         xbar=xbar,
         objective=worst_objective(xbar, coeff),
         xbar_relaxed=xrel,
-        lam=md.lam,
         relax_value=relax_value,
         onebit_lower_bound=relax_value - opts.mu * power_total / 2.0,
         md=md,

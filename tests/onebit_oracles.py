@@ -17,7 +17,7 @@ window, and tests require the solver's start to need fewer MD iterations.
 
 import numpy as np
 
-from irsprecode.onebit import CoefficientMatrix, check_real, warm_start
+from irsprecode.onebit import WARM_START_MIX, CoefficientMatrix, check_real
 
 
 def huber(y, rho: float):
@@ -42,8 +42,9 @@ def quadratic_model_start(coeff: CoefficientMatrix) -> np.ndarray:
 
     (G_AA + eps I) v = 1 is solved on an active set A, at first every index,
     dropping the nonpositive entries of v until none are left; eps = 1e-9
-    max diag(G). v / sum(v) is then mixed by warm_start. A zero or
-    non-finite G gives the uniform point."""
+    max diag(G). v / sum(v) is then mixed with the uniform point by
+    WARM_START_MIX, as model_start mixes. A zero or non-finite G gives the
+    uniform point."""
     g = coeff.c.T @ coeff.c
     n = g.shape[0]
     scale = g.diagonal().max()
@@ -58,7 +59,7 @@ def quadratic_model_start(coeff: CoefficientMatrix) -> np.ndarray:
         active = active[v > 0]
     lam = np.zeros(n)
     lam[active] = v / v.sum()
-    return warm_start(lam)
+    return (1.0 - WARM_START_MIX) * lam + WARM_START_MIX / n
 
 
 def brute_force_onebit(coeff: CoefficientMatrix):

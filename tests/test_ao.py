@@ -114,7 +114,7 @@ def test_trace_replicates_hand_driven_steps():
         results = [solve_symbol(h_eff, sym.symbols[:, t], QPSK, POWER, cfg, rng)
                    for t in range(sym.n_slots)]
         assert rec.md_converged == [res.md.converged for res in results]
-        assert np.array_equal(rec.lams, np.stack([res.lam for res in results]))
+        assert np.array_equal(rec.lams, np.stack([res.md.lam for res in results]))
         fr = OneBitFrame(xbar=np.stack([res.xbar for res in results]), amplitude=amplitude)
         coeffs = build_phase_coefficients(ch, fr, sym)
         apg = apg_optimize(coeffs, ph.theta_bar, cfg)

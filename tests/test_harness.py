@@ -30,7 +30,7 @@ from irsprecode.harness import (
     timing_report,
     write_csv,
 )
-from irsprecode.onebit import mirror_descent, solve_symbol, warm_start
+from irsprecode.onebit import mirror_descent, solve_symbol
 
 QPSK = PskConstellation(4)
 
@@ -318,9 +318,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("policy", ["random", "shared"])
     def test_relaxed_starts_warm_only_at_the_joint_designs_phases(self, monkeypatch,
                                                                   policy):
-        # "random": the box solve runs cold at the channel's random phases and
-        # equals a direct relaxed_slp there. "shared": it runs at AO's phases
-        # from warm_start of AO's last dual points, and equals that call
+        # "random": the box solve runs cold at the channel's random phases.
+        # "shared": it runs at AO's phases from AO's last dual points as they
+        # are. Either way it equals a cold relaxed_slp there
         import irsprecode.harness as hn
 
         cfg = small_cfg(schemes=("onebit-md", "relaxed", "relaxed-quant"),
@@ -344,15 +344,13 @@ class TestRunExperiment:
         for i, ((_, phases, trace), (h_eff, symbols, lam0, res)) in enumerate(
                 zip(designs, boxes)):
             if policy == "shared":
-                want = warm_start(trace[-1].lams)
-                assert np.array_equal(lam0, want)
+                assert lam0 is trace[-1].lams
             else:
                 phases = PhaseShifts.random(cfg.n, hn._substream(cfg, i, hn._TAG_THETA))
-                want = None
                 assert lam0 is None
             ch = channel_realization(cfg.seed, i, cfg.m, cfg.n, cfg.k)
             assert np.array_equal(h_eff, effective_matrix(ch, phases))
-            direct = real_box(h_eff, symbols, cfg.power, opts, want)
+            direct = real_box(h_eff, symbols, cfg.power, opts, None)
             for name in ("x", "relax_values", "converged"):
                 assert np.array_equal(getattr(res, name), getattr(direct, name))
 

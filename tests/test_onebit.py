@@ -34,7 +34,6 @@ from irsprecode.onebit import (
     recover_x,
     solve_relaxed,
     solve_symbol,
-    warm_start,
     worst_objective,
 )
 
@@ -706,7 +705,7 @@ def test_solve_relaxed_shared_path_bit_exact():
 # --- warm starts -------------------------------------------------------------
 
 def _mixed(lam):
-    """The shared-phase box's warm start: lam mixed with the uniform point."""
+    """lam mixed with the uniform point by WARM_START_MIX, as model_start mixes."""
     return (1.0 - WARM_START_MIX) * lam + WARM_START_MIX / lam.size
 
 
@@ -742,8 +741,8 @@ def test_mixed_warm_start_recovers_a_zeroed_optimal_entry():
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), drift=st.sampled_from([0.01, 0.3, np.pi]))
 def test_mixed_warm_start_agrees_with_cold_start_on_desk_slots(seed, drift):
-    # as in the shared-phase box solve: the dual point of one phase setting
-    # warm-starts the slot at phases moved by up to drift radians per element
+    # the mixed dual point of one phase setting warm-starts the slot at phases
+    # moved by up to drift radians per element
     rng = np.random.default_rng(seed)
     c = QPSK
     mu = SolverConfig().mu
@@ -797,12 +796,12 @@ def test_model_start_minimizes_the_quadratic_model():
     coeff = CoefficientMatrix(c=q * d, amplitude=1.0)
     want = d ** -2 / np.sum(d ** -2)
     lam = model_start(coeff, 10.0)
-    assert np.abs(lam - warm_start(want)).max() <= 1e-8  # the ridge eps moves it
+    assert np.abs(lam - _mixed(want)).max() <= 1e-8  # the ridge eps moves it
     md = mirror_descent(coeff, 10.0, SolverConfig(), lam0=lam)
     assert np.abs(coeff.c @ md.lam).max() < 10.0 * coeff.amplitude
     assert md.converged and md.n_iter == 0
     dominated = CoefficientMatrix(c=np.array([[1.0, 1.2], [0.0, 0.5]]), amplitude=1.0)
-    assert np.array_equal(model_start(dominated, 10.0), warm_start(np.array([1.0, 0.0])))
+    assert np.array_equal(model_start(dominated, 10.0), _mixed(np.array([1.0, 0.0])))
 
 
 @settings(max_examples=200, deadline=None)
