@@ -351,6 +351,11 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
 # non-KKT point
 WARM_START_MIX = 1e-6
 
+# model_start gives the uniform point instead of a point whose Frank-Wolfe gap
+# <g, lam> - min g, an upper bound on f_mu(lam) - min f_mu, is above this times
+# f_mu(lam) + s rho; s rho keeps the test meaningful where min f_mu is 0 (K >= M)
+START_GAP_RTOL = 1e-4
+
 
 def model_start(coeff: CoefficientMatrix, mu: float) -> np.ndarray:
     """Cold start of solve_relaxed: the minimizer of the dual's piecewise-quadratic model.
@@ -363,10 +368,14 @@ def model_start(coeff: CoefficientMatrix, mu: float) -> np.ndarray:
     every index, dropping the negative entries of lam until none are left;
     eps = 1e-9 max diag(G) covers the singular G of BPSK or K > M. W and sigma
     are then recomputed at lam until they repeat, at most 2K times; the first
-    pass, with W every entry, minimizes the quadratic model. lam is mixed with
-    the uniform point by WARM_START_MIX. A zero or non-finite G = C^T C gives
-    the uniform point, and a pass with non-finite values returns the previous
-    one."""
+    pass, with W every entry, minimizes the quadratic model. Dropping an
+    index never compares its gradient with tau, and a window that does not
+    repeat leaves lam optimal for another model, so in those two cases lam
+    must pass the START_GAP_RTOL test of f_mu itself, or the uniform point is
+    returned: MD's residual barely sees the WARM_START_MIX weight of an entry
+    the start left out. lam is mixed with the uniform point by WARM_START_MIX.
+    A zero or non-finite G = C^T C gives the uniform point, and a pass with
+    non-finite values returns the previous one."""
     c = coeff.c
     g = c.T @ c
     n = g.shape[0]
@@ -377,16 +386,19 @@ def model_start(coeff: CoefficientMatrix, mu: float) -> np.ndarray:
     rho = mu * coeff.amplitude
     sigma = np.zeros(c.shape[0])  # sign of each clipped entry, 0 inside W
     rhs = np.empty((2, n))  # the right-hand sides 1 and b, as rows
+    repeated = False
     for _ in range(n + 1):
         g.flat[::n + 1] += 1e-9 * scale
         rhs[0] = 1.0
         np.matmul(c.T, sigma, out=rhs[1])
+        dropped = False
         while True:
             v, u = np.linalg.solve(g, rhs.T).T
             w = v * (1.0 + rho * u.sum()) - (rho * v.sum()) * u  # sum(v) lam
             drop = w < 0
             if not drop.any():
                 break
+            dropped = True
             # a dropped index gets an identity row and column and zero
             # right-hand sides, so its entries of v, u and w are 0 from now on
             g[drop] = g[:, drop] = 0.0
@@ -398,11 +410,18 @@ def model_start(coeff: CoefficientMatrix, mu: float) -> np.ndarray:
         lam = w / total
         y = c @ lam
         clipped = np.sign(y) * (np.abs(y) > rho)
-        if (clipped == sigma).all():
+        repeated = (clipped == sigma).all()
+        if repeated:
             break
         sigma = clipped
         inside = c[sigma == 0.0]
         g = inside.T @ inside
+    if dropped or not repeated:
+        s = coeff.amplitude
+        y_c, f = _clipped_value(c @ lam, s, rho)
+        grad = _dual_grad(c.T, y_c, s, rho)
+        if grad @ lam - grad.min() > START_GAP_RTOL * (f + s * rho):
+            return np.full(n, 1.0 / n)
     return (1.0 - WARM_START_MIX) * lam + WARM_START_MIX / n
 
 

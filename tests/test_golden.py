@@ -21,9 +21,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from irsprecode import onebit
+from irsprecode import baselines, onebit
+from irsprecode.channel import PhaseShifts, drop_users, effective_matrix, sample_channels
+from irsprecode.constellation import PskConstellation
 from irsprecode.harness import run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,9 +48,9 @@ GOLDENS = {
                  {"zf-quant": (4, 1668208, 1421379), "zf-quant-noirs": (4, 1914666, 1611191),
                   "relaxed-quant-noirs": (4, 1908994, 1605474),
                   "relaxed-noirs": (4, 1588252, 1342815)}),
-    "paper": (1, "9f75aaff88582bf322f2a9fb15a93b13c9257ac463ea531a9bee9bd22ae8b8f0",
+    "paper": (1, "fcd7f7a2a620565e6de29daf23cc6c337ee41b29eda907aefe9fbb3bfb83c915",
               {"onebit-md": (1, 1079, 1008), "relaxed": (1, 689, 649),
-               "relaxed-quant": (1, 1220, 1140), "zf-quant": (1, 1258, 1168)}),
+               "relaxed-quant": (1, 1217, 1137), "zf-quant": (1, 1265, 1175)}),
 }
 
 
@@ -91,6 +94,44 @@ def test_cold_box_solves_start_at_their_optimum(monkeypatch):
     monkeypatch.setattr(onebit, "mirror_descent", spy)
     run_experiment(WORKLOADS["bercurve"].config(0, 1))
     assert len(iters) == 50 and sum(iters) <= 10, iters
+
+
+def test_cold_starts_that_md_certifies_pass_the_first_order_check(monkeypatch):
+    # every cold solve_relaxed of the paper golden run, and of 60 power-1 slots
+    # of criterion 4's geometry (M=32, K=2-4, N=8, QPSK and 8-PSK) at the
+    # solver's mu, that MD stops at its first residual test returns the start's
+    # point; its Frank-Wolfe gap g.lam - min g, a bound on f_mu(lam) - min f_mu,
+    # must be within model_start's START_GAP_RTOL. Solves that MD iterates are
+    # certified by its residual instead. Measured before model_start checked its
+    # point: 9 of the 300 paper solves and 8 of the 60 slots stopped at once
+    # with gaps up to 0.46 and 2.0 times f_mu + s rho
+    calls = []
+
+    def spy(coeff, mu, opts=onebit.SolverConfig(), lam0=None, real=onebit.solve_relaxed):
+        xrel, md = real(coeff, mu, opts, lam0)
+        calls.append((coeff, mu, md, lam0 is None))
+        return xrel, md
+
+    monkeypatch.setattr(onebit, "solve_relaxed", spy)
+    monkeypatch.setattr(baselines, "solve_relaxed", spy)
+    run_experiment(WORKLOADS["paper"].config(0, 1))
+    assert len(calls) == 300
+    for i in range(60):
+        rng = np.random.default_rng(1000 + i)
+        k, c = (2, 3, 4)[i % 3], PskConstellation((4, 8)[i % 2])
+        ch = sample_channels(drop_users(k, rng), 32, 8, rng)
+        h_eff = effective_matrix(ch, PhaseShifts.random(8, rng))
+        sym = c.points[rng.integers(0, c.order, k)]
+        onebit.solve_relaxed(onebit.build_coefficients(h_eff, sym, c, 1.0),
+                             onebit.SolverConfig().mu)
+    assert len(calls) == 360 and all(md.converged for _, _, md, _ in calls)
+    gaps = []
+    for coeff, mu, md, cold in calls:
+        if cold and md.n_iter == 0:
+            g = onebit.dual_gradient(md.lam, coeff, mu)
+            s = coeff.amplitude
+            gaps.append((g @ md.lam - g.min()) / (md.value + s * mu * s))
+    assert len(gaps) >= 100 and max(gaps) <= onebit.START_GAP_RTOL, max(gaps)
 
 
 # prints the BLAS thread count read back from OpenBLAS and each golden

@@ -21,6 +21,7 @@ from irsprecode.channel import (
 from irsprecode.constellation import PskConstellation, margin
 from irsprecode.onebit import (
     MU_STAGES,
+    START_GAP_RTOL,
     WARM_START_MIX,
     CoefficientMatrix,
     OneBitFrame,
@@ -815,7 +816,10 @@ def test_model_start_properties(seed, order, size, zero, mu):
     # model's minimizer keeps every entry of C lam inside the window it is the
     # piecewise model's too, and the start equals the oracle up to the ridge
     # solve's rounding, n eps cond(G + eps' I): 1e-16 on a full-rank G, up to
-    # 3e-8 measured on BPSK's singular one
+    # 3e-8 measured on BPSK's singular one. If the oracle dropped an entry
+    # (mixing leaves it at exactly WARM_START_MIX / 2K), model_start checks the
+    # point, and one that fails the START_GAP_RTOL test of f_mu gives the
+    # uniform point instead: a dropped entry can be optimal
     m, k, n = size
     coeff, _, _, _ = random_instance(np.random.default_rng(seed), m=m, k=k, order=order,
                                      n=n)
@@ -829,7 +833,13 @@ def test_model_start_properties(seed, order, size, zero, mu):
         return
     oracle = quadratic_model_start(coeff)
     unmixed = (oracle - WARM_START_MIX / (2 * k)) / (1.0 - WARM_START_MIX)
-    if np.abs(coeff.c @ unmixed).max() <= mu * coeff.amplitude * (1.0 - 1e-6):
+    s = coeff.amplitude
+    if np.abs(coeff.c @ unmixed).max() <= mu * s * (1.0 - 1e-6):
+        dropped = (oracle == WARM_START_MIX / (2 * k)).any()
+        if dropped and (_fw_gap(unmixed, coeff, mu)
+                        > START_GAP_RTOL * (dual_value(unmixed, coeff, mu) + s * mu * s)):
+            assert np.array_equal(lam, np.full(2 * k, 1.0 / (2 * k)))
+            return
         g = coeff.c.T @ coeff.c
         ridged = g + 1e-9 * g.diagonal().max() * np.eye(2 * k)
         tol = 2 * k * np.finfo(float).eps * np.linalg.cond(ridged)
