@@ -351,7 +351,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
     if threads == 1:
         per_channel = [_run_channel(cfg, i) for i in range(cfg.n_channels)]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, cfg.n_channels)) as pool:
             per_channel = list(pool.map(functools.partial(_run_channel, cfg),
                                         range(cfg.n_channels),
                                         chunksize=max(1, cfg.n_channels // (4 * threads))))

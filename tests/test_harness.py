@@ -460,6 +460,20 @@ class TestRunExperiment:
             with pytest.raises(ValueError, match="threads must be an integer >= 1"):
                 run_experiment(cfg, threads=bad)
 
+    def test_workers_do_not_outnumber_the_channels(self, monkeypatch):
+        # the fork start method launches every worker of the pool at once
+        started = []
+
+        class Pool(harness.ProcessPoolExecutor):
+            def __exit__(self, *exc):
+                started.append(len(self._processes))
+                return super().__exit__(*exc)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        cfg = small_cfg(n_channels=1)
+        assert run_experiment(cfg, threads=3) == run_experiment(cfg)
+        assert started == [1]
+
     def test_mean_worst_margin_matches_detail(self):
         cfg = small_cfg()
         recs, detail = run_experiment(cfg, keep_channel_detail=True)
