@@ -3,7 +3,9 @@
 Each test covers one numbered criterion and prints a single verdict line
 (CRITERION nn PASS/FAIL: ...); run with `pytest tests/test_acceptance.py -v -s`
 to see the lines for passing criteria too. Expected wall time is a few
-minutes; the two desk-scale experiments (criteria 9 and 10) dominate.
+minutes; the two desk-scale experiments (criteria 9 and 10) dominate. A last
+check tests the paper's premise that a larger surface raises the joint
+design's worst margin, at the paper geometry.
 """
 
 import dataclasses
@@ -397,3 +399,28 @@ def test_criterion_11_timing_report():
     ok = rec.mean_runtime_s > 0 and "onebit-md" in report and len(report) > 0
     _verdict(11, ok, f"timing report emitted; onebit-md mean design time "
                      f"{rec.mean_runtime_s:.3f}s per channel (informational)")
+
+
+# --- the paper's premise: a larger surface raises the worst margin ------------
+
+@pytest.mark.slow
+def test_paper_margin_rises_with_the_surface_size():
+    # onebit-md alone at the paper geometry (M=128, K=14, T=100) and the paper
+    # workload's seed, 20 channels for each N; the draws differ by N, so the
+    # +/-1 standard-error intervals are unpaired
+    t0 = time.perf_counter()
+    stats = []
+    for n in (8, 16, 32, 64):
+        cfg = ExperimentConfig(n=n, n_channels=20, schemes=("onebit-md",), seed=0,
+                               record_runtime=False)
+        _, detail = run_experiment(cfg, keep_channel_detail=True)
+        margins = np.array([d["onebit-md"].worst_margin for d in detail
+                            if d["onebit-md"].ok])
+        stats.append((n, margins.size, margins.mean(),
+                      margins.std(ddof=1) / math.sqrt(margins.size)))
+    line = (", ".join(f"N={n}: {mean:.5f} +/- {se:.5f} ({size} ok)"
+                      for n, size, mean, se in stats)
+            + f", {time.perf_counter() - t0:.0f}s")
+    print(f"SURFACE SIZE: {line}", flush=True)
+    for (_, _, lo_mean, lo_se), (_, _, hi_mean, hi_se) in zip(stats, stats[1:]):
+        assert hi_mean - hi_se > lo_mean + lo_se, line
