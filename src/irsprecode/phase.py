@@ -11,8 +11,8 @@ with Phi the per-element unit-modulus set, is smoothed by log-sum-exp and
 solved with accelerated projected gradient. Projection onto Phi is a simple
 per-pair normalization but the set is nonconvex, so momentum can cycle; the
 driver therefore tracks the best iterate under the true (unsmoothed)
-objective and restarts the momentum sequence when the smoothed objective
-keeps increasing.
+objective and restarts the momentum sequence whenever the smoothed objective
+rises (O'Donoghue and Candes' function-value restart).
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ import numpy as np
 from .channel import ChannelSet
 from .constellation import SymbolFrame
 from .onebit import SolverConfig, _sigma_max_sq, frame_array
-
-# consecutive smoothed-objective increases that reset the APG momentum
-RESTART_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -202,8 +199,8 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     bound sigma_max^2 / delta (from onebit._sigma_max_sq), is halved
     optimistically each iteration, and backtracks (doubling, capped at the
     bound where the descent lemma accepts unconditionally). The momentum
-    weights follow momentum_sequence; RESTART_WINDOW consecutive
-    smoothed-objective increases restart it from psi_0 = 0. record_trace
+    weights follow momentum_sequence; an iterate whose smoothed objective
+    is above the previous iterate's restarts it from psi_0 = 0. record_trace
     keeps one ApgTraceRecord per iteration. The initial point is projected
     onto Phi and counts in best-iterate tracking, so the returned value never
     exceeds the initial objective.
@@ -235,7 +232,6 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     theta_prev = theta
     r = 1  # position in the momentum sequence
     tau = lipschitz
-    rise_streak = 0
     converged = False
     trace: list = []
     it = 0
@@ -266,12 +262,10 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
         if record_trace:
             trace.append(ApgTraceRecord(it, h_new, val, 1.0 / tau, theta_new))
 
-        # nonconvex projection plus momentum can cycle; kill the momentum
-        # after a sustained smoothed-objective rise (next psi becomes 0)
-        rise_streak = rise_streak + 1 if h_new > h_prev else 0
-        if rise_streak >= RESTART_WINDOW:
+        # nonconvex projection plus momentum can cycle; a smoothed-objective
+        # rise kills the momentum (next psi becomes 0)
+        if h_new > h_prev:
             r = 0
-            rise_streak = 0
 
         change = float(np.linalg.norm(theta_new - theta))
         theta_prev, theta = theta, theta_new

@@ -16,7 +16,6 @@ from irsprecode.channel import (
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
 from irsprecode.onebit import OneBitFrame, SolverConfig, _sigma_max_sq
 from irsprecode.phase import (
-    RESTART_WINDOW,
     ApgResult,
     ApgTraceRecord,
     PhaseCoefficients,
@@ -421,7 +420,6 @@ def _ref_apg(coeffs, theta_bar_init, opts, record_trace):
     r = 0
     h_prev = _ref_lse(theta, coeffs, delta)
     tau = lipschitz
-    rise_streak = 0
     converged = False
     trace = []
     it = 0
@@ -446,10 +444,8 @@ def _ref_apg(coeffs, theta_bar_init, opts, record_trace):
             best_theta = theta_new
         if record_trace:
             trace.append(ApgTraceRecord(it, h_new, val, 1.0 / tau, theta_new))
-        rise_streak = rise_streak + 1 if h_new > h_prev else 0
-        if rise_streak >= RESTART_WINDOW:
+        if h_new > h_prev:
             r = 0
-            rise_streak = 0
         change = float(np.linalg.norm(theta_new - theta))
         theta_prev, theta = theta, theta_new
         h_prev = h_new
