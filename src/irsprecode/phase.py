@@ -17,6 +17,7 @@ rises (O'Donoghue and Candes' function-value restart).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +170,14 @@ def momentum_sequence(n: int):
     return zeta, psi
 
 
+@functools.lru_cache(maxsize=8)
+def _momentum_weights(n: int) -> np.ndarray:
+    """The psi half of momentum_sequence(n), built once per n and read-only."""
+    psi = momentum_sequence(n)[1]
+    psi.flags.writeable = False
+    return psi
+
+
 @dataclass
 class ApgTraceRecord:
     iteration: int
@@ -218,7 +227,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
                          smoothed=lse_value(theta, coeffs, delta),
                          converged=True, n_iter=0, trace=[])
 
-    _, psis = momentum_sequence(opts.apg_max_iter)
+    psis = _momentum_weights(opts.apg_max_iter)
     # the start point goes through the public kernels, which perfbench's
     # tracer wraps and requires to run; psi_0 = 0 makes it the first
     # extrapolated point too. Every later point costs one product: its
