@@ -93,7 +93,8 @@ def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
     values match that solver bit for bit under the same settings and starts.
     lam0, a (T, 2K) block of simplex points, starts slot t's dual solve at
     row t; None starts every slot cold, at onebit.model_start. At the joint
-    design's phases the harness passes its last dual points as they are.
+    design's phases the harness passes AO's last dual points as they are
+    after a margin-rule stop, and None after a round-cap stop.
     """
     h_eff = np.atleast_2d(np.asarray(h_eff, dtype=complex))
     m = h_eff.shape[1]

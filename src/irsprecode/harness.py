@@ -289,9 +289,10 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         # is invariant to the per-slot rescale)
         t0 = time.perf_counter()
         channel, phases = (ch, theta) if with_irs else (bare, ones)
-        # a cold solve starts at model_start; at AO's phases its last dual
-        # points reproduce that solve after a margin-rule stop, at less cost
-        lam0 = trace[-1].lams if phases is ao_phases else None
+        # a cold solve starts at model_start; after a margin-rule stop, AO's
+        # last dual points reproduce it at AO's phases, at less cost
+        warm = phases is ao_phases and best_round(trace) is not trace[-1]
+        lam0 = trace[-1].lams if warm else None
         res = relaxed_slp(effective_matrix(channel, phases), symbols,
                           cfg.power, cfg.solver, lam0)
         return (rescale_to_power(res.x, cfg.power), _status(res.converged.all()),

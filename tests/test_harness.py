@@ -354,6 +354,39 @@ class TestRunExperiment:
             for name in ("x", "relax_values", "converged"):
                 assert np.array_equal(getattr(res, name), getattr(direct, name))
 
+    def test_box_at_the_joint_designs_phases_is_cold_after_a_round_cap_stop(
+            self, monkeypatch):
+        # one AO round: every run stops at the cap, and its last dual points
+        # were computed at the phases before the phase step, so the box at
+        # AO's phases must equal a cold relaxed_slp
+        import irsprecode.harness as hn
+
+        cfg = small_cfg(schemes=("onebit-md", "relaxed"), t=6, n_channels=6,
+                        solver=SolverConfig(ao_max_outer=1))
+        designs, boxes = [], []
+        real_ao, real_box = hn.alternating_optimize, hn.relaxed_slp
+
+        def ao_spy(*args, **kwargs):
+            designs.append(real_ao(*args, **kwargs))
+            return designs[-1]
+
+        def box_spy(h_eff, symbols, power, opts, lam0):
+            boxes.append((h_eff, symbols, real_box(h_eff, symbols, power, opts, lam0)))
+            return boxes[-1][-1]
+
+        monkeypatch.setattr(hn, "alternating_optimize", ao_spy)
+        monkeypatch.setattr(hn, "relaxed_slp", box_spy)
+        run_experiment(cfg)
+        assert len(boxes) == len(designs) == cfg.n_channels
+        for i, ((_, phases, trace), (h_eff, symbols, res)) in enumerate(
+                zip(designs, boxes)):
+            assert len(trace) == 1
+            ch = channel_realization(cfg.seed, i, cfg.m, cfg.n, cfg.k)
+            assert np.array_equal(h_eff, effective_matrix(ch, phases))
+            direct = real_box(h_eff, symbols, cfg.power, cfg.solver, None)
+            for name in ("x", "relax_values", "converged"):
+                assert np.array_equal(getattr(res, name), getattr(direct, name))
+
     def test_design_substreams_follow_the_registry_order(self):
         # a scheme's design draws come from the substream at its place in
         # SCHEMES, so reordering the registry would re-key every scheme's draws
