@@ -3,10 +3,11 @@
 Each outer round solves the T per-slot transmit designs against the current
 effective channel, then re-optimizes the phase shifts against the new frame,
 warm-starting from the previous round's (initially uniform random) phases.
-Every slot solve starts cold, at onebit.model_start, and each round's record
-keeps its (T, 2K) block of dual points. After a margin-rule stop the last
-round's x-step ran at the phases the loop returns, so a box solve there from
-trace[-1].lams reproduces the cold solve bit for bit.
+Every slot solve starts cold, at its slot's onebit.model_start; a round takes
+its T starts in one onebit.model_starts call. Each round's record keeps its
+(T, 2K) block of dual points. After a margin-rule stop the last round's x-step
+ran at the phases the loop returns, so a box solve there from trace[-1].lams
+reproduces the cold solve bit for bit.
 
 The objective is the worst-case margin over all (user, slot) pairs. Neither
 inner solver is exact (rounding and a nonconvex projection are involved), so
@@ -26,7 +27,15 @@ import numpy as np
 
 from .channel import ChannelSet, PhaseShifts, effective_matrix
 from .constellation import SymbolFrame, margin
-from .onebit import OneBitFrame, SolverConfig, frame_array, solve_symbol
+from .onebit import (
+    OneBitFrame,
+    SolverConfig,
+    build_coefficients,
+    frame_array,
+    model_starts,
+    solve_symbol,
+    start_mu,
+)
 from .phase import apg_optimize, build_phase_coefficients
 
 # a round improves when its worst margin rises by more than this, relative:
@@ -122,11 +131,12 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, power: float,
 
 
 def _x_step(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig, rng):
-    """T independent cold per-slot one-bit designs; returns (frame, (T, 2K)
-    dual points, md statuses)."""
-    results = [solve_symbol(h_eff, symbols.symbols[:, t], symbols.constellation,
-                            power, opts, rng)
-               for t in range(symbols.n_slots)]
+    """T independent cold per-slot one-bit designs, their starts taken in one
+    call; returns (frame, (T, 2K) dual points, md statuses)."""
+    coeffs = [build_coefficients(h_eff, symbols.symbols[:, t], symbols.constellation, power)
+              for t in range(symbols.n_slots)]
+    results = [solve_symbol(coeff, opts, rng, lam0)
+               for coeff, lam0 in zip(coeffs, model_starts(coeffs, start_mu(opts.mu)))]
     return (OneBitFrame.from_slots([res.xbar for res in results], power),
             np.stack([res.md.lam for res in results]), [res.md.converged for res in results])
 

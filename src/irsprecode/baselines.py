@@ -18,8 +18,10 @@ from .onebit import (
     OneBitFrame,
     SolverConfig,
     build_coefficients,
+    model_starts,
     onebit_amplitude,
     solve_relaxed,
+    start_mu,
 )
 
 # singular values below max(sv) * this are treated as zero in the ZF inverse
@@ -92,20 +94,26 @@ def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
     with its mu-continuation) as the one-bit path, so its per-slot relaxation
     values match that solver bit for bit under the same settings and starts.
     lam0, a (T, 2K) block of simplex points, starts slot t's dual solve at
-    row t; None starts every slot cold, at onebit.model_start. At the joint
-    design's phases the harness passes AO's last dual points as they are
-    after a margin-rule stop, and None after a round-cap stop.
+    row t; a block of another shape raises ValueError. None starts every slot
+    cold, at the rows of one onebit.model_starts call, each equal to its
+    slot's onebit.model_start. At the joint design's phases the harness
+    passes AO's last dual points as they are after a margin-rule stop, and
+    None after a round-cap stop.
     """
     h_eff = np.atleast_2d(np.asarray(h_eff, dtype=complex))
     m = h_eff.shape[1]
+    shape = (symbols.n_slots, 2 * h_eff.shape[0])
+    if lam0 is not None and np.shape(lam0) != shape:
+        raise ValueError(f"lam0 must be a (T, 2K) = {shape} block, got shape {np.shape(lam0)}")
+    coeffs = [build_coefficients(h_eff, symbols.symbols[:, t], symbols.constellation, power)
+              for t in range(symbols.n_slots)]
+    if lam0 is None and coeffs:  # a frame of no slots has no starts to take
+        lam0 = model_starts(coeffs, start_mu(opts.mu))
     rows = np.empty((symbols.n_slots, m), dtype=complex)
     values = np.empty(symbols.n_slots)
     converged = np.empty(symbols.n_slots, dtype=bool)
-    for t in range(symbols.n_slots):
-        coeff = build_coefficients(h_eff, symbols.symbols[:, t],
-                                   symbols.constellation, power)
-        xrel, md = solve_relaxed(coeff, opts.mu, opts,
-                                 None if lam0 is None else lam0[t])
+    for t, coeff in enumerate(coeffs):
+        xrel, md = solve_relaxed(coeff, opts.mu, opts, lam0[t])
         rows[t] = xrel[:m] + 1j * xrel[m:]
         values[t] = -md.value
         converged[t] = md.converged

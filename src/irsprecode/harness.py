@@ -37,11 +37,14 @@ from .constellation import (
 from .onebit import (
     OneBitFrame,
     SolverConfig,
+    build_coefficients,
     check_count,
     check_real,
     frame_array,
     is_real,
+    model_starts,
     solve_symbol,
+    start_mu,
 )
 
 CSV_COLUMNS = (
@@ -308,9 +311,11 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
             status = _status(best_round(trace).converged)
         elif spec.x_mode == "onebit":
             h_eff, rng = np.conj(bare.h_d), _design_rng(cfg, index, scheme)
-            results = [solve_symbol(h_eff, symbols.symbols[:, t], const,
-                                    cfg.power, cfg.solver, rng)
-                       for t in range(cfg.t)]
+            coeffs = [build_coefficients(h_eff, symbols.symbols[:, t], const, cfg.power)
+                      for t in range(cfg.t)]
+            starts = model_starts(coeffs, start_mu(cfg.solver.mu))
+            results = [solve_symbol(coeff, cfg.solver, rng, lam0)
+                       for coeff, lam0 in zip(coeffs, starts)]
             frame = OneBitFrame.from_slots([res.xbar for res in results], cfg.power)
             status = _status(all(res.md.converged for res in results))
             runtime = time.perf_counter() - t0

@@ -357,8 +357,9 @@ WARM_START_MIX = 1e-6
 START_GAP_RTOL = 1e-4
 
 
-def model_start(coeff: CoefficientMatrix, mu: float) -> np.ndarray:
-    """Cold start of solve_relaxed: the minimizer of the dual's piecewise-quadratic model.
+def model_starts(coeffs, mu: float) -> np.ndarray:
+    """Cold starts of solve_relaxed, one row per slot: the minimizer of each
+    slot's dual's piecewise-quadratic model. Row t depends on coeffs[t] alone.
 
     With the Huber window W = {m : |(C lam)_m| <= rho = mu s} and the signs
     sigma of the clipped entries held fixed, f_mu is the quadratic
@@ -375,60 +376,98 @@ def model_start(coeff: CoefficientMatrix, mu: float) -> np.ndarray:
     returned: MD's residual barely sees the WARM_START_MIX weight of an entry
     the start left out. lam is mixed with the uniform point by WARM_START_MIX.
     A zero or non-finite G = C^T C gives the uniform point, and a pass with
-    non-finite values returns the previous one."""
-    c = coeff.c
-    g = c.T @ c
-    n = g.shape[0]
-    lam = np.full(n, 1.0 / n)
-    scale = g.diagonal().max()
-    if not (np.isfinite(g).all() and scale > 0):
-        return lam
-    rho = mu * coeff.amplitude
-    sigma = np.zeros(c.shape[0])  # sign of each clipped entry, 0 inside W
-    rhs = np.empty((2, n))  # the right-hand sides 1 and b, as rows
-    repeated = False
+    non-finite values returns the previous one.
+
+    The slots, all 2M x 2K, take their passes together: one stacked product
+    gives every G, and one stacked solve per active-set step serves the
+    slots still in it. Each slot keeps its own window, Gram C_W^T C_W from
+    its own compacted rows, drops and stopping pass, and every product has
+    the layout of a single slot's, so each row equals model_start of its
+    slot bit for bit.
+    """
+    ct = np.stack([coeff.c.T for coeff in coeffs])  # (T, 2K, 2M): each C^T as built
+    c = ct.transpose(0, 2, 1)
+    n_slots, n = ct.shape[:2]
+    s = np.array([coeff.amplitude for coeff in coeffs])
+    rho = mu * s
+    g = ct @ c
+    diag = np.arange(n)
+    scale = g[:, diag, diag].max(axis=1)
+    ok = np.isfinite(g).all(axis=(1, 2)) & (scale > 0)
+    lam = np.full((n_slots, n), 1.0 / n)
+    sigma = np.zeros((n_slots, ct.shape[2]))  # sign of each clipped entry, 0 inside W
+    rhs = np.empty((n_slots, n, 2))  # the right-hand sides 1 and b, as columns
+    w = np.empty((n_slots, n))  # sum(v) lam of the last solve
+    dropped = np.zeros(n_slots, dtype=bool)
+    repeated = np.zeros(n_slots, dtype=bool)
+    live = np.flatnonzero(ok)  # the slots whose passes go on
+    # the products with C run over the whole stack: most slots are live in
+    # most passes, and copying the live ones out cost more than the products
     for _ in range(n + 1):
-        g.flat[::n + 1] += 1e-9 * scale
-        rhs[0] = 1.0
-        np.matmul(c.T, sigma, out=rhs[1])
-        dropped = False
+        if not live.size:
+            break
+        g[live[:, None], diag, diag] += 1e-9 * scale[live, None]
+        rhs[live, :, 0] = 1.0
+        rhs[live, :, 1] = (ct @ sigma[..., None])[live, :, 0]
+        dropped[live] = False
+        step = live  # the slots whose active set is still shrinking
         while True:
-            v, u = np.linalg.solve(g, rhs.T).T
-            w = v * (1.0 + rho * u.sum()) - (rho * v.sum()) * u  # sum(v) lam
-            drop = w < 0
-            if not drop.any():
+            vu = np.linalg.solve(g[step], rhs[step])
+            v, u = vu[..., 0], vu[..., 1]
+            r = rho[step, None]
+            w[step] = v * (1.0 + r * u.sum(axis=1, keepdims=True)) - (
+                r * v.sum(axis=1, keepdims=True)) * u
+            drop = w[step] < 0
+            hit = drop.any(axis=1)
+            if not hit.any():
                 break
-            dropped = True
+            step, drop = step[hit], drop[hit]
+            dropped[step] = True
             # a dropped index gets an identity row and column and zero
             # right-hand sides, so its entries of v, u and w are 0 from now on
-            g[drop] = g[:, drop] = 0.0
-            g[drop, drop] = 1.0
-            rhs[:, drop] = 0.0
-        total = w.sum()  # w >= 0 now, so w / total is finite if total is
-        if not 0 < total < np.inf:
-            break
-        lam = w / total
-        y = c @ lam
-        clipped = np.sign(y) * (np.abs(y) > rho)
-        repeated = (clipped == sigma).all()
-        if repeated:
-            break
-        sigma = clipped
-        inside = c[sigma == 0.0]
-        g = inside.T @ inside
-    if dropped or not repeated:
-        s = coeff.amplitude
-        y_c, f = _clipped_value(c @ lam, s, rho)
-        grad = _dual_grad(c.T, y_c, s, rho)
-        if grad @ lam - grad.min() > START_GAP_RTOL * (f + s * rho):
-            return np.full(n, 1.0 / n)
-    return (1.0 - WARM_START_MIX) * lam + WARM_START_MIX / n
+            g[step] = np.where(drop[:, :, None] | drop[:, None, :], np.eye(n), g[step])
+            rhs[step] = np.where(drop[..., None], 0.0, rhs[step])
+        total = w[live].sum(axis=1)  # w >= 0 now, so w / total is finite if total is
+        fine = (0 < total) & (total < np.inf)
+        live, total = live[fine], total[fine]
+        lam[live] = w[live] / total[:, None]
+        y = (c @ lam[..., None])[live, :, 0]
+        clipped = np.sign(y) * (np.abs(y) > rho[live, None])
+        same = (clipped == sigma[live]).all(axis=1)
+        repeated[live] = same
+        live, clipped = live[~same], clipped[~same]
+        sigma[live] = clipped
+        for t in live:
+            inside = c[t][sigma[t] == 0.0]
+            g[t] = inside.T @ inside
+    # the Frank-Wolfe gap, as _clipped_value and _dual_grad give it per slot
+    y = (c @ lam[..., None])[..., 0]
+    y_c = np.maximum(y, -rho[:, None])
+    np.minimum(y_c, rho[:, None], out=y_c)
+    f = s / rho * (y_c[:, None, :] @ (y - 0.5 * y_c)[..., None])[:, 0, 0]
+    grad = (ct @ y_c[..., None])[..., 0] * (s / rho)[:, None]
+    gap = (grad[:, None, :] @ lam[..., None])[:, 0, 0] - grad.min(axis=1)
+    uniform = ~ok | ((dropped | ~repeated) & (gap > START_GAP_RTOL * (f + s * rho)))
+    out = (1.0 - WARM_START_MIX) * lam + WARM_START_MIX / n
+    out[uniform] = 1.0 / n
+    return out
+
+
+def model_start(coeff: CoefficientMatrix, mu: float) -> np.ndarray:
+    """Cold start of solve_relaxed for one slot: model_starts of that slot."""
+    return model_starts([coeff], mu)[0]
 
 
 # (mu, md_tol) warm-start stages of solve_relaxed; stages at or below the
 # target mu are skipped, so the solve is a single cold start when the target
 # is no smaller than the first stage
 MU_STAGES = ((5e-4, 1e-7), (2e-5, 1e-7))
+
+
+def start_mu(mu: float) -> float:
+    """The mu at which solve_relaxed's cold start for target mu is taken:
+    that of its first stage."""
+    return max(mu, MU_STAGES[0][0])
 
 
 def solve_relaxed(coeff: CoefficientMatrix, mu: float,
@@ -440,11 +479,13 @@ def solve_relaxed(coeff: CoefficientMatrix, mu: float,
     therefore runs the MU_STAGES above the target first, each initialized at
     the previous dual iterate, which reaches the same point several times
     faster. The first stage starts at lam0 (a simplex point) if given, else
-    at model_start for that stage's mu, where MD mostly stops at its first
-    residual test; the stages run either way. Returns (xbar_relaxed,
-    MdResult) for the final stage.
+    at model_start for that stage's mu, start_mu(mu), where MD mostly stops
+    at its first residual test; the stages run either way. The callers that
+    solve a frame take its cold starts in one model_starts call and pass
+    each slot its row, equal to model_start bit for bit. Returns
+    (xbar_relaxed, MdResult) for the final stage.
     """
-    lam = model_start(coeff, max(mu, MU_STAGES[0][0])) if lam0 is None else lam0
+    lam = model_start(coeff, start_mu(mu)) if lam0 is None else lam0
     for stage_mu, stage_tol in MU_STAGES:
         if stage_mu > mu:
             lam = mirror_descent(coeff, stage_mu, replace(opts, md_tol=stage_tol),
@@ -525,18 +566,19 @@ class SymbolSolveResult:
     md: MdResult
 
 
-def solve_symbol(h_eff, symbols, constellation: PskConstellation, power: float,
-                 opts: SolverConfig = SolverConfig(),
-                 rng: np.random.Generator | None = None) -> SymbolSolveResult:
-    """Design the one-bit transmit vector for one slot.
+def solve_symbol(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig(),
+                 rng: np.random.Generator | None = None,
+                 lam0: np.ndarray | None = None) -> SymbolSolveResult:
+    """Design the one-bit transmit vector for the slot of coefficient matrix coeff.
 
-    Pipeline: coefficient assembly, a cold dual solve at opts.mu (mirror
-    descent from model_start, see solve_relaxed), closed-form primal
+    Pipeline: a dual solve at opts.mu (solve_relaxed, mirror descent from
+    lam0, a simplex point, else from model_start), closed-form primal
     recovery, MBI rounding of the fractional entries with opts.mbi_restarts
-    starts. Deterministic given the rng state and settings.
+    starts. A frame's cold solves pass their rows of
+    model_starts(coeffs, start_mu(opts.mu)), taken in one call and equal to
+    model_start bit for bit. Deterministic given the rng state and settings.
     """
-    coeff = build_coefficients(h_eff, symbols, constellation, power)
-    xrel, md = solve_relaxed(coeff, opts.mu, opts)
+    xrel, md = solve_relaxed(coeff, opts.mu, opts, lam0)
     xbar = mbi_round(xrel, coeff, opts.mbi_restarts, rng)
     relax_value = -md.value
     power_total = coeff.n_lifted * coeff.amplitude ** 2
@@ -548,4 +590,3 @@ def solve_symbol(h_eff, symbols, constellation: PskConstellation, power: float,
         onebit_lower_bound=relax_value - opts.mu * power_total / 2.0,
         md=md,
     )
-

@@ -153,9 +153,9 @@ def test_criterion_03_brute_force_band():
     bound_ok = 0
     for i in range(100):
         rng = np.random.default_rng(i)
-        coeff, h_eff, sym, c = _slot_instance(rng, m=4, k=2, order=4)
+        coeff, _, _, _ = _slot_instance(rng, m=4, k=2, order=4)
         _, bf_val = brute_force_onebit(coeff)
-        res = solve_symbol(h_eff, sym, c, 100.0, SolverConfig(mbi_restarts=5),
+        res = solve_symbol(coeff, SolverConfig(mbi_restarts=5),
                            rng=np.random.default_rng(5000 + i))
         if res.onebit_lower_bound <= bf_val + 1e-12:
             bound_ok += 1
@@ -289,7 +289,7 @@ def test_criterion_08_sep_bound_validity():
     theta = PhaseShifts.random(4, np.random.default_rng(2))
     h_eff = effective_matrix(ch, theta)
     rng = np.random.default_rng(3)
-    rows = [solve_symbol(h_eff, sym.symbols[:, t], c, 100.0, rng=rng).xbar
+    rows = [solve_symbol(build_coefficients(h_eff, sym.symbols[:, t], c, 100.0), rng=rng).xbar
             for t in range(3)]
     xbar = np.stack(rows)
     x = xbar[:, :8] + 1j * xbar[:, 8:]

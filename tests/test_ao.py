@@ -22,7 +22,7 @@ from irsprecode.channel import (
     sample_channels,
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
-from irsprecode.onebit import OneBitFrame, SolverConfig, solve_symbol
+from irsprecode.onebit import OneBitFrame, SolverConfig, build_coefficients, solve_symbol
 from irsprecode.phase import apg_optimize, build_phase_coefficients
 
 QPSK = PskConstellation(4)
@@ -111,7 +111,8 @@ def test_trace_replicates_hand_driven_steps():
     prev = None
     for i, rec in enumerate(trace, start=1):
         h_eff = effective_matrix(ch, ph)
-        results = [solve_symbol(h_eff, sym.symbols[:, t], QPSK, POWER, cfg, rng)
+        results = [solve_symbol(build_coefficients(h_eff, sym.symbols[:, t], QPSK, POWER),
+                                cfg, rng)
                    for t in range(sym.n_slots)]
         assert rec.md_converged == [res.md.converged for res in results]
         assert np.array_equal(rec.lams, np.stack([res.md.lam for res in results]))

@@ -130,6 +130,25 @@ def test_relaxed_bound_dominates_brute_force():
         assert np.abs(xbar).max() <= s + 1e-12
 
 
+def test_relaxed_rejects_a_start_block_of_another_shape():
+    # T = 3 slots of K = 3 users need a (3, 6) block: extra rows were once
+    # ignored and missing ones died with an IndexError
+    ch, rng = channels(0)
+    h_eff = effective_matrix(ch, PhaseShifts.ones(4))
+    sym = SymbolFrame.random(QPSK, 3, 3, rng)
+    for rows in (5, 2):
+        with pytest.raises(ValueError, match=r"\(T, 2K\) = \(3, 6\)"):
+            relaxed_slp(h_eff, sym, 100.0, lam0=np.full((rows, 6), 1.0 / 6))
+    with pytest.raises(ValueError, match=r"\(3, 6\)"):
+        relaxed_slp(h_eff, sym, 100.0, lam0=np.full((3, 4), 0.25))
+
+
+def test_relaxed_on_a_frame_of_no_slots_is_empty():
+    h_eff = effective_matrix(channels(0)[0], PhaseShifts.ones(4))
+    res = relaxed_slp(h_eff, SymbolFrame(np.zeros((3, 0), dtype=int), QPSK), 100.0)
+    assert res.x.shape == (0, 8) and res.relax_values.shape == res.converged.shape == (0,)
+
+
 def test_relaxed_large_mu_shrinks_solution():
     ch, rng = channels(100, m=4, n=2, k=2)
     h_eff = effective_matrix(ch, PhaseShifts.ones(2))
@@ -149,7 +168,7 @@ def test_relaxed_matches_onebit_solver_internal_stage(mu):
     res = relaxed_slp(h_eff, sym, power=100.0, opts=opts)
     m = 6
     for t in range(4):
-        full = solve_symbol(h_eff, sym.symbols[:, t], QPSK, 100.0, opts,
+        full = solve_symbol(build_coefficients(h_eff, sym.symbols[:, t], QPSK, 100.0), opts,
                             np.random.default_rng(0))
         assert np.array_equal(res.x[t], full.xbar_relaxed[:m] + 1j * full.xbar_relaxed[m:])
         assert res.relax_values[t] == full.relax_value

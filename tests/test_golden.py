@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irsprecode import baselines, onebit
+from irsprecode import ao, baselines, harness, onebit
 from irsprecode.channel import PhaseShifts, drop_users, effective_matrix, sample_channels
 from irsprecode.constellation import PskConstellation
 from irsprecode.harness import run_experiment
@@ -102,16 +102,27 @@ def test_cold_starts_that_md_certifies_pass_the_first_order_check(monkeypatch):
     # solver's mu, that MD stops at its first residual test returns the start's
     # point; its Frank-Wolfe gap g.lam - min g, a bound on f_mu(lam) - min f_mu,
     # must be within model_start's START_GAP_RTOL. Solves that MD iterates are
-    # certified by its residual instead. Measured before model_start checked its
-    # point: 9 of the 300 paper solves and 8 of the 60 slots stopped at once
-    # with gaps up to 0.46 and 2.0 times f_mu + s rho
-    calls = []
+    # certified by its residual instead. A solve is cold when it starts at a
+    # row of a onebit.model_starts block, whether its caller took the frame's
+    # starts (lam0 a row of that block) or solve_relaxed did (lam0 None).
+    # Measured before model_start checked its point: 9 of the 300 paper
+    # solves and 8 of the 60 slots stopped at once with gaps up to 0.46 and
+    # 2.0 times f_mu + s rho
+    blocks, calls = [], []
+
+    def start_spy(coeffs, mu, real=onebit.model_starts):
+        block = real(coeffs, mu)
+        blocks.append(block)
+        return block
 
     def spy(coeff, mu, opts=onebit.SolverConfig(), lam0=None, real=onebit.solve_relaxed):
         xrel, md = real(coeff, mu, opts, lam0)
-        calls.append((coeff, mu, md, lam0 is None))
+        cold = lam0 is None or any(np.may_share_memory(lam0, b) for b in blocks)
+        calls.append((coeff, mu, md, cold))
         return xrel, md
 
+    for module in (onebit, ao, harness, baselines):
+        monkeypatch.setattr(module, "model_starts", start_spy)
     monkeypatch.setattr(onebit, "solve_relaxed", spy)
     monkeypatch.setattr(baselines, "solve_relaxed", spy)
     run_experiment(WORKLOADS["paper"].config(0, 1))

@@ -12,7 +12,7 @@ from counting_oracles import reference_simulate_transmission
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from irsprecode import ao, harness, onebit, phase
+from irsprecode import ao, baselines, harness, onebit, phase
 from irsprecode.ao import AoIterationRecord, frame_margins
 from irsprecode.baselines import SCHEMES, zf_precode
 from irsprecode.channel import ChannelSet, PhaseShifts, effective_matrix
@@ -30,7 +30,7 @@ from irsprecode.harness import (
     timing_report,
     write_csv,
 )
-from irsprecode.onebit import mirror_descent, solve_symbol
+from irsprecode.onebit import build_coefficients, mirror_descent, solve_symbol
 
 QPSK = PskConstellation(4)
 
@@ -51,7 +51,8 @@ def fixed_design(seed=0, m=6, k=2, t=3):
     symbols = SymbolFrame.random(QPSK, k, t, rng)
     phases = PhaseShifts.random(4, rng)
     h_eff = effective_matrix(ch, phases)
-    rows = [solve_symbol(h_eff, symbols.symbols[:, j], QPSK, 100.0, rng=rng).xbar
+    rows = [solve_symbol(build_coefficients(h_eff, symbols.symbols[:, j], QPSK, 100.0),
+                         rng=rng).xbar
             for j in range(t)]
     xbar = np.stack(rows)
     x = xbar[:, :m] + 1j * xbar[:, m:]
@@ -386,6 +387,33 @@ class TestRunExperiment:
             direct = real_box(h_eff, symbols, cfg.power, cfg.solver, None)
             for name in ("x", "relax_values", "converged"):
                 assert np.array_equal(getattr(res, name), getattr(direct, name))
+
+    def test_each_frame_takes_its_cold_starts_in_one_call(self, monkeypatch):
+        # one onebit.model_starts call of T slots per AO round's x-step, per
+        # onebit-md-noirs frame and per cold box solve (relaxed-noirs); no slot
+        # falls back to solve_relaxed's single-slot start
+        calls = {module: [] for module in (ao, harness, baselines, onebit)}
+        rounds = []
+
+        for module in calls:
+            def start_spy(coeffs, mu, real=onebit.model_starts, module=module):
+                calls[module].append(len(coeffs))
+                return real(coeffs, mu)
+
+            monkeypatch.setattr(module, "model_starts", start_spy)
+
+        def ao_spy(*args, real=harness.alternating_optimize, **kwargs):
+            out = real(*args, **kwargs)
+            rounds.append(len(out[2]))
+            return out
+
+        monkeypatch.setattr(harness, "alternating_optimize", ao_spy)
+        cfg = small_cfg(schemes=("onebit-md", "onebit-md-noirs", "relaxed-noirs"))
+        run_experiment(cfg)
+        assert len(rounds) == cfg.n_channels and sum(rounds) > cfg.n_channels
+        assert calls[ao] == [cfg.t] * sum(rounds)
+        assert calls[harness] == calls[baselines] == [cfg.t] * cfg.n_channels
+        assert calls[onebit] == []
 
     def test_design_substreams_follow_the_registry_order(self):
         # a scheme's design draws come from the substream at its place in

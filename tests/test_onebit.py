@@ -32,6 +32,7 @@ from irsprecode.onebit import (
     mbi_round,
     mirror_descent,
     model_start,
+    model_starts,
     recover_x,
     solve_relaxed,
     solve_symbol,
@@ -646,8 +647,8 @@ def test_mbi_bit_exact_against_reference_loop(seed, m, k, order, restarts, satur
 
 def test_solve_symbol_trivial_single_antenna_bpsk():
     c2 = PskConstellation(2)
-    res = solve_symbol(np.array([[1.0 + 0j]]), np.array([1.0 + 0j]), c2, 2.0,
-                       SolverConfig(), np.random.default_rng(0))
+    res = solve_symbol(build_coefficients(np.array([[1.0 + 0j]]), np.array([1.0 + 0j]), c2,
+                                          2.0), SolverConfig(), np.random.default_rng(0))
     s = 1.0  # sqrt(2/2)
     assert res.xbar[0] == pytest.approx(s)
     assert -res.objective == pytest.approx(s)  # margin = s
@@ -658,8 +659,8 @@ def test_solve_symbol_band_against_brute_force():
     rng = np.random.default_rng(16)
     hits = 0
     for _ in range(30):
-        coeff, h_eff, sym, c = random_instance(rng, m=4, k=2)
-        res = solve_symbol(h_eff, sym, c, 100.0, SolverConfig(), rng)
+        coeff, _, _, _ = random_instance(rng, m=4, k=2)
+        res = solve_symbol(coeff, SolverConfig(), rng)
         _, bf = brute_force_onebit(coeff)
         assert res.onebit_lower_bound <= bf + 1e-12
         if res.objective <= bf + 0.05 * (bf - res.onebit_lower_bound) + 1e-12:
@@ -675,8 +676,8 @@ def test_solve_symbol_between_lower_bound_and_sign_rounding(seed, m, k, order, p
     # MBI starts from the sign rounding of the relaxed point and only keeps
     # improving flips
     rng = np.random.default_rng(seed)
-    coeff, h_eff, sym, c = random_instance(rng, m=m, k=k, order=order, power=power)
-    res = solve_symbol(h_eff, sym, c, power, SolverConfig(), rng)
+    coeff, _, _, _ = random_instance(rng, m=m, k=k, order=order, power=power)
+    res = solve_symbol(coeff, SolverConfig(), rng)
     s = coeff.amplitude
     signs = np.where(res.xbar_relaxed >= 0, s, -s)
     tol = 1e-12 * (1.0 + s * np.abs(coeff.c).sum())
@@ -686,18 +687,18 @@ def test_solve_symbol_between_lower_bound_and_sign_rounding(seed, m, k, order, p
 
 def test_solve_symbol_deterministic_given_seed():
     rng = np.random.default_rng(17)
-    coeff, h_eff, sym, c = random_instance(rng, m=6, k=2)
-    a = solve_symbol(h_eff, sym, c, 100.0, SolverConfig(), np.random.default_rng(5))
-    b = solve_symbol(h_eff, sym, c, 100.0, SolverConfig(), np.random.default_rng(5))
+    coeff, _, _, _ = random_instance(rng, m=6, k=2)
+    a = solve_symbol(coeff, SolverConfig(), np.random.default_rng(5))
+    b = solve_symbol(coeff, SolverConfig(), np.random.default_rng(5))
     assert np.array_equal(a.xbar, b.xbar)
     assert a.objective == b.objective
 
 
 def test_solve_relaxed_shared_path_bit_exact():
     rng = np.random.default_rng(18)
-    coeff, h_eff, sym, c = random_instance(rng, m=6, k=2)
+    coeff, _, _, _ = random_instance(rng, m=6, k=2)
     opts = SolverConfig()
-    res = solve_symbol(h_eff, sym, c, 100.0, opts, np.random.default_rng(1))
+    res = solve_symbol(coeff, opts, np.random.default_rng(1))
     xrel, md = solve_relaxed(coeff, opts.mu, opts)
     assert np.array_equal(res.xbar_relaxed, xrel)
     assert res.relax_value == -md.value
@@ -844,6 +845,71 @@ def test_model_start_properties(seed, order, size, zero, mu):
         ridged = g + 1e-9 * g.diagonal().max() * np.eye(2 * k)
         tol = 2 * k * np.finfo(float).eps * np.linalg.cond(ridged)
         assert np.abs(lam - oracle).max() <= tol
+
+
+START_SIZES = [(32, 4, 16), (4, 6, 4), (1, 3, 2), (8, 3, 4), (2, 2, 2)]
+
+
+def _start_stack(rng, size, slots):
+    """One frame's coefficient matrices of shape size = (M, K, N): a slot per
+    (order, power, zero) in slots, with C all zeros where zero is set."""
+    m, k, n = size
+    coeffs = []
+    for order, power, zero in slots:
+        coeff = random_instance(rng, m=m, k=k, order=order, power=power, n=n)[0]
+        if zero:
+            coeff = CoefficientMatrix(c=np.zeros_like(coeff.c), amplitude=coeff.amplitude)
+        coeffs.append(coeff)
+    return coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.sampled_from(START_SIZES),
+       mu=st.sampled_from([1e-6, 5e-4, 10.0]),
+       slots=st.lists(st.tuples(st.sampled_from([2, 4, 8, 16]), st.sampled_from([1.0, 100.0]),
+                                st.sampled_from([False, False, False, True])),
+                      min_size=1, max_size=12))
+def test_model_starts_rows_depend_only_on_their_own_slot(seed, size, mu, slots):
+    # stacks that mix orders, powers, K >= M, zero C and, as the witness test
+    # below shows of this generator, slots that drop entries and slots that
+    # fall back to the uniform point: every row equals its slot's T = 1 start
+    # bit for bit, and a permuted stack or a subset gives the same rows
+    rng = np.random.default_rng(seed)
+    coeffs = _start_stack(rng, size, slots)
+    rows = model_starts(coeffs, mu)
+    assert rows.shape == (len(coeffs), 2 * size[1])
+    for row, coeff in zip(rows, coeffs):
+        assert np.array_equal(row, model_start(coeff, mu))
+    perm = rng.permutation(len(coeffs))
+    assert np.array_equal(model_starts([coeffs[i] for i in perm], mu), rows[perm])
+    keep = rng.random(len(coeffs)) < 0.5
+    keep[rng.integers(len(coeffs))] = True
+    subset = np.flatnonzero(keep)
+    assert np.array_equal(model_starts([coeffs[i] for i in subset], mu), rows[subset])
+
+
+def test_model_starts_stacks_hold_every_kind_of_start():
+    # the property above draws its stacks this way; on fixed seeds they hold
+    # zero C, points with a dropped entry (left at exactly WARM_START_MIX / 2K
+    # by the mixing) and points that fail the START_GAP_RTOL check (the
+    # uniform point, unmixed), and the rows still equal their T = 1 starts
+    kinds = dict.fromkeys(("zero", "dropped", "fallback"), 0)
+    rng = np.random.default_rng(24)
+    for size in START_SIZES:
+        for mu in (1e-6, 5e-4, 10.0):
+            slots = [(order, power, (order, power) == (2, 1.0))
+                     for order in (2, 4, 8, 16) for power in (1.0, 100.0)]
+            coeffs = _start_stack(rng, size, slots)
+            n = 2 * size[1]
+            for row, coeff in zip(model_starts(coeffs, mu), coeffs):
+                assert np.array_equal(row, model_start(coeff, mu))
+                if not coeff.c.any():
+                    kinds["zero"] += 1
+                elif np.array_equal(row, np.full(n, 1.0 / n)):
+                    kinds["fallback"] += 1
+                elif (row == WARM_START_MIX / n).any():
+                    kinds["dropped"] += 1
+    assert min(kinds.values()) > 0, kinds
 
 
 @settings(max_examples=25, deadline=None)
