@@ -17,8 +17,7 @@ class PskConstellation:
 
     Decision sectors are half-open: phases in [2*pi*l/L - pi/L, 2*pi*l/L + pi/L)
     map to point l, so a boundary angle resolves to the counter-clockwise
-    neighbour deterministically. gray_distance[a, b] is the number of bits
-    in which the Gray labels of points a and b differ.
+    neighbour deterministically.
     """
 
     def __init__(self, order: int):
@@ -30,12 +29,10 @@ class PskConstellation:
         self.points = np.exp(2j * np.pi * np.arange(self.order) / self.order)
         # cot(pi/L); exactly zero for BPSK so the margin reduces to Re{z}
         self.cot_half_sector = 0.0 if self.order == 2 else 1.0 / np.tan(np.pi / self.order)
-        g = gray_code(np.arange(self.order)).tolist()
-        self.gray_distance = np.array([[(a ^ b).bit_count() for b in g] for a in g])
 
     @property
     def bits_per_symbol(self) -> int:
-        return int(np.log2(self.order))
+        return self.order.bit_length() - 1  # log2 of a power of two
 
     def __repr__(self) -> str:
         return f"PskConstellation(order={self.order})"
@@ -47,26 +44,31 @@ def q_function(x):
                             dtype=float)
 
 
-def decide_index(y, c: PskConstellation):
-    """Index of the half-open decision sector containing each entry of y.
+def decide_index(re, im, c: PskConstellation):
+    """Index of the half-open decision sector containing each point re + j*im.
 
-    The index is floor((angle(y) + pi/L) / (2*pi/L)) mod L, the mod taken as
-    & (L - 1) since L is a power of two. A zero y has np.angle's phase,
+    re and im are the real and imaginary parts, as two real arrays (or
+    scalars) that broadcast together. The index is
+    floor((arctan2(im, re) + pi/L) / (2*pi/L)) mod L, the mod taken as
+    & (L - 1) since L is a power of two. A zero point has arctan2's phase,
     which follows the signs of its zeros: a +0 real part gives 0 (sector 0)
-    and a -0 real part gives +/-pi (sector L/2 for every L). A scalar y
-    gives a scalar. A NaN entry has no sector and raises ValueError.
+    and a -0 real part gives +/-pi (sector L/2 for every L). Returns uint8
+    indices; a scalar point gives a scalar. A NaN part has no sector and
+    raises ValueError.
     """
     half = np.pi / c.order
-    # angle() makes a fresh array (0-d for scalar y), reused in place below
-    sector = np.angle(y)[...]
+    # arctan2 makes a fresh array (0-d for scalars), reused in place below
+    sector = np.arctan2(im, re)[...]
     if np.isnan(sector).any():
         raise ValueError("receive point is NaN")
     sector += half
     sector /= 2.0 * half
     np.floor(sector, out=sector)
-    idx = sector.astype(np.int64)
+    # the floor lies in [-L/2, L/2]; a negative float has no portable cast
+    # to an unsigned type, so go through int8, whose -1 is 255 as uint8
+    idx = sector.astype(np.int8)
     idx &= c.order - 1
-    return idx[()]
+    return idx.view(np.uint8)[()]
 
 
 def margin(z, c: PskConstellation):
@@ -92,38 +94,45 @@ def sep_upper_bound(alpha, sigma2: float, c: PskConstellation):
 
 
 def gray_code(index):
-    """Binary-reflected Gray label of a symbol index (vectorized)."""
-    index = np.asarray(index, dtype=np.int64)
-    return np.bitwise_xor(index, index >> 1)
+    """Binary-reflected Gray label of a symbol index (vectorized, same dtype)."""
+    index = np.asarray(index)
+    return index ^ (index >> 1)
+
+
+def _check_indices(index, c: PskConstellation) -> np.ndarray:
+    """index as an array of symbol indices of c; a non-integer dtype (bool
+    included) or an index outside [0, L) raises ValueError."""
+    index = np.asarray(index)
+    if index.dtype.kind not in "iu":
+        raise ValueError(f"symbol indices must be integers, got dtype {index.dtype}")
+    if index.size and (index.min() < 0 or index.max() >= c.order):
+        raise ValueError("symbol index out of range")
+    return index
 
 
 def bit_errors(sent_index, decided_index, c: PskConstellation):
     """Number of differing Gray-label bits, summed over all entries.
 
     The two index arrays broadcast against each other, so a K x T block of
-    sent indices can face an (n_noise, K, T) block of decisions as is. Each
-    (sent, decided) pair is tallied once and weighted by c.gray_distance.
-    Indices outside [0, L) raise ValueError.
+    sent indices can face an (n_noise, K, T) block of decisions as is. The
+    Gray labels of each (sent, decided) pair are xored and the set bits
+    counted one bit plane at a time, in uint8. Non-integer indices and
+    indices outside [0, L) raise ValueError.
     """
-    sent_index = np.asarray(sent_index)
-    decided_index = np.asarray(decided_index)
-    for a in (sent_index, decided_index):
-        if a.size and (a.min() < 0 or a.max() >= c.order):
-            raise ValueError("symbol index out of range")
-    pairs = decided_index + c.order * sent_index
-    tally = np.bincount(pairs.ravel(), minlength=c.order ** 2)
-    return int(tally @ c.gray_distance.ravel())
+    sent, decided = (_check_indices(a, c).astype(np.uint8, copy=False)
+                     for a in (sent_index, decided_index))
+    # the Gray code is linear over xor: gray(a) ^ gray(b) == gray(a ^ b)
+    diff = gray_code(sent ^ decided)
+    return sum(int(np.count_nonzero(diff & (1 << b))) for b in range(c.bits_per_symbol))
 
 
 class SymbolFrame:
     """K x T block of constellation indices with the matching complex points."""
 
     def __init__(self, indices, constellation: PskConstellation):
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = _check_indices(indices, constellation).astype(np.int64, copy=False)
         if indices.ndim != 2:
             raise ValueError("indices must be a K x T matrix")
-        if indices.size and (indices.min() < 0 or indices.max() >= constellation.order):
-            raise ValueError("symbol index out of range")
         self.indices = indices
         self.constellation = constellation
         self.symbols = constellation.points[indices]

@@ -186,16 +186,16 @@ def inv_db_to_sigma2(inv_sigma2_db: float) -> float:
 
 def draw_noise(n_noise: int, n_users: int, n_slots: int,
                rng: np.random.Generator) -> np.ndarray:
-    """Complex (n_noise, K, T) noise block with i.i.d. standard normal real
-    and imaginary parts (all real parts are drawn first).
+    """Real (2, n_noise, K, T) noise block of i.i.d. standard normal samples:
+    the real parts of n_noise (K, T) complex draws, then their imaginary
+    parts (all real parts are drawn first).
 
     simulate_transmission scales it to CN(0, sigma2), so one block serves
     every scheme and noise level of a channel.
     """
     if n_noise < 1:
         raise ValueError("need at least one noise draw")
-    shape = (n_noise, n_users, n_slots)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return rng.standard_normal((2, n_noise, n_users, n_slots))
 
 
 def simulate_transmission(frame, phases: PhaseShifts, ch: ChannelSet,
@@ -211,16 +211,20 @@ def simulate_transmission(frame, phases: PhaseShifts, ch: ChannelSet,
     h_eff = effective_matrix(ch, phases)
     z = h_eff @ frame_array(frame).T
     noise = np.asarray(noise)
-    if noise.ndim != 3 or noise.shape[0] < 1 or noise.shape[1:] != z.shape:
-        raise ValueError("noise must be an (n_noise >= 1, K, T) block")
-    # noise * a + z is bit-for-bit z + a * noise, built in one buffer
-    y = np.multiply(noise, np.sqrt(sigma2 / 2.0), dtype=complex)
-    y += z
+    if (noise.dtype.kind != "f" or noise.ndim != 4 or noise.shape[0] != 2
+            or noise.shape[1] < 1 or noise.shape[2:] != z.shape):
+        raise ValueError("noise must be a real (2, n_noise >= 1, K, T) block")
+    # the receive points z + sqrt(sigma2 / 2) * noise stay in planar form:
+    # real parts in y[0], imaginary parts in y[1]
+    y = np.multiply(noise, np.sqrt(sigma2 / 2.0), dtype=float)
+    y += np.array([z.real, z.imag])[:, None]
     c = symbols.constellation
-    decided = decide_index(y, c)
-    sym_err = int(np.count_nonzero(decided != symbols.indices))
-    bit_err = bit_errors(symbols.indices, decided, c)
-    syms = noise.size
+    decided = decide_index(y[0], y[1], c)
+    # in the decisions' dtype, the comparison runs without a cast per entry
+    sent = symbols.indices.astype(decided.dtype)
+    sym_err = int(np.count_nonzero(decided != sent))
+    bit_err = bit_errors(sent, decided, c)
+    syms = decided.size
     return bit_err, sym_err, syms * c.bits_per_symbol, syms
 
 

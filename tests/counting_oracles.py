@@ -4,9 +4,10 @@ decide and gray_bits state the decision rule and the Gray labelling one
 point at a time. The reference_* functions are the plain array formulation
 of the counting path: each step builds a full-size temporary, the sent
 indices are broadcast to the shape of the decisions, and bit errors come
-from a popcount lookup of xored Gray labels. The package counts the same
-errors in place and from a Gray-distance table; its results must equal
-these bit for bit.
+from a popcount lookup of xored Gray labels. The package keeps the receive
+points in planar form (real and imaginary parts as two real arrays), decides
+them with arctan2 and counts the xored labels' bits one bit plane at a time;
+its results must equal these bit for bit.
 """
 
 import numpy as np
@@ -21,7 +22,19 @@ _POPCOUNT4 = np.array([bin(i).count("1") for i in range(16)], dtype=np.int64)
 
 def decide(y, c: PskConstellation):
     """Hard decision: the constellation point whose sector contains y."""
-    return c.points[decide_index(y, c)]
+    return c.points[decide_index(np.real(y), np.imag(y), c)]
+
+
+def planar_to_complex(re, im):
+    """The complex array with exactly these real and imaginary parts.
+
+    re + 1j*im is not it: 1j*im is a complex product whose +0 real part turns
+    a -0 in re into +0, and whose imaginary part turns a -0 in im into +0.
+    """
+    re, im = np.broadcast_arrays(re, im)
+    y = np.empty(re.shape, dtype=complex)
+    y.real, y.imag = re, im
+    return y
 
 
 def gray_bits(symbol, c: PskConstellation) -> np.ndarray:
@@ -48,7 +61,10 @@ def reference_bit_errors(sent_index, decided_index, c: PskConstellation):
 def reference_simulate_transmission(frame, phases, ch, symbols, sigma2, noise):
     """(bit_errors, sym_errors, bits, syms), as harness.simulate_transmission."""
     z = effective_matrix(ch, phases) @ frame_array(frame).T
-    y = z[None, :, :] + np.sqrt(sigma2 / 2.0) * np.asarray(noise)
+    # each part is Re/Im z plus the scaled noise part; the complex product
+    # a * (nr + j*ni) computes nr*a - ni*0, which can turn a -0 part into +0
+    noise, a = np.asarray(noise), np.sqrt(sigma2 / 2.0)
+    y = planar_to_complex(z.real + a * noise[0], z.imag + a * noise[1])
     c = symbols.constellation
     decided = reference_decide_index(y, c)
     sym_err = int(np.sum(decided != symbols.indices[None, :, :]))

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 from counting_oracles import reference_simulate_transmission
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from irsprecode import ao, baselines, harness, onebit, phase
@@ -212,6 +212,10 @@ class TestSimulate:
     @given(order=st.sampled_from([2, 4, 8, 16]), n_noise=st.sampled_from([1, 3, 400]),
            seed=st.integers(0, 2 ** 32 - 1), log_sigma2=st.floats(-300, 300),
            design=st.sampled_from(["one-bit", "zero"]), zero_noise=st.booleans())
+    # -0 noise parts meet the -0 parts of a zero design: the sign of each zero
+    # sum picks sector 0 or L/2
+    @example(order=2, n_noise=1, seed=4_294_967_294, log_sigma2=0.0, design="zero",
+             zero_noise=True)
     def test_counts_match_the_reference(self, order, n_noise, seed, log_sigma2,
                                         design, zero_noise):
         # the in-place counting path gives the plain formulation's counts
@@ -226,8 +230,8 @@ class TestSimulate:
             x = np.zeros((3, 6), dtype=complex)
         noise = draw_noise(n_noise, 2, 3, rng)
         if zero_noise:
-            for part in (noise.real, noise.imag):
-                hit = rng.random(noise.shape) < 0.3
+            for part in noise:
+                hit = rng.random(part.shape) < 0.3
                 part[hit] = rng.choice([0.0, -0.0], size=int(hit.sum()))
         sigma2 = 10.0 ** log_sigma2
         assert (simulate_transmission(x, phases, ch, symbols, sigma2, noise)
@@ -255,7 +259,7 @@ class TestSimulate:
         assume(worst > 1e-9 * reach)  # well clear of rounding
         noise = draw_noise(n_noise, 3, 5, rng)
         radius = worst * np.sin(np.pi / order)
-        sigma2 = 2.0 * (shrink * radius / np.abs(noise).max()) ** 2
+        sigma2 = 2.0 * (shrink * radius / np.hypot(*noise).max()) ** 2
         be, se, bits, syms = simulate_transmission(x, phases, ch, symbols, sigma2, noise)
         assert (be, se) == (0, 0)
         assert syms == n_noise * 3 * 5 and bits == syms * c.bits_per_symbol
@@ -268,9 +272,22 @@ class TestSimulate:
             simulate_transmission(x, phases, ch, symbols, 0.0, noise)
         with pytest.raises(ValueError):
             draw_noise(0, k, t, np.random.default_rng(0))
-        for bad in (noise[0], noise[:0], noise[:, :, :-1]):
-            with pytest.raises(ValueError):
+        # a complex block, a 3-D block, and blocks of the wrong size
+        for bad in (noise[0] + 1j * noise[1], noise[0], noise[:1], noise[:, :0],
+                    noise[:, :, :, :-1], noise[..., None]):
+            with pytest.raises(ValueError, match="noise"):
                 simulate_transmission(x, phases, ch, symbols, 1.0, bad)
+
+    def test_noise_block_holds_the_complex_draws(self):
+        # the planar block is the complex (n_noise, K, T) draw that the same
+        # substream gives, all real parts first
+        shape = (3, 4, 5)
+        rng = np.random.default_rng(9)
+        want = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        noise = draw_noise(*shape, np.random.default_rng(9))
+        assert noise.shape == (2, *shape) and noise.dtype == np.float64
+        assert np.array_equal(noise[0] + 1j * noise[1], want)
+        assert np.array_equal(noise[0], want.real) and np.array_equal(noise[1], want.imag)
 
 
 def uniform_replays(calls):
@@ -475,7 +492,7 @@ class TestRunExperiment:
                     frame, phases, ch, symbols, sigma2 = next(pending)
                     assert sigma2 == inv_db_to_sigma2(db)
                     rng = hn._substream(cfg, i, hn._TAG_NOISE)
-                    fresh = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    fresh = np.stack([rng.standard_normal(shape), rng.standard_normal(shape)])
                     be, se, _, _ = real(frame, phases, ch, symbols, sigma2, fresh)
                     assert (be, se) == (outcomes[scheme].bit_err[j],
                                         outcomes[scheme].sym_err[j])
