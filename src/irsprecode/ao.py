@@ -5,18 +5,23 @@ effective channel, then re-optimizes the phase shifts against the new frame,
 warm-starting from the previous round's (initially uniform random) phases.
 Every slot solve starts cold, at its slot's onebit.model_start; a round takes
 its T starts in one onebit.model_starts call. Each round's record keeps its
-(T, 2K) block of dual points. After a margin-rule stop the last round's x-step
-ran at the phases the loop returns, so a box solve there from trace[-1].lams
-reproduces the cold solve bit for bit.
+(T, 2K) block of dual points.
 
 The objective is the worst-case margin over all (user, slot) pairs. Neither
 inner solver is exact (rounding and a nonconvex projection are involved), so
-a round can lower it. The loop stops at the first round whose worst margin
-does not beat the previous round's by more than MARGIN_RTOL times its
-magnitude, and returns the previous round's design; otherwise it stops after
-ao_max_outer rounds and returns the last. The tolerance keeps last-bit rounding
-in either inner solver from deciding how many rounds run. The trace records
-every round that ran, with its worst margin and inner-solver statuses.
+a round can lower it. The loop stops on the first of three rules:
+- margin: a round whose worst margin does not beat the previous round's by
+  more than MARGIN_RTOL times its magnitude; the previous round's design is
+  returned. The tolerance keeps last-bit rounding in either inner solver from
+  deciding how many rounds run.
+- fixed point: a round whose phase step returned, bit for bit, the phases
+  its x-step ran at; that round's design is returned (or the previous one's,
+  when the margin rule fires too).
+- cap: ao_max_outer rounds; the last is returned.
+After a margin or fixed-point stop the last round's x-step ran at the phases
+the loop returns, so a box solve there from trace[-1].lams reproduces the
+cold solve bit for bit (stopped_by_rule). The trace records every round that
+ran, with its worst margin and inner-solver statuses.
 """
 
 from __future__ import annotations
@@ -45,14 +50,16 @@ MARGIN_RTOL = 1e-12
 
 @dataclass(eq=False)
 class AoIterationRecord:
-    """One outer round: its worst margin, inner-solver statuses and the
-    (T, 2K) dual points its x-step ended at, one row per slot."""
+    """One outer round: its worst margin, inner-solver statuses, the (T, 2K)
+    dual points its x-step ended at, one row per slot, and whether its phase
+    step returned the phases its x-step ran at."""
 
     iteration: int
     worst_margin: float
     md_converged: list
     apg_converged: bool
     lams: np.ndarray
+    fixed_point: bool
 
     @property
     def converged(self) -> bool:
@@ -82,6 +89,12 @@ def best_round(trace: list) -> AoIterationRecord:
     return trace[-1]
 
 
+def stopped_by_rule(trace: list) -> bool:
+    """Whether a run stopped by the margin or fixed-point rule, not the round
+    cap; then trace[-1]'s x-step ran at the phases the run returns."""
+    return trace[-1].fixed_point or best_round(trace) is not trace[-1]
+
+
 def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, power: float,
                          rng: np.random.Generator, opts: SolverConfig = SolverConfig()):
     """Run the outer loop at transmit power `power`; returns (frame, phases, trace).
@@ -92,6 +105,13 @@ def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, power: float,
     ran. frame is always a OneBitFrame. rng drives every random draw of the
     run (the harness passes per-channel substreams). The inner solvers read
     their own fields of opts.
+
+    The run also stops after a fixed-point round (see the module docstring).
+    With opts.mbi_restarts == 1 the x-step draws nothing from rng, so the
+    next round would rebuild the same frame and phases and stop by the margin
+    rule: the design returned is the one the loop returns without this rule.
+    With more restarts, the stop skips a round whose MBI restarts would draw
+    new random signs.
 
     opts.n_starts > 1 repeats the whole loop from independent random
     initializations and keeps the run with the best worst-case margin (ties
@@ -119,14 +139,19 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, power: float,
     design = None  # (frame, phases) of the last round that improved
 
     for it in range(1, opts.ao_max_outer + 1):
-        frame, lams, md_converged = _x_step(effective_matrix(ch, phases), symbols,
+        start = phases
+        frame, lams, md_converged = _x_step(effective_matrix(ch, start), symbols,
                                             power, opts, rng)
-        phases, apg_converged = _phase_step(ch, frame, symbols, phases, opts)
+        phases, apg_converged = _phase_step(ch, frame, symbols, start, opts)
         worst = float(frame_margins(ch, phases, frame, symbols).min())
-        trace.append(AoIterationRecord(it, worst, md_converged, apg_converged, lams))
+        fixed_point = np.array_equal(phases.theta, start.theta)
+        trace.append(AoIterationRecord(it, worst, md_converged, apg_converged, lams,
+                                       fixed_point))
         if best_round(trace) is not trace[-1]:
             break
         design = frame, phases
+        if fixed_point:
+            break
     return (*design, trace)
 
 

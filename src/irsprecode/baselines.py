@@ -97,8 +97,8 @@ def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
     row t; a block of another shape raises ValueError. None starts every slot
     cold, at the rows of one onebit.model_starts call, each equal to its
     slot's onebit.model_start. At the joint design's phases the harness
-    passes AO's last dual points as they are after a margin-rule stop, and
-    None after a round-cap stop.
+    passes AO's last dual points as they are after a margin-rule or
+    fixed-point stop, and None after a round-cap stop.
     """
     h_eff = np.atleast_2d(np.asarray(h_eff, dtype=complex))
     m = h_eff.shape[1]

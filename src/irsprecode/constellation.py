@@ -127,15 +127,21 @@ def bit_errors(sent_index, decided_index, c: PskConstellation):
 
 
 class SymbolFrame:
-    """K x T block of constellation indices with the matching complex points."""
+    """K x T block of constellation indices with the matching complex points.
+
+    Both arrays are the frame's own and read-only, so they stay a matching
+    pair whatever happens to the array the frame was built from.
+    """
 
     def __init__(self, indices, constellation: PskConstellation):
-        indices = _check_indices(indices, constellation).astype(np.int64, copy=False)
+        indices = _check_indices(indices, constellation).astype(np.int64)
         if indices.ndim != 2:
             raise ValueError("indices must be a K x T matrix")
         self.indices = indices
         self.constellation = constellation
         self.symbols = constellation.points[indices]
+        self.indices.flags.writeable = False
+        self.symbols.flags.writeable = False
 
     @classmethod
     def random(cls, constellation: PskConstellation, n_users: int, n_slots: int,

@@ -13,12 +13,11 @@ import dataclasses
 import functools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ao import alternating_optimize, best_round, frame_margins
+from .ao import alternating_optimize, best_round, frame_margins, stopped_by_rule
 from .baselines import (
     SCHEMES,
     no_irs_variant,
@@ -296,9 +295,9 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         # is invariant to the per-slot rescale)
         t0 = time.perf_counter()
         channel, phases = (ch, theta) if with_irs else (bare, ones)
-        # a cold solve starts at model_start; after a margin-rule stop, AO's
-        # last dual points reproduce it at AO's phases, at less cost
-        warm = phases is ao_phases and best_round(trace) is not trace[-1]
+        # a cold solve starts at model_start; after a margin or fixed-point
+        # stop, AO's last dual points reproduce it at AO's phases, at less cost
+        warm = phases is ao_phases and stopped_by_rule(trace)
         lam0 = trace[-1].lams if warm else None
         res = relaxed_slp(effective_matrix(channel, phases), symbols,
                           cfg.power, cfg.solver, lam0)
@@ -361,6 +360,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
     if threads == 1:
         per_channel = [_run_channel(cfg, i) for i in range(cfg.n_channels)]
     else:
+        # imported here, so that single-process runs do not pay for loading
+        # the pool module
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(threads, cfg.n_channels)) as pool:
             per_channel = list(pool.map(functools.partial(_run_channel, cfg),
                                         range(cfg.n_channels),

@@ -4,15 +4,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from irsprecode import ao, onebit
+from irsprecode import ao, phase
 from irsprecode.ao import (
     MARGIN_RTOL,
     alternating_optimize,
     best_round,
     frame_margins,
+    stopped_by_rule,
 )
 from irsprecode.baselines import no_irs_variant
 from irsprecode.channel import (
@@ -98,7 +99,7 @@ def test_a_rise_of_one_ulp_stops_the_loop(monkeypatch):
 def test_trace_replicates_hand_driven_steps():
     # drive the two inner solvers by hand with the same rng stream, every
     # slot of every round solved cold: the loop must report exactly the same
-    # rounds, stop where the rule says and return the last round that improved
+    # rounds, stop where the rules say and return the last round that improved
     ch, sym = instance(4)
     m = 4
     cfg = SolverConfig()
@@ -119,14 +120,15 @@ def test_trace_replicates_hand_driven_steps():
         fr = OneBitFrame(xbar=np.stack([res.xbar for res in results]), amplitude=amplitude)
         coeffs = build_phase_coefficients(ch, fr, sym)
         apg = apg_optimize(coeffs, ph.theta_bar, cfg)
-        ph = PhaseShifts.from_theta_bar(apg.theta_bar)
+        start, ph = ph, PhaseShifts.from_theta_bar(apg.theta_bar)
         worst = float(frame_margins(ch, ph, fr, sym).min())
         assert rec.iteration == i
         assert rec.worst_margin == worst
+        assert rec.fixed_point == np.array_equal(ph.theta, start.theta)
         improved = prev is None or improves(worst, prev)
         if improved:
             returned = (fr, ph)
-        stop = not improved or i == cfg.ao_max_outer
+        stop = not improved or rec.fixed_point or i == cfg.ao_max_outer
         assert stop == (i == len(trace))
         prev = worst
     # this instance stops on a round that did not improve, well before the
@@ -137,60 +139,154 @@ def test_trace_replicates_hand_driven_steps():
     assert np.array_equal(phases.theta, returned[1].theta)
 
 
+def stop_rule(trace, max_outer):
+    """The rule that ended a run: "margin", "fixed point" or "cap" (the
+    margin rule wins when a fixed-point round also did not improve)."""
+    if best_round(trace) is not trace[-1]:
+        return "margin"
+    if trace[-1].fixed_point:
+        return "fixed point"
+    assert len(trace) == max_outer
+    return "cap"
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4), n=st.integers(1, 4),
        k=st.integers(1, 2), t=st.integers(1, 3), order=st.sampled_from([2, 4, 8]),
        max_outer=st.integers(1, 6))
-def test_returns_best_round_and_stops_at_first_non_improving(seed, m, n, k, t, order,
+@example(seed=36, m=4, n=4, k=2, t=2, order=4, max_outer=6)
+@example(seed=2, m=4, n=4, k=2, t=2, order=4, max_outer=6)
+@example(seed=0, m=4, n=4, k=2, t=2, order=4, max_outer=2)
+def test_returns_best_round_and_stops_on_the_first_stop_rule(seed, m, n, k, t, order,
                                                              max_outer):
     ch, sym = instance(seed, m=m, n=n, k=k, t=t, order=order)
-    frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(seed),
-                                                SolverConfig(ao_max_outer=max_outer))
+    moved = []  # per round, whether its phase step changed the phases
+
+    def phase_spy(ch, frame, symbols, phases, opts, real=ao._phase_step):
+        out = real(ch, frame, symbols, phases, opts)
+        moved.append(not np.array_equal(out[0].theta, phases.theta))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ao, "_phase_step", phase_spy)
+        frame, phases, trace = alternating_optimize(
+            ch, sym, POWER, np.random.default_rng(seed), SolverConfig(ao_max_outer=max_outer))
     margins = [rec.worst_margin for rec in trace]
     assert 1 <= len(trace) <= max_outer
-    # every round but the last beat its predecessor by more than the tolerance
-    for i in range(1, len(trace) - 1):
-        assert improves(margins[i], margins[i - 1])
-    # the last round either did not, and the one before it is returned, or
-    # the run hit the cap
-    if len(trace) > 1 and not improves(margins[-1], margins[-2]):
+    assert [not rec.fixed_point for rec in trace] == moved
+    # every round but the last beat its predecessor by more than the
+    # tolerance and moved the phases
+    for i in range(len(trace) - 1):
+        assert i == 0 or improves(margins[i], margins[i - 1])
+        assert not trace[i].fixed_point
+    # the last round did not improve, and the one before it is returned; or
+    # it returned the phases it started from, or hit the cap, and is returned
+    rule = stop_rule(trace, max_outer)
+    event(rule)
+    if rule == "margin":
+        assert len(trace) > 1 and not improves(margins[-1], margins[-2])
         assert best_round(trace) is trace[-2]
     else:
-        assert len(trace) == max_outer
+        assert len(trace) == 1 or improves(margins[-1], margins[-2])
         assert best_round(trace) is trace[-1]
+    assert stopped_by_rule(trace) == (rule != "cap")
     assert float(frame_margins(ch, phases, frame, sym).min()) == best_round(trace).worst_margin
 
 
-def test_zero_reflected_path_repeats_round_one(monkeypatch):
-    # without a reflected path the phases cannot change the channel, so
-    # round 2 re-solves round 1's slots from the same cold start: it
-    # reproduces round 1's frame and dual points bit for bit with no MD
-    # iteration, the worst margin does not rise and round 1 is returned
+@pytest.mark.parametrize("seed, max_outer, rule",
+                         [(36, 6, "fixed point"), (2, 6, "margin"), (0, 2, "cap")])
+def test_stop_rule_examples_cover_each_rule(seed, max_outer, rule):
+    # the explicit examples of the property above, so that each stop rule is
+    # exercised whatever hypothesis draws
+    ch, sym = instance(seed)
+    _, _, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(seed),
+                                       SolverConfig(ao_max_outer=max_outer))
+    assert stop_rule(trace, max_outer) == rule
+
+
+# test-local copy of the AO loop before the fixed-point rule: it stops only
+# by the margin rule or the round cap
+def _ref_single_run(ch, symbols, power, opts, rng):
+    phases = PhaseShifts.random(ch.g.shape[0], rng)
+    rounds = []  # (worst margin, md statuses, apg status, dual points)
+    design = None
+    for _ in range(opts.ao_max_outer):
+        frame, lams, md_converged = ao._x_step(effective_matrix(ch, phases), symbols,
+                                               power, opts, rng)
+        phases, apg_converged = ao._phase_step(ch, frame, symbols, phases, opts)
+        worst = float(frame_margins(ch, phases, frame, symbols).min())
+        rounds.append((worst, md_converged, apg_converged, lams))
+        if len(rounds) > 1 and not improves(worst, rounds[-2][0]):
+            break
+        design = frame, phases
+    return (*design, rounds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4), n=st.integers(1, 4),
+       k=st.integers(1, 2), t=st.integers(1, 3), order=st.sampled_from([2, 4, 8]),
+       max_outer=st.integers(1, 6))
+@example(seed=36, m=4, n=4, k=2, t=2, order=4, max_outer=6)
+@example(seed=8, m=4, n=4, k=2, t=2, order=4, max_outer=6)
+def test_fixed_point_stop_returns_the_design_of_the_loop_without_it(seed, m, n, k, t,
+                                                                    order, max_outer):
+    # with one MBI start the x-step draws nothing from the rng, so the round
+    # after a fixed point repeats it and the margin rule returns it: the loop
+    # without the fixed-point rule returns the same design bit for bit, and
+    # its trace is one repeat round longer exactly where a fixed point
+    # stopped the new loop. APG runs without its patience stop on both sides
+    ch, sym = instance(seed, m=m, n=n, k=k, t=t, order=order)
+    cfg = SolverConfig(ao_max_outer=max_outer, mbi_restarts=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phase, "APG_PATIENCE", cfg.apg_max_iter + 1)
+        frame, phases, trace = alternating_optimize(ch, sym, POWER,
+                                                    np.random.default_rng(seed), cfg)
+        want_frame, want_phases, want = _ref_single_run(ch, sym, POWER, cfg,
+                                                        np.random.default_rng(seed))
+    assert np.array_equal(frame.xbar, want_frame.xbar)
+    assert frame.amplitude == want_frame.amplitude
+    assert np.array_equal(phases.theta, want_phases.theta)
+    repeat = stop_rule(trace, max_outer) == "fixed point" and len(trace) < max_outer
+    event("repeat round dropped" if repeat else "same rounds")
+    assert len(want) == len(trace) + repeat
+    for rec, (worst, md_converged, apg_converged, lams) in zip(trace + trace[-1:] * repeat,
+                                                             want):
+        assert (rec.worst_margin, rec.md_converged, rec.apg_converged) == (
+            worst, md_converged, apg_converged)
+        assert np.array_equal(rec.lams, lams)
+
+
+def test_zero_reflected_path_stops_at_a_fixed_point_after_round_one(monkeypatch):
+    # without a reflected path eta = 0, so the phase step returns its start
+    # (projected onto the unit circle, which keeps this draw's bits): round 1
+    # is a fixed point, the loop stops there with one x-step and returns
+    # round 1's design
     ch, sym = instance(12, m=8, n=4, k=2, t=6)
     bare = no_irs_variant(ch)
+    start = PhaseShifts.random(4, np.random.default_rng(13))
+    assert np.array_equal(phase.project_unit_modulus(start.theta_bar), start.theta_bar)
     first, _, _ = alternating_optimize(bare, sym, POWER, np.random.default_rng(13),
                                        SolverConfig(ao_max_outer=1))
-    steps, iters = [], []
+    steps, apgs = [], []
 
     def step_spy(*args, real=ao._x_step):
         steps.append(real(*args))
         return steps[-1]
 
-    def md_spy(*args, real=onebit.mirror_descent, **kwargs):
-        md = real(*args, **kwargs)
-        iters.append(md.n_iter)
-        return md
+    def apg_spy(*args, real=ao.apg_optimize):
+        apgs.append(real(*args))
+        return apgs[-1]
 
     monkeypatch.setattr(ao, "_x_step", step_spy)
-    monkeypatch.setattr(onebit, "mirror_descent", md_spy)
-    frame, _, trace = alternating_optimize(bare, sym, POWER, np.random.default_rng(13))
-    assert len(trace) == len(steps) == 2 and len(iters) == 2 * sym.n_slots
-    assert np.array_equal(steps[1][0].xbar, steps[0][0].xbar)
-    assert np.array_equal(trace[1].lams, trace[0].lams)
-    assert iters[sym.n_slots:] == [0] * sym.n_slots
-    assert trace[1].worst_margin == trace[0].worst_margin
+    monkeypatch.setattr(ao, "apg_optimize", apg_spy)
+    frame, phases, trace = alternating_optimize(bare, sym, POWER, np.random.default_rng(13))
+    assert len(trace) == len(steps) == len(apgs) == 1
+    assert apgs[0].n_iter == 0 and apgs[0].converged
+    assert trace[0].fixed_point and stopped_by_rule(trace)
     assert best_round(trace) is trace[0]
+    assert np.array_equal(phases.theta, start.theta)
     assert np.array_equal(frame.xbar, first.xbar)
+    assert np.array_equal(steps[0][0].xbar, first.xbar)
 
 
 def test_phase_step_never_hurts_margin():

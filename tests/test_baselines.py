@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from onebit_oracles import brute_force_onebit
 
 from irsprecode import onebit
-from irsprecode.ao import alternating_optimize, best_round
+from irsprecode.ao import alternating_optimize, best_round, stopped_by_rule
 from irsprecode.baselines import (
     SCHEMES,
     no_irs_variant,
@@ -175,17 +175,21 @@ def test_relaxed_matches_onebit_solver_internal_stage(mu):
         assert res.converged[t] == full.md.converged
 
 
-@settings(max_examples=20, deadline=None)
-@given(order=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2 ** 32 - 1))
-def test_warm_start_from_ao_matches_a_cold_solve(order, seed):
-    # after a margin-rule stop AO's last x-step ran at the phases it returns,
-    # so its last dual points, passed as they are, start the box solve at the
-    # cold solve's result: equal bit for bit, with no MD iteration
+def check_warm_box_after_ao(order, seed):
+    """Assert that AO's last dual points start the box solve at AO's phases
+    at the cold solve's result; return the rule that stopped AO."""
+    # after a margin-rule stop AO's last x-step ran at the phases it returns
+    # (the previous round's); after a fixed-point stop the last round's phase
+    # step returned the phases its x-step ran at. Either way its last dual
+    # points, passed as they are, start the box solve at the cold solve's
+    # result: equal bit for bit, with no MD iteration
     ch, rng = channels(seed)
     sym = SymbolFrame.random(PskConstellation(order), 3, 6, rng)
     power, cfg = 100.0, SolverConfig()
     _, phases, trace = alternating_optimize(ch, sym, power, rng, cfg)
-    assert best_round(trace) is trace[-2]  # the margin rule stopped it
+    assert stopped_by_rule(trace)  # not the round cap
+    rule = "margin" if best_round(trace) is not trace[-1] else "fixed point"
+    assert rule == "margin" or trace[-1].fixed_point
     h_eff = effective_matrix(ch, phases)
     runs = []
     real = onebit.mirror_descent
@@ -204,6 +208,22 @@ def test_warm_start_from_ao_matches_a_cold_solve(order, seed):
     assert all(md.n_iter == 0 for md in runs)
     for name in ("x", "relax_values", "converged"):
         assert np.array_equal(getattr(warm, name), getattr(cold, name))
+    return rule
+
+
+@settings(max_examples=20, deadline=None)
+@given(order=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2 ** 32 - 1))
+@example(order=4, seed=0)
+@example(order=4, seed=19)
+def test_warm_start_from_ao_matches_a_cold_solve(order, seed):
+    event(check_warm_box_after_ao(order, seed))
+
+
+@pytest.mark.parametrize("order, seed, rule", [(4, 0, "margin"), (4, 19, "fixed point")])
+def test_warm_box_examples_cover_both_rule_stops(order, seed, rule):
+    # the explicit examples above, one for each rule stop, so that both are
+    # checked whatever hypothesis draws; the fixed-point one runs 3 rounds
+    assert check_warm_box_after_ao(order, seed) == rule
 
 
 def test_no_irs_zeroes_reflected_path():

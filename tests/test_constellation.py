@@ -344,6 +344,21 @@ def test_symbol_frame_from_symbols_roundtrip_and_reject():
         SymbolFrame(np.array([[0, 4]]), c)  # index out of range
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_symbol_frame_keeps_its_own_indices(dtype):
+    # an int64 input used to be kept as is, so a later write changed the
+    # frame's indices but not its symbols
+    c = PskConstellation(4)
+    idx = np.array([[0, 1], [3, 2]], dtype=dtype)
+    f = SymbolFrame(idx, c)
+    idx[0, 0] = 2
+    assert f.indices.tolist() == [[0, 1], [3, 2]]
+    assert np.array_equal(f.symbols, c.points[[[0, 1], [3, 2]]])
+    for arr in (f.indices, f.symbols):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = arr[1, 1]
+
+
 @pytest.mark.parametrize("bad", [np.array([[0.5, 1.2]]), np.array([[0.0, 1.0]]),
                                  np.array([[True, False]])],
                          ids=["fractional", "integral-float", "bool"])

@@ -1,5 +1,6 @@
 """Experiment harness tests: configs, pairing, determinism, aggregation."""
 
+import concurrent.futures
 import dataclasses
 import functools
 import inspect
@@ -513,9 +514,9 @@ class TestRunExperiment:
             frame, phases, trace = real(ch, symbols, power, rng, opts)
             n_slots, lams = symbols.n_slots, trace[-1].lams
             best = AoIterationRecord(1, 0.2, [best_converged] * n_slots, best_converged,
-                                     lams)
+                                     lams, False)
             last = AoIterationRecord(2, 0.1, [not best_converged] * n_slots,
-                                     not best_converged, lams)
+                                     not best_converged, lams, False)
             return frame, phases, [best, last]
 
         monkeypatch.setattr(hn, "alternating_optimize", fake)
@@ -542,12 +543,13 @@ class TestRunExperiment:
         # the fork start method launches every worker of the pool at once
         started = []
 
-        class Pool(harness.ProcessPoolExecutor):
+        class Pool(concurrent.futures.ProcessPoolExecutor):
             def __exit__(self, *exc):
                 started.append(len(self._processes))
                 return super().__exit__(*exc)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        # run_experiment imports the pool class when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         cfg = small_cfg(n_channels=1)
         assert run_experiment(cfg, threads=3) == run_experiment(cfg)
         assert started == [1]

@@ -7,7 +7,8 @@ module's __all__ (a re-export).
 The README's Python blocks are checked against irsprecode.__all__, its
 "Library" example is run and its JSON config loads. Every SolverConfig
 field is read by some package code outside the class, so no setting is dead. The package needs numpy only: no module imports
-scipy, and importing the harness leaves it unloaded. No module reads the
+scipy, and importing the harness leaves it and the process pool module
+unloaded. No module reads the
 process environment, so solver behaviour is set by arguments alone. Mirror
 descent's safe step and APG's Lipschitz bound come from onebit._sigma_max_sq,
 an eigenvalue of the smaller Gram matrix; no package module takes a spectral
@@ -144,17 +145,29 @@ def test_package_does_not_import_scipy():
     assert offenders == []
 
 
-def test_harness_import_leaves_scipy_unloaded():
-    # a fresh interpreter, so that no other test's scipy import counts
+def loaded_by_harness_import(package: str) -> str:
+    """The modules of package, printed as a sorted list, that a fresh
+    interpreter holds after importing the harness, so that no other test's
+    imports count."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, irsprecode.harness; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))"],
+         f"if m == {package!r} or m.startswith({package + '.'!r})))"],
         capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_harness_import_leaves_scipy_unloaded():
+    assert loaded_by_harness_import("scipy") == "[]"
+
+
+def test_harness_import_leaves_the_process_pool_unloaded():
+    # a single-process run never starts a pool; run_experiment imports it
+    # only for threads > 1
+    assert loaded_by_harness_import("concurrent.futures.process") == "[]"
 
 
 ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
