@@ -19,6 +19,7 @@ by maximum-block-improvement over its fractional entries.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, fields, replace
 
@@ -111,7 +112,9 @@ class OneBitFrame:
     amplitude: float
 
     def __post_init__(self):
-        xbar = np.atleast_2d(np.asarray(self.xbar, dtype=float))
+        # the frame's own read-only copy, so the cached x always matches it
+        xbar = np.atleast_2d(np.array(self.xbar, dtype=float))
+        xbar.flags.writeable = False
         object.__setattr__(self, "xbar", xbar)
         if xbar.ndim != 2 or xbar.shape[1] % 2:
             raise ValueError("frame must be T x 2M")
@@ -133,11 +136,13 @@ class OneBitFrame:
         """Per-slot transmit power ||x_t||^2, constant over the alphabet."""
         return self.xbar.shape[1] * self.amplitude ** 2
 
-    @property
+    @functools.cached_property
     def x(self) -> np.ndarray:
-        """Complex (T, M) view of the frame."""
+        """Complex (T, M) view of the frame, built once and read-only."""
         m = self.n_antennas
-        return self.xbar[:, :m] + 1j * self.xbar[:, m:]
+        x = self.xbar[:, :m] + 1j * self.xbar[:, m:]
+        x.flags.writeable = False
+        return x
 
     @classmethod
     def from_slots(cls, xbars, power: float) -> "OneBitFrame":

@@ -63,7 +63,7 @@ def reference_simulate_transmission(frame, phases, ch, symbols, sigma2, noise):
     z = effective_matrix(ch, phases) @ frame_array(frame).T
     # each part is Re/Im z plus the scaled noise part; the complex product
     # a * (nr + j*ni) computes nr*a - ni*0, which can turn a -0 part into +0
-    noise, a = np.asarray(noise), np.sqrt(sigma2 / 2.0)
+    noise, a = noise.planar, np.sqrt(sigma2 / 2.0)
     y = planar_to_complex(z.real + a * noise[0], z.imag + a * noise[1])
     c = symbols.constellation
     decided = reference_decide_index(y, c)

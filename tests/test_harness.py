@@ -22,6 +22,7 @@ from irsprecode.harness import (
     CSV_COLUMNS,
     BerRecord,
     ExperimentConfig,
+    NoiseBlock,
     SolverConfig,
     channel_realization,
     draw_noise,
@@ -231,9 +232,11 @@ class TestSimulate:
             x = np.zeros((3, 6), dtype=complex)
         noise = draw_noise(n_noise, 2, 3, rng)
         if zero_noise:
-            for part in noise:
+            planar = noise.planar.copy()
+            for part in planar:
                 hit = rng.random(part.shape) < 0.3
                 part[hit] = rng.choice([0.0, -0.0], size=int(hit.sum()))
+            noise = NoiseBlock(planar)
         sigma2 = 10.0 ** log_sigma2
         assert (simulate_transmission(x, phases, ch, symbols, sigma2, noise)
                 == reference_simulate_transmission(x, phases, ch, symbols, sigma2, noise))
@@ -260,7 +263,7 @@ class TestSimulate:
         assume(worst > 1e-9 * reach)  # well clear of rounding
         noise = draw_noise(n_noise, 3, 5, rng)
         radius = worst * np.sin(np.pi / order)
-        sigma2 = 2.0 * (shrink * radius / np.hypot(*noise).max()) ** 2
+        sigma2 = 2.0 * (shrink * radius / np.hypot(*noise.planar).max()) ** 2
         be, se, bits, syms = simulate_transmission(x, phases, ch, symbols, sigma2, noise)
         assert (be, se) == (0, 0)
         assert syms == n_noise * 3 * 5 and bits == syms * c.bits_per_symbol
@@ -269,13 +272,22 @@ class TestSimulate:
         ch, phases, x, symbols = fixed_design(3)
         k, t = symbols.n_users, symbols.n_slots
         noise = draw_noise(1, k, t, np.random.default_rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
             simulate_transmission(x, phases, ch, symbols, 0.0, noise)
+        # an infinite variance used to count errors of infinite receive points
+        with pytest.raises(ValueError, match="finite"):
+            simulate_transmission(x, phases, ch, symbols, np.inf, noise)
         with pytest.raises(ValueError):
             draw_noise(0, k, t, np.random.default_rng(0))
-        # a complex block, a 3-D block, and blocks of the wrong size
-        for bad in (noise[0] + 1j * noise[1], noise[0], noise[:1], noise[:, :0],
-                    noise[:, :, :, :-1], noise[..., None]):
+        planar = noise.planar
+        # a complex block, a 3-D block, and an empty block are no noise blocks
+        for bad in (planar[0] + 1j * planar[1], planar[0], planar[:1], planar[:, :0],
+                    planar[..., None]):
+            with pytest.raises(ValueError, match="noise"):
+                NoiseBlock(bad)
+        # a bare array, and blocks of the wrong size for the frame
+        for bad in (planar, NoiseBlock(planar[:, :, :, :-1]),
+                    NoiseBlock(planar[:, :, :-1])):
             with pytest.raises(ValueError, match="noise"):
                 simulate_transmission(x, phases, ch, symbols, 1.0, bad)
 
@@ -285,10 +297,133 @@ class TestSimulate:
         shape = (3, 4, 5)
         rng = np.random.default_rng(9)
         want = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        noise = draw_noise(*shape, np.random.default_rng(9))
+        noise = draw_noise(*shape, np.random.default_rng(9)).planar
         assert noise.shape == (2, *shape) and noise.dtype == np.float64
+        assert not noise.flags.writeable
         assert np.array_equal(noise[0] + 1j * noise[1], want)
         assert np.array_equal(noise[0], want.real) and np.array_equal(noise[1], want.imag)
+
+
+# B just inside and just outside the float32 pass's range, as a share of its ends
+_B_TARGETS = {"low-in": 2.0 ** -50 * (1 + 1e-6), "low-out": 2.0 ** -50 * (1 - 1e-6),
+              "high-in": 2.0 ** 50 * (1 - 1e-6), "high-out": 2.0 ** 50 * (1 + 1e-6)}
+
+
+class TestFloat32Filter:
+    # 10,200 receive points, above harness.FILTER_MIN_POINTS
+    SHAPE = (1700, 2, 3)
+
+    def test_noise_block_carries_its_float32_copy(self):
+        planar = np.random.default_rng(1).standard_normal((2, *self.SHAPE))
+        noise = NoiseBlock(planar)
+        planar[0, 0, 0, 0] = 99.0  # the block keeps its own copy
+        assert noise.planar[0, 0, 0, 0] != 99.0
+        assert noise.peak == np.abs(noise.planar).max()
+        assert noise.planar32.dtype == np.float32
+        assert np.array_equal(noise.planar32, noise.planar.astype(np.float32))
+        assert not noise.planar.flags.writeable and not noise.planar32.flags.writeable
+        assert noise.planar[0].size >= harness.FILTER_MIN_POINTS
+        # a small block, and blocks whose peak is outside the float32 pass's
+        # range, are decided in float64 alone
+        small = NoiseBlock(planar[:, :10])
+        assert small.planar32 is None and small.peak == np.abs(planar[:, :10]).max()
+        for scale in (2.0 ** -60, 2.0 ** 60, np.nan):
+            assert NoiseBlock(planar * scale).planar32 is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(order=st.sampled_from([2, 4, 8, 16]), seed=st.integers(0, 2 ** 32 - 1),
+           log_a=st.floats(-40, 40), log_z=st.floats(-30, 30),
+           z_kind=st.sampled_from(["gauss", "edge", "cancel", "near-cancel", "zero"]),
+           edge_share=st.sampled_from([0.0, 0.3, 1.0]),
+           zero_share=st.sampled_from([0.0, 0.2]),
+           target=st.sampled_from([None, *_B_TARGETS]), nan=st.booleans())
+    @example(order=16, seed=0, log_a=0.0, log_z=0.0, z_kind="edge", edge_share=1.0,
+             zero_share=0.0, target="low-in", nan=False)
+    @example(order=8, seed=1, log_a=0.0, log_z=-1.0, z_kind="gauss", edge_share=0.3,
+             zero_share=0.2, target="low-out", nan=False)
+    @example(order=2, seed=2, log_a=0.0, log_z=3.0, z_kind="near-cancel", edge_share=0.3,
+             zero_share=0.2, target="high-in", nan=False)
+    @example(order=4, seed=3, log_a=0.0, log_z=0.0, z_kind="cancel", edge_share=0.0,
+             zero_share=0.2, target="high-out", nan=False)
+    @example(order=4, seed=4, log_a=0.0, log_z=0.0, z_kind="zero", edge_share=0.3,
+             zero_share=0.2, target=None, nan=True)
+    def test_decisions_equal_decide_index_on_the_float64_points(
+            self, order, seed, log_a, log_z, z_kind, edge_share, zero_share, target,
+            nan):
+        # the float32 pass with its float64 fallback decides each receive
+        # point fl(fl(a*n) + z) as decide_index does, on blocks built to sit
+        # on sector edges, near zero and at the ends of the pass's range
+        import irsprecode.constellation as cn
+
+        rng = np.random.default_rng(seed)
+        c = PskConstellation(order)
+        n, k, t = self.SHAPE
+        planar = rng.standard_normal((2, n, k, t))
+
+        def edge_points(shape, radius):
+            # points in the direction of a sector edge, (2k + 1)pi/L
+            angle = (2 * rng.integers(0, order, size=shape) + 1) * np.pi / order
+            return radius * np.cos(angle), radius * np.sin(angle)
+
+        on_edge = rng.random((n, k, t)) < edge_share
+        planar[0][on_edge], planar[1][on_edge] = edge_points(
+            int(on_edge.sum()), np.abs(rng.standard_normal(int(on_edge.sum()))))
+        for part in planar:
+            hit = rng.random(part.shape) < zero_share
+            part[hit] = rng.choice([0.0, -0.0], size=int(hit.sum()))
+        if nan:
+            planar[rng.integers(2), rng.integers(n), rng.integers(k), rng.integers(t)] = np.nan
+        noise = NoiseBlock(planar)
+        draw = rng.integers(n)
+        if z_kind == "gauss":
+            base = rng.standard_normal((2, k, t)) * 2.0 ** log_z
+        elif z_kind == "edge":
+            base = np.array(edge_points((k, t), 2.0 ** log_z))
+        elif z_kind == "near-cancel":
+            base = -noise.planar[:, draw] * (1 + rng.uniform(-1e-6, 1e-6, (2, k, t)))
+        else:
+            base = rng.choice([0.0, -0.0], size=(2, k, t))
+
+        def noise_free(a):
+            # "cancel" makes the points of one draw exactly zero
+            return -(noise.planar[:, draw] * a) if z_kind == "cancel" else base * a
+
+        a = 2.0 ** log_a
+        if target is not None and not nan:
+            # scale B = a*peak + max|z| to the target
+            a *= _B_TARGETS[target] / (a * noise.peak + np.abs(noise_free(a)).max())
+        zz = noise_free(a)
+        seen = []
+
+        def spy(re, im, constellation):
+            seen.append(np.shape(re))
+            return cn.decide_index(re, im, constellation)
+
+        points = noise.planar * a + zz[:, None]  # the float64 path's arithmetic
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "decide_index", spy)
+            if nan:
+                with pytest.raises(ValueError, match="NaN"):
+                    harness._decide(noise, zz, a, c)
+                return
+            got = harness._decide(noise, zz, a, c)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, cn.decide_index(points[0], points[1], c))
+        assert len(seen) == 1  # one call, even when it gets no point
+        if target is not None:
+            # inside the range the fallback gets a gather, outside it the block
+            assert (len(seen[0]) == 1) == target.endswith("-in")
+
+    def test_float32_arctan2_is_within_the_filters_budget(self):
+        # the filter's proof takes float32 arctan2 within G/8 of a sector at
+        # L = 16 (G = harness._GUARD); a NumPy build with a worse kernel fails
+        # here instead of miscounting. Parts from 2^-50 to 2^50, in any ratio
+        rng = np.random.default_rng(0)
+        parts = rng.standard_normal((2, 10 ** 6)) * 2.0 ** rng.uniform(-50, 50, (2, 10 ** 6))
+        parts = parts.astype(np.float32)
+        got = np.arctan2(parts[1], parts[0]).astype(np.float64)
+        want = np.arctan2(parts[1].astype(np.float64), parts[0].astype(np.float64))
+        assert np.abs(got - want).max() * 16 / (2 * np.pi) < harness._GUARD / 8
 
 
 def uniform_replays(calls):
@@ -493,7 +628,8 @@ class TestRunExperiment:
                     frame, phases, ch, symbols, sigma2 = next(pending)
                     assert sigma2 == inv_db_to_sigma2(db)
                     rng = hn._substream(cfg, i, hn._TAG_NOISE)
-                    fresh = np.stack([rng.standard_normal(shape), rng.standard_normal(shape)])
+                    fresh = NoiseBlock(np.stack([rng.standard_normal(shape),
+                                                 rng.standard_normal(shape)]))
                     be, se, _, _ = real(frame, phases, ch, symbols, sigma2, fresh)
                     assert (be, se) == (outcomes[scheme].bit_err[j],
                                         outcomes[scheme].sym_err[j])

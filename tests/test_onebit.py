@@ -100,6 +100,20 @@ def test_onebit_frame_validation():
             OneBitFrame(xbar=xbar, amplitude=amplitude)
 
 
+def test_onebit_frame_x_is_built_once_and_read_only():
+    xbar = np.array([[2.0, -2.0, -2.0, 2.0], [-2.0, -2.0, 2.0, 2.0]])
+    frame = OneBitFrame(xbar=xbar, amplitude=2.0)
+    xbar[0, 0] = -2.0  # the frame keeps its own copy
+    x = frame.x
+    assert x is frame.x
+    assert np.array_equal(x, frame.xbar[:, :2] + 1j * frame.xbar[:, 2:])
+    assert np.array_equal(x, [[2 - 2j, -2 + 2j], [-2 + 2j, -2 + 2j]])
+    for array in (x, frame.xbar):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+
+
 def test_coefficient_matrix_validation():
     with pytest.raises(ValueError):
         CoefficientMatrix(c=np.ones((3, 2)), amplitude=1.0)
