@@ -67,11 +67,19 @@ class AoIterationRecord:
         return all(self.md_converged) and self.apg_converged
 
 
+def receive_points(ch: ChannelSet, phases: PhaseShifts, frame,
+                   symbols: SymbolFrame) -> np.ndarray:
+    """Noise-free K x T receive points of a design for a K x T symbol frame."""
+    z = effective_matrix(ch, phases) @ frame_array(frame).T
+    if symbols.indices.shape != z.shape:
+        raise ValueError(f"symbols are {symbols.indices.shape}, receive points {z.shape}")
+    return z
+
+
 def frame_margins(ch: ChannelSet, phases: PhaseShifts, frame,
                   symbols: SymbolFrame) -> np.ndarray:
     """Sector margins alpha for every (user, slot) of a concrete design."""
-    h_eff = effective_matrix(ch, phases)
-    z = (h_eff @ frame_array(frame).T) * np.conj(symbols.symbols)
+    z = receive_points(ch, phases, frame, symbols) * np.conj(symbols.symbols)
     return margin(z, symbols.constellation)
 
 

@@ -67,7 +67,9 @@ def quantize_onebit(x: np.ndarray, power: float) -> OneBitFrame:
     zeros quantize to +s by convention.
     """
     x = np.atleast_2d(np.asarray(x, dtype=complex))
-    return OneBitFrame.from_complex(x, onebit_amplitude(power, x.shape[1]))
+    s = onebit_amplitude(power, x.shape[1])
+    return OneBitFrame(xbar=np.where(np.concatenate([x.real, x.imag], axis=1) >= 0, s, -s),
+                       amplitude=s)
 
 
 @dataclass(frozen=True)

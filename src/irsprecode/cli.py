@@ -74,6 +74,10 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
             cfg = ExperimentConfig.from_dict(json.load(fh))
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         parser.error(f"argument --config: {exc}")
+    try:  # an unwritable path fails here, not after the run; "a" keeps a file
+        open(args.out, "a").close()
+    except OSError as exc:
+        parser.error(f"argument --out: {exc}")
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.schemes is not None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ao import alternating_optimize, best_round, frame_margins, stopped_by_rule
+from .ao import alternating_optimize, best_round, frame_margins, receive_points, stopped_by_rule
 from .baselines import (
     SCHEMES,
     no_irs_variant,
@@ -27,19 +27,14 @@ from .baselines import (
     zf_precode,
 )
 from .channel import ChannelSet, PhaseShifts, drop_users, effective_matrix, sample_channels
-from .constellation import (
-    PskConstellation,
-    SymbolFrame,
-    bit_errors,
-    decide_index,
-)
+from .constellation import NoiseBlock, PskConstellation, SymbolFrame, bit_errors, decide_block
 from .onebit import (
     OneBitFrame,
     SolverConfig,
     build_coefficients,
     check_count,
     check_real,
-    frame_array,
+    field_values,
     is_real,
     model_starts,
     solve_symbol,
@@ -145,12 +140,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ValueError(f"config must be a JSON object, got {d!r}")
-        d = dict(d)
-        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        d = field_values(cls, d, "config")
         if "solver" in d and not isinstance(d["solver"], SolverConfig):
             d["solver"] = SolverConfig.from_dict(d["solver"])
         return cls(**d)
@@ -183,58 +173,6 @@ def inv_db_to_sigma2(inv_sigma2_db: float) -> float:
     return 10.0 ** (-inv_sigma2_db / 10.0)
 
 
-# Blocks of at least this many receive points (n_noise * K * T) are decided
-# in float32 first, with an exact float64 fallback (_decide); smaller blocks,
-# such as the one-draw blocks of the acceptance runs, are decided in float64
-# alone. The two cost about the same at 10,000 points: per
-# simulate_transmission call on a K = 4, T = 50 QPSK frame (2-vCPU x86-64,
-# numpy 2.4, BLAS on 1 thread, median of 9 interleaved runs, two sets),
-# float32 first against float64 alone took 93-112 vs 71-72 µs at 1,000
-# points, 118-143 vs 122-131 µs at 10,000, 176-183 vs 206-209 µs at 20,000
-# and 498-553 vs 729-809 µs at 80,000.
-FILTER_MIN_POINTS = 10_000
-# the float32 pass runs only while the noise peak and the per-part bound B
-# lie in this range; see _decide for why it keeps every float32 quantity
-# finite and its rounding errors relative
-_F32_RANGE = (2.0 ** -50, 2.0 ** 50)
-# a point whose float32 sector coordinate lies within this many sector
-# widths of a sector edge is re-decided in float64
-_GUARD = 1e-3
-
-
-@dataclass(frozen=True, eq=False)
-class NoiseBlock:
-    """One channel's noise draws: n_noise x K x T complex samples, planar.
-
-    planar is a read-only real (2, n_noise, K, T) float64 array, all real
-    parts first (planar[0] + 1j*planar[1] is the complex block). peak is its
-    largest |entry| and planar32 its float32 copy, which the float32 decision
-    pass of simulate_transmission reads; planar32 is None for a block below
-    FILTER_MIN_POINTS points or with a peak outside that pass's range.
-    """
-
-    planar: np.ndarray
-    peak: float = field(init=False)
-    planar32: np.ndarray | None = field(init=False, repr=False)
-
-    def __post_init__(self):
-        planar = np.asarray(self.planar)
-        if (planar.dtype.kind != "f" or planar.ndim != 4 or planar.shape[0] != 2
-                or 0 in planar.shape):
-            raise ValueError("noise must be a real (2, n_noise >= 1, K, T) block")
-        planar = planar.astype(np.float64)  # the block's own copy
-        planar.flags.writeable = False
-        peak = float(np.abs(planar).max())
-        planar32 = None
-        if (planar[0].size >= FILTER_MIN_POINTS
-                and _F32_RANGE[0] <= peak <= _F32_RANGE[1]):
-            planar32 = planar.astype(np.float32)
-            planar32.flags.writeable = False
-        object.__setattr__(self, "planar", planar)
-        object.__setattr__(self, "peak", peak)
-        object.__setattr__(self, "planar32", planar32)
-
-
 def draw_noise(n_noise: int, n_users: int, n_slots: int,
                rng: np.random.Generator) -> NoiseBlock:
     """Noise block of n_noise (K, T) draws of i.i.d. standard normal real and
@@ -248,74 +186,6 @@ def draw_noise(n_noise: int, n_users: int, n_slots: int,
     return NoiseBlock(rng.standard_normal((2, n_noise, n_users, n_slots)))
 
 
-def _decide(noise: NoiseBlock, zz: np.ndarray, a: float,
-            c: PskConstellation) -> np.ndarray:
-    """Sector indices, (n_noise, K, T) uint8, of the receive points
-    fl(fl(a*noise) + zz), where zz holds the noise-free points as a planar
-    (2, K, T) array: decide_index's result on those float64 points, bit for
-    bit, and decide_index is called once.
-
-    A float32 pass decides every point whose sector it can prove; the rest
-    are rebuilt in float64 with the same two roundings and decided exactly
-    (a floating-point filter, after Shewchuk's adaptive predicates). With
-    u = 2^-24 and B = a*peak + max |zz|, each part of y32 = f32(a)*n32 +
-    f32(zz) lies within 4u*B + 2^-52*B of the float64 point y: four float32
-    roundings (n, a, the product, the sum) of a part up to a*peak and two (z,
-    the sum) of one up to max |zz|, and two float64 roundings. Below the
-    normal range a rounding errs by at most 2^-150 absolutely; with B and
-    peak in _F32_RANGE = [2^-50, 2^50], those errors (times a <= B/peak or
-    times peak) stay under 2^-26 * u*B, no part, square or R^2 below
-    overflows, and R^2 is normal. So delta = 5u*B bounds each part's error,
-    and |y32 - y| <= sqrt(2)*delta.
-
-    In units of one sector width (2pi/L), v = arctan2(y32) * L/(2pi) and
-    k = rint(v); y32 is certain when |v - k| <= 1/2 - G and |y32| >= R, i.e.
-    when frac(v + 1/2) lies in [G, 1 - G]. Its k is then y's sector mod L:
-      - from |y32| >= R, y is seen within arcsin(sqrt(2)*delta/R) <=
-        pi/2 * sqrt(2)*delta/R of y32's angle; R = L*sqrt(2)*delta/G makes
-        that G/4 sector widths (the rounded squares in |y32|^2 err by ~3u
-        relative, inside the slack of the arcsin bound);
-      - float32 arctan2 errs by under G/8 of a sector at L = 16 (a test
-        checks it on 10^6 points), the scaling by under 20u, and rint and
-        the subtraction are exact;
-      - decide_index's own float64 rounding is below 1e-14 of a sector.
-    The errors add to under G/2, so y's exact sector coordinate, and the
-    one decide_index computes, lies strictly inside sector k. A point on
-    the branch cut at pi has coordinate L/2, mid-sector, on either side.
-    """
-    bound = a * noise.peak + float(np.abs(zz).max())
-    if noise.planar32 is None or not _F32_RANGE[0] <= bound <= _F32_RANGE[1]:
-        # every point in float64
-        y = np.multiply(noise.planar, a)
-        y += zz[:, None]
-        return decide_index(y[0], y[1], c)
-    kt = zz[0].size
-    zz = zz.reshape(2, 1, kt)
-    y = np.multiply(noise.planar32.reshape(2, -1, kt), np.float32(a))
-    y += zz.astype(np.float32)
-    r2 = np.square(y[0])
-    r2 += np.square(y[1])
-    v = np.arctan2(y[1], y[0])
-    v *= np.float32(c.order / (2.0 * np.pi))
-    k = np.rint(v)
-    v -= k
-    np.abs(v, out=v)
-    # both tests are false on a NaN, which then reaches decide_index
-    sure = v <= np.float32(0.5 - _GUARD)
-    radius = c.order * np.sqrt(2.0) * 5.0 * 2.0 ** -24 * bound / _GUARD
-    sure &= r2 >= np.float32(radius * radius)
-    # k lies in [-L/2, L/2]; int8's -1 is 255 as uint8 (see decide_index)
-    decided = k.astype(np.int8)
-    decided &= c.order - 1
-    decided = decided.view(np.uint8)
-    # the exact fallback: the float64 path's arithmetic on the gathered points
-    flat = np.flatnonzero(~sure)
-    y = noise.planar.reshape(2, -1)[:, flat] * a
-    y += zz[:, 0, flat % kt]
-    decided.reshape(-1)[flat] = decide_index(y[0], y[1], c)
-    return decided.reshape(noise.planar.shape[1:])
-
-
 def simulate_transmission(frame, phases: PhaseShifts, ch: ChannelSet,
                           symbols: SymbolFrame, sigma2: float, noise: NoiseBlock):
     """Count decision errors of a fixed design under AWGN.
@@ -325,19 +195,15 @@ def simulate_transmission(frame, phases: PhaseShifts, ch: ChannelSet,
     sigma2 must be positive and finite. Returns (bit_errors, sym_errors,
     bits, syms).
     """
-    if not sigma2 > 0:
-        raise ValueError("sigma2 must be positive")
-    if not sigma2 < np.inf:
-        raise ValueError("sigma2 must be finite")
-    h_eff = effective_matrix(ch, phases)
-    z = h_eff @ frame_array(frame).T
+    check_real("sigma2", sigma2, positive=True)
+    z = receive_points(ch, phases, frame, symbols)
     if not isinstance(noise, NoiseBlock) or noise.planar.shape[2:] != z.shape:
         raise ValueError("noise must be a NoiseBlock of K x T draws")
     # the receive points z + sqrt(sigma2 / 2) * noise stay in planar form:
     # real parts first, then imaginary parts
     c = symbols.constellation
-    decided = _decide(noise, np.array([z.real, z.imag]),
-                      float(np.sqrt(sigma2 / 2.0)), c)
+    decided = decide_block(noise, np.array([z.real, z.imag]),
+                           float(np.sqrt(sigma2 / 2.0)), c)
     # in the decisions' dtype, the comparison runs without a cast per entry
     sent = symbols.indices.astype(decided.dtype)
     sym_err = int(np.count_nonzero(decided != sent))
@@ -365,20 +231,19 @@ def _status(converged: bool) -> str:
     return "ok" if converged else "inner-solver-nonconverged"
 
 
-def _substream(cfg: ExperimentConfig, index: int, tag: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index, tag))
-    return np.random.default_rng(ss)
+def _substream(seed: int, index: int, tag: int) -> np.random.Generator:
+    """The generator of stream `tag` of channel `index` under `seed`."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index, tag)))
 
 
 def _design_rng(cfg: ExperimentConfig, index: int, scheme: str) -> np.random.Generator:
-    return _substream(cfg, index, _TAG_DESIGN_BASE + _CANONICAL_ORDER.index(scheme))
+    return _substream(cfg.seed, index, _TAG_DESIGN_BASE + _CANONICAL_ORDER.index(scheme))
 
 
 def channel_realization(seed: int, index: int, m: int, n: int, k: int) -> ChannelSet:
     """The channel draw that channel `index` of an experiment with this seed
     sees; lets fixtures and cross-implementation checks reproduce it exactly."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index, _TAG_CHANNEL))
-    rng = np.random.default_rng(ss)
+    rng = _substream(seed, index, _TAG_CHANNEL)
     return sample_channels(drop_users(k, rng), m, n, rng)
 
 
@@ -387,9 +252,9 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
     const = PskConstellation(cfg.order)
     ch = channel_realization(cfg.seed, index, cfg.m, cfg.n, cfg.k)
     symbols = SymbolFrame.random(const, cfg.k, cfg.t,
-                                 _substream(cfg, index, _TAG_SYMBOLS))
+                                 _substream(cfg.seed, index, _TAG_SYMBOLS))
     # one noise block serves every scheme and noise point (common random numbers)
-    noise = draw_noise(cfg.n_noise, cfg.k, cfg.t, _substream(cfg, index, _TAG_NOISE))
+    noise = draw_noise(cfg.n_noise, cfg.k, cfg.t, _substream(cfg.seed, index, _TAG_NOISE))
     bare = no_irs_variant(ch)
     ones = PhaseShifts.ones(cfg.n)
 
@@ -405,7 +270,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
     if cfg.theta_policy == "shared" and ao_phases is not None:
         theta = ao_phases
     else:
-        theta = PhaseShifts.random(cfg.n, _substream(cfg, index, _TAG_THETA))
+        theta = PhaseShifts.random(cfg.n, _substream(cfg.seed, index, _TAG_THETA))
 
     @functools.cache
     def box(with_irs: bool):

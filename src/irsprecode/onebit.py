@@ -49,6 +49,18 @@ def check_real(name: str, value, positive: bool) -> None:
         raise ValueError(f"{name} must be a finite {sign} number, got {value!r}")
 
 
+def field_values(cls, d, name: str) -> dict:
+    """A copy of d, a JSON object whose keys must all be fields of the
+    dataclass cls; name ("config", "solver") names it in the errors."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{name} must be a JSON object, got {d!r}")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        label = name if name == "config" else f"{name} config"
+        raise ValueError(f"unknown {label} keys: {sorted(unknown)}")
+    return dict(d)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings of the joint design; each solver reads its own fields.
@@ -83,12 +95,7 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
-        if not isinstance(d, dict):
-            raise ValueError(f"solver must be a JSON object, got {d!r}")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
-        return cls(**d)
+        return cls(**field_values(cls, d, "solver"))
 
 
 def onebit_amplitude(power: float, n_antennas: int) -> float:
@@ -150,15 +157,6 @@ class OneBitFrame:
         s = onebit_amplitude(power, M), into a frame."""
         xbar = np.stack(xbars)
         return cls(xbar=xbar, amplitude=onebit_amplitude(power, xbar.shape[1] // 2))
-
-    @classmethod
-    def from_complex(cls, x, amplitude: float) -> "OneBitFrame":
-        """Snap a complex (T, M) array to the alphabet; zeros map to +s."""
-        x = np.atleast_2d(np.asarray(x, dtype=complex))
-        sign_re = np.where(x.real >= 0, 1.0, -1.0)
-        sign_im = np.where(x.imag >= 0, 1.0, -1.0)
-        return cls(xbar=amplitude * np.concatenate([sign_re, sign_im], axis=1),
-                   amplitude=amplitude)
 
 
 def frame_array(frame) -> np.ndarray:

@@ -161,11 +161,13 @@ def project_unit_modulus(theta_bar) -> np.ndarray:
                            np.where(zero, 0.0, b / safe)])
 
 
+@functools.lru_cache(maxsize=8)
 def momentum_sequence(n: int):
     """First n momentum pairs (zeta_r, psi_r), r = 0..n-1, as apg_optimize uses them.
 
     zeta follows zeta_r = (1 + sqrt(1 + 4 zeta_{r-1}^2)) / 2 from zeta_{-1}=0,
-    and psi_r = (zeta_r - 1) / zeta_r.
+    and psi_r = (zeta_r - 1) / zeta_r. Built once per n; both arrays are
+    read-only.
     """
     zeta = np.empty(n)
     psi = np.empty(n)
@@ -175,15 +177,8 @@ def momentum_sequence(n: int):
         zeta[r] = cur
         psi[r] = (cur - 1.0) / cur
         prev = cur
+    zeta.flags.writeable = psi.flags.writeable = False
     return zeta, psi
-
-
-@functools.lru_cache(maxsize=8)
-def _momentum_weights(n: int) -> np.ndarray:
-    """The psi half of momentum_sequence(n), built once per n and read-only."""
-    psi = momentum_sequence(n)[1]
-    psi.flags.writeable = False
-    return psi
 
 
 @dataclass
@@ -237,7 +232,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
                          smoothed=lse_value(theta, coeffs, delta),
                          converged=True, n_iter=0, trace=[])
 
-    psis = _momentum_weights(opts.apg_max_iter)
+    psis = momentum_sequence(opts.apg_max_iter)[1]
     # the start point goes through the public kernels, which perfbench's
     # tracer wraps and requires to run; psi_0 = 0 makes it the first
     # extrapolated point too. Every later point costs one product: its

@@ -8,9 +8,14 @@ from a popcount lookup of xored Gray labels. The package keeps the receive
 points in planar form (real and imaginary parts as two real arrays), decides
 them with arctan2 and counts the xored labels' bits one bit plane at a time;
 its results must equal these bit for bit.
+
+expected_errors gives the exact expected error counts of a fixed BPSK or
+QPSK design per receive point, and chernoff_log_tail bounds how far a
+Monte-Carlo count may stray from them.
 """
 
 import numpy as np
+from scipy.special import ndtr
 
 from irsprecode.channel import effective_matrix
 from irsprecode.constellation import PskConstellation, decide_index, gray_code
@@ -70,3 +75,32 @@ def reference_simulate_transmission(frame, phases, ch, symbols, sigma2, noise):
     sym_err = int(np.sum(decided != symbols.indices[None, :, :]))
     bit_err = reference_bit_errors(np.broadcast_to(symbols.indices, y.shape), decided, c)
     return bit_err, sym_err, y.size * c.bits_per_symbol, y.size
+
+
+def expected_errors(frame, phases, ch, symbols, sigma2):
+    """Expected (bit errors, symbol errors) of each K x T receive point of a
+    fixed BPSK or QPSK design under CN(0, sigma2) noise.
+
+    Rotate each noise-free point by its sent symbol: w = z * conj(s). BPSK
+    errs when Re w + n < 0, n ~ N(0, sigma2 / 2). Gray-coded QPSK errs in
+    one bit when u + n_u < 0 and in the other when v + n_v > 0, with
+    u = Re w + Im w, v = Im w - Re w and n_u, n_v independent N(0, sigma2);
+    so a point expects Q(u / sigma) + Q(-v / sigma) bit errors.
+    """
+    w = effective_matrix(ch, phases) @ frame_array(frame).T * np.conj(symbols.symbols)
+    order = symbols.constellation.order
+    if order == 2:
+        p = ndtr(-w.real / np.sqrt(sigma2 / 2.0))
+        return p, p
+    if order != 4:
+        raise ValueError(f"no closed form for {order}-PSK")
+    p_u = ndtr(-(w.real + w.imag) / np.sqrt(sigma2))  # Q(u / sigma)
+    p_v = ndtr((w.imag - w.real) / np.sqrt(sigma2))   # Q(-v / sigma)
+    return p_u + p_v, p_u + p_v - p_u * p_v
+
+
+def chernoff_log_tail(count: int, mean: float) -> float:
+    """ln of the Chernoff bound count - mean - count * ln(count / mean) on
+    P[X >= count] (count above the mean) or P[X <= count] (below it), for X a
+    sum of independent Bernoulli variables with this mean."""
+    return count - mean - (count * np.log(count / mean) if count else 0.0)

@@ -347,6 +347,12 @@ def test_config_validation():
         SolverConfig(ao_max_outer=0)
     with pytest.raises(ValueError):
         SolverConfig(n_starts=0)
+    # 1-slot and 1-user symbols used to be broadcast against the 2 x 2
+    # receive points
+    frame = OneBitFrame(xbar=np.ones((2, 8)), amplitude=1.0)
+    for bad in (sym.indices[:, :1], sym.indices[:1]):
+        with pytest.raises(ValueError, match="symbols"):
+            frame_margins(ch, PhaseShifts.ones(4), frame, SymbolFrame(bad, QPSK))
 
 
 def test_small_joint_instances_near_grid_oracle():

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from irsprecode import cli
 from irsprecode.channel import ChannelSet
 from irsprecode.cli import main
 from irsprecode.harness import (
@@ -98,6 +99,32 @@ def test_run_rejects_a_bad_config(tmp_path, capsys, text):
     assert usage.startswith("usage: irsprecode")
     assert error.startswith("irsprecode: error: argument --config: ")
     assert not out.exists()
+
+
+def test_run_rejects_an_unwritable_out_before_the_run(tmp_path, config_file, capsys,
+                                                      monkeypatch):
+    # a missing output directory used to end in a traceback with exit 1 from
+    # write_csv, after the whole run
+    _, cfg_path = config_file
+
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    for out in (tmp_path / "missing" / "out.csv", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert exc.value.code == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: irsprecode")
+        assert error.startswith("irsprecode: error: argument --out: ")
+    assert not (tmp_path / "missing").exists()
+    # the check leaves an existing file as it is until the run writes it
+    out = tmp_path / "out.csv"
+    out.write_text("kept")
+    with pytest.raises(AssertionError, match="the experiment ran"):
+        main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert out.read_text() == "kept"
 
 
 def test_fixtures_dump_round_trip(tmp_path):

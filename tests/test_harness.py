@@ -9,11 +9,11 @@ import math
 
 import numpy as np
 import pytest
-from counting_oracles import reference_simulate_transmission
+from counting_oracles import chernoff_log_tail, expected_errors, reference_simulate_transmission
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from irsprecode import ao, baselines, harness, onebit, phase
+from irsprecode import ao, baselines, constellation, harness, onebit, phase
 from irsprecode.ao import AoIterationRecord, frame_margins
 from irsprecode.baselines import SCHEMES, zf_precode
 from irsprecode.channel import ChannelSet, PhaseShifts, effective_matrix
@@ -268,6 +268,42 @@ class TestSimulate:
         assert (be, se) == (0, 0)
         assert syms == n_noise * 3 * 5 and bits == syms * c.bits_per_symbol
 
+    @settings(max_examples=30, deadline=None)
+    @given(order=st.sampled_from([2, 4]), seed=st.integers(0, 2 ** 32 - 1),
+           design=st.sampled_from(["zf-quant", "random"]))
+    def test_counts_lie_in_a_chernoff_tail_of_the_exact_expectation(self, order, seed,
+                                                                    design):
+        # each count is a sum of independent bit (symbol) error events, so it
+        # must lie inside a Chernoff tail of its exact mean, at a false-alarm
+        # rate of 1e-9 per side. One fresh block below FILTER_MIN_POINTS and
+        # one above it take both decision paths; with a mean of at least 50
+        # the check sees the Gray labels, the noise scale and the dB axis
+        rng = np.random.default_rng(seed)
+        c, k, t = PskConstellation(order), 2, 3
+        ch = channel_realization(seed % 1000, 0, 6, 4, k)
+        phases = PhaseShifts.random(4, rng)
+        symbols = SymbolFrame.random(c, k, t, rng)
+        if design == "zf-quant":
+            x = baselines.quantize_onebit(
+                zf_precode(effective_matrix(ch, phases), symbols, 100.0).x, 100.0)
+        else:
+            x = rng.choice([-1.0, 1.0], size=(t, 6)) + 1j * rng.choice([-1.0, 1.0], size=(t, 6))
+        large = -(-constellation.FILTER_MIN_POINTS // (k * t))
+        small = large // 2
+        for db in np.arange(60.0, -40.0, -1.0):
+            sigma2 = 10.0 ** (-db / 10.0)
+            bits, syms = (e.sum() for e in expected_errors(x, phases, ch, symbols, sigma2))
+            if small * bits >= 50:
+                break
+        assert small * bits >= 50
+        for n_noise in (small, large):
+            noise = draw_noise(n_noise, k, t, rng)
+            assert (noise.planar32 is None) == (n_noise == small)
+            be, se, _, _ = simulate_transmission(x, phases, ch, symbols,
+                                                 inv_db_to_sigma2(db), noise)
+            for count, mean in ((be, n_noise * bits), (se, n_noise * syms)):
+                assert chernoff_log_tail(count, mean) > np.log(1e-9), (count, mean)
+
     def test_invalid_args(self):
         ch, phases, x, symbols = fixed_design(3)
         k, t = symbols.n_users, symbols.n_slots
@@ -290,6 +326,11 @@ class TestSimulate:
                     NoiseBlock(planar[:, :, :-1])):
             with pytest.raises(ValueError, match="noise"):
                 simulate_transmission(x, phases, ch, symbols, 1.0, bad)
+        # 1-slot and 1-user symbols used to be broadcast against the 2 x 3
+        # receive points, and counted
+        for bad in (symbols.indices[:, :1], symbols.indices[:1]):
+            with pytest.raises(ValueError, match="symbols"):
+                simulate_transmission(x, phases, ch, SymbolFrame(bad, QPSK), 1.0, noise)
 
     def test_noise_block_holds_the_complex_draws(self):
         # the planar block is the complex (n_noise, K, T) draw that the same
@@ -310,7 +351,7 @@ _B_TARGETS = {"low-in": 2.0 ** -50 * (1 + 1e-6), "low-out": 2.0 ** -50 * (1 - 1e
 
 
 class TestFloat32Filter:
-    # 10,200 receive points, above harness.FILTER_MIN_POINTS
+    # 10,200 receive points, above constellation.FILTER_MIN_POINTS
     SHAPE = (1700, 2, 3)
 
     def test_noise_block_carries_its_float32_copy(self):
@@ -322,7 +363,7 @@ class TestFloat32Filter:
         assert noise.planar32.dtype == np.float32
         assert np.array_equal(noise.planar32, noise.planar.astype(np.float32))
         assert not noise.planar.flags.writeable and not noise.planar32.flags.writeable
-        assert noise.planar[0].size >= harness.FILTER_MIN_POINTS
+        assert noise.planar[0].size >= constellation.FILTER_MIN_POINTS
         # a small block, and blocks whose peak is outside the float32 pass's
         # range, are decided in float64 alone
         small = NoiseBlock(planar[:, :10])
@@ -353,8 +394,6 @@ class TestFloat32Filter:
         # the float32 pass with its float64 fallback decides each receive
         # point fl(fl(a*n) + z) as decide_index does, on blocks built to sit
         # on sector edges, near zero and at the ends of the pass's range
-        import irsprecode.constellation as cn
-
         rng = np.random.default_rng(seed)
         c = PskConstellation(order)
         n, k, t = self.SHAPE
@@ -394,21 +433,22 @@ class TestFloat32Filter:
             a *= _B_TARGETS[target] / (a * noise.peak + np.abs(noise_free(a)).max())
         zz = noise_free(a)
         seen = []
+        decide_index = constellation.decide_index
 
-        def spy(re, im, constellation):
+        def spy(re, im, psk):
             seen.append(np.shape(re))
-            return cn.decide_index(re, im, constellation)
+            return decide_index(re, im, psk)
 
         points = noise.planar * a + zz[:, None]  # the float64 path's arithmetic
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harness, "decide_index", spy)
+            mp.setattr(constellation, "decide_index", spy)
             if nan:
                 with pytest.raises(ValueError, match="NaN"):
-                    harness._decide(noise, zz, a, c)
+                    constellation.decide_block(noise, zz, a, c)
                 return
-            got = harness._decide(noise, zz, a, c)
+            got = constellation.decide_block(noise, zz, a, c)
         assert got.dtype == np.uint8
-        assert np.array_equal(got, cn.decide_index(points[0], points[1], c))
+        assert np.array_equal(got, constellation.decide_index(points[0], points[1], c))
         assert len(seen) == 1  # one call, even when it gets no point
         if target is not None:
             # inside the range the fallback gets a gather, outside it the block
@@ -416,14 +456,14 @@ class TestFloat32Filter:
 
     def test_float32_arctan2_is_within_the_filters_budget(self):
         # the filter's proof takes float32 arctan2 within G/8 of a sector at
-        # L = 16 (G = harness._GUARD); a NumPy build with a worse kernel fails
+        # L = 16 (G = constellation._GUARD); a NumPy build with a worse kernel fails
         # here instead of miscounting. Parts from 2^-50 to 2^50, in any ratio
         rng = np.random.default_rng(0)
         parts = rng.standard_normal((2, 10 ** 6)) * 2.0 ** rng.uniform(-50, 50, (2, 10 ** 6))
         parts = parts.astype(np.float32)
         got = np.arctan2(parts[1], parts[0]).astype(np.float64)
         want = np.arctan2(parts[1].astype(np.float64), parts[0].astype(np.float64))
-        assert np.abs(got - want).max() * 16 / (2 * np.pi) < harness._GUARD / 8
+        assert np.abs(got - want).max() * 16 / (2 * np.pi) < constellation._GUARD / 8
 
 
 def uniform_replays(calls):
@@ -500,7 +540,7 @@ class TestRunExperiment:
             if policy == "shared":
                 assert lam0 is trace[-1].lams
             else:
-                phases = PhaseShifts.random(cfg.n, hn._substream(cfg, i, hn._TAG_THETA))
+                phases = PhaseShifts.random(cfg.n, hn._substream(cfg.seed, i, hn._TAG_THETA))
                 assert lam0 is None
             ch = channel_realization(cfg.seed, i, cfg.m, cfg.n, cfg.k)
             assert np.array_equal(h_eff, effective_matrix(ch, phases))
@@ -627,7 +667,7 @@ class TestRunExperiment:
                 for j, db in enumerate(cfg.noise_grid_db):
                     frame, phases, ch, symbols, sigma2 = next(pending)
                     assert sigma2 == inv_db_to_sigma2(db)
-                    rng = hn._substream(cfg, i, hn._TAG_NOISE)
+                    rng = hn._substream(cfg.seed, i, hn._TAG_NOISE)
                     fresh = NoiseBlock(np.stack([rng.standard_normal(shape),
                                                  rng.standard_normal(shape)]))
                     be, se, _, _ = real(frame, phases, ch, symbols, sigma2, fresh)
