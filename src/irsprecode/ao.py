@@ -4,8 +4,7 @@ Each outer round solves the T per-slot transmit designs against the current
 effective channel, then re-optimizes the phase shifts against the new frame,
 warm-starting from the previous round's (initially uniform random) phases.
 Every slot solve starts cold, at its slot's onebit.model_start; a round takes
-its T starts in one onebit.model_starts call. Each round's record keeps its
-(T, 2K) block of dual points.
+its T starts in one onebit.model_starts call.
 
 The objective is the worst-case margin over all (user, slot) pairs. Neither
 inner solver is exact (rounding and a nonconvex projection are involved), so
@@ -18,10 +17,11 @@ a round can lower it. The loop stops on the first of three rules:
   its x-step ran at; that round's design is returned (or the previous one's,
   when the margin rule fires too).
 - cap: ao_max_outer rounds; the last is returned.
-After a margin or fixed-point stop the last round's x-step ran at the phases
-the loop returns, so a box solve there from trace[-1].lams reproduces the
-cold solve bit for bit (stopped_by_rule). The trace records every round that
-ran, with its worst margin and inner-solver statuses.
+The trace records every round that ran, with its design, worst margin,
+inner-solver statuses and (T, 2K) dual points; its last round names the rule
+that stopped the run. After a margin or fixed-point stop (trace[-1].stop !=
+"cap") the last round's x-step ran at the phases the loop returns, so a box
+solve there from trace[-1].lams reproduces the cold solve bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .onebit import (
     OneBitFrame,
     SolverConfig,
     build_coefficients,
+    check_real,
     frame_array,
     model_starts,
     solve_symbol,
@@ -50,16 +51,19 @@ MARGIN_RTOL = 1e-12
 
 @dataclass(eq=False)
 class AoIterationRecord:
-    """One outer round: its worst margin, inner-solver statuses, the (T, 2K)
-    dual points its x-step ended at, one row per slot, and whether its phase
-    step returned the phases its x-step ran at."""
+    """One outer round: its design (frame, phases), worst margin, inner-solver
+    statuses and the (T, 2K) dual points its x-step ended at, one row per
+    slot. stop is the rule that ended the run ("margin", "fixed point" or
+    "cap") on the round that ended it, and None on every earlier round."""
 
     iteration: int
     worst_margin: float
     md_converged: list
     apg_converged: bool
     lams: np.ndarray
-    fixed_point: bool
+    frame: OneBitFrame
+    phases: PhaseShifts
+    stop: str | None
 
     @property
     def converged(self) -> bool:
@@ -84,23 +88,9 @@ def frame_margins(ch: ChannelSet, phases: PhaseShifts, frame,
 
 
 def best_round(trace: list) -> AoIterationRecord:
-    """The round a run returns: the last, unless it did not improve.
-
-    Every earlier round beat its predecessor by more than MARGIN_RTOL
-    relative, or the run would have stopped there. A NaN margin never counts
-    as an improvement.
-    """
-    if len(trace) > 1:
-        prev = trace[-2].worst_margin
-        if not trace[-1].worst_margin > prev + MARGIN_RTOL * abs(prev):
-            return trace[-2]
-    return trace[-1]
-
-
-def stopped_by_rule(trace: list) -> bool:
-    """Whether a run stopped by the margin or fixed-point rule, not the round
-    cap; then trace[-1]'s x-step ran at the phases the run returns."""
-    return trace[-1].fixed_point or best_round(trace) is not trace[-1]
+    """The round a run returns: the one before the last after a margin stop,
+    else the last."""
+    return trace[-2] if trace[-1].stop == "margin" else trace[-1]
 
 
 def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, power: float,
@@ -125,42 +115,42 @@ def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, power: float,
     initializations and keeps the run with the best worst-case margin (ties
     go to the earliest start); the trace of the winning start is returned.
     """
-    if not 0 < power < np.inf:
-        raise ValueError(f"power must be positive and finite, got {power}")
+    check_real("power", power, positive=True)
     if opts.n_starts == 1:
-        return _single_run(ch, symbols, power, opts, rng)
-    best = None
-    best_margin = -np.inf
-    for seed in rng.integers(0, 2 ** 63, size=opts.n_starts):
-        run = _single_run(ch, symbols, power, opts, np.random.default_rng(int(seed)))
-        worst = best_round(run[2]).worst_margin
-        if worst > best_margin:
-            best_margin = worst
-            best = run
-    return best
+        rngs = [rng]
+    else:
+        rngs = [np.random.default_rng(int(seed))
+                for seed in rng.integers(0, 2 ** 63, size=opts.n_starts)]
+    trace = max((_single_run(ch, symbols, power, opts, r) for r in rngs),
+                key=lambda run: best_round(run).worst_margin)
+    best = best_round(trace)
+    return best.frame, best.phases, trace
 
 
 def _single_run(ch: ChannelSet, symbols: SymbolFrame, power: float,
-                opts: SolverConfig, rng: np.random.Generator):
+                opts: SolverConfig, rng: np.random.Generator) -> list:
+    """One run of the loop from a random start; returns its trace."""
     phases = PhaseShifts.random(ch.g.shape[0], rng)
     trace: list = []
-    design = None  # (frame, phases) of the last round that improved
-
     for it in range(1, opts.ao_max_outer + 1):
         start = phases
         frame, lams, md_converged = _x_step(effective_matrix(ch, start), symbols,
                                             power, opts, rng)
         phases, apg_converged = _phase_step(ch, frame, symbols, start, opts)
         worst = float(frame_margins(ch, phases, frame, symbols).min())
-        fixed_point = np.array_equal(phases.theta, start.theta)
+        # a NaN margin never counts as an improvement
+        prev = trace[-1].worst_margin if trace else None
+        if prev is not None and not worst > prev + MARGIN_RTOL * abs(prev):
+            stop = "margin"
+        elif np.array_equal(phases.theta, start.theta):
+            stop = "fixed point"
+        else:
+            stop = "cap" if it == opts.ao_max_outer else None
         trace.append(AoIterationRecord(it, worst, md_converged, apg_converged, lams,
-                                       fixed_point))
-        if best_round(trace) is not trace[-1]:
+                                       frame, phases, stop))
+        if stop:
             break
-        design = frame, phases
-        if fixed_point:
-            break
-    return (*design, trace)
+    return trace
 
 
 def _x_step(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig, rng):

@@ -18,6 +18,7 @@ from .onebit import (
     OneBitFrame,
     SolverConfig,
     build_coefficients,
+    check_real,
     model_starts,
     onebit_amplitude,
     solve_relaxed,
@@ -129,8 +130,7 @@ def rescale_to_power(x: np.ndarray, power: float) -> np.ndarray:
     to the full per-slot power budget (entries no longer box-bounded) gives
     the matching unquantized full-power design. Zero slots stay zero.
     """
-    if not 0 < power < np.inf:
-        raise ValueError(f"power must be positive and finite, got {power}")
+    check_real("power", power, positive=True)
     x = np.atleast_2d(np.asarray(x, dtype=complex))
     norms = np.linalg.norm(x, axis=1)
     scale = np.ones_like(norms)

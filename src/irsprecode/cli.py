@@ -68,16 +68,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str, parser: argparse.ArgumentParser) -> None:
+    """Fail on an unwritable --out path before any work; "a" keeps a file."""
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        parser.error(f"argument --out: {exc}")
+
+
 def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     try:
         with open(args.config) as fh:
             cfg = ExperimentConfig.from_dict(json.load(fh))
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         parser.error(f"argument --config: {exc}")
-    try:  # an unwritable path fails here, not after the run; "a" keeps a file
-        open(args.out, "a").close()
-    except OSError as exc:
-        parser.error(f"argument --out: {exc}")
+    _check_out(args.out, parser)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.schemes is not None:
@@ -92,7 +97,8 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_fixtures_dump(args) -> int:
+def _cmd_fixtures_dump(args, parser: argparse.ArgumentParser) -> int:
+    _check_out(args.out, parser)
     ch = channel_realization(args.seed, args.index, args.m, args.n, args.k)
     with open(args.out, "w") as fh:
         json.dump(ch.to_dict(), fh, indent=2)
@@ -108,7 +114,7 @@ def main(argv=None) -> int:
     if args.command == "run":
         return _cmd_run(args, parser)
     if args.command == "fixtures":
-        return _cmd_fixtures_dump(args)
+        return _cmd_fixtures_dump(args, parser)
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 

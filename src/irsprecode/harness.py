@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ao import alternating_optimize, best_round, frame_margins, receive_points, stopped_by_rule
+from .ao import alternating_optimize, best_round, frame_margins, receive_points
 from .baselines import (
     SCHEMES,
     no_irs_variant,
@@ -281,7 +281,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         channel, phases = (ch, theta) if with_irs else (bare, ones)
         # a cold solve starts at model_start; after a margin or fixed-point
         # stop, AO's last dual points reproduce it at AO's phases, at less cost
-        warm = phases is ao_phases and stopped_by_rule(trace)
+        warm = phases is ao_phases and trace[-1].stop != "cap"
         lam0 = trace[-1].lams if warm else None
         res = relaxed_slp(effective_matrix(channel, phases), symbols,
                           cfg.power, cfg.solver, lam0)

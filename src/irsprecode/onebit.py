@@ -101,8 +101,7 @@ class SolverConfig:
 def onebit_amplitude(power: float, n_antennas: int) -> float:
     """Per-component one-bit magnitude s = sqrt(P / 2M), so that every
     one-bit transmit vector has ||x||^2 = P. P must be positive and finite."""
-    if not 0 < power < np.inf:
-        raise ValueError(f"power must be positive and finite, got {power}")
+    check_real("power", power, positive=True)
     return float(np.sqrt(power / (2 * n_antennas)))
 
 

@@ -10,7 +10,8 @@ them with arctan2 and counts the xored labels' bits one bit plane at a time;
 its results must equal these bit for bit.
 
 expected_errors gives the exact expected error counts of a fixed BPSK or
-QPSK design per receive point, and chernoff_log_tail bounds how far a
+QPSK design per receive point, symbol_error_bounds brackets the symbol error
+probability of an 8- or 16-PSK one, and chernoff_log_tail bounds how far a
 Monte-Carlo count may stray from them.
 """
 
@@ -97,6 +98,25 @@ def expected_errors(frame, phases, ch, symbols, sigma2):
     p_u = ndtr(-(w.real + w.imag) / np.sqrt(sigma2))  # Q(u / sigma)
     p_v = ndtr((w.imag - w.real) / np.sqrt(sigma2))   # Q(-v / sigma)
     return p_u + p_v, p_u + p_v - p_u * p_v
+
+
+def symbol_error_bounds(frame, phases, ch, symbols, sigma2):
+    """Lower and upper bounds max(Q1, Q2) and Q1 + Q2 on the symbol error
+    probability of each K x T receive point of a fixed L-PSK design, L >= 8,
+    under CN(0, sigma2) noise, where L-PSK has no closed form.
+
+    With w = z * conj(s), the sent symbol's decision wedge is the half-plane
+    pair d1 > 0, d2 > 0 with d1,2 = Re w sin(pi/L) -/+ Im w cos(pi/L), the
+    point's distances to the wedge's edges. Each distance moves by an
+    N(0, sigma2 / 2) noise component, so the point leaves half-plane i with
+    probability Qi = Q(di / sqrt(sigma2 / 2)); it errs when it leaves either.
+    """
+    w = effective_matrix(ch, phases) @ frame_array(frame).T * np.conj(symbols.symbols)
+    half = np.pi / symbols.constellation.order
+    scale = np.sqrt(sigma2 / 2.0)
+    q1 = ndtr(-(w.real * np.sin(half) - w.imag * np.cos(half)) / scale)
+    q2 = ndtr(-(w.real * np.sin(half) + w.imag * np.cos(half)) / scale)
+    return np.maximum(q1, q2), q1 + q2
 
 
 def chernoff_log_tail(count: int, mean: float) -> float:

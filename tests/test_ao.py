@@ -13,7 +13,6 @@ from irsprecode.ao import (
     alternating_optimize,
     best_round,
     frame_margins,
-    stopped_by_rule,
 )
 from irsprecode.baselines import no_irs_variant
 from irsprecode.channel import (
@@ -91,6 +90,7 @@ def test_a_rise_of_one_ulp_stops_the_loop(monkeypatch):
     frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(5), cfg)
     assert len(trace) == 2
     assert trace[1].worst_margin == np.nextafter(trace[0].worst_margin, np.inf)
+    assert [rec.stop for rec in trace] == [None, "margin"]
     assert best_round(trace) is trace[0]
     assert np.array_equal(frame.xbar, first.xbar)
     assert np.array_equal(phases.theta, first_phases.theta)
@@ -99,7 +99,8 @@ def test_a_rise_of_one_ulp_stops_the_loop(monkeypatch):
 def test_trace_replicates_hand_driven_steps():
     # drive the two inner solvers by hand with the same rng stream, every
     # slot of every round solved cold: the loop must report exactly the same
-    # rounds, stop where the rules say and return the last round that improved
+    # rounds with their designs, record the rule that stopped it on the round
+    # where the rules say, and return the last round that improved
     ch, sym = instance(4)
     m = 4
     cfg = SolverConfig()
@@ -124,12 +125,19 @@ def test_trace_replicates_hand_driven_steps():
         worst = float(frame_margins(ch, ph, fr, sym).min())
         assert rec.iteration == i
         assert rec.worst_margin == worst
-        assert rec.fixed_point == np.array_equal(ph.theta, start.theta)
+        assert np.array_equal(rec.frame.xbar, fr.xbar) and rec.frame.amplitude == amplitude
+        assert np.array_equal(rec.phases.theta, ph.theta)
         improved = prev is None or improves(worst, prev)
         if improved:
             returned = (fr, ph)
-        stop = not improved or rec.fixed_point or i == cfg.ao_max_outer
-        assert stop == (i == len(trace))
+        if not improved:
+            stop = "margin"
+        elif np.array_equal(ph.theta, start.theta):
+            stop = "fixed point"
+        else:
+            stop = "cap" if i == cfg.ao_max_outer else None
+        assert rec.stop == stop
+        assert (stop is not None) == (i == len(trace))
         prev = worst
     # this instance stops on a round that did not improve, well before the
     # cap, and that round is not the one returned
@@ -139,15 +147,27 @@ def test_trace_replicates_hand_driven_steps():
     assert np.array_equal(phases.theta, returned[1].theta)
 
 
-def stop_rule(trace, max_outer):
-    """The rule that ended a run: "margin", "fixed point" or "cap" (the
-    margin rule wins when a fixed-point round also did not improve)."""
-    if best_round(trace) is not trace[-1]:
-        return "margin"
-    if trace[-1].fixed_point:
-        return "fixed point"
-    assert len(trace) == max_outer
-    return "cap"
+def initial_phases(ch, seed):
+    """The phases a run with np.random.default_rng(seed) starts from: its first draw."""
+    return PhaseShifts.random(ch.g.shape[0], np.random.default_rng(seed))
+
+
+def stop_rule(trace, max_outer, start):
+    """The rule that ended a run, "margin", "fixed point" or "cap", derived
+    from its margins, its phases and its round count (start: the phases it
+    started from); checks that its last round records this rule and no
+    earlier round records one. The margin rule wins when a fixed-point round
+    also did not improve."""
+    before = trace[-2].phases if len(trace) > 1 else start
+    if len(trace) > 1 and not improves(trace[-1].worst_margin, trace[-2].worst_margin):
+        rule = "margin"
+    elif np.array_equal(trace[-1].phases.theta, before.theta):
+        rule = "fixed point"
+    else:
+        assert len(trace) == max_outer
+        rule = "cap"
+    assert [rec.stop for rec in trace] == [None] * (len(trace) - 1) + [rule]
+    return rule
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,24 +193,40 @@ def test_returns_best_round_and_stops_on_the_first_stop_rule(seed, m, n, k, t, o
             ch, sym, POWER, np.random.default_rng(seed), SolverConfig(ao_max_outer=max_outer))
     margins = [rec.worst_margin for rec in trace]
     assert 1 <= len(trace) <= max_outer
-    assert [not rec.fixed_point for rec in trace] == moved
+    assert len(moved) == len(trace)
     # every round but the last beat its predecessor by more than the
     # tolerance and moved the phases
     for i in range(len(trace) - 1):
         assert i == 0 or improves(margins[i], margins[i - 1])
-        assert not trace[i].fixed_point
+        assert moved[i]
     # the last round did not improve, and the one before it is returned; or
     # it returned the phases it started from, or hit the cap, and is returned
-    rule = stop_rule(trace, max_outer)
+    rule = stop_rule(trace, max_outer, initial_phases(ch, seed))
     event(rule)
+    assert (rule == "fixed point") == (not moved[-1] and rule != "margin")
     if rule == "margin":
         assert len(trace) > 1 and not improves(margins[-1], margins[-2])
         assert best_round(trace) is trace[-2]
     else:
         assert len(trace) == 1 or improves(margins[-1], margins[-2])
         assert best_round(trace) is trace[-1]
-    assert stopped_by_rule(trace) == (rule != "cap")
+    assert frame is best_round(trace).frame and phases is best_round(trace).phases
     assert float(frame_margins(ch, phases, frame, sym).min()) == best_round(trace).worst_margin
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4), n=st.integers(1, 4),
+       k=st.integers(1, 2), t=st.integers(1, 3), order=st.sampled_from([2, 4, 8]),
+       max_outer=st.integers(1, 6), n_starts=st.integers(1, 2))
+def test_each_round_records_its_own_design(seed, m, n, k, t, order, max_outer, n_starts):
+    # a record is the whole account of its round: its design scores exactly
+    # the worst margin it records, and only the last round names a stop rule
+    ch, sym = instance(seed, m=m, n=n, k=k, t=t, order=order)
+    _, _, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(seed),
+                                       SolverConfig(ao_max_outer=max_outer, n_starts=n_starts))
+    for rec in trace:
+        assert frame_margins(ch, rec.phases, rec.frame, sym).min() == rec.worst_margin
+    assert [rec.stop is None for rec in trace] == [True] * (len(trace) - 1) + [False]
 
 
 @pytest.mark.parametrize("seed, max_outer, rule",
@@ -201,7 +237,7 @@ def test_stop_rule_examples_cover_each_rule(seed, max_outer, rule):
     ch, sym = instance(seed)
     _, _, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(seed),
                                        SolverConfig(ao_max_outer=max_outer))
-    assert stop_rule(trace, max_outer) == rule
+    assert stop_rule(trace, max_outer, initial_phases(ch, seed)) == rule
 
 
 # test-local copy of the AO loop before the fixed-point rule: it stops only
@@ -246,7 +282,8 @@ def test_fixed_point_stop_returns_the_design_of_the_loop_without_it(seed, m, n, 
     assert np.array_equal(frame.xbar, want_frame.xbar)
     assert frame.amplitude == want_frame.amplitude
     assert np.array_equal(phases.theta, want_phases.theta)
-    repeat = stop_rule(trace, max_outer) == "fixed point" and len(trace) < max_outer
+    rule = stop_rule(trace, max_outer, initial_phases(ch, seed))
+    repeat = rule == "fixed point" and len(trace) < max_outer
     event("repeat round dropped" if repeat else "same rounds")
     assert len(want) == len(trace) + repeat
     for rec, (worst, md_converged, apg_converged, lams) in zip(trace + trace[-1:] * repeat,
@@ -282,7 +319,7 @@ def test_zero_reflected_path_stops_at_a_fixed_point_after_round_one(monkeypatch)
     frame, phases, trace = alternating_optimize(bare, sym, POWER, np.random.default_rng(13))
     assert len(trace) == len(steps) == len(apgs) == 1
     assert apgs[0].n_iter == 0 and apgs[0].converged
-    assert trace[0].fixed_point and stopped_by_rule(trace)
+    assert trace[0].stop == "fixed point"
     assert best_round(trace) is trace[0]
     assert np.array_equal(phases.theta, start.theta)
     assert np.array_equal(frame.xbar, first.xbar)
@@ -325,6 +362,30 @@ def test_multi_start_selects_best_of_its_runs():
     assert got == max(margins)
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([2, 4, 8]),
+       max_outer=st.integers(2, 6), n_starts=st.integers(2, 3))
+@example(seed=5, order=4, max_outer=6, n_starts=3)  # the last rounds rank another start first
+def test_multi_start_keeps_the_start_whose_returned_round_is_best(seed, order, max_outer,
+                                                                 n_starts):
+    # starts are ranked by the round each returns, not by their last rounds;
+    # ties go to the earliest start
+    ch, sym = instance(seed, order=order)
+    cfg = SolverConfig(ao_max_outer=max_outer, n_starts=n_starts)
+    frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(seed), cfg)
+    single = dataclasses.replace(cfg, n_starts=1)
+    seeds = np.random.default_rng(seed).integers(0, 2 ** 63, size=n_starts)
+    runs = [alternating_optimize(ch, sym, POWER, np.random.default_rng(int(s)), single)
+            for s in seeds]
+    margins = [best_round(run[2]).worst_margin for run in runs]
+    want_frame, want_phases, want = runs[margins.index(max(margins))]
+    event("a start stopped by the margin rule"
+          if any(run[2][-1].stop == "margin" for run in runs) else "no margin stop")
+    assert [rec.worst_margin for rec in trace] == [rec.worst_margin for rec in want]
+    assert np.array_equal(frame.xbar, want_frame.xbar)
+    assert np.array_equal(phases.theta, want_phases.theta)
+
+
 def test_frame_margins_matches_direct_computation():
     ch, sym = instance(10, m=5, n=3, k=3, t=4)
     rng = np.random.default_rng(0)
@@ -341,7 +402,7 @@ def test_frame_margins_matches_direct_computation():
 def test_config_validation():
     ch, sym = instance(0)
     for power in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="power must be positive and finite"):
+        with pytest.raises(ValueError, match="power must be a finite positive number"):
             alternating_optimize(ch, sym, power, np.random.default_rng(0))
     with pytest.raises(ValueError):
         SolverConfig(ao_max_outer=0)

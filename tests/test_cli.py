@@ -153,6 +153,24 @@ def test_fixtures_dump_rejects_bad_arguments(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_fixtures_dump_rejects_an_unwritable_out_before_the_draw(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a missing output directory used to end in a FileNotFoundError traceback
+    # with exit 1, after the channel was drawn
+    def never(*args, **kwargs):
+        raise AssertionError("the channel was drawn")
+
+    monkeypatch.setattr(cli, "channel_realization", never)
+    for out in (tmp_path / "missing" / "fix.json", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["fixtures", "dump", "--out", str(out), "--m", "4", "--n", "2", "--k", "1"])
+        assert exc.value.code == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: irsprecode")
+        assert error.startswith("irsprecode: error: argument --out: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "fix.json"
     proc = subprocess.run(

@@ -9,7 +9,12 @@ import math
 
 import numpy as np
 import pytest
-from counting_oracles import chernoff_log_tail, expected_errors, reference_simulate_transmission
+from counting_oracles import (
+    chernoff_log_tail,
+    expected_errors,
+    reference_simulate_transmission,
+    symbol_error_bounds,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -268,8 +273,8 @@ class TestSimulate:
         assert (be, se) == (0, 0)
         assert syms == n_noise * 3 * 5 and bits == syms * c.bits_per_symbol
 
-    @settings(max_examples=30, deadline=None)
-    @given(order=st.sampled_from([2, 4]), seed=st.integers(0, 2 ** 32 - 1),
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.sampled_from([2, 4, 8, 16]), seed=st.integers(0, 2 ** 32 - 1),
            design=st.sampled_from(["zf-quant", "random"]))
     def test_counts_lie_in_a_chernoff_tail_of_the_exact_expectation(self, order, seed,
                                                                     design):
@@ -277,7 +282,11 @@ class TestSimulate:
         # must lie inside a Chernoff tail of its exact mean, at a false-alarm
         # rate of 1e-9 per side. One fresh block below FILTER_MIN_POINTS and
         # one above it take both decision paths; with a mean of at least 50
-        # the check sees the Gray labels, the noise scale and the dB axis
+        # the check sees the Gray labels, the noise scale and the dB axis.
+        # 8- and 16-PSK have no closed form: their symbol count must lie above
+        # the lower tail of the sum of its lower bounds and below the upper
+        # tail of the sum of its upper bounds, and their bit count is not
+        # checked
         rng = np.random.default_rng(seed)
         c, k, t = PskConstellation(order), 2, 3
         ch = channel_realization(seed % 1000, 0, 6, 4, k)
@@ -292,17 +301,29 @@ class TestSimulate:
         small = large // 2
         for db in np.arange(60.0, -40.0, -1.0):
             sigma2 = 10.0 ** (-db / 10.0)
-            bits, syms = (e.sum() for e in expected_errors(x, phases, ch, symbols, sigma2))
-            if small * bits >= 50:
+            if order <= 4:  # exact: the symbol mean is its own lower and upper bound
+                bits, syms = (e.sum() for e in expected_errors(x, phases, ch, symbols, sigma2))
+                sym_bounds = syms, syms
+            else:
+                bits = None
+                sym_bounds = tuple(e.sum() for e in symbol_error_bounds(x, phases, ch, symbols,
+                                                                       sigma2))
+            mean = sym_bounds[0] if bits is None else bits
+            if small * mean >= 50:
                 break
-        assert small * bits >= 50
+        assert small * mean >= 50
         for n_noise in (small, large):
             noise = draw_noise(n_noise, k, t, rng)
             assert (noise.planar32 is None) == (n_noise == small)
             be, se, _, _ = simulate_transmission(x, phases, ch, symbols,
                                                  inv_db_to_sigma2(db), noise)
-            for count, mean in ((be, n_noise * bits), (se, n_noise * syms)):
-                assert chernoff_log_tail(count, mean) > np.log(1e-9), (count, mean)
+            checks = [(se, *sym_bounds)] + ([] if bits is None else [(be, bits, bits)])
+            for count, low, high in checks:
+                low, high = n_noise * low, n_noise * high
+                if count < low:
+                    assert chernoff_log_tail(count, low) > np.log(1e-9), (count, low)
+                if count > high:
+                    assert chernoff_log_tail(count, high) > np.log(1e-9), (count, high)
 
     def test_invalid_args(self):
         ch, phases, x, symbols = fixed_design(3)
@@ -690,9 +711,9 @@ class TestRunExperiment:
             frame, phases, trace = real(ch, symbols, power, rng, opts)
             n_slots, lams = symbols.n_slots, trace[-1].lams
             best = AoIterationRecord(1, 0.2, [best_converged] * n_slots, best_converged,
-                                     lams, False)
+                                     lams, frame, phases, None)
             last = AoIterationRecord(2, 0.1, [not best_converged] * n_slots,
-                                     not best_converged, lams, False)
+                                     not best_converged, lams, frame, phases, "margin")
             return frame, phases, [best, last]
 
         monkeypatch.setattr(hn, "alternating_optimize", fake)
