@@ -3,8 +3,8 @@
 Each outer round solves the T per-slot transmit designs against the current
 effective channel, then re-optimizes the phase shifts against the new frame,
 warm-starting from the previous round's (initially uniform random) phases.
-Every slot solve starts cold, at its slot's onebit.model_start; a round takes
-its T starts in one onebit.model_starts call.
+Every slot solve starts cold, at its slot's onebit.model_start; a round sets
+up its T slots and their starts in one onebit.frame_slots call.
 
 The objective is the worst-case margin over all (user, slot) pairs. Neither
 inner solver is exact (rounding and a nonconvex projection are involved), so
@@ -32,16 +32,7 @@ import numpy as np
 
 from .channel import ChannelSet, PhaseShifts, effective_matrix
 from .constellation import SymbolFrame, margin
-from .onebit import (
-    OneBitFrame,
-    SolverConfig,
-    build_coefficients,
-    check_real,
-    frame_array,
-    model_starts,
-    solve_symbol,
-    start_mu,
-)
+from .onebit import OneBitFrame, SolverConfig, check_real, frame_array, frame_slots, solve_symbol
 from .phase import apg_optimize, build_phase_coefficients
 
 # a round improves when its worst margin rises by more than this, relative:
@@ -154,12 +145,10 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, power: float,
 
 
 def _x_step(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig, rng):
-    """T independent cold per-slot one-bit designs, their starts taken in one
-    call; returns (frame, (T, 2K) dual points, md statuses)."""
-    coeffs = [build_coefficients(h_eff, symbols.symbols[:, t], symbols.constellation, power)
-              for t in range(symbols.n_slots)]
+    """T independent cold per-slot one-bit designs, set up by frame_slots;
+    returns (frame, (T, 2K) dual points, md statuses)."""
     results = [solve_symbol(coeff, opts, rng, lam0)
-               for coeff, lam0 in zip(coeffs, model_starts(coeffs, start_mu(opts.mu)))]
+               for coeff, lam0 in frame_slots(h_eff, symbols, power, opts.mu)]
     return (OneBitFrame.from_slots([res.xbar for res in results], power),
             np.stack([res.md.lam for res in results]), [res.md.converged for res in results])
 

@@ -17,12 +17,10 @@ from .constellation import SymbolFrame
 from .onebit import (
     OneBitFrame,
     SolverConfig,
-    build_coefficients,
     check_real,
-    model_starts,
+    frame_slots,
     onebit_amplitude,
     solve_relaxed,
-    start_mu,
 )
 
 # singular values below max(sv) * this are treated as zero in the ZF inverse
@@ -98,29 +96,18 @@ def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
     values match that solver bit for bit under the same settings and starts.
     lam0, a (T, 2K) block of simplex points, starts slot t's dual solve at
     row t; a block of another shape raises ValueError. None starts every slot
-    cold, at the rows of one onebit.model_starts call, each equal to its
-    slot's onebit.model_start. At the joint design's phases the harness
-    passes AO's last dual points as they are after a margin-rule or
-    fixed-point stop, and None after a round-cap stop.
+    cold; onebit.frame_slots sets up the slots and their starts either way.
+    At the joint design's phases the harness passes AO's last dual points as
+    they are after a margin-rule or fixed-point stop, and None after a
+    round-cap stop.
     """
-    h_eff = np.atleast_2d(np.asarray(h_eff, dtype=complex))
-    m = h_eff.shape[1]
-    shape = (symbols.n_slots, 2 * h_eff.shape[0])
-    if lam0 is not None and np.shape(lam0) != shape:
-        raise ValueError(f"lam0 must be a (T, 2K) = {shape} block, got shape {np.shape(lam0)}")
-    coeffs = [build_coefficients(h_eff, symbols.symbols[:, t], symbols.constellation, power)
-              for t in range(symbols.n_slots)]
-    if lam0 is None and coeffs:  # a frame of no slots has no starts to take
-        lam0 = model_starts(coeffs, start_mu(opts.mu))
-    rows = np.empty((symbols.n_slots, m), dtype=complex)
-    values = np.empty(symbols.n_slots)
-    converged = np.empty(symbols.n_slots, dtype=bool)
-    for t, coeff in enumerate(coeffs):
-        xrel, md = solve_relaxed(coeff, opts.mu, opts, lam0[t])
-        rows[t] = xrel[:m] + 1j * xrel[m:]
-        values[t] = -md.value
-        converged[t] = md.converged
-    return RelaxedFrame(x=rows, relax_values=values, converged=converged)
+    results = [solve_relaxed(coeff, opts.mu, opts, start)
+               for coeff, start in frame_slots(h_eff, symbols, power, opts.mu, lam0)]
+    xrel = np.stack([xrel for xrel, _ in results])
+    m = xrel.shape[1] // 2
+    return RelaxedFrame(x=xrel[:, :m] + 1j * xrel[:, m:],
+                        relax_values=np.array([-md.value for _, md in results]),
+                        converged=np.array([md.converged for _, md in results]))
 
 
 def rescale_to_power(x: np.ndarray, power: float) -> np.ndarray:

@@ -252,7 +252,8 @@ def bit_errors(sent_index, decided_index, c: PskConstellation):
 
 
 class SymbolFrame:
-    """K x T block of constellation indices with the matching complex points.
+    """K x T block (K, T >= 1) of constellation indices with the matching
+    complex points.
 
     Both arrays are the frame's own and read-only, so they stay a matching
     pair whatever happens to the array the frame was built from.
@@ -260,8 +261,8 @@ class SymbolFrame:
 
     def __init__(self, indices, constellation: PskConstellation):
         indices = _check_indices(indices, constellation).astype(np.int64)
-        if indices.ndim != 2:
-            raise ValueError("indices must be a K x T matrix")
+        if indices.ndim != 2 or not indices.size:
+            raise ValueError("indices must be a K x T matrix with K, T >= 1")
         self.indices = indices
         self.constellation = constellation
         self.symbols = constellation.points[indices]

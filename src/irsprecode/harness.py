@@ -31,20 +31,12 @@ from .constellation import NoiseBlock, PskConstellation, SymbolFrame, bit_errors
 from .onebit import (
     OneBitFrame,
     SolverConfig,
-    build_coefficients,
     check_count,
     check_real,
     field_values,
+    frame_slots,
     is_real,
-    model_starts,
     solve_symbol,
-    start_mu,
-)
-
-CSV_COLUMNS = (
-    "scheme", "inv_sigma2_db", "ber", "ser", "bit_errors", "bits",
-    "sym_errors", "syms", "mean_worst_margin", "mean_runtime_s",
-    "n_channels_ok", "n_channels_failed",
 )
 
 # substream tags; the design tag block is keyed by the canonical scheme order
@@ -168,6 +160,9 @@ class BerRecord:
             raise ValueError("error counts must lie in [0, sent]")
 
 
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(BerRecord))
+
+
 def inv_db_to_sigma2(inv_sigma2_db: float) -> float:
     """Noise variance from the 1/sigma^2 axis value in dB."""
     return 10.0 ** (-inv_sigma2_db / 10.0)
@@ -249,9 +244,8 @@ def channel_realization(seed: int, index: int, m: int, n: int, k: int) -> Channe
 
 def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
     """Design and simulate every requested scheme on one channel draw."""
-    const = PskConstellation(cfg.order)
     ch = channel_realization(cfg.seed, index, cfg.m, cfg.n, cfg.k)
-    symbols = SymbolFrame.random(const, cfg.k, cfg.t,
+    symbols = SymbolFrame.random(PskConstellation(cfg.order), cfg.k, cfg.t,
                                  _substream(cfg.seed, index, _TAG_SYMBOLS))
     # one noise block serves every scheme and noise point (common random numbers)
     noise = draw_noise(cfg.n_noise, cfg.k, cfg.t, _substream(cfg.seed, index, _TAG_NOISE))
@@ -297,12 +291,9 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
             frame, phases, runtime = ao_frame, ao_phases, ao_runtime
             status = _status(best_round(trace).converged)
         elif spec.x_mode == "onebit":
-            h_eff, rng = np.conj(bare.h_d), _design_rng(cfg, index, scheme)
-            coeffs = [build_coefficients(h_eff, symbols.symbols[:, t], const, cfg.power)
-                      for t in range(cfg.t)]
-            starts = model_starts(coeffs, start_mu(cfg.solver.mu))
-            results = [solve_symbol(coeff, cfg.solver, rng, lam0)
-                       for coeff, lam0 in zip(coeffs, starts)]
+            rng = _design_rng(cfg, index, scheme)
+            results = [solve_symbol(coeff, cfg.solver, rng, lam0) for coeff, lam0
+                       in frame_slots(np.conj(bare.h_d), symbols, cfg.power, cfg.solver.mu)]
             frame = OneBitFrame.from_slots([res.xbar for res in results], cfg.power)
             status = _status(all(res.md.converged for res in results))
             runtime = time.perf_counter() - t0

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .constellation import PskConstellation
+from .constellation import PskConstellation, SymbolFrame
 
 # lifted entries within this relative distance of +/-s count as saturated
 FRACTIONAL_TOL = 1e-6
@@ -122,10 +122,9 @@ class OneBitFrame:
         xbar = np.atleast_2d(np.array(self.xbar, dtype=float))
         xbar.flags.writeable = False
         object.__setattr__(self, "xbar", xbar)
-        if xbar.ndim != 2 or xbar.shape[1] % 2:
-            raise ValueError("frame must be T x 2M")
-        if not 0 < self.amplitude < np.inf:
-            raise ValueError("amplitude must be positive and finite")
+        if xbar.ndim != 2 or xbar.shape[1] % 2 or not xbar.size:
+            raise ValueError("frame must be T x 2M with T, M >= 1")
+        check_real("amplitude", self.amplitude, positive=True)
         if not np.all(np.abs(xbar) == self.amplitude):
             raise ValueError("every entry must have magnitude exactly s")
 
@@ -179,12 +178,11 @@ class CoefficientMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "c", np.atleast_2d(np.asarray(self.c, dtype=float)))
-        if self.c.ndim != 2 or self.c.shape[0] % 2 or self.c.shape[1] % 2:
-            raise ValueError("coefficient matrix must be 2M x 2K")
+        if self.c.ndim != 2 or self.c.shape[0] % 2 or self.c.shape[1] % 2 or not self.c.size:
+            raise ValueError("coefficient matrix must be 2M x 2K with M, K >= 1")
         if not np.all(np.isfinite(self.c)):
             raise ValueError("coefficients must be finite")
-        if not 0 < self.amplitude < np.inf:
-            raise ValueError("amplitude must be positive and finite")
+        check_real("amplitude", self.amplitude, positive=True)
 
     @property
     def n_lifted(self) -> int:
@@ -472,6 +470,24 @@ def start_mu(mu: float) -> float:
     return max(mu, MU_STAGES[0][0])
 
 
+def frame_slots(h_eff, symbols: SymbolFrame, power: float, mu: float,
+                lam0: np.ndarray | None = None) -> list:
+    """One (CoefficientMatrix, start) pair per slot of a K x T symbol frame.
+
+    Slot t's matrix is build_coefficients of h_eff (K, M) and column t of
+    symbols at power. Its start is row t of lam0, a (T, 2K) block of simplex
+    points (a block of another shape raises ValueError), else row t of one
+    model_starts call at start_mu(mu): the frame's cold starts, each equal
+    to its slot's model_start bit for bit.
+    """
+    coeffs = [build_coefficients(h_eff, symbols.symbols[:, t], symbols.constellation, power)
+              for t in range(symbols.n_slots)]
+    shape = (len(coeffs), coeffs[0].n_constraints)
+    if lam0 is not None and np.shape(lam0) != shape:
+        raise ValueError(f"lam0 must be a (T, 2K) = {shape} block, got shape {np.shape(lam0)}")
+    return list(zip(coeffs, model_starts(coeffs, start_mu(mu)) if lam0 is None else lam0))
+
+
 def solve_relaxed(coeff: CoefficientMatrix, mu: float,
                   opts: SolverConfig = SolverConfig(), lam0: np.ndarray | None = None):
     """Dual solve plus primal recovery; shared by the one-bit and box designs.
@@ -483,8 +499,8 @@ def solve_relaxed(coeff: CoefficientMatrix, mu: float,
     faster. The first stage starts at lam0 (a simplex point) if given, else
     at model_start for that stage's mu, start_mu(mu), where MD mostly stops
     at its first residual test; the stages run either way. The callers that
-    solve a frame take its cold starts in one model_starts call and pass
-    each slot its row, equal to model_start bit for bit. Returns
+    solve a frame pass each slot its start from frame_slots, equal to
+    model_start bit for bit. Returns
     (xbar_relaxed, MdResult) for the final stage.
     """
     lam = model_start(coeff, start_mu(mu)) if lam0 is None else lam0
@@ -576,9 +592,9 @@ def solve_symbol(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig(),
     Pipeline: a dual solve at opts.mu (solve_relaxed, mirror descent from
     lam0, a simplex point, else from model_start), closed-form primal
     recovery, MBI rounding of the fractional entries with opts.mbi_restarts
-    starts. A frame's cold solves pass their rows of
-    model_starts(coeffs, start_mu(opts.mu)), taken in one call and equal to
-    model_start bit for bit. Deterministic given the rng state and settings.
+    starts. A frame's cold solves pass their starts from
+    frame_slots(h_eff, symbols, power, opts.mu), equal to model_start bit for
+    bit. Deterministic given the rng state and settings.
     """
     xrel, md = solve_relaxed(coeff, opts.mu, opts, lam0)
     xbar = mbi_round(xrel, coeff, opts.mbi_restarts, rng)

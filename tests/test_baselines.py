@@ -143,12 +143,6 @@ def test_relaxed_rejects_a_start_block_of_another_shape():
         relaxed_slp(h_eff, sym, 100.0, lam0=np.full((3, 4), 0.25))
 
 
-def test_relaxed_on_a_frame_of_no_slots_is_empty():
-    h_eff = effective_matrix(channels(0)[0], PhaseShifts.ones(4))
-    res = relaxed_slp(h_eff, SymbolFrame(np.zeros((3, 0), dtype=int), QPSK), 100.0)
-    assert res.x.shape == (0, 8) and res.relax_values.shape == res.converged.shape == (0,)
-
-
 def test_relaxed_large_mu_shrinks_solution():
     ch, rng = channels(100, m=4, n=2, k=2)
     h_eff = effective_matrix(ch, PhaseShifts.ones(2))

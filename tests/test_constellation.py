@@ -359,6 +359,14 @@ def test_symbol_frame_keeps_its_own_indices(dtype):
             arr[0, 0] = arr[1, 1]
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3)], ids=["no-slots", "no-users"])
+def test_symbol_frame_rejects_a_frame_of_no_users_or_no_slots(shape):
+    # a (3, 0) frame used to reach relaxed_slp as an empty design, and
+    # alternating_optimize failed on it inside NumPy's stack
+    with pytest.raises(ValueError, match="K, T >= 1"):
+        SymbolFrame(np.zeros(shape, dtype=int), PskConstellation(4))
+
+
 @pytest.mark.parametrize("bad", [np.array([[0.5, 1.2]]), np.array([[0.0, 1.0]]),
                                  np.array([[True, False]])],
                          ids=["fractional", "integral-float", "bool"])

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irsprecode import ao, baselines, harness, onebit
+from irsprecode import baselines, onebit
 from irsprecode.channel import PhaseShifts, drop_users, effective_matrix, sample_channels
 from irsprecode.constellation import PskConstellation
 from irsprecode.harness import run_experiment
@@ -103,7 +103,7 @@ def test_cold_starts_that_md_certifies_pass_the_first_order_check(monkeypatch):
     # point; its Frank-Wolfe gap g.lam - min g, a bound on f_mu(lam) - min f_mu,
     # must be within model_start's START_GAP_RTOL. Solves that MD iterates are
     # certified by its residual instead. A solve is cold when it starts at a
-    # row of a onebit.model_starts block, whether its caller took the frame's
+    # row of a onebit.model_starts block, whether frame_slots took the frame's
     # starts (lam0 a row of that block) or solve_relaxed did (lam0 None).
     # Measured before model_start checked its point: 9 of the 300 paper
     # solves and 8 of the 60 slots stopped at once with gaps up to 0.46 and
@@ -121,8 +121,7 @@ def test_cold_starts_that_md_certifies_pass_the_first_order_check(monkeypatch):
         calls.append((coeff, mu, md, cold))
         return xrel, md
 
-    for module in (onebit, ao, harness, baselines):
-        monkeypatch.setattr(module, "model_starts", start_spy)
+    monkeypatch.setattr(onebit, "model_starts", start_spy)
     monkeypatch.setattr(onebit, "solve_relaxed", spy)
     monkeypatch.setattr(baselines, "solve_relaxed", spy)
     run_experiment(WORKLOADS["paper"].config(0, 1))

@@ -273,9 +273,9 @@ class TestSimulate:
         assert (be, se) == (0, 0)
         assert syms == n_noise * 3 * 5 and bits == syms * c.bits_per_symbol
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(order=st.sampled_from([2, 4, 8, 16]), seed=st.integers(0, 2 ** 32 - 1),
-           design=st.sampled_from(["zf-quant", "random"]))
+           design=st.sampled_from(["zf-quant", "random", "relaxed", "onebit-md"]))
     def test_counts_lie_in_a_chernoff_tail_of_the_exact_expectation(self, order, seed,
                                                                     design):
         # each count is a sum of independent bit (symbol) error events, so it
@@ -286,7 +286,9 @@ class TestSimulate:
         # 8- and 16-PSK have no closed form: their symbol count must lie above
         # the lower tail of the sum of its lower bounds and below the upper
         # tail of the sum of its upper bounds, and their bit count is not
-        # checked
+        # checked. The designs are a quantized one (zf-quant), random one-bit
+        # signs, a continuous one (relaxed) and the joint design (onebit-md,
+        # its frame at its own phases)
         rng = np.random.default_rng(seed)
         c, k, t = PskConstellation(order), 2, 3
         ch = channel_realization(seed % 1000, 0, 6, 4, k)
@@ -295,6 +297,11 @@ class TestSimulate:
         if design == "zf-quant":
             x = baselines.quantize_onebit(
                 zf_precode(effective_matrix(ch, phases), symbols, 100.0).x, 100.0)
+        elif design == "relaxed":
+            x = baselines.rescale_to_power(
+                baselines.relaxed_slp(effective_matrix(ch, phases), symbols, 100.0).x, 100.0)
+        elif design == "onebit-md":
+            x, phases, _ = ao.alternating_optimize(ch, symbols, 100.0, rng)
         else:
             x = rng.choice([-1.0, 1.0], size=(t, 6)) + 1j * rng.choice([-1.0, 1.0], size=(t, 6))
         large = -(-constellation.FILTER_MIN_POINTS // (k * t))
@@ -604,30 +611,26 @@ class TestRunExperiment:
 
     def test_each_frame_takes_its_cold_starts_in_one_call(self, monkeypatch):
         # one onebit.model_starts call of T slots per AO round's x-step, per
-        # onebit-md-noirs frame and per cold box solve (relaxed-noirs); no slot
-        # falls back to solve_relaxed's single-slot start
-        calls = {module: [] for module in (ao, harness, baselines, onebit)}
-        rounds = []
+        # onebit-md-noirs frame and per cold box solve (relaxed-noirs); with
+        # T = 4, no slot falls back to solve_relaxed's single-slot start
+        calls, rounds = [], []
 
-        for module in calls:
-            def start_spy(coeffs, mu, real=onebit.model_starts, module=module):
-                calls[module].append(len(coeffs))
-                return real(coeffs, mu)
-
-            monkeypatch.setattr(module, "model_starts", start_spy)
+        def start_spy(coeffs, mu, real=onebit.model_starts):
+            calls.append(len(coeffs))
+            return real(coeffs, mu)
 
         def ao_spy(*args, real=harness.alternating_optimize, **kwargs):
             out = real(*args, **kwargs)
             rounds.append(len(out[2]))
             return out
 
+        monkeypatch.setattr(onebit, "model_starts", start_spy)
         monkeypatch.setattr(harness, "alternating_optimize", ao_spy)
         cfg = small_cfg(schemes=("onebit-md", "onebit-md-noirs", "relaxed-noirs"))
         run_experiment(cfg)
+        assert cfg.t == 4
         assert len(rounds) == cfg.n_channels and sum(rounds) > cfg.n_channels
-        assert calls[ao] == [cfg.t] * sum(rounds)
-        assert calls[harness] == calls[baselines] == [cfg.t] * cfg.n_channels
-        assert calls[onebit] == []
+        assert calls == [cfg.t] * (sum(rounds) + 2 * cfg.n_channels)
 
     def test_design_substreams_follow_the_registry_order(self):
         # a scheme's design draws come from the substream at its place in

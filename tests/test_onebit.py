@@ -98,6 +98,12 @@ def test_onebit_frame_validation():
                             ([[np.nan, np.nan]], np.nan), ([[np.inf, -np.inf]], np.inf)):
         with pytest.raises(ValueError):
             OneBitFrame(xbar=xbar, amplitude=amplitude)
+    # an empty xbar used to become a (1, 0) frame, and True an amplitude of 1
+    for xbar in (np.array([]), np.zeros((0, 2)), np.zeros((2, 0))):
+        with pytest.raises(ValueError, match="T, M >= 1"):
+            OneBitFrame(xbar=xbar, amplitude=1.0)
+    with pytest.raises(ValueError, match="amplitude"):
+        OneBitFrame(xbar=[[1.0, -1.0]], amplitude=True)
 
 
 def test_onebit_frame_x_is_built_once_and_read_only():
@@ -121,9 +127,13 @@ def test_coefficient_matrix_validation():
         CoefficientMatrix(c=np.ones((2, 2)), amplitude=0.0)
     with pytest.raises(ValueError):
         CoefficientMatrix(c=np.array([[np.nan, 1.0], [0.0, 1.0]]), amplitude=1.0)
-    for amplitude in (np.nan, np.inf):  # NaN must fail the range check too
-        with pytest.raises(ValueError):
+    for amplitude in (np.nan, np.inf, True):  # NaN must fail the range check too
+        with pytest.raises(ValueError, match="amplitude"):
             CoefficientMatrix(c=np.ones((2, 2)), amplitude=amplitude)
+    # a 0 x 0 matrix used to reach mirror_descent, which divided by zero
+    for shape in ((0, 0), (0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="M, K >= 1"):
+            CoefficientMatrix(c=np.zeros(shape), amplitude=1.0)
     with pytest.raises(ValueError):
         build_coefficients(np.ones((1, 1)), np.ones(1), QPSK, -1.0)
     with pytest.raises(ValueError):
