@@ -148,7 +148,7 @@ def _x_step(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig, rng):
     """T independent cold per-slot one-bit designs, set up by frame_slots;
     returns (frame, (T, 2K) dual points, md statuses)."""
     results = [solve_symbol(coeff, opts, rng, lam0)
-               for coeff, lam0 in frame_slots(h_eff, symbols, power, opts.mu)]
+               for coeff, lam0 in frame_slots(h_eff, symbols, power, opts)]
     return (OneBitFrame.from_slots([res.xbar for res in results], power),
             np.stack([res.md.lam for res in results]), [res.md.converged for res in results])
 

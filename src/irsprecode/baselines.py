@@ -101,8 +101,8 @@ def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
     they are after a margin-rule or fixed-point stop, and None after a
     round-cap stop.
     """
-    results = [solve_relaxed(coeff, opts.mu, opts, start)
-               for coeff, start in frame_slots(h_eff, symbols, power, opts.mu, lam0)]
+    results = [solve_relaxed(coeff, opts, start)
+               for coeff, start in frame_slots(h_eff, symbols, power, opts, lam0)]
     xrel = np.stack([xrel for xrel, _ in results])
     m = xrel.shape[1] // 2
     return RelaxedFrame(x=xrel[:, :m] + 1j * xrel[:, m:],

@@ -10,27 +10,29 @@ import sys
 from .harness import (
     ExperimentConfig,
     channel_realization,
+    check_count,
     check_schemes,
+    check_seed,
     run_experiment,
     timing_report,
     write_csv,
 )
 
 
-def _parse_schemes(text: str) -> tuple:
-    """argparse type: a comma-separated list that check_schemes accepts."""
-    try:
-        return check_schemes(s.strip() for s in text.split(",") if s.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _scheme_list(text: str) -> list:
+    """The nonblank entries of a comma-separated list."""
+    return [s.strip() for s in text.split(",") if s.strip()]
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
-    def parse(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        return int(text)
+def _checked(check, convert=int):
+    """argparse type: convert(text), which check must accept; a ValueError
+    of either is the argument error."""
+    def parse(text: str):
+        try:
+            check(value := convert(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
     return parse
 
 
@@ -45,26 +47,29 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True,
                        help="path to a JSON experiment config")
     run_p.add_argument("--out", required=True, help="output CSV path")
-    run_p.add_argument("--seed", type=_int_at_least(0), default=None,
+    run_p.add_argument("--seed", type=_checked(check_seed), default=None,
                        help="override the config seed")
-    run_p.add_argument("--schemes", type=_parse_schemes, default=None,
+    run_p.add_argument("--schemes", type=_checked(check_schemes, _scheme_list), default=None,
                        help="comma-separated scheme list override")
-    run_p.add_argument("--threads", type=_int_at_least(1), default=1,
-                       help="worker processes (output does not depend on this)")
+    run_p.add_argument("--threads", type=_checked(lambda v: check_count("threads", v, 1)),
+                       default=1, help="worker processes (output does not depend on this)")
+    run_p.set_defaults(handler=_cmd_run)
 
     fix_p = sub.add_parser("fixtures", help="fixture utilities")
     fix_sub = fix_p.add_subparsers(dest="fixtures_command", required=True)
     dump_p = fix_sub.add_parser(
         "dump", help="emit one channel realization as JSON")
     dump_p.add_argument("--out", required=True, help="output JSON path")
-    dump_p.add_argument("--seed", type=_int_at_least(0), default=0)
-    dump_p.add_argument("--index", type=_int_at_least(0), default=0,
-                        help="channel index within the experiment")
-    dump_p.add_argument("--m", type=_int_at_least(1), default=128,
-                        help="transmit antennas")
-    dump_p.add_argument("--n", type=_int_at_least(1), default=32,
-                        help="surface elements")
-    dump_p.add_argument("--k", type=_int_at_least(1), default=14, help="users")
+    dump_p.add_argument("--seed", type=_checked(check_seed), default=0)
+    dump_p.add_argument("--index", type=_checked(lambda v: check_count("index", v, 0)),
+                        default=0, help="channel index within the experiment")
+    dump_p.add_argument("--m", type=_checked(lambda v: check_count("m", v, 1)),
+                        default=128, help="transmit antennas")
+    dump_p.add_argument("--n", type=_checked(lambda v: check_count("n", v, 1)),
+                        default=32, help="surface elements")
+    dump_p.add_argument("--k", type=_checked(lambda v: check_count("k", v, 1)),
+                        default=14, help="users")
+    dump_p.set_defaults(handler=_cmd_fixtures_dump)
     return parser
 
 
@@ -83,10 +88,8 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         parser.error(f"argument --config: {exc}")
     _check_out(args.out, parser)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.schemes is not None:
-        cfg = dataclasses.replace(cfg, schemes=args.schemes)
+    overrides = {"seed": args.seed, "schemes": args.schemes}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     records = run_experiment(cfg, threads=args.threads)
     write_csv(records, args.out)
     print(f"wrote {len(records)} records ({len(cfg.schemes)} schemes x "
@@ -111,11 +114,7 @@ def _cmd_fixtures_dump(args, parser: argparse.ArgumentParser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args, parser)
-    if args.command == "fixtures":
-        return _cmd_fixtures_dump(args, parser)
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+    return args.handler(args, parser)
 
 
 if __name__ == "__main__":

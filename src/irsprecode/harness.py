@@ -51,6 +51,12 @@ _CANONICAL_ORDER = tuple(SCHEMES)
 THETA_POLICIES = ("shared", "random")
 
 
+def check_seed(seed) -> None:
+    """Reject a seed that is not an int (bools excluded) in [0, 2^64)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+
+
 def check_schemes(schemes) -> tuple:
     """schemes as a tuple of known identifiers, at least one and none twice."""
     if isinstance(schemes, str):
@@ -116,9 +122,7 @@ class ExperimentConfig:
         object.__setattr__(self, "schemes", check_schemes(self.schemes))
         if self.theta_policy not in THETA_POLICIES:
             raise ValueError(f"theta_policy must be one of {THETA_POLICIES}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
-                or not 0 <= self.seed < 2 ** 64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        check_seed(self.seed)
         if not isinstance(self.record_runtime, bool):
             raise ValueError(f"record_runtime must be true or false, got {self.record_runtime!r}")
         if not isinstance(self.solver, SolverConfig):
@@ -176,8 +180,7 @@ def draw_noise(n_noise: int, n_users: int, n_slots: int,
     simulate_transmission scales it to CN(0, sigma2), so one block serves
     every scheme and noise level of a channel.
     """
-    if n_noise < 1:
-        raise ValueError("need at least one noise draw")
+    check_count("n_noise", n_noise, 1)
     return NoiseBlock(rng.standard_normal((2, n_noise, n_users, n_slots)))
 
 
@@ -293,7 +296,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         elif spec.x_mode == "onebit":
             rng = _design_rng(cfg, index, scheme)
             results = [solve_symbol(coeff, cfg.solver, rng, lam0) for coeff, lam0
-                       in frame_slots(np.conj(bare.h_d), symbols, cfg.power, cfg.solver.mu)]
+                       in frame_slots(np.conj(bare.h_d), symbols, cfg.power, cfg.solver)]
             frame = OneBitFrame.from_slots([res.xbar for res in results], cfg.power)
             status = _status(all(res.md.converged for res in results))
             runtime = time.perf_counter() - t0

@@ -65,7 +65,7 @@ def field_values(cls, d, name: str) -> dict:
 class SolverConfig:
     """Settings of the joint design; each solver reads its own fields.
 
-    - mu, the relaxed dual's Tikhonov weight: solve_symbol, relaxed_slp
+    - mu, the relaxed dual's Tikhonov weight: the dual solves and their starts
     - md_max_iter, md_tol (on the KL gradient-mapping residual): mirror_descent
     - mbi_restarts (1 improves the sign rounding alone, with no rng draws):
       solve_symbol
@@ -263,10 +263,9 @@ class MdResult:
     residual: float
 
 
-def mirror_descent(coeff: CoefficientMatrix, mu: float,
-                   opts: SolverConfig = SolverConfig(),
+def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig(),
                    lam0: np.ndarray | None = None) -> MdResult:
-    """Minimize f_mu over the simplex by entropic mirror descent.
+    """Minimize f_mu over the simplex by entropic mirror descent, mu = opts.mu.
 
     Starts from the uniform point unless a warm start lam0 (a finite simplex
     point) is given. Each iteration takes the update lam+ = lam exp(-step g)/Z
@@ -281,10 +280,9 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
     residual with unit reference step, r(lam) = ||T_1(lam) - lam||_1, which
     vanishes exactly at simplex-KKT points, is at most opts.md_tol.
     """
-    check_real("mu", mu, positive=True)
     n = coeff.n_constraints
     s = coeff.amplitude
-    rho = mu * s
+    rho = opts.mu * s
     c = coeff.c
     ct = np.ascontiguousarray(c.T)
     if lam0 is None:
@@ -321,7 +319,7 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float,
             # curvature caps the dual Hessian at sigma_max(C)^2 / mu, so any
             # step <= safe_step satisfies the sufficient-decrease model exactly
             sigma_sq = _sigma_max_sq(ct)
-            safe_step = mu / sigma_sq if sigma_sq > 0 else 1.0
+            safe_step = opts.mu / sigma_sq if sigma_sq > 0 else 1.0
             step = first = safe_step  # first: the step an iteration tries first
         if step == first:  # no halving; a step that just failed is not raised
             step *= 2.0
@@ -470,14 +468,14 @@ def start_mu(mu: float) -> float:
     return max(mu, MU_STAGES[0][0])
 
 
-def frame_slots(h_eff, symbols: SymbolFrame, power: float, mu: float,
+def frame_slots(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig,
                 lam0: np.ndarray | None = None) -> list:
     """One (CoefficientMatrix, start) pair per slot of a K x T symbol frame.
 
     Slot t's matrix is build_coefficients of h_eff (K, M) and column t of
     symbols at power. Its start is row t of lam0, a (T, 2K) block of simplex
     points (a block of another shape raises ValueError), else row t of one
-    model_starts call at start_mu(mu): the frame's cold starts, each equal
+    model_starts call at start_mu(opts.mu): the frame's cold starts, each equal
     to its slot's model_start bit for bit.
     """
     coeffs = [build_coefficients(h_eff, symbols.symbols[:, t], symbols.constellation, power)
@@ -485,31 +483,31 @@ def frame_slots(h_eff, symbols: SymbolFrame, power: float, mu: float,
     shape = (len(coeffs), coeffs[0].n_constraints)
     if lam0 is not None and np.shape(lam0) != shape:
         raise ValueError(f"lam0 must be a (T, 2K) = {shape} block, got shape {np.shape(lam0)}")
-    return list(zip(coeffs, model_starts(coeffs, start_mu(mu)) if lam0 is None else lam0))
+    return list(zip(coeffs, model_starts(coeffs, start_mu(opts.mu)) if lam0 is None else lam0))
 
 
-def solve_relaxed(coeff: CoefficientMatrix, mu: float,
-                  opts: SolverConfig = SolverConfig(), lam0: np.ndarray | None = None):
-    """Dual solve plus primal recovery; shared by the one-bit and box designs.
+def solve_relaxed(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig(),
+                  lam0: np.ndarray | None = None):
+    """Dual solve at opts.mu plus primal recovery; shared by the one-bit and box designs.
 
     Small mu makes the dual poorly conditioned (the Huber window shrinks),
     so a cold start can take tens of thousands of iterations. The solve
-    therefore runs the MU_STAGES above the target first, each initialized at
-    the previous dual iterate, which reaches the same point several times
-    faster. The first stage starts at lam0 (a simplex point) if given, else
-    at model_start for that stage's mu, start_mu(mu), where MD mostly stops
-    at its first residual test; the stages run either way. The callers that
-    solve a frame pass each slot its start from frame_slots, equal to
-    model_start bit for bit. Returns
+    therefore runs the MU_STAGES above the target first, each as opts at the
+    stage's mu and md_tol from the previous dual iterate, which reaches the
+    same point several times faster. The first stage starts at lam0 (a
+    simplex point) if given, else at model_start for that stage's mu,
+    start_mu(opts.mu), where MD mostly stops at its first residual test; the
+    stages run either way. The callers that solve a frame pass each slot its
+    start from frame_slots, equal to model_start bit for bit. Returns
     (xbar_relaxed, MdResult) for the final stage.
     """
-    lam = model_start(coeff, start_mu(mu)) if lam0 is None else lam0
+    lam = model_start(coeff, start_mu(opts.mu)) if lam0 is None else lam0
     for stage_mu, stage_tol in MU_STAGES:
-        if stage_mu > mu:
-            lam = mirror_descent(coeff, stage_mu, replace(opts, md_tol=stage_tol),
+        if stage_mu > opts.mu:
+            lam = mirror_descent(coeff, replace(opts, mu=stage_mu, md_tol=stage_tol),
                                  lam0=lam).lam
-    md = mirror_descent(coeff, mu, opts, lam0=lam)
-    return recover_x(md.lam, coeff, mu), md
+    md = mirror_descent(coeff, opts, lam0=lam)
+    return recover_x(md.lam, coeff, opts.mu), md
 
 
 def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, restarts: int,
@@ -529,8 +527,7 @@ def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, restarts: int,
     d_j (exactly, in floating point), so a pass costs one subtraction instead
     of rebuilding every delta.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    check_count("restarts", restarts, 1)
     s = coeff.amplitude
     xbar_relaxed = np.asarray(xbar_relaxed, dtype=float)
     base = np.where(xbar_relaxed >= 0, s, -s)
@@ -593,10 +590,10 @@ def solve_symbol(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig(),
     lam0, a simplex point, else from model_start), closed-form primal
     recovery, MBI rounding of the fractional entries with opts.mbi_restarts
     starts. A frame's cold solves pass their starts from
-    frame_slots(h_eff, symbols, power, opts.mu), equal to model_start bit for
+    frame_slots(h_eff, symbols, power, opts), equal to model_start bit for
     bit. Deterministic given the rng state and settings.
     """
-    xrel, md = solve_relaxed(coeff, opts.mu, opts, lam0)
+    xrel, md = solve_relaxed(coeff, opts, lam0)
     xbar = mbi_round(xrel, coeff, opts.mbi_restarts, rng)
     relax_value = -md.value
     power_total = coeff.n_lifted * coeff.amplitude ** 2

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .constellation import SymbolFrame
-from .onebit import SolverConfig, _sigma_max_sq, frame_array
+from .onebit import SolverConfig, _sigma_max_sq, check_real, frame_array
 
 # apg_optimize stops after this many iterations in a row without a new best
 # true objective: over the 1040 solves of desk seeds 0-19 (20 channels each)
@@ -114,10 +114,8 @@ def _lse(vals: np.ndarray, delta: float, eta: np.ndarray | None = None):
     of the sum for precision. This is the arithmetic of
     scipy.special.logsumexp (SciPy 1.17), step for step, so both give the
     same bits on finite input; the shape-(1,) arrays keep every scalar
-    operation on the same NumPy loops as SciPy's.
+    operation on the same NumPy loops as SciPy's. The callers check delta.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
     a = vals / delta
     a_max = a.max(keepdims=True)
     e = np.exp(a - a_max)
@@ -136,11 +134,13 @@ def max_constraint(theta_bar, coeffs: PhaseCoefficients) -> float:
 
 def lse_value(theta_bar, coeffs: PhaseCoefficients, delta: float) -> float:
     """Log-sum-exp smoothing of the max constraint; overflow-safe."""
+    check_real("delta", delta, positive=True)
     return _lse(_constraint_values(theta_bar, coeffs), delta)[0]
 
 
 def lse_gradient(theta_bar, coeffs: PhaseCoefficients, delta: float) -> np.ndarray:
     """Gradient of the smoothed objective: eta times the softmax weights."""
+    check_real("delta", delta, positive=True)
     return _lse(_constraint_values(theta_bar, coeffs), delta, coeffs.eta)[1]
 
 

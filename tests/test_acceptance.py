@@ -78,7 +78,7 @@ def test_criterion_01_dual_primal_consistency():
     for i in range(100):
         rng = np.random.default_rng(i)
         coeff, _, _, _ = _slot_instance(rng, m=16, k=3, order=(4, 8)[i % 2])
-        md = mirror_descent(coeff, mu, SolverConfig(md_max_iter=20000, md_tol=1e-8))
+        md = mirror_descent(coeff, SolverConfig(mu=mu, md_max_iter=20000, md_tol=1e-8))
         n_conv += md.converged
         x = recover_x(md.lam, coeff, mu)
         lhs = worst_objective(x, coeff) + 0.5 * mu * float(x @ x)
@@ -178,7 +178,7 @@ def test_criterion_04_fractional_entries():
         order = (4, 8)[i % 2]
         rng = np.random.default_rng(1000 + i)
         coeff, _, _, _ = _slot_instance(rng, m=32, k=k, order=order, power=1.0, n=8)
-        xrel, md = solve_relaxed(coeff, 1e-6, SolverConfig(md_max_iter=20000, md_tol=1e-6))
+        xrel, md = solve_relaxed(coeff, SolverConfig(mu=1e-6, md_max_iter=20000, md_tol=1e-6))
         n_frac = int(np.sum(np.abs(xrel) < coeff.amplitude * (1 - 1e-6)))
         if n_frac <= 2 * k - 1:
             ok_count += 1

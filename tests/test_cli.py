@@ -69,12 +69,14 @@ def test_run_threads_flag(tmp_path, config_file):
 
 @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--threads", "-2"),
                                          ("--seed", "-1"), ("--threads", "one"),
+                                         ("--seed", "18446744073709551616"),
                                          ("--schemes", ","), ("--schemes", ""),
                                          ("--schemes", "foo"),
                                          ("--schemes", "onebit-md,onebit-md")])
 def test_run_rejects_bad_arguments(tmp_path, config_file, capsys, flag, value):
     # --threads 0, --seed -1, an unknown and a repeated scheme used to end in
-    # a traceback from the harness; an empty scheme list wrote a header-only CSV
+    # a traceback from the harness; an empty scheme list wrote a header-only
+    # CSV, and --seed 2^64 ended in a traceback after leaving an empty CSV
     _, cfg_path = config_file
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
@@ -141,10 +143,11 @@ def test_fixtures_dump_round_trip(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [("--m", "0"), ("--n", "0"), ("--k", "0"),
                                          ("--seed", "-1"), ("--index", "-1"),
-                                         ("--m", "two")])
+                                         ("--m", "two"), ("--seed", "18446744073709551616")])
 def test_fixtures_dump_rejects_bad_arguments(tmp_path, capsys, flag, value):
-    # --m 0 used to write a channel with no antennas, and a negative seed or
-    # index ended in a NumPy traceback
+    # --m 0 used to write a channel with no antennas, a negative seed or
+    # index ended in a NumPy traceback, and --seed 2^64, which no experiment
+    # accepts, wrote a channel
     out = tmp_path / "fix.json"
     with pytest.raises(SystemExit) as exc:
         main(["fixtures", "dump", "--out", str(out), flag, value])

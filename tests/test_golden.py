@@ -115,10 +115,10 @@ def test_cold_starts_that_md_certifies_pass_the_first_order_check(monkeypatch):
         blocks.append(block)
         return block
 
-    def spy(coeff, mu, opts=onebit.SolverConfig(), lam0=None, real=onebit.solve_relaxed):
-        xrel, md = real(coeff, mu, opts, lam0)
+    def spy(coeff, opts=onebit.SolverConfig(), lam0=None, real=onebit.solve_relaxed):
+        xrel, md = real(coeff, opts, lam0)
         cold = lam0 is None or any(np.may_share_memory(lam0, b) for b in blocks)
-        calls.append((coeff, mu, md, cold))
+        calls.append((coeff, opts.mu, md, cold))
         return xrel, md
 
     monkeypatch.setattr(onebit, "model_starts", start_spy)
@@ -132,8 +132,7 @@ def test_cold_starts_that_md_certifies_pass_the_first_order_check(monkeypatch):
         ch = sample_channels(drop_users(k, rng), 32, 8, rng)
         h_eff = effective_matrix(ch, PhaseShifts.random(8, rng))
         sym = c.points[rng.integers(0, c.order, k)]
-        onebit.solve_relaxed(onebit.build_coefficients(h_eff, sym, c, 1.0),
-                             onebit.SolverConfig().mu)
+        onebit.solve_relaxed(onebit.build_coefficients(h_eff, sym, c, 1.0))
     assert len(calls) == 360 and all(md.converged for _, _, md, _ in calls)
     gaps = []
     for coeff, mu, md, cold in calls:

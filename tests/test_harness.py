@@ -497,7 +497,7 @@ class TestFloat32Filter:
 def uniform_replays(calls):
     """The spied mirror_descent calls rerun from the uniform point, where MD
     iterates; from their cold start, onebit.model_start, it mostly does not."""
-    return [mirror_descent(a["coeff"], a["mu"], a["opts"]) for a, _ in calls]
+    return [mirror_descent(a["coeff"], a["opts"]) for a, _ in calls]
 
 
 # per solver setting: a non-default value, the function that reads it (module
@@ -505,7 +505,7 @@ def uniform_replays(calls):
 # result) pairs from one 2-channel run show only when the value reached it
 SETTING_READERS = {
     "mu": (1e-3, onebit, "mirror_descent",
-           lambda calls: all(a["mu"] == 1e-3 for a, _ in calls)),
+           lambda calls: all(a["opts"].mu == 1e-3 for a, _ in calls)),
     "md_max_iter": (2, onebit, "mirror_descent",
                     lambda calls: max(md.n_iter for md in uniform_replays(calls)) == 2),
     "md_tol": (1e-2, onebit, "mirror_descent",

@@ -243,7 +243,7 @@ def test_dual_gradient_is_the_gradient_mirror_descent_runs():
         w = np.log(uniform) - dual_gradient(uniform, coeff, mu)
         w -= w.max()
         e = np.exp(w)
-        md = mirror_descent(coeff, mu, SolverConfig(md_max_iter=0))
+        md = mirror_descent(coeff, SolverConfig(mu=mu, md_max_iter=0))
         assert md.residual == float(np.abs(e / e.sum() - uniform).sum())
 
 
@@ -294,7 +294,7 @@ def test_solver_option_validation():
 
 def test_md_zero_matrix_stays_uniform():
     coeff = CoefficientMatrix(c=np.zeros((4, 4)), amplitude=1.0)
-    res = mirror_descent(coeff, 1e-3, SolverConfig())
+    res = mirror_descent(coeff, SolverConfig(mu=1e-3))
     assert res.converged and res.n_iter == 0
     assert np.allclose(res.lam, 0.25)
 
@@ -302,7 +302,7 @@ def test_md_zero_matrix_stays_uniform():
 def test_md_iterates_stay_on_simplex():
     rng = np.random.default_rng(8)
     coeff, _, _, _ = random_instance(rng, m=8, k=3)
-    res = mirror_descent(coeff, 5e-4, SolverConfig(md_tol=1e-8))
+    res = mirror_descent(coeff, SolverConfig(mu=5e-4, md_tol=1e-8))
     assert res.converged
     assert res.lam.min() >= 0
     assert abs(res.lam.sum() - 1.0) <= 1e-12
@@ -318,7 +318,7 @@ def test_md_two_column_grid_oracle():
         c2[:, 1] = np.roll(c2[:, 1], 1) + 0.3 * c2[:, 0]
         coeff = CoefficientMatrix(c=c2, amplitude=coeff.amplitude)
         mu = 5e-4
-        res = mirror_descent(coeff, mu, SolverConfig(md_tol=1e-9))
+        res = mirror_descent(coeff, SolverConfig(mu=mu, md_tol=1e-9))
         p = np.linspace(0.0, 1.0, 10001)
         grid = np.stack([p, 1 - p])
         vals = coeff.amplitude * huber(coeff.c @ grid, mu * coeff.amplitude).sum(axis=0)
@@ -353,7 +353,7 @@ def test_md_monotone_objective_trace(seed, order, size, start):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(onebit, "_clipped_value", value_spy)
         mp.setattr(onebit, "_dual_grad", grad_spy)
-        res = mirror_descent(coeff, SolverConfig().mu, opts, lam0=_start(rng, coeff, start))
+        res = mirror_descent(coeff, opts, lam0=_start(rng, coeff, start))
     values = np.array(accepted)
     assert values.size == res.n_iter + 1 and values[-1] == res.value
     assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1]))
@@ -364,7 +364,7 @@ def test_md_monotone_objective_trace(seed, order, size, start):
 def test_md_reports_nonconvergence_instead_of_failing():
     rng = np.random.default_rng(11)
     coeff, _, _, _ = random_instance(rng, m=8, k=3)
-    res = mirror_descent(coeff, 5e-4, SolverConfig(md_max_iter=2, md_tol=1e-14))
+    res = mirror_descent(coeff, SolverConfig(mu=5e-4, md_max_iter=2, md_tol=1e-14))
     assert not res.converged
     assert res.n_iter == 2
     assert np.isfinite(res.value)
@@ -475,8 +475,8 @@ def test_md_matches_the_reference_loop(seed, order, size, start, mu):
     if start == "zero-matrix":
         coeff = CoefficientMatrix(c=np.zeros_like(coeff.c), amplitude=coeff.amplitude)
     lam0 = _start(rng, coeff, "mixed" if start == "zero-matrix" else start)
-    opts = SolverConfig(md_max_iter=400)
-    md = mirror_descent(coeff, mu, opts, lam0=lam0)
+    opts = SolverConfig(mu=mu, md_max_iter=400)
+    md = mirror_descent(coeff, opts, lam0=lam0)
     assert abs(md.value - dual_value(md.lam, coeff, mu)) <= 1e-12 * abs(md.value)
     if mu < MU_STAGES[-1][0]:
         return
@@ -603,6 +603,12 @@ def test_mbi_requires_rng_for_random_restarts():
         mbi_round(np.array([0.0, 0.5]), coeff, restarts=2, rng=None)
     with pytest.raises(ValueError):
         mbi_round(np.array([0.0, 0.5]), coeff, restarts=0, rng=None)
+    # restarts=True used to pass as one restart, and restarts=1.5 with an rng
+    # ended in a TypeError from range
+    for restarts in (True, 1.5):
+        with pytest.raises(ValueError, match="restarts must be an integer"):
+            mbi_round(np.array([0.0, 0.5]), coeff, restarts=restarts,
+                      rng=np.random.default_rng(0))
 
 
 def _mbi_round_reference(xbar_relaxed, coeff, restarts, rng=None,
@@ -723,7 +729,7 @@ def test_solve_relaxed_shared_path_bit_exact():
     coeff, _, _, _ = random_instance(rng, m=6, k=2)
     opts = SolverConfig()
     res = solve_symbol(coeff, opts, np.random.default_rng(1))
-    xrel, md = solve_relaxed(coeff, opts.mu, opts)
+    xrel, md = solve_relaxed(coeff, opts)
     assert np.array_equal(res.xbar_relaxed, xrel)
     assert res.relax_value == -md.value
 
@@ -749,16 +755,16 @@ def test_mixed_warm_start_recovers_a_zeroed_optimal_entry():
     mu = SolverConfig().mu
     for _ in range(5):
         coeff, _, _, _ = random_instance(rng, m=8, k=3)
-        _, cold = solve_relaxed(coeff, mu)
+        _, cold = solve_relaxed(coeff)
         i = int(np.argmax(cold.lam))
         assert cold.lam[i] > 0.1
         lam0 = cold.lam.copy()
         lam0[i] = 0.0
         lam0 /= lam0.sum()
-        _, raw = solve_relaxed(coeff, mu, lam0=lam0)
+        _, raw = solve_relaxed(coeff, lam0=lam0)
         assert raw.converged and raw.lam[i] == 0.0
         assert -raw.value < -cold.value - _fw_gap(cold.lam, coeff, mu)
-        _, warm = solve_relaxed(coeff, mu, lam0=_mixed(lam0))
+        _, warm = solve_relaxed(coeff, lam0=_mixed(lam0))
         assert warm.converged and warm.lam[i] > 0.1
         bound = max(_fw_gap(warm.lam, coeff, mu), _fw_gap(cold.lam, coeff, mu))
         assert abs(warm.value - cold.value) <= bound
@@ -777,10 +783,10 @@ def test_mixed_warm_start_agrees_with_cold_start_on_desk_slots(seed, drift):
     moved = theta * np.exp(1j * drift * rng.uniform(-1, 1, 16))
     sym = c.points[rng.integers(0, 4, 4)]
     _, prev = solve_relaxed(
-        build_coefficients(effective_matrix(ch, PhaseShifts(theta)), sym, c, 100.0), mu)
+        build_coefficients(effective_matrix(ch, PhaseShifts(theta)), sym, c, 100.0))
     coeff = build_coefficients(effective_matrix(ch, PhaseShifts(moved)), sym, c, 100.0)
-    _, cold = solve_relaxed(coeff, mu)
-    _, warm = solve_relaxed(coeff, mu, lam0=_mixed(prev.lam))
+    _, cold = solve_relaxed(coeff)
+    _, warm = solve_relaxed(coeff, lam0=_mixed(prev.lam))
     assert cold.converged and warm.converged
     bound = max(_fw_gap(warm.lam, coeff, mu), _fw_gap(cold.lam, coeff, mu))
     assert abs(warm.value - cold.value) <= bound
@@ -823,7 +829,7 @@ def test_model_start_minimizes_the_quadratic_model():
     want = d ** -2 / np.sum(d ** -2)
     lam = model_start(coeff, 10.0)
     assert np.abs(lam - _mixed(want)).max() <= 1e-8  # the ridge eps moves it
-    md = mirror_descent(coeff, 10.0, SolverConfig(), lam0=lam)
+    md = mirror_descent(coeff, SolverConfig(mu=10.0), lam0=lam)
     assert np.abs(coeff.c @ md.lam).max() < 10.0 * coeff.amplitude
     assert md.converged and md.n_iter == 0
     dominated = CoefficientMatrix(c=np.array([[1.0, 1.2], [0.0, 0.5]]), amplitude=1.0)
@@ -945,8 +951,8 @@ def test_model_start_agrees_with_a_uniform_start(seed, order, size):
     coeff, _, _, _ = random_instance(np.random.default_rng(seed), m=m, k=k, order=order,
                                      n=n)
     mu = SolverConfig().mu
-    _, cold = solve_relaxed(coeff, mu)
-    _, uniform = solve_relaxed(coeff, mu, lam0=np.full(2 * k, 1.0 / (2 * k)))
+    _, cold = solve_relaxed(coeff)
+    _, uniform = solve_relaxed(coeff, lam0=np.full(2 * k, 1.0 / (2 * k)))
     assert cold.converged and uniform.converged
     bound = max(_fw_gap(cold.lam, coeff, mu), _fw_gap(uniform.lam, coeff, mu))
     assert abs(cold.value - uniform.value) <= bound
@@ -981,7 +987,7 @@ def test_model_start_takes_fewer_md_iterations(monkeypatch):
         total = totals.setdefault(key, [0, 0, 0])
         for i, lam0 in enumerate((None, quadratic_model_start(coeff), np.full(n, 1.0 / n))):
             iters.clear()
-            assert solve_relaxed(coeff, mu, lam0=lam0)[1].converged
+            assert solve_relaxed(coeff, SolverConfig(mu=mu), lam0=lam0)[1].converged
             total[i] += sum(iters)
     assert all(new < oracle < uniform for new, oracle, uniform in totals.values()), totals
 
@@ -997,7 +1003,7 @@ def test_solve_relaxed_rejects_warm_start_off_the_simplex():
     for lam0 in bad:
         for mu in (SolverConfig().mu, 1e-5):  # with and without the mu stages
             with pytest.raises(ValueError, match="simplex"):
-                solve_relaxed(coeff, mu, lam0=lam0)
+                solve_relaxed(coeff, SolverConfig(mu=mu), lam0=lam0)
 
 
 # --- brute force -------------------------------------------------------------
@@ -1022,7 +1028,7 @@ def test_brute_force_beats_random_signs_and_relaxation_bound():
         x = s * rng.choice([-1.0, 1.0], coeff.n_lifted)
         assert bf <= worst_objective(x, coeff) + 1e-12
     # box relaxation optimum lower-bounds the one-bit optimum
-    xrel, md = solve_relaxed(coeff, 5e-4, SolverConfig(md_tol=1e-9))
+    xrel, md = solve_relaxed(coeff, SolverConfig(mu=5e-4, md_tol=1e-9))
     power = coeff.n_lifted * s**2
     assert -md.value - 5e-4 * power / 2 <= bf + 1e-12
 

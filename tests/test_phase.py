@@ -217,11 +217,13 @@ def test_lse_gradient_finite_difference():
 
 
 def test_lse_positive_delta_required():
+    # delta = inf used to pass the kernels' own test and give an inf value
     coeffs = PhaseCoefficients(eta=np.zeros((2, 2)), vbar=np.zeros(2))
-    with pytest.raises(ValueError):
-        lse_value(np.zeros(2), coeffs, 0.0)
-    with pytest.raises(ValueError):
-        lse_gradient(np.zeros(2), coeffs, -1.0)
+    for delta in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta"):
+            lse_value(np.zeros(2), coeffs, delta)
+        with pytest.raises(ValueError, match="delta"):
+            lse_gradient(np.zeros(2), coeffs, delta)
 
 
 # --- projection --------------------------------------------------------------
