@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_count
+
 # Direct link reference gain -15 dB with exponent 3.2; the two reflected hops
 # jointly carry a -20 dB reference with exponent 2.2 each, split evenly per
 # hop (only the product is observable in the cascade).
@@ -34,9 +36,9 @@ def path_loss(distance, ref_gain: float, exponent: float):
 
 
 def drop_users(n_users: int, rng: np.random.Generator) -> np.ndarray:
-    """(K, 2) user positions uniform over the user disk (sqrt-radius correction)."""
-    if n_users < 1:
-        raise ValueError("need at least one user")
+    """(K, 2) user positions uniform over the user disk (sqrt-radius correction).
+    n_users must be an int >= 1."""
+    check_count("n_users", n_users, 1)
     u = rng.random((n_users, 2))
     r = USER_RADIUS * np.sqrt(u[:, 0])
     phi = 2.0 * np.pi * u[:, 1]

@@ -1,0 +1,29 @@
+"""Input rules shared by every layer: real numbers, counts and finite reals.
+
+A leaf module, so that the leaf layers (constellation, channel) and the
+solvers above them check their settings with the same rules.
+"""
+
+from __future__ import annotations
+
+import numbers
+
+import numpy as np
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number; bools are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Reject a setting that is not an int (bools excluded) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_real(name: str, value, positive: bool) -> None:
+    """Reject a setting that is not a finite real above 0 (positive) or >= 0."""
+    if not (is_real(value) and (value > 0 if positive else value >= 0) and value < np.inf):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be a finite {sign} number, got {value!r}")

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check_real
+
 _ALLOWED_ORDERS = (2, 4, 8, 16)
 
 # elementwise math.erfc (object-dtype result)
@@ -210,10 +212,10 @@ def sep_upper_bound(alpha, sigma2: float, c: PskConstellation):
     """Union bound 2*Q(alpha*sin(pi/L)/(sigma/sqrt(2))) on the symbol error rate.
 
     The raw value is kept (it can exceed 1 for small or negative margins);
-    clip to 1 when reporting it as a probability.
+    clip to 1 when reporting it as a probability. sigma2 must be a finite
+    positive real.
     """
-    if not sigma2 > 0:
-        raise ValueError(f"noise variance must be positive, got {sigma2}")
+    check_real("sigma2", sigma2, positive=True)
     scale = np.sin(np.pi / c.order) * np.sqrt(2.0 / sigma2)
     return 2.0 * q_function(np.asarray(alpha, dtype=float) * scale)
 

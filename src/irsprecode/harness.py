@@ -27,17 +27,9 @@ from .baselines import (
     zf_precode,
 )
 from .channel import ChannelSet, PhaseShifts, drop_users, effective_matrix, sample_channels
+from .checks import check_count, check_real, is_real
 from .constellation import NoiseBlock, PskConstellation, SymbolFrame, bit_errors, decide_block
-from .onebit import (
-    OneBitFrame,
-    SolverConfig,
-    check_count,
-    check_real,
-    field_values,
-    frame_slots,
-    is_real,
-    solve_symbol,
-)
+from .onebit import OneBitFrame, SolverConfig, field_values, frame_slots, solve_symbol
 
 # substream tags; the design tag block is keyed by the canonical scheme order
 # so that adding or removing schemes never perturbs another scheme's draws

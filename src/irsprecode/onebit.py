@@ -20,33 +20,15 @@ by maximum-block-improvement over its fractional entries.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .checks import check_count, check_real
 from .constellation import PskConstellation, SymbolFrame
 
 # lifted entries within this relative distance of +/-s count as saturated
 FRACTIONAL_TOL = 1e-6
-
-
-def is_real(value) -> bool:
-    """Whether value is a real number; bools are not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def check_count(name: str, value, low: int) -> None:
-    """Reject a setting that is not an int (bools excluded) of at least low."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def check_real(name: str, value, positive: bool) -> None:
-    """Reject a setting that is not a finite real above 0 (positive) or >= 0."""
-    if not (is_real(value) and (value > 0 if positive else value >= 0) and value < np.inf):
-        sign = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be a finite {sign} number, got {value!r}")
 
 
 def field_values(cls, d, name: str) -> dict:
@@ -180,7 +162,7 @@ class CoefficientMatrix:
         object.__setattr__(self, "c", np.atleast_2d(np.asarray(self.c, dtype=float)))
         if self.c.ndim != 2 or self.c.shape[0] % 2 or self.c.shape[1] % 2 or not self.c.size:
             raise ValueError("coefficient matrix must be 2M x 2K with M, K >= 1")
-        if not np.all(np.isfinite(self.c)):
+        if not np.isfinite(self.c).all():
             raise ValueError("coefficients must be finite")
         check_real("amplitude", self.amplitude, positive=True)
 
@@ -216,7 +198,7 @@ def build_coefficients(h_eff, symbols, constellation: PskConstellation,
 
 def worst_objective(xbar, coeff: CoefficientMatrix) -> float:
     """max_k c_k^T xbar, the negated worst-user margin of a lifted signal."""
-    return float(np.max(coeff.c.T @ np.asarray(xbar, dtype=float)))
+    return float(np.maximum.reduce(coeff.c.T @ np.asarray(xbar, dtype=float)))
 
 
 def dual_gradient(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
@@ -251,7 +233,11 @@ def recover_x(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
     """Inner minimizer xbar*(lam) = -clip(C lam / mu, [-s, s]) of the box problem."""
     check_real("mu", mu, positive=True)
     s = coeff.amplitude
-    return -np.clip((coeff.c @ np.asarray(lam, dtype=float)) / mu, -s, s)
+    # the clip as in-place ufuncs on the fresh product, which skip np.clip's dispatch
+    x = np.divide(coeff.c @ np.asarray(lam, dtype=float), mu)
+    np.maximum(x, -s, out=x)
+    np.minimum(x, s, out=x)
+    return np.negative(x, out=x)
 
 
 @dataclass
@@ -285,21 +271,26 @@ def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig()
     rho = opts.mu * s
     c = coeff.c
     ct = np.ascontiguousarray(c.T)
+    # ufunc reductions skip the array methods' dispatch
+    vmin, vmax, vsum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
     if lam0 is None:
         lam = np.full(n, 1.0 / n)
     else:
-        lam = np.asarray(lam0, dtype=float).copy()
-        if (lam.shape != (n,) or not np.isfinite(lam).all() or lam.min() < 0
-                or abs(lam.sum() - 1.0) > 1e-9):
+        lam = np.array(lam0, dtype=float)
+        # NaN and -inf fail the sign test (a NaN minimum compares false),
+        # +inf and NaN the sum test
+        if lam.shape != (n,) or not vmin(lam) >= 0 or not abs(vsum(lam) - 1.0) <= 1e-9:
             raise ValueError("warm start must be a point on the simplex")
     y_c, f = _clipped_value(c @ lam, s, rho)
 
     # log(lam) is carried over from the softmax normalization, so the loop never
-    # takes it of lam; exact zeros give -inf and stay zero through exp
-    log_lam = np.log(lam, out=np.full(n, -np.inf), where=lam > 0)
-    # ufunc reductions skip the array methods' dispatch; gap holds T_1(lam) - lam
-    vmax, vsum = np.maximum.reduce, np.add.reduce
-    gap = np.empty(n)
+    # takes it of lam; exact zeros give -inf and stay zero through exp, and a
+    # start with none (model_starts mixes in WARM_START_MIX) skips the masks
+    if vmin(lam) > 0:
+        log_lam = np.log(lam)
+    else:
+        log_lam = np.log(lam, out=np.full(n, -np.inf), where=lam > 0)
+    gap = np.empty(n)  # T_1(lam) - lam
     converged = False
     for it in range(opts.md_max_iter + 1):  # runs at least once: md_max_iter >= 0
         grad = _dual_grad(ct, y_c, s, rho)
@@ -523,22 +514,27 @@ def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, restarts: int,
     result is never worse than naive sign rounding.
 
     Each restart keeps the flip deltas d_j = 2 x_j c_j of the fractional
-    entries as the contiguous rows of one block; flipping entry j only negates
-    d_j (exactly, in floating point), so a pass costs one subtraction instead
-    of rebuilding every delta.
+    entries as the columns of one constraint-major (2K, n_frac) block;
+    flipping entry j only negates d_j (exactly, in floating point), so a pass
+    costs one subtraction instead of rebuilding every delta. The pass writes
+    its candidates and their maxima into buffers kept across passes, and the
+    maximum over each column runs as 2K - 1 elementwise passes over
+    contiguous rows.
     """
     check_count("restarts", restarts, 1)
     s = coeff.amplitude
     xbar_relaxed = np.asarray(xbar_relaxed, dtype=float)
     base = np.where(xbar_relaxed >= 0, s, -s)
-    frac = np.flatnonzero(np.abs(xbar_relaxed) < s * (1.0 - fractional_tol))
+    frac = (np.abs(xbar_relaxed) < s * (1.0 - fractional_tol)).nonzero()[0]
     if frac.size == 0:
         return base
     if restarts > 1 and rng is None:
         raise ValueError("random restarts need an rng")
 
     ct = coeff.c.T  # (2K, 2M)
-    c_frac = coeff.c[frac]  # (n_frac, 2K)
+    ct_frac = coeff.c[frac].T  # (2K, n_frac), a column-major view
+    cand = np.empty(ct_frac.shape)
+    cand_max = np.empty(frac.size)
     best_x = None
     best_val = np.inf
     for r in range(restarts):
@@ -546,17 +542,21 @@ def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, restarts: int,
         if r > 0:
             x[frac] = s * (2.0 * rng.integers(0, 2, size=frac.size) - 1.0)
         w = ct @ x
-        cur = w.max()
-        d = 2.0 * (c_frac * x[frac, None])  # w - d[j] is w after entry j flips
+        cur = np.maximum.reduce(w)
+        # w - d[:, j] is w after entry j flips; d is row-major, so a pass
+        # reads contiguous rows
+        d = 2.0 * np.multiply(ct_frac, x[frac], order="C")
         while True:
-            cand = w - d
-            cand_max = np.maximum.reduce(cand, axis=1)
-            j = int(np.argmin(cand_max))
+            np.subtract(w[:, None], d, out=cand)
+            np.maximum.reduce(cand, axis=0, out=cand_max)
+            j = int(cand_max.argmin())
             if cand_max[j] >= cur:
                 break
             x[frac[j]] = -x[frac[j]]
-            w = cand[j]
-            np.negative(d[j], out=d[j])
+            w = cand[:, j].copy()  # cand is overwritten by the next pass
+            # exact, as negation is; NumPy 2.4's in-place np.negative misreads
+            # a column whose stride is 8 entries (64 bytes)
+            d[:, j] *= -1.0
             cur = cand_max[j]
         if cur < best_val:
             best_val = cur

@@ -60,8 +60,10 @@ def test_drop_users_disk_statistics():
     # uniform disk: mean radius is 2R/3
     se_r = radii.std() / np.sqrt(n)
     assert abs(radii.mean() - 2 * USER_RADIUS / 3) <= 3 * se_r
-    with pytest.raises(ValueError):
-        drop_users(0, rng)
+    # True and 1.5 used to end in a TypeError from rng.random
+    for n_users in (0, True, 1.5):
+        with pytest.raises(ValueError, match="n_users must be an integer >= 1"):
+            drop_users(n_users, rng)
 
 
 def test_sample_channels_rejects_bad_user_positions():

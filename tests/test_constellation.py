@@ -189,10 +189,10 @@ def test_sep_bound_monotone_and_positive():
 
 def test_sep_bound_rejects_bad_sigma():
     c = PskConstellation(4)
-    with pytest.raises(ValueError):
-        sep_upper_bound(1.0, 0.0, c)
-    with pytest.raises(ValueError):
-        sep_upper_bound(1.0, -1.0, c)
+    # an infinite variance used to pass and give 2Q(0) = 1.0
+    for sigma2 in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma2 must be a finite positive number"):
+            sep_upper_bound(1.0, sigma2, c)
 
 
 def test_sep_bound_empirical_rate_below_bound():

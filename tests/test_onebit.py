@@ -260,6 +260,49 @@ def test_recover_x_branch_cases():
     assert np.all(np.abs(recover_x(np.array([5.0, 5.0]), coeff, mu)) <= coeff.amplitude)
 
 
+def _recover_x_clip(lam, coeff, mu):
+    """recover_x as the np.clip formula."""
+    s = coeff.amplitude
+    return -np.clip((coeff.c @ np.asarray(lam, dtype=float)) / mu, -s, s)
+
+
+def _worst_objective_max(xbar, coeff):
+    """worst_objective as the np.max formula."""
+    return float(np.max(coeff.c.T @ np.asarray(xbar, dtype=float)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([2, 4, 8, 16]),
+       size=st.sampled_from([(32, 4, 16), (128, 14, 32), (8, 3, 4), (1, 1, 1)]),
+       mu=st.sampled_from([1e-6, 2e-5, 5e-4, 1.0, 1e3]),
+       lam_kind=st.sampled_from(["dirichlet", "zeros", "vertex"]),
+       integer_c=st.booleans())
+def test_recover_x_and_worst_objective_bit_exact_against_formulas(seed, order, size, mu,
+                                                                  lam_kind, integer_c):
+    # the in-place clip and the ufunc maximum give the formulas' bits, signed
+    # zeros included: integer coefficients and vertex points make exact
+    # zeros of C lam and of C^T xbar common
+    rng = np.random.default_rng(seed)
+    m, k, n = size
+    coeff, _, _, _ = random_instance(rng, m=m, k=k, order=order, n=n)
+    if integer_c:
+        coeff = CoefficientMatrix(c=rng.integers(-2, 3, size=coeff.c.shape).astype(float),
+                                  amplitude=coeff.amplitude)
+    lam = rng.dirichlet(np.ones(coeff.n_constraints))
+    if lam_kind == "zeros":
+        lam[rng.permutation(lam.size)[:lam.size // 2]] = 0.0
+        lam /= lam.sum()
+    elif lam_kind == "vertex":
+        lam = np.eye(coeff.n_constraints)[rng.integers(coeff.n_constraints)]
+    xrel = recover_x(lam, coeff, mu)
+    assert xrel.tobytes() == _recover_x_clip(lam, coeff, mu).tobytes()
+    s = coeff.amplitude
+    for xbar in (xrel, np.where(rng.random(coeff.n_lifted) < 0.5, s, -s),
+                 s * rng.integers(-1, 2, size=coeff.n_lifted)):
+        got, want = worst_objective(xbar, coeff), _worst_objective_max(xbar, coeff)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_dual_value_convex_on_segments():
     rng = np.random.default_rng(7)
     coeff, _, _, _ = random_instance(rng, m=6, k=3)
@@ -646,15 +689,21 @@ def _mbi_round_reference(xbar_relaxed, coeff, restarts, rng=None,
 
 
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 8), k=st.integers(1, 3),
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       size=st.one_of(st.tuples(st.integers(1, 8), st.integers(1, 3)),
+                      st.sampled_from([(32, 4), (128, 14)])),
        order=st.sampled_from([2, 4, 8]), restarts=st.sampled_from([1, 5]),
        saturated=st.sampled_from([0.0, 0.4, 1.0]),
        integer_c=st.booleans(), coarse_x=st.booleans())
-def test_mbi_bit_exact_against_reference_loop(seed, m, k, order, restarts, saturated,
+def test_mbi_bit_exact_against_reference_loop(seed, size, order, restarts, saturated,
                                              integer_c, coarse_x):
     # BPSK (order 2, cot = 0), integer coefficients and three-level relaxed
-    # points make exact ties in the best-flip choice common
+    # points make exact ties in the best-flip choice common. The desk
+    # (M=32, K=4) and paper (M=128, K=14) sizes are drawn too, where the
+    # delta block has 2K rows and up to 2M columns and, with no saturated
+    # entries, every entry is fractional
     rng = np.random.default_rng(seed)
+    m, k = size
     coeff, _, _, _ = random_instance(rng, m=m, k=k, order=order)
     if integer_c:
         coeff = CoefficientMatrix(c=rng.integers(-2, 3, size=coeff.c.shape).astype(float),
@@ -671,6 +720,23 @@ def test_mbi_bit_exact_against_reference_loop(seed, m, k, order, restarts, satur
     want = _mbi_round_reference(xrel, coeff, restarts, rng_want)
     assert np.array_equal(got, want)
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+def test_mbi_bit_exact_at_every_fractional_count():
+    # a desk slot (M=32, K=4) with 1 to 2M fractional entries, three relaxed
+    # points each, so the delta block's rows take every length; at length 8
+    # (a 64-byte column stride) NumPy 2.4's in-place np.negative of a column
+    # reads the wrong entries
+    rng = np.random.default_rng(30)
+    coeff, _, _, _ = random_instance(rng, m=32, k=4)
+    s = coeff.amplitude
+    for n_frac in np.repeat(np.arange(1, coeff.n_lifted + 1), 3):
+        xrel = s * rng.choice([-1.0, 1.0], size=coeff.n_lifted)
+        xrel[rng.permutation(coeff.n_lifted)[:n_frac]] = s * rng.uniform(-0.5, 0.5, n_frac)
+        for restarts in (1, 3):
+            got = mbi_round(xrel, coeff, restarts, np.random.default_rng(n_frac))
+            want = _mbi_round_reference(xrel, coeff, restarts, np.random.default_rng(n_frac))
+            assert np.array_equal(got, want), (n_frac, restarts)
 
 
 # --- solve_symbol ------------------------------------------------------------
@@ -996,10 +1062,12 @@ def test_solve_relaxed_rejects_warm_start_off_the_simplex():
     rng = np.random.default_rng(21)
     coeff, _, _, _ = random_instance(rng, m=6, k=2)
     n = coeff.n_constraints
-    # NaN passes both the sign and the sum test, so finiteness is its own check
+    # the check is a minimum and a sum that must compare true: a NaN entry
+    # makes both NaN, which fails either comparison, -inf fails the sign test
+    # and +inf the sum test
     bad = (np.full(n, 0.5), np.r_[-0.1, np.full(n - 1, 1.1 / (n - 1))],
            np.full(n + 1, 1.0 / (n + 1)), np.r_[np.nan, np.full(n - 1, 1.0 / (n - 1))],
-           np.r_[np.inf, np.zeros(n - 1)])
+           np.r_[np.inf, np.zeros(n - 1)], np.r_[-np.inf, np.full(n - 1, 1.0 / (n - 1))])
     for lam0 in bad:
         for mu in (SolverConfig().mu, 1e-5):  # with and without the mu stages
             with pytest.raises(ValueError, match="simplex"):
