@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet, PhaseShifts, effective_matrix
+from .checks import check_real
 from .constellation import SymbolFrame, margin
-from .onebit import OneBitFrame, SolverConfig, check_real, frame_array, frame_slots, solve_symbol
+from .onebit import OneBitFrame, SolverConfig, frame_array, frame_slots, solve_symbol
 from .phase import apg_optimize, build_phase_coefficients
 
 # a round improves when its worst margin rises by more than this, relative:
@@ -96,11 +97,9 @@ def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, power: float,
     their own fields of opts.
 
     The run also stops after a fixed-point round (see the module docstring).
-    With opts.mbi_restarts == 1 the x-step draws nothing from rng, so the
-    next round would rebuild the same frame and phases and stop by the margin
-    rule: the design returned is the one the loop returns without this rule.
-    With more restarts, the stop skips a round whose MBI restarts would draw
-    new random signs.
+    The x-step draws nothing from rng, so the next round would rebuild the
+    same frame and phases and stop by the margin rule: the design returned is
+    the one the loop returns without this rule.
 
     opts.n_starts > 1 repeats the whole loop from independent random
     initializations and keeps the run with the best worst-case margin (ties
@@ -126,7 +125,7 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, power: float,
     for it in range(1, opts.ao_max_outer + 1):
         start = phases
         frame, lams, md_converged = _x_step(effective_matrix(ch, start), symbols,
-                                            power, opts, rng)
+                                            power, opts)
         phases, apg_converged = _phase_step(ch, frame, symbols, start, opts)
         worst = float(frame_margins(ch, phases, frame, symbols).min())
         # a NaN margin never counts as an improvement
@@ -144,10 +143,10 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, power: float,
     return trace
 
 
-def _x_step(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig, rng):
+def _x_step(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig):
     """T independent cold per-slot one-bit designs, set up by frame_slots;
     returns (frame, (T, 2K) dual points, md statuses)."""
-    results = [solve_symbol(coeff, opts, rng, lam0)
+    results = [solve_symbol(coeff, opts, lam0)
                for coeff, lam0 in frame_slots(h_eff, symbols, power, opts)]
     return (OneBitFrame.from_slots([res.xbar for res in results], power),
             np.stack([res.md.lam for res in results]), [res.md.converged for res in results])

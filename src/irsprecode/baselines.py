@@ -143,7 +143,6 @@ class SchemeSpec:
     with_irs: bool
 
 
-# the harness keys each scheme's design substream by its place in this order
 SCHEMES = {base + suffix: SchemeSpec(x_mode=mode, with_irs=not suffix)
            for base, mode in (("onebit-md", "onebit"), ("relaxed", "relaxed"),
                               ("relaxed-quant", "relaxed-quant"), ("zf-quant", "zf-quant"))

@@ -7,10 +7,10 @@ import dataclasses
 import json
 import sys
 
+from .checks import check_count
 from .harness import (
     ExperimentConfig,
     channel_realization,
-    check_count,
     check_schemes,
     check_seed,
     run_experiment,

@@ -31,14 +31,13 @@ from .checks import check_count, check_real, is_real
 from .constellation import NoiseBlock, PskConstellation, SymbolFrame, bit_errors, decide_block
 from .onebit import OneBitFrame, SolverConfig, field_values, frame_slots, solve_symbol
 
-# substream tags; the design tag block is keyed by the canonical scheme order
-# so that adding or removing schemes never perturbs another scheme's draws
+# substream tags; the joint design (AO) is the only design that draws. A new
+# tag for a stream changes every result of a seed
 _TAG_CHANNEL = 0
 _TAG_SYMBOLS = 1
 _TAG_NOISE = 2
 _TAG_THETA = 3
-_TAG_DESIGN_BASE = 16
-_CANONICAL_ORDER = tuple(SCHEMES)
+_TAG_AO = 16
 
 THETA_POLICIES = ("shared", "random")
 
@@ -50,14 +49,17 @@ def check_seed(seed) -> None:
 
 
 def check_schemes(schemes) -> tuple:
-    """schemes as a tuple of known identifiers, at least one and none twice."""
-    if isinstance(schemes, str):
-        raise ValueError("schemes must be a sequence of identifiers, not a string")
+    """schemes, a list or tuple, as a tuple of known identifiers, at least one
+    and none twice."""
+    # a string would iterate to its letters, and a number, null or object
+    # entry would raise TypeError in the lookups below
+    if not isinstance(schemes, (list, tuple)):
+        raise ValueError(f"schemes must be a list of identifiers, got {schemes!r}")
     schemes = tuple(schemes)
     if not schemes:
         raise ValueError("schemes must be nonempty")
     for s in schemes:
-        if s not in SCHEMES:
+        if not isinstance(s, str) or s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}; valid: {sorted(SCHEMES)}")
     if len(set(schemes)) != len(schemes):
         raise ValueError("duplicate scheme identifiers")
@@ -226,10 +228,6 @@ def _substream(seed: int, index: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index, tag)))
 
 
-def _design_rng(cfg: ExperimentConfig, index: int, scheme: str) -> np.random.Generator:
-    return _substream(cfg.seed, index, _TAG_DESIGN_BASE + _CANONICAL_ORDER.index(scheme))
-
-
 def channel_realization(seed: int, index: int, m: int, n: int, k: int) -> ChannelSet:
     """The channel draw that channel `index` of an experiment with this seed
     sees; lets fixtures and cross-implementation checks reproduce it exactly."""
@@ -251,7 +249,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
     if "onebit-md" in cfg.schemes:
         t0 = time.perf_counter()
         ao_frame, ao_phases, trace = alternating_optimize(
-            ch, symbols, cfg.power, _design_rng(cfg, index, "onebit-md"), cfg.solver)
+            ch, symbols, cfg.power, _substream(cfg.seed, index, _TAG_AO), cfg.solver)
         ao_runtime = time.perf_counter() - t0
     # "shared" reuses the joint design's phases for schemes that cannot
     # optimize their own (falling back to random phases when the joint
@@ -286,8 +284,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
             frame, phases, runtime = ao_frame, ao_phases, ao_runtime
             status = _status(best_round(trace).converged)
         elif spec.x_mode == "onebit":
-            rng = _design_rng(cfg, index, scheme)
-            results = [solve_symbol(coeff, cfg.solver, rng, lam0) for coeff, lam0
+            results = [solve_symbol(coeff, cfg.solver, lam0) for coeff, lam0
                        in frame_slots(np.conj(bare.h_d), symbols, cfg.power, cfg.solver)]
             frame = OneBitFrame.from_slots([res.xbar for res in results], cfg.power)
             status = _status(all(res.md.converged for res in results))

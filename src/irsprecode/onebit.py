@@ -49,8 +49,6 @@ class SolverConfig:
 
     - mu, the relaxed dual's Tikhonov weight: the dual solves and their starts
     - md_max_iter, md_tol (on the KL gradient-mapping residual): mirror_descent
-    - mbi_restarts (1 improves the sign rounding alone, with no rng draws):
-      solve_symbol
     - delta (smoothing width), apg_max_iter, apg_tol: apg_optimize
     - ao_max_outer (round cap), n_starts: alternating_optimize
 
@@ -60,7 +58,6 @@ class SolverConfig:
     mu: float = 5e-4
     md_max_iter: int = 20000
     md_tol: float = 1e-6
-    mbi_restarts: int = 1
     delta: float = 1e-2
     apg_max_iter: int = 500
     apg_tol: float = 1e-6
@@ -68,8 +65,8 @@ class SolverConfig:
     n_starts: int = 1
 
     def __post_init__(self):
-        for name, low in (("md_max_iter", 0), ("mbi_restarts", 1), ("apg_max_iter", 1),
-                          ("ao_max_outer", 1), ("n_starts", 1)):
+        for name, low in (("md_max_iter", 0), ("apg_max_iter", 1), ("ao_max_outer", 1),
+                          ("n_starts", 1)):
             check_count(name, getattr(self, name), low)
         for name, positive in (("mu", True), ("md_tol", False), ("delta", True),
                                ("apg_tol", False)):
@@ -501,67 +498,50 @@ def solve_relaxed(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig(),
     return recover_x(md.lam, coeff, opts.mu), md
 
 
-def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, restarts: int,
-              rng: np.random.Generator | None = None,
+def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, *,
               fractional_tol: float = FRACTIONAL_TOL) -> np.ndarray:
     """Round a box point to the one-bit alphabet by block improvement.
 
     Entries saturated to within fractional_tol of +/-s are frozen at their
-    signs; the fractional set is optimized by repeated best-single-flip
-    passes (ties broken toward the lowest index), restarted `restarts` times:
-    first from the sign rounding of the relaxed point (zeros to +s), then
-    from i.i.d. uniform sign draws. The best restart is returned, so the
-    result is never worse than naive sign rounding.
+    signs; the fractional set starts at the sign rounding of the relaxed
+    point (zeros to +s) and is improved by repeated best-single-flip passes
+    (ties broken toward the lowest index) until no flip lowers the worst
+    objective, so the result is never worse than naive sign rounding.
 
-    Each restart keeps the flip deltas d_j = 2 x_j c_j of the fractional
-    entries as the columns of one constraint-major (2K, n_frac) block;
-    flipping entry j only negates d_j (exactly, in floating point), so a pass
-    costs one subtraction instead of rebuilding every delta. The pass writes
-    its candidates and their maxima into buffers kept across passes, and the
-    maximum over each column runs as 2K - 1 elementwise passes over
-    contiguous rows.
+    The flip deltas d_j = 2 x_j c_j of the fractional entries are kept as the
+    columns of one constraint-major (2K, n_frac) block; flipping entry j only
+    negates d_j (exactly, in floating point), so a pass costs one subtraction
+    instead of rebuilding every delta. The pass writes its candidates and
+    their maxima into buffers kept across passes, and the maximum over each
+    column runs as 2K - 1 elementwise passes over contiguous rows.
     """
-    check_count("restarts", restarts, 1)
     s = coeff.amplitude
     xbar_relaxed = np.asarray(xbar_relaxed, dtype=float)
-    base = np.where(xbar_relaxed >= 0, s, -s)
+    x = np.where(xbar_relaxed >= 0, s, -s)
     frac = (np.abs(xbar_relaxed) < s * (1.0 - fractional_tol)).nonzero()[0]
     if frac.size == 0:
-        return base
-    if restarts > 1 and rng is None:
-        raise ValueError("random restarts need an rng")
+        return x
 
-    ct = coeff.c.T  # (2K, 2M)
     ct_frac = coeff.c[frac].T  # (2K, n_frac), a column-major view
     cand = np.empty(ct_frac.shape)
     cand_max = np.empty(frac.size)
-    best_x = None
-    best_val = np.inf
-    for r in range(restarts):
-        x = base.copy()
-        if r > 0:
-            x[frac] = s * (2.0 * rng.integers(0, 2, size=frac.size) - 1.0)
-        w = ct @ x
-        cur = np.maximum.reduce(w)
-        # w - d[:, j] is w after entry j flips; d is row-major, so a pass
-        # reads contiguous rows
-        d = 2.0 * np.multiply(ct_frac, x[frac], order="C")
-        while True:
-            np.subtract(w[:, None], d, out=cand)
-            np.maximum.reduce(cand, axis=0, out=cand_max)
-            j = int(cand_max.argmin())
-            if cand_max[j] >= cur:
-                break
-            x[frac[j]] = -x[frac[j]]
-            w = cand[:, j].copy()  # cand is overwritten by the next pass
-            # exact, as negation is; NumPy 2.4's in-place np.negative misreads
-            # a column whose stride is 8 entries (64 bytes)
-            d[:, j] *= -1.0
-            cur = cand_max[j]
-        if cur < best_val:
-            best_val = cur
-            best_x = x
-    return best_x
+    w = coeff.c.T @ x
+    cur = np.maximum.reduce(w)
+    # w - d[:, j] is w after entry j flips; d is row-major, so a pass reads
+    # contiguous rows
+    d = 2.0 * np.multiply(ct_frac, x[frac], order="C")
+    while True:
+        np.subtract(w[:, None], d, out=cand)
+        np.maximum.reduce(cand, axis=0, out=cand_max)
+        j = int(cand_max.argmin())
+        if cand_max[j] >= cur:
+            return x
+        x[frac[j]] = -x[frac[j]]
+        w = cand[:, j].copy()  # cand is overwritten by the next pass
+        # exact, as negation is; NumPy 2.4's in-place np.negative misreads a
+        # column whose stride is 8 entries (64 bytes)
+        d[:, j] *= -1.0
+        cur = cand_max[j]
 
 
 @dataclass
@@ -582,19 +562,17 @@ class SymbolSolveResult:
 
 
 def solve_symbol(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig(),
-                 rng: np.random.Generator | None = None,
                  lam0: np.ndarray | None = None) -> SymbolSolveResult:
     """Design the one-bit transmit vector for the slot of coefficient matrix coeff.
 
     Pipeline: a dual solve at opts.mu (solve_relaxed, mirror descent from
     lam0, a simplex point, else from model_start), closed-form primal
-    recovery, MBI rounding of the fractional entries with opts.mbi_restarts
-    starts. A frame's cold solves pass their starts from
-    frame_slots(h_eff, symbols, power, opts), equal to model_start bit for
-    bit. Deterministic given the rng state and settings.
+    recovery, MBI rounding of the fractional entries. A frame's cold solves
+    pass their starts from frame_slots(h_eff, symbols, power, opts), equal to
+    model_start bit for bit. A pure function of coeff, opts and lam0.
     """
     xrel, md = solve_relaxed(coeff, opts, lam0)
-    xbar = mbi_round(xrel, coeff, opts.mbi_restarts, rng)
+    xbar = mbi_round(xrel, coeff)
     relax_value = -md.value
     power_total = coeff.n_lifted * coeff.amplitude ** 2
     return SymbolSolveResult(

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
+from .checks import check_real
 from .constellation import SymbolFrame
-from .onebit import SolverConfig, _sigma_max_sq, check_real, frame_array
+from .onebit import SolverConfig, _sigma_max_sq, frame_array
 
 # apg_optimize stops after this many iterations in a row without a new best
 # true objective: over the 1040 solves of desk seeds 0-19 (20 channels each)

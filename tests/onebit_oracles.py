@@ -17,7 +17,8 @@ window, and tests require the solver's start to need fewer MD iterations.
 
 import numpy as np
 
-from irsprecode.onebit import WARM_START_MIX, CoefficientMatrix, check_real
+from irsprecode.checks import check_real
+from irsprecode.onebit import WARM_START_MIX, CoefficientMatrix
 
 
 def huber(y, rho: float):

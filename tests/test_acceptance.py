@@ -155,8 +155,7 @@ def test_criterion_03_brute_force_band():
         rng = np.random.default_rng(i)
         coeff, _, _, _ = _slot_instance(rng, m=4, k=2, order=4)
         _, bf_val = brute_force_onebit(coeff)
-        res = solve_symbol(coeff, SolverConfig(mbi_restarts=5),
-                           rng=np.random.default_rng(5000 + i))
+        res = solve_symbol(coeff, SolverConfig())
         if res.onebit_lower_bound <= bf_val + 1e-12:
             bound_ok += 1
         if res.objective <= bf_val + 0.05 * (bf_val - res.onebit_lower_bound) + 1e-12:
@@ -288,8 +287,7 @@ def test_criterion_08_sep_bound_validity():
     sym = SymbolFrame.random(c, 2, 3, np.random.default_rng(1))
     theta = PhaseShifts.random(4, np.random.default_rng(2))
     h_eff = effective_matrix(ch, theta)
-    rng = np.random.default_rng(3)
-    rows = [solve_symbol(build_coefficients(h_eff, sym.symbols[:, t], c, 100.0), rng=rng).xbar
+    rows = [solve_symbol(build_coefficients(h_eff, sym.symbols[:, t], c, 100.0)).xbar
             for t in range(3)]
     xbar = np.stack(rows)
     x = xbar[:, :8] + 1j * xbar[:, 8:]

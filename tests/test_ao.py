@@ -113,8 +113,7 @@ def test_trace_replicates_hand_driven_steps():
     prev = None
     for i, rec in enumerate(trace, start=1):
         h_eff = effective_matrix(ch, ph)
-        results = [solve_symbol(build_coefficients(h_eff, sym.symbols[:, t], QPSK, POWER),
-                                cfg, rng)
+        results = [solve_symbol(build_coefficients(h_eff, sym.symbols[:, t], QPSK, POWER), cfg)
                    for t in range(sym.n_slots)]
         assert rec.md_converged == [res.md.converged for res in results]
         assert np.array_equal(rec.lams, np.stack([res.md.lam for res in results]))
@@ -248,7 +247,7 @@ def _ref_single_run(ch, symbols, power, opts, rng):
     design = None
     for _ in range(opts.ao_max_outer):
         frame, lams, md_converged = ao._x_step(effective_matrix(ch, phases), symbols,
-                                               power, opts, rng)
+                                               power, opts)
         phases, apg_converged = ao._phase_step(ch, frame, symbols, phases, opts)
         worst = float(frame_margins(ch, phases, frame, symbols).min())
         rounds.append((worst, md_converged, apg_converged, lams))
@@ -266,13 +265,13 @@ def _ref_single_run(ch, symbols, power, opts, rng):
 @example(seed=8, m=4, n=4, k=2, t=2, order=4, max_outer=6)
 def test_fixed_point_stop_returns_the_design_of_the_loop_without_it(seed, m, n, k, t,
                                                                     order, max_outer):
-    # with one MBI start the x-step draws nothing from the rng, so the round
-    # after a fixed point repeats it and the margin rule returns it: the loop
+    # the x-step draws nothing from the rng, so the round after a fixed
+    # point repeats it and the margin rule returns it: the loop
     # without the fixed-point rule returns the same design bit for bit, and
     # its trace is one repeat round longer exactly where a fixed point
     # stopped the new loop. APG runs without its patience stop on both sides
     ch, sym = instance(seed, m=m, n=n, k=k, t=t, order=order)
-    cfg = SolverConfig(ao_max_outer=max_outer, mbi_restarts=1)
+    cfg = SolverConfig(ao_max_outer=max_outer)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(phase, "APG_PATIENCE", cfg.apg_max_iter + 1)
         frame, phases, trace = alternating_optimize(ch, sym, POWER,

@@ -162,8 +162,7 @@ def test_relaxed_matches_onebit_solver_internal_stage(mu):
     res = relaxed_slp(h_eff, sym, power=100.0, opts=opts)
     m = 6
     for t in range(4):
-        full = solve_symbol(build_coefficients(h_eff, sym.symbols[:, t], QPSK, 100.0), opts,
-                            np.random.default_rng(0))
+        full = solve_symbol(build_coefficients(h_eff, sym.symbols[:, t], QPSK, 100.0), opts)
         assert np.array_equal(res.x[t], full.xbar_relaxed[:m] + 1j * full.xbar_relaxed[m:])
         assert res.relax_values[t] == full.relax_value
         assert res.converged[t] == full.md.converged

@@ -86,10 +86,13 @@ def test_run_rejects_bad_arguments(tmp_path, config_file, capsys, flag, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", ['{"solver": 5}', '{"m": 0}', "{not json", None])
+@pytest.mark.parametrize("text", ['{"solver": 5}', '{"m": 0}', "{not json", None,
+                                  '{"schemes": [["onebit-md"]]}',
+                                  '{"schemes": [{"onebit-md": 1}]}'])
 def test_run_rejects_a_bad_config(tmp_path, capsys, text):
-    # a config that does not load, or a missing config file, used to end in
-    # a traceback with exit 1
+    # a config that does not load (a scheme entry that is a list or an
+    # object among them), or a missing config file, used to end in a
+    # traceback with exit 1
     cfg_path = tmp_path / "cfg.json"
     if text is not None:
         cfg_path.write_text(text)

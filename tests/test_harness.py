@@ -58,8 +58,7 @@ def fixed_design(seed=0, m=6, k=2, t=3):
     symbols = SymbolFrame.random(QPSK, k, t, rng)
     phases = PhaseShifts.random(4, rng)
     h_eff = effective_matrix(ch, phases)
-    rows = [solve_symbol(build_coefficients(h_eff, symbols.symbols[:, j], QPSK, 100.0),
-                         rng=rng).xbar
+    rows = [solve_symbol(build_coefficients(h_eff, symbols.symbols[:, j], QPSK, 100.0)).xbar
             for j in range(t)]
     xbar = np.stack(rows)
     x = xbar[:, :m] + 1j * xbar[:, m:]
@@ -116,6 +115,12 @@ class TestConfig:
                     dict(power=math.nan), dict(solver={"mu": 1e-3})):
             with pytest.raises(ValueError):
                 small_cfg(**bad)
+        # a list or object scheme entry used to raise TypeError (unhashable)
+        # in the registry lookup, and a number or null list TypeError in tuple()
+        for schemes in ([["onebit-md"]], [{"onebit-md": 1}], [None], [16], 5, None,
+                        {"onebit-md": 1}):
+            with pytest.raises(ValueError, match="schemes must be a list|unknown scheme"):
+                ExperimentConfig.from_dict({"m": 4, "schemes": schemes})
 
     def test_unimplemented_scheme_rejected_as_unknown(self):
         with pytest.raises(ValueError, match="unknown scheme 'onebit-gemm'"):
@@ -126,6 +131,9 @@ class TestConfig:
             ExperimentConfig.from_dict({"m": 4, "bogus": 1})
         with pytest.raises(ValueError, match="unknown solver config keys"):
             SolverConfig.from_dict({"mu": 1e-3, "bogus": 1})
+        # MBI runs one start, so the restart count that once set it is unknown
+        with pytest.raises(ValueError, match=r"unknown solver config keys: \['mbi_restarts'\]"):
+            ExperimentConfig.from_dict({"m": 4, "solver": {"mbi_restarts": 1}})
 
     @pytest.mark.parametrize("solver", [5, None, "x", [1], [["mu", 1e-3]], 1e-3, True])
     def test_solver_entry_must_be_an_object(self, solver):
@@ -140,7 +148,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="config must be a JSON object"):
             ExperimentConfig.from_dict(config)
 
-    @pytest.mark.parametrize("solver", [{"mbi_restarts": 0}, {"delta": 0},
+    @pytest.mark.parametrize("solver", [{"mbi_restarts": 1}, {"delta": 0},
                                         {"ao_max_outer": 0}, {"mu": 0},
                                         {"mu": math.nan}, {"mu": math.inf},
                                         {"delta": math.nan}, {"md_max_iter": -1},
@@ -164,7 +172,8 @@ class TestConfig:
         # rejected when the config loads, not later inside a channel run
         # (a NaN mu would hang mirror descent's backtracking; a fractional
         # count would raise TypeError in the first channel; a string used to
-        # raise TypeError on load and a bool passed as 0 or 1)
+        # raise TypeError on load and a bool passed as 0 or 1). mbi_restarts
+        # is gone, so a config naming it, even at its old default, is wrong
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"m": 4, "solver": solver})
 
@@ -511,8 +520,6 @@ SETTING_READERS = {
     "md_tol": (1e-2, onebit, "mirror_descent",
                lambda calls: any(md.converged and md.residual > 1e-6
                                  for md in uniform_replays(calls))),
-    "mbi_restarts": (3, onebit, "mbi_round",
-                     lambda calls: all(a["restarts"] == 3 for a, _ in calls)),
     "delta": (5e-2, phase, "_lse", lambda calls: all(a["delta"] == 5e-2 for a, _ in calls)),
     "apg_max_iter": (2, ao, "apg_optimize",
                      lambda calls: max(res.n_iter for _, res in calls) == 2),
@@ -632,12 +639,20 @@ class TestRunExperiment:
         assert len(rounds) == cfg.n_channels and sum(rounds) > cfg.n_channels
         assert calls == [cfg.t] * (sum(rounds) + 2 * cfg.n_channels)
 
-    def test_design_substreams_follow_the_registry_order(self):
-        # a scheme's design draws come from the substream at its place in
-        # SCHEMES, so reordering the registry would re-key every scheme's draws
-        assert harness._CANONICAL_ORDER == tuple(SCHEMES) == (
-            "onebit-md", "onebit-md-noirs", "relaxed", "relaxed-noirs",
-            "relaxed-quant", "relaxed-quant-noirs", "zf-quant", "zf-quant-noirs")
+    def test_ao_draws_from_design_tag_16(self, monkeypatch):
+        # the joint design is the only design that draws; its stream keeps
+        # tag 16, the key every digest and golden was taken with
+        states = []
+
+        def ao_spy(ch, symbols, power, rng, opts):
+            states.append(rng.bit_generator.state)
+            return ao.alternating_optimize(ch, symbols, power, rng, opts)
+
+        monkeypatch.setattr(harness, "alternating_optimize", ao_spy)
+        cfg = small_cfg(n_channels=2, schemes=("onebit-md", "onebit-md-noirs"))
+        run_experiment(cfg)
+        assert states == [np.random.default_rng(np.random.SeedSequence(
+            entropy=cfg.seed, spawn_key=(i, 16))).bit_generator.state for i in range(2)]
 
     @settings(max_examples=40, deadline=None)
     @given(order=st.permutations(tuple(SCHEMES)),

@@ -121,7 +121,7 @@ def test_every_solver_setting_is_read():
     read = set().union(*(attributes_read(p.read_text(), "SolverConfig")
                          for p in sorted(PACKAGE_DIR.rglob("*.py"))))
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    assert len(fields) == 9
+    assert len(fields) == 8
     assert sorted(fields - read) == []
 
 

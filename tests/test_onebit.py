@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from onebit_oracles import brute_force_onebit, dual_value, huber, quadratic_model_start
+from scipy.optimize import linprog
 
 from irsprecode import onebit
+from irsprecode.baselines import no_irs_variant
 from irsprecode.channel import (
     PhaseShifts,
     drop_users,
@@ -327,8 +329,7 @@ def test_positive_mu_required():
 def test_solver_option_validation():
     # mirror descent's and the per-slot solve's settings
     for bad in (dict(md_max_iter=-1), dict(md_tol=-1.0), dict(md_tol=np.nan),
-                dict(md_tol=np.inf), dict(mu=0.0), dict(mu=np.nan), dict(mu=np.inf),
-                dict(mbi_restarts=0)):
+                dict(md_tol=np.inf), dict(mu=0.0), dict(mu=np.nan), dict(mu=np.inf)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
 
@@ -573,7 +574,6 @@ def _step_rule_slots():
 def test_mbi_exhaustive_oracle_small_fractional_sets():
     # against enumeration over all completions of the fractional set
     rng = np.random.default_rng(12)
-    optimal = 0
     for _ in range(100):
         coeff, _, _, _ = random_instance(rng, m=4, k=2)
         s = coeff.amplitude
@@ -581,7 +581,7 @@ def test_mbi_exhaustive_oracle_small_fractional_sets():
         # force some entries to look saturated
         sat = rng.random(coeff.n_lifted) < 0.4
         xrel[sat] = s * np.sign(xrel[sat] + 0.5)
-        got = mbi_round(xrel, coeff, restarts=5, rng=rng)
+        got = mbi_round(xrel, coeff)
         frac = np.flatnonzero(np.abs(xrel) < s * (1 - 1e-6))
         base = np.where(xrel >= 0, s, -s)
         best = np.inf
@@ -593,13 +593,11 @@ def test_mbi_exhaustive_oracle_small_fractional_sets():
         val = worst_objective(got, coeff)
         # the result is one of the enumerated completions, so the exhaustive
         # optimum bounds it from below; single-flip search is local, so it
-        # may miss that optimum occasionally but must hit it most of the time
+        # may miss that optimum (how often is pinned by acceptance criterion
+        # 3 and test_solve_symbol_band_against_brute_force, on solved slots)
         assert val >= best - 1e-12
         assert val <= worst_objective(base, coeff) + 1e-12
         assert np.all(np.abs(got) == s)
-        if val <= best + 1e-12:
-            optimal += 1
-    assert optimal >= 90
 
 
 def test_mbi_never_worse_than_sign_rounding():
@@ -609,7 +607,7 @@ def test_mbi_never_worse_than_sign_rounding():
         s = coeff.amplitude
         xrel = s * np.clip(rng.standard_normal(coeff.n_lifted), -1, 1)
         naive = np.where(xrel >= 0, s, -s)
-        got = mbi_round(xrel, coeff, restarts=5, rng=rng)
+        got = mbi_round(xrel, coeff)
         assert worst_objective(got, coeff) <= worst_objective(naive, coeff) + 1e-12
 
 
@@ -618,85 +616,56 @@ def test_mbi_saturated_input_returned_as_signs():
     coeff, _, _, _ = random_instance(rng, m=4, k=2)
     s = coeff.amplitude
     xrel = s * rng.choice([-1.0, 1.0], size=coeff.n_lifted)
-    got = mbi_round(xrel, coeff, restarts=1)
+    got = mbi_round(xrel, coeff)
     assert np.array_equal(got, xrel)
 
 
 def test_mbi_zero_rounds_to_plus():
     coeff = CoefficientMatrix(c=np.zeros((2, 2)), amplitude=1.0)
-    got = mbi_round(np.zeros(2), coeff, restarts=1)
+    got = mbi_round(np.zeros(2), coeff)
     assert np.array_equal(got, np.ones(2))
 
 
-def test_mbi_restart_monotone_improvement():
-    rng = np.random.default_rng(15)
-    coeff, _, _, _ = random_instance(rng, m=8, k=3)
-    s = coeff.amplitude
-    xrel = s * np.clip(rng.standard_normal(coeff.n_lifted) * 0.3, -1, 1)
-    vals = []
-    for r in range(1, 6):
-        got = mbi_round(xrel, coeff, restarts=r, rng=np.random.default_rng(99))
-        vals.append(worst_objective(got, coeff))
-    assert all(vals[i + 1] <= vals[i] + 1e-15 for i in range(len(vals) - 1))
-
-
-def test_mbi_requires_rng_for_random_restarts():
+def test_mbi_rejects_a_stale_restart_count():
+    # mbi_round once took (restarts, rng) after coeff; a call still passing
+    # them positionally must fail, not land in fractional_tol
     coeff = CoefficientMatrix(c=np.eye(2), amplitude=1.0)
-    with pytest.raises(ValueError):
-        mbi_round(np.array([0.0, 0.5]), coeff, restarts=2, rng=None)
-    with pytest.raises(ValueError):
-        mbi_round(np.array([0.0, 0.5]), coeff, restarts=0, rng=None)
-    # restarts=True used to pass as one restart, and restarts=1.5 with an rng
-    # ended in a TypeError from range
-    for restarts in (True, 1.5):
-        with pytest.raises(ValueError, match="restarts must be an integer"):
-            mbi_round(np.array([0.0, 0.5]), coeff, restarts=restarts,
-                      rng=np.random.default_rng(0))
+    with pytest.raises(TypeError):
+        mbi_round(np.array([0.0, 0.5]), coeff, 1)
+    with pytest.raises(TypeError):
+        mbi_round(np.array([0.0, 0.5]), coeff, restarts=1)
 
 
-def _mbi_round_reference(xbar_relaxed, coeff, restarts, rng=None,
-                         fractional_tol=1e-6):
+def _mbi_round_reference(xbar_relaxed, coeff, fractional_tol=1e-6):
     """The rounding loop that rebuilds every flip delta on each pass."""
     s = coeff.amplitude
     xbar_relaxed = np.asarray(xbar_relaxed, dtype=float)
-    base = np.where(xbar_relaxed >= 0, s, -s)
+    x = np.where(xbar_relaxed >= 0, s, -s)
     frac = np.flatnonzero(np.abs(xbar_relaxed) < s * (1.0 - fractional_tol))
     if frac.size == 0:
-        return base
+        return x
     ct = coeff.c.T
     ct_frac = ct[:, frac]
-    best_x = None
-    best_val = np.inf
-    for r in range(restarts):
-        x = base.copy()
-        if r > 0:
-            x[frac] = s * (2.0 * rng.integers(0, 2, size=frac.size) - 1.0)
-        w = ct @ x
-        while True:
-            cur = w.max()
-            cand = w[:, None] - 2.0 * (ct_frac * x[frac][None, :])
-            cand_max = cand.max(axis=0)
-            j = int(np.argmin(cand_max))
-            if cand_max[j] >= cur:
-                break
-            x[frac[j]] = -x[frac[j]]
-            w = cand[:, j].copy()
-        val = w.max()
-        if val < best_val:
-            best_val = val
-            best_x = x
-    return best_x
+    w = ct @ x
+    while True:
+        cur = w.max()
+        cand = w[:, None] - 2.0 * (ct_frac * x[frac][None, :])
+        cand_max = cand.max(axis=0)
+        j = int(np.argmin(cand_max))
+        if cand_max[j] >= cur:
+            return x
+        x[frac[j]] = -x[frac[j]]
+        w = cand[:, j].copy()
 
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        size=st.one_of(st.tuples(st.integers(1, 8), st.integers(1, 3)),
                       st.sampled_from([(32, 4), (128, 14)])),
-       order=st.sampled_from([2, 4, 8]), restarts=st.sampled_from([1, 5]),
-       saturated=st.sampled_from([0.0, 0.4, 1.0]),
+       order=st.sampled_from([2, 4, 8]), saturated=st.sampled_from([0.0, 0.4, 1.0]),
        integer_c=st.booleans(), coarse_x=st.booleans())
-def test_mbi_bit_exact_against_reference_loop(seed, size, order, restarts, saturated,
-                                             integer_c, coarse_x):
+def test_mbi_bit_exact_against_reference_loop(seed, size, order, saturated, integer_c,
+                                             coarse_x):
     # BPSK (order 2, cot = 0), integer coefficients and three-level relaxed
     # points make exact ties in the best-flip choice common. The desk
     # (M=32, K=4) and paper (M=128, K=14) sizes are drawn too, where the
@@ -715,11 +684,7 @@ def test_mbi_bit_exact_against_reference_loop(seed, size, order, restarts, satur
         xrel = s * rng.uniform(-1, 1, size=coeff.n_lifted)
     sat = rng.random(coeff.n_lifted) < saturated
     xrel[sat] = s * rng.choice([-1.0, 1.0], size=int(sat.sum()))
-    rng_got, rng_want = (np.random.default_rng(seed + 1) for _ in range(2))
-    got = mbi_round(xrel, coeff, restarts, rng_got)
-    want = _mbi_round_reference(xrel, coeff, restarts, rng_want)
-    assert np.array_equal(got, want)
-    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    assert np.array_equal(mbi_round(xrel, coeff), _mbi_round_reference(xrel, coeff))
 
 
 def test_mbi_bit_exact_at_every_fractional_count():
@@ -733,10 +698,7 @@ def test_mbi_bit_exact_at_every_fractional_count():
     for n_frac in np.repeat(np.arange(1, coeff.n_lifted + 1), 3):
         xrel = s * rng.choice([-1.0, 1.0], size=coeff.n_lifted)
         xrel[rng.permutation(coeff.n_lifted)[:n_frac]] = s * rng.uniform(-0.5, 0.5, n_frac)
-        for restarts in (1, 3):
-            got = mbi_round(xrel, coeff, restarts, np.random.default_rng(n_frac))
-            want = _mbi_round_reference(xrel, coeff, restarts, np.random.default_rng(n_frac))
-            assert np.array_equal(got, want), (n_frac, restarts)
+        assert np.array_equal(mbi_round(xrel, coeff), _mbi_round_reference(xrel, coeff)), n_frac
 
 
 # --- solve_symbol ------------------------------------------------------------
@@ -744,7 +706,7 @@ def test_mbi_bit_exact_at_every_fractional_count():
 def test_solve_symbol_trivial_single_antenna_bpsk():
     c2 = PskConstellation(2)
     res = solve_symbol(build_coefficients(np.array([[1.0 + 0j]]), np.array([1.0 + 0j]), c2,
-                                          2.0), SolverConfig(), np.random.default_rng(0))
+                                          2.0), SolverConfig())
     s = 1.0  # sqrt(2/2)
     assert res.xbar[0] == pytest.approx(s)
     assert -res.objective == pytest.approx(s)  # margin = s
@@ -756,7 +718,7 @@ def test_solve_symbol_band_against_brute_force():
     hits = 0
     for _ in range(30):
         coeff, _, _, _ = random_instance(rng, m=4, k=2)
-        res = solve_symbol(coeff, SolverConfig(), rng)
+        res = solve_symbol(coeff, SolverConfig())
         _, bf = brute_force_onebit(coeff)
         assert res.onebit_lower_bound <= bf + 1e-12
         if res.objective <= bf + 0.05 * (bf - res.onebit_lower_bound) + 1e-12:
@@ -773,7 +735,7 @@ def test_solve_symbol_between_lower_bound_and_sign_rounding(seed, m, k, order, p
     # improving flips
     rng = np.random.default_rng(seed)
     coeff, _, _, _ = random_instance(rng, m=m, k=k, order=order, power=power)
-    res = solve_symbol(coeff, SolverConfig(), rng)
+    res = solve_symbol(coeff, SolverConfig())
     s = coeff.amplitude
     signs = np.where(res.xbar_relaxed >= 0, s, -s)
     tol = 1e-12 * (1.0 + s * np.abs(coeff.c).sum())
@@ -782,22 +744,99 @@ def test_solve_symbol_between_lower_bound_and_sign_rounding(seed, m, k, order, p
 
 
 def test_solve_symbol_deterministic_given_seed():
+    # a pure function of the slot, the settings and the start: the seed that
+    # drew the slot fixes the design
     rng = np.random.default_rng(17)
     coeff, _, _, _ = random_instance(rng, m=6, k=2)
-    a = solve_symbol(coeff, SolverConfig(), np.random.default_rng(5))
-    b = solve_symbol(coeff, SolverConfig(), np.random.default_rng(5))
+    a = solve_symbol(coeff, SolverConfig())
+    b = solve_symbol(coeff, SolverConfig())
     assert np.array_equal(a.xbar, b.xbar)
     assert a.objective == b.objective
+    # solve_symbol once took an rng before lam0; one still passed there fails
+    with pytest.raises(TypeError):
+        solve_symbol(coeff, SolverConfig(), np.random.default_rng(5))
 
 
 def test_solve_relaxed_shared_path_bit_exact():
     rng = np.random.default_rng(18)
     coeff, _, _, _ = random_instance(rng, m=6, k=2)
     opts = SolverConfig()
-    res = solve_symbol(coeff, opts, np.random.default_rng(1))
+    res = solve_symbol(coeff, opts)
     xrel, md = solve_relaxed(coeff, opts)
     assert np.array_equal(res.xbar_relaxed, xrel)
     assert res.relax_value == -md.value
+
+
+# --- box relaxation against an exact LP -------------------------------------
+
+def box_lp_value(coeff):
+    """v_box = min over x in [-s, s]^{2M} of max_k c_k^T x, solved exactly as
+    the LP min t s.t. C^T x <= t by HiGHS."""
+    n, n_con = coeff.c.shape
+    s = coeff.amplitude
+    res = linprog(np.r_[np.zeros(n), 1.0], A_ub=np.c_[coeff.c.T, -np.ones(n_con)],
+                  b_ub=np.zeros(n_con), bounds=[(-s, s)] * n + [(None, None)],
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def check_box_band(coeff, opts=SolverConfig()):
+    """Check solve_symbol's certificates and designs against v_box; returns
+    (v_box, the solve's result).
+
+    Every one-bit point has ||xbar||^2 = P and lies in the box, so weak
+    duality gives onebit_lower_bound <= v_box. v_box is at most the
+    regularized box optimum, which relax_value reaches up to the dual point's
+    suboptimality; that is at most its Frank-Wolfe gap, the only slack MD's
+    tolerance leaves."""
+    res = solve_symbol(coeff, opts)
+    v = box_lp_value(coeff)
+    g = dual_gradient(res.md.lam, coeff, opts.mu)
+    eps = float(g @ res.md.lam - g.min())
+    lp_tol = 1e-9 * (1.0 + abs(v))  # HiGHS's optimality tolerance
+    s = coeff.amplitude
+    assert np.all(np.abs(res.xbar_relaxed) <= s)
+    assert res.onebit_lower_bound <= v + lp_tol
+    assert v <= res.relax_value + eps + lp_tol
+    assert res.objective >= v - lp_tol
+    return v, res
+
+
+def _box_lp_slots():
+    """(m, coeff) of the fixed set of 40 desk-size (M=32, K=4, N=16) and 10
+    paper-size (M=128, K=14, N=32) QPSK slots, in the order they are drawn."""
+    rng = np.random.default_rng(40)
+    for m, k, n, count in ((32, 4, 16, 40), (128, 14, 32, 10)):
+        for _ in range(count):
+            yield m, random_instance(rng, m=m, k=k, n=n)[0]
+
+
+def test_box_relaxation_against_exact_lp():
+    ratios = {32: [], 128: []}
+    for m, coeff in _box_lp_slots():
+        v, res = check_box_band(coeff)
+        assert v < 0  # at these sizes the box reaches a positive worst margin
+        ratios[m].append(res.objective / v)  # MBI's worst margin over the box's
+    assert [len(r) for r in ratios.values()] == [40, 10]
+    assert all(0 < r <= 1 + 1e-9 for rs in ratios.values() for r in rs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6), k=st.integers(1, 4),
+       order=st.sampled_from([2, 4, 16]), power=st.sampled_from([1.0, 100.0]),
+       bare=st.booleans())
+def test_box_relaxation_against_exact_lp_small(seed, m, k, order, power, bare):
+    # K >= M, where the box may reach no positive margin (v_box = 0), BPSK
+    # (cot = 0), 16-PSK and a channel with no reflected path are all drawn
+    rng = np.random.default_rng(seed)
+    c = PskConstellation(order)
+    ch = sample_channels(drop_users(k, rng), m, 4, rng)
+    if bare:
+        ch = no_irs_variant(ch)
+    h_eff = effective_matrix(ch, PhaseShifts.random(4, rng))
+    coeff = build_coefficients(h_eff, c.points[rng.integers(0, order, k)], c, power)
+    check_box_band(coeff)
 
 
 # --- warm starts -------------------------------------------------------------
