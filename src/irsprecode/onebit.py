@@ -49,7 +49,7 @@ class SolverConfig:
 
     - mu, the relaxed dual's Tikhonov weight: the dual solves and their starts
     - md_max_iter, md_tol (on the KL gradient-mapping residual): mirror_descent
-    - delta (smoothing width), apg_max_iter, apg_tol: apg_optimize
+    - delta (smoothing width), apg_max_iter: apg_optimize
     - ao_max_outer (round cap), n_starts: alternating_optimize
 
     Values a solver would reject fail here, when the settings load.
@@ -60,7 +60,6 @@ class SolverConfig:
     md_tol: float = 1e-6
     delta: float = 1e-2
     apg_max_iter: int = 500
-    apg_tol: float = 1e-6
     ao_max_outer: int = 20
     n_starts: int = 1
 
@@ -68,8 +67,7 @@ class SolverConfig:
         for name, low in (("md_max_iter", 0), ("apg_max_iter", 1), ("ao_max_outer", 1),
                           ("n_starts", 1)):
             check_count(name, getattr(self, name), low)
-        for name, positive in (("mu", True), ("md_tol", False), ("delta", True),
-                               ("apg_tol", False)):
+        for name, positive in (("mu", True), ("md_tol", False), ("delta", True)):
             check_real(name, getattr(self, name), positive)
 
     @classmethod

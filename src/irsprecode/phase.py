@@ -206,10 +206,9 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
                  record_trace: bool = False) -> ApgResult:
     """Minimize the smoothed worst constraint over the unit-modulus set.
 
-    Smooths at width opts.delta; stops once the iterate change
-    ||theta_new - theta||_2 is at most opts.apg_tol, once APG_PATIENCE
-    iterations in a row have not lowered the best true objective (both count
-    as converged), or after opts.apg_max_iter iterations (not converged).
+    Smooths at width opts.delta; stops once APG_PATIENCE iterations in a row
+    have not lowered the best true objective (converged), or after
+    opts.apg_max_iter iterations (not converged).
     The inverse step tau starts at the exact smoothed-gradient Lipschitz
     bound sigma_max^2 / delta (from onebit._sigma_max_sq), is halved
     optimistically each iteration, and backtracks (doubling, capped at the
@@ -284,10 +283,9 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
         if h_new > h_prev:
             r = 0
 
-        change = float(np.linalg.norm(theta_new - theta))
         theta_prev, theta = theta, theta_new
         h_prev = h_new
-        if change <= opts.apg_tol or it - best_it >= APG_PATIENCE:
+        if it - best_it >= APG_PATIENCE:
             converged = True
             break
 

@@ -153,7 +153,8 @@ class TestConfig:
                                         {"mu": math.nan}, {"mu": math.inf},
                                         {"delta": math.nan}, {"md_max_iter": -1},
                                         {"md_tol": -1}, {"md_tol": math.nan},
-                                        {"apg_tol": math.nan}, {"ao_stop_tol": math.nan},
+                                        {"apg_tol": 1e-6}, {"apg_tol": math.nan},
+                                        {"ao_stop_tol": math.nan},
                                         {"md_max_iter": 10.5}, {"mbi_restarts": 1.5},
                                         {"ao_max_outer": 2.5}, {"apg_max_iter": 3.5},
                                         {"n_starts": 1.5}, {"mu": "0.1"},
@@ -162,7 +163,7 @@ class TestConfig:
                                         {"apg_max_iter": "500"}],
                              ids=["mbi_restarts", "delta", "ao_max_outer", "mu",
                                   "mu_nan", "mu_inf", "delta_nan", "md_max_iter_negative",
-                                  "md_tol_negative", "md_tol_nan", "apg_tol_nan",
+                                  "md_tol_negative", "md_tol_nan", "apg_tol", "apg_tol_nan",
                                   "ao_stop_tol_nan", "md_max_iter_fractional",
                                   "mbi_restarts_fractional", "ao_max_outer_fractional",
                                   "apg_max_iter_fractional", "n_starts_fractional",
@@ -173,7 +174,8 @@ class TestConfig:
         # (a NaN mu would hang mirror descent's backtracking; a fractional
         # count would raise TypeError in the first channel; a string used to
         # raise TypeError on load and a bool passed as 0 or 1). mbi_restarts
-        # is gone, so a config naming it, even at its old default, is wrong
+        # and apg_tol are gone, so a config naming either, even at its old
+        # default, is wrong
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"m": 4, "solver": solver})
 
@@ -523,9 +525,6 @@ SETTING_READERS = {
     "delta": (5e-2, phase, "_lse", lambda calls: all(a["delta"] == 5e-2 for a, _ in calls)),
     "apg_max_iter": (2, ao, "apg_optimize",
                      lambda calls: max(res.n_iter for _, res in calls) == 2),
-    # a unit-modulus step moves by at most 2 sqrt(N) = 4, so APG stops at once
-    "apg_tol": (5.0, ao, "apg_optimize",
-                lambda calls: all(res.converged and res.n_iter == 1 for _, res in calls)),
     "ao_max_outer": (1, harness, "alternating_optimize",
                      lambda calls: all(len(trace) == 1 for _, (_, _, trace) in calls)),
     "n_starts": (2, ao, "_single_run", lambda calls: len(calls) == 4),

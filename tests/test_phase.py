@@ -328,7 +328,7 @@ def test_apg_single_direction_circle_oracle():
         eta = np.stack([g, np.zeros(2)], axis=1)
         coeffs = PhaseCoefficients(eta=eta, vbar=np.array([0.0, -1e3]))
         res = apg_optimize(coeffs, random_theta_bar(1, rng),
-                           SolverConfig(delta=1e-2, apg_max_iter=2000, apg_tol=1e-12))
+                           SolverConfig(delta=1e-2, apg_max_iter=2000))
         ang = np.linspace(0, 2 * np.pi, 20001)
         grid = np.min(np.cos(ang) * g[0] + np.sin(ang) * g[1])
         want = -np.hypot(g[0], g[1])
@@ -372,9 +372,13 @@ def test_apg_improves_over_init_on_protocol_instances():
 
 def test_apg_option_validation():
     for bad in (dict(delta=0.0), dict(delta=np.nan), dict(delta=np.inf),
-                dict(apg_tol=-1.0), dict(apg_tol=np.nan), dict(apg_max_iter=0)):
+                dict(apg_max_iter=0)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    # APG stops by patience or at its cap only; the iterate-change tolerance
+    # is gone
+    with pytest.raises(ValueError, match=r"unknown solver config keys: \['apg_tol'\]"):
+        SolverConfig.from_dict({"apg_tol": 1e-6})
     coeffs = PhaseCoefficients(eta=np.ones((4, 2)), vbar=np.zeros(2))
     with pytest.raises(ValueError):
         apg_optimize(coeffs, np.ones(6), SolverConfig())
@@ -382,9 +386,9 @@ def test_apg_option_validation():
 
 # test-local copy of the APG loop before value, gradient and true objective
 # shared one constraint-value product per point: each kernel call forms
-# theta_bar @ eta + vbar afresh. It also returns why it stopped: "change",
-# "patience" (APG_PATIENCE iterations without a new best true objective),
-# "cap" or "constant"
+# theta_bar @ eta + vbar afresh. It also returns why it stopped: "patience"
+# (APG_PATIENCE iterations without a new best true objective), "cap" or
+# "constant"
 def _ref_values(tb, coeffs):
     return np.asarray(tb, dtype=float) @ coeffs.eta + coeffs.vbar
 
@@ -453,12 +457,8 @@ def _ref_apg(coeffs, theta_bar_init, opts, record_trace):
             trace.append(ApgTraceRecord(it, h_new, val, 1.0 / tau, theta_new))
         if h_new > h_prev:
             r = 0
-        change = float(np.linalg.norm(theta_new - theta))
         theta_prev, theta = theta, theta_new
         h_prev = h_new
-        if change <= opts.apg_tol:
-            reason = "change"
-            break
         if it - best_it == APG_PATIENCE:
             reason = "patience"
             break
@@ -467,7 +467,7 @@ def _ref_apg(coeffs, theta_bar_init, opts, record_trace):
                      converged=reason != "cap", n_iter=it, trace=trace), reason
 
 
-def _check_against_reference(seed, kind, n, n_cols, delta, max_iter, tol):
+def _check_against_reference(seed, kind, n, n_cols, delta, max_iter):
     """Run apg_optimize and the reference loop on one generated case, assert
     that they agree bit for bit and return why the reference stopped."""
     # protocol coefficients (BPSK has cot = 0), integer data whose copied
@@ -491,7 +491,7 @@ def _check_against_reference(seed, kind, n, n_cols, delta, max_iter, tol):
     init = random_theta_bar(coeffs.n_lifted // 2, rng)
     if kind == "repeated-max":
         init = np.round(init)  # integer start: exact constraint values
-    opts = SolverConfig(delta=delta, apg_max_iter=max_iter, apg_tol=tol)
+    opts = SolverConfig(delta=delta, apg_max_iter=max_iter)
     got = apg_optimize(coeffs, init, opts, record_trace=True)
     want, reason = _ref_apg(coeffs, init, opts, record_trace=True)
     assert np.array_equal(got.theta_bar, want.theta_bar)
@@ -509,13 +509,11 @@ def _check_against_reference(seed, kind, n, n_cols, delta, max_iter, tol):
 @given(seed=st.integers(0, 2 ** 32 - 1),
        kind=st.sampled_from(["bpsk", "qpsk", "16psk", "repeated-max", "zero-eta"]),
        n=st.integers(1, 5), n_cols=st.integers(1, 12),
-       delta=st.sampled_from([1e-3, 1e-2, 1.0]), max_iter=st.integers(1, 80),
-       tol=st.sampled_from([0.0, 1e-6, 1e-2]))
-@example(seed=0, kind="qpsk", n=4, n_cols=8, delta=1e-2, max_iter=80, tol=0.0)
-@example(seed=26, kind="bpsk", n=4, n_cols=8, delta=1e-2, max_iter=APG_PATIENCE, tol=0.0)
-def test_apg_bit_exact_against_reference_loop(seed, kind, n, n_cols, delta, max_iter,
-                                              tol):
-    event(_check_against_reference(seed, kind, n, n_cols, delta, max_iter, tol))
+       delta=st.sampled_from([1e-3, 1e-2, 1.0]), max_iter=st.integers(1, 80))
+@example(seed=0, kind="qpsk", n=4, n_cols=8, delta=1e-2, max_iter=80)
+@example(seed=26, kind="bpsk", n=4, n_cols=8, delta=1e-2, max_iter=APG_PATIENCE)
+def test_apg_bit_exact_against_reference_loop(seed, kind, n, n_cols, delta, max_iter):
+    event(_check_against_reference(seed, kind, n, n_cols, delta, max_iter))
 
 
 @pytest.mark.parametrize("kind, seed, max_iter", [("qpsk", 0, 80),
@@ -525,4 +523,4 @@ def test_apg_reference_examples_stop_on_patience(kind, seed, max_iter):
     # against the reference whatever hypothesis draws; in the second the
     # start stays the best until the cap, and the patience stop there still
     # counts as converged
-    assert _check_against_reference(seed, kind, 4, 8, 1e-2, max_iter, 0.0) == "patience"
+    assert _check_against_reference(seed, kind, 4, 8, 1e-2, max_iter) == "patience"
