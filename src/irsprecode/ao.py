@@ -13,9 +13,9 @@ a round can lower it. The loop stops on the first of three rules:
   more than MARGIN_RTOL times its magnitude; the previous round's design is
   returned. The tolerance keeps last-bit rounding in either inner solver from
   deciding how many rounds run.
-- fixed point: a round whose phase step returned, bit for bit, the phases
-  its x-step ran at; that round's design is returned (or the previous one's,
-  when the margin rule fires too).
+- fixed point: a round whose phase step found nothing better than the
+  phases its x-step ran at, and so returned them as they are; that round's
+  design is returned (or the previous one's, when the margin rule fires too).
 - cap: ao_max_outer rounds; the last is returned.
 The trace records every round that ran, with its design, worst margin,
 inner-solver statuses and (T, 2K) dual points; its last round names the rule
@@ -154,6 +154,9 @@ def _x_step(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig):
 
 def _phase_step(ch: ChannelSet, frame, symbols: SymbolFrame,
                 phases: PhaseShifts, opts: SolverConfig):
-    coeffs = build_phase_coefficients(ch, frame, symbols)
-    res = apg_optimize(coeffs, phases.theta_bar, opts)
-    return PhaseShifts.from_theta_bar(res.theta_bar), res.converged
+    """APG from phases; returns (phases, converged), phases as given when
+    no APG iterate beat them, so that rounding cannot hide a fixed point."""
+    res = apg_optimize(build_phase_coefficients(ch, frame, symbols), phases.theta_bar, opts)
+    if res.best_iter:
+        phases = PhaseShifts.from_theta_bar(res.theta_bar)
+    return phases, res.converged

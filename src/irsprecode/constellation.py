@@ -168,8 +168,8 @@ def decide_block(noise: NoiseBlock, zz: np.ndarray, a: float,
     one decide_index computes, lies strictly inside sector k. A point on
     the branch cut at pi has coordinate L/2, mid-sector, on either side.
     """
-    bound = a * noise.peak + float(np.abs(zz).max())
-    if noise.planar32 is None or not _F32_RANGE[0] <= bound <= _F32_RANGE[1]:
+    bound = None if noise.planar32 is None else a * noise.peak + float(np.abs(zz).max())
+    if bound is None or not _F32_RANGE[0] <= bound <= _F32_RANGE[1]:
         # every point in float64
         y = np.multiply(noise.planar, a)
         y += zz[:, None]

@@ -198,6 +198,7 @@ class ApgResult:
     smoothed: float  # lse_value at theta_bar
     converged: bool
     n_iter: int
+    best_iter: int  # the iteration that found theta_bar; 0 for the start
     trace: list
 
 
@@ -217,7 +218,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     is above the previous iterate's restarts it from psi_0 = 0. record_trace
     keeps one ApgTraceRecord per iteration. The initial point is projected
     onto Phi and counts in best-iterate tracking, so the returned value never
-    exceeds the initial objective.
+    exceeds the initial objective; best_iter is 0 when no iterate beat it.
     """
     delta = opts.delta
     theta = project_unit_modulus(theta_bar_init)
@@ -230,7 +231,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
         val = max_constraint(theta, coeffs)
         return ApgResult(theta_bar=theta, value=val,
                          smoothed=lse_value(theta, coeffs, delta),
-                         converged=True, n_iter=0, trace=[])
+                         converged=True, n_iter=0, best_iter=0, trace=[])
 
     psis = momentum_sequence(opts.apg_max_iter)[1]
     # the start point goes through the public kernels, which perfbench's
@@ -247,7 +248,6 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     best_it = 0  # the iteration that found best_theta
     r = 1  # position in the momentum sequence
     tau = lipschitz
-    converged = False
     trace: list = []
     it = 0
 
@@ -286,8 +286,8 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
         theta_prev, theta = theta, theta_new
         h_prev = h_new
         if it - best_it >= APG_PATIENCE:
-            converged = True
             break
 
     return ApgResult(theta_bar=best_theta, value=best_val, smoothed=best_h,
-                     converged=converged, n_iter=it, trace=trace)
+                     converged=it - best_it >= APG_PATIENCE, n_iter=it, best_iter=best_it,
+                     trace=trace)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from irsprecode import ao, phase
+from irsprecode import ao, harness, phase
 from irsprecode.ao import (
     MARGIN_RTOL,
     alternating_optimize,
@@ -23,7 +23,7 @@ from irsprecode.channel import (
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
 from irsprecode.onebit import OneBitFrame, SolverConfig, build_coefficients, solve_symbol
-from irsprecode.phase import apg_optimize, build_phase_coefficients
+from irsprecode.phase import apg_optimize, build_phase_coefficients, max_constraint
 
 QPSK = PskConstellation(4)
 POWER = 100.0
@@ -293,14 +293,12 @@ def test_fixed_point_stop_returns_the_design_of_the_loop_without_it(seed, m, n, 
 
 
 def test_zero_reflected_path_stops_at_a_fixed_point_after_round_one(monkeypatch):
-    # without a reflected path eta = 0, so the phase step returns its start
-    # (projected onto the unit circle, which keeps this draw's bits): round 1
-    # is a fixed point, the loop stops there with one x-step and returns
-    # round 1's design
+    # without a reflected path eta = 0, so the phase step returns its start:
+    # round 1 is a fixed point, the loop stops there with one x-step and
+    # returns round 1's design
     ch, sym = instance(12, m=8, n=4, k=2, t=6)
     bare = no_irs_variant(ch)
     start = PhaseShifts.random(4, np.random.default_rng(13))
-    assert np.array_equal(phase.project_unit_modulus(start.theta_bar), start.theta_bar)
     first, _, _ = alternating_optimize(bare, sym, POWER, np.random.default_rng(13),
                                        SolverConfig(ao_max_outer=1))
     steps, apgs = [], []
@@ -317,12 +315,57 @@ def test_zero_reflected_path_stops_at_a_fixed_point_after_round_one(monkeypatch)
     monkeypatch.setattr(ao, "apg_optimize", apg_spy)
     frame, phases, trace = alternating_optimize(bare, sym, POWER, np.random.default_rng(13))
     assert len(trace) == len(steps) == len(apgs) == 1
-    assert apgs[0].n_iter == 0 and apgs[0].converged
+    assert apgs[0].n_iter == apgs[0].best_iter == 0 and apgs[0].converged
     assert trace[0].stop == "fixed point"
     assert best_round(trace) is trace[0]
     assert np.array_equal(phases.theta, start.theta)
     assert np.array_equal(frame.xbar, first.xbar)
     assert np.array_equal(steps[0][0].xbar, first.xbar)
+
+
+def test_a_phase_step_that_keeps_its_start_stops_the_loop_there():
+    # desk channel 15 of seed 314 (the benchmark's desk run): round 1's APG
+    # finds nothing better than its start, whose re-projection differs from
+    # it in the last bits. Handed back that re-projection, the loop ran a
+    # second x-step at phases only rounding had moved and stopped there by
+    # the margin rule with the same worst margin; handed back the start, it
+    # stops at a fixed point after round 1
+    seed, index = 314, 15
+    ch = harness.channel_realization(seed, index, 32, 16, 4)
+    sym = SymbolFrame.random(QPSK, 4, 50, harness._substream(seed, index, harness._TAG_SYMBOLS))
+    start = PhaseShifts.random(16, harness._substream(seed, index, harness._TAG_AO))
+    assert not np.array_equal(phase.project_unit_modulus(start.theta_bar), start.theta_bar)
+    frame, phases, trace = alternating_optimize(
+        ch, sym, POWER, harness._substream(seed, index, harness._TAG_AO))
+    assert [rec.stop for rec in trace] == ["fixed point"]
+    assert np.array_equal(phases.theta, start.theta)
+    assert trace[0].worst_margin == pytest.approx(0.012396955458872603, rel=1e-9)
+    assert float(frame_margins(ch, phases, frame, sym).min()) == trace[0].worst_margin
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4), n=st.integers(1, 4),
+       k=st.integers(1, 2), t=st.integers(1, 3), order=st.sampled_from([2, 4, 8]))
+@example(seed=36, m=4, n=4, k=2, t=2, order=4)
+def test_phase_step_hands_back_its_start_exactly_when_apg_kept_it(seed, m, n, k, t, order):
+    # two rounds of the loop by hand: the first phase step starts at random
+    # phases, the second at the first's result, where APG often keeps its
+    # start. The step returns the very object it was given exactly when no
+    # APG iterate beat the start, and otherwise phases strictly better than it
+    ch, sym = instance(seed, m=m, n=n, k=k, t=t, order=order)
+    opts = SolverConfig()
+    phases = PhaseShifts.random(n, np.random.default_rng(seed))
+    for _ in range(2):
+        frame = ao._x_step(effective_matrix(ch, phases), sym, POWER, opts)[0]
+        coeffs = build_phase_coefficients(ch, frame, sym)
+        kept = apg_optimize(coeffs, phases.theta_bar, opts).best_iter == 0
+        event("kept its start" if kept else "moved")
+        out, _ = ao._phase_step(ch, frame, sym, phases, opts)
+        assert (out is phases) == kept
+        if not kept:
+            assert max_constraint(out.theta_bar, coeffs) < max_constraint(phases.theta_bar,
+                                                                          coeffs)
+        phases = out
 
 
 def test_phase_step_never_hurts_margin():

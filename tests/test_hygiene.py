@@ -6,10 +6,11 @@ it appears as an identifier anywhere in the module or is listed in the
 module's __all__ (a re-export).
 The README's Python blocks are checked against irsprecode.__all__, its
 "Library" example is run and its JSON config loads. Every SolverConfig
-field is read by some package code outside the class, so no setting is dead. The package needs numpy only: no module imports
-scipy, and importing the harness leaves it and the process pool module
-unloaded. No module reads the
-process environment, so solver behaviour is set by arguments alone. Mirror
+field is read by some package code outside the class, so no setting is dead,
+and the README's solver-key table lists exactly those fields. The package
+needs numpy only: no module imports scipy, and importing the harness leaves
+it and the process pool module unloaded. No module reads the process
+environment, so solver behaviour is set by arguments alone. Mirror
 descent's safe step and APG's Lipschitz bound come from onebit._sigma_max_sq,
 an eigenvalue of the smaller Gram matrix; no package module takes a spectral
 norm by SVD.
@@ -123,6 +124,15 @@ def test_every_solver_setting_is_read():
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     assert len(fields) == 7
     assert sorted(fields - read) == []
+
+
+def test_readme_solver_table_lists_the_solver_fields():
+    # one row per SolverConfig field, in field order, with its default: a
+    # row left behind by a deleted setting fails here
+    table = README.split("The `solver` object takes these keys", 1)[1].split("\n\n")[1]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", table, flags=re.M)
+    assert [(name, ast.literal_eval(default)) for name, default in rows] == [
+        (f.name, f.default) for f in dataclasses.fields(SolverConfig)]
 
 
 def imported_packages(source: str) -> set:

@@ -340,7 +340,7 @@ def test_apg_zero_eta_immediate():
     coeffs = PhaseCoefficients(eta=np.zeros((4, 6)), vbar=np.linspace(-1, 1, 6))
     init = np.array([1.0, 0.0, 0.0, 1.0])
     res = apg_optimize(coeffs, init, SolverConfig())
-    assert res.converged and res.n_iter == 0
+    assert res.converged and res.n_iter == res.best_iter == 0
     assert res.value == pytest.approx(1.0)
     assert np.array_equal(res.theta_bar, init)
 
@@ -421,7 +421,7 @@ def _ref_apg(coeffs, theta_bar_init, opts, record_trace):
     if lipschitz == 0.0:
         return ApgResult(theta_bar=theta, value=_ref_max(theta, coeffs),
                          smoothed=_ref_lse(theta, coeffs, delta),
-                         converged=True, n_iter=0, trace=[]), "constant"
+                         converged=True, n_iter=0, best_iter=0, trace=[]), "constant"
     _, psis = momentum_sequence(opts.apg_max_iter)
     best_theta = theta
     best_val = _ref_max(theta, coeffs)
@@ -464,7 +464,8 @@ def _ref_apg(coeffs, theta_bar_init, opts, record_trace):
             break
     return ApgResult(theta_bar=best_theta, value=best_val,
                      smoothed=_ref_lse(best_theta, coeffs, delta),
-                     converged=reason != "cap", n_iter=it, trace=trace), reason
+                     converged=reason != "cap", n_iter=it, best_iter=best_it,
+                     trace=trace), reason
 
 
 def _check_against_reference(seed, kind, n, n_cols, delta, max_iter):
@@ -495,8 +496,8 @@ def _check_against_reference(seed, kind, n, n_cols, delta, max_iter):
     got = apg_optimize(coeffs, init, opts, record_trace=True)
     want, reason = _ref_apg(coeffs, init, opts, record_trace=True)
     assert np.array_equal(got.theta_bar, want.theta_bar)
-    assert (got.value, got.smoothed, got.converged, got.n_iter) == (
-        want.value, want.smoothed, want.converged, want.n_iter)
+    assert (got.value, got.smoothed, got.converged, got.n_iter, got.best_iter) == (
+        want.value, want.smoothed, want.converged, want.n_iter, want.best_iter)
     assert len(got.trace) == len(want.trace)
     for a, b in zip(got.trace, want.trace):
         assert (a.iteration, a.smoothed, a.true_value, a.step) == (
