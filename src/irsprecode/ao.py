@@ -16,7 +16,7 @@ a round can lower it. The loop stops on the first of three rules:
 - fixed point: a round whose phase step found nothing better than the
   phases its x-step ran at, and so returned them as they are; that round's
   design is returned (or the previous one's, when the margin rule fires too).
-- cap: ao_max_outer rounds; the last is returned.
+- cap: AO_MAX_OUTER rounds; the last is returned.
 The trace records every round that ran, with its design, worst margin,
 inner-solver statuses and (T, 2K) dual points; its last round names the rule
 that stopped the run. After a margin or fixed-point stop (trace[-1].stop !=
@@ -39,6 +39,8 @@ from .phase import apg_optimize, build_phase_coefficients
 # a round improves when its worst margin rises by more than this, relative:
 # rounding in the inner solvers moves it by a few ulps, real progress by >1e-5
 MARGIN_RTOL = 1e-12
+# the cap rule's round count; no run of desk seeds 0-4 took over 7
+AO_MAX_OUTER = 20
 
 
 @dataclass(eq=False)
@@ -91,7 +93,7 @@ def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, power: float,
 
     frame and phases are the design of the best round, best_round(trace):
     the round before the last when the last did not improve, else the last
-    (at most opts.ao_max_outer rounds run). The trace holds every round that
+    (at most AO_MAX_OUTER rounds run). The trace holds every round that
     ran. frame is always a OneBitFrame. rng drives every random draw of the
     run (the harness passes per-channel substreams). The inner solvers read
     their own fields of opts.
@@ -122,7 +124,7 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, power: float,
     """One run of the loop from a random start; returns its trace."""
     phases = PhaseShifts.random(ch.g.shape[0], rng)
     trace: list = []
-    for it in range(1, opts.ao_max_outer + 1):
+    for it in range(1, AO_MAX_OUTER + 1):
         start = phases
         frame, lams, md_converged = _x_step(effective_matrix(ch, start), symbols,
                                             power, opts)
@@ -135,7 +137,7 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, power: float,
         elif np.array_equal(phases.theta, start.theta):
             stop = "fixed point"
         else:
-            stop = "cap" if it == opts.ao_max_outer else None
+            stop = "cap" if it == AO_MAX_OUTER else None
         trace.append(AoIterationRecord(it, worst, md_converged, apg_converged, lams,
                                        frame, phases, stop))
         if stop:

@@ -69,6 +69,8 @@ class ChannelSet:
         object.__setattr__(self, "h_r", np.atleast_2d(np.asarray(self.h_r, dtype=complex)))
         k, m = self.h_d.shape
         n = self.g.shape[0]
+        if not k * m * n:
+            raise ValueError("need K, M, N >= 1")
         if self.g.shape != (n, m):
             raise ValueError("G must be N x M")
         if self.h_r.shape != (k, n):
@@ -133,9 +135,12 @@ def sample_channels(user_pos, n_antennas: int, n_elements: int,
 
     user_pos is a (K, 2) array of user positions, such as drop_users returns;
     a user on the base station or the surface has no positive distance, and
-    path_loss rejects it. Draw order is fixed (h_d, then G, then h_r) so a
-    seeded generator yields reproducible channels.
+    path_loss rejects it. The two counts must be ints >= 1. Draw order is
+    fixed (h_d, then G, then h_r) so a seeded generator yields reproducible
+    channels.
     """
+    check_count("n_antennas", n_antennas, 1)
+    check_count("n_elements", n_elements, 1)
     user_pos = np.asarray(user_pos, dtype=float)
     if user_pos.ndim != 2 or user_pos.shape[0] < 1 or user_pos.shape[1] != 2:
         raise ValueError("user_pos must be a (K, 2) array with K >= 1")

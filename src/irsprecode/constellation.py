@@ -277,14 +277,6 @@ class SymbolFrame:
         idx = rng.integers(0, constellation.order, size=(n_users, n_slots))
         return cls(idx, constellation)
 
-    @classmethod
-    def from_symbols(cls, symbols, constellation: PskConstellation) -> "SymbolFrame":
-        symbols = np.asarray(symbols, dtype=complex)
-        idx = np.argmin(np.abs(symbols[..., None] - constellation.points), axis=-1)
-        if not np.allclose(constellation.points[idx], symbols, atol=1e-9):
-            raise ValueError("entries are not points of the given constellation")
-        return cls(idx, constellation)
-
     @property
     def n_users(self) -> int:
         return self.indices.shape[0]

@@ -29,6 +29,8 @@ from .constellation import PskConstellation, SymbolFrame
 
 # lifted entries within this relative distance of +/-s count as saturated
 FRACTIONAL_TOL = 1e-6
+# mirror_descent's iteration cap; no call of desk seeds 0-4 took over 51
+MD_MAX_ITER = 20000
 
 
 def field_values(cls, d, name: str) -> dict:
@@ -48,25 +50,21 @@ class SolverConfig:
     """Settings of the joint design; each solver reads its own fields.
 
     - mu, the relaxed dual's Tikhonov weight: the dual solves and their starts
-    - md_max_iter, md_tol (on the KL gradient-mapping residual): mirror_descent
-    - delta (smoothing width), apg_max_iter: apg_optimize
-    - ao_max_outer (round cap), n_starts: alternating_optimize
+    - md_tol (on the KL gradient-mapping residual): mirror_descent
+    - delta (smoothing width): apg_optimize
+    - n_starts: alternating_optimize
 
-    Values a solver would reject fail here, when the settings load.
+    Values a solver would reject fail here, when the settings load. The
+    iteration caps are constants: MD_MAX_ITER, phase.APG_MAX_ITER, ao.AO_MAX_OUTER.
     """
 
     mu: float = 5e-4
-    md_max_iter: int = 20000
     md_tol: float = 1e-6
     delta: float = 1e-2
-    apg_max_iter: int = 500
-    ao_max_outer: int = 20
     n_starts: int = 1
 
     def __post_init__(self):
-        for name, low in (("md_max_iter", 0), ("apg_max_iter", 1), ("ao_max_outer", 1),
-                          ("n_starts", 1)):
-            check_count(name, getattr(self, name), low)
+        check_count("n_starts", self.n_starts, 1)
         for name, positive in (("mu", True), ("md_tol", False), ("delta", True)):
             check_real(name, getattr(self, name), positive)
 
@@ -257,7 +255,7 @@ def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig()
     the Gram matrix) are always accepted, so progress cannot stall on rounding
     noise near the optimum. A step is doubled for the next iteration only if
     it was accepted without backtracking. f_mu never increases beyond rounding.
-    Stops after opts.md_max_iter iterations, or once the KL gradient-mapping
+    Stops after MD_MAX_ITER iterations, or once the KL gradient-mapping
     residual with unit reference step, r(lam) = ||T_1(lam) - lam||_1, which
     vanishes exactly at simplex-KKT points, is at most opts.md_tol.
     """
@@ -287,7 +285,7 @@ def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig()
         log_lam = np.log(lam, out=np.full(n, -np.inf), where=lam > 0)
     gap = np.empty(n)  # T_1(lam) - lam
     converged = False
-    for it in range(opts.md_max_iter + 1):  # runs at least once: md_max_iter >= 0
+    for it in range(MD_MAX_ITER + 1):  # runs at least once
         grad = _dual_grad(ct, y_c, s, rho)
         w = log_lam - grad
         w -= vmax(w)
@@ -298,7 +296,7 @@ def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig()
         if residual <= opts.md_tol:
             converged = True
             break
-        if it == opts.md_max_iter:
+        if it == MD_MAX_ITER:
             break
         if it == 0:  # a call that stops at its first residual test skips this
             # Pinsker gives KL >= ||.||_1^2 / 2 >= ||.||_2^2 / 2, and the Huber

@@ -34,6 +34,8 @@ from .onebit import SolverConfig, _sigma_max_sq, frame_array
 # the returned iterate came from the first 10 iterations in 98.8% of them
 # and never from one after the 30th
 APG_PATIENCE = 15
+# its iteration cap (not converged); no solve of desk seeds 0-4 took over 45
+APG_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
 
     Smooths at width opts.delta; stops once APG_PATIENCE iterations in a row
     have not lowered the best true objective (converged), or after
-    opts.apg_max_iter iterations (not converged).
+    APG_MAX_ITER iterations (not converged).
     The inverse step tau starts at the exact smoothed-gradient Lipschitz
     bound sigma_max^2 / delta (from onebit._sigma_max_sq), is halved
     optimistically each iteration, and backtracks (doubling, capped at the
@@ -233,7 +235,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
                          smoothed=lse_value(theta, coeffs, delta),
                          converged=True, n_iter=0, best_iter=0, trace=[])
 
-    psis = momentum_sequence(opts.apg_max_iter)[1]
+    psis = momentum_sequence(APG_MAX_ITER)[1]
     # the start point goes through the public kernels, which perfbench's
     # tracer wraps and requires to run; psi_0 = 0 makes it the first
     # extrapolated point too. Every later point costs one product: its
@@ -251,7 +253,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     trace: list = []
     it = 0
 
-    for it in range(1, opts.apg_max_iter + 1):
+    for it in range(1, APG_MAX_ITER + 1):
         if it > 1:
             z = theta + psis[r] * (theta - theta_prev)
             r += 1

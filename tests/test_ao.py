@@ -1,13 +1,14 @@
 """Alternating-optimization driver tests."""
 
 import dataclasses
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from irsprecode import ao, harness, phase
+from irsprecode import ao, harness, onebit, phase
 from irsprecode.ao import (
     MARGIN_RTOL,
     alternating_optimize,
@@ -37,10 +38,10 @@ def instance(seed, m=4, n=4, k=2, t=2, order=4):
     return ch, sym
 
 
-def test_single_round_runs_each_step_once():
+def test_single_round_runs_each_step_once(monkeypatch):
     ch, sym = instance(0)
-    cfg = SolverConfig(ao_max_outer=1)
-    frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(1), cfg)
+    monkeypatch.setattr(ao, "AO_MAX_OUTER", 1)
+    frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(1))
     assert len(trace) == 1
     assert isinstance(frame, OneBitFrame)
     assert isinstance(phases, PhaseShifts)
@@ -74,9 +75,9 @@ def test_a_rise_of_one_ulp_stops_the_loop(monkeypatch):
     # round 2 reads one ulp above round 1: rounding, not progress, so the
     # loop stops there and returns round 1's design
     ch, sym = instance(3)
-    cfg = SolverConfig(ao_max_outer=5)
-    first, first_phases, _ = alternating_optimize(
-        ch, sym, POWER, np.random.default_rng(5), dataclasses.replace(cfg, ao_max_outer=1))
+    monkeypatch.setattr(ao, "AO_MAX_OUTER", 1)
+    first, first_phases, _ = alternating_optimize(ch, sym, POWER, np.random.default_rng(5))
+    monkeypatch.setattr(ao, "AO_MAX_OUTER", 5)
     seen = []
 
     def fake(*args):
@@ -87,7 +88,7 @@ def test_a_rise_of_one_ulp_stops_the_loop(monkeypatch):
         return margins
 
     monkeypatch.setattr(ao, "frame_margins", fake)
-    frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(5), cfg)
+    frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(5))
     assert len(trace) == 2
     assert trace[1].worst_margin == np.nextafter(trace[0].worst_margin, np.inf)
     assert [rec.stop for rec in trace] == [None, "margin"]
@@ -134,13 +135,13 @@ def test_trace_replicates_hand_driven_steps():
         elif np.array_equal(ph.theta, start.theta):
             stop = "fixed point"
         else:
-            stop = "cap" if i == cfg.ao_max_outer else None
+            stop = "cap" if i == ao.AO_MAX_OUTER else None
         assert rec.stop == stop
         assert (stop is not None) == (i == len(trace))
         prev = worst
     # this instance stops on a round that did not improve, well before the
     # cap, and that round is not the one returned
-    assert 1 < len(trace) < cfg.ao_max_outer and not improved
+    assert 1 < len(trace) < ao.AO_MAX_OUTER and not improved
     assert not np.array_equal(fr.xbar, returned[0].xbar)
     assert np.array_equal(frame.xbar, returned[0].xbar)
     assert np.array_equal(phases.theta, returned[1].theta)
@@ -188,8 +189,8 @@ def test_returns_best_round_and_stops_on_the_first_stop_rule(seed, m, n, k, t, o
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ao, "_phase_step", phase_spy)
-        frame, phases, trace = alternating_optimize(
-            ch, sym, POWER, np.random.default_rng(seed), SolverConfig(ao_max_outer=max_outer))
+        mp.setattr(ao, "AO_MAX_OUTER", max_outer)
+        frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(seed))
     margins = [rec.worst_margin for rec in trace]
     assert 1 <= len(trace) <= max_outer
     assert len(moved) == len(trace)
@@ -221,8 +222,9 @@ def test_each_round_records_its_own_design(seed, m, n, k, t, order, max_outer, n
     # a record is the whole account of its round: its design scores exactly
     # the worst margin it records, and only the last round names a stop rule
     ch, sym = instance(seed, m=m, n=n, k=k, t=t, order=order)
-    _, _, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(seed),
-                                       SolverConfig(ao_max_outer=max_outer, n_starts=n_starts))
+    with patch.object(ao, "AO_MAX_OUTER", max_outer):
+        _, _, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(seed),
+                                           SolverConfig(n_starts=n_starts))
     for rec in trace:
         assert frame_margins(ch, rec.phases, rec.frame, sym).min() == rec.worst_margin
     assert [rec.stop is None for rec in trace] == [True] * (len(trace) - 1) + [False]
@@ -230,12 +232,12 @@ def test_each_round_records_its_own_design(seed, m, n, k, t, order, max_outer, n
 
 @pytest.mark.parametrize("seed, max_outer, rule",
                          [(36, 6, "fixed point"), (2, 6, "margin"), (0, 2, "cap")])
-def test_stop_rule_examples_cover_each_rule(seed, max_outer, rule):
+def test_stop_rule_examples_cover_each_rule(monkeypatch, seed, max_outer, rule):
     # the explicit examples of the property above, so that each stop rule is
     # exercised whatever hypothesis draws
     ch, sym = instance(seed)
-    _, _, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(seed),
-                                       SolverConfig(ao_max_outer=max_outer))
+    monkeypatch.setattr(ao, "AO_MAX_OUTER", max_outer)
+    _, _, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(seed))
     assert stop_rule(trace, max_outer, initial_phases(ch, seed)) == rule
 
 
@@ -245,7 +247,7 @@ def _ref_single_run(ch, symbols, power, opts, rng):
     phases = PhaseShifts.random(ch.g.shape[0], rng)
     rounds = []  # (worst margin, md statuses, apg status, dual points)
     design = None
-    for _ in range(opts.ao_max_outer):
+    for _ in range(ao.AO_MAX_OUTER):
         frame, lams, md_converged = ao._x_step(effective_matrix(ch, phases), symbols,
                                                power, opts)
         phases, apg_converged = ao._phase_step(ch, frame, symbols, phases, opts)
@@ -271,9 +273,10 @@ def test_fixed_point_stop_returns_the_design_of_the_loop_without_it(seed, m, n, 
     # its trace is one repeat round longer exactly where a fixed point
     # stopped the new loop. APG runs without its patience stop on both sides
     ch, sym = instance(seed, m=m, n=n, k=k, t=t, order=order)
-    cfg = SolverConfig(ao_max_outer=max_outer)
+    cfg = SolverConfig()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(phase, "APG_PATIENCE", cfg.apg_max_iter + 1)
+        mp.setattr(ao, "AO_MAX_OUTER", max_outer)
+        mp.setattr(phase, "APG_PATIENCE", phase.APG_MAX_ITER + 1)
         frame, phases, trace = alternating_optimize(ch, sym, POWER,
                                                     np.random.default_rng(seed), cfg)
         want_frame, want_phases, want = _ref_single_run(ch, sym, POWER, cfg,
@@ -299,8 +302,9 @@ def test_zero_reflected_path_stops_at_a_fixed_point_after_round_one(monkeypatch)
     ch, sym = instance(12, m=8, n=4, k=2, t=6)
     bare = no_irs_variant(ch)
     start = PhaseShifts.random(4, np.random.default_rng(13))
-    first, _, _ = alternating_optimize(bare, sym, POWER, np.random.default_rng(13),
-                                       SolverConfig(ao_max_outer=1))
+    with monkeypatch.context() as mp:
+        mp.setattr(ao, "AO_MAX_OUTER", 1)
+        first, _, _ = alternating_optimize(bare, sym, POWER, np.random.default_rng(13))
     steps, apgs = [], []
 
     def step_spy(*args, real=ao._x_step):
@@ -368,22 +372,24 @@ def test_phase_step_hands_back_its_start_exactly_when_apg_kept_it(seed, m, n, k,
         phases = out
 
 
-def test_phase_step_never_hurts_margin():
+def test_phase_step_never_hurts_margin(monkeypatch):
     # the starting phases are the first draw of the seeded rng, so the margin
     # before the first phase step is known; best-iterate tracking makes the
     # step at least as good
+    monkeypatch.setattr(ao, "AO_MAX_OUTER", 1)
     for seed in range(5):
         ch, sym = instance(seed, m=6, n=6)
-        frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(seed),
-                                                    SolverConfig(ao_max_outer=1))
+        frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(seed))
         start = PhaseShifts.random(6, np.random.default_rng(seed))
         before = float(frame_margins(ch, start, frame, sym).min())
         assert trace[0].worst_margin >= before - 1e-12
 
 
-def test_inner_nonconvergence_propagates_as_status():
+def test_inner_nonconvergence_propagates_as_status(monkeypatch):
     ch, sym = instance(6)
-    weak = SolverConfig(md_max_iter=2, md_tol=1e-16, ao_max_outer=2)
+    monkeypatch.setattr(onebit, "MD_MAX_ITER", 2)
+    monkeypatch.setattr(ao, "AO_MAX_OUTER", 2)
+    weak = SolverConfig(md_tol=1e-16)
     frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(9), weak)
     assert any(not c for rec in trace for c in rec.md_converged)
     assert isinstance(frame, OneBitFrame)  # output still feasible
@@ -413,12 +419,14 @@ def test_multi_start_keeps_the_start_whose_returned_round_is_best(seed, order, m
     # starts are ranked by the round each returns, not by their last rounds;
     # ties go to the earliest start
     ch, sym = instance(seed, order=order)
-    cfg = SolverConfig(ao_max_outer=max_outer, n_starts=n_starts)
-    frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(seed), cfg)
+    cfg = SolverConfig(n_starts=n_starts)
     single = dataclasses.replace(cfg, n_starts=1)
     seeds = np.random.default_rng(seed).integers(0, 2 ** 63, size=n_starts)
-    runs = [alternating_optimize(ch, sym, POWER, np.random.default_rng(int(s)), single)
-            for s in seeds]
+    with patch.object(ao, "AO_MAX_OUTER", max_outer):
+        frame, phases, trace = alternating_optimize(ch, sym, POWER,
+                                                    np.random.default_rng(seed), cfg)
+        runs = [alternating_optimize(ch, sym, POWER, np.random.default_rng(int(s)), single)
+                for s in seeds]
     margins = [best_round(run[2]).worst_margin for run in runs]
     want_frame, want_phases, want = runs[margins.index(max(margins))]
     event("a start stopped by the margin rule"
@@ -447,9 +455,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="power must be a finite positive number"):
             alternating_optimize(ch, sym, power, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        SolverConfig(ao_max_outer=0)
-    with pytest.raises(ValueError):
         SolverConfig(n_starts=0)
+    # the round cap is ao.AO_MAX_OUTER, no longer a setting
+    with pytest.raises(ValueError, match=r"unknown solver config keys: \['ao_max_outer'\]"):
+        SolverConfig.from_dict({"ao_max_outer": 20})
     # 1-slot and 1-user symbols used to be broadcast against the 2 x 2
     # receive points
     frame = OneBitFrame(xbar=np.ones((2, 8)), amplitude=1.0)

@@ -76,6 +76,20 @@ def test_sample_channels_rejects_bad_user_positions():
             sample_channels(bad, 4, 3, rng)
 
 
+@pytest.mark.parametrize("name, counts", [("n_antennas", (0, 3)), ("n_antennas", (1.5, 3)),
+                                          ("n_antennas", (True, 3)), ("n_elements", (4, 0)),
+                                          ("n_elements", (4, 1.5)), ("n_elements", (4, True))])
+def test_sample_channels_rejects_bad_counts(name, counts):
+    # M = 0 or N = 0 used to return an empty ChannelSet that failed only later,
+    # and 1.5 or True ended in a TypeError from rng; the check draws nothing
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        sample_channels(drop_users(2, rng), *counts, rng)
+    want = np.random.default_rng(5)
+    drop_users(2, want)
+    assert rng.random() == want.random()
+
+
 def test_sample_channels_variance_matches_path_loss():
     # empirical per-entry variance within 2% of L(d) with 1e5 samples per link;
     # the user at (30, 0) is 30 from the BS, and the BS-surface and
@@ -132,6 +146,10 @@ def test_channel_set_validation():
         ChannelSet(h_d=np.ones((2, 3)), g=np.ones((4, 3)), h_r=np.ones((3, 4)))
     with pytest.raises(ValueError):
         ChannelSet(h_d=np.array([[np.inf]]), g=np.ones((1, 1)), h_r=np.ones((1, 1)))
+    # an empty dimension used to pass and fail later, in the solvers
+    for k, m, n in ((0, 3, 4), (2, 0, 4), (2, 3, 0)):
+        with pytest.raises(ValueError, match=r"K, M, N >= 1"):
+            ChannelSet(h_d=np.ones((k, m)), g=np.ones((n, m)), h_r=np.ones((k, n)))
 
 
 def test_phase_shifts_validation_and_lifting():

@@ -107,17 +107,20 @@ def test_run_rejects_a_bad_config(tmp_path, capsys, text):
 
 
 def test_run_rejects_a_config_naming_a_deleted_solver_setting(tmp_path, capsys):
-    # APG's iterate-change tolerance is gone; a config still naming it fails
-    # on load, before --out is opened
+    # APG's iterate-change tolerance, MBI's restart count and the three
+    # iteration caps (now module constants) are gone; a config still naming
+    # one fails on load, before --out is opened
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"m": 4, "solver": {"apg_tol": 1e-6}}))
     out = tmp_path / "out.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--config", str(cfg_path), "--out", str(out)])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "irsprecode: error: argument --config: unknown solver config keys: ['apg_tol']")
-    assert not out.exists()
+    for key, value in (("apg_tol", 1e-6), ("mbi_restarts", 1), ("md_max_iter", 20000),
+                       ("apg_max_iter", 500), ("ao_max_outer", 20)):
+        cfg_path.write_text(json.dumps({"m": 4, "solver": {key: value}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert exc.value.code == 2, key
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"irsprecode: error: argument --config: unknown solver config keys: ['{key}']")
+        assert not out.exists(), key
 
 
 def test_run_rejects_an_unwritable_out_before_the_run(tmp_path, config_file, capsys,

@@ -330,18 +330,8 @@ def test_symbol_frame_random_and_membership():
     assert f.n_users == 4 and f.n_slots == 10
     assert np.allclose(np.abs(f.symbols), 1.0)
     assert np.allclose(c.points[f.indices], f.symbols)
-
-
-def test_symbol_frame_from_symbols_roundtrip_and_reject():
-    c = PskConstellation(4)
-    rng = np.random.default_rng(5)
-    f = SymbolFrame.random(c, 3, 7, rng)
-    g = SymbolFrame.from_symbols(f.symbols, c)
-    assert np.array_equal(f.indices, g.indices)
-    with pytest.raises(ValueError):
-        SymbolFrame.from_symbols(np.array([[0.3 + 0.1j]]), c)
-    with pytest.raises(ValueError):
-        SymbolFrame(np.array([[0, 4]]), c)  # index out of range
+    with pytest.raises(ValueError, match="out of range"):
+        SymbolFrame(np.array([[0, 8]]), c)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32])

@@ -173,9 +173,10 @@ class TestConfig:
         # rejected when the config loads, not later inside a channel run
         # (a NaN mu would hang mirror descent's backtracking; a fractional
         # count would raise TypeError in the first channel; a string used to
-        # raise TypeError on load and a bool passed as 0 or 1). mbi_restarts
-        # and apg_tol are gone, so a config naming either, even at its old
-        # default, is wrong
+        # raise TypeError on load and a bool passed as 0 or 1). mbi_restarts,
+        # apg_tol and the iteration caps md_max_iter, apg_max_iter and
+        # ao_max_outer are gone, so a config naming any of them, even at its
+        # old default, is wrong
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"m": 4, "solver": solver})
 
@@ -517,18 +518,47 @@ def uniform_replays(calls):
 SETTING_READERS = {
     "mu": (1e-3, onebit, "mirror_descent",
            lambda calls: all(a["opts"].mu == 1e-3 for a, _ in calls)),
-    "md_max_iter": (2, onebit, "mirror_descent",
-                    lambda calls: max(md.n_iter for md in uniform_replays(calls)) == 2),
     "md_tol": (1e-2, onebit, "mirror_descent",
                lambda calls: any(md.converged and md.residual > 1e-6
                                  for md in uniform_replays(calls))),
     "delta": (5e-2, phase, "_lse", lambda calls: all(a["delta"] == 5e-2 for a, _ in calls)),
-    "apg_max_iter": (2, ao, "apg_optimize",
-                     lambda calls: max(res.n_iter for _, res in calls) == 2),
-    "ao_max_outer": (1, harness, "alternating_optimize",
-                     lambda calls: all(len(trace) == 1 for _, (_, _, trace) in calls)),
     "n_starts": (2, ao, "_single_run", lambda calls: len(calls) == 4),
 }
+
+# the same per iteration cap, a module constant: its module, a value the run
+# reaches, and the reader as SETTING_READERS gives it
+CAP_READERS = {
+    "MD_MAX_ITER": (onebit, 2, onebit, "mirror_descent",
+                    lambda calls: max(md.n_iter for md in uniform_replays(calls)) == 2),
+    "APG_MAX_ITER": (phase, 2, ao, "apg_optimize",
+                     lambda calls: max(res.n_iter for _, res in calls) == 2),
+    "AO_MAX_OUTER": (ao, 1, harness, "alternating_optimize",
+                     lambda calls: all(len(trace) == 1 for _, (_, _, trace) in calls)),
+}
+
+
+def spy_on(monkeypatch, module, fn_name) -> list:
+    """Replace module.fn_name by a spy; the list it returns collects the
+    (bound arguments, result) pair of every call."""
+    real = getattr(module, fn_name)
+    sig = inspect.signature(real)
+    calls = []
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        bound = sig.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments, out))
+        return out
+
+    monkeypatch.setattr(module, fn_name, spy)
+    return calls
+
+
+def reader_run(solver: SolverConfig = SolverConfig()) -> None:
+    """The 2-channel run the reader tests spy on."""
+    run_experiment(small_cfg(n_channels=2, schemes=("onebit-md", "relaxed", "onebit-md-noirs"),
+                             solver=solver))
 
 
 class TestRunExperiment:
@@ -589,8 +619,8 @@ class TestRunExperiment:
         # AO's phases must equal a cold relaxed_slp
         import irsprecode.harness as hn
 
-        cfg = small_cfg(schemes=("onebit-md", "relaxed"), t=6, n_channels=6,
-                        solver=SolverConfig(ao_max_outer=1))
+        monkeypatch.setattr(ao, "AO_MAX_OUTER", 1)
+        cfg = small_cfg(schemes=("onebit-md", "relaxed"), t=6, n_channels=6)
         designs, boxes = [], []
         real_ao, real_box = hn.alternating_optimize, hn.relaxed_slp
 
@@ -776,8 +806,9 @@ class TestRunExperiment:
             margins = [d[scheme].worst_margin for d in detail if d[scheme].ok]
             assert rec.mean_worst_margin == pytest.approx(np.mean(margins))
 
-    def test_forced_failures_are_counted_not_dropped(self):
-        weak = SolverConfig(md_max_iter=1, md_tol=1e-16)
+    def test_forced_failures_are_counted_not_dropped(self, monkeypatch):
+        monkeypatch.setattr(onebit, "MD_MAX_ITER", 1)
+        weak = SolverConfig(md_tol=1e-16)
         cfg = small_cfg(schemes=("onebit-md",), solver=weak)
         recs = run_experiment(cfg)
         for r in recs:
@@ -846,23 +877,24 @@ class TestRunExperiment:
         # setting at a non-default value changes what its reader does in a
         # run, and the same check fails at the default
         value, module, fn_name, shows = SETTING_READERS[name]
-        real = getattr(module, fn_name)
-        sig = inspect.signature(real)
-        calls = []
-
-        def spy(*args, **kwargs):
-            out = real(*args, **kwargs)
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            calls.append((bound.arguments, out))
-            return out
-
-        monkeypatch.setattr(module, fn_name, spy)
-        cfg = small_cfg(n_channels=2, schemes=("onebit-md", "relaxed", "onebit-md-noirs"))
+        calls = spy_on(monkeypatch, module, fn_name)
         for solver, want in ((SolverConfig(), False), (SolverConfig(**{name: value}), True)):
             calls.clear()
-            run_experiment(dataclasses.replace(cfg, solver=solver))
+            reader_run(solver)
             assert calls and shows(calls) == want
+
+    @pytest.mark.parametrize("name", sorted(CAP_READERS))
+    def test_each_iteration_cap_reaches_its_reader(self, monkeypatch, name):
+        # no run reaches a shipped cap, so the check fails there and holds
+        # once the constant, read when its loop runs, is patched low
+        owner, value, module, fn_name, shows = CAP_READERS[name]
+        calls = spy_on(monkeypatch, module, fn_name)
+        reader_run()
+        assert calls and not shows(calls)
+        monkeypatch.setattr(owner, name, value)
+        calls.clear()
+        reader_run()
+        assert calls and shows(calls)
 
 
 def _subset_cfg(schemes, policy):

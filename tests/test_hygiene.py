@@ -121,9 +121,9 @@ def test_every_solver_setting_is_read():
                            "def g(o):\n    o.c = o.b\n", "C") == {"b"}
     read = set().union(*(attributes_read(p.read_text(), "SolverConfig")
                          for p in sorted(PACKAGE_DIR.rglob("*.py"))))
-    fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    assert len(fields) == 7
-    assert sorted(fields - read) == []
+    fields = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert fields == ["mu", "md_tol", "delta", "n_starts"]
+    assert sorted(set(fields) - read) == []
 
 
 def test_readme_solver_table_lists_the_solver_fields():

@@ -5,6 +5,8 @@ computations (finite differences, dense grids, exhaustive enumeration)
 implemented inside the tests themselves.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,7 +247,8 @@ def test_dual_gradient_is_the_gradient_mirror_descent_runs():
         w = np.log(uniform) - dual_gradient(uniform, coeff, mu)
         w -= w.max()
         e = np.exp(w)
-        md = mirror_descent(coeff, SolverConfig(mu=mu, md_max_iter=0))
+        with patch.object(onebit, "MD_MAX_ITER", 0):
+            md = mirror_descent(coeff, SolverConfig(mu=mu))
         assert md.residual == float(np.abs(e / e.sum() - uniform).sum())
 
 
@@ -328,7 +331,7 @@ def test_positive_mu_required():
 
 def test_solver_option_validation():
     # mirror descent's and the per-slot solve's settings
-    for bad in (dict(md_max_iter=-1), dict(md_tol=-1.0), dict(md_tol=np.nan),
+    for bad in (dict(md_tol=-1.0), dict(md_tol=np.nan),
                 dict(md_tol=np.inf), dict(mu=0.0), dict(mu=np.nan), dict(mu=np.inf)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
@@ -381,7 +384,7 @@ def test_md_monotone_objective_trace(seed, order, size, start):
     rng = np.random.default_rng(seed)
     m, k, n = size
     coeff, _, _, _ = random_instance(rng, m=m, k=k, order=order, n=n)
-    opts = SolverConfig(md_max_iter=400, md_tol=1e-8)
+    opts = SolverConfig(md_tol=1e-8)
     clipped_value, dual_grad = onebit._clipped_value, onebit._dual_grad
     last, accepted = [], []
 
@@ -395,6 +398,7 @@ def test_md_monotone_objective_trace(seed, order, size, start):
         return dual_grad(*args)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(onebit, "MD_MAX_ITER", 400)
         mp.setattr(onebit, "_clipped_value", value_spy)
         mp.setattr(onebit, "_dual_grad", grad_spy)
         res = mirror_descent(coeff, opts, lam0=_start(rng, coeff, start))
@@ -405,10 +409,11 @@ def test_md_monotone_objective_trace(seed, order, size, start):
         assert res.residual <= opts.md_tol
 
 
-def test_md_reports_nonconvergence_instead_of_failing():
+def test_md_reports_nonconvergence_instead_of_failing(monkeypatch):
     rng = np.random.default_rng(11)
     coeff, _, _, _ = random_instance(rng, m=8, k=3)
-    res = mirror_descent(coeff, SolverConfig(mu=5e-4, md_max_iter=2, md_tol=1e-14))
+    monkeypatch.setattr(onebit, "MD_MAX_ITER", 2)
+    res = mirror_descent(coeff, SolverConfig(mu=5e-4, md_tol=1e-14))
     assert not res.converged
     assert res.n_iter == 2
     assert np.isfinite(res.value)
@@ -442,7 +447,7 @@ def _md_reference(coeff, mu, opts, lam0=None, double_always=False):
     masked KL sum, Huber value from huber(), safe step from the SVD norm.
     Each iteration doubles the previous step if the previous iteration took
     its first trial point (or always, with double_always) and then halves
-    it until the test holds."""
+    it until the test holds. Stops at onebit.MD_MAX_ITER iterations."""
     n = coeff.n_constraints
     s = coeff.amplitude
     rho = mu * s
@@ -460,7 +465,7 @@ def _md_reference(coeff, mu, opts, lam0=None, double_always=False):
     residual = np.inf
     it = 0
     grow = True
-    for it in range(opts.md_max_iter + 1):
+    for it in range(onebit.MD_MAX_ITER + 1):
         grad = (ct @ np.clip(y, -rho, rho)) * (s / rho)
         w = log_lam - grad
         w -= w.max()
@@ -469,7 +474,7 @@ def _md_reference(coeff, mu, opts, lam0=None, double_always=False):
         if residual <= opts.md_tol:
             converged = True
             break
-        if it == opts.md_max_iter:
+        if it == onebit.MD_MAX_ITER:
             break
         if grow or double_always:
             step *= 2.0
@@ -519,12 +524,13 @@ def test_md_matches_the_reference_loop(seed, order, size, start, mu):
     if start == "zero-matrix":
         coeff = CoefficientMatrix(c=np.zeros_like(coeff.c), amplitude=coeff.amplitude)
     lam0 = _start(rng, coeff, "mixed" if start == "zero-matrix" else start)
-    opts = SolverConfig(mu=mu, md_max_iter=400)
-    md = mirror_descent(coeff, opts, lam0=lam0)
-    assert abs(md.value - dual_value(md.lam, coeff, mu)) <= 1e-12 * abs(md.value)
-    if mu < MU_STAGES[-1][0]:
-        return
-    lam, value, converged, n_iter, residual = _md_reference(coeff, mu, opts, lam0)
+    opts = SolverConfig(mu=mu)
+    with patch.object(onebit, "MD_MAX_ITER", 400):
+        md = mirror_descent(coeff, opts, lam0=lam0)
+        assert abs(md.value - dual_value(md.lam, coeff, mu)) <= 1e-12 * abs(md.value)
+        if mu < MU_STAGES[-1][0]:
+            return
+        lam, value, converged, n_iter, residual = _md_reference(coeff, mu, opts, lam0)
     assert (md.n_iter, md.converged) == (n_iter, converged)
     if mu < SolverConfig().mu:
         return

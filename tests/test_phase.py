@@ -1,11 +1,14 @@
 """Phase-design tests: coefficients, smoothing, projection, momentum, APG."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
+from irsprecode import phase
 from irsprecode.channel import (
     ChannelSet,
     PhaseShifts,
@@ -51,7 +54,7 @@ def test_phase_coefficients_hand_case():
     ch = ChannelSet(h_d=np.array([[2 + 1j]]), g=np.array([[0.5 - 0.25j]]),
                     h_r=np.array([[1 + 1j]]))
     frame = np.array([[1 + 1j]])
-    sym = SymbolFrame.from_symbols(np.array([[1 + 0j]]), QPSK)
+    sym = SymbolFrame(np.array([[0]]), QPSK)  # the symbol 1
     coeffs = build_phase_coefficients(ch, frame, sym)
     assert coeffs.eta.shape == (2, 2)
     assert np.allclose(coeffs.eta[:, 0], [-1.5, 0.5])
@@ -327,8 +330,7 @@ def test_apg_single_direction_circle_oracle():
         g = rng.standard_normal(2)
         eta = np.stack([g, np.zeros(2)], axis=1)
         coeffs = PhaseCoefficients(eta=eta, vbar=np.array([0.0, -1e3]))
-        res = apg_optimize(coeffs, random_theta_bar(1, rng),
-                           SolverConfig(delta=1e-2, apg_max_iter=2000))
+        res = apg_optimize(coeffs, random_theta_bar(1, rng), SolverConfig(delta=1e-2))
         ang = np.linspace(0, 2 * np.pi, 20001)
         grid = np.min(np.cos(ang) * g[0] + np.sin(ang) * g[1])
         want = -np.hypot(g[0], g[1])
@@ -371,14 +373,14 @@ def test_apg_improves_over_init_on_protocol_instances():
 
 
 def test_apg_option_validation():
-    for bad in (dict(delta=0.0), dict(delta=np.nan), dict(delta=np.inf),
-                dict(apg_max_iter=0)):
+    for bad in (dict(delta=0.0), dict(delta=np.nan), dict(delta=np.inf)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     # APG stops by patience or at its cap only; the iterate-change tolerance
-    # is gone
-    with pytest.raises(ValueError, match=r"unknown solver config keys: \['apg_tol'\]"):
-        SolverConfig.from_dict({"apg_tol": 1e-6})
+    # is gone, and the cap is phase.APG_MAX_ITER
+    for key, value in (("apg_tol", 1e-6), ("apg_max_iter", 500)):
+        with pytest.raises(ValueError, match=rf"unknown solver config keys: \['{key}'\]"):
+            SolverConfig.from_dict({key: value})
     coeffs = PhaseCoefficients(eta=np.ones((4, 2)), vbar=np.zeros(2))
     with pytest.raises(ValueError):
         apg_optimize(coeffs, np.ones(6), SolverConfig())
@@ -414,7 +416,7 @@ def _ref_grad(tb, coeffs, delta):
     return coeffs.eta @ (e / e.sum())
 
 
-def _ref_apg(coeffs, theta_bar_init, opts, record_trace):
+def _ref_apg(coeffs, theta_bar_init, opts, max_iter, record_trace):
     delta = opts.delta
     theta = project_unit_modulus(theta_bar_init)
     lipschitz = _sigma_max_sq(coeffs.eta) / delta
@@ -422,7 +424,7 @@ def _ref_apg(coeffs, theta_bar_init, opts, record_trace):
         return ApgResult(theta_bar=theta, value=_ref_max(theta, coeffs),
                          smoothed=_ref_lse(theta, coeffs, delta),
                          converged=True, n_iter=0, best_iter=0, trace=[]), "constant"
-    _, psis = momentum_sequence(opts.apg_max_iter)
+    _, psis = momentum_sequence(max_iter)
     best_theta = theta
     best_val = _ref_max(theta, coeffs)
     best_it = 0
@@ -433,7 +435,7 @@ def _ref_apg(coeffs, theta_bar_init, opts, record_trace):
     reason = "cap"
     trace = []
     it = 0
-    for it in range(1, opts.apg_max_iter + 1):
+    for it in range(1, max_iter + 1):
         z = theta + psis[r] * (theta - theta_prev)
         r += 1
         g = _ref_grad(z, coeffs, delta)
@@ -492,9 +494,10 @@ def _check_against_reference(seed, kind, n, n_cols, delta, max_iter):
     init = random_theta_bar(coeffs.n_lifted // 2, rng)
     if kind == "repeated-max":
         init = np.round(init)  # integer start: exact constraint values
-    opts = SolverConfig(delta=delta, apg_max_iter=max_iter)
-    got = apg_optimize(coeffs, init, opts, record_trace=True)
-    want, reason = _ref_apg(coeffs, init, opts, record_trace=True)
+    opts = SolverConfig(delta=delta)
+    with patch.object(phase, "APG_MAX_ITER", max_iter):
+        got = apg_optimize(coeffs, init, opts, record_trace=True)
+    want, reason = _ref_apg(coeffs, init, opts, max_iter, record_trace=True)
     assert np.array_equal(got.theta_bar, want.theta_bar)
     assert (got.value, got.smoothed, got.converged, got.n_iter, got.best_iter) == (
         want.value, want.smoothed, want.converged, want.n_iter, want.best_iter)
