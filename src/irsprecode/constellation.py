@@ -68,35 +68,38 @@ def decide_index(re, im, c: PskConstellation):
     sector += half
     sector /= 2.0 * half
     np.floor(sector, out=sector)
-    return _wrap_index(sector, c)[()]
-
-
-def _wrap_index(k, c: PskConstellation):
-    """uint8 sector indices mod L of integral sector coordinates k in
-    [-L/2, L/2]. A negative float has no portable cast to an unsigned type,
-    so the cast goes through int8, whose -1 is 255 as uint8."""
-    idx = k.astype(np.int8)
+    # sector holds integers in [-L/2, L/2]; a negative float has no portable
+    # cast to an unsigned type, so the cast goes through int8 (-1 is 255 as
+    # uint8)
+    idx = sector.astype(np.int8)
     idx &= c.order - 1
-    return idx.view(np.uint8)
+    return idx.view(np.uint8)[()]
 
 
 # Blocks of at least this many receive points (n_noise * K * T) are decided
-# in float32 first, with an exact float64 fallback (decide_block); smaller blocks,
-# such as the one-draw blocks of the acceptance runs, are decided in float64
-# alone. The two cost about the same at 10,000 points: per
-# simulate_transmission call on a K = 4, T = 50 QPSK frame (2-vCPU x86-64,
-# numpy 2.4, BLAS on 1 thread, median of 9 interleaved runs, two sets),
-# float32 first against float64 alone took 93-112 vs 71-72 µs at 1,000
-# points, 118-143 vs 122-131 µs at 10,000, 176-183 vs 206-209 µs at 20,000
-# and 498-553 vs 729-809 µs at 80,000.
+# from a crossing table (decide_block); smaller blocks, such as the one-draw
+# blocks of the acceptance runs, are decided in float64 alone. Per noise level
+# of a K = 4, T = 50 QPSK design (2-vCPU x86-64, numpy 2.4, the table's build
+# spread over 6 levels), float64 against the table took 9 vs 21 µs at 1,000
+# points, 21 vs 23 µs at 4,000 and 42 vs 30 µs at 10,000.
 FILTER_MIN_POINTS = 10_000
-# the float32 pass runs only while the noise peak and the per-part bound B
-# lie in this range; see decide_block for why it keeps every float32 quantity
-# finite and its rounding errors relative
-_F32_RANGE = (2.0 ** -50, 2.0 ** 50)
-# a point whose float32 sector coordinate lies within this many sector
-# widths of a sector edge is re-decided in float64
-_GUARD = 1e-3
+# the table path runs while a lies in [1/_TABLE_TOP, _TABLE_TOP] and no noise
+# or noise-free part is larger than _TABLE_TOP; see decide_block
+_TABLE_TOP = 2.0 ** 40
+# the table's guard (decide_block), relative to |z|_1 + a*|n|_1
+_EPS = 2.0 ** -38
+# an edge line is regular for a noise point when |f_j(n)| is at least this
+# share of |n|_1 (plus 1/_TABLE_TOP); an irregular line is never certain
+_SLOPE = 2.0 ** -16
+# a is widened by this share before it is compared with the table
+_WIDEN = 2.0 ** -20
+
+
+def _edge_lines(c: PskConstellation):
+    """cos and sin of the angles pi/L + 2*pi*j/L, j < L/2, of the lines that
+    hold the L sector edges, each a (L/2, 1) column."""
+    beta = (2 * np.arange(c.order // 2) + 1) * np.pi / c.order
+    return np.cos(beta)[:, None], np.sin(beta)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,15 +107,15 @@ class NoiseBlock:
     """One channel's noise draws: n_noise x K x T complex samples, planar.
 
     planar is a read-only real (2, n_noise, K, T) float64 array, all real
-    parts first (planar[0] + 1j*planar[1] is the complex block). peak is its
-    largest |entry| and planar32 its float32 copy, which decide_block's
-    float32 pass reads; planar32 is None for a block below
-    FILTER_MIN_POINTS points or with a peak outside that pass's range.
+    parts first (planar[0] + 1j*planar[1] is the complex block), and peak is
+    its largest |entry|. On a large block, decide_block keeps the noise's
+    edge forms for the last constellation order and the crossing table of
+    the last design in the block's memo, one entry each.
     """
 
     planar: np.ndarray
     peak: float = field(init=False)
-    planar32: np.ndarray | None = field(init=False, repr=False)
+    _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         planar = np.asarray(self.planar)
@@ -121,15 +124,73 @@ class NoiseBlock:
             raise ValueError("noise must be a real (2, n_noise >= 1, K, T) block")
         planar = planar.astype(np.float64)  # the block's own copy
         planar.flags.writeable = False
-        peak = float(np.abs(planar).max())
-        planar32 = None
-        if (planar[0].size >= FILTER_MIN_POINTS
-                and _F32_RANGE[0] <= peak <= _F32_RANGE[1]):
-            planar32 = planar.astype(np.float32)
-            planar32.flags.writeable = False
         object.__setattr__(self, "planar", planar)
-        object.__setattr__(self, "peak", peak)
-        object.__setattr__(self, "planar32", planar32)
+        # max |entry| without an |planar| temporary; NaN if any entry is NaN
+        object.__setattr__(self, "peak", float(np.maximum(planar.max(), -planar.min())))
+
+    def _noise_forms(self, c: PskConstellation):
+        """Per edge line j and noise point: 1/f_j(n) in float32 (NaN where the
+        line is irregular) and whether f_j(n) < 0, each (L/2, n_noise*K*T);
+        None when the peak is above _TABLE_TOP or NaN."""
+        if self._memo.get("forms", (None,))[0] != c.order:
+            forms = None
+            if self.peak <= _TABLE_TOP:
+                cos, sin = _edge_lines(c)
+                re, im = self.planar.reshape(2, -1)
+                floor, part = np.abs(re), np.abs(im)
+                floor += part
+                floor *= _SLOPE
+                floor += 1.0 / _TABLE_TOP
+                form = np.empty_like(re)
+                inv = np.empty((len(cos), re.size), dtype=np.float32)
+                negative = np.empty(inv.shape, dtype=bool)
+                for j in range(len(cos)):
+                    np.multiply(im, cos[j], out=form)
+                    form -= np.multiply(re, sin[j], out=part)
+                    np.less(form, 0.0, out=negative[j])
+                    irregular = np.abs(form, out=part) < floor
+                    with np.errstate(divide="ignore"):  # irregular where form is 0
+                        np.divide(1.0, form, out=part)
+                    np.copyto(part, np.nan, where=irregular)
+                    inv[j] = part
+                forms = inv, negative
+            self._memo["forms"] = c.order, forms
+        return self._memo["forms"][1]
+
+    def _crossing_table(self, zz: np.ndarray, c: PskConstellation):
+        """decide_block's crossing table for the noise-free points zz: the
+        (L, n_noise*K*T) float32 bounds, hi_j in rows j < L/2 and lo_j in
+        rows L/2 + j, and the noise forms' signs; None when the table path
+        does not apply. The last design's table is memoized."""
+        key = zz.tobytes(), c.order
+        # popped, so that the old table is freed before a new one is built
+        memo = self._memo.pop("table", (None, None))
+        if memo[0] != key:
+            forms = self._noise_forms(c)
+            memo = key, None
+            if forms is not None and np.abs(zz).max() <= _TABLE_TOP:
+                inv, negative = forms
+                cos, sin = _edge_lines(c)
+                zre, zim = zz.reshape(2, 1, -1)
+                guard = np.abs(zre) + np.abs(zim)
+                guard *= _EPS
+                form = zim * cos - zre * sin
+                low = (-form - guard).astype(np.float32)
+                high = (-form + guard).astype(np.float32)
+                half = c.order // 2
+                bounds = np.empty((c.order, inv.shape[1]), dtype=np.float32)
+                kt = zz[0].size
+                one, two = (np.empty((inv.shape[1] // kt, kt), dtype=np.float32)
+                            for _ in range(2))
+                for j in range(half):
+                    w = inv[j].reshape(-1, kt)
+                    np.multiply(w, low[j], out=one)
+                    np.multiply(w, high[j], out=two)
+                    np.maximum(one, two, out=bounds[j].reshape(-1, kt))
+                    np.minimum(one, two, out=bounds[half + j].reshape(-1, kt))
+                memo = key, (bounds, negative)
+        self._memo["table"] = memo
+        return memo[1]
 
 
 def decide_block(noise: NoiseBlock, zz: np.ndarray, a: float,
@@ -140,61 +201,84 @@ def decide_block(noise: NoiseBlock, zz: np.ndarray, a: float,
     bit. decide_index is called once, through this module's global name, so
     a wrapper installed there (perfbench's tracer) sees every decision call.
 
-    A float32 pass decides every point whose sector it can prove; the rest
-    are rebuilt in float64 with the same two roundings and decided exactly
-    (a floating-point filter, after Shewchuk's adaptive predicates). With
-    u = 2^-24 and B = a*peak + max |zz|, each part of y32 = f32(a)*n32 +
-    f32(zz) lies within 4u*B + 2^-52*B of the float64 point y: four float32
-    roundings (n, a, the product, the sum) of a part up to a*peak and two (z,
-    the sum) of one up to max |zz|, and two float64 roundings. Below the
-    normal range a rounding errs by at most 2^-150 absolutely; with B and
-    peak in _F32_RANGE = [2^-50, 2^50], those errors (times a <= B/peak or
-    times peak) stay under 2^-26 * u*B, no part, square or R^2 below
-    overflows, and R^2 is normal. So delta = 5u*B bounds each part's error,
-    and |y32 - y| <= sqrt(2)*delta.
+    A large block is decided from a crossing table that the block keeps for
+    its last design (zz and L), so further noise levels of that design only
+    compare a with it. Edge line j < L/2 lies at angle b_j = pi/L + 2*pi*j/L
+    and holds the edges j and j + L/2; its form f_j(y) = Im(y*exp(-i*b_j))
+    is positive on its counter-clockwise side. The signs of the L/2 forms
+    fix the sector: with m positive forms, it is m if f_0 > 0, else
+    (L - m) mod L. Along y(a) = z + a*n, f_j(y(a)) = f_j(z) + a*f_j(n)
+    changes sign once, at t_j = -f_j(z)/f_j(n).
 
-    In units of one sector width (2pi/L), v = arctan2(y32) * L/(2pi) and
-    k = rint(v); y32 is certain when |v - k| <= 1/2 - G and |y32| >= R, i.e.
-    when frac(v + 1/2) lies in [G, 1 - G]. Its k is then y's sector mod L:
-      - from |y32| >= R, y is seen within arcsin(sqrt(2)*delta/R) <=
-        pi/2 * sqrt(2)*delta/R of y32's angle; R = L*sqrt(2)*delta/G makes
-        that G/4 sector widths (the rounded squares in |y32|^2 err by ~3u
-        relative, inside the slack of the arcsin bound);
-      - float32 arctan2 errs by under G/8 of a sector at L = 16 (a test
-        checks it on 10^6 points), the scaling by under 20u, and rint and
-        the subtraction are exact;
-      - decide_index's own float64 rounding is below 1e-14 of a sector.
-    The errors add to under G/2, so y's exact sector coordinate, and the
-    one decide_index computes, lies strictly inside sector k. A point on
-    the branch cut at pi has coordinate L/2, mid-sector, on either side.
+    Why the table's decisions are exact (u = 2^-53, |.|_1 = |Re| + |Im|,
+    S = |z|_1 + a*|n|_1):
+      - A line is regular for a noise point when |f_j(n)| >= 2^-16 * |n|_1 +
+        2^-40; an irregular line is never certain.
+      - Call a regular line j certain at a when the exact
+        |f_j(z) + a*f_j(n)| exceeds 2^-40 * S. The float64 point y lies
+        within 2.01u*S + 2^-1073 of z + a*n in any form, where
+        S >= a*|n|_1 >= 2^-80, so f_j(y) has that sign and
+        |f_j(y)| > 2^-41 * |y|: y is more than 2^-41 rad from both edges on
+        the line. decide_index's arctan2 errs by a few ulps and its shift
+        and scaling by a few u of a sector, far less; so on a point certain
+        on every line it returns the sector that the signs give.
+      - The forms are computed in float64, within 4u of the exact ones times
+        |.|_1 (cos and sin of b_j included), so with _EPS = 2^-38 it is
+        enough that |g(a)| > _EPS * S, where g is the computed forms' line.
+        With t the computed t_j, C = _EPS*|z|_1, c' = C/|f_j(n)| and
+        r = _EPS*|n|_1/|f_j(n)| <= 2^-22, that fails only for a in
+        [(t - c')/(1 + r), (t + c')/(1 - r)].
+      - The block keeps w = 1/f_j(n) in float32 (NaN on an irregular line)
+        and its sign; per design, P = -f_j(z) - C and Q = -f_j(z) + C in
+        float32 give lo = min(w*P, w*Q) <= t - c' and
+        hi = max(w*P, w*Q) >= t + c'.
+      - A line is above when hi < f32(a/(1 + 2^-20)): then a > hi/(1 - r),
+        the form is certain and has w's sign. It is below when
+        lo > f32(a*(1 + 2^-20)): then a < lo/(1 + r) and the form is certain
+        with the opposite sign. The widening 2^-20 covers r and the float32
+        roundings of w, P, Q, the products and the scalar (2^-24 each,
+        relative), and their error below float32's normal range (at most
+        2^-109 absolutely, while a >= 2^-40). An irregular line's NaN is
+        neither.
+    A point with every line above or below takes the sector of its signs.
+    The rest are rebuilt in float64 with the same two roundings, gathered,
+    and decided by decide_index. The table path runs for a in [2^-40, 2^40]
+    with every noise and noise-free part at most 2^40 (_TABLE_TOP); there w,
+    P and Q are normal and the products finite. Other blocks, small ones and
+    those with a NaN part (which then raises in decide_index) take the
+    float64 path whole.
     """
-    bound = None if noise.planar32 is None else a * noise.peak + float(np.abs(zz).max())
-    if bound is None or not _F32_RANGE[0] <= bound <= _F32_RANGE[1]:
+    table = None
+    if (noise.planar[0].size >= FILTER_MIN_POINTS
+            and 1.0 / _TABLE_TOP <= a <= _TABLE_TOP):
+        table = noise._crossing_table(zz, c)
+    if table is None:
         # every point in float64
         y = np.multiply(noise.planar, a)
         y += zz[:, None]
         return decide_index(y[0], y[1], c)
-    kt = zz[0].size
-    zz = zz.reshape(2, 1, kt)
-    y = np.multiply(noise.planar32.reshape(2, -1, kt), np.float32(a))
-    y += zz.astype(np.float32)
-    r2 = np.square(y[0])
-    r2 += np.square(y[1])
-    v = np.arctan2(y[1], y[0])
-    v *= np.float32(c.order / (2.0 * np.pi))
-    k = np.rint(v)
-    v -= k
-    np.abs(v, out=v)
-    # both tests are false on a NaN, which then reaches decide_index
-    sure = v <= np.float32(0.5 - _GUARD)
-    radius = c.order * np.sqrt(2.0) * 5.0 * 2.0 ** -24 * bound / _GUARD
-    sure &= r2 >= np.float32(radius * radius)
-    decided = _wrap_index(k, c)
-    # the exact fallback: the float64 path's arithmetic on the gathered points
+    bounds, negative = table
+    half = c.order // 2
+    side = np.empty(bounds.shape, dtype=bool)
+    above, below = side[:half], side[half:]
+    np.less(bounds[:half], np.float32(a / (1.0 + _WIDEN)), out=above)
+    np.greater(bounds[half:], np.float32(a * (1.0 + _WIDEN)), out=below)
+    certain = np.logical_or(above, below, out=below)
+    sure = np.logical_and.reduce(certain, axis=0)
+    positive = np.logical_xor(above, negative, out=above)
+    decided = positive.view(np.uint8).sum(axis=0, dtype=np.uint8)
+    # the count m where f_0 > 0, else -m: with s = 0 or 255 (-1 in uint8),
+    # (m ^ s) - s is m or -m (a select by arithmetic, with no branch per point)
+    flip = positive[0].view(np.uint8) - 1
+    decided ^= flip
+    decided -= flip
+    decided &= c.order - 1
+    # the uncertain points: the float64 path's arithmetic on the gathered points
     flat = np.flatnonzero(~sure)
+    kt = zz[0].size
     y = noise.planar.reshape(2, -1)[:, flat] * a
-    y += zz[:, 0, flat % kt]
-    decided.reshape(-1)[flat] = decide_index(y[0], y[1], c)
+    y += zz.reshape(2, -1)[:, flat % kt]
+    decided[flat] = decide_index(y[0], y[1], c)
     return decided.reshape(noise.planar.shape[1:])
 
 

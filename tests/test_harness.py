@@ -40,6 +40,9 @@ from irsprecode.harness import (
 from irsprecode.onebit import build_coefficients, mirror_descent, solve_symbol
 
 QPSK = PskConstellation(4)
+# solver settings that were once SolverConfig fields
+_DELETED_SOLVER_KEYS = ("mbi_restarts", "apg_tol", "ao_stop_tol", "md_max_iter",
+                        "apg_max_iter", "ao_max_outer")
 
 
 def small_cfg(**kw):
@@ -176,8 +179,14 @@ class TestConfig:
         # raise TypeError on load and a bool passed as 0 or 1). mbi_restarts,
         # apg_tol and the iteration caps md_max_iter, apg_max_iter and
         # ao_max_outer are gone, so a config naming any of them, even at its
-        # old default, is wrong
-        with pytest.raises(ValueError):
+        # old default, is wrong. Each row must fail for its own key: a
+        # deleted key as unknown, a field's bad value under the field's name
+        (key,) = solver
+        if key in _DELETED_SOLVER_KEYS:
+            match = rf"^unknown solver config keys: \['{key}'\]$"
+        else:
+            match = rf"^{key} must be "
+        with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_dict({"m": 4, "solver": solver})
 
     @pytest.mark.parametrize("text", [
@@ -333,7 +342,7 @@ class TestSimulate:
         assert small * mean >= 50
         for n_noise in (small, large):
             noise = draw_noise(n_noise, k, t, rng)
-            assert (noise.planar32 is None) == (n_noise == small)
+            assert (noise.planar[0].size >= constellation.FILTER_MIN_POINTS) == (n_noise == large)
             be, se, _, _ = simulate_transmission(x, phases, ch, symbols,
                                                  inv_db_to_sigma2(db), noise)
             checks = [(se, *sym_bounds)] + ([] if bits is None else [(be, bits, bits)])
@@ -385,55 +394,102 @@ class TestSimulate:
         assert np.array_equal(noise[0], want.real) and np.array_equal(noise[1], want.imag)
 
 
-# B just inside and just outside the float32 pass's range, as a share of its ends
-_B_TARGETS = {"low-in": 2.0 ** -50 * (1 + 1e-6), "low-out": 2.0 ** -50 * (1 - 1e-6),
-              "high-in": 2.0 ** 50 * (1 - 1e-6), "high-out": 2.0 ** 50 * (1 + 1e-6)}
+# a just inside and just outside the crossing table's range: at the bottom
+# a >= 2^-40, at the top the largest of a and the noise-free parts <= 2^40
+_RANGE_TARGETS = {"low-in": 2.0 ** -40 * (1 + 1e-6), "low-out": 2.0 ** -40 * (1 - 1e-6),
+                  "high-in": 2.0 ** 40 * (1 - 1e-6), "high-out": 2.0 ** 40 * (1 + 1e-6)}
 
 
-class TestFloat32Filter:
+def table_bounds(noise, zz, c):
+    """The crossing table's bounds array the block hands out for zz: the same
+    object on a memo hit, a new one on a miss."""
+    return noise._crossing_table(zz, c)[0]
+
+
+class TestCrossingTable:
     # 10,200 receive points, above constellation.FILTER_MIN_POINTS
     SHAPE = (1700, 2, 3)
 
-    def test_noise_block_carries_its_float32_copy(self):
+    def test_noise_block_keeps_its_own_copy_and_its_peak(self):
         planar = np.random.default_rng(1).standard_normal((2, *self.SHAPE))
         noise = NoiseBlock(planar)
         planar[0, 0, 0, 0] = 99.0  # the block keeps its own copy
         assert noise.planar[0, 0, 0, 0] != 99.0
+        assert not noise.planar.flags.writeable
         assert noise.peak == np.abs(noise.planar).max()
-        assert noise.planar32.dtype == np.float32
-        assert np.array_equal(noise.planar32, noise.planar.astype(np.float32))
-        assert not noise.planar.flags.writeable and not noise.planar32.flags.writeable
-        assert noise.planar[0].size >= constellation.FILTER_MIN_POINTS
-        # a small block, and blocks whose peak is outside the float32 pass's
-        # range, are decided in float64 alone
-        small = NoiseBlock(planar[:, :10])
-        assert small.planar32 is None and small.peak == np.abs(planar[:, :10]).max()
-        for scale in (2.0 ** -60, 2.0 ** 60, np.nan):
-            assert NoiseBlock(planar * scale).planar32 is None
+        # peak is max(max, -min), which is max |entry| also on blocks with
+        # NaN, signed zeros and infinities
+        for parts in ([0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0], [-3.0, 2.0], [np.inf, 1.0],
+                      [-np.inf, 1.0], [np.inf, -np.inf], [np.nan, 1.0], [-np.inf, np.nan],
+                      [0.0, np.nan]):
+            block = np.array(parts * 2).reshape(2, 1, 1, 2)
+            want = np.abs(block).max()
+            got = NoiseBlock(block).peak
+            assert type(got) is float
+            assert got == want or (np.isnan(want) and np.isnan(got)), (parts, got)
 
     @settings(max_examples=80, deadline=None)
     @given(order=st.sampled_from([2, 4, 8, 16]), seed=st.integers(0, 2 ** 32 - 1),
-           log_a=st.floats(-40, 40), log_z=st.floats(-30, 30),
+           log_a=st.floats(-40, 40), log_z=st.floats(-30, 50),
            z_kind=st.sampled_from(["gauss", "edge", "cancel", "near-cancel", "zero"]),
            edge_share=st.sampled_from([0.0, 0.3, 1.0]),
            zero_share=st.sampled_from([0.0, 0.2]),
-           target=st.sampled_from([None, *_B_TARGETS]), nan=st.booleans())
+           target=st.sampled_from([None, *_RANGE_TARGETS]), nan=st.booleans(),
+           parallel_share=st.sampled_from([0.0, 0.3]),
+           crossing=st.sampled_from([None, 0.0, 2.0 ** -19, -2.0 ** -19]),
+           nan_in=st.sampled_from(["noise", "design"]))
     @example(order=16, seed=0, log_a=0.0, log_z=0.0, z_kind="edge", edge_share=1.0,
-             zero_share=0.0, target="low-in", nan=False)
+             zero_share=0.0, target="low-in", nan=False, parallel_share=0.0,
+             crossing=None, nan_in="noise")
     @example(order=8, seed=1, log_a=0.0, log_z=-1.0, z_kind="gauss", edge_share=0.3,
-             zero_share=0.2, target="low-out", nan=False)
+             zero_share=0.2, target="low-out", nan=False, parallel_share=0.0,
+             crossing=None, nan_in="noise")
     @example(order=2, seed=2, log_a=0.0, log_z=3.0, z_kind="near-cancel", edge_share=0.3,
-             zero_share=0.2, target="high-in", nan=False)
+             zero_share=0.2, target="high-in", nan=False, parallel_share=0.0,
+             crossing=None, nan_in="noise")
     @example(order=4, seed=3, log_a=0.0, log_z=0.0, z_kind="cancel", edge_share=0.0,
-             zero_share=0.2, target="high-out", nan=False)
+             zero_share=0.2, target="high-out", nan=False, parallel_share=0.0,
+             crossing=None, nan_in="noise")
     @example(order=4, seed=4, log_a=0.0, log_z=0.0, z_kind="zero", edge_share=0.3,
-             zero_share=0.2, target=None, nan=True)
+             zero_share=0.2, target=None, nan=True, parallel_share=0.0,
+             crossing=None, nan_in="noise")
+    # a at a crossing t_j, noise on an edge line (f_j(n) = 0), z = +-0, and
+    # a NaN noise-free point
+    @example(order=16, seed=5, log_a=-3.0, log_z=0.0, z_kind="gauss", edge_share=0.0,
+             zero_share=0.0, target=None, nan=False, parallel_share=0.0,
+             crossing=0.0, nan_in="noise")
+    @example(order=8, seed=6, log_a=-5.0, log_z=0.0, z_kind="edge", edge_share=0.3,
+             zero_share=0.2, target=None, nan=False, parallel_share=0.3,
+             crossing=0.0, nan_in="noise")
+    @example(order=4, seed=7, log_a=-2.0, log_z=0.0, z_kind="gauss", edge_share=0.0,
+             zero_share=0.0, target=None, nan=False, parallel_share=0.3,
+             crossing=None, nan_in="noise")
+    @example(order=2, seed=8, log_a=-4.0, log_z=0.0, z_kind="zero", edge_share=0.3,
+             zero_share=0.2, target=None, nan=False, parallel_share=0.3,
+             crossing=None, nan_in="noise")
+    @example(order=16, seed=9, log_a=-4.0, log_z=0.0, z_kind="zero", edge_share=0.0,
+             zero_share=0.2, target=None, nan=False, parallel_share=0.0,
+             crossing=None, nan_in="noise")
+    @example(order=4, seed=10, log_a=-3.0, log_z=0.0, z_kind="gauss", edge_share=0.0,
+             zero_share=0.0, target=None, nan=True, parallel_share=0.0,
+             crossing=None, nan_in="design")
+    # a 2^-19 beyond the crossing of noise tilted 2^-20 to 2^-45 rad off an
+    # edge line, where the float64 sum's rounding can cross it
+    @example(order=4, seed=42, log_a=-10.0, log_z=0.0, z_kind="gauss", edge_share=0.0,
+             zero_share=0.0, target=None, nan=False, parallel_share=0.3,
+             crossing=2.0 ** -19, nan_in="noise")
+    # z on an edge, so far out that the float64 sum's rounding moves the
+    # point across the edge where the noise is nearly parallel to it
+    @example(order=4, seed=11, log_a=-20.0, log_z=46.0, z_kind="edge", edge_share=0.0,
+             zero_share=0.0, target=None, nan=False, parallel_share=0.0,
+             crossing=None, nan_in="noise")
     def test_decisions_equal_decide_index_on_the_float64_points(
             self, order, seed, log_a, log_z, z_kind, edge_share, zero_share, target,
-            nan):
-        # the float32 pass with its float64 fallback decides each receive
+            nan, parallel_share, crossing, nan_in):
+        # the crossing table with its float64 fallback decides each receive
         # point fl(fl(a*n) + z) as decide_index does, on blocks built to sit
-        # on sector edges, near zero and at the ends of the pass's range
+        # on sector edges, near zero, at a crossing and at the ends of the
+        # table's range
         rng = np.random.default_rng(seed)
         c = PskConstellation(order)
         n, k, t = self.SHAPE
@@ -447,10 +503,21 @@ class TestFloat32Filter:
         on_edge = rng.random((n, k, t)) < edge_share
         planar[0][on_edge], planar[1][on_edge] = edge_points(
             int(on_edge.sum()), np.abs(rng.standard_normal(int(on_edge.sum()))))
+        # noise on an edge line, whose computed form is exactly 0:
+        # 2^e * (cos b_j, sin b_j) gives im*cos - re*sin = 0 in floating
+        # point; half of it is tilted off the line by 2^-20 to 2^-45 rad
+        on_line = rng.random((n, k, t)) < parallel_share
+        cos, sin = constellation._edge_lines(c)
+        line = rng.integers(0, order // 2, size=int(on_line.sum()))
+        scale = np.ldexp(rng.choice([-1.0, 1.0], size=line.size),
+                         rng.integers(-3, 4, size=line.size))
+        tilt = rng.choice([0.0, 1.0], size=line.size) * 2.0 ** -rng.uniform(20, 45, line.size)
+        planar[0][on_line] = scale * (cos[line, 0] - tilt * sin[line, 0])
+        planar[1][on_line] = scale * (sin[line, 0] + tilt * cos[line, 0])
         for part in planar:
             hit = rng.random(part.shape) < zero_share
             part[hit] = rng.choice([0.0, -0.0], size=int(hit.sum()))
-        if nan:
+        if nan and nan_in == "noise":
             planar[rng.integers(2), rng.integers(n), rng.integers(k), rng.integers(t)] = np.nan
         noise = NoiseBlock(planar)
         draw = rng.integers(n)
@@ -469,9 +536,32 @@ class TestFloat32Filter:
 
         a = 2.0 ** log_a
         if target is not None and not nan:
-            # scale B = a*peak + max|z| to the target
-            a *= _B_TARGETS[target] / (a * noise.peak + np.abs(noise_free(a)).max())
+            # a to the target at the bottom; the largest of a and the
+            # noise-free parts to it at the top
+            reach = a if target.startswith("low") else max(a, np.abs(noise_free(a)).max())
+            a *= _RANGE_TARGETS[target] / reach
         zz = noise_free(a)
+        if nan and nan_in == "design":
+            zz[rng.integers(2), rng.integers(k), rng.integers(t)] = np.nan
+        if crossing is not None and target is None and not nan:
+            # a at, or 2^-19 beside, where some point's form on some line
+            # changes sign, t_j = -f_j(z)/f_j(n), computed as the table
+            # computes the forms; a tilted noise point's when there is one
+            lines = np.full(on_line.shape, rng.integers(order // 2))
+            lines[on_line] = line
+            pick = np.zeros_like(on_line)
+            pick[on_line] = tilt > 0
+            if not pick.any():
+                pick[...] = True
+            j = lines[pick]
+            zre, zim = np.broadcast_to(zz[:, None], planar.shape)
+            nre, nim = noise.planar
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cross = -((zim[pick] * cos[j, 0] - zre[pick] * sin[j, 0])
+                          / (nim[pick] * cos[j, 0] - nre[pick] * sin[j, 0]))
+            cross = cross[(cross >= 2.0 ** -40) & (cross <= 2.0 ** 40)]
+            if cross.size:
+                a = float(rng.choice(cross)) * (1 + crossing)
         seen = []
         decide_index = constellation.decide_index
 
@@ -485,25 +575,90 @@ class TestFloat32Filter:
             if nan:
                 with pytest.raises(ValueError, match="NaN"):
                     constellation.decide_block(noise, zz, a, c)
+                assert len(seen) == 1
                 return
             got = constellation.decide_block(noise, zz, a, c)
         assert got.dtype == np.uint8
         assert np.array_equal(got, constellation.decide_index(points[0], points[1], c))
         assert len(seen) == 1  # one call, even when it gets no point
+        # the table path gives decide_index a gather, the float64 path the block
+        top = 2.0 ** 40
+        table = 1 / top <= a <= top and max(noise.peak, np.abs(zz).max()) <= top
+        assert (len(seen[0]) == 1) == table
         if target is not None:
-            # inside the range the fallback gets a gather, outside it the block
-            assert (len(seen[0]) == 1) == target.endswith("-in")
+            assert table == target.endswith("-in")
 
-    def test_float32_arctan2_is_within_the_filters_budget(self):
-        # the filter's proof takes float32 arctan2 within G/8 of a sector at
-        # L = 16 (G = constellation._GUARD); a NumPy build with a worse kernel fails
-        # here instead of miscounting. Parts from 2^-50 to 2^50, in any ratio
+    def test_float64_arctan2_is_within_the_tables_budget(self):
+        # the table's proof takes decide_index's arctan2 within a few ulps,
+        # far below the 2^-41 rad that certain points keep from every edge;
+        # a NumPy build with a worse kernel fails here instead of miscounting.
+        # Parts from 2^-40 to 2^40, in any ratio, against extended precision
         rng = np.random.default_rng(0)
-        parts = rng.standard_normal((2, 10 ** 6)) * 2.0 ** rng.uniform(-50, 50, (2, 10 ** 6))
-        parts = parts.astype(np.float32)
-        got = np.arctan2(parts[1], parts[0]).astype(np.float64)
-        want = np.arctan2(parts[1].astype(np.float64), parts[0].astype(np.float64))
-        assert np.abs(got - want).max() * 16 / (2 * np.pi) < constellation._GUARD / 8
+        parts = rng.standard_normal((2, 10 ** 6)) * 2.0 ** rng.uniform(-40, 40, (2, 10 ** 6))
+        got = np.arctan2(parts[1], parts[0])
+        want = np.arctan2(*parts[::-1].astype(np.longdouble))
+        assert np.abs(got - want).max() < 2.0 ** -46
+
+    def test_memo_serves_interleaved_designs_and_orders(self):
+        # one block serves designs A, B, A at QPSK and A at 8-PSK, level by
+        # level, as fresh blocks do; every count also equals the plain
+        # float64 formulation's
+        ch, phases, x, _ = fixed_design(5, k=2, t=5)
+        rng = np.random.default_rng(5)
+        designs = [x, rng.choice([-1.0, 1.0], size=x.shape)
+                   + 1j * rng.choice([-1.0, 1.0], size=x.shape)]
+        qpsk, psk8 = PskConstellation(4), PskConstellation(8)
+        frames = {c.order: SymbolFrame.random(c, 2, 5, rng) for c in (qpsk, psk8)}
+        noise = draw_noise(1000, 2, 5, rng)  # 10,000 receive points
+        assert noise.planar[0].size >= constellation.FILTER_MIN_POINTS
+        plan = [(designs[0], 4), (designs[1], 4), (designs[0], 4), (designs[0], 8)]
+        total = 0
+        for db in (0.0, 10.0, 20.0, 30.0):
+            sigma2 = inv_db_to_sigma2(db)
+            for design, order in plan:
+                symbols = frames[order]
+                fresh = NoiseBlock(noise.planar)
+                got = simulate_transmission(design, phases, ch, symbols, sigma2, noise)
+                assert got == simulate_transmission(design, phases, ch, symbols, sigma2,
+                                                    fresh)
+                assert got == reference_simulate_transmission(design, phases, ch, symbols,
+                                                              sigma2, noise)
+                total += got[0]
+        assert total > 0
+
+    def test_memo_misses_a_design_one_ulp_away(self):
+        # the tables stay referenced, so a new one cannot reuse an old address
+        rng = np.random.default_rng(2)
+        noise = NoiseBlock(rng.standard_normal((2, *self.SHAPE)))
+        zz = rng.standard_normal((2, *self.SHAPE[1:]))
+        first = table_bounds(noise, zz, QPSK)
+        assert table_bounds(noise, zz.copy(), QPSK) is first  # equal bytes hit
+        moved = zz.copy()
+        moved[1, 1, 2] = np.nextafter(moved[1, 1, 2], np.inf)
+        near = table_bounds(noise, moved, QPSK)
+        assert near is not first
+        # so do another order and a sign flip of a zero part
+        again = table_bounds(noise, zz, QPSK)
+        assert again is not first and table_bounds(noise, zz, PskConstellation(8)) is not again
+        zero = np.zeros_like(zz)
+        plus = table_bounds(noise, zero, QPSK)
+        assert table_bounds(noise, -zero, QPSK) is not plus
+        # the table of the design a run hands over decides as a fresh block
+        a = 0.05
+        for design in (zz, moved, zz):
+            want = constellation.decide_block(NoiseBlock(noise.planar), design, a, QPSK)
+            assert np.array_equal(constellation.decide_block(noise, design, a, QPSK), want)
+
+    def test_table_run_does_not_depend_on_the_thread_count(self, tmp_path):
+        # 600 draws x 2 users x 10 slots = 12,000 receive points per channel:
+        # every decision comes from the crossing table
+        cfg = small_cfg(k=2, t=10, order=16, n_noise=600, n_channels=2,
+                        schemes=("onebit-md", "zf-quant", "relaxed-quant-noirs"))
+        assert cfg.n_noise * cfg.k * cfg.t >= constellation.FILTER_MIN_POINTS
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(run_experiment(cfg, threads=1), p1)
+        write_csv(run_experiment(cfg, threads=2), p2)
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 def uniform_replays(calls):
