@@ -351,12 +351,13 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
     every index, dropping the negative entries of lam until none are left;
     eps = 1e-9 max diag(G) covers the singular G of BPSK or K > M. W and sigma
     are then recomputed at lam until they repeat, at most 2K times; the first
-    pass, with W every entry, minimizes the quadratic model. Dropping an
-    index never compares its gradient with tau, and a window that does not
-    repeat leaves lam optimal for another model, so in those two cases lam
-    must pass the START_GAP_RTOL test of f_mu itself, or the uniform point is
-    returned: MD's residual barely sees the WARM_START_MIX weight of an entry
-    the start left out. lam is mixed with the uniform point by WARM_START_MIX.
+    pass, with W every entry, minimizes the quadratic model. Every lam must
+    then pass the START_GAP_RTOL test of f_mu itself, or the uniform point is
+    returned: dropping an index never compares its gradient with tau, a
+    window that does not repeat leaves lam optimal for another model, and at
+    K > M and small mu even a repeated window with no drop can leave a gap.
+    MD's residual barely sees the WARM_START_MIX weight of an entry the start
+    left out. lam is mixed with the uniform point by WARM_START_MIX.
     A zero or non-finite G = C^T C gives the uniform point, and a pass with
     non-finite values returns the previous one.
 
@@ -380,8 +381,6 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
     sigma = np.zeros((n_slots, ct.shape[2]))  # sign of each clipped entry, 0 inside W
     rhs = np.empty((n_slots, n, 2))  # the right-hand sides 1 and b, as columns
     w = np.empty((n_slots, n))  # sum(v) lam of the last solve
-    dropped = np.zeros(n_slots, dtype=bool)
-    repeated = np.zeros(n_slots, dtype=bool)
     live = np.flatnonzero(ok)  # the slots whose passes go on
     # the products with C run over the whole stack: most slots are live in
     # most passes, and copying the live ones out cost more than the products
@@ -391,7 +390,6 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
         g[live[:, None], diag, diag] += 1e-9 * scale[live, None]
         rhs[live, :, 0] = 1.0
         rhs[live, :, 1] = (ct @ sigma[..., None])[live, :, 0]
-        dropped[live] = False
         step = live  # the slots whose active set is still shrinking
         while True:
             vu = np.linalg.solve(g[step], rhs[step])
@@ -404,7 +402,6 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
             if not hit.any():
                 break
             step, drop = step[hit], drop[hit]
-            dropped[step] = True
             # a dropped index gets an identity row and column and zero
             # right-hand sides, so its entries of v, u and w are 0 from now on
             g[step] = np.where(drop[:, :, None] | drop[:, None, :], np.eye(n), g[step])
@@ -416,7 +413,6 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
         y = (c @ lam[..., None])[live, :, 0]
         clipped = np.sign(y) * (np.abs(y) > rho[live, None])
         same = (clipped == sigma[live]).all(axis=1)
-        repeated[live] = same
         live, clipped = live[~same], clipped[~same]
         sigma[live] = clipped
         for t in live:
@@ -429,7 +425,7 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
     f = s / rho * (y_c[:, None, :] @ (y - 0.5 * y_c)[..., None])[:, 0, 0]
     grad = (ct @ y_c[..., None])[..., 0] * (s / rho)[:, None]
     gap = (grad[:, None, :] @ lam[..., None])[:, 0, 0] - grad.min(axis=1)
-    uniform = ~ok | ((dropped | ~repeated) & (gap > START_GAP_RTOL * (f + s * rho)))
+    uniform = ~ok | (gap > START_GAP_RTOL * (f + s * rho))
     out = (1.0 - WARM_START_MIX) * lam + WARM_START_MIX / n
     out[uniform] = 1.0 / n
     return out

@@ -185,15 +185,6 @@ def momentum_sequence(n: int):
 
 
 @dataclass
-class ApgTraceRecord:
-    iteration: int
-    smoothed: float
-    true_value: float
-    step: float
-    theta_bar: np.ndarray | None = None
-
-
-@dataclass
 class ApgResult:
     theta_bar: np.ndarray  # best true-objective iterate, always in Phi
     value: float  # max_constraint at theta_bar
@@ -201,12 +192,10 @@ class ApgResult:
     converged: bool
     n_iter: int
     best_iter: int  # the iteration that found theta_bar; 0 for the start
-    trace: list
 
 
 def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
-                 opts: SolverConfig = SolverConfig(),
-                 record_trace: bool = False) -> ApgResult:
+                 opts: SolverConfig = SolverConfig()) -> ApgResult:
     """Minimize the smoothed worst constraint over the unit-modulus set.
 
     Smooths at width opts.delta; stops once APG_PATIENCE iterations in a row
@@ -217,10 +206,11 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     optimistically each iteration, and backtracks (doubling, capped at the
     bound where the descent lemma accepts unconditionally). The momentum
     weights follow momentum_sequence; an iterate whose smoothed objective
-    is above the previous iterate's restarts it from psi_0 = 0. record_trace
-    keeps one ApgTraceRecord per iteration. The initial point is projected
-    onto Phi and counts in best-iterate tracking, so the returned value never
-    exceeds the initial objective; best_iter is 0 when no iterate beat it.
+    is above the previous iterate's restarts it from psi_0 = 0. Every point
+    APG forms, backtracking trials included, goes through the module's
+    project_unit_modulus. The initial point is projected onto Phi and counts
+    in best-iterate tracking, so the returned value never exceeds the
+    initial objective; best_iter is 0 when no iterate beat it.
     """
     delta = opts.delta
     theta = project_unit_modulus(theta_bar_init)
@@ -233,7 +223,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
         val = max_constraint(theta, coeffs)
         return ApgResult(theta_bar=theta, value=val,
                          smoothed=lse_value(theta, coeffs, delta),
-                         converged=True, n_iter=0, best_iter=0, trace=[])
+                         converged=True, n_iter=0, best_iter=0)
 
     psis = momentum_sequence(APG_MAX_ITER)[1]
     # the start point goes through the public kernels, which perfbench's
@@ -250,7 +240,6 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     best_it = 0  # the iteration that found best_theta
     r = 1  # position in the momentum sequence
     tau = lipschitz
-    trace: list = []
     it = 0
 
     for it in range(1, APG_MAX_ITER + 1):
@@ -277,8 +266,6 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
             best_theta = theta_new
             best_h = h_new
             best_it = it
-        if record_trace:
-            trace.append(ApgTraceRecord(it, h_new, val, 1.0 / tau, theta_new))
 
         # nonconvex projection plus momentum can cycle; a smoothed-objective
         # rise kills the momentum (next psi becomes 0)
@@ -291,5 +278,4 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
             break
 
     return ApgResult(theta_bar=best_theta, value=best_val, smoothed=best_h,
-                     converged=it - best_it >= APG_PATIENCE, n_iter=it, best_iter=best_it,
-                     trace=trace)
+                     converged=it - best_it >= APG_PATIENCE, n_iter=it, best_iter=best_it)

@@ -13,16 +13,20 @@ it and the process pool module unloaded. No module reads the process
 environment, so solver behaviour is set by arguments alone. Mirror
 descent's safe step and APG's Lipschitz bound come from onebit._sigma_max_sq,
 an eigenvalue of the smaller Gram matrix; no package module takes a spectral
-norm by SVD.
+norm by SVD. No public function of the solver modules takes a switch (a
+parameter with a bool default), so each call runs one path.
 """
 
 import ast
 import dataclasses
+import importlib
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -233,4 +237,35 @@ def test_no_svd_spectral_norm_in_the_package():
                                "np.linalg.norm(a, 1)\nnp.linalg.norm(a, ord='fro')\n") == []
     offenders = [p.name for p in sorted(PACKAGE_DIR.rglob("*.py"))
                  if spectral_norm_calls(p.read_text())]
+    assert offenders == []
+
+
+def bool_defaults(module) -> list:
+    """"function(parameter)" for each parameter with a bool default of a
+    public function, or public method of a public class, defined in module."""
+    found = []
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        funcs = [(name, obj)] if inspect.isfunction(obj) else []
+        if inspect.isclass(obj):
+            funcs = [(f"{name}.{attr}", f) for attr, f in vars(obj).items()
+                     if inspect.isfunction(f) and not attr.startswith("_")]
+        found.extend(f"{label}({p.name})" for label, func in funcs
+                     for p in inspect.signature(func).parameters.values()
+                     if isinstance(p.default, bool))
+    return found
+
+
+def test_solver_functions_take_no_switch():
+    probe = types.ModuleType("probe")
+    exec("import numpy as np\n"
+         "def f(a, b=1, *, c=False): pass\n"
+         "def _g(d=True): pass\n"
+         "class K:\n"
+         "    def m(self, e=True, f=None): pass\n"
+         "    def _n(self, g=False): pass\n", probe.__dict__)
+    assert bool_defaults(probe) == ["f(c)", "K.m(e)"]
+    offenders = [f"{name}.{found}" for name in ("onebit", "phase", "ao", "baselines")
+                 for found in bool_defaults(importlib.import_module(f"irsprecode.{name}"))]
     assert offenders == []

@@ -9,7 +9,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from onebit_oracles import brute_force_onebit, dual_value, huber, quadratic_model_start
 from scipy.optimize import linprog
@@ -22,7 +22,7 @@ from irsprecode.channel import (
     effective_matrix,
     sample_channels,
 )
-from irsprecode.constellation import PskConstellation, margin
+from irsprecode.constellation import PskConstellation, SymbolFrame, margin
 from irsprecode.onebit import (
     MU_STAGES,
     START_GAP_RTOL,
@@ -958,10 +958,10 @@ def test_model_start_properties(seed, order, size, zero, mu):
     # model's minimizer keeps every entry of C lam inside the window it is the
     # piecewise model's too, and the start equals the oracle up to the ridge
     # solve's rounding, n eps cond(G + eps' I): 1e-16 on a full-rank G, up to
-    # 3e-8 measured on BPSK's singular one. If the oracle dropped an entry
-    # (mixing leaves it at exactly WARM_START_MIX / 2K), model_start checks the
-    # point, and one that fails the START_GAP_RTOL test of f_mu gives the
-    # uniform point instead: a dropped entry can be optimal
+    # 3e-8 measured on BPSK's singular one. model_start checks every point
+    # against the START_GAP_RTOL test of f_mu; one where the oracle dropped an
+    # entry (mixing leaves it at exactly WARM_START_MIX / 2K) can fail it and
+    # give the uniform point instead: a dropped entry can be optimal
     m, k, n = size
     coeff, _, _, _ = random_instance(np.random.default_rng(seed), m=m, k=k, order=order,
                                      n=n)
@@ -1051,6 +1051,54 @@ def test_model_starts_stacks_hold_every_kind_of_start():
                 elif (row == WARM_START_MIX / n).any():
                     kinds["dropped"] += 1
     assert min(kinds.values()) > 0, kinds
+
+
+def _frame_stack(seed, size, order, power, bare, n_slots=10):
+    """The coefficient matrices of one drawn T = n_slots frame of shape
+    size = (M, K, N), with no reflected path where bare is set."""
+    m, k, n = size
+    rng = np.random.default_rng(seed)
+    c = PskConstellation(order)
+    ch = sample_channels(drop_users(k, rng), m, n, rng)
+    if bare:
+        ch = no_irs_variant(ch)
+    h_eff = effective_matrix(ch, PhaseShifts.random(n, rng))
+    symbols = SymbolFrame.random(c, k, n_slots, rng)
+    return [build_coefficients(h_eff, symbols.symbols[:, t], c, power) for t in range(n_slots)]
+
+
+def _check_start_gaps(coeffs, mu):
+    """Assert that every row of model_starts is the uniform point or, unmixed,
+    passes the START_GAP_RTOL test of f_mu."""
+    for row, coeff in zip(model_starts(coeffs, mu), coeffs):
+        n = row.size
+        if np.array_equal(row, np.full(n, 1.0 / n)):
+            continue
+        lam = (row - WARM_START_MIX / n) / (1.0 - WARM_START_MIX)
+        s = coeff.amplitude
+        _, f = onebit._clipped_value(coeff.c @ lam, s, mu * s)
+        assert _fw_gap(lam, coeff, mu) <= START_GAP_RTOL * (f + s * mu * s)
+
+
+def test_every_model_start_passes_the_gap_test():
+    # K > M at mu = 1e-6: a start whose passes dropped no entry and whose
+    # window repeated used to skip the gap test, and 30 of these 1,200 rows
+    # came back unchecked with a gap up to 1.85e-2 (f_mu + s rho)
+    for seed in range(1000, 1060):
+        for power in (1.0, 100.0):
+            _check_start_gaps(_frame_stack(seed, (4, 6, 4), 4, power, False), 1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([2, 4, 16]),
+       size=st.sampled_from([(4, 6, 4), (1, 3, 2), (2, 2, 2), (8, 3, 4)]),
+       power=st.sampled_from([1.0, 100.0]), bare=st.booleans(),
+       mu=st.sampled_from([1e-6, 5e-4]))
+@example(seed=1000, order=4, size=(4, 6, 4), power=1.0, bare=False, mu=1e-6)
+def test_model_starts_pass_the_gap_test_on_small_frames(seed, order, size, power, bare, mu):
+    # K >= M, BPSK, 16-PSK and no reflected path; the example is a frame
+    # with a row that skipped the test before every start took it
+    _check_start_gaps(_frame_stack(seed, size, order, power, bare), mu)
 
 
 @settings(max_examples=25, deadline=None)

@@ -19,9 +19,9 @@ from irsprecode.channel import (
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
 from irsprecode.onebit import OneBitFrame, SolverConfig, _sigma_max_sq
 from irsprecode.phase import (
+    APG_MAX_ITER,
     APG_PATIENCE,
     ApgResult,
-    ApgTraceRecord,
     PhaseCoefficients,
     apg_optimize,
     build_phase_coefficients,
@@ -297,18 +297,22 @@ def test_momentum_recursion_and_growth():
 # --- APG ---------------------------------------------------------------------
 
 def test_apg_iterates_feasible_and_best_tracked():
+    # the accepted iterates come from the reference loop, which
+    # test_apg_bit_exact_against_reference_loop proves runs apg_optimize's
+    # iterations bit for bit
     rng = np.random.default_rng(9)
     ch, frame, sym, c = random_setup(rng, m=6, n=4, k=2, t=3)
     coeffs = build_phase_coefficients(ch, frame, sym)
     init = random_theta_bar(4, rng)
-    res = apg_optimize(coeffs, init, record_trace=True)
+    res = apg_optimize(coeffs, init)
+    want, _, iterates = _ref_apg(coeffs, init, SolverConfig(), APG_MAX_ITER)
+    assert res.n_iter == want.n_iter == len(iterates)
     n = 4
-    for rec in res.trace:
-        tb = rec.theta_bar
+    for tb, _ in iterates:
         assert np.abs(tb[:n] ** 2 + tb[n:] ** 2 - 1.0).max() <= 1e-12
     assert np.abs(res.theta_bar[:n] ** 2 + res.theta_bar[n:] ** 2 - 1.0).max() <= 1e-12
     # best-seen includes the init and every iterate
-    vals = [max_constraint(init, coeffs)] + [r.true_value for r in res.trace]
+    vals = [max_constraint(init, coeffs)] + [val for _, val in iterates]
     assert res.value == pytest.approx(min(vals), abs=1e-15)
     assert res.value <= vals[0]
 
@@ -416,14 +420,18 @@ def _ref_grad(tb, coeffs, delta):
     return coeffs.eta @ (e / e.sum())
 
 
-def _ref_apg(coeffs, theta_bar_init, opts, max_iter, record_trace):
+def _ref_apg(coeffs, theta_bar_init, opts, max_iter):
+    """The APG loop written out plainly: (result, why it stopped, the
+    (iterate, true objective) of every iteration). Every projection goes
+    through phase.project_unit_modulus, as apg_optimize's do, so one spy
+    sees both loops' projected points."""
     delta = opts.delta
-    theta = project_unit_modulus(theta_bar_init)
+    theta = phase.project_unit_modulus(theta_bar_init)
     lipschitz = _sigma_max_sq(coeffs.eta) / delta
     if lipschitz == 0.0:
         return ApgResult(theta_bar=theta, value=_ref_max(theta, coeffs),
                          smoothed=_ref_lse(theta, coeffs, delta),
-                         converged=True, n_iter=0, best_iter=0, trace=[]), "constant"
+                         converged=True, n_iter=0, best_iter=0), "constant", []
     _, psis = momentum_sequence(max_iter)
     best_theta = theta
     best_val = _ref_max(theta, coeffs)
@@ -433,7 +441,7 @@ def _ref_apg(coeffs, theta_bar_init, opts, max_iter, record_trace):
     h_prev = _ref_lse(theta, coeffs, delta)
     tau = lipschitz
     reason = "cap"
-    trace = []
+    iterates = []
     it = 0
     for it in range(1, max_iter + 1):
         z = theta + psis[r] * (theta - theta_prev)
@@ -442,7 +450,7 @@ def _ref_apg(coeffs, theta_bar_init, opts, max_iter, record_trace):
         h_z = _ref_lse(z, coeffs, delta)
         tau = max(tau * 0.5, lipschitz * 2.0 ** -52)
         while True:
-            theta_new = project_unit_modulus(z - g / tau)
+            theta_new = phase.project_unit_modulus(z - g / tau)
             h_new = _ref_lse(theta_new, coeffs, delta)
             if tau >= lipschitz:
                 break
@@ -455,8 +463,7 @@ def _ref_apg(coeffs, theta_bar_init, opts, max_iter, record_trace):
             best_val = val
             best_theta = theta_new
             best_it = it
-        if record_trace:
-            trace.append(ApgTraceRecord(it, h_new, val, 1.0 / tau, theta_new))
+        iterates.append((theta_new, val))
         if h_new > h_prev:
             r = 0
         theta_prev, theta = theta, theta_new
@@ -466,8 +473,22 @@ def _ref_apg(coeffs, theta_bar_init, opts, max_iter, record_trace):
             break
     return ApgResult(theta_bar=best_theta, value=best_val,
                      smoothed=_ref_lse(best_theta, coeffs, delta),
-                     converged=reason != "cap", n_iter=it, best_iter=best_it,
-                     trace=trace), reason
+                     converged=reason != "cap", n_iter=it,
+                     best_iter=best_it), reason, iterates
+
+
+def _projected_points(run):
+    """(run(), a copy of every point passed to phase.project_unit_modulus
+    during it, in call order)."""
+    project = phase.project_unit_modulus
+    points = []
+
+    def spy(theta_bar):
+        points.append(np.array(theta_bar, dtype=float))
+        return project(theta_bar)
+
+    with patch.object(phase, "project_unit_modulus", spy):
+        return run(), points
 
 
 def _check_against_reference(seed, kind, n, n_cols, delta, max_iter):
@@ -496,16 +517,17 @@ def _check_against_reference(seed, kind, n, n_cols, delta, max_iter):
         init = np.round(init)  # integer start: exact constraint values
     opts = SolverConfig(delta=delta)
     with patch.object(phase, "APG_MAX_ITER", max_iter):
-        got = apg_optimize(coeffs, init, opts, record_trace=True)
-    want, reason = _ref_apg(coeffs, init, opts, max_iter, record_trace=True)
+        got, got_points = _projected_points(lambda: apg_optimize(coeffs, init, opts))
+    (want, reason, iterates), want_points = _projected_points(
+        lambda: _ref_apg(coeffs, init, opts, max_iter))
     assert np.array_equal(got.theta_bar, want.theta_bar)
     assert (got.value, got.smoothed, got.converged, got.n_iter, got.best_iter) == (
         want.value, want.smoothed, want.converged, want.n_iter, want.best_iter)
-    assert len(got.trace) == len(want.trace)
-    for a, b in zip(got.trace, want.trace):
-        assert (a.iteration, a.smoothed, a.true_value, a.step) == (
-            b.iteration, b.smoothed, b.true_value, b.step)
-        assert np.array_equal(a.theta_bar, b.theta_bar)
+    # the start, then every trial point of every iteration, backtracking
+    # included: the same points in the same order, bit for bit
+    assert len(got_points) == len(want_points) >= 1 + len(iterates)
+    for a, b in zip(got_points, want_points):
+        assert np.array_equal(a, b)
     return reason
 
 
