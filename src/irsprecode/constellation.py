@@ -304,19 +304,13 @@ def sep_upper_bound(alpha, sigma2: float, c: PskConstellation):
     return 2.0 * q_function(np.asarray(alpha, dtype=float) * scale)
 
 
-def gray_code(index):
-    """Binary-reflected Gray label of a symbol index (vectorized, same dtype)."""
-    index = np.asarray(index)
-    return index ^ (index >> 1)
-
-
 def _check_indices(index, c: PskConstellation) -> np.ndarray:
     """index as an array of symbol indices of c; a non-integer dtype (bool
     included) or an index outside [0, L) raises ValueError."""
     index = np.asarray(index)
     if index.dtype.kind not in "iu":
         raise ValueError(f"symbol indices must be integers, got dtype {index.dtype}")
-    if index.size and (index.min() < 0 or index.max() >= c.order):
+    if index.size and (index.dtype.kind == "i" and index.min() < 0 or index.max() >= c.order):
         raise ValueError("symbol index out of range")
     return index
 
@@ -332,9 +326,13 @@ def bit_errors(sent_index, decided_index, c: PskConstellation):
     """
     sent, decided = (_check_indices(a, c).astype(np.uint8, copy=False)
                      for a in (sent_index, decided_index))
-    # the Gray code is linear over xor: gray(a) ^ gray(b) == gray(a ^ b)
-    diff = gray_code(sent ^ decided)
-    return sum(int(np.count_nonzero(diff & (1 << b))) for b in range(c.bits_per_symbol))
+    # the Gray code x ^ (x >> 1) is linear over xor, so it is taken once, of
+    # sent ^ decided, in place; the shifted copy then holds each bit plane
+    diff = np.atleast_1d(sent ^ decided)
+    plane = diff >> 1
+    diff ^= plane
+    return sum(int(np.count_nonzero(np.bitwise_and(diff, 1 << b, out=plane)))
+               for b in range(c.bits_per_symbol))
 
 
 class SymbolFrame:

@@ -374,50 +374,50 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
     s = np.array([coeff.amplitude for coeff in coeffs])
     rho = mu * s
     g = ct @ c
-    diag = np.arange(n)
-    scale = g[:, diag, diag].max(axis=1)
+    g_diag = g.reshape(n_slots, n * n)[:, ::n + 1]  # a view of every diagonal
+    scale = g_diag.max(axis=1)
     ok = np.isfinite(g).all(axis=(1, 2)) & (scale > 0)
     lam = np.full((n_slots, n), 1.0 / n)
     sigma = np.zeros((n_slots, ct.shape[2]))  # sign of each clipped entry, 0 inside W
-    rhs = np.empty((n_slots, n, 2))  # the right-hand sides 1 and b, as columns
+    rhs = np.ones((n_slots, n, 2))  # the right-hand sides 1 and b, as columns
     w = np.empty((n_slots, n))  # sum(v) lam of the last solve
     live = np.flatnonzero(ok)  # the slots whose passes go on
-    # the products with C run over the whole stack: most slots are live in
-    # most passes, and copying the live ones out cost more than the products
+    # the ridge, b and the products with C run over the whole stack (a slot that
+    # left the passes never reads its rows again): most slots are live in most
+    # passes, and copying the live ones out cost more than the products
     for _ in range(n + 1):
         if not live.size:
             break
-        g[live[:, None], diag, diag] += 1e-9 * scale[live, None]
-        rhs[live, :, 0] = 1.0
-        rhs[live, :, 1] = (ct @ sigma[..., None])[live, :, 0]
-        step = live  # the slots whose active set is still shrinking
+        g_diag += 1e-9 * scale[:, None]
+        rhs[..., 1] = (ct @ sigma[..., None])[..., 0]
+        step, g_step, rhs_step = live, g[live], rhs[live]  # slots still dropping; own G, b
         while True:
-            vu = np.linalg.solve(g[step], rhs[step])
+            vu = np.linalg.solve(g_step, rhs_step)
             v, u = vu[..., 0], vu[..., 1]
             r = rho[step, None]
-            w[step] = v * (1.0 + r * u.sum(axis=1, keepdims=True)) - (
+            w[step] = w_step = v * (1.0 + r * u.sum(axis=1, keepdims=True)) - (
                 r * v.sum(axis=1, keepdims=True)) * u
-            drop = w[step] < 0
+            drop = w_step < 0
             hit = drop.any(axis=1)
             if not hit.any():
                 break
-            step, drop = step[hit], drop[hit]
+            step, drop, g_step, rhs_step = step[hit], drop[hit], g_step[hit], rhs_step[hit]
             # a dropped index gets an identity row and column and zero
             # right-hand sides, so its entries of v, u and w are 0 from now on
-            g[step] = np.where(drop[:, :, None] | drop[:, None, :], np.eye(n), g[step])
-            rhs[step] = np.where(drop[..., None], 0.0, rhs[step])
+            np.copyto(g_step, np.eye(n), where=drop[:, :, None] | drop[:, None, :])
+            rhs_step[drop] = 0.0
         total = w[live].sum(axis=1)  # w >= 0 now, so w / total is finite if total is
         fine = (0 < total) & (total < np.inf)
         live, total = live[fine], total[fine]
         lam[live] = w[live] / total[:, None]
         y = (c @ lam[..., None])[live, :, 0]
         clipped = np.sign(y) * (np.abs(y) > rho[live, None])
-        same = (clipped == sigma[live]).all(axis=1)
-        live, clipped = live[~same], clipped[~same]
+        moved = (clipped != sigma[live]).any(axis=1)
+        live, clipped = live[moved], clipped[moved]
         sigma[live] = clipped
-        for t in live:
-            inside = c[t][sigma[t] == 0.0]
-            g[t] = inside.T @ inside
+        for t, inside in zip(live.tolist(), clipped == 0.0):
+            c_w = c[t][inside]
+            np.matmul(c_w.T, c_w, out=g[t])
     # the Frank-Wolfe gap, as _clipped_value and _dual_grad give it per slot
     y = (c @ lam[..., None])[..., 0]
     y_c = np.maximum(y, -rho[:, None])

@@ -117,17 +117,23 @@ def _lse(vals: np.ndarray, delta: float, eta: np.ndarray | None = None):
     of the sum for precision. This is the arithmetic of
     scipy.special.logsumexp (SciPy 1.17), step for step, so both give the
     same bits on finite input; the shape-(1,) arrays keep every scalar
-    operation on the same NumPy loops as SciPy's. The callers check delta.
+    operation on the same NumPy loops as SciPy's. A single maximum skips the
+    / m and + log m, exact no-ops at m = 1 (the sum is not negative). The
+    callers check delta.
     """
     a = vals / delta
-    a_max = a.max(keepdims=True)
-    e = np.exp(a - a_max)
-    grad = None if eta is None else eta @ (e / e.sum())
+    a_max = np.maximum.reduce(a, keepdims=True)
     at_max = a == a_max
-    m = np.sum(at_max, keepdims=True, dtype=float)
-    e[at_max] = 0.0
-    s = e.sum(keepdims=True) / m
-    return float(delta * (np.log1p(s) + np.log(m) + a_max)[0]), grad
+    a -= a_max
+    e = np.exp(a, out=a)
+    grad = None if eta is None else eta @ (e / np.add.reduce(e))
+    m = np.count_nonzero(at_max)
+    np.putmask(e, at_max, 0.0)
+    s = np.add.reduce(e, keepdims=True)
+    if m == 1:
+        return float(delta * (np.log1p(s) + a_max)[0]), grad
+    m = np.array([m], dtype=float)
+    return float(delta * (np.log1p(s / m) + np.log(m) + a_max)[0]), grad
 
 
 def max_constraint(theta_bar, coeffs: PhaseCoefficients) -> float:
@@ -155,9 +161,11 @@ def project_unit_modulus(theta_bar) -> np.ndarray:
     theta_bar = np.asarray(theta_bar, dtype=float)
     if theta_bar.ndim != 1 or theta_bar.size % 2:
         raise ValueError("lifted phases must be a real 2N-vector")
-    n = theta_bar.size // 2
-    a, b = theta_bar[:n], theta_bar[n:]
+    pairs = theta_bar.reshape(2, -1)
+    a, b = pairs[0], pairs[1]
     r = np.hypot(a, b)
+    if np.minimum.reduce(r, initial=np.inf) > 0:  # no zero pair, no NaN: one division
+        return np.divide(pairs, r).reshape(-1)
     zero = r == 0
     safe = np.where(zero, 1.0, r)
     return np.concatenate([np.where(zero, 1.0, a / safe),
@@ -260,7 +268,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
                 break
             tau = min(tau * 2.0, lipschitz)
 
-        val = float(np.max(vals))
+        val = float(np.maximum.reduce(vals))
         if val < best_val:
             best_val = val
             best_theta = theta_new

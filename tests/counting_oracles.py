@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from irsprecode.channel import effective_matrix
-from irsprecode.constellation import PskConstellation, decide_index, gray_code
+from irsprecode.constellation import PskConstellation, decide_index
 from irsprecode.onebit import frame_array
 
 # popcount for 4-bit Gray labels, enough for L <= 16
@@ -41,6 +41,12 @@ def planar_to_complex(re, im):
     y = np.empty(re.shape, dtype=complex)
     y.real, y.imag = re, im
     return y
+
+
+def gray_code(index):
+    """Binary-reflected Gray label of a symbol index (vectorized, same dtype)."""
+    index = np.asarray(index)
+    return index ^ (index >> 1)
 
 
 def gray_bits(symbol, c: PskConstellation) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 from counting_oracles import (
     decide,
     gray_bits,
+    gray_code,
     planar_to_complex,
     reference_bit_errors,
     reference_decide_index,
@@ -23,7 +24,6 @@ from irsprecode.constellation import (
     SymbolFrame,
     bit_errors,
     decide_index,
-    gray_code,
     margin,
     q_function,
     sep_upper_bound,

@@ -10,11 +10,14 @@ golden equals what `python3 perfbench/run.py --workload desk --seed 0
 --seed 0 --seconds 5` prints. The per-scheme counts are compared first, so
 a failure names the scheme that moved. Floating-point results can differ in
 the last bits between NumPy and BLAS builds; the goldens were taken on
-GOLDEN_BUILD, and a failure names the build it ran on. The same configs
-also run with BLAS pinned to 1 and to 2 threads, which must give equal
-digests on any build.
+GOLDEN_BUILD, and a failure names the build it ran on: the NumPy and BLAS
+versions, the OpenBLAS kernel loaded (OPENBLAS_CORETYPE can pick another),
+NumPy's AVX-512 dispatch targets (NPY_DISABLE_CPU_FEATURES can turn them
+off) and the Python version. The same configs also run with BLAS pinned
+to 1 and to 2 threads, which must give equal digests on any build.
 """
 
+import ctypes
 import json
 import os
 import subprocess
@@ -35,7 +38,8 @@ from bench import digest, machine_info  # noqa: E402
 from run import BLAS_PIN  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-GOLDEN_BUILD = "numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0, Python 3.11.7"
+GOLDEN_BUILD = ("numpy 2.4.6, BLAS scipy-openblas 0.3.31.188.0 core SkylakeX, "
+                "AVX-512 targets X86_V4 AVX512_ICL AVX512_SPR, Python 3.11.7")
 
 # workload: (channels, digest, per scheme (channels ok, bit errors and
 # symbol errors summed over the noise grid))
@@ -54,9 +58,39 @@ GOLDENS = {
 }
 
 
+def blas_core() -> str:
+    """The OpenBLAS kernel this process loaded, read the way bench._blas_threads
+    reads the thread count, or "unknown"."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return "unknown"
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                    "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
+def avx512_targets() -> str:
+    """NumPy's AVX-512 dispatch targets that this process runs, or "none"; a
+    target turned off by NPY_DISABLE_CPU_FEATURES is not among them."""
+    found = np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found", [])
+    return " ".join(t for t in found if t == "X86_V4" or t.startswith("AVX512")) or "none"
+
+
 def build() -> str:
     info = machine_info()
-    return f"numpy {info['numpy']}, BLAS {info['blas']}, Python {info['python']}"
+    return (f"numpy {info['numpy']}, BLAS {info['blas']} core {blas_core()}, "
+            f"AVX-512 targets {avx512_targets()}, Python {info['python']}")
 
 
 def scheme_counts(records) -> dict:

@@ -266,6 +266,49 @@ def test_project_feasible_and_idempotent(theta_bar):
     assert np.abs(project_unit_modulus(got) - got).max() <= 1e-15
 
 
+def _ref_project(theta_bar):
+    """Test-local copy of project_unit_modulus as three np.where over every
+    pair, the formula before its fast path for vectors with no zero pair."""
+    theta_bar = np.asarray(theta_bar, dtype=float)
+    n = theta_bar.size // 2
+    a, b = theta_bar[:n], theta_bar[n:]
+    r = np.hypot(a, b)
+    zero = r == 0
+    safe = np.where(zero, 1.0, r)
+    return np.concatenate([np.where(zero, 1.0, a / safe),
+                           np.where(zero, 0.0, b / safe)])
+
+
+_LARGEST = np.finfo(float).max
+_PROJECT_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.nan, -np.nan,
+                     _LARGEST, -_LARGEST, np.inf, -np.inf]),
+    st.floats(width=64),  # subnormals, NaN and infinities included
+    st.floats(-1e3, 1e3),
+    st.floats(0.5 * _LARGEST, _LARGEST).flatmap(lambda v: st.sampled_from([v, -v])))
+
+
+@settings(max_examples=500, deadline=None)
+@given(pairs=st.lists(st.tuples(_PROJECT_ENTRY, _PROJECT_ENTRY), min_size=1, max_size=8),
+       zero=st.one_of(st.none(), st.tuples(st.integers(0, 7), st.sampled_from([0.0, -0.0]),
+                                           st.sampled_from([0.0, -0.0]))))
+def test_project_bit_exact_against_three_where_formula(pairs, zero):
+    # pairs of exact zeros of either sign (the (1, 0) convention), subnormals,
+    # entries near the largest float (hypot overflows to inf), infinities and
+    # NaN, in vectors with and without a zero pair: the fast path for vectors
+    # with no zero pair gives the same bits as the three-where formula
+    if zero is not None:
+        at, a, b = zero
+        pairs[at % len(pairs)] = (a, b)
+    theta = np.array([a for a, _ in pairs] + [b for _, b in pairs])
+    n = len(pairs)
+    event("zero pair" if ((theta[:n] == 0) & (theta[n:] == 0)).any() else "no zero pair")
+    with np.errstate(all="ignore"):
+        got, want = project_unit_modulus(theta), _ref_project(theta)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_project_rejects_odd_length():
     with pytest.raises(ValueError):
         project_unit_modulus(np.ones(3))
