@@ -64,9 +64,11 @@ class ChannelSet:
     h_r: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "h_d", np.atleast_2d(np.asarray(self.h_d, dtype=complex)))
-        object.__setattr__(self, "g", np.atleast_2d(np.asarray(self.g, dtype=complex)))
-        object.__setattr__(self, "h_r", np.atleast_2d(np.asarray(self.h_r, dtype=complex)))
+        for name in ("h_d", "g", "h_r"):
+            a = np.atleast_2d(np.asarray(getattr(self, name), dtype=complex))
+            if a.ndim != 2:
+                raise ValueError(f"{name} must be a 2-D array, got shape {a.shape}")
+            object.__setattr__(self, name, a)
         k, m = self.h_d.shape
         n = self.g.shape[0]
         if not k * m * n:
@@ -124,8 +126,8 @@ def complex_to_pairs(a: np.ndarray) -> list:
 
 def pairs_to_complex(lst) -> np.ndarray:
     a = np.asarray(lst, dtype=float)
-    if a.shape[-1] != 2:
-        raise ValueError("expected [re, im] pairs on the last axis")
+    if a.ndim == 0 or a.shape[-1] != 2:
+        raise ValueError(f"expected [re, im] pairs on the last axis, got shape {a.shape}")
     return a[..., 0] + 1j * a[..., 1]
 
 

@@ -6,9 +6,8 @@ solvers above them check their settings with the same rules.
 
 from __future__ import annotations
 
+import math
 import numbers
-
-import numpy as np
 
 
 def is_real(value) -> bool:
@@ -24,6 +23,8 @@ def check_count(name: str, value, low: int) -> None:
 
 def check_real(name: str, value, positive: bool) -> None:
     """Reject a setting that is not a finite real above 0 (positive) or >= 0."""
-    if not (is_real(value) and (value > 0 if positive else value >= 0) and value < np.inf):
+    # a plain float is real; the exact type test skips the slower ABC check
+    if not ((type(value) is float or is_real(value))
+            and (value > 0 if positive else value >= 0) and value < math.inf):
         sign = "positive" if positive else "nonnegative"
         raise ValueError(f"{name} must be a finite {sign} number, got {value!r}")

@@ -195,7 +195,7 @@ def simulate_transmission(frame, phases: PhaseShifts, ch: ChannelSet,
     # real parts first, then imaginary parts
     c = symbols.constellation
     decided = decide_block(noise, np.array([z.real, z.imag]),
-                           float(np.sqrt(sigma2 / 2.0)), c)
+                           math.sqrt(sigma2 / 2.0), c)
     # in the decisions' dtype, the comparison runs without a cast per entry
     sent = symbols.indices.astype(decided.dtype)
     sym_err = int(np.count_nonzero(decided != sent))

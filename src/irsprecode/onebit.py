@@ -20,6 +20,7 @@ by maximum-block-improvement over its fractional entries.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -77,7 +78,7 @@ def onebit_amplitude(power: float, n_antennas: int) -> float:
     """Per-component one-bit magnitude s = sqrt(P / 2M), so that every
     one-bit transmit vector has ||x||^2 = P. P must be positive and finite."""
     check_real("power", power, positive=True)
-    return float(np.sqrt(power / (2 * n_antennas)))
+    return math.sqrt(power / (2 * n_antennas))
 
 
 @dataclass(frozen=True)
@@ -146,16 +147,22 @@ class CoefficientMatrix:
 
     Column k dotted with the lifted signal gives the negated sector margin of
     the corresponding half-constraint, so max_k c_k^T xbar = -(worst margin).
+    c is stored in Fortran order, the layout build_coefficients makes (its
+    C^T is C-contiguous): the solvers' BLAS products, and so the last bits of
+    their results, do not depend on the memory order of the array passed in.
     """
 
     c: np.ndarray
     amplitude: float  # s = sqrt(P / 2M), per-component one-bit magnitude
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.atleast_2d(np.asarray(self.c, dtype=float)))
-        if self.c.ndim != 2 or self.c.shape[0] % 2 or self.c.shape[1] % 2 or not self.c.size:
+        # copies nothing for build_coefficients' own matrix; an input of
+        # fewer than 2 dimensions fails the shape test
+        c = np.asfortranarray(self.c, dtype=float)
+        object.__setattr__(self, "c", c)
+        if c.ndim != 2 or c.shape[0] % 2 or c.shape[1] % 2 or not c.size:
             raise ValueError("coefficient matrix must be 2M x 2K with M, K >= 1")
-        if not np.isfinite(self.c).all():
+        if np.count_nonzero(np.isfinite(c)) != c.size:
             raise ValueError("coefficients must be finite")
         check_real("amplitude", self.amplitude, positive=True)
 
@@ -180,13 +187,17 @@ def build_coefficients(h_eff, symbols, constellation: PskConstellation,
     """
     h_eff = np.atleast_2d(np.asarray(h_eff, dtype=complex))
     symbols = np.asarray(symbols, dtype=complex).ravel()
-    if symbols.size != h_eff.shape[0]:
+    k, m = h_eff.shape
+    if symbols.size != k:
         raise ValueError("one symbol per user required")
     g = np.conj(symbols)[:, None] * h_eff  # rows are s_k^* h_k^H
-    a = np.concatenate([g.real, -g.imag], axis=1)  # (K, 2M)
-    b = constellation.cot_half_sector * np.concatenate([g.imag, g.real], axis=1)
-    c = np.concatenate([-a + b, -a - b], axis=0).T  # (2M, 2K)
-    return CoefficientMatrix(c=c, amplitude=onebit_amplitude(power, h_eff.shape[1]))
+    neg_a = np.concatenate([-g.real, g.imag], axis=1)  # -a, a = [Re g, -Im g] (K, 2M)
+    b = np.concatenate([g.imag, g.real], axis=1)
+    b *= constellation.cot_half_sector
+    ct = np.empty((2 * k, 2 * m))  # C^T = [-a + b; -a - b]
+    np.add(neg_a, b, out=ct[:k])
+    np.subtract(neg_a, b, out=ct[k:])
+    return CoefficientMatrix(c=ct.T, amplitude=onebit_amplitude(power, m))
 
 
 def worst_objective(xbar, coeff: CoefficientMatrix) -> float:
@@ -201,7 +212,7 @@ def dual_gradient(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
     check_real("mu", mu, positive=True)
     s = coeff.amplitude
     y_c, _ = _clipped_value(coeff.c @ np.asarray(lam, dtype=float), s, mu * s)
-    return _dual_grad(np.ascontiguousarray(coeff.c.T), y_c, s, mu * s)
+    return _dual_grad(coeff.c.T, y_c, s, mu * s)
 
 
 def _clipped_value(y, s: float, rho: float):
@@ -225,12 +236,17 @@ def _sigma_max_sq(a: np.ndarray) -> float:
 def recover_x(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
     """Inner minimizer xbar*(lam) = -clip(C lam / mu, [-s, s]) of the box problem."""
     check_real("mu", mu, positive=True)
-    s = coeff.amplitude
-    # the clip as in-place ufuncs on the fresh product, which skip np.clip's dispatch
-    x = np.divide(coeff.c @ np.asarray(lam, dtype=float), mu)
+    return _recover(coeff.c @ np.asarray(lam, dtype=float), coeff.amplitude, mu)
+
+
+def _recover(y, s: float, mu: float) -> np.ndarray:
+    """recover_x's xbar from y = C lam; y is left as it is."""
+    # -clip(y / mu) is clip(y / -mu), since the quotient and the clip flip
+    # signs exactly; the clip as in-place ufuncs on the fresh quotient, which
+    # skip np.clip's dispatch
+    x = np.divide(y, -mu)
     np.maximum(x, -s, out=x)
-    np.minimum(x, s, out=x)
-    return np.negative(x, out=x)
+    return np.minimum(x, s, out=x)
 
 
 @dataclass
@@ -240,6 +256,7 @@ class MdResult:
     converged: bool
     n_iter: int
     residual: float
+    y: np.ndarray  # C lam, the product value was computed from
 
 
 def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig(),
@@ -257,40 +274,44 @@ def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig()
     it was accepted without backtracking. f_mu never increases beyond rounding.
     Stops after MD_MAX_ITER iterations, or once the KL gradient-mapping
     residual with unit reference step, r(lam) = ||T_1(lam) - lam||_1, which
-    vanishes exactly at simplex-KKT points, is at most opts.md_tol.
+    vanishes exactly at simplex-KKT points, is at most opts.md_tol. The
+    result keeps y = C lam of its lam, from which solve_relaxed recovers the
+    primal point.
     """
-    n = coeff.n_constraints
+    c = coeff.c
+    ct = c.T  # C-contiguous, as CoefficientMatrix stores c in Fortran order
+    n = c.shape[1]
     s = coeff.amplitude
     rho = opts.mu * s
-    c = coeff.c
-    ct = np.ascontiguousarray(c.T)
     # ufunc reductions skip the array methods' dispatch
     vmin, vmax, vsum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
     if lam0 is None:
         lam = np.full(n, 1.0 / n)
+        lam_min = lam[0]
     else:
         lam = np.array(lam0, dtype=float)
-        # NaN and -inf fail the sign test (a NaN minimum compares false),
-        # +inf and NaN the sum test
-        if lam.shape != (n,) or not vmin(lam) >= 0 or not abs(vsum(lam) - 1.0) <= 1e-9:
+        lam_min = vmin(lam) if lam.shape == (n,) else np.nan
+        # another shape, NaN and -inf fail the sign test (a NaN minimum
+        # compares false), +inf and NaN the sum test
+        if not lam_min >= 0 or not abs(vsum(lam) - 1.0) <= 1e-9:
             raise ValueError("warm start must be a point on the simplex")
-    y_c, f = _clipped_value(c @ lam, s, rho)
+    y = c @ lam
+    y_c, f = _clipped_value(y, s, rho)
 
     # log(lam) is carried over from the softmax normalization, so the loop never
     # takes it of lam; exact zeros give -inf and stay zero through exp, and a
     # start with none (model_starts mixes in WARM_START_MIX) skips the masks
-    if vmin(lam) > 0:
+    if lam_min > 0:
         log_lam = np.log(lam)
     else:
         log_lam = np.log(lam, out=np.full(n, -np.inf), where=lam > 0)
-    gap = np.empty(n)  # T_1(lam) - lam
     converged = False
     for it in range(MD_MAX_ITER + 1):  # runs at least once
         grad = _dual_grad(ct, y_c, s, rho)
-        w = log_lam - grad
-        w -= vmax(w)
-        e = np.exp(w)
-        np.divide(e, vsum(e), out=gap)
+        gap = log_lam - grad  # becomes T_1(lam) - lam, in place
+        gap -= vmax(gap)
+        np.exp(gap, out=gap)
+        gap /= vsum(gap)
         gap -= lam
         residual = float(vsum(np.abs(gap, out=gap)))
         if residual <= opts.md_tol:
@@ -317,15 +338,16 @@ def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig()
             se = vsum(e)
             lam_new = e / se
             log_se = np.log(se)
-            y_c_new, f_new = _clipped_value(c @ lam_new, s, rho)
+            y_new = c @ lam_new
+            y_c_new, f_new = _clipped_value(y_new, s, rho)
             if step <= safe_step or f_new <= model - (w_max + log_se) / step:
                 break
             step *= 0.5
-        lam, y_c, f = lam_new, y_c_new, f_new
+        lam, y, y_c, f = lam_new, y_new, y_c_new, f_new
         log_lam = w - log_se
 
     return MdResult(lam=lam, value=f, converged=converged, n_iter=it,
-                    residual=residual)
+                    residual=residual, y=y)
 
 
 # uniform-point weight of model_start's point: an exact zero in lam stays zero
@@ -368,7 +390,7 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
     the layout of a single slot's, so each row equals model_start of its
     slot bit for bit.
     """
-    ct = np.stack([coeff.c.T for coeff in coeffs])  # (T, 2K, 2M): each C^T as built
+    ct = np.array([coeff.c.T for coeff in coeffs])  # (T, 2K, 2M): each C^T, C-contiguous
     c = ct.transpose(0, 2, 1)
     n_slots, n = ct.shape[:2]
     s = np.array([coeff.amplitude for coeff in coeffs])
@@ -487,7 +509,9 @@ def solve_relaxed(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig(),
             lam = mirror_descent(coeff, replace(opts, mu=stage_mu, md_tol=stage_tol),
                                  lam0=lam).lam
     md = mirror_descent(coeff, opts, lam0=lam)
-    return recover_x(md.lam, coeff, opts.mu), md
+    check_real("mu", opts.mu, positive=True)
+    # recover_x of md.lam, from the product C lam that MD formed for it
+    return _recover(md.y, coeff.amplitude, opts.mu), md
 
 
 def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, *,
@@ -501,11 +525,12 @@ def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, *,
     objective, so the result is never worse than naive sign rounding.
 
     The flip deltas d_j = 2 x_j c_j of the fractional entries are kept as the
-    columns of one constraint-major (2K, n_frac) block; flipping entry j only
-    negates d_j (exactly, in floating point), so a pass costs one subtraction
-    instead of rebuilding every delta. The pass writes its candidates and
-    their maxima into buffers kept across passes, and the maximum over each
-    column runs as 2K - 1 elementwise passes over contiguous rows.
+    columns of one constraint-major (2K, n_frac) block, gathered from the
+    C-contiguous C^T; flipping entry j only negates d_j (exactly, in floating
+    point), so a pass costs one subtraction instead of rebuilding every delta.
+    The pass writes its candidates and their maxima into buffers kept across
+    passes, and the maximum over each column runs as 2K - 1 elementwise
+    passes over contiguous rows.
     """
     s = coeff.amplitude
     xbar_relaxed = np.asarray(xbar_relaxed, dtype=float)
@@ -514,26 +539,33 @@ def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, *,
     if frac.size == 0:
         return x
 
-    ct_frac = coeff.c[frac].T  # (2K, n_frac), a column-major view
-    cand = np.empty(ct_frac.shape)
+    ct = coeff.c.T  # C-contiguous, as CoefficientMatrix stores c in Fortran order
+    # w - d[:, j] is w after entry j flips; take gives a row-major d, so a
+    # pass reads contiguous rows
+    d = ct.take(frac, axis=1)
+    d *= x[frac]
+    d *= 2.0
+    cand = np.empty(d.shape)
     cand_max = np.empty(frac.size)
-    w = coeff.c.T @ x
-    cur = np.maximum.reduce(w)
-    # w - d[:, j] is w after entry j flips; d is row-major, so a pass reads
-    # contiguous rows
-    d = 2.0 * np.multiply(ct_frac, x[frac], order="C")
+    subtract, vmax, multiply = np.subtract, np.maximum.reduce, np.multiply
+    w = ct @ x
+    w_col = w[:, None]  # a view, as w is updated in place
+    cur = vmax(w)
     while True:
-        np.subtract(w[:, None], d, out=cand)
-        np.maximum.reduce(cand, axis=0, out=cand_max)
+        subtract(w_col, d, out=cand)
+        vmax(cand, axis=0, out=cand_max)
         j = int(cand_max.argmin())
-        if cand_max[j] >= cur:
+        best = cand_max[j]
+        if best >= cur:
             return x
-        x[frac[j]] = -x[frac[j]]
-        w = cand[:, j].copy()  # cand is overwritten by the next pass
+        i = frac[j]
+        x[i] = -x[i]
+        w[:] = cand[:, j]  # cand is overwritten by the next pass
         # exact, as negation is; NumPy 2.4's in-place np.negative misreads a
         # column whose stride is 8 entries (64 bytes)
-        d[:, j] *= -1.0
-        cur = cand_max[j]
+        flipped = d[:, j]
+        multiply(flipped, -1.0, out=flipped)
+        cur = best
 
 
 @dataclass

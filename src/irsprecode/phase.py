@@ -44,14 +44,19 @@ class PhaseCoefficients:
 
     Column j of eta and entry j of vbar describe one half-plane constraint;
     the two columns of a (slot, user) pair sit at j = t*K + k and
-    j = K*T + t*K + k.
+    j = K*T + t*K + k. eta is stored in Fortran order, the layout
+    build_phase_coefficients makes, so APG's BLAS products, and so the last
+    bits of its phases, do not depend on the memory order of the array
+    passed in.
     """
 
     eta: np.ndarray  # (2N, 2KT)
     vbar: np.ndarray  # (2KT,)
 
     def __post_init__(self):
-        eta = np.atleast_2d(np.asarray(self.eta, dtype=float))
+        # copies nothing for build_phase_coefficients' own eta; an input of
+        # fewer than 2 dimensions fails the shape test
+        eta = np.asfortranarray(self.eta, dtype=float)
         vbar = np.asarray(self.vbar, dtype=float).ravel()
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "vbar", vbar)

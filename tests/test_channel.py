@@ -240,6 +240,20 @@ def test_channel_from_dict_rejects_malformed_files():
             ChannelSet.from_dict(bad)
 
 
+def test_channel_from_dict_names_a_wrong_array_shape():
+    # a scalar entry used to raise IndexError from pairs_to_complex, and a
+    # 3-D array of pairs "too many values to unpack" from ChannelSet
+    d = ChannelSet(h_d=np.ones((2, 3)), g=np.ones((4, 3)), h_r=np.ones((2, 4))).to_dict()
+    for bad, match in ((dict(d, h_d=5), r"\[re, im\] pairs on the last axis, got shape \(\)"),
+                       (dict(d, g=[[d["g"]]]), r"g must be a 2-D array, got shape \(1, 1, 4, 3\)"),
+                       (dict(d, h_r=np.ones((2, 4, 1, 2)).tolist()),
+                        r"h_r must be a 2-D array, got shape \(2, 4, 1\)")):
+        with pytest.raises(ValueError, match=match):
+            ChannelSet.from_dict(bad)
+    with pytest.raises(ValueError, match=r"h_d must be a 2-D array, got shape \(1, 2, 3\)"):
+        ChannelSet(h_d=np.ones((1, 2, 3)), g=np.ones((4, 3)), h_r=np.ones((2, 4)))
+
+
 def test_pairs_helpers():
     a = np.array([[1 + 2j, -3j]])
     assert pairs_to_complex(complex_to_pairs(a)).tolist() == a.tolist()
