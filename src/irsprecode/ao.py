@@ -45,12 +45,12 @@ AO_MAX_OUTER = 20
 
 @dataclass(eq=False)
 class AoIterationRecord:
-    """One outer round: its design (frame, phases), worst margin, inner-solver
-    statuses and the (T, 2K) dual points its x-step ended at, one row per
-    slot. stop is the rule that ended the run ("margin", "fixed point" or
-    "cap") on the round that ended it, and None on every earlier round."""
+    """One outer round, trace[r - 1] for round r: its design (frame, phases),
+    worst margin, inner-solver statuses and the (T, 2K) dual points its
+    x-step ended at, one row per slot. stop is the rule that ended the run
+    ("margin", "fixed point" or "cap") on the round that ended it, and None
+    on every earlier round."""
 
-    iteration: int
     worst_margin: float
     md_converged: list
     apg_converged: bool
@@ -138,7 +138,7 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, power: float,
             stop = "fixed point"
         else:
             stop = "cap" if it == AO_MAX_OUTER else None
-        trace.append(AoIterationRecord(it, worst, md_converged, apg_converged, lams,
+        trace.append(AoIterationRecord(worst, md_converged, apg_converged, lams,
                                        frame, phases, stop))
         if stop:
             break

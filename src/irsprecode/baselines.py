@@ -13,15 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
+from .checks import check_real
 from .constellation import SymbolFrame
-from .onebit import (
-    OneBitFrame,
-    SolverConfig,
-    check_real,
-    frame_slots,
-    onebit_amplitude,
-    solve_relaxed,
-)
+from .onebit import OneBitFrame, SolverConfig, frame_slots, onebit_amplitude, solve_relaxed
 
 # singular values below max(sv) * this are treated as zero in the ZF inverse
 RANK_RTOL = 1e-10

@@ -123,10 +123,8 @@ class ExperimentConfig:
             raise ValueError("solver must be a SolverConfig")
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["noise_grid_db"] = list(self.noise_grid_db)
-        d["schemes"] = list(self.schemes)
-        return d
+        """The fields as a dict for json.dumps (the tuples become lists)."""
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

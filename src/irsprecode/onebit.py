@@ -105,17 +105,8 @@ class OneBitFrame:
             raise ValueError("every entry must have magnitude exactly s")
 
     @property
-    def n_slots(self) -> int:
-        return self.xbar.shape[0]
-
-    @property
     def n_antennas(self) -> int:
         return self.xbar.shape[1] // 2
-
-    @property
-    def power(self) -> float:
-        """Per-slot transmit power ||x_t||^2, constant over the alphabet."""
-        return self.xbar.shape[1] * self.amplitude ** 2
 
     @functools.cached_property
     def x(self) -> np.ndarray:
@@ -128,9 +119,11 @@ class OneBitFrame:
     @classmethod
     def from_slots(cls, xbars, power: float) -> "OneBitFrame":
         """Stack per-slot lifted one-bit designs, each in {-s, +s}^{2M} with
-        s = onebit_amplitude(power, M), into a frame."""
-        xbar = np.stack(xbars)
-        return cls(xbar=xbar, amplitude=onebit_amplitude(power, xbar.shape[1] // 2))
+        s = onebit_amplitude(power, M), into a frame. The list of rows goes to
+        the constructor as it is, whose copy is the frame's one copy."""
+        if not xbars:
+            raise ValueError("a frame needs at least one slot")
+        return cls(xbar=xbars, amplitude=onebit_amplitude(power, len(xbars[0]) // 2))
 
 
 def frame_array(frame) -> np.ndarray:
@@ -509,7 +502,6 @@ def solve_relaxed(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig(),
             lam = mirror_descent(coeff, replace(opts, mu=stage_mu, md_tol=stage_tol),
                                  lam0=lam).lam
     md = mirror_descent(coeff, opts, lam0=lam)
-    check_real("mu", opts.mu, positive=True)
     # recover_x of md.lam, from the product C lam that MD formed for it
     return _recover(md.y, coeff.amplitude, opts.mu), md
 

@@ -201,7 +201,6 @@ def momentum_sequence(n: int):
 class ApgResult:
     theta_bar: np.ndarray  # best true-objective iterate, always in Phi
     value: float  # max_constraint at theta_bar
-    smoothed: float  # lse_value at theta_bar
     converged: bool
     n_iter: int
     best_iter: int  # the iteration that found theta_bar; 0 for the start
@@ -233,9 +232,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     lipschitz = _sigma_max_sq(coeffs.eta) / delta
     if lipschitz == 0.0:
         # constant objective over Phi; the init is already optimal
-        val = max_constraint(theta, coeffs)
-        return ApgResult(theta_bar=theta, value=val,
-                         smoothed=lse_value(theta, coeffs, delta),
+        return ApgResult(theta_bar=theta, value=max_constraint(theta, coeffs),
                          converged=True, n_iter=0, best_iter=0)
 
     psis = momentum_sequence(APG_MAX_ITER)[1]
@@ -247,15 +244,12 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     best_theta = theta
     best_val = max_constraint(theta, coeffs)
     h_prev = lse_value(theta, coeffs, delta)
-    best_h = h_prev
     z, h_z, g = theta, h_prev, lse_gradient(theta, coeffs, delta)
-    theta_prev = theta
     best_it = 0  # the iteration that found best_theta
     r = 1  # position in the momentum sequence
     tau = lipschitz
-    it = 0
 
-    for it in range(1, APG_MAX_ITER + 1):
+    for it in range(1, APG_MAX_ITER + 1):  # runs at least once
         if it > 1:
             z = theta + psis[r] * (theta - theta_prev)
             r += 1
@@ -277,7 +271,6 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
         if val < best_val:
             best_val = val
             best_theta = theta_new
-            best_h = h_new
             best_it = it
 
         # nonconvex projection plus momentum can cycle; a smoothed-objective
@@ -290,5 +283,5 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
         if it - best_it >= APG_PATIENCE:
             break
 
-    return ApgResult(theta_bar=best_theta, value=best_val, smoothed=best_h,
+    return ApgResult(theta_bar=best_theta, value=best_val,
                      converged=it - best_it >= APG_PATIENCE, n_iter=it, best_iter=best_it)

@@ -77,6 +77,13 @@ def test_zf_more_users_than_antennas_flagged():
     assert not zf_precode(h, sym, power=1.0).full_rank
 
 
+def test_zf_rejects_a_frame_of_another_user_count():
+    h = crandn(np.random.default_rng(3), (2, 4))
+    sym = SymbolFrame.random(QPSK, 3, 2, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="symbol frame has 3 users, channel has 2"):
+        zf_precode(h, sym, power=1.0)
+
+
 def test_quantize_signs_and_amplitude():
     x = np.array([[3.0 - 2.0j, -0.5 + 4.0j]])
     frame = quantize_onebit(x, power=16.0)

@@ -152,6 +152,15 @@ def test_channel_set_validation():
             ChannelSet(h_d=np.ones((k, m)), g=np.ones((n, m)), h_r=np.ones((k, n)))
 
 
+def test_channel_set_stores_complex_2d_arrays():
+    # nested lists, a 1-D row and real arrays become the set's own complex
+    # 2-D arrays
+    ch = ChannelSet(h_d=[[1.0, 2.0]], g=np.ones((3, 2)), h_r=np.arange(3.0))
+    for a, shape in ((ch.h_d, (1, 2)), (ch.g, (3, 2)), (ch.h_r, (1, 3))):
+        assert isinstance(a, np.ndarray) and a.dtype == complex and a.shape == shape
+    assert np.array_equal(ch.h_r, [[0.0, 1.0, 2.0]])
+
+
 def test_phase_shifts_validation_and_lifting():
     theta = np.exp(1j * np.array([0.3, -1.2, 2.9]))
     p = PhaseShifts(theta)
@@ -163,8 +172,10 @@ def test_phase_shifts_validation_and_lifting():
     assert np.allclose(q.theta, theta)
     with pytest.raises(ValueError):
         PhaseShifts(np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="even length"):
         PhaseShifts.from_theta_bar(np.ones(3))
+    with pytest.raises(ValueError, match="at least one"):
+        PhaseShifts([])
     # NaN must fail the distance-from-the-circle check too
     with pytest.raises(ValueError):
         PhaseShifts([np.nan])

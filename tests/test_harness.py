@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from irsprecode import ao, baselines, constellation, harness, onebit, phase
 from irsprecode.ao import AoIterationRecord, frame_margins
-from irsprecode.baselines import SCHEMES, zf_precode
+from irsprecode.baselines import SCHEMES, quantize_onebit, zf_precode
 from irsprecode.channel import ChannelSet, PhaseShifts, effective_matrix
 from irsprecode.constellation import PskConstellation, SymbolFrame, sep_upper_bound
 from irsprecode.harness import (
@@ -364,6 +364,10 @@ class TestSimulate:
             simulate_transmission(x, phases, ch, symbols, np.inf, noise)
         with pytest.raises(ValueError):
             draw_noise(0, k, t, np.random.default_rng(0))
+        # True used to draw one sample, and 1.5 to end in a TypeError
+        for bad in (True, 1.5):
+            with pytest.raises(ValueError, match="n_noise"):
+                draw_noise(bad, k, t, np.random.default_rng(0))
         planar = noise.planar
         # a complex block, a 3-D block, and an empty block are no noise blocks
         for bad in (planar[0] + 1j * planar[1], planar[0], planar[:1], planar[:, :0],
@@ -649,6 +653,78 @@ class TestCrossingTable:
             want = constellation.decide_block(NoiseBlock(noise.planar), design, a, QPSK)
             assert np.array_equal(constellation.decide_block(noise, design, a, QPSK), want)
 
+    def test_a_design_off_the_table_path_gets_no_old_table(self):
+        # after an ordinary design, one with noise-free parts above 2^40 has
+        # no table: the block decides it in float64, as a fresh block does,
+        # and the first design again from a new table
+        rng = np.random.default_rng(4)
+        noise = NoiseBlock(rng.standard_normal((2, *self.SHAPE)))
+        zz = rng.standard_normal((2, *self.SHAPE[1:]))
+        far = rng.standard_normal(zz.shape) * 2.0 ** 44
+        assert np.abs(far).max() > 2.0 ** 40
+        a = 0.05
+        for design in (zz, far, zz):
+            want = constellation.decide_block(NoiseBlock(noise.planar), design, a, QPSK)
+            assert np.array_equal(constellation.decide_block(noise, design, a, QPSK), want)
+
+    @pytest.mark.parametrize("order", [2, 4, 8, 16])
+    def test_noise_forms_mark_the_irregular_lines(self, order):
+        # line j is irregular for a noise point n, and its 1/f_j(n) NaN,
+        # exactly when |f_j(n)| < 2^-16 |n|_1 + 2^-40, with the form
+        # f_j(n) = Im(n) cos b_j - Re(n) sin b_j as the block computes it.
+        # The points lie off the lines, on each line, and beside it at
+        # multiples of the floor from 0.5 to 2^20, at radii where either of
+        # the floor's terms dominates
+        c = PskConstellation(order)
+        cos, sin = (v[:, 0] for v in constellation._edge_lines(c))
+        rng = np.random.default_rng(order)
+        parts = [rng.standard_normal((2, 500))]
+        for b_cos, b_sin in zip(cos, sin):
+            radius = 2.0 ** rng.uniform(-45, 10, 500)
+            floor = 2.0 ** -16 * radius * (abs(b_cos) + abs(b_sin)) + 2.0 ** -40
+            side = rng.choice([-1.0, 1.0], 500) * floor * rng.choice(
+                [0.0, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 2.0 ** 20], 500)
+            parts.append([radius * b_cos - side * b_sin, radius * b_sin + side * b_cos])
+        re, im = np.concatenate(parts, axis=1)
+        inv, negative = NoiseBlock(np.array([re, im])[:, :, None, None])._noise_forms(c)
+        assert inv.shape == negative.shape == (order // 2, re.size)
+        floor = (np.abs(re) + np.abs(im)) * 2.0 ** -16 + 2.0 ** -40
+        for j in range(order // 2):
+            form = im * cos[j] - re * sin[j]
+            irregular = np.abs(form) < floor
+            assert 0 < irregular.sum() < re.size
+            assert np.array_equal(np.isnan(inv[j]), irregular)
+            assert np.array_equal(inv[j][~irregular], (1.0 / form[~irregular]).astype(np.float32))
+            assert np.array_equal(negative[j], form < 0)
+
+    def test_table_leaves_few_points_to_decide_index(self, monkeypatch):
+        # the guard band is 2^-38 of |z|_1 + a*|n|_1 wide: at bercurve size
+        # (M = 32, N = 16, K = 4, T = 50, 400 draws), quantized ZF designs on
+        # three channels over the 16 levels of 20-50 dB send at most 0.1% of
+        # the points to decide_index
+        seen = []
+        decide_index = constellation.decide_index
+
+        def spy(re, im, psk):
+            seen.append(np.size(re))
+            return decide_index(re, im, psk)
+
+        monkeypatch.setattr(constellation, "decide_index", spy)
+        points = 0
+        for index in range(3):
+            ch = channel_realization(2718, index, 32, 16, 4)
+            rng = np.random.default_rng(index)
+            symbols = SymbolFrame.random(QPSK, 4, 50, rng)
+            phases = PhaseShifts.random(16, rng)
+            noise = draw_noise(400, 4, 50, rng)
+            zf = zf_precode(effective_matrix(ch, phases), symbols, 100.0)
+            frame = quantize_onebit(zf.x, 100.0)
+            for db in range(20, 51, 2):
+                simulate_transmission(frame, phases, ch, symbols, inv_db_to_sigma2(db), noise)
+                points += noise.planar[0].size
+        assert len(seen) == 48
+        assert sum(seen) <= 1e-3 * points
+
     def test_table_run_does_not_depend_on_the_thread_count(self, tmp_path):
         # 600 draws x 2 users x 10 slots = 12,000 receive points per channel:
         # every decision comes from the crossing table
@@ -912,9 +988,9 @@ class TestRunExperiment:
         def fake(ch, symbols, power, rng, opts):
             frame, phases, trace = real(ch, symbols, power, rng, opts)
             n_slots, lams = symbols.n_slots, trace[-1].lams
-            best = AoIterationRecord(1, 0.2, [best_converged] * n_slots, best_converged,
+            best = AoIterationRecord(0.2, [best_converged] * n_slots, best_converged,
                                      lams, frame, phases, None)
-            last = AoIterationRecord(2, 0.1, [not best_converged] * n_slots,
+            last = AoIterationRecord(0.1, [not best_converged] * n_slots,
                                      not best_converged, lams, frame, phases, "margin")
             return frame, phases, [best, last]
 

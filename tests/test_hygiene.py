@@ -75,6 +75,38 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+INPUT_RULES = {"check_real", "check_count", "is_real"}
+
+
+def input_rules_from_elsewhere(source: str) -> list:
+    """Line of each import of an input rule of checks.py (check_real,
+    check_count, is_real) from another module, and of each read of one as an
+    attribute of a name other than checks."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] != "checks"
+                and INPUT_RULES & {alias.name for alias in node.names}):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr in INPUT_RULES
+              and not (isinstance(node.value, ast.Name) and node.value.id == "checks")):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_input_rule_scan_flags_only_other_homes():
+    src = ("from .checks import check_real\nfrom irsprecode.checks import is_real\n"
+           "from .onebit import SolverConfig, check_real\n"
+           "from irsprecode.harness import check_count\nfrom . import checks\n"
+           "checks.is_real(1)\nonebit.check_real('a', 1, True)\n")
+    assert input_rules_from_elsewhere(src) == [3, 4, 7]
+
+
+def test_every_module_takes_the_input_rules_from_checks():
+    offenders = {str(p.relative_to(ROOT)): lines for p in SOURCES
+                 if (lines := input_rules_from_elsewhere(p.read_text()))}
+    assert offenders == {}
+
+
 def test_exported_names_resolve():
     assert len(set(irsprecode.__all__)) == len(irsprecode.__all__)
     for name in irsprecode.__all__:

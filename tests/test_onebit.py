@@ -66,6 +66,12 @@ def test_build_coefficients_hand_case():
     assert coeff.amplitude == pytest.approx(1.0)
 
 
+def test_build_coefficients_needs_one_symbol_per_user():
+    # a single symbol would broadcast over both users
+    with pytest.raises(ValueError, match="one symbol per user"):
+        build_coefficients(np.ones((2, 3), dtype=complex), np.array([1.0 + 0j]), QPSK, 1.0)
+
+
 def test_build_coefficients_amplitude_and_shape():
     rng = np.random.default_rng(0)
     coeff, h_eff, sym, c = random_instance(rng, m=6, k=3, power=12.0)
@@ -108,6 +114,18 @@ def test_onebit_frame_validation():
             OneBitFrame(xbar=xbar, amplitude=1.0)
     with pytest.raises(ValueError, match="amplitude"):
         OneBitFrame(xbar=[[1.0, -1.0]], amplitude=True)
+
+
+def test_onebit_frame_from_slots_copies_its_rows_once():
+    rows = [np.array([2.0, -2.0, -2.0, 2.0]), np.array([-2.0, -2.0, 2.0, 2.0])]
+    frame = OneBitFrame.from_slots(rows, 16.0)  # s = sqrt(16 / 4) = 2
+    rows[0][0] = -2.0  # the frame keeps its own copy
+    assert np.array_equal(frame.xbar, [[2.0, -2.0, -2.0, 2.0], [-2.0, -2.0, 2.0, 2.0]])
+    assert frame.amplitude == 2.0 and not frame.xbar.flags.writeable
+    with pytest.raises(ValueError, match="one slot"):
+        OneBitFrame.from_slots([], 16.0)
+    with pytest.raises(ValueError, match="magnitude"):
+        OneBitFrame.from_slots(rows, 4.0)
 
 
 def test_onebit_frame_x_is_built_once_and_read_only():
@@ -926,6 +944,20 @@ def test_model_start_falls_back_to_uniform_on_an_overflowing_gram():
     coeff = CoefficientMatrix(c=np.full((4, 4), 1e200), amplitude=1.0)
     with np.errstate(over="ignore"):
         assert np.array_equal(model_start(coeff, SolverConfig().mu), np.full(4, 0.25))
+
+
+def test_model_starts_drop_a_slot_whose_weights_overflow():
+    # K > M leaves G = C^T C singular, and at entries near 2^-505 its ridge,
+    # 1e-9 max diag(G), is subnormal: the first pass's active-set weights are
+    # infinite, so the slot leaves the passes at the uniform point, and that
+    # is its start, with no NaN. The slot stacked with it keeps its own start
+    c = np.ldexp(np.random.default_rng(0).standard_normal((2, 6)), -505)
+    tiny = CoefficientMatrix(c=c, amplitude=1.0)
+    plain, _, _, _ = random_instance(np.random.default_rng(1), m=1, k=3)
+    mu = SolverConfig().mu
+    rows = model_starts([tiny, plain], mu)
+    assert np.array_equal(rows[0], np.full(6, 1.0 / 6))
+    assert np.array_equal(rows[1], model_start(plain, mu))
 
 
 def test_model_start_minimizes_the_quadratic_model():

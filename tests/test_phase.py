@@ -109,6 +109,24 @@ def test_phase_coefficients_dimension_errors():
         PhaseCoefficients(eta=np.ones((3, 2)), vbar=np.zeros(2))
     with pytest.raises(ValueError):
         PhaseCoefficients(eta=np.ones((2, 2)), vbar=np.zeros(3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PhaseCoefficients(eta=np.array([[1.0, bad], [0.0, 0.0]]), vbar=np.zeros(2))
+        with pytest.raises(ValueError, match="finite"):
+            PhaseCoefficients(eta=np.ones((2, 2)), vbar=np.array([0.0, -bad]))
+    # a one-slot frame and a one-user channel would broadcast against the
+    # symbols' T = 3 and K = 2
+    with pytest.raises(ValueError, match="T x M"):
+        build_phase_coefficients(ch, frame.x[:1], sym)
+    one_user, _, _, _ = random_setup(rng, m=6, k=1, t=3)
+    with pytest.raises(ValueError, match="one channel row per user"):
+        build_phase_coefficients(one_user, frame, sym)
+
+
+def test_phase_coefficients_store_float_arrays():
+    coeffs = PhaseCoefficients(eta=[[1, 0], [0, 1]], vbar=[[1, -1]])
+    assert coeffs.eta.dtype == coeffs.vbar.dtype == float
+    assert coeffs.eta.flags.f_contiguous and coeffs.vbar.shape == (2,)
 
 
 # --- log-sum-exp smoothing ---------------------------------------------------
@@ -312,6 +330,9 @@ def test_project_bit_exact_against_three_where_formula(pairs, zero):
 def test_project_rejects_odd_length():
     with pytest.raises(ValueError):
         project_unit_modulus(np.ones(3))
+    # a 2-D block would be flattened and projected
+    with pytest.raises(ValueError, match="2N-vector"):
+        project_unit_modulus(np.ones((2, 2)))
 
 
 # --- momentum schedule -------------------------------------------------------
@@ -324,6 +345,16 @@ def test_momentum_closed_forms():
     assert abs(zeta[1] - golden) <= 1e-12
     assert abs(psi[1] - (golden - 1.0) / golden) <= 1e-12
     assert abs(psi[1] - 0.3819660112501051) <= 1e-12
+
+
+def test_momentum_sequence_is_read_only():
+    # one cached pair serves every APG solve, so no caller may write to it
+    zeta, psi = momentum_sequence(3)
+    for array in (zeta, psi):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 2.0
+    assert momentum_sequence(3)[1][0] == 0.0
 
 
 def test_momentum_recursion_and_growth():
@@ -360,6 +391,12 @@ def test_apg_iterates_feasible_and_best_tracked():
     assert res.value <= vals[0]
 
 
+def test_apg_rejects_a_phase_vector_of_another_length():
+    coeffs = PhaseCoefficients(eta=np.ones((4, 2)), vbar=np.zeros(2))
+    with pytest.raises(ValueError, match="phase vector length"):
+        apg_optimize(coeffs, np.ones(6))
+
+
 def test_apg_sandwich_at_returned_point():
     rng = np.random.default_rng(10)
     ch, frame, sym, c = random_setup(rng)
@@ -367,7 +404,7 @@ def test_apg_sandwich_at_returned_point():
     opts = SolverConfig(delta=1e-2)
     res = apg_optimize(coeffs, random_theta_bar(4, rng), opts)
     slack = opts.delta * np.log(coeffs.n_constraints)
-    assert res.value <= res.smoothed <= res.value + slack
+    assert res.value <= lse_value(res.theta_bar, coeffs, opts.delta) <= res.value + slack
 
 
 def test_apg_single_direction_circle_oracle():
@@ -473,7 +510,6 @@ def _ref_apg(coeffs, theta_bar_init, opts, max_iter):
     lipschitz = _sigma_max_sq(coeffs.eta) / delta
     if lipschitz == 0.0:
         return ApgResult(theta_bar=theta, value=_ref_max(theta, coeffs),
-                         smoothed=_ref_lse(theta, coeffs, delta),
                          converged=True, n_iter=0, best_iter=0), "constant", []
     _, psis = momentum_sequence(max_iter)
     best_theta = theta
@@ -515,7 +551,6 @@ def _ref_apg(coeffs, theta_bar_init, opts, max_iter):
             reason = "patience"
             break
     return ApgResult(theta_bar=best_theta, value=best_val,
-                     smoothed=_ref_lse(best_theta, coeffs, delta),
                      converged=reason != "cap", n_iter=it,
                      best_iter=best_it), reason, iterates
 
@@ -564,8 +599,8 @@ def _check_against_reference(seed, kind, n, n_cols, delta, max_iter):
     (want, reason, iterates), want_points = _projected_points(
         lambda: _ref_apg(coeffs, init, opts, max_iter))
     assert np.array_equal(got.theta_bar, want.theta_bar)
-    assert (got.value, got.smoothed, got.converged, got.n_iter, got.best_iter) == (
-        want.value, want.smoothed, want.converged, want.n_iter, want.best_iter)
+    assert (got.value, got.converged, got.n_iter, got.best_iter) == (
+        want.value, want.converged, want.n_iter, want.best_iter)
     # the start, then every trial point of every iteration, backtracking
     # included: the same points in the same order, bit for bit
     assert len(got_points) == len(want_points) >= 1 + len(iterates)
