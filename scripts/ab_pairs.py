@@ -3,14 +3,19 @@
     python3 scripts/ab_pairs.py --base ../parent --change . --workload desk \
         --seeds 0-9 --seconds 50 --out-dir bench-out
 
-For each seed, `perfbench/run.py --workload W --seed S --seconds X --trace 0`
-runs once from each checkout, in its own directory. The base runs first in
-the first pair, the change in the second, and so on, so that neither side
-always runs second on a machine the other has just warmed. The script writes
-BENCH_<workload>_base.json and BENCH_<workload>_change.json, each with the
-run's machine line, the per-seed values and digests, and each metric's median
-and quartiles. It prints, per end-to-end metric of the change's
-BENCHMARK.json, how many pairs each side won; a tie counts for neither.
+Each side runs from a fresh temporary copy of its checkout's files, those
+`git ls-files --cached --others --exclude-standard` lists: the tracked and
+the untracked but not ignored ones, as they are in the working tree. So
+neither side runs from a directory that holds caches or test leftovers
+(`.hypothesis/`, `.pytest_cache/`, `__pycache__/`). For each seed,
+`perfbench/run.py --workload W --seed S --seconds X --trace 0` runs once
+from each copy. The base runs first in the first pair, the change in the
+second, and so on, so that neither side always runs second on a machine the
+other has just warmed. The script writes BENCH_<workload>_base.json and
+BENCH_<workload>_change.json, each with the run's machine line, the per-seed
+values and digests, and each metric's median and quartiles. It prints, per
+end-to-end metric of the change's BENCHMARK.json, how many pairs each side
+won; a tie counts for neither.
 Standard library only; a run that fails its correctness gate stops the script.
 """
 
@@ -18,9 +23,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -31,6 +38,21 @@ def parse_seeds(text: str) -> list:
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def fresh_copy(checkout: Path, dest: Path) -> Path:
+    """Copy the working-tree files of the git checkout that git ls-files
+    --cached --others --exclude-standard lists (a tracked file deleted from
+    the tree is left out) into the new directory dest; returns dest."""
+    out = subprocess.run(["git", "-C", str(checkout), "ls-files", "-z", "--cached", "--others",
+                          "--exclude-standard"], capture_output=True, check=True)
+    dest.mkdir(parents=True)
+    for name in filter(None, out.stdout.decode().split("\0")):
+        src = checkout / name
+        if src.exists() or src.is_symlink():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name, follow_symlinks=False)
+    return dest
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -87,12 +109,16 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"base": args.base, "change": args.change}
     runs = {side: {} for side in sides}
-    for i, seed in enumerate(args.seeds):
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        for side in order:
-            runs[side][seed] = run_once(sides[side], args.workload, seed, args.seconds)
-        print(f"seed {seed} ({' first, '.join(order)} second): " + "  ".join(
-            f"{side} digest {runs[side][seed]['digest'][:8]}" for side in sides), flush=True)
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
+        copies = {side: fresh_copy(checkout, Path(tmp) / side)
+                  for side, checkout in sides.items()}
+        for i, seed in enumerate(args.seeds):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                runs[side][seed] = run_once(copies[side], args.workload, seed, args.seconds)
+            print(f"seed {seed} ({' first, '.join(order)} second): " + "  ".join(
+                f"{side} digest {runs[side][seed]['digest'][:8]}" for side in sides),
+                flush=True)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     values = {side: {seed: r["values"] for seed, r in runs[side].items()} for side in sides}

@@ -3,8 +3,8 @@
 Each outer round solves the T per-slot transmit designs against the current
 effective channel, then re-optimizes the phase shifts against the new frame,
 warm-starting from the previous round's (initially uniform random) phases.
-Every slot solve starts cold, at its slot's onebit.model_start; a round sets
-up its T slots and their starts in one onebit.frame_slots call.
+Every slot solve starts cold, at its slot's row of onebit.model_starts; a
+round sets up its T slots and those starts in one onebit.frame_slots call.
 
 The objective is the worst-case margin over all (user, slot) pairs. Neither
 inner solver is exact (rounding and a nonconvex projection are involved), so
@@ -150,8 +150,8 @@ def _x_step(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig):
     returns (frame, (T, 2K) dual points, md statuses)."""
     results = [solve_symbol(coeff, opts, lam0)
                for coeff, lam0 in frame_slots(h_eff, symbols, power, opts)]
-    return (OneBitFrame.from_slots([res.xbar for res in results], power),
-            np.stack([res.md.lam for res in results]), [res.md.converged for res in results])
+    return (OneBitFrame.from_slots([xbar for xbar, _ in results], power),
+            np.stack([md.lam for _, md in results]), [md.converged for _, md in results])
 
 
 def _phase_step(ch: ChannelSet, frame, symbols: SymbolFrame,

@@ -70,13 +70,10 @@ class RelaxedFrame:
     """Per-slot box-relaxation output.
 
     x: (T, M) complex frame with real/imag parts in [-s, s].
-    relax_values: per-slot lower bounds -f_mu(lam) on the regularized box
-        objective, same convention as the one-bit solver's relax_value.
     converged: per-slot mirror-descent convergence flags.
     """
 
     x: np.ndarray
-    relax_values: np.ndarray
     converged: np.ndarray
 
 
@@ -86,8 +83,8 @@ def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
     """Box-relaxed symbol-level precoder: the one-bit solver without rounding.
 
     Runs the identical coefficient construction and dual solve (solve_relaxed,
-    with its mu-continuation) as the one-bit path, so its per-slot relaxation
-    values match that solver bit for bit under the same settings and starts.
+    with its mu-continuation) as the one-bit path, so its per-slot relaxed
+    points match that solver's bit for bit under the same settings and starts.
     lam0, a (T, 2K) block of simplex points, starts slot t's dual solve at
     row t; a block of another shape raises ValueError. None starts every slot
     cold; onebit.frame_slots sets up the slots and their starts either way.
@@ -100,7 +97,6 @@ def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
     xrel = np.stack([xrel for xrel, _ in results])
     m = xrel.shape[1] // 2
     return RelaxedFrame(x=xrel[:, :m] + 1j * xrel[:, m:],
-                        relax_values=np.array([-md.value for _, md in results]),
                         converged=np.array([md.converged for _, md in results]))
 
 

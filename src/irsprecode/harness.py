@@ -264,8 +264,8 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         # is invariant to the per-slot rescale)
         t0 = time.perf_counter()
         channel, phases = (ch, theta) if with_irs else (bare, ones)
-        # a cold solve starts at model_start; after a margin or fixed-point
-        # stop, AO's last dual points reproduce it at AO's phases, at less cost
+        # a cold solve starts at its model_starts row; after a margin or fixed-point
+        # stop AO's last dual points reproduce it at AO's phases, at less cost
         warm = phases is ao_phases and trace[-1].stop != "cap"
         lam0 = trace[-1].lams if warm else None
         res = relaxed_slp(effective_matrix(channel, phases), symbols,
@@ -284,8 +284,8 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         elif spec.x_mode == "onebit":
             results = [solve_symbol(coeff, cfg.solver, lam0) for coeff, lam0
                        in frame_slots(np.conj(bare.h_d), symbols, cfg.power, cfg.solver)]
-            frame = OneBitFrame.from_slots([res.xbar for res in results], cfg.power)
-            status = _status(all(res.md.converged for res in results))
+            frame = OneBitFrame.from_slots([xbar for xbar, _ in results], cfg.power)
+            status = _status(all(md.converged for _, md in results))
             runtime = time.perf_counter() - t0
         elif spec.x_mode == "relaxed":
             frame, status, runtime = box(spec.with_irs)

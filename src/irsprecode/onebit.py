@@ -252,14 +252,14 @@ class MdResult:
     y: np.ndarray  # C lam, the product value was computed from
 
 
-def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig(),
-                   lam0: np.ndarray | None = None) -> MdResult:
+def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig,
+                   lam0: np.ndarray) -> MdResult:
     """Minimize f_mu over the simplex by entropic mirror descent, mu = opts.mu.
 
-    Starts from the uniform point unless a warm start lam0 (a finite simplex
-    point) is given. Each iteration takes the update lam+ = lam exp(-step g)/Z
-    with a backtracked step; as KL(lam+ || lam) = -step <g, lam+> - log Z, the
-    Bregman sufficient-decrease test is f(lam+) <= f - <g, lam> - log Z/step.
+    Starts from lam0, a finite simplex point. Each iteration takes the update
+    lam+ = lam exp(-step g)/Z with a backtracked step; as KL(lam+ || lam) =
+    -step <g, lam+> - log Z, the Bregman sufficient-decrease test is
+    f(lam+) <= f - <g, lam> - log Z/step.
     f(lam+) = (s/rho) y_c . (y - y_c/2) for y = C lam+ and y_c = clip(y, +/-rho),
     the y_c the next gradient uses. Steps at or below mu/sigma_max(C)^2 (from
     the Gram matrix) are always accepted, so progress cannot stall on rounding
@@ -278,16 +278,12 @@ def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig()
     rho = opts.mu * s
     # ufunc reductions skip the array methods' dispatch
     vmin, vmax, vsum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
-    if lam0 is None:
-        lam = np.full(n, 1.0 / n)
-        lam_min = lam[0]
-    else:
-        lam = np.array(lam0, dtype=float)
-        lam_min = vmin(lam) if lam.shape == (n,) else np.nan
-        # another shape, NaN and -inf fail the sign test (a NaN minimum
-        # compares false), +inf and NaN the sum test
-        if not lam_min >= 0 or not abs(vsum(lam) - 1.0) <= 1e-9:
-            raise ValueError("warm start must be a point on the simplex")
+    lam = np.array(lam0, dtype=float)
+    lam_min = vmin(lam) if lam.shape == (n,) else np.nan
+    # another shape, NaN and -inf fail the sign test (a NaN minimum compares
+    # false), +inf and NaN the sum test
+    if not lam_min >= 0 or not abs(vsum(lam) - 1.0) <= 1e-9:
+        raise ValueError("start must be a point on the simplex")
     y = c @ lam
     y_c, f = _clipped_value(y, s, rho)
 
@@ -343,20 +339,21 @@ def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig()
                     residual=residual, y=y)
 
 
-# uniform-point weight of model_start's point: an exact zero in lam stays zero
+# uniform-point weight of a model_starts row: an exact zero in lam stays zero
 # under MD's multiplicative update, so its residual test could pass at a
 # non-KKT point
 WARM_START_MIX = 1e-6
 
-# model_start gives the uniform point instead of a point whose Frank-Wolfe gap
+# model_starts gives the uniform point instead of a point whose Frank-Wolfe gap
 # <g, lam> - min g, an upper bound on f_mu(lam) - min f_mu, is above this times
 # f_mu(lam) + s rho; s rho keeps the test meaningful where min f_mu is 0 (K >= M)
 START_GAP_RTOL = 1e-4
 
 
 def model_starts(coeffs, mu: float) -> np.ndarray:
-    """Cold starts of solve_relaxed, one row per slot: the minimizer of each
-    slot's dual's piecewise-quadratic model. Row t depends on coeffs[t] alone.
+    """Cold starts of the dual solves, one row per slot: the minimizer of each
+    slot's dual's piecewise-quadratic model. Row t depends on coeffs[t] alone,
+    so it equals model_starts([coeffs[t]], mu)[0] bit for bit.
 
     With the Huber window W = {m : |(C lam)_m| <= rho = mu s} and the signs
     sigma of the clipped entries held fixed, f_mu is the quadratic
@@ -380,8 +377,7 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
     gives every G, and one stacked solve per active-set step serves the
     slots still in it. Each slot keeps its own window, Gram C_W^T C_W from
     its own compacted rows, drops and stopping pass, and every product has
-    the layout of a single slot's, so each row equals model_start of its
-    slot bit for bit.
+    the layout of a single slot's.
     """
     ct = np.array([coeff.c.T for coeff in coeffs])  # (T, 2K, 2M): each C^T, C-contiguous
     c = ct.transpose(0, 2, 1)
@@ -410,8 +406,11 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
             vu = np.linalg.solve(g_step, rhs_step)
             v, u = vu[..., 0], vu[..., 1]
             r = rho[step, None]
-            w[step] = w_step = v * (1.0 + r * u.sum(axis=1, keepdims=True)) - (
-                r * v.sum(axis=1, keepdims=True)) * u
+            # a near-singular G's subnormal ridge can take the weights or their
+            # sums past the float range (inf * 0: NaN); the fine test drops the slot
+            with np.errstate(over="ignore", invalid="ignore"):
+                w[step] = w_step = v * (1.0 + r * u.sum(axis=1, keepdims=True)) - (
+                    r * v.sum(axis=1, keepdims=True)) * u
             drop = w_step < 0
             hit = drop.any(axis=1)
             if not hit.any():
@@ -421,7 +420,8 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
             # right-hand sides, so its entries of v, u and w are 0 from now on
             np.copyto(g_step, np.eye(n), where=drop[:, :, None] | drop[:, None, :])
             rhs_step[drop] = 0.0
-        total = w[live].sum(axis=1)  # w >= 0 now, so w / total is finite if total is
+        with np.errstate(over="ignore"):  # w >= 0 or NaN now, so w / total is finite if total is
+            total = w[live].sum(axis=1)
         fine = (0 < total) & (total < np.inf)
         live, total = live[fine], total[fine]
         lam[live] = w[live] / total[:, None]
@@ -446,11 +446,6 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
     return out
 
 
-def model_start(coeff: CoefficientMatrix, mu: float) -> np.ndarray:
-    """Cold start of solve_relaxed for one slot: model_starts of that slot."""
-    return model_starts([coeff], mu)[0]
-
-
 # (mu, md_tol) warm-start stages of solve_relaxed; stages at or below the
 # target mu are skipped, so the solve is a single cold start when the target
 # is no smaller than the first stage
@@ -458,8 +453,8 @@ MU_STAGES = ((5e-4, 1e-7), (2e-5, 1e-7))
 
 
 def start_mu(mu: float) -> float:
-    """The mu at which solve_relaxed's cold start for target mu is taken:
-    that of its first stage."""
+    """The mu at which the cold starts for target mu are taken: that of
+    solve_relaxed's first stage."""
     return max(mu, MU_STAGES[0][0])
 
 
@@ -470,8 +465,8 @@ def frame_slots(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig,
     Slot t's matrix is build_coefficients of h_eff (K, M) and column t of
     symbols at power. Its start is row t of lam0, a (T, 2K) block of simplex
     points (a block of another shape raises ValueError), else row t of one
-    model_starts call at start_mu(opts.mu): the frame's cold starts, each equal
-    to its slot's model_start bit for bit.
+    model_starts call at start_mu(opts.mu): the frame's cold starts, and the
+    package's one source of them.
     """
     coeffs = [build_coefficients(h_eff, symbols.symbols[:, t], symbols.constellation, power)
               for t in range(symbols.n_slots)]
@@ -481,27 +476,22 @@ def frame_slots(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig,
     return list(zip(coeffs, model_starts(coeffs, start_mu(opts.mu)) if lam0 is None else lam0))
 
 
-def solve_relaxed(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig(),
-                  lam0: np.ndarray | None = None):
+def solve_relaxed(coeff: CoefficientMatrix, opts: SolverConfig, lam0: np.ndarray):
     """Dual solve at opts.mu plus primal recovery; shared by the one-bit and box designs.
 
     Small mu makes the dual poorly conditioned (the Huber window shrinks),
     so a cold start can take tens of thousands of iterations. The solve
     therefore runs the MU_STAGES above the target first, each as opts at the
     stage's mu and md_tol from the previous dual iterate, which reaches the
-    same point several times faster. The first stage starts at lam0 (a
-    simplex point) if given, else at model_start for that stage's mu,
-    start_mu(opts.mu), where MD mostly stops at its first residual test; the
-    stages run either way. The callers that solve a frame pass each slot its
-    start from frame_slots, equal to model_start bit for bit. Returns
-    (xbar_relaxed, MdResult) for the final stage.
+    same point several times faster. The first stage starts at lam0, a
+    simplex point: for a cold solve the slot's row of frame_slots, taken at
+    start_mu(opts.mu), where MD mostly stops at its first residual test.
+    Returns (xbar_relaxed, MdResult) for the final stage.
     """
-    lam = model_start(coeff, start_mu(opts.mu)) if lam0 is None else lam0
     for stage_mu, stage_tol in MU_STAGES:
         if stage_mu > opts.mu:
-            lam = mirror_descent(coeff, replace(opts, mu=stage_mu, md_tol=stage_tol),
-                                 lam0=lam).lam
-    md = mirror_descent(coeff, opts, lam0=lam)
+            lam0 = mirror_descent(coeff, replace(opts, mu=stage_mu, md_tol=stage_tol), lam0).lam
+    md = mirror_descent(coeff, opts, lam0)
     # recover_x of md.lam, from the product C lam that MD formed for it
     return _recover(md.y, coeff.amplitude, opts.mu), md
 
@@ -560,42 +550,14 @@ def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, *,
         cur = best
 
 
-@dataclass
-class SymbolSolveResult:
-    """One-bit design for a single slot, with its relaxation certificates.
-
-    relax_value = -f_mu(lam) lower-bounds the regularized box problem;
-    onebit_lower_bound = relax_value - mu P / 2 lower-bounds the unregularized
-    one-bit optimum because every one-bit point has ||xbar||^2 = P.
-    """
-
-    xbar: np.ndarray
-    objective: float
-    xbar_relaxed: np.ndarray
-    relax_value: float
-    onebit_lower_bound: float
-    md: MdResult
-
-
-def solve_symbol(coeff: CoefficientMatrix, opts: SolverConfig = SolverConfig(),
-                 lam0: np.ndarray | None = None) -> SymbolSolveResult:
+def solve_symbol(coeff: CoefficientMatrix, opts: SolverConfig, lam0: np.ndarray):
     """Design the one-bit transmit vector for the slot of coefficient matrix coeff.
 
-    Pipeline: a dual solve at opts.mu (solve_relaxed, mirror descent from
-    lam0, a simplex point, else from model_start), closed-form primal
-    recovery, MBI rounding of the fractional entries. A frame's cold solves
-    pass their starts from frame_slots(h_eff, symbols, power, opts), equal to
-    model_start bit for bit. A pure function of coeff, opts and lam0.
+    Pipeline: a dual solve at opts.mu from lam0, a simplex point
+    (solve_relaxed), closed-form primal recovery, MBI rounding of the
+    fractional entries. A frame's cold solves take their starts from
+    frame_slots. A pure function of coeff, opts and lam0; returns
+    (xbar, MdResult), xbar in {-s, +s}^{2M}.
     """
     xrel, md = solve_relaxed(coeff, opts, lam0)
-    xbar = mbi_round(xrel, coeff)
-    relax_value = -md.value
-    power_total = coeff.n_lifted * coeff.amplitude ** 2
-    return SymbolSolveResult(
-        xbar=xbar,
-        objective=worst_objective(xbar, coeff),
-        xbar_relaxed=xrel,
-        relax_value=relax_value,
-        onebit_lower_bound=relax_value - opts.mu * power_total / 2.0,
-        md=md,
-    )
+    return mbi_round(xrel, coeff), md

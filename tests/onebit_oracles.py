@@ -9,16 +9,31 @@ huber and dual_value evaluate the smoothed dual from its definition, one
 Huber term per lifted entry; mirror descent takes the same value from the
 clipped image instead, and tests compare the two.
 
+cold_start is the start a frame's cold solve of a slot takes, and tests
+take their cold starts from it; certificates gives the relaxation values of a
+slot design that the solver does not compute, and relaxed_with_duals the
+per-slot dual values of a box solve, which its RelaxedFrame does not keep.
+
 quadratic_model_start is the cold start the solver used before it took the
 Huber clipping into account: the minimizer of the dual's quadratic model
-alone. onebit.model_start equals it when no entry of C lam leaves the Huber
+alone. onebit.model_starts equals it when no entry of C lam leaves the Huber
 window, and tests require the solver's start to need fewer MD iterations.
 """
 
-import numpy as np
+from typing import NamedTuple
 
+import numpy as np
+import pytest
+
+from irsprecode import baselines, onebit
 from irsprecode.checks import check_real
-from irsprecode.onebit import WARM_START_MIX, CoefficientMatrix
+from irsprecode.onebit import (
+    WARM_START_MIX,
+    CoefficientMatrix,
+    SolverConfig,
+    start_mu,
+    worst_objective,
+)
 
 
 def huber(y, rho: float):
@@ -38,13 +53,56 @@ def dual_value(lam, coeff: CoefficientMatrix, mu: float) -> float:
     return float(s * huber(y, mu * s).sum())
 
 
+def cold_start(coeff: CoefficientMatrix, opts: SolverConfig) -> np.ndarray:
+    """The cold start of the slot solve of coeff under opts: its row of
+    model_starts at start_mu(opts.mu), as onebit.frame_slots gives it. The
+    call goes through the module, so a spy on onebit.model_starts sees it."""
+    return onebit.model_starts([coeff], start_mu(opts.mu))[0]
+
+
+class Certificates(NamedTuple):
+    objective: float
+    relax_value: float
+    onebit_lower_bound: float
+
+
+def certificates(xbar, md, coeff: CoefficientMatrix, opts: SolverConfig) -> Certificates:
+    """Relaxation certificates of a slot design (xbar, md) solved at opts.mu.
+
+    objective = max_k c_k^T xbar is the design's negated worst margin;
+    relax_value = -f_mu(md.lam) lower-bounds the regularized box problem;
+    onebit_lower_bound = relax_value - mu P / 2 lower-bounds the unregularized
+    one-bit optimum, because every one-bit point has ||xbar||^2 = P.
+    """
+    relax_value = -md.value
+    power_total = coeff.n_lifted * coeff.amplitude ** 2
+    return Certificates(worst_objective(xbar, coeff), relax_value,
+                        relax_value - opts.mu * power_total / 2.0)
+
+
+def relaxed_with_duals(relaxed_slp, *args, **kwargs):
+    """(relaxed_slp(*args, **kwargs), its per-slot dual values f_mu(lam)),
+    the values read off its baselines.solve_relaxed calls by a spy."""
+    mds = []
+
+    def spy(*solve_args, real=baselines.solve_relaxed):
+        out = real(*solve_args)
+        mds.append(out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "solve_relaxed", spy)
+        res = relaxed_slp(*args, **kwargs)
+    return res, np.array([md.value for md in mds])
+
+
 def quadratic_model_start(coeff: CoefficientMatrix) -> np.ndarray:
     """Minimizer of the dual's quadratic model (s / 2 rho) lam^T G lam, G = C^T C.
 
     (G_AA + eps I) v = 1 is solved on an active set A, at first every index,
     dropping the nonpositive entries of v until none are left; eps = 1e-9
     max diag(G). v / sum(v) is then mixed with the uniform point by
-    WARM_START_MIX, as model_start mixes. A zero or non-finite G gives the
+    WARM_START_MIX, as model_starts mixes. A zero or non-finite G gives the
     uniform point."""
     g = coeff.c.T @ coeff.c
     n = g.shape[0]

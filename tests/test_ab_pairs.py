@@ -1,10 +1,13 @@
-"""scripts/ab_pairs.py's summaries: pairs won per metric, medians, quartiles.
+"""scripts/ab_pairs.py's summaries (pairs won per metric, medians, quartiles)
+and the fresh copy each side runs from.
 
 The script itself runs the benchmark from two checkouts and is not run here.
 """
 
 import importlib.util
+import shutil
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,29 @@ def test_side_summary_gives_the_median_and_quartiles_of_each_metric():
                                          ("0-2,11", [0, 1, 2, 11])])
 def test_parse_seeds(text, seeds):
     assert ab_pairs.parse_seeds(text) == seeds
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs the git executable")
+def test_fresh_copy_holds_the_tracked_and_untracked_files_and_nothing_ignored(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / ".gitignore").write_text(".hypothesis/\n*.pyc\n")
+    (repo / "pkg" / "tracked.py").write_text("committed\n")
+    (repo / "gone.txt").write_text("tracked, then deleted from the tree\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git[:3] + ["init", "-q"], check=True)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "init"], check=True)
+    (repo / "gone.txt").unlink()
+    (repo / "pkg" / "tracked.py").write_text("as edited now\n")
+    (repo / "pkg" / "untracked.py").write_text("new\n")
+    (repo / ".hypothesis" / "examples").mkdir(parents=True)
+    (repo / ".hypothesis" / "examples" / "x").write_text("cache\n")
+    (repo / "pkg" / "mod.pyc").write_bytes(b"\0")
+
+    dest = ab_pairs.fresh_copy(repo, tmp_path / "copy")
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "pkg/tracked.py", "pkg/untracked.py"]
+    assert (dest / "pkg" / "tracked.py").read_text() == "as edited now\n"
+    with pytest.raises(FileExistsError):  # a copy always goes to a new directory
+        ab_pairs.fresh_copy(repo, dest)

@@ -15,7 +15,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from onebit_oracles import brute_force_onebit, dual_value
+from onebit_oracles import brute_force_onebit, certificates, cold_start, dual_value
 
 from irsprecode import phase
 from irsprecode.ao import alternating_optimize, frame_margins
@@ -80,7 +80,8 @@ def test_criterion_01_dual_primal_consistency():
     for i in range(100):
         rng = np.random.default_rng(i)
         coeff, _, _, _ = _slot_instance(rng, m=16, k=3, order=(4, 8)[i % 2])
-        md = mirror_descent(coeff, SolverConfig(mu=mu, md_tol=1e-8))
+        n = coeff.n_constraints
+        md = mirror_descent(coeff, SolverConfig(mu=mu, md_tol=1e-8), np.full(n, 1.0 / n))
         n_conv += md.converged
         x = recover_x(md.lam, coeff, mu)
         lhs = worst_objective(x, coeff) + 0.5 * mu * float(x @ x)
@@ -157,10 +158,11 @@ def test_criterion_03_brute_force_band():
         rng = np.random.default_rng(i)
         coeff, _, _, _ = _slot_instance(rng, m=4, k=2, order=4)
         _, bf_val = brute_force_onebit(coeff)
-        res = solve_symbol(coeff, SolverConfig())
-        if res.onebit_lower_bound <= bf_val + 1e-12:
+        opts = SolverConfig()
+        cert = certificates(*solve_symbol(coeff, opts, cold_start(coeff, opts)), coeff, opts)
+        if cert.onebit_lower_bound <= bf_val + 1e-12:
             bound_ok += 1
-        if res.objective <= bf_val + 0.05 * (bf_val - res.onebit_lower_bound) + 1e-12:
+        if cert.objective <= bf_val + 0.05 * (bf_val - cert.onebit_lower_bound) + 1e-12:
             in_band += 1
     elapsed = time.perf_counter() - t0
     ok = in_band >= 90 and bound_ok == 100 and elapsed < 60.0
@@ -179,7 +181,8 @@ def test_criterion_04_fractional_entries():
         order = (4, 8)[i % 2]
         rng = np.random.default_rng(1000 + i)
         coeff, _, _, _ = _slot_instance(rng, m=32, k=k, order=order, power=1.0, n=8)
-        xrel, md = solve_relaxed(coeff, SolverConfig(mu=1e-6, md_tol=1e-6))
+        opts = SolverConfig(mu=1e-6, md_tol=1e-6)
+        xrel, md = solve_relaxed(coeff, opts, cold_start(coeff, opts))
         n_frac = int(np.sum(np.abs(xrel) < coeff.amplitude * (1 - 1e-6)))
         if n_frac <= 2 * k - 1:
             ok_count += 1
@@ -297,9 +300,9 @@ def test_criterion_08_sep_bound_validity():
     sym = SymbolFrame.random(c, 2, 3, np.random.default_rng(1))
     theta = PhaseShifts.random(4, np.random.default_rng(2))
     h_eff = effective_matrix(ch, theta)
-    rows = [solve_symbol(build_coefficients(h_eff, sym.symbols[:, t], c, 100.0)).xbar
-            for t in range(3)]
-    xbar = np.stack(rows)
+    coeffs = [build_coefficients(h_eff, sym.symbols[:, t], c, 100.0) for t in range(3)]
+    opts = SolverConfig()
+    xbar = np.stack([solve_symbol(coeff, opts, cold_start(coeff, opts))[0] for coeff in coeffs])
     x = xbar[:, :8] + 1j * xbar[:, 8:]
     margins = frame_margins(ch, theta, x, sym)
     assert margins.min() > 0

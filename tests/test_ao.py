@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from onebit_oracles import cold_start
 
 from irsprecode import ao, harness, onebit, phase
 from irsprecode.ao import (
@@ -114,11 +115,12 @@ def test_trace_replicates_hand_driven_steps():
     prev = None
     for i, rec in enumerate(trace, start=1):
         h_eff = effective_matrix(ch, ph)
-        results = [solve_symbol(build_coefficients(h_eff, sym.symbols[:, t], QPSK, POWER), cfg)
-                   for t in range(sym.n_slots)]
-        assert rec.md_converged == [res.md.converged for res in results]
-        assert np.array_equal(rec.lams, np.stack([res.md.lam for res in results]))
-        fr = OneBitFrame(xbar=np.stack([res.xbar for res in results]), amplitude=amplitude)
+        coeffs = [build_coefficients(h_eff, sym.symbols[:, t], QPSK, POWER)
+                  for t in range(sym.n_slots)]
+        results = [solve_symbol(coeff, cfg, cold_start(coeff, cfg)) for coeff in coeffs]
+        assert rec.md_converged == [md.converged for _, md in results]
+        assert np.array_equal(rec.lams, np.stack([md.lam for _, md in results]))
+        fr = OneBitFrame(xbar=np.stack([xbar for xbar, _ in results]), amplitude=amplitude)
         coeffs = build_phase_coefficients(ch, fr, sym)
         apg = apg_optimize(coeffs, ph.theta_bar, cfg)
         start, ph = ph, PhaseShifts.from_theta_bar(apg.theta_bar)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from onebit_oracles import brute_force_onebit
+from onebit_oracles import brute_force_onebit, cold_start, relaxed_with_duals
 
 from irsprecode import onebit
 from irsprecode.ao import alternating_optimize
@@ -27,6 +27,8 @@ from irsprecode.constellation import PskConstellation, SymbolFrame
 from irsprecode.onebit import (
     SolverConfig,
     build_coefficients,
+    mbi_round,
+    solve_relaxed,
     solve_symbol,
     worst_objective,
 )
@@ -126,13 +128,14 @@ def test_relaxed_bound_dominates_brute_force():
         phases = PhaseShifts.random(2, rng)
         h_eff = effective_matrix(ch, phases)
         sym = SymbolFrame.random(QPSK, 2, 1, rng)
-        res = relaxed_slp(h_eff, sym, power, opts=opts)
+        res, duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power, opts=opts)
+        relax_value = -duals[0]
         coeff = build_coefficients(h_eff, sym.symbols[:, 0], QPSK, power)
         _, bf_val = brute_force_onebit(coeff)
-        assert res.relax_values[0] - opts.mu * power / 2 <= bf_val + 1e-12
+        assert relax_value - opts.mu * power / 2 <= bf_val + 1e-12
         xbar = np.concatenate([res.x[0].real, res.x[0].imag])
         reg = worst_objective(xbar, coeff) + opts.mu * (xbar @ xbar) / 2
-        assert reg >= res.relax_values[0] - 1e-12
+        assert reg >= relax_value - 1e-12
         s = coeff.amplitude
         assert np.abs(xbar).max() <= s + 1e-12
 
@@ -166,13 +169,17 @@ def test_relaxed_matches_onebit_solver_internal_stage(mu):
     h_eff = effective_matrix(ch, phases)
     sym = SymbolFrame.random(QPSK, 3, 4, rng)
     opts = SolverConfig(mu=mu)
-    res = relaxed_slp(h_eff, sym, power=100.0, opts=opts)
+    res, duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power=100.0, opts=opts)
     m = 6
     for t in range(4):
-        full = solve_symbol(build_coefficients(h_eff, sym.symbols[:, t], QPSK, 100.0), opts)
-        assert np.array_equal(res.x[t], full.xbar_relaxed[:m] + 1j * full.xbar_relaxed[m:])
-        assert res.relax_values[t] == full.relax_value
-        assert res.converged[t] == full.md.converged
+        coeff = build_coefficients(h_eff, sym.symbols[:, t], QPSK, 100.0)
+        lam0 = cold_start(coeff, opts)
+        xbar, md = solve_symbol(coeff, opts, lam0)
+        xrel, _ = solve_relaxed(coeff, opts, lam0)
+        assert np.array_equal(xbar, mbi_round(xrel, coeff))  # the one-bit solver's stage
+        assert np.array_equal(res.x[t], xrel[:m] + 1j * xrel[m:])
+        assert duals[t] == md.value
+        assert res.converged[t] == md.converged
 
 
 def check_warm_box_after_ao(order, seed):
@@ -200,12 +207,14 @@ def check_warm_box_after_ao(order, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(onebit, "mirror_descent", spy)
-        cold = relaxed_slp(h_eff, sym, power, cfg)
+        cold, cold_duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power, cfg)
         runs.clear()
-        warm = relaxed_slp(h_eff, sym, power, cfg, trace[-1].lams)
+        warm, warm_duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power, cfg,
+                                              trace[-1].lams)
     assert len(runs) == sym.n_slots  # one MD call per slot at the default mu
     assert all(md.n_iter == 0 for md in runs)
-    for name in ("x", "relax_values", "converged"):
+    assert np.array_equal(warm_duals, cold_duals)
+    for name in ("x", "converged"):
         assert np.array_equal(getattr(warm, name), getattr(cold, name))
     return rule
 

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from onebit_oracles import cold_start
 
 from irsprecode import baselines, onebit
 from irsprecode.channel import PhaseShifts, drop_users, effective_matrix, sample_channels
@@ -116,7 +117,7 @@ def test_results_equal_the_goldens(name):
 def test_cold_box_solves_start_at_their_optimum(monkeypatch):
     # channel 0 of the bercurve golden config: its one box solve (relaxed-noirs
     # and relaxed-quant-noirs) runs 50 cold slots, one MD call each. Measured:
-    # 0 MD iterations from onebit.model_start, 408 from the quadratic model's
+    # 0 MD iterations from onebit.model_starts, 408 from the quadratic model's
     # minimizer that it replaced; a lost start fails here without a timing
     iters = []
 
@@ -135,11 +136,11 @@ def test_cold_starts_that_md_certifies_pass_the_first_order_check(monkeypatch):
     # of criterion 4's geometry (M=32, K=2-4, N=8, QPSK and 8-PSK) at the
     # solver's mu, that MD stops at its first residual test returns the start's
     # point; its Frank-Wolfe gap g.lam - min g, a bound on f_mu(lam) - min f_mu,
-    # must be within model_start's START_GAP_RTOL. Solves that MD iterates are
+    # must be within model_starts' START_GAP_RTOL. Solves that MD iterates are
     # certified by its residual instead. A solve is cold when it starts at a
     # row of a onebit.model_starts block, whether frame_slots took the frame's
-    # starts (lam0 a row of that block) or solve_relaxed did (lam0 None).
-    # Measured before model_start checked its point: 9 of the 300 paper
+    # starts or cold_start took one slot's.
+    # Measured before model_starts checked its point: 9 of the 300 paper
     # solves and 8 of the 60 slots stopped at once with gaps up to 0.46 and
     # 2.0 times f_mu + s rho
     blocks, calls = [], []
@@ -149,9 +150,9 @@ def test_cold_starts_that_md_certifies_pass_the_first_order_check(monkeypatch):
         blocks.append(block)
         return block
 
-    def spy(coeff, opts=onebit.SolverConfig(), lam0=None, real=onebit.solve_relaxed):
+    def spy(coeff, opts, lam0, real=onebit.solve_relaxed):
         xrel, md = real(coeff, opts, lam0)
-        cold = lam0 is None or any(np.may_share_memory(lam0, b) for b in blocks)
+        cold = any(np.may_share_memory(lam0, b) for b in blocks)
         calls.append((coeff, opts.mu, md, cold))
         return xrel, md
 
@@ -160,13 +161,15 @@ def test_cold_starts_that_md_certifies_pass_the_first_order_check(monkeypatch):
     monkeypatch.setattr(baselines, "solve_relaxed", spy)
     run_experiment(WORKLOADS["paper"].config(0, 1))
     assert len(calls) == 300
+    opts = onebit.SolverConfig()
     for i in range(60):
         rng = np.random.default_rng(1000 + i)
         k, c = (2, 3, 4)[i % 3], PskConstellation((4, 8)[i % 2])
         ch = sample_channels(drop_users(k, rng), 32, 8, rng)
         h_eff = effective_matrix(ch, PhaseShifts.random(8, rng))
         sym = c.points[rng.integers(0, c.order, k)]
-        onebit.solve_relaxed(onebit.build_coefficients(h_eff, sym, c, 1.0))
+        coeff = onebit.build_coefficients(h_eff, sym, c, 1.0)
+        onebit.solve_relaxed(coeff, opts, cold_start(coeff, opts))
     assert len(calls) == 360 and all(md.converged for _, _, md, _ in calls)
     gaps = []
     for coeff, mu, md, cold in calls:

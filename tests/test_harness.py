@@ -17,6 +17,7 @@ from counting_oracles import (
 )
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from onebit_oracles import cold_start, relaxed_with_duals
 
 from irsprecode import ao, baselines, constellation, harness, onebit, phase
 from irsprecode.ao import AoIterationRecord, frame_margins
@@ -61,9 +62,9 @@ def fixed_design(seed=0, m=6, k=2, t=3):
     symbols = SymbolFrame.random(QPSK, k, t, rng)
     phases = PhaseShifts.random(4, rng)
     h_eff = effective_matrix(ch, phases)
-    rows = [solve_symbol(build_coefficients(h_eff, symbols.symbols[:, j], QPSK, 100.0)).xbar
-            for j in range(t)]
-    xbar = np.stack(rows)
+    coeffs = [build_coefficients(h_eff, symbols.symbols[:, j], QPSK, 100.0) for j in range(t)]
+    opts = SolverConfig()
+    xbar = np.stack([solve_symbol(coeff, opts, cold_start(coeff, opts))[0] for coeff in coeffs])
     x = xbar[:, :m] + 1j * xbar[:, m:]
     return ch, phases, x, symbols
 
@@ -739,8 +740,13 @@ class TestCrossingTable:
 
 def uniform_replays(calls):
     """The spied mirror_descent calls rerun from the uniform point, where MD
-    iterates; from their cold start, onebit.model_start, it mostly does not."""
-    return [mirror_descent(a["coeff"], a["opts"]) for a, _ in calls]
+    iterates; from their cold start, a row of onebit.model_starts, it mostly
+    does not."""
+    replays = []
+    for args, _ in calls:
+        n = args["coeff"].n_constraints
+        replays.append(mirror_descent(args["coeff"], args["opts"], np.full(n, 1.0 / n)))
+    return replays
 
 
 # per solver setting: a non-default value, the function that reads it (module
@@ -822,15 +828,16 @@ class TestRunExperiment:
             return designs[-1]
 
         def box_spy(h_eff, symbols, power, opts, lam0):
-            boxes.append((h_eff, symbols, lam0, real_box(h_eff, symbols, power, opts, lam0)))
-            return boxes[-1][-1]
+            res, duals = relaxed_with_duals(real_box, h_eff, symbols, power, opts, lam0)
+            boxes.append((h_eff, symbols, lam0, res, duals))
+            return res
 
         monkeypatch.setattr(hn, "alternating_optimize", ao_spy)
         monkeypatch.setattr(hn, "relaxed_slp", box_spy)
         run_experiment(cfg)
         assert len(boxes) == len(designs) == cfg.n_channels
         opts = cfg.solver
-        for i, ((_, phases, trace), (h_eff, symbols, lam0, res)) in enumerate(
+        for i, ((_, phases, trace), (h_eff, symbols, lam0, res, duals)) in enumerate(
                 zip(designs, boxes)):
             if policy == "shared":
                 assert lam0 is trace[-1].lams
@@ -839,8 +846,10 @@ class TestRunExperiment:
                 assert lam0 is None
             ch = channel_realization(cfg.seed, i, cfg.m, cfg.n, cfg.k)
             assert np.array_equal(h_eff, effective_matrix(ch, phases))
-            direct = real_box(h_eff, symbols, cfg.power, opts, None)
-            for name in ("x", "relax_values", "converged"):
+            direct, direct_duals = relaxed_with_duals(real_box, h_eff, symbols, cfg.power,
+                                                      opts, None)
+            assert np.array_equal(duals, direct_duals)
+            for name in ("x", "converged"):
                 assert np.array_equal(getattr(res, name), getattr(direct, name))
 
     def test_box_at_the_joint_designs_phases_is_cold_after_a_round_cap_stop(
@@ -860,26 +869,29 @@ class TestRunExperiment:
             return designs[-1]
 
         def box_spy(h_eff, symbols, power, opts, lam0):
-            boxes.append((h_eff, symbols, real_box(h_eff, symbols, power, opts, lam0)))
-            return boxes[-1][-1]
+            res, duals = relaxed_with_duals(real_box, h_eff, symbols, power, opts, lam0)
+            boxes.append((h_eff, symbols, res, duals))
+            return res
 
         monkeypatch.setattr(hn, "alternating_optimize", ao_spy)
         monkeypatch.setattr(hn, "relaxed_slp", box_spy)
         run_experiment(cfg)
         assert len(boxes) == len(designs) == cfg.n_channels
-        for i, ((_, phases, trace), (h_eff, symbols, res)) in enumerate(
+        for i, ((_, phases, trace), (h_eff, symbols, res, duals)) in enumerate(
                 zip(designs, boxes)):
             assert len(trace) == 1
             ch = channel_realization(cfg.seed, i, cfg.m, cfg.n, cfg.k)
             assert np.array_equal(h_eff, effective_matrix(ch, phases))
-            direct = real_box(h_eff, symbols, cfg.power, cfg.solver, None)
-            for name in ("x", "relax_values", "converged"):
+            direct, direct_duals = relaxed_with_duals(real_box, h_eff, symbols, cfg.power,
+                                                      cfg.solver, None)
+            assert np.array_equal(duals, direct_duals)
+            for name in ("x", "converged"):
                 assert np.array_equal(getattr(res, name), getattr(direct, name))
 
     def test_each_frame_takes_its_cold_starts_in_one_call(self, monkeypatch):
         # one onebit.model_starts call of T slots per AO round's x-step, per
-        # onebit-md-noirs frame and per cold box solve (relaxed-noirs); with
-        # T = 4, no slot falls back to solve_relaxed's single-slot start
+        # onebit-md-noirs frame and per cold box solve (relaxed-noirs), the
+        # package's one source of cold starts
         calls, rounds = [], []
 
         def start_spy(coeffs, mu, real=onebit.model_starts):

@@ -14,7 +14,10 @@ environment, so solver behaviour is set by arguments alone. Mirror
 descent's safe step and APG's Lipschitz bound come from onebit._sigma_max_sq,
 an eigenvalue of the smaller Gram matrix; no package module takes a spectral
 norm by SVD. No public function of the solver modules takes a switch (a
-parameter with a bool default), so each call runs one path.
+parameter with a bool default), so each call runs one path. Cold starts have
+one home: within the package only onebit.frame_slots calls model_starts, and
+the per-slot solvers take their start, with no default for it or any other
+parameter.
 """
 
 import ast
@@ -301,3 +304,44 @@ def test_solver_functions_take_no_switch():
     offenders = [f"{name}.{found}" for name in ("onebit", "phase", "ao", "baselines")
                  for found in bool_defaults(importlib.import_module(f"irsprecode.{name}"))]
     assert offenders == []
+
+
+def calls_of(source: str, name: str) -> list:
+    """The enclosing function of each call of name, as a bare name or an
+    attribute: "f", "K.m" or "f.inner", and "" at module level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "attr", getattr(func, "id", None)) == name:
+                    found.append(where)
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+PER_SLOT_SOLVERS = ("mirror_descent", "solve_relaxed", "solve_symbol")
+
+
+def test_cold_starts_have_one_home():
+    assert calls_of("x = start(a)\ndef f(c):\n    return onebit.start([c], 1)\n"
+                    "class K:\n    def m(self):\n        def inner():\n"
+                    "            start(1)\n        return inner\n"
+                    "def g():\n    return starts(1), start\n", "start") == ["", "f", "K.m.inner"]
+    callers = {f"{p.stem}.{where}" for p in sorted(PACKAGE_DIR.rglob("*.py"))
+               for where in calls_of(p.read_text(), "model_starts")}
+    assert callers == {"onebit.frame_slots"}
+
+
+def test_per_slot_solvers_take_their_start():
+    onebit = importlib.import_module("irsprecode.onebit")
+    defaults = [f"{name}({p.name})" for name in PER_SLOT_SOLVERS
+                for p in inspect.signature(getattr(onebit, name)).parameters.values()
+                if p.default is not inspect.Parameter.empty]
+    assert defaults == []

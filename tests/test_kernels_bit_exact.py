@@ -1,14 +1,17 @@
 """The per-slot one-bit kernels against test-local copies of their former code.
 
 Each _former_* function below is the code the package ran before its per-call
-fixed costs were cut. The kernels must return the same bits as these copies,
-on every output, at BPSK to 16-PSK and at the desk (M=32, K=4) and paper
-(M=128, K=14) sizes. The copies always run on the Fortran-ordered matrix that
-build_coefficients makes; the kernels also get C-ordered copies of it, and
-must return the bits of the Fortran-ordered run.
+fixed costs were cut; each _parent_* function is the code it ran before every
+slot solve took its start from the caller and returned (xbar, md). The
+kernels must return the same bits as these copies, on every output, at BPSK
+to 16-PSK and at the desk (M=32, K=4) and paper (M=128, K=14) sizes. The
+copies always run on the Fortran-ordered matrix that build_coefficients
+makes; the kernels also get C-ordered copies of it, and must return the bits
+of the Fortran-ordered run.
 """
 
 import numbers
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from unittest.mock import patch
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from onebit_oracles import certificates, cold_start
 
 from irsprecode import onebit
 from irsprecode.channel import PhaseShifts, drop_users, effective_matrix, sample_channels
@@ -133,6 +137,88 @@ def _former_solve_relaxed(c, s, opts, lam0):
     return _former_recover_x(md[0], c, s, opts.mu), md
 
 
+def _parent_mirror_descent(coeff, opts, lam0=None):
+    """The parent's mirror_descent, whose start without lam0 was the uniform
+    point; returns (lam, value, converged, n_iter, residual, y)."""
+    c = coeff.c
+    ct = c.T
+    n = c.shape[1]
+    s = coeff.amplitude
+    rho = opts.mu * s
+    vmin, vmax, vsum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+    if lam0 is None:
+        lam = np.full(n, 1.0 / n)
+        lam_min = lam[0]
+    else:
+        lam = np.array(lam0, dtype=float)
+        lam_min = vmin(lam) if lam.shape == (n,) else np.nan
+        if not lam_min >= 0 or not abs(vsum(lam) - 1.0) <= 1e-9:
+            raise ValueError("warm start must be a point on the simplex")
+    y = c @ lam
+    y_c, f = onebit._clipped_value(y, s, rho)
+    if lam_min > 0:
+        log_lam = np.log(lam)
+    else:
+        log_lam = np.log(lam, out=np.full(n, -np.inf), where=lam > 0)
+    converged = False
+    for it in range(onebit.MD_MAX_ITER + 1):
+        grad = onebit._dual_grad(ct, y_c, s, rho)
+        gap = log_lam - grad
+        gap -= vmax(gap)
+        np.exp(gap, out=gap)
+        gap /= vsum(gap)
+        gap -= lam
+        residual = float(vsum(np.abs(gap, out=gap)))
+        if residual <= opts.md_tol:
+            converged = True
+            break
+        if it == onebit.MD_MAX_ITER:
+            break
+        if it == 0:
+            sigma_sq = onebit._sigma_max_sq(ct)
+            safe_step = opts.mu / sigma_sq if sigma_sq > 0 else 1.0
+            step = first = safe_step
+        if step == first:
+            step *= 2.0
+        first = step
+        model = f - float(grad @ lam)
+        while True:
+            w = log_lam - step * grad
+            w_max = vmax(w)
+            w -= w_max
+            e = np.exp(w)
+            se = vsum(e)
+            lam_new = e / se
+            log_se = np.log(se)
+            y_new = c @ lam_new
+            y_c_new, f_new = onebit._clipped_value(y_new, s, rho)
+            if step <= safe_step or f_new <= model - (w_max + log_se) / step:
+                break
+            step *= 0.5
+        lam, y, y_c, f = lam_new, y_new, y_c_new, f_new
+        log_lam = w - log_se
+    return lam, f, converged, it, residual, y
+
+
+def _parent_cold_solve_symbol(coeff, opts):
+    """The parent's solve_symbol without a start: its model_start start, the
+    MU_STAGES chain, recovery, MBI and its four certificates. Returns
+    (xbar, objective, xbar_relaxed, relax_value, onebit_lower_bound, md), md
+    as _parent_mirror_descent returns it."""
+    lam = model_starts([coeff], onebit.start_mu(opts.mu))[0]
+    for stage_mu, stage_tol in MU_STAGES:
+        if stage_mu > opts.mu:
+            lam = _parent_mirror_descent(coeff, replace(opts, mu=stage_mu, md_tol=stage_tol),
+                                         lam)[0]
+    md = _parent_mirror_descent(coeff, opts, lam)
+    xrel = onebit._recover(md[5], coeff.amplitude, opts.mu)
+    xbar = mbi_round(xrel, coeff)
+    relax_value = -md[1]
+    power_total = coeff.n_lifted * coeff.amplitude ** 2
+    return (xbar, float(np.maximum.reduce(coeff.c.T @ xbar)), xrel, relax_value,
+            relax_value - opts.mu * power_total / 2.0, md)
+
+
 def _former_mbi_round(xbar_relaxed, c, s, fractional_tol=onebit.FRACTIONAL_TOL):
     xbar_relaxed = np.asarray(xbar_relaxed, dtype=float)
     x = np.where(xbar_relaxed >= 0, s, -s)
@@ -245,7 +331,8 @@ def test_build_coefficients_bit_exact(seed, order, size, layout, integer_h, powe
        start=st.sampled_from(["model", "mixed", "zeros", "uniform"]),
        mu=st.sampled_from([5e-4, 2e-5, 1e-3]), integer_h=st.booleans())
 def test_solve_symbol_bit_exact(seed, order, size, layout, start, mu, integer_h):
-    # every output of solve_symbol and its MD result, at the solver's mu
+    # solve_symbol's design and MD result, and the certificates of that
+    # result by the oracle against the former formulas, at the solver's mu
     # (where desk MD mostly stops at its first test), through the mu stages
     # and above them; the iteration cap is lowered so that the staged solves
     # stay short, and they stop there as often as they converge
@@ -255,7 +342,7 @@ def test_solve_symbol_bit_exact(seed, order, size, layout, start, mu, integer_h)
     c_f, s = _former_build_coefficients(h_eff, sym, c, 100.0)
     opts = SolverConfig(mu=mu)
     if start == "model":
-        lam0 = onebit.model_start(CoefficientMatrix(c=c_f, amplitude=s), onebit.start_mu(mu))
+        lam0 = cold_start(CoefficientMatrix(c=c_f, amplitude=s), opts)
     elif start == "uniform":
         lam0 = np.full(2 * k, 1.0 / (2 * k))
     else:
@@ -267,24 +354,75 @@ def test_solve_symbol_bit_exact(seed, order, size, layout, start, mu, integer_h)
             lam0 = (1.0 - onebit.WARM_START_MIX) * lam0 + onebit.WARM_START_MIX / (2 * k)
     coeff = CoefficientMatrix(c=_laid_out(c_f, layout), amplitude=s)
     with patch.object(onebit, "MD_MAX_ITER", 60):
-        res = solve_symbol(coeff, opts, lam0)
+        xbar, md_symbol = solve_symbol(coeff, opts, lam0)
         xrel, md = solve_relaxed(coeff, opts, lam0)
         want_xrel, (lam, value, converged, n_iter, residual) = _former_solve_relaxed(
             c_f, s, opts, lam0)
     want_x = _former_mbi_round(want_xrel, c_f, s)
     want_obj = float(np.maximum.reduce(c_f.T @ want_x))
     relax_value = -value
-    for got in (res.xbar_relaxed, xrel):
-        assert _same(got, want_xrel)
-    for got in (res.md, md):
+    assert _same(xrel, want_xrel)
+    for got in (md_symbol, md):
         assert _same(got.lam, lam) and _same(got.value, value)
         assert (got.converged, got.n_iter) == (converged, n_iter)
         assert _same(got.residual, residual)
         assert _same(got.y, c_f @ lam)
-    assert _same(res.xbar, want_x) and _same(res.objective, want_obj)
-    assert _same(res.relax_value, relax_value)
+    cert = certificates(xbar, md_symbol, coeff, opts)
+    assert _same(xbar, want_x) and _same(cert.objective, want_obj)
+    assert _same(cert.relax_value, relax_value)
     power_total = 2 * m * s ** 2
-    assert _same(res.onebit_lower_bound, relax_value - mu * power_total / 2.0)
+    assert _same(cert.onebit_lower_bound, relax_value - mu * power_total / 2.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=ORDERS, size=SIZES,
+       mu=st.sampled_from([5e-4, 1e-4, 1e-6]), integer_h=st.booleans())
+@example(seed=0, order=16, size=(128, 14, 32), mu=1e-6, integer_h=False)
+def test_cold_solve_symbol_equals_the_parents(seed, order, size, mu, integer_h):
+    # a cold slot solve from the start the caller takes (cold_start, a row of
+    # model_starts) plus the certificate oracle give the bits the parent's
+    # solve_symbol gave from its own model_start, on every output; below the
+    # first stage's mu the MU_STAGES chain runs. The iteration cap is lowered
+    # on both sides so that the staged solves stay short
+    rng = np.random.default_rng(seed)
+    m, k, n = size
+    h_eff, sym, c = _slot(rng, m, k, n, order, 100.0, integer_h)
+    coeff = build_coefficients(h_eff, sym, c, 100.0)
+    opts = SolverConfig(mu=mu)
+    with patch.object(onebit, "MD_MAX_ITER", 60):
+        want_x, want_obj, want_xrel, want_relax, want_lower, want_md = (
+            _parent_cold_solve_symbol(coeff, opts))
+        lam0 = cold_start(coeff, opts)
+        xbar, md = solve_symbol(coeff, opts, lam0)
+        xrel, _ = solve_relaxed(coeff, opts, lam0)
+    assert _same(xbar, want_x) and _same(xrel, want_xrel)
+    for got, want in zip((md.lam, md.value, md.converged, md.n_iter, md.residual, md.y),
+                         want_md):
+        assert _same(got, want)
+    cert = certificates(xbar, md, coeff, opts)
+    assert _same(cert.objective, want_obj)
+    assert _same(cert.relax_value, want_relax)
+    assert _same(cert.onebit_lower_bound, want_lower)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=ORDERS, size=SIZES,
+       mu=st.sampled_from([5e-4, 2e-5, 1e-6]), integer_h=st.booleans())
+def test_mirror_descent_from_the_uniform_point_equals_the_parents_default(
+        seed, order, size, mu, integer_h):
+    # the parent's mirror_descent started at the uniform point when no start
+    # was given; passing that point now gives the same bits
+    rng = np.random.default_rng(seed)
+    m, k, n = size
+    h_eff, sym, c = _slot(rng, m, k, n, order, 100.0, integer_h)
+    coeff = build_coefficients(h_eff, sym, c, 100.0)
+    opts = SolverConfig(mu=mu)
+    with patch.object(onebit, "MD_MAX_ITER", 60):
+        want = _parent_mirror_descent(coeff, opts)
+        md = onebit.mirror_descent(coeff, opts, np.full(2 * k, 1.0 / (2 * k)))
+    for got, want_value in zip((md.lam, md.value, md.converged, md.n_iter, md.residual, md.y),
+                               want):
+        assert _same(got, want_value)
 
 
 @settings(max_examples=200, deadline=None)
@@ -311,14 +449,16 @@ def test_mbi_round_bit_exact(seed, order, size, layout, saturated, coarse_x, int
 
 @pytest.mark.parametrize("lam0", [None, "mixed"])
 def test_solve_relaxed_recovers_from_mds_own_product(lam0):
-    # the x solve_relaxed returns is recover_x of MD's lam, bit for bit
+    # the x solve_relaxed returns is recover_x of MD's lam, bit for bit; None
+    # takes each mu's cold start
     rng = np.random.default_rng(40)
     h_eff, sym, c = _slot(rng, 32, 4, 16, 4, 100.0, False)
     coeff = build_coefficients(h_eff, sym, c, 100.0)
     if lam0 == "mixed":
         lam0 = 0.5 * rng.dirichlet(np.ones(8)) + 0.5 / 8
     for mu in (5e-4, 2e-5):
-        xrel, md = solve_relaxed(coeff, SolverConfig(mu=mu), lam0)
+        opts = SolverConfig(mu=mu)
+        xrel, md = solve_relaxed(coeff, opts, cold_start(coeff, opts) if lam0 is None else lam0)
         assert _same(xrel, onebit.recover_x(md.lam, coeff, mu))
         assert _same(md.y, coeff.c @ md.lam)
 
@@ -346,13 +486,15 @@ def test_results_do_not_depend_on_memory_order(seed, order):
     starts = np.stack([lam0 for _, lam0 in slots])
     assert _same(model_starts(copies, onebit.start_mu(opts.mu)), starts)
     results = [solve_symbol(coeff, opts, lam0) for coeff, lam0 in slots]
-    for coeff, lam0, res in zip(copies, starts, results):
-        other = solve_symbol(coeff, opts, lam0)
-        for name in ("xbar", "objective", "xbar_relaxed", "relax_value",
-                     "onebit_lower_bound"):
-            assert _same(getattr(other, name), getattr(res, name)), name
-        assert _same(other.md.lam, res.md.lam) and _same(other.md.value, res.md.value)
-    frame = OneBitFrame.from_slots([res.xbar for res in results], 100.0)
+    for (coeff, lam0), copy, (xbar, md) in zip(slots, copies, results):
+        other_xbar, other_md = solve_symbol(copy, opts, lam0)
+        assert _same(other_xbar, xbar)
+        assert _same(other_md.lam, md.lam) and _same(other_md.value, md.value)
+        for got, want in zip(certificates(other_xbar, other_md, copy, opts),
+                             certificates(xbar, md, coeff, opts)):
+            assert _same(got, want)
+        assert _same(solve_relaxed(copy, opts, lam0)[0], solve_relaxed(coeff, opts, lam0)[0])
+    frame = OneBitFrame.from_slots([xbar for xbar, _ in results], 100.0)
     coeffs = build_phase_coefficients(ch, frame, symbols)
     copy = PhaseCoefficients(eta=np.ascontiguousarray(coeffs.eta), vbar=coeffs.vbar)
     theta0 = PhaseShifts.random(16, rng).theta_bar
