@@ -34,7 +34,7 @@ from .channel import ChannelSet, PhaseShifts, effective_matrix
 from .checks import check_real
 from .constellation import SymbolFrame, margin
 from .onebit import OneBitFrame, SolverConfig, frame_array, frame_slots, solve_symbol
-from .phase import apg_optimize, build_phase_coefficients
+from .phase import apg_optimize, build_phase_coefficients, max_constraint
 
 # a round improves when its worst margin rises by more than this, relative:
 # rounding in the inner solvers moves it by a few ulps, real progress by >1e-5
@@ -156,9 +156,11 @@ def _x_step(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig):
 
 def _phase_step(ch: ChannelSet, frame, symbols: SymbolFrame,
                 phases: PhaseShifts, opts: SolverConfig):
-    """APG from phases; returns (phases, converged), phases as given when
-    no APG iterate beat them, so that rounding cannot hide a fixed point."""
-    res = apg_optimize(build_phase_coefficients(ch, frame, symbols), phases.theta_bar, opts)
-    if res.best_iter:
+    """APG from phases; returns (phases, converged), phases as given when no
+    APG iterate beat their own objective (APG measures its start projected,
+    an ulp off at times), so that rounding cannot hide a fixed point."""
+    coeffs = build_phase_coefficients(ch, frame, symbols)
+    res = apg_optimize(coeffs, phases.theta_bar, opts)
+    if res.best_iter and res.value < max_constraint(phases.theta_bar, coeffs):
         phases = PhaseShifts.from_theta_bar(res.theta_bar)
     return phases, res.converged

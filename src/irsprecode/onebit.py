@@ -32,6 +32,8 @@ from .constellation import PskConstellation, SymbolFrame
 FRACTIONAL_TOL = 1e-6
 # mirror_descent's iteration cap; no call of desk seeds 0-4 took over 51
 MD_MAX_ITER = 20000
+# max |entry| of a nonzero CoefficientMatrix: its Grams and start weights stay finite
+COEFF_RANGE = 2.0 ** 450
 
 
 def field_values(cls, d, name: str) -> dict:
@@ -143,6 +145,7 @@ class CoefficientMatrix:
     c is stored in Fortran order, the layout build_coefficients makes (its
     C^T is C-contiguous): the solvers' BLAS products, and so the last bits of
     their results, do not depend on the memory order of the array passed in.
+    The slot solvers' magnitude rule: max |c| is 0 or in [1/COEFF_RANGE, COEFF_RANGE].
     """
 
     c: np.ndarray
@@ -155,8 +158,9 @@ class CoefficientMatrix:
         object.__setattr__(self, "c", c)
         if c.ndim != 2 or c.shape[0] % 2 or c.shape[1] % 2 or not c.size:
             raise ValueError("coefficient matrix must be 2M x 2K with M, K >= 1")
-        if np.count_nonzero(np.isfinite(c)) != c.size:
-            raise ValueError("coefficients must be finite")
+        peak = np.maximum.reduce(np.abs(c), axis=None)  # NaN if any entry is
+        if not (peak == 0 or 1 / COEFF_RANGE <= peak <= COEFF_RANGE):
+            raise ValueError(f"coefficients must be finite, max |c| 0 or in 2^[-450, 450]: {peak}")
         check_real("amplitude", self.amplitude, positive=True)
 
     @property
@@ -370,8 +374,7 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
     K > M and small mu even a repeated window with no drop can leave a gap.
     MD's residual barely sees the WARM_START_MIX weight of an entry the start
     left out. lam is mixed with the uniform point by WARM_START_MIX.
-    A zero or non-finite G = C^T C gives the uniform point, and a pass with
-    non-finite values returns the previous one.
+    A zero C gives the uniform point.
 
     The slots, all 2M x 2K, take their passes together: one stacked product
     gives every G, and one stacked solve per active-set step serves the
@@ -387,7 +390,7 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
     g = ct @ c
     g_diag = g.reshape(n_slots, n * n)[:, ::n + 1]  # a view of every diagonal
     scale = g_diag.max(axis=1)
-    ok = np.isfinite(g).all(axis=(1, 2)) & (scale > 0)
+    ok = scale > 0
     lam = np.full((n_slots, n), 1.0 / n)
     sigma = np.zeros((n_slots, ct.shape[2]))  # sign of each clipped entry, 0 inside W
     rhs = np.ones((n_slots, n, 2))  # the right-hand sides 1 and b, as columns
@@ -406,11 +409,8 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
             vu = np.linalg.solve(g_step, rhs_step)
             v, u = vu[..., 0], vu[..., 1]
             r = rho[step, None]
-            # a near-singular G's subnormal ridge can take the weights or their
-            # sums past the float range (inf * 0: NaN); the fine test drops the slot
-            with np.errstate(over="ignore", invalid="ignore"):
-                w[step] = w_step = v * (1.0 + r * u.sum(axis=1, keepdims=True)) - (
-                    r * v.sum(axis=1, keepdims=True)) * u
+            w[step] = w_step = v * (1.0 + r * u.sum(axis=1, keepdims=True)) - (
+                r * v.sum(axis=1, keepdims=True)) * u
             drop = w_step < 0
             hit = drop.any(axis=1)
             if not hit.any():
@@ -420,9 +420,8 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
             # right-hand sides, so its entries of v, u and w are 0 from now on
             np.copyto(g_step, np.eye(n), where=drop[:, :, None] | drop[:, None, :])
             rhs_step[drop] = 0.0
-        with np.errstate(over="ignore"):  # w >= 0 or NaN now, so w / total is finite if total is
-            total = w[live].sum(axis=1)
-        fine = (0 < total) & (total < np.inf)
+        total = w[live].sum(axis=1)
+        fine = total > 0  # w >= 0 now, but no bound keeps an ill-conditioned slot's sum off 0
         live, total = live[fine], total[fine]
         lam[live] = w[live] / total[:, None]
         y = (c @ lam[..., None])[live, :, 0]

@@ -102,12 +102,12 @@ def quadratic_model_start(coeff: CoefficientMatrix) -> np.ndarray:
     (G_AA + eps I) v = 1 is solved on an active set A, at first every index,
     dropping the nonpositive entries of v until none are left; eps = 1e-9
     max diag(G). v / sum(v) is then mixed with the uniform point by
-    WARM_START_MIX, as model_starts mixes. A zero or non-finite G gives the
-    uniform point."""
+    WARM_START_MIX, as model_starts mixes. A zero G gives the uniform
+    point."""
     g = coeff.c.T @ coeff.c
     n = g.shape[0]
     scale = g.diagonal().max()
-    if not (np.isfinite(g).all() and scale > 0):
+    if not scale > 0:
         return np.full(n, 1.0 / n)
     active = np.arange(n)
     while True:

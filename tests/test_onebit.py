@@ -5,6 +5,7 @@ computations (finite differences, dense grids, exhaustive enumeration)
 implemented inside the tests themselves.
 """
 
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -968,35 +969,116 @@ def test_model_start_is_an_interior_simplex_point(seed, order, size, zero):
         assert np.array_equal(lam, np.full(2 * k, 1.0 / (2 * k)))
 
 
-def test_model_start_falls_back_to_uniform_on_an_overflowing_gram():
-    coeff = CoefficientMatrix(c=np.full((4, 4), 1e200), amplitude=1.0)
-    with np.errstate(over="ignore"):
-        assert np.array_equal(model_starts([coeff], SolverConfig().mu)[0], np.full(4, 0.25))
+def _scaled_gaussian(seed, shape, e):
+    return np.ldexp(np.random.default_rng(seed).standard_normal(shape), e)
 
 
-def test_model_starts_drop_a_slot_whose_weights_overflow():
-    # K > M leaves G = C^T C singular, and at entries near 2^-505 its ridge,
-    # 1e-9 max diag(G), is subnormal: the first pass's active-set weights are
-    # infinite, so the slot leaves the passes at the uniform point, and that
-    # is its start, with no NaN. The slot stacked with it keeps its own start
-    c = np.ldexp(np.random.default_rng(0).standard_normal((2, 6)), -505)
-    tiny = CoefficientMatrix(c=c, amplitude=1.0)
-    plain, _, _, _ = random_instance(np.random.default_rng(1), m=1, k=3)
-    mu = SolverConfig().mu
-    rows = model_starts([tiny, plain], mu)
-    assert np.array_equal(rows[0], np.full(6, 1.0 / 6))
-    assert np.array_equal(rows[1], model_starts([plain], mu)[0])
+# slots outside the range, each at a magnitude where the solvers' floats
+# break: a Gram that overflows; model_starts' active-set weights that
+# overflow; a subnormal G whose ridge underflows to 0, so the start's solve
+# meets a singular matrix; and MD's Gram at 2^520, whose overflow leaves
+# _sigma_max_sq's eigvalsh without convergence
+OUT_OF_RANGE_SLOTS = {
+    "gram-overflow-1e200": np.full((4, 4), 1e200),
+    "weights-overflow-2^-505": _scaled_gaussian(0, (2, 6), -505),
+    "singular-ridge-2^-536": _scaled_gaussian(0, (2, 2), -536),
+    "md-eigvalsh-2^520": _scaled_gaussian(0, (8, 4), 520),
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_RANGE_SLOTS)
+def test_coefficient_matrix_rejects_slots_outside_the_magnitude_range(name):
+    with pytest.raises(ValueError, match=r"finite.*2\^\[-450, 450\]"):
+        CoefficientMatrix(c=OUT_OF_RANGE_SLOTS[name], amplitude=1.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_model_starts_take_a_slot_whose_weight_sum_overflows_without_a_warning(seed):
     # at entries near 2^-497 the first pass's active-set weights are finite
-    # but their sum overflows; the slot leaves the passes at the uniform point
-    # as above, and the overflow warned, which the suite's warning filter
-    # turns into an error
-    c = np.ldexp(np.random.default_rng(seed).standard_normal((2, 6)), -497)
-    rows = model_starts([CoefficientMatrix(c=c, amplitude=1.0)], SolverConfig().mu)
-    assert np.array_equal(rows[0], np.full(6, 1.0 / 6))
+    # but their sum overflows, so such a slot is rejected at construction.
+    # The same K > M slot at the range's low end, max |c| in [2^-450, 2^-449),
+    # takes an interior simplex start with no warning (the suite's warning
+    # filter turns one into an error)
+    with pytest.raises(ValueError, match=r"finite.*2\^\[-450, 450\]"):
+        CoefficientMatrix(c=_scaled_gaussian(seed, (2, 6), -497), amplitude=1.0)
+    g = _scaled_gaussian(seed, (2, 6), 0)
+    c = np.ldexp(g, -449 - np.frexp(np.abs(g).max())[1])
+    lam = model_starts([CoefficientMatrix(c=c, amplitude=1.0)], SolverConfig().mu)[0]
+    assert np.isfinite(lam).all() and lam.min() > 0 and abs(lam.sum() - 1.0) <= 1e-12
+
+
+def test_model_starts_keep_a_singular_slot_apart_from_the_slot_stacked_with_it():
+    # K > M leaves G = C^T C singular, so only the ridge makes its KKT
+    # system solvable; each slot of the stack keeps its own one-slot start
+    singular = CoefficientMatrix(c=np.random.default_rng(0).standard_normal((2, 6)),
+                                 amplitude=1.0)
+    plain, _, _, _ = random_instance(np.random.default_rng(1), m=1, k=3)
+    mu = SolverConfig().mu
+    rows = model_starts([singular, plain], mu)
+    assert np.array_equal(rows[0], model_starts([singular], mu)[0])
+    assert np.array_equal(rows[1], model_starts([plain], mu)[0])
+    assert not np.array_equal(rows[0], rows[1])
+
+
+def test_coefficient_matrix_admits_exactly_the_magnitude_range():
+    # max |c| is 0 or in [2^-450, 2^450], whatever the sign of the entry
+    # that sets it; a step of one ulp past either end is rejected
+    assert onebit.COEFF_RANGE == 2.0 ** 450
+    CoefficientMatrix(c=np.zeros((2, 2)), amplitude=1.0)
+    for peak in (2.0 ** -450, 2.0 ** 450):
+        for sign in (1.0, -1.0):
+            CoefficientMatrix(c=np.array([[sign * peak, peak / 2], [0.0, -peak / 4]]),
+                              amplitude=1.0)
+    for peak in (np.nextafter(2.0 ** -450, 0.0), np.nextafter(2.0 ** 450, np.inf),
+                 np.finfo(float).tiny / 4, np.inf, np.nan):
+        for sign in (1.0, -1.0):
+            with pytest.raises(ValueError, match=r"finite.*2\^\[-450, 450\]"):
+                CoefficientMatrix(c=np.array([[0.0, sign * peak], [0.0, 0.0]]), amplitude=1.0)
+
+
+SCALE_EXPONENT = int(np.log2(onebit.COEFF_RANGE))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.sampled_from([2, 4, 8]),
+       size=st.sampled_from([(4, 2, 4), (1, 3, 2), (2, 2, 2)]),
+       k=st.integers(-SCALE_EXPONENT, SCALE_EXPONENT - 1), unit_s=st.booleans())
+@example(seed=0, order=2, size=(1, 3, 2), k=-SCALE_EXPONENT, unit_s=True)
+@example(seed=0, order=4, size=(4, 2, 4), k=SCALE_EXPONENT - 1, unit_s=True)
+@example(seed=0, order=2, size=(2, 2, 2), k=SCALE_EXPONENT - 1, unit_s=False)
+def test_slot_solvers_run_clean_and_scale_free_over_the_magnitude_range(seed, order, size, k,
+                                                                          unit_s):
+    # a slot whose max |c| is drawn from [1, 2) and scaled by 2^j lies in the
+    # admitted range for j = k and both ends, BPSK and K > M (singular G)
+    # included. model_starts warns nothing with s = 1 or with s scaled by
+    # 2^j, and its row at (2^j C, 2^j s) equals the row at (C, s) bit for
+    # bit, as every product of the start scales exactly. solve_symbol warns
+    # nothing at 2^k C and the drawn s either; at s = 1 and k >= 10 its MD
+    # runs to MD_MAX_ITER, as its stop test is not scale-free. One binade
+    # past either end, the slot is rejected
+    m, k_users, n = size
+    coeff, _, _, _ = random_instance(np.random.default_rng(seed), m=m, k=k_users,
+                                     order=order, n=n)
+    c = np.ldexp(coeff.c, 1 - np.frexp(np.abs(coeff.c).max())[1])  # max |c| in [1, 2)
+    s = coeff.amplitude
+    opts = SolverConfig()
+    mu = onebit.start_mu(opts.mu)
+    want = model_starts([CoefficientMatrix(c=c, amplitude=s)], mu)[0]
+    exponents = (k, -SCALE_EXPONENT, SCALE_EXPONENT - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit = [CoefficientMatrix(c=np.ldexp(c, j), amplitude=1.0) for j in exponents]
+        scaled = [CoefficientMatrix(c=np.ldexp(c, j), amplitude=np.ldexp(s, j))
+                  for j in exponents]
+        unit_rows = model_starts(unit, mu)
+        scaled_rows = model_starts(scaled, mu)
+        assert all(np.array_equal(row, want) for row in scaled_rows)
+        slot, row = (unit[0], unit_rows[0]) if unit_s else (scaled[0], scaled_rows[0])
+        xbar, md = solve_symbol(slot, opts, row)
+    assert np.isfinite(md.value) and np.all(np.abs(xbar) == slot.amplitude)
+    for j in (-SCALE_EXPONENT - 1, SCALE_EXPONENT + 1):
+        with pytest.raises(ValueError, match="finite"):
+            CoefficientMatrix(c=np.ldexp(c, j), amplitude=1.0)
 
 
 def test_model_start_minimizes_the_quadratic_model():
