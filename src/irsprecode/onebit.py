@@ -25,15 +25,13 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .checks import check_count, check_real
+from .checks import check_count, check_matrix, check_real
 from .constellation import PskConstellation, SymbolFrame
 
 # lifted entries within this relative distance of +/-s count as saturated
 FRACTIONAL_TOL = 1e-6
 # mirror_descent's iteration cap; no call of desk seeds 0-4 took over 51
 MD_MAX_ITER = 20000
-# max |entry| of a nonzero CoefficientMatrix: its Grams and start weights stay finite
-COEFF_RANGE = 2.0 ** 450
 
 
 def field_values(cls, d, name: str) -> dict:
@@ -142,25 +140,14 @@ class CoefficientMatrix:
 
     Column k dotted with the lifted signal gives the negated sector margin of
     the corresponding half-constraint, so max_k c_k^T xbar = -(worst margin).
-    c is stored in Fortran order, the layout build_coefficients makes (its
-    C^T is C-contiguous): the solvers' BLAS products, and so the last bits of
-    their results, do not depend on the memory order of the array passed in.
-    The slot solvers' magnitude rule: max |c| is 0 or in [1/COEFF_RANGE, COEFF_RANGE].
+    c is stored and checked by checks.check_matrix.
     """
 
     c: np.ndarray
     amplitude: float  # s = sqrt(P / 2M), per-component one-bit magnitude
 
     def __post_init__(self):
-        # copies nothing for build_coefficients' own matrix; an input of
-        # fewer than 2 dimensions fails the shape test
-        c = np.asfortranarray(self.c, dtype=float)
-        object.__setattr__(self, "c", c)
-        if c.ndim != 2 or c.shape[0] % 2 or c.shape[1] % 2 or not c.size:
-            raise ValueError("coefficient matrix must be 2M x 2K with M, K >= 1")
-        peak = np.maximum.reduce(np.abs(c), axis=None)  # NaN if any entry is
-        if not (peak == 0 or 1 / COEFF_RANGE <= peak <= COEFF_RANGE):
-            raise ValueError(f"coefficients must be finite, max |c| 0 or in 2^[-450, 450]: {peak}")
+        object.__setattr__(self, "c", check_matrix("c", self.c, ("M", "K")))
         check_real("amplitude", self.amplitude, positive=True)
 
     @property

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .checks import check_real
+from .checks import check_matrix, check_real
 from .constellation import SymbolFrame
 from .onebit import SolverConfig, _sigma_max_sq, frame_array
 
@@ -44,28 +44,19 @@ class PhaseCoefficients:
 
     Column j of eta and entry j of vbar describe one half-plane constraint;
     the two columns of a (slot, user) pair sit at j = t*K + k and
-    j = K*T + t*K + k. eta is stored in Fortran order, the layout
-    build_phase_coefficients makes, so APG's BLAS products, and so the last
-    bits of its phases, do not depend on the memory order of the array
-    passed in.
+    j = K*T + t*K + k. eta is stored and checked by checks.check_matrix.
     """
 
     eta: np.ndarray  # (2N, 2KT)
     vbar: np.ndarray  # (2KT,)
 
     def __post_init__(self):
-        # copies nothing for build_phase_coefficients' own eta; an input of
-        # fewer than 2 dimensions fails the shape test
-        eta = np.asfortranarray(self.eta, dtype=float)
+        eta = check_matrix("eta", self.eta, ("N", "KT"))
         vbar = np.asarray(self.vbar, dtype=float).ravel()
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "vbar", vbar)
-        if eta.ndim != 2 or eta.shape[0] % 2 or eta.shape[1] % 2:
-            raise ValueError("eta must be 2N x 2KT")
-        if vbar.size != eta.shape[1]:
-            raise ValueError("one offset per constraint column required")
-        if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(vbar))):
-            raise ValueError("coefficients must be finite")
+        if vbar.size != eta.shape[1] or not np.isfinite(vbar).all():
+            raise ValueError("vbar must be one finite offset per constraint column")
 
     @property
     def n_lifted(self) -> int:
@@ -220,11 +211,13 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     weights follow momentum_sequence; an iterate whose smoothed objective
     is above the previous iterate's restarts it from psi_0 = 0. Every point
     APG forms, backtracking trials included, goes through the module's
-    project_unit_modulus. The initial point is projected onto Phi and counts
-    in best-iterate tracking, so the returned value never exceeds the
-    initial objective; best_iter is 0 when no iterate beat it.
+    project_unit_modulus. The initial point must be finite; it is projected
+    onto Phi and counts in best-iterate tracking, so the returned value never
+    exceeds the initial objective; best_iter is 0 when no iterate beat it.
     """
     delta = opts.delta
+    if not np.isfinite(theta_bar_init).all():
+        raise ValueError("the initial phase vector must be finite")
     theta = project_unit_modulus(theta_bar_init)
     if theta.size != coeffs.n_lifted:
         raise ValueError("phase vector length must match coefficient rows")

@@ -17,7 +17,8 @@ norm by SVD. No public function of the solver modules takes a switch (a
 parameter with a bool default), so each call runs one path. Cold starts have
 one home: within the package only onebit.frame_slots calls model_starts, and
 the per-slot solvers take their start, with no default for it or any other
-parameter.
+parameter. The solvers' matrix rule has one home too: no package module but
+checks.py names asfortranarray or COEFF_RANGE.
 """
 
 import ast
@@ -78,13 +79,13 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-INPUT_RULES = {"check_real", "check_count", "is_real"}
+INPUT_RULES = {"check_real", "check_count", "is_real", "check_matrix"}
 
 
 def input_rules_from_elsewhere(source: str) -> list:
     """Line of each import of an input rule of checks.py (check_real,
-    check_count, is_real) from another module, and of each read of one as an
-    attribute of a name other than checks."""
+    check_count, is_real, check_matrix) from another module, and of each read
+    of one as an attribute of a name other than checks."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] != "checks"
@@ -108,6 +109,40 @@ def test_every_module_takes_the_input_rules_from_checks():
     offenders = {str(p.relative_to(ROOT)): lines for p in SOURCES
                  if (lines := input_rules_from_elsewhere(p.read_text()))}
     assert offenders == {}
+
+
+MATRIX_RULE_NAMES = {"asfortranarray", "COEFF_RANGE"}
+
+
+def matrix_rule_uses(source: str) -> list:
+    """Line of each use of a name that belongs to checks.check_matrix's
+    matrix rule (asfortranarray, COEFF_RANGE): as a bare name, as an
+    attribute of anything, or imported."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if ((isinstance(node, ast.Name) and node.id in MATRIX_RULE_NAMES)
+                or (isinstance(node, ast.Attribute) and node.attr in MATRIX_RULE_NAMES)
+                or (isinstance(node, ast.ImportFrom)
+                    and MATRIX_RULE_NAMES & {alias.name for alias in node.names})):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_matrix_rule_scan_flags_every_use():
+    src = ("import numpy as np\nfrom numpy import asfortranarray\n"
+           "from .checks import COEFF_RANGE\nx = np.asfortranarray(a)\n"
+           "y = checks.COEFF_RANGE\nz = COEFF_RANGE\n"
+           "w = np.ascontiguousarray(a)\n# asfortranarray, COEFF_RANGE\n")
+    assert matrix_rule_uses(src) == [2, 3, 4, 5, 6]
+
+
+def test_the_solver_matrix_rule_has_one_home():
+    # the layout, shape and magnitude rule of CoefficientMatrix's c and
+    # PhaseCoefficients' eta is stated once, in checks.check_matrix
+    offenders = {p.name: lines for p in sorted(PACKAGE_DIR.rglob("*.py"))
+                 if p.name != "checks.py" and (lines := matrix_rule_uses(p.read_text()))}
+    assert offenders == {}
+    assert matrix_rule_uses((PACKAGE_DIR / "checks.py").read_text())
 
 
 def test_exported_names_resolve():

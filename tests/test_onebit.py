@@ -22,7 +22,7 @@ from onebit_oracles import (
 )
 from scipy.optimize import linprog
 
-from irsprecode import onebit
+from irsprecode import checks, onebit
 from irsprecode.baselines import no_irs_variant
 from irsprecode.channel import (
     PhaseShifts,
@@ -1023,7 +1023,7 @@ def test_model_starts_keep_a_singular_slot_apart_from_the_slot_stacked_with_it()
 def test_coefficient_matrix_admits_exactly_the_magnitude_range():
     # max |c| is 0 or in [2^-450, 2^450], whatever the sign of the entry
     # that sets it; a step of one ulp past either end is rejected
-    assert onebit.COEFF_RANGE == 2.0 ** 450
+    assert checks.COEFF_RANGE == 2.0 ** 450
     CoefficientMatrix(c=np.zeros((2, 2)), amplitude=1.0)
     for peak in (2.0 ** -450, 2.0 ** 450):
         for sign in (1.0, -1.0):
@@ -1036,7 +1036,7 @@ def test_coefficient_matrix_admits_exactly_the_magnitude_range():
                 CoefficientMatrix(c=np.array([[0.0, sign * peak], [0.0, 0.0]]), amplitude=1.0)
 
 
-SCALE_EXPONENT = int(np.log2(onebit.COEFF_RANGE))
+SCALE_EXPONENT = int(np.log2(checks.COEFF_RANGE))
 
 
 @settings(max_examples=15, deadline=None)

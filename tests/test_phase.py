@@ -1,5 +1,6 @@
 """Phase-design tests: coefficients, smoothing, projection, momentum, APG."""
 
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -111,8 +112,6 @@ def test_phase_coefficients_dimension_errors():
         PhaseCoefficients(eta=np.ones((2, 2)), vbar=np.zeros(3))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
-            PhaseCoefficients(eta=np.array([[1.0, bad], [0.0, 0.0]]), vbar=np.zeros(2))
-        with pytest.raises(ValueError, match="finite"):
             PhaseCoefficients(eta=np.ones((2, 2)), vbar=np.array([0.0, -bad]))
     # a one-slot frame and a one-user channel would broadcast against the
     # symbols' T = 3 and K = 2
@@ -121,6 +120,48 @@ def test_phase_coefficients_dimension_errors():
     one_user, _, _, _ = random_setup(rng, m=6, k=1, t=3)
     with pytest.raises(ValueError, match="one channel row per user"):
         build_phase_coefficients(one_user, frame, sym)
+
+
+def _gaussian_eta(exponent: int) -> np.ndarray:
+    """An 8 x 4 Gaussian eta scaled by 2^exponent."""
+    return np.ldexp(np.random.default_rng(0).standard_normal((8, 4)), exponent)
+
+
+def _peak_eta(peak: float) -> np.ndarray:
+    """A 2 x 2 eta whose max |entry| is peak, set by a negative entry."""
+    return np.array([[0.0, -peak], [peak / 2, 0.0]])
+
+
+MAGNITUDE = r"eta must be finite.*2\^\[-450, 450\]"
+# name: (an eta the rule admits or None, an eta it rejects, the rejection's message)
+ETA_RULE_CASES = {
+    # 2^-540 underflowed APG's Gram to 0, which reported a constant objective
+    "zero-admitted-2^-540-rejected": (np.zeros((8, 4)), _gaussian_eta(-540), MAGNITUDE),
+    "low-end": (_peak_eta(2.0 ** -450), _peak_eta(np.nextafter(2.0 ** -450, 0.0)), MAGNITUDE),
+    "high-end": (_peak_eta(2.0 ** 450), _peak_eta(np.nextafter(2.0 ** 450, np.inf)), MAGNITUDE),
+    # 2^520 overflowed the Gram in _sigma_max_sq
+    "2^520": (None, _gaussian_eta(520), MAGNITUDE),
+    "nan": (None, _peak_eta(np.nan), MAGNITUDE),
+    "inf": (None, _peak_eta(np.inf), MAGNITUDE),
+    "-inf": (None, _peak_eta(-np.inf), MAGNITUDE),
+    # an empty eta reached _sigma_max_sq, which raised IndexError
+    "0x0": (None, np.zeros((0, 0)), "N, KT >= 1"),
+    "2x0": (None, np.zeros((2, 0)), "N, KT >= 1"),
+    "0x2": (None, np.zeros((0, 2)), "N, KT >= 1"),
+}
+
+
+@pytest.mark.parametrize("name", ETA_RULE_CASES)
+def test_phase_coefficients_take_the_solver_matrix_rule(name):
+    # eta is admitted by the rule CoefficientMatrix's c is: 2N x 2KT with N,
+    # KT >= 1, and max |eta| 0 or in [2^-450, 2^450]; one ulp past either
+    # end is rejected
+    admitted, rejected, message = ETA_RULE_CASES[name]
+    if admitted is not None:
+        coeffs = PhaseCoefficients(eta=admitted, vbar=np.zeros(admitted.shape[1]))
+        assert np.array_equal(coeffs.eta, admitted)
+    with pytest.raises(ValueError, match=message):
+        PhaseCoefficients(eta=rejected, vbar=np.zeros(rejected.shape[1]))
 
 
 def test_phase_coefficients_store_float_arrays():
@@ -395,6 +436,47 @@ def test_apg_rejects_a_phase_vector_of_another_length():
     coeffs = PhaseCoefficients(eta=np.ones((4, 2)), vbar=np.zeros(2))
     with pytest.raises(ValueError, match="phase vector length"):
         apg_optimize(coeffs, np.ones(6))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_apg_rejects_a_start_that_is_not_finite(bad):
+    # such a start used to come back as theta_bar [nan, .707, nan, .707]
+    # with value NaN and converged=True
+    rng = np.random.default_rng(0)
+    coeffs = PhaseCoefficients(eta=rng.standard_normal((4, 6)), vbar=rng.standard_normal(6))
+    with pytest.raises(ValueError, match="finite"):
+        apg_optimize(coeffs, np.array([bad, 1.0, 0.0, 1.0]))
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), n_cols=st.integers(1, 6),
+       k=st.integers(-450, 450))
+@example(seed=0, n=4, n_cols=2, k=-450)
+@example(seed=0, n=4, n_cols=2, k=450)
+def test_apg_runs_clean_over_the_magnitude_range(seed, n, n_cols, k):
+    # a Gaussian eta with max |eta| = 1, its vbar and delta all scaled by
+    # 2^k lie in the admitted range; APG warns nothing, iterates (the
+    # objective is not constant), and returns a unit-modulus point whose
+    # value is its true objective, no higher than the projected start's.
+    # Bit-invariance across k is not asserted: LAPACK's eigvalsh rescales
+    # matrices near the ends of the range. One binade past either end, eta
+    # is rejected
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2 * n, 2 * n_cols))
+    eta = g / np.abs(g).max()
+    vbar = rng.standard_normal(2 * n_cols)
+    init = random_theta_bar(n, rng)
+    coeffs = PhaseCoefficients(eta=np.ldexp(eta, k), vbar=np.ldexp(vbar, k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = apg_optimize(coeffs, init, SolverConfig(delta=np.ldexp(1e-2, k)))
+    assert res.n_iter > 0
+    assert np.abs(np.hypot(*res.theta_bar.reshape(2, -1)) - 1.0).max() <= 1e-15
+    assert res.value == max_constraint(res.theta_bar, coeffs)
+    assert res.value <= max_constraint(project_unit_modulus(init), coeffs)
+    for j in (-451, 451):
+        with pytest.raises(ValueError, match="finite"):
+            PhaseCoefficients(eta=np.ldexp(eta, j), vbar=vbar)
 
 
 def test_apg_sandwich_at_returned_point():
