@@ -3,7 +3,7 @@
 Each outer round solves the T per-slot transmit designs against the current
 effective channel, then re-optimizes the phase shifts against the new frame,
 warm-starting from the previous round's (initially uniform random) phases.
-Every slot solve starts cold, at its slot's row of onebit.model_starts; a
+Every slot solve starts cold, at its slot's row of onebit.cold_starts; a
 round sets up its T slots and those starts in one onebit.frame_slots call.
 
 The objective is the worst-case margin over all (user, slot) pairs. Neither
@@ -20,8 +20,9 @@ a round can lower it. The loop stops on the first of three rules:
 The trace records every round that ran, with its design, worst margin,
 inner-solver statuses and (T, 2K) dual points; its last round names the rule
 that stopped the run. After a margin or fixed-point stop (trace[-1].stop !=
-"cap") the last round's x-step ran at the phases the loop returns, so a box
-solve there from trace[-1].lams reproduces the cold solve bit for bit.
+"cap") the last round's x-step ran at the phases the loop returns; when its
+MD calls all converged, a box solve there from trace[-1].lams reproduces the
+cold solve bit for bit.
 """
 
 from __future__ import annotations

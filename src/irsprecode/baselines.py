@@ -82,15 +82,14 @@ def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
                 lam0: np.ndarray | None = None) -> RelaxedFrame:
     """Box-relaxed symbol-level precoder: the one-bit solver without rounding.
 
-    Runs the identical coefficient construction and dual solve (solve_relaxed,
-    with its mu-continuation) as the one-bit path, so its per-slot relaxed
-    points match that solver's bit for bit under the same settings and starts.
+    Runs the identical coefficient construction and dual solve (solve_relaxed)
+    as the one-bit path, so its per-slot relaxed points match that solver's
+    bit for bit under the same settings and starts.
     lam0, a (T, 2K) block of simplex points, starts slot t's dual solve at
     row t; a block of another shape raises ValueError. None starts every slot
     cold; onebit.frame_slots sets up the slots and their starts either way.
-    At the joint design's phases the harness passes AO's last dual points as
-    they are after a margin-rule or fixed-point stop, and None after a
-    round-cap stop.
+    At the joint design's phases the harness passes AO's last dual points when
+    they reproduce the cold solve (see ao), and None otherwise.
     """
     results = [solve_relaxed(coeff, opts, start)
                for coeff, start in frame_slots(h_eff, symbols, power, opts, lam0)]

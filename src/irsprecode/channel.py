@@ -111,6 +111,8 @@ class ChannelSet:
         missing = [key for key in ("k", "m", "n", "h_d", "g", "h_r") if key not in d]
         if missing:
             raise ValueError(f"channel is missing keys: {missing}")
+        for key in ("k", "m", "n"):
+            check_count(key, d[key], 1)
         ch = cls(*(pairs_to_complex(d[key]) for key in ("h_d", "g", "h_r")))
         sizes = (ch.n_users, ch.n_antennas, ch.n_elements)
         if sizes != (d["k"], d["m"], d["n"]):

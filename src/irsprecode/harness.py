@@ -264,9 +264,10 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         # is invariant to the per-slot rescale)
         t0 = time.perf_counter()
         channel, phases = (ch, theta) if with_irs else (bare, ones)
-        # a cold solve starts at its model_starts row; after a margin or fixed-point
-        # stop AO's last dual points reproduce it at AO's phases, at less cost
-        warm = phases is ao_phases and trace[-1].stop != "cap"
+        # AO's last dual points reproduce the cold solve at AO's phases, at less
+        # cost, after a margin or fixed-point stop whose MD calls all converged
+        warm = (phases is ao_phases and trace[-1].stop != "cap"
+                and all(trace[-1].md_converged))
         lam0 = trace[-1].lams if warm else None
         res = relaxed_slp(effective_matrix(channel, phases), symbols,
                           cfg.power, cfg.solver, lam0)

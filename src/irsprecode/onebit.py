@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .constellation import PskConstellation, SymbolFrame
 FRACTIONAL_TOL = 1e-6
 # mirror_descent's iteration cap; no call of desk seeds 0-4 took over 51
 MD_MAX_ITER = 20000
+# solve_relaxed's stop tolerance on MD's KL gradient-mapping residual
+MD_TOL = 1e-6
 
 
 def field_values(cls, d, name: str) -> dict:
@@ -51,23 +53,21 @@ class SolverConfig:
     """Settings of the joint design; each solver reads its own fields.
 
     - mu, the relaxed dual's Tikhonov weight: the dual solves and their starts
-    - md_tol (on the KL gradient-mapping residual): mirror_descent
     - delta (smoothing width): apg_optimize
     - n_starts: alternating_optimize
 
-    Values a solver would reject fail here, when the settings load. The
-    iteration caps are constants: MD_MAX_ITER, phase.APG_MAX_ITER, ao.AO_MAX_OUTER.
+    Values a solver would reject fail here, when the settings load. MD_TOL and
+    the iteration caps MD_MAX_ITER, phase.APG_MAX_ITER, ao.AO_MAX_OUTER are constants.
     """
 
     mu: float = 5e-4
-    md_tol: float = 1e-6
     delta: float = 1e-2
     n_starts: int = 1
 
     def __post_init__(self):
         check_count("n_starts", self.n_starts, 1)
-        for name, positive in (("mu", True), ("md_tol", False), ("delta", True)):
-            check_real(name, getattr(self, name), positive)
+        check_real("mu", self.mu, positive=True)
+        check_real("delta", self.delta, positive=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
@@ -243,14 +243,14 @@ class MdResult:
     y: np.ndarray  # C lam, the product value was computed from
 
 
-def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig,
+def mirror_descent(coeff: CoefficientMatrix, mu: float, tol: float,
                    lam0: np.ndarray) -> MdResult:
-    """Minimize f_mu over the simplex by entropic mirror descent, mu = opts.mu.
+    """Minimize f_mu over the simplex by entropic mirror descent.
 
-    Starts from lam0, a finite simplex point. Each iteration takes the update
-    lam+ = lam exp(-step g)/Z with a backtracked step; as KL(lam+ || lam) =
-    -step <g, lam+> - log Z, the Bregman sufficient-decrease test is
-    f(lam+) <= f - <g, lam> - log Z/step.
+    Starts from lam0, a finite simplex point; mu > 0 and tol >= 0 are finite.
+    Each iteration takes the update lam+ = lam exp(-step g)/Z with a
+    backtracked step; as KL(lam+ || lam) = -step <g, lam+> - log Z, the
+    Bregman sufficient-decrease test is f(lam+) <= f - <g, lam> - log Z/step.
     f(lam+) = (s/rho) y_c . (y - y_c/2) for y = C lam+ and y_c = clip(y, +/-rho),
     the y_c the next gradient uses. Steps at or below mu/sigma_max(C)^2 (from
     the Gram matrix) are always accepted, so progress cannot stall on rounding
@@ -258,15 +258,16 @@ def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig,
     it was accepted without backtracking. f_mu never increases beyond rounding.
     Stops after MD_MAX_ITER iterations, or once the KL gradient-mapping
     residual with unit reference step, r(lam) = ||T_1(lam) - lam||_1, which
-    vanishes exactly at simplex-KKT points, is at most opts.md_tol. The
-    result keeps y = C lam of its lam, from which solve_relaxed recovers the
-    primal point.
+    vanishes exactly at simplex-KKT points, is at most tol. The result keeps
+    y = C lam of its lam, from which solve_relaxed recovers the primal point.
     """
+    check_real("mu", mu, positive=True)
+    check_real("tol", tol, positive=False)
     c = coeff.c
     ct = c.T  # C-contiguous, as CoefficientMatrix stores c in Fortran order
     n = c.shape[1]
     s = coeff.amplitude
-    rho = opts.mu * s
+    rho = mu * s
     # ufunc reductions skip the array methods' dispatch
     vmin, vmax, vsum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
     lam = np.array(lam0, dtype=float)
@@ -294,7 +295,7 @@ def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig,
         gap /= vsum(gap)
         gap -= lam
         residual = float(vsum(np.abs(gap, out=gap)))
-        if residual <= opts.md_tol:
+        if residual <= tol:
             converged = True
             break
         if it == MD_MAX_ITER:
@@ -304,7 +305,7 @@ def mirror_descent(coeff: CoefficientMatrix, opts: SolverConfig,
             # curvature caps the dual Hessian at sigma_max(C)^2 / mu, so any
             # step <= safe_step satisfies the sufficient-decrease model exactly
             sigma_sq = _sigma_max_sq(ct)
-            safe_step = opts.mu / sigma_sq if sigma_sq > 0 else 1.0
+            safe_step = mu / sigma_sq if sigma_sq > 0 else 1.0
             step = first = safe_step  # first: the step an iteration tries first
         if step == first:  # no halving; a step that just failed is not raised
             step *= 2.0
@@ -342,9 +343,9 @@ START_GAP_RTOL = 1e-4
 
 
 def model_starts(coeffs, mu: float) -> np.ndarray:
-    """Cold starts of the dual solves, one row per slot: the minimizer of each
-    slot's dual's piecewise-quadratic model. Row t depends on coeffs[t] alone,
-    so it equals model_starts([coeffs[t]], mu)[0] bit for bit.
+    """The minimizer of each slot's dual's piecewise-quadratic model at mu, one
+    row per slot, from which cold_starts starts. Row t depends on coeffs[t]
+    alone, so it equals model_starts([coeffs[t]], mu)[0] bit for bit.
 
     With the Huber window W = {m : |(C lam)_m| <= rho = mu s} and the signs
     sigma of the clipped entries held fixed, f_mu is the quadratic
@@ -432,16 +433,22 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
     return out
 
 
-# (mu, md_tol) warm-start stages of solve_relaxed; stages at or below the
-# target mu are skipped, so the solve is a single cold start when the target
-# is no smaller than the first stage
+# (mu, tol) stages of cold_starts' mu-continuation, which reaches a small mu's
+# point several times faster than MD at that mu alone
 MU_STAGES = ((5e-4, 1e-7), (2e-5, 1e-7))
 
 
-def start_mu(mu: float) -> float:
-    """The mu at which the cold starts for target mu are taken: that of
-    solve_relaxed's first stage."""
-    return max(mu, MU_STAGES[0][0])
+def cold_starts(coeffs, mu: float) -> np.ndarray:
+    """Cold starts of the dual solves at mu, one simplex row per slot: one
+    model_starts call at max(mu, the first stage's mu), then mirror_descent
+    through each of the MU_STAGES above mu, so a row is a point for a solve at
+    mu itself. Row t depends on coeffs[t] alone."""
+    rows = model_starts(coeffs, max(mu, MU_STAGES[0][0]))
+    for stage_mu, stage_tol in MU_STAGES:
+        if stage_mu > mu:
+            rows = np.array([mirror_descent(coeff, stage_mu, stage_tol, row).lam
+                             for coeff, row in zip(coeffs, rows)])
+    return rows
 
 
 def frame_slots(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig,
@@ -451,33 +458,23 @@ def frame_slots(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig,
     Slot t's matrix is build_coefficients of h_eff (K, M) and column t of
     symbols at power. Its start is row t of lam0, a (T, 2K) block of simplex
     points (a block of another shape raises ValueError), else row t of one
-    model_starts call at start_mu(opts.mu): the frame's cold starts, and the
-    package's one source of them.
+    cold_starts call at opts.mu: the package's one source of cold starts.
     """
     coeffs = [build_coefficients(h_eff, symbols.symbols[:, t], symbols.constellation, power)
               for t in range(symbols.n_slots)]
     shape = (len(coeffs), coeffs[0].n_constraints)
     if lam0 is not None and np.shape(lam0) != shape:
         raise ValueError(f"lam0 must be a (T, 2K) = {shape} block, got shape {np.shape(lam0)}")
-    return list(zip(coeffs, model_starts(coeffs, start_mu(opts.mu)) if lam0 is None else lam0))
+    return list(zip(coeffs, cold_starts(coeffs, opts.mu) if lam0 is None else lam0))
 
 
 def solve_relaxed(coeff: CoefficientMatrix, opts: SolverConfig, lam0: np.ndarray):
     """Dual solve at opts.mu plus primal recovery; shared by the one-bit and box designs.
 
-    Small mu makes the dual poorly conditioned (the Huber window shrinks),
-    so a cold start can take tens of thousands of iterations. The solve
-    therefore runs the MU_STAGES above the target first, each as opts at the
-    stage's mu and md_tol from the previous dual iterate, which reaches the
-    same point several times faster. The first stage starts at lam0, a
-    simplex point: for a cold solve the slot's row of frame_slots, taken at
-    start_mu(opts.mu), where MD mostly stops at its first residual test.
-    Returns (xbar_relaxed, MdResult) for the final stage.
+    One mirror_descent at (opts.mu, MD_TOL) from lam0, a simplex point for a solve
+    at opts.mu (for a cold solve, its row of frame_slots); returns (xbar_relaxed, md).
     """
-    for stage_mu, stage_tol in MU_STAGES:
-        if stage_mu > opts.mu:
-            lam0 = mirror_descent(coeff, replace(opts, mu=stage_mu, md_tol=stage_tol), lam0).lam
-    md = mirror_descent(coeff, opts, lam0)
+    md = mirror_descent(coeff, opts.mu, MD_TOL, lam0)
     # recover_x of md.lam, from the product C lam that MD formed for it
     return _recover(md.y, coeff.amplitude, opts.mu), md
 

@@ -10,7 +10,8 @@ Huber term per lifted entry; mirror descent takes the same value from the
 clipped image instead, and tests compare the two.
 
 cold_start is the start a frame's cold solve of a slot takes, and tests
-take their cold starts from it; certificates gives the relaxation values of a
+take their cold starts from it; continued carries any other start through the
+mu-continuation the same way; certificates gives the relaxation values of a
 slot design that the solver does not compute, and relaxed_with_duals the
 per-slot dual values of a box solve, which its RelaxedFrame does not keep.
 
@@ -28,10 +29,10 @@ import pytest
 from irsprecode import baselines, onebit
 from irsprecode.checks import check_real
 from irsprecode.onebit import (
+    MU_STAGES,
     WARM_START_MIX,
     CoefficientMatrix,
     SolverConfig,
-    start_mu,
     worst_objective,
 )
 
@@ -55,9 +56,19 @@ def dual_value(lam, coeff: CoefficientMatrix, mu: float) -> float:
 
 def cold_start(coeff: CoefficientMatrix, opts: SolverConfig) -> np.ndarray:
     """The cold start of the slot solve of coeff under opts: its row of
-    model_starts at start_mu(opts.mu), as onebit.frame_slots gives it. The
-    call goes through the module, so a spy on onebit.model_starts sees it."""
-    return onebit.model_starts([coeff], start_mu(opts.mu))[0]
+    cold_starts at opts.mu, as onebit.frame_slots gives it. The call goes
+    through the module, so a spy on onebit.cold_starts or model_starts sees it."""
+    return onebit.cold_starts([coeff], opts.mu)[0]
+
+
+def continued(coeff: CoefficientMatrix, mu: float, lam0) -> np.ndarray:
+    """lam0, a point for the first MU_STAGES stage, carried by
+    onebit.mirror_descent through each stage above mu as onebit.cold_starts
+    carries its model_starts rows: a start for a solve at mu."""
+    for stage_mu, stage_tol in MU_STAGES:
+        if stage_mu > mu:
+            lam0 = onebit.mirror_descent(coeff, stage_mu, stage_tol, lam0).lam
+    return lam0
 
 
 class Certificates(NamedTuple):

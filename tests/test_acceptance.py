@@ -81,7 +81,7 @@ def test_criterion_01_dual_primal_consistency():
         rng = np.random.default_rng(i)
         coeff, _, _, _ = _slot_instance(rng, m=16, k=3, order=(4, 8)[i % 2])
         n = coeff.n_constraints
-        md = mirror_descent(coeff, SolverConfig(mu=mu, md_tol=1e-8), np.full(n, 1.0 / n))
+        md = mirror_descent(coeff, mu, 1e-8, np.full(n, 1.0 / n))
         n_conv += md.converged
         x = recover_x(md.lam, coeff, mu)
         lhs = worst_objective(x, coeff) + 0.5 * mu * float(x @ x)
@@ -181,7 +181,7 @@ def test_criterion_04_fractional_entries():
         order = (4, 8)[i % 2]
         rng = np.random.default_rng(1000 + i)
         coeff, _, _, _ = _slot_instance(rng, m=32, k=k, order=order, power=1.0, n=8)
-        opts = SolverConfig(mu=1e-6, md_tol=1e-6)
+        opts = SolverConfig(mu=1e-6)
         xrel, md = solve_relaxed(coeff, opts, cold_start(coeff, opts))
         n_frac = int(np.sum(np.abs(xrel) < coeff.amplitude * (1 - 1e-6)))
         if n_frac <= 2 * k - 1:

@@ -397,9 +397,10 @@ def test_phase_step_never_hurts_margin(monkeypatch):
 def test_inner_nonconvergence_propagates_as_status(monkeypatch):
     ch, sym = instance(6)
     monkeypatch.setattr(onebit, "MD_MAX_ITER", 2)
+    monkeypatch.setattr(onebit, "MD_TOL", 1e-16)
     monkeypatch.setattr(ao, "AO_MAX_OUTER", 2)
-    weak = SolverConfig(md_tol=1e-16)
-    frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(9), weak)
+    frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(9),
+                                                SolverConfig())
     assert any(not c for rec in trace for c in rec.md_converged)
     assert isinstance(frame, OneBitFrame)  # output still feasible
 

@@ -1,5 +1,7 @@
 """Drop geometry, path-loss, fading-statistics, and serialization tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,18 @@ def test_channel_from_dict_rejects_malformed_files():
                        (missing, "missing keys: \\['h_d'\\]"), ([d], "JSON object")):
         with pytest.raises(ValueError, match=match):
             ChannelSet.from_dict(bad)
+
+
+@pytest.mark.parametrize("key", ["k", "m", "n"])
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "1.0"])
+def test_channel_from_dict_rejects_a_count_that_is_not_an_integer(key, value):
+    # a 1 x 1 x 1 channel whose file says k, m or n is true or 1.0 used to load,
+    # as both compare equal to the size 1
+    d = ChannelSet(h_d=np.ones((1, 1)), g=np.ones((1, 1)), h_r=np.ones((1, 1))).to_dict()
+    bad = json.loads(json.dumps(dict(d, **{key: value})))
+    with pytest.raises(ValueError, match=f"{key} must be an integer >= 1"):
+        ChannelSet.from_dict(bad)
+    assert ChannelSet.from_dict(d).n_users == 1
 
 
 def test_channel_from_dict_names_a_wrong_array_shape():

@@ -107,13 +107,13 @@ def test_run_rejects_a_bad_config(tmp_path, capsys, text):
 
 
 def test_run_rejects_a_config_naming_a_deleted_solver_setting(tmp_path, capsys):
-    # APG's iterate-change tolerance, MBI's restart count and the three
-    # iteration caps (now module constants) are gone; a config still naming
-    # one fails on load, before --out is opened
+    # APG's iterate-change tolerance, MBI's restart count, MD's tolerance and
+    # the three iteration caps (now module constants) are gone; a config still
+    # naming one fails on load, before --out is opened
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "out.csv"
-    for key, value in (("apg_tol", 1e-6), ("mbi_restarts", 1), ("md_max_iter", 20000),
-                       ("apg_max_iter", 500), ("ao_max_outer", 20)):
+    for key, value in (("apg_tol", 1e-6), ("mbi_restarts", 1), ("md_tol", 1e-6),
+                       ("md_max_iter", 20000), ("apg_max_iter", 500), ("ao_max_outer", 20)):
         cfg_path.write_text(json.dumps({"m": 4, "solver": {key: value}}))
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", str(cfg_path), "--out", str(out)])

@@ -42,7 +42,7 @@ from irsprecode.onebit import build_coefficients, mirror_descent, solve_symbol
 
 QPSK = PskConstellation(4)
 # solver settings that were once SolverConfig fields
-_DELETED_SOLVER_KEYS = ("mbi_restarts", "apg_tol", "ao_stop_tol", "md_max_iter",
+_DELETED_SOLVER_KEYS = ("mbi_restarts", "apg_tol", "ao_stop_tol", "md_tol", "md_max_iter",
                         "apg_max_iter", "ao_max_outer")
 
 
@@ -164,7 +164,7 @@ class TestConfig:
                                         {"n_starts": 1.5}, {"mu": "0.1"},
                                         {"md_tol": "1e-6"}, {"mu": True},
                                         {"md_tol": False}, {"n_starts": True},
-                                        {"apg_max_iter": "500"}],
+                                        {"apg_max_iter": "500"}, {"md_tol": 1e-6}],
                              ids=["mbi_restarts", "delta", "ao_max_outer", "mu",
                                   "mu_nan", "mu_inf", "delta_nan", "md_max_iter_negative",
                                   "md_tol_negative", "md_tol_nan", "apg_tol", "apg_tol_nan",
@@ -172,13 +172,13 @@ class TestConfig:
                                   "mbi_restarts_fractional", "ao_max_outer_fractional",
                                   "apg_max_iter_fractional", "n_starts_fractional",
                                   "mu_string", "md_tol_string", "mu_bool", "md_tol_bool",
-                                  "n_starts_bool", "apg_max_iter_string"])
+                                  "n_starts_bool", "apg_max_iter_string", "md_tol"])
     def test_bad_solver_settings_rejected_on_load(self, solver):
         # rejected when the config loads, not later inside a channel run
         # (a NaN mu would hang mirror descent's backtracking; a fractional
         # count would raise TypeError in the first channel; a string used to
         # raise TypeError on load and a bool passed as 0 or 1). mbi_restarts,
-        # apg_tol and the iteration caps md_max_iter, apg_max_iter and
+        # apg_tol, md_tol and the iteration caps md_max_iter, apg_max_iter and
         # ao_max_outer are gone, so a config naming any of them, even at its
         # old default, is wrong. Each row must fail for its own key: a
         # deleted key as unknown, a field's bad value under the field's name
@@ -740,12 +740,13 @@ class TestCrossingTable:
 
 def uniform_replays(calls):
     """The spied mirror_descent calls rerun from the uniform point, where MD
-    iterates; from their cold start, a row of onebit.model_starts, it mostly
+    iterates; from their cold start, a row of onebit.cold_starts, it mostly
     does not."""
     replays = []
     for args, _ in calls:
         n = args["coeff"].n_constraints
-        replays.append(mirror_descent(args["coeff"], args["opts"], np.full(n, 1.0 / n)))
+        replays.append(mirror_descent(args["coeff"], args["mu"], args["tol"],
+                                      np.full(n, 1.0 / n)))
     return replays
 
 
@@ -753,18 +754,18 @@ def uniform_replays(calls):
 # and name as its caller looks it up) and what that function's (arguments,
 # result) pairs from one 2-channel run show only when the value reached it
 SETTING_READERS = {
-    "mu": (1e-3, onebit, "mirror_descent",
-           lambda calls: all(a["opts"].mu == 1e-3 for a, _ in calls)),
-    "md_tol": (1e-2, onebit, "mirror_descent",
-               lambda calls: any(md.converged and md.residual > 1e-6
-                                 for md in uniform_replays(calls))),
+    "mu": (1e-3, onebit, "mirror_descent", lambda calls: all(a["mu"] == 1e-3 for a, _ in calls)),
     "delta": (5e-2, phase, "_lse", lambda calls: all(a["delta"] == 5e-2 for a, _ in calls)),
     "n_starts": (2, ao, "_single_run", lambda calls: len(calls) == 4),
 }
 
-# the same per iteration cap, a module constant: its module, a value the run
-# reaches, and the reader as SETTING_READERS gives it
+# the same per iteration cap and for MD's tolerance, module constants: the
+# constant's module, a value the run reaches, and the reader as SETTING_READERS
+# gives it
 CAP_READERS = {
+    "MD_TOL": (onebit, 1e-2, onebit, "mirror_descent",
+               lambda calls: any(md.converged and md.residual > 1e-6
+                                 for md in uniform_replays(calls))),
     "MD_MAX_ITER": (onebit, 2, onebit, "mirror_descent",
                     lambda calls: max(md.n_iter for md in uniform_replays(calls)) == 2),
     "APG_MAX_ITER": (phase, 2, ao, "apg_optimize",
@@ -790,6 +791,48 @@ def spy_on(monkeypatch, module, fn_name) -> list:
 
     monkeypatch.setattr(module, fn_name, spy)
     return calls
+
+
+def shared_phase_boxes(monkeypatch, cfg) -> list:
+    """Per channel of a run of cfg, whose schemes are onebit-md and relaxed
+    under theta_policy "shared": (AO's trace, the start block the box at AO's
+    phases took, the n_iter of each MD call it made, whether it equals a cold
+    relaxed_slp there bit for bit)."""
+    designs, boxes, iters = [], [], []
+    real_ao, real_box, real_md = (harness.alternating_optimize, harness.relaxed_slp,
+                                  onebit.mirror_descent)
+
+    def ao_spy(*args, **kwargs):
+        designs.append(real_ao(*args, **kwargs))
+        return designs[-1]
+
+    def md_spy(*args, **kwargs):
+        md = real_md(*args, **kwargs)
+        iters.append(md.n_iter)
+        return md
+
+    def box_spy(h_eff, symbols, power, opts, lam0):
+        iters.clear()
+        res, duals = relaxed_with_duals(real_box, h_eff, symbols, power, opts, lam0)
+        boxes.append((h_eff, symbols, lam0, list(iters), res, duals))
+        return res
+
+    monkeypatch.setattr(harness, "alternating_optimize", ao_spy)
+    monkeypatch.setattr(harness, "relaxed_slp", box_spy)
+    monkeypatch.setattr(onebit, "mirror_descent", md_spy)
+    run_experiment(cfg)
+    assert len(boxes) == len(designs) == cfg.n_channels
+    out = []
+    for i, ((_, phases, trace), (h_eff, symbols, lam0, box_iters, res, duals)) in enumerate(
+            zip(designs, boxes)):
+        ch = channel_realization(cfg.seed, i, cfg.m, cfg.n, cfg.k)
+        assert np.array_equal(h_eff, effective_matrix(ch, phases))
+        cold, cold_duals = relaxed_with_duals(real_box, h_eff, symbols, cfg.power, cfg.solver,
+                                              None)
+        same = (np.array_equal(duals, cold_duals) and np.array_equal(res.x, cold.x)
+                and np.array_equal(res.converged, cold.converged))
+        out.append((trace, lam0, box_iters, same))
+    return out
 
 
 def reader_run(solver: SolverConfig = SolverConfig()) -> None:
@@ -857,36 +900,42 @@ class TestRunExperiment:
         # one AO round: every run stops at the cap, and its last dual points
         # were computed at the phases before the phase step, so the box at
         # AO's phases must equal a cold relaxed_slp
-        import irsprecode.harness as hn
-
         monkeypatch.setattr(ao, "AO_MAX_OUTER", 1)
         cfg = small_cfg(schemes=("onebit-md", "relaxed"), t=6, n_channels=6)
-        designs, boxes = [], []
-        real_ao, real_box = hn.alternating_optimize, hn.relaxed_slp
+        for trace, _, _, same in shared_phase_boxes(monkeypatch, cfg):
+            assert len(trace) == 1 and same
 
-        def ao_spy(*args, **kwargs):
-            designs.append(real_ao(*args, **kwargs))
-            return designs[-1]
+    @pytest.mark.parametrize("mu", [1e-4, 2e-5])
+    def test_box_at_the_joint_designs_phases_is_the_cold_solve_at_every_mu(self, monkeypatch,
+                                                                           mu):
+        # a dual start is a point for its own solve's mu, so below the first
+        # MU_STAGES stage too AO's last dual points start the box at AO's
+        # phases at the cold solve's result: one MD call a slot, stopping at
+        # its first residual test. Measured before cold_starts took the
+        # continuation: the box ran it from AO's points, up to 5e-4 and back
+        # down, and differed from the cold solve on 6/6 channels at both mu
+        cfg = small_cfg(schemes=("onebit-md", "relaxed"), t=6, n_channels=6,
+                        solver=SolverConfig(mu=mu))
+        for trace, lam0, iters, same in shared_phase_boxes(monkeypatch, cfg):
+            assert trace[-1].stop != "cap" and all(trace[-1].md_converged)
+            assert lam0 is trace[-1].lams
+            assert iters == [0] * cfg.t
+            assert same
 
-        def box_spy(h_eff, symbols, power, opts, lam0):
-            res, duals = relaxed_with_duals(real_box, h_eff, symbols, power, opts, lam0)
-            boxes.append((h_eff, symbols, res, duals))
-            return res
-
-        monkeypatch.setattr(hn, "alternating_optimize", ao_spy)
-        monkeypatch.setattr(hn, "relaxed_slp", box_spy)
-        run_experiment(cfg)
-        assert len(boxes) == len(designs) == cfg.n_channels
-        for i, ((_, phases, trace), (h_eff, symbols, res, duals)) in enumerate(
-                zip(designs, boxes)):
-            assert len(trace) == 1
-            ch = channel_realization(cfg.seed, i, cfg.m, cfg.n, cfg.k)
-            assert np.array_equal(h_eff, effective_matrix(ch, phases))
-            direct, direct_duals = relaxed_with_duals(real_box, h_eff, symbols, cfg.power,
-                                                      cfg.solver, None)
-            assert np.array_equal(duals, direct_duals)
-            for name in ("x", "converged"):
-                assert np.array_equal(getattr(res, name), getattr(direct, name))
+    def test_box_at_the_joint_designs_phases_is_cold_after_a_capped_x_step(self, monkeypatch):
+        # with MD capped at 3 iterations AO's last x-step does not converge,
+        # so its dual points are not the cold solve's final points and the box
+        # at AO's phases starts cold. Measured before the box read
+        # md_converged: it started warm on 4/4 channels and differed from the
+        # cold solve on all 4
+        monkeypatch.setattr(onebit, "MD_MAX_ITER", 3)
+        cfg = small_cfg(schemes=("onebit-md", "relaxed"), m=32, n=8, k=3, t=10, power=1.0,
+                        seed=1000)
+        boxes = shared_phase_boxes(monkeypatch, cfg)
+        assert sum(trace[-1].stop != "cap" for trace, _, _, _ in boxes) == cfg.n_channels
+        for trace, lam0, _, same in boxes:
+            assert not all(trace[-1].md_converged)
+            assert lam0 is None and same
 
     def test_each_frame_takes_its_cold_starts_in_one_call(self, monkeypatch):
         # one onebit.model_starts call of T slots per AO round's x-step, per
@@ -1051,8 +1100,8 @@ class TestRunExperiment:
 
     def test_forced_failures_are_counted_not_dropped(self, monkeypatch):
         monkeypatch.setattr(onebit, "MD_MAX_ITER", 1)
-        weak = SolverConfig(md_tol=1e-16)
-        cfg = small_cfg(schemes=("onebit-md",), solver=weak)
+        monkeypatch.setattr(onebit, "MD_TOL", 1e-16)
+        cfg = small_cfg(schemes=("onebit-md",))
         recs = run_experiment(cfg)
         for r in recs:
             assert r.n_channels_failed == cfg.n_channels
@@ -1128,8 +1177,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("name", sorted(CAP_READERS))
     def test_each_iteration_cap_reaches_its_reader(self, monkeypatch, name):
-        # no run reaches a shipped cap, so the check fails there and holds
-        # once the constant, read when its loop runs, is patched low
+        # no run reaches a shipped cap or stops at MD_TOL = 1e-2, so the check
+        # fails there and holds once the constant, read when its solver runs,
+        # is patched (a cap low, MD_TOL high)
         owner, value, module, fn_name, shows = CAP_READERS[name]
         calls = spy_on(monkeypatch, module, fn_name)
         reader_run()

@@ -15,9 +15,10 @@ descent's safe step and APG's Lipschitz bound come from onebit._sigma_max_sq,
 an eigenvalue of the smaller Gram matrix; no package module takes a spectral
 norm by SVD. No public function of the solver modules takes a switch (a
 parameter with a bool default), so each call runs one path. Cold starts have
-one home: within the package only onebit.frame_slots calls model_starts, and
-the per-slot solvers take their start, with no default for it or any other
-parameter. The solvers' matrix rule has one home too: no package module but
+one home: within the package only onebit.cold_starts calls model_starts, only
+onebit.frame_slots calls cold_starts, and only cold_starts and
+onebit.solve_relaxed call mirror_descent; the per-slot solvers take their
+start, with no default for it or any other parameter. The solvers' matrix rule has one home too: no package module but
 checks.py names asfortranarray or COEFF_RANGE.
 """
 
@@ -196,7 +197,7 @@ def test_every_solver_setting_is_read():
     read = set().union(*(attributes_read(p.read_text(), "SolverConfig")
                          for p in sorted(PACKAGE_DIR.rglob("*.py"))))
     fields = [f.name for f in dataclasses.fields(SolverConfig)]
-    assert fields == ["mu", "md_tol", "delta", "n_starts"]
+    assert fields == ["mu", "delta", "n_starts"]
     assert sorted(set(fields) - read) == []
 
 
@@ -369,9 +370,13 @@ def test_cold_starts_have_one_home():
                     "class K:\n    def m(self):\n        def inner():\n"
                     "            start(1)\n        return inner\n"
                     "def g():\n    return starts(1), start\n", "start") == ["", "f", "K.m.inner"]
-    callers = {f"{p.stem}.{where}" for p in sorted(PACKAGE_DIR.rglob("*.py"))
-               for where in calls_of(p.read_text(), "model_starts")}
-    assert callers == {"onebit.frame_slots"}
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE_DIR.rglob("*.py"))}
+    homes = {"model_starts": {"onebit.cold_starts"}, "cold_starts": {"onebit.frame_slots"},
+             "mirror_descent": {"onebit.cold_starts", "onebit.solve_relaxed"}}
+    for name, want in homes.items():
+        callers = {f"{stem}.{where}" for stem, source in sources.items()
+                   for where in calls_of(source, name)}
+        assert callers == want, name
 
 
 def test_per_slot_solvers_take_their_start():

@@ -11,7 +11,6 @@ of the Fortran-ordered run.
 """
 
 import numbers
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from unittest.mock import patch
@@ -20,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from onebit_oracles import certificates, cold_start
+from onebit_oracles import certificates, cold_start, continued
 
 from irsprecode import onebit
 from irsprecode.channel import PhaseShifts, drop_users, effective_matrix, sample_channels
@@ -133,18 +132,18 @@ def _former_solve_relaxed(c, s, opts, lam0):
     for stage_mu, stage_tol in MU_STAGES:
         if stage_mu > opts.mu:
             lam = _former_mirror_descent(c, s, stage_mu, stage_tol, lam)[0]
-    md = _former_mirror_descent(c, s, opts.mu, opts.md_tol, lam)
+    md = _former_mirror_descent(c, s, opts.mu, onebit.MD_TOL, lam)
     return _former_recover_x(md[0], c, s, opts.mu), md
 
 
-def _parent_mirror_descent(coeff, opts, lam0=None):
-    """The parent's mirror_descent, whose start without lam0 was the uniform
-    point; returns (lam, value, converged, n_iter, residual, y)."""
+def _parent_mirror_descent(coeff, mu, tol, lam0=None):
+    """The parent's mirror_descent at (mu, tol), whose start without lam0 was
+    the uniform point; returns (lam, value, converged, n_iter, residual, y)."""
     c = coeff.c
     ct = c.T
     n = c.shape[1]
     s = coeff.amplitude
-    rho = opts.mu * s
+    rho = mu * s
     vmin, vmax, vsum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
     if lam0 is None:
         lam = np.full(n, 1.0 / n)
@@ -169,14 +168,14 @@ def _parent_mirror_descent(coeff, opts, lam0=None):
         gap /= vsum(gap)
         gap -= lam
         residual = float(vsum(np.abs(gap, out=gap)))
-        if residual <= opts.md_tol:
+        if residual <= tol:
             converged = True
             break
         if it == onebit.MD_MAX_ITER:
             break
         if it == 0:
             sigma_sq = onebit._sigma_max_sq(ct)
-            safe_step = opts.mu / sigma_sq if sigma_sq > 0 else 1.0
+            safe_step = mu / sigma_sq if sigma_sq > 0 else 1.0
             step = first = safe_step
         if step == first:
             step *= 2.0
@@ -205,12 +204,11 @@ def _parent_cold_solve_symbol(coeff, opts):
     MU_STAGES chain, recovery, MBI and its four certificates. Returns
     (xbar, objective, xbar_relaxed, relax_value, onebit_lower_bound, md), md
     as _parent_mirror_descent returns it."""
-    lam = model_starts([coeff], onebit.start_mu(opts.mu))[0]
+    lam = model_starts([coeff], max(opts.mu, MU_STAGES[0][0]))[0]
     for stage_mu, stage_tol in MU_STAGES:
         if stage_mu > opts.mu:
-            lam = _parent_mirror_descent(coeff, replace(opts, mu=stage_mu, md_tol=stage_tol),
-                                         lam)[0]
-    md = _parent_mirror_descent(coeff, opts, lam)
+            lam = _parent_mirror_descent(coeff, stage_mu, stage_tol, lam)[0]
+    md = _parent_mirror_descent(coeff, opts.mu, onebit.MD_TOL, lam)
     xrel = onebit._recover(md[5], coeff.amplitude, opts.mu)
     xbar = mbi_round(xrel, coeff)
     relax_value = -md[1]
@@ -335,14 +333,16 @@ def test_solve_symbol_bit_exact(seed, order, size, layout, start, mu, integer_h)
     # result by the oracle against the former formulas, at the solver's mu
     # (where desk MD mostly stops at its first test), through the mu stages
     # and above them; the iteration cap is lowered so that the staged solves
-    # stay short, and they stop there as often as they converge
+    # stay short, and they stop there as often as they converge. The former
+    # solve ran the stages from lam0, a point for the first stage; the package
+    # runs them in the start: cold_start's, or continued from lam0
     rng = np.random.default_rng(seed)
     m, k, n = size
     h_eff, sym, c = _slot(rng, m, k, n, order, 100.0, integer_h)
     c_f, s = _former_build_coefficients(h_eff, sym, c, 100.0)
     opts = SolverConfig(mu=mu)
     if start == "model":
-        lam0 = cold_start(CoefficientMatrix(c=c_f, amplitude=s), opts)
+        lam0 = model_starts([CoefficientMatrix(c=c_f, amplitude=s)], max(mu, MU_STAGES[0][0]))[0]
     elif start == "uniform":
         lam0 = np.full(2 * k, 1.0 / (2 * k))
     else:
@@ -354,8 +354,12 @@ def test_solve_symbol_bit_exact(seed, order, size, layout, start, mu, integer_h)
             lam0 = (1.0 - onebit.WARM_START_MIX) * lam0 + onebit.WARM_START_MIX / (2 * k)
     coeff = CoefficientMatrix(c=_laid_out(c_f, layout), amplitude=s)
     with patch.object(onebit, "MD_MAX_ITER", 60):
-        xbar, md_symbol = solve_symbol(coeff, opts, lam0)
-        xrel, md = solve_relaxed(coeff, opts, lam0)
+        if start == "model":
+            start_at_mu = cold_start(CoefficientMatrix(c=c_f, amplitude=s), opts)
+        else:
+            start_at_mu = continued(coeff, mu, lam0)
+        xbar, md_symbol = solve_symbol(coeff, opts, start_at_mu)
+        xrel, md = solve_relaxed(coeff, opts, start_at_mu)
         want_xrel, (lam, value, converged, n_iter, residual) = _former_solve_relaxed(
             c_f, s, opts, lam0)
     want_x = _former_mbi_round(want_xrel, c_f, s)
@@ -380,9 +384,9 @@ def test_solve_symbol_bit_exact(seed, order, size, layout, start, mu, integer_h)
 @example(seed=0, order=16, size=(128, 14, 32), mu=1e-6, integer_h=False)
 def test_cold_solve_symbol_equals_the_parents(seed, order, size, mu, integer_h):
     # a cold slot solve from the start the caller takes (cold_start, a row of
-    # model_starts) plus the certificate oracle give the bits the parent's
+    # cold_starts) plus the certificate oracle give the bits the parent's
     # solve_symbol gave from its own model_start, on every output; below the
-    # first stage's mu the MU_STAGES chain runs. The iteration cap is lowered
+    # first stage's mu the MU_STAGES chain runs, now in cold_starts. The iteration cap is lowered
     # on both sides so that the staged solves stay short
     rng = np.random.default_rng(seed)
     m, k, n = size
@@ -416,10 +420,9 @@ def test_mirror_descent_from_the_uniform_point_equals_the_parents_default(
     m, k, n = size
     h_eff, sym, c = _slot(rng, m, k, n, order, 100.0, integer_h)
     coeff = build_coefficients(h_eff, sym, c, 100.0)
-    opts = SolverConfig(mu=mu)
     with patch.object(onebit, "MD_MAX_ITER", 60):
-        want = _parent_mirror_descent(coeff, opts)
-        md = onebit.mirror_descent(coeff, opts, np.full(2 * k, 1.0 / (2 * k)))
+        want = _parent_mirror_descent(coeff, mu, onebit.MD_TOL)
+        md = onebit.mirror_descent(coeff, mu, onebit.MD_TOL, np.full(2 * k, 1.0 / (2 * k)))
     for got, want_value in zip((md.lam, md.value, md.converged, md.n_iter, md.residual, md.y),
                                want):
         assert _same(got, want_value)
@@ -450,7 +453,7 @@ def test_mbi_round_bit_exact(seed, order, size, layout, saturated, coarse_x, int
 @pytest.mark.parametrize("lam0", [None, "mixed"])
 def test_solve_relaxed_recovers_from_mds_own_product(lam0):
     # the x solve_relaxed returns is recover_x of MD's lam, bit for bit; None
-    # takes each mu's cold start
+    # takes each mu's cold start, and the mixed point is continued to each mu
     rng = np.random.default_rng(40)
     h_eff, sym, c = _slot(rng, 32, 4, 16, 4, 100.0, False)
     coeff = build_coefficients(h_eff, sym, c, 100.0)
@@ -458,7 +461,8 @@ def test_solve_relaxed_recovers_from_mds_own_product(lam0):
         lam0 = 0.5 * rng.dirichlet(np.ones(8)) + 0.5 / 8
     for mu in (5e-4, 2e-5):
         opts = SolverConfig(mu=mu)
-        xrel, md = solve_relaxed(coeff, opts, cold_start(coeff, opts) if lam0 is None else lam0)
+        start = cold_start(coeff, opts) if lam0 is None else continued(coeff, mu, lam0)
+        xrel, md = solve_relaxed(coeff, opts, start)
         assert _same(xrel, onebit.recover_x(md.lam, coeff, mu))
         assert _same(md.y, coeff.c @ md.lam)
 
@@ -484,7 +488,7 @@ def test_results_do_not_depend_on_memory_order(seed, order):
     copies = [CoefficientMatrix(c=np.ascontiguousarray(coeff.c), amplitude=coeff.amplitude)
               for coeff in coeffs]
     starts = np.stack([lam0 for _, lam0 in slots])
-    assert _same(model_starts(copies, onebit.start_mu(opts.mu)), starts)
+    assert _same(onebit.cold_starts(copies, opts.mu), starts)
     results = [solve_symbol(coeff, opts, lam0) for coeff, lam0 in slots]
     for (coeff, lam0), copy, (xbar, md) in zip(slots, copies, results):
         other_xbar, other_md = solve_symbol(copy, opts, lam0)

@@ -16,6 +16,7 @@ from onebit_oracles import (
     brute_force_onebit,
     certificates,
     cold_start,
+    continued,
     dual_value,
     huber,
     quadratic_model_start,
@@ -32,6 +33,7 @@ from irsprecode.channel import (
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
 from irsprecode.onebit import (
+    MD_TOL,
     MU_STAGES,
     START_GAP_RTOL,
     WARM_START_MIX,
@@ -273,7 +275,7 @@ def test_dual_gradient_is_the_gradient_mirror_descent_runs():
         w -= w.max()
         e = np.exp(w)
         with patch.object(onebit, "MD_MAX_ITER", 0):
-            md = mirror_descent(coeff, SolverConfig(mu=mu), uniform)
+            md = mirror_descent(coeff, mu, MD_TOL, uniform)
         assert md.residual == float(np.abs(e / e.sum() - uniform).sum())
 
 
@@ -355,18 +357,22 @@ def test_positive_mu_required():
 
 
 def test_solver_option_validation():
-    # mirror descent's and the per-slot solve's settings
-    for bad in (dict(md_tol=-1.0), dict(md_tol=np.nan),
-                dict(md_tol=np.inf), dict(mu=0.0), dict(mu=np.nan), dict(mu=np.inf)):
-        with pytest.raises(ValueError):
-            SolverConfig(**bad)
+    # mirror descent's numbers and the per-slot solve's settings
+    coeff = CoefficientMatrix(c=np.eye(2), amplitude=1.0)
+    for bad in (dict(tol=-1.0), dict(tol=np.nan),
+                dict(tol=np.inf), dict(mu=0.0), dict(mu=np.nan), dict(mu=np.inf)):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be"):
+            mirror_descent(coeff, **{"mu": 5e-4, "tol": MD_TOL, **bad}, lam0=_uniform(coeff))
+        if "mu" in bad:
+            with pytest.raises(ValueError):
+                SolverConfig(**bad)
 
 
 # --- mirror descent ----------------------------------------------------------
 
 def test_md_zero_matrix_stays_uniform():
     coeff = CoefficientMatrix(c=np.zeros((4, 4)), amplitude=1.0)
-    res = mirror_descent(coeff, SolverConfig(mu=1e-3), _uniform(coeff))
+    res = mirror_descent(coeff, 1e-3, MD_TOL, _uniform(coeff))
     assert res.converged and res.n_iter == 0
     assert np.allclose(res.lam, 0.25)
 
@@ -374,7 +380,7 @@ def test_md_zero_matrix_stays_uniform():
 def test_md_iterates_stay_on_simplex():
     rng = np.random.default_rng(8)
     coeff, _, _, _ = random_instance(rng, m=8, k=3)
-    res = mirror_descent(coeff, SolverConfig(mu=5e-4, md_tol=1e-8), _uniform(coeff))
+    res = mirror_descent(coeff, 5e-4, 1e-8, _uniform(coeff))
     assert res.converged
     assert res.lam.min() >= 0
     assert abs(res.lam.sum() - 1.0) <= 1e-12
@@ -390,7 +396,7 @@ def test_md_two_column_grid_oracle():
         c2[:, 1] = np.roll(c2[:, 1], 1) + 0.3 * c2[:, 0]
         coeff = CoefficientMatrix(c=c2, amplitude=coeff.amplitude)
         mu = 5e-4
-        res = mirror_descent(coeff, SolverConfig(mu=mu, md_tol=1e-9), _uniform(coeff))
+        res = mirror_descent(coeff, mu, 1e-9, _uniform(coeff))
         p = np.linspace(0.0, 1.0, 10001)
         grid = np.stack([p, 1 - p])
         vals = coeff.amplitude * huber(coeff.c @ grid, mu * coeff.amplitude).sum(axis=0)
@@ -409,7 +415,7 @@ def test_md_monotone_objective_trace(seed, order, size, start):
     rng = np.random.default_rng(seed)
     m, k, n = size
     coeff, _, _, _ = random_instance(rng, m=m, k=k, order=order, n=n)
-    opts = SolverConfig(md_tol=1e-8)
+    tol = 1e-8
     clipped_value, dual_grad = onebit._clipped_value, onebit._dual_grad
     last, accepted = [], []
 
@@ -426,19 +432,19 @@ def test_md_monotone_objective_trace(seed, order, size, start):
         mp.setattr(onebit, "MD_MAX_ITER", 400)
         mp.setattr(onebit, "_clipped_value", value_spy)
         mp.setattr(onebit, "_dual_grad", grad_spy)
-        res = mirror_descent(coeff, opts, lam0=_start(rng, coeff, start))
+        res = mirror_descent(coeff, SolverConfig().mu, tol, lam0=_start(rng, coeff, start))
     values = np.array(accepted)
     assert values.size == res.n_iter + 1 and values[-1] == res.value
     assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1]))
     if res.converged:
-        assert res.residual <= opts.md_tol
+        assert res.residual <= tol
 
 
 def test_md_reports_nonconvergence_instead_of_failing(monkeypatch):
     rng = np.random.default_rng(11)
     coeff, _, _, _ = random_instance(rng, m=8, k=3)
     monkeypatch.setattr(onebit, "MD_MAX_ITER", 2)
-    res = mirror_descent(coeff, SolverConfig(mu=5e-4, md_tol=1e-14), _uniform(coeff))
+    res = mirror_descent(coeff, 5e-4, 1e-14, _uniform(coeff))
     assert not res.converged
     assert res.n_iter == 2
     assert np.isfinite(res.value)
@@ -473,7 +479,7 @@ def _start(rng, coeff, start):
     return lam0 / lam0.sum()
 
 
-def _md_reference(coeff, mu, opts, lam0, double_always=False):
+def _md_reference(coeff, mu, tol, lam0, double_always=False):
     """The mirror-descent loop with the Bregman model from its definition:
     masked KL sum, Huber value from huber(), safe step from the SVD norm.
     Each iteration doubles the previous step if the previous iteration took
@@ -502,7 +508,7 @@ def _md_reference(coeff, mu, opts, lam0, double_always=False):
         w -= w.max()
         e = np.exp(w)
         residual = float(np.abs(e / e.sum() - lam).sum())
-        if residual <= opts.md_tol:
+        if residual <= tol:
             converged = True
             break
         if it == onebit.MD_MAX_ITER:
@@ -555,13 +561,12 @@ def test_md_matches_the_reference_loop(seed, order, size, start, mu):
     if start == "zero-matrix":
         coeff = CoefficientMatrix(c=np.zeros_like(coeff.c), amplitude=coeff.amplitude)
     lam0 = _start(rng, coeff, "mixed" if start == "zero-matrix" else start)
-    opts = SolverConfig(mu=mu)
     with patch.object(onebit, "MD_MAX_ITER", 400):
-        md = mirror_descent(coeff, opts, lam0=lam0)
+        md = mirror_descent(coeff, mu, MD_TOL, lam0=lam0)
         assert abs(md.value - dual_value(md.lam, coeff, mu)) <= 1e-12 * abs(md.value)
         if mu < MU_STAGES[-1][0]:
             return
-        lam, value, converged, n_iter, residual = _md_reference(coeff, mu, opts, lam0)
+        lam, value, converged, n_iter, residual = _md_reference(coeff, mu, MD_TOL, lam0)
     assert (md.n_iter, md.converged) == (n_iter, converged)
     if mu < SolverConfig().mu:
         return
@@ -583,14 +588,13 @@ def test_md_step_rule_tries_fewer_points(monkeypatch):
         return real(y, rho)
 
     monkeypatch.setitem(globals(), "huber", spy)
-    opts = SolverConfig()
     totals = {True: 0, False: 0}
     for _, coeff, mixed in _step_rule_slots():
         for lam0 in (_uniform(coeff), mixed):
             for double_always in totals:
                 calls.clear()
                 _, _, converged, _, _ = _md_reference(
-                    coeff, SolverConfig().mu, opts, lam0, double_always)
+                    coeff, SolverConfig().mu, MD_TOL, lam0, double_always)
                 assert converged
                 totals[double_always] += len(calls) - 1
     assert totals[False] < totals[True], totals
@@ -1062,7 +1066,7 @@ def test_slot_solvers_run_clean_and_scale_free_over_the_magnitude_range(seed, or
     c = np.ldexp(coeff.c, 1 - np.frexp(np.abs(coeff.c).max())[1])  # max |c| in [1, 2)
     s = coeff.amplitude
     opts = SolverConfig()
-    mu = onebit.start_mu(opts.mu)
+    mu = opts.mu
     want = model_starts([CoefficientMatrix(c=c, amplitude=s)], mu)[0]
     exponents = (k, -SCALE_EXPONENT, SCALE_EXPONENT - 1)
     with warnings.catch_warnings():
@@ -1093,7 +1097,7 @@ def test_model_start_minimizes_the_quadratic_model():
     want = d ** -2 / np.sum(d ** -2)
     lam = model_starts([coeff], 10.0)[0]
     assert np.abs(lam - _mixed(want)).max() <= 1e-8  # the ridge eps moves it
-    md = mirror_descent(coeff, SolverConfig(mu=10.0), lam0=lam)
+    md = mirror_descent(coeff, 10.0, MD_TOL, lam0=lam)
     assert np.abs(coeff.c @ md.lam).max() < 10.0 * coeff.amplitude
     assert md.converged and md.n_iter == 0
     dominated = CoefficientMatrix(c=np.array([[1.0, 1.2], [0.0, 0.5]]), amplitude=1.0)
@@ -1274,10 +1278,11 @@ def test_model_start_agrees_with_a_uniform_start(seed, order, size):
 
 
 def test_model_start_takes_fewer_md_iterations(monkeypatch):
-    # cold solve_relaxed, from its model_starts row, against the same solve
+    # cold solve_relaxed, from its cold_starts row, against the same solve
     # from the quadratic model's minimizer (the oracle) and from the uniform
-    # point, at the solver's mu and tolerance; every MD call of a solve
-    # counts. Measured (model_starts, oracle, uniform): the step-rule slot set
+    # point, each carried through the mu stages as cold_starts carries its
+    # model_starts row, at the solver's mu and tolerance; every MD call of a
+    # solve counts, the stages' included. Measured (model_starts, oracle, uniform): the step-rule slot set
     # at desk size 0, 571, 965 and at paper size 0, 218, 430; on 30 desk-size
     # slots of each order, BPSK 0, 239, 364, 8-PSK 0, 881, 1546 and 16-PSK 0,
     # 2855, 5256; the desk-size step-rule slots solved at mu = 2e-5, through
@@ -1300,10 +1305,11 @@ def test_model_start_takes_fewer_md_iterations(monkeypatch):
     for key, coeff, mu in slots:
         opts = SolverConfig(mu=mu)
         total = totals.setdefault(key, [0, 0, 0])
-        for i, lam0 in enumerate((cold_start(coeff, opts), quadratic_model_start(coeff),
-                                  _uniform(coeff))):
+        for i, start in enumerate((lambda: cold_start(coeff, opts),
+                                   lambda: continued(coeff, mu, quadratic_model_start(coeff)),
+                                   lambda: continued(coeff, mu, _uniform(coeff)))):
             iters.clear()
-            assert solve_relaxed(coeff, opts, lam0)[1].converged
+            assert solve_relaxed(coeff, opts, start())[1].converged
             total[i] += sum(iters)
     assert all(new < oracle < uniform for new, oracle, uniform in totals.values()), totals
 
@@ -1319,7 +1325,7 @@ def test_solve_relaxed_rejects_warm_start_off_the_simplex():
            np.full(n + 1, 1.0 / (n + 1)), np.r_[np.nan, np.full(n - 1, 1.0 / (n - 1))],
            np.r_[np.inf, np.zeros(n - 1)], np.r_[-np.inf, np.full(n - 1, 1.0 / (n - 1))])
     for lam0 in bad:
-        for mu in (SolverConfig().mu, 1e-5):  # with and without the mu stages
+        for mu in (SolverConfig().mu, 1e-5):  # above and below the MU_STAGES
             with pytest.raises(ValueError, match="simplex"):
                 solve_relaxed(coeff, SolverConfig(mu=mu), lam0)
 
@@ -1346,8 +1352,9 @@ def test_brute_force_beats_random_signs_and_relaxation_bound():
         x = s * rng.choice([-1.0, 1.0], coeff.n_lifted)
         assert bf <= worst_objective(x, coeff) + 1e-12
     # box relaxation optimum lower-bounds the one-bit optimum
-    opts = SolverConfig(mu=5e-4, md_tol=1e-9)
-    xrel, md = solve_relaxed(coeff, opts, cold_start(coeff, opts))
+    opts = SolverConfig(mu=5e-4)
+    with patch.object(onebit, "MD_TOL", 1e-9):
+        xrel, md = solve_relaxed(coeff, opts, cold_start(coeff, opts))
     power = coeff.n_lifted * s**2
     assert -md.value - 5e-4 * power / 2 <= bf + 1e-12
 
