@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet, PhaseShifts, effective_matrix
-from .checks import check_real
+from .checks import check_count, check_real, field_values
 from .constellation import SymbolFrame, margin
-from .onebit import OneBitFrame, SolverConfig, frame_array, frame_slots, solve_symbol
+from .onebit import OneBitFrame, frame_array, frame_slots, solve_symbol
 from .phase import apg_optimize, build_phase_coefficients, max_constraint
 
 # a round improves when its worst margin rises by more than this, relative:
@@ -42,6 +42,28 @@ from .phase import apg_optimize, build_phase_coefficients, max_constraint
 MARGIN_RTOL = 1e-12
 # the cap rule's round count; no run of desk seeds 0-4 took over 7
 AO_MAX_OUTER = 20
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Settings of the joint design, all read by alternating_optimize: mu, the
+    relaxed dual's Tikhonov weight, for the signal step; delta, the smoothing
+    width, for the phase step; n_starts, the runs of the loop. Values a solver
+    would reject fail here, when the settings load. MD_TOL and the caps
+    MD_MAX_ITER, APG_MAX_ITER and AO_MAX_OUTER are constants."""
+
+    mu: float = 5e-4
+    delta: float = 1e-2
+    n_starts: int = 1
+
+    def __post_init__(self):
+        check_count("n_starts", self.n_starts, 1)
+        check_real("mu", self.mu, positive=True)
+        check_real("delta", self.delta, positive=True)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SolverConfig":
+        return cls(**field_values(cls, d, "solver"))
 
 
 @dataclass(eq=False)
@@ -96,8 +118,8 @@ def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, power: float,
     the round before the last when the last did not improve, else the last
     (at most AO_MAX_OUTER rounds run). The trace holds every round that
     ran. frame is always a OneBitFrame. rng drives every random draw of the
-    run (the harness passes per-channel substreams). The inner solvers read
-    their own fields of opts.
+    run (the harness passes per-channel substreams). The signal step solves
+    at opts.mu and the phase step smooths at opts.delta.
 
     The run also stops after a fixed-point round (see the module docstring).
     The x-step draws nothing from rng, so the next round would rebuild the
@@ -128,8 +150,8 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, power: float,
     for it in range(1, AO_MAX_OUTER + 1):
         start = phases
         frame, lams, md_converged = _x_step(effective_matrix(ch, start), symbols,
-                                            power, opts)
-        phases, apg_converged = _phase_step(ch, frame, symbols, start, opts)
+                                            power, opts.mu)
+        phases, apg_converged = _phase_step(ch, frame, symbols, start, opts.delta)
         worst = float(frame_margins(ch, phases, frame, symbols).min())
         # a NaN margin never counts as an improvement
         prev = trace[-1].worst_margin if trace else None
@@ -146,22 +168,23 @@ def _single_run(ch: ChannelSet, symbols: SymbolFrame, power: float,
     return trace
 
 
-def _x_step(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig):
-    """T independent cold per-slot one-bit designs, set up by frame_slots;
-    returns (frame, (T, 2K) dual points, md statuses)."""
-    results = [solve_symbol(coeff, opts, lam0)
-               for coeff, lam0 in frame_slots(h_eff, symbols, power, opts)]
+def _x_step(h_eff, symbols: SymbolFrame, power: float, mu: float):
+    """T independent cold per-slot one-bit designs at mu, set up by
+    frame_slots; returns (frame, (T, 2K) dual points, md statuses)."""
+    results = [solve_symbol(coeff, mu, lam0)
+               for coeff, lam0 in frame_slots(h_eff, symbols, power, mu)]
     return (OneBitFrame.from_slots([xbar for xbar, _ in results], power),
             np.stack([md.lam for _, md in results]), [md.converged for _, md in results])
 
 
 def _phase_step(ch: ChannelSet, frame, symbols: SymbolFrame,
-                phases: PhaseShifts, opts: SolverConfig):
-    """APG from phases; returns (phases, converged), phases as given when no
-    APG iterate beat their own objective (APG measures its start projected,
-    an ulp off at times), so that rounding cannot hide a fixed point."""
+                phases: PhaseShifts, delta: float):
+    """APG at smoothing width delta from phases; returns (phases, converged),
+    phases as given when no APG iterate beat their own objective (APG
+    measures its start projected, an ulp off at times), so that rounding
+    cannot hide a fixed point."""
     coeffs = build_phase_coefficients(ch, frame, symbols)
-    res = apg_optimize(coeffs, phases.theta_bar, opts)
+    res = apg_optimize(coeffs, phases.theta_bar, delta)
     if res.best_iter and res.value < max_constraint(phases.theta_bar, coeffs):
         phases = PhaseShifts.from_theta_bar(res.theta_bar)
     return phases, res.converged

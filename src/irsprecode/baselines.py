@@ -15,7 +15,7 @@ import numpy as np
 from .channel import ChannelSet
 from .checks import check_real
 from .constellation import SymbolFrame
-from .onebit import OneBitFrame, SolverConfig, frame_slots, onebit_amplitude, solve_relaxed
+from .onebit import OneBitFrame, frame_slots, onebit_amplitude, solve_relaxed
 
 # singular values below max(sv) * this are treated as zero in the ZF inverse
 RANK_RTOL = 1e-10
@@ -77,22 +77,21 @@ class RelaxedFrame:
     converged: np.ndarray
 
 
-def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float,
-                opts: SolverConfig = SolverConfig(),
+def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float, mu: float,
                 lam0: np.ndarray | None = None) -> RelaxedFrame:
     """Box-relaxed symbol-level precoder: the one-bit solver without rounding.
 
     Runs the identical coefficient construction and dual solve (solve_relaxed)
-    as the one-bit path, so its per-slot relaxed points match that solver's
-    bit for bit under the same settings and starts.
+    at mu as the one-bit path, so its per-slot relaxed points match that
+    solver's bit for bit at the same mu and starts.
     lam0, a (T, 2K) block of simplex points, starts slot t's dual solve at
     row t; a block of another shape raises ValueError. None starts every slot
     cold; onebit.frame_slots sets up the slots and their starts either way.
     At the joint design's phases the harness passes AO's last dual points when
     they reproduce the cold solve (see ao), and None otherwise.
     """
-    results = [solve_relaxed(coeff, opts, start)
-               for coeff, start in frame_slots(h_eff, symbols, power, opts, lam0)]
+    results = [solve_relaxed(coeff, mu, start)
+               for coeff, start in frame_slots(h_eff, symbols, power, mu, lam0)]
     xrel = np.stack([xrel for xrel, _ in results])
     m = xrel.shape[1] // 2
     return RelaxedFrame(x=xrel[:, :m] + 1j * xrel[:, m:],

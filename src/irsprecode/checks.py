@@ -1,4 +1,5 @@
-"""Input rules shared by every layer: numbers, counts and solver matrices.
+"""Input rules shared by every layer: numbers, counts, solver matrices and
+the keys of a JSON settings object.
 
 A leaf module, so that the leaf layers (constellation, channel) and the
 solvers above them check their settings with the same rules.
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import fields
 
 import numpy as np
 
@@ -33,6 +35,18 @@ def check_real(name: str, value, positive: bool) -> None:
             and (value > 0 if positive else value >= 0) and value < math.inf):
         sign = "positive" if positive else "nonnegative"
         raise ValueError(f"{name} must be a finite {sign} number, got {value!r}")
+
+
+def field_values(cls, d, name: str) -> dict:
+    """A copy of d, a JSON object whose keys must all be fields of the
+    dataclass cls; name ("config", "solver") names it in the errors."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{name} must be a JSON object, got {d!r}")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        label = name if name == "config" else f"{name} config"
+        raise ValueError(f"unknown {label} keys: {sorted(unknown)}")
+    return dict(d)
 
 
 def check_matrix(name: str, a, dims: tuple) -> np.ndarray:

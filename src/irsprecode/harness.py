@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ao import alternating_optimize, best_round, frame_margins, receive_points
+from .ao import SolverConfig, alternating_optimize, best_round, frame_margins, receive_points
 from .baselines import (
     SCHEMES,
     no_irs_variant,
@@ -27,9 +27,9 @@ from .baselines import (
     zf_precode,
 )
 from .channel import ChannelSet, PhaseShifts, drop_users, effective_matrix, sample_channels
-from .checks import check_count, check_real, is_real
+from .checks import check_count, check_real, field_values, is_real
 from .constellation import NoiseBlock, PskConstellation, SymbolFrame, bit_errors, decide_block
-from .onebit import OneBitFrame, SolverConfig, field_values, frame_slots, solve_symbol
+from .onebit import OneBitFrame, frame_slots, solve_symbol
 
 # substream tags; the joint design (AO) is the only design that draws. A new
 # tag for a stream changes every result of a seed
@@ -270,7 +270,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
                 and all(trace[-1].md_converged))
         lam0 = trace[-1].lams if warm else None
         res = relaxed_slp(effective_matrix(channel, phases), symbols,
-                          cfg.power, cfg.solver, lam0)
+                          cfg.power, cfg.solver.mu, lam0)
         return (rescale_to_power(res.x, cfg.power), _status(res.converged.all()),
                 time.perf_counter() - t0)
 
@@ -283,8 +283,8 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
             frame, phases, runtime = ao_frame, ao_phases, ao_runtime
             status = _status(best_round(trace).converged)
         elif spec.x_mode == "onebit":
-            results = [solve_symbol(coeff, cfg.solver, lam0) for coeff, lam0
-                       in frame_slots(np.conj(bare.h_d), symbols, cfg.power, cfg.solver)]
+            results = [solve_symbol(coeff, cfg.solver.mu, lam0) for coeff, lam0
+                       in frame_slots(np.conj(bare.h_d), symbols, cfg.power, cfg.solver.mu)]
             frame = OneBitFrame.from_slots([xbar for xbar, _ in results], cfg.power)
             status = _status(all(md.converged for _, md in results))
             runtime = time.perf_counter() - t0

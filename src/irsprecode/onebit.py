@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_count, check_matrix, check_real
+from .checks import check_matrix, check_real
 from .constellation import PskConstellation, SymbolFrame
 
 # lifted entries within this relative distance of +/-s count as saturated
@@ -34,44 +34,6 @@ FRACTIONAL_TOL = 1e-6
 MD_MAX_ITER = 20000
 # solve_relaxed's stop tolerance on MD's KL gradient-mapping residual
 MD_TOL = 1e-6
-
-
-def field_values(cls, d, name: str) -> dict:
-    """A copy of d, a JSON object whose keys must all be fields of the
-    dataclass cls; name ("config", "solver") names it in the errors."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{name} must be a JSON object, got {d!r}")
-    unknown = set(d) - {f.name for f in fields(cls)}
-    if unknown:
-        label = name if name == "config" else f"{name} config"
-        raise ValueError(f"unknown {label} keys: {sorted(unknown)}")
-    return dict(d)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Settings of the joint design; each solver reads its own fields.
-
-    - mu, the relaxed dual's Tikhonov weight: the dual solves and their starts
-    - delta (smoothing width): apg_optimize
-    - n_starts: alternating_optimize
-
-    Values a solver would reject fail here, when the settings load. MD_TOL and
-    the iteration caps MD_MAX_ITER, phase.APG_MAX_ITER, ao.AO_MAX_OUTER are constants.
-    """
-
-    mu: float = 5e-4
-    delta: float = 1e-2
-    n_starts: int = 1
-
-    def __post_init__(self):
-        check_count("n_starts", self.n_starts, 1)
-        check_real("mu", self.mu, positive=True)
-        check_real("delta", self.delta, positive=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverConfig":
-        return cls(**field_values(cls, d, "solver"))
 
 
 def onebit_amplitude(power: float, n_antennas: int) -> float:
@@ -370,6 +332,7 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
     its own compacted rows, drops and stopping pass, and every product has
     the layout of a single slot's.
     """
+    check_real("mu", mu, positive=True)
     ct = np.array([coeff.c.T for coeff in coeffs])  # (T, 2K, 2M): each C^T, C-contiguous
     c = ct.transpose(0, 2, 1)
     n_slots, n = ct.shape[:2]
@@ -443,6 +406,7 @@ def cold_starts(coeffs, mu: float) -> np.ndarray:
     model_starts call at max(mu, the first stage's mu), then mirror_descent
     through each of the MU_STAGES above mu, so a row is a point for a solve at
     mu itself. Row t depends on coeffs[t] alone."""
+    check_real("mu", mu, positive=True)
     rows = model_starts(coeffs, max(mu, MU_STAGES[0][0]))
     for stage_mu, stage_tol in MU_STAGES:
         if stage_mu > mu:
@@ -451,32 +415,32 @@ def cold_starts(coeffs, mu: float) -> np.ndarray:
     return rows
 
 
-def frame_slots(h_eff, symbols: SymbolFrame, power: float, opts: SolverConfig,
+def frame_slots(h_eff, symbols: SymbolFrame, power: float, mu: float,
                 lam0: np.ndarray | None = None) -> list:
     """One (CoefficientMatrix, start) pair per slot of a K x T symbol frame.
 
     Slot t's matrix is build_coefficients of h_eff (K, M) and column t of
     symbols at power. Its start is row t of lam0, a (T, 2K) block of simplex
     points (a block of another shape raises ValueError), else row t of one
-    cold_starts call at opts.mu: the package's one source of cold starts.
+    cold_starts call at mu: the package's one source of cold starts.
     """
     coeffs = [build_coefficients(h_eff, symbols.symbols[:, t], symbols.constellation, power)
               for t in range(symbols.n_slots)]
     shape = (len(coeffs), coeffs[0].n_constraints)
     if lam0 is not None and np.shape(lam0) != shape:
         raise ValueError(f"lam0 must be a (T, 2K) = {shape} block, got shape {np.shape(lam0)}")
-    return list(zip(coeffs, cold_starts(coeffs, opts.mu) if lam0 is None else lam0))
+    return list(zip(coeffs, cold_starts(coeffs, mu) if lam0 is None else lam0))
 
 
-def solve_relaxed(coeff: CoefficientMatrix, opts: SolverConfig, lam0: np.ndarray):
-    """Dual solve at opts.mu plus primal recovery; shared by the one-bit and box designs.
+def solve_relaxed(coeff: CoefficientMatrix, mu: float, lam0: np.ndarray):
+    """Dual solve at mu plus primal recovery; shared by the one-bit and box designs.
 
-    One mirror_descent at (opts.mu, MD_TOL) from lam0, a simplex point for a solve
-    at opts.mu (for a cold solve, its row of frame_slots); returns (xbar_relaxed, md).
+    One mirror_descent at (mu, MD_TOL) from lam0, a simplex point for a solve
+    at mu (for a cold solve, its row of frame_slots); returns (xbar_relaxed, md).
     """
-    md = mirror_descent(coeff, opts.mu, MD_TOL, lam0)
+    md = mirror_descent(coeff, mu, MD_TOL, lam0)
     # recover_x of md.lam, from the product C lam that MD formed for it
-    return _recover(md.y, coeff.amplitude, opts.mu), md
+    return _recover(md.y, coeff.amplitude, mu), md
 
 
 def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, *,
@@ -533,14 +497,14 @@ def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, *,
         cur = best
 
 
-def solve_symbol(coeff: CoefficientMatrix, opts: SolverConfig, lam0: np.ndarray):
+def solve_symbol(coeff: CoefficientMatrix, mu: float, lam0: np.ndarray):
     """Design the one-bit transmit vector for the slot of coefficient matrix coeff.
 
-    Pipeline: a dual solve at opts.mu from lam0, a simplex point
+    Pipeline: a dual solve at mu from lam0, a simplex point
     (solve_relaxed), closed-form primal recovery, MBI rounding of the
     fractional entries. A frame's cold solves take their starts from
-    frame_slots. A pure function of coeff, opts and lam0; returns
+    frame_slots. A pure function of coeff, mu and lam0; returns
     (xbar, MdResult), xbar in {-s, +s}^{2M}.
     """
-    xrel, md = solve_relaxed(coeff, opts, lam0)
+    xrel, md = solve_relaxed(coeff, mu, lam0)
     return mbi_round(xrel, coeff), md

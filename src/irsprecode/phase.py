@@ -27,7 +27,7 @@ import numpy as np
 from .channel import ChannelSet
 from .checks import check_matrix, check_real
 from .constellation import SymbolFrame
-from .onebit import SolverConfig, _sigma_max_sq, frame_array
+from .onebit import _sigma_max_sq, frame_array
 
 # apg_optimize stops after this many iterations in a row without a new best
 # true objective: over the 1040 solves of desk seeds 0-19 (20 channels each)
@@ -197,13 +197,12 @@ class ApgResult:
     best_iter: int  # the iteration that found theta_bar; 0 for the start
 
 
-def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
-                 opts: SolverConfig = SolverConfig()) -> ApgResult:
+def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init, delta: float) -> ApgResult:
     """Minimize the smoothed worst constraint over the unit-modulus set.
 
-    Smooths at width opts.delta; stops once APG_PATIENCE iterations in a row
-    have not lowered the best true objective (converged), or after
-    APG_MAX_ITER iterations (not converged).
+    Smooths at width delta, a finite positive number; stops once
+    APG_PATIENCE iterations in a row have not lowered the best true
+    objective (converged), or after APG_MAX_ITER iterations (not converged).
     The inverse step tau starts at the exact smoothed-gradient Lipschitz
     bound sigma_max^2 / delta (from onebit._sigma_max_sq), is halved
     optimistically each iteration, and backtracks (doubling, capped at the
@@ -215,7 +214,7 @@ def apg_optimize(coeffs: PhaseCoefficients, theta_bar_init,
     onto Phi and counts in best-iterate tracking, so the returned value never
     exceeds the initial objective; best_iter is 0 when no iterate beat it.
     """
-    delta = opts.delta
+    check_real("delta", delta, positive=True)
     if not np.isfinite(theta_bar_init).all():
         raise ValueError("the initial phase vector must be finite")
     theta = project_unit_modulus(theta_bar_init)

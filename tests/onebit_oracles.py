@@ -32,7 +32,6 @@ from irsprecode.onebit import (
     MU_STAGES,
     WARM_START_MIX,
     CoefficientMatrix,
-    SolverConfig,
     worst_objective,
 )
 
@@ -54,11 +53,11 @@ def dual_value(lam, coeff: CoefficientMatrix, mu: float) -> float:
     return float(s * huber(y, mu * s).sum())
 
 
-def cold_start(coeff: CoefficientMatrix, opts: SolverConfig) -> np.ndarray:
-    """The cold start of the slot solve of coeff under opts: its row of
-    cold_starts at opts.mu, as onebit.frame_slots gives it. The call goes
+def cold_start(coeff: CoefficientMatrix, mu: float) -> np.ndarray:
+    """The cold start of the slot solve of coeff at mu: its row of
+    cold_starts at mu, as onebit.frame_slots gives it. The call goes
     through the module, so a spy on onebit.cold_starts or model_starts sees it."""
-    return onebit.cold_starts([coeff], opts.mu)[0]
+    return onebit.cold_starts([coeff], mu)[0]
 
 
 def continued(coeff: CoefficientMatrix, mu: float, lam0) -> np.ndarray:
@@ -77,8 +76,8 @@ class Certificates(NamedTuple):
     onebit_lower_bound: float
 
 
-def certificates(xbar, md, coeff: CoefficientMatrix, opts: SolverConfig) -> Certificates:
-    """Relaxation certificates of a slot design (xbar, md) solved at opts.mu.
+def certificates(xbar, md, coeff: CoefficientMatrix, mu: float) -> Certificates:
+    """Relaxation certificates of a slot design (xbar, md) solved at mu.
 
     objective = max_k c_k^T xbar is the design's negated worst margin;
     relax_value = -f_mu(md.lam) lower-bounds the regularized box problem;
@@ -88,7 +87,7 @@ def certificates(xbar, md, coeff: CoefficientMatrix, opts: SolverConfig) -> Cert
     relax_value = -md.value
     power_total = coeff.n_lifted * coeff.amplitude ** 2
     return Certificates(worst_objective(xbar, coeff), relax_value,
-                        relax_value - opts.mu * power_total / 2.0)
+                        relax_value - mu * power_total / 2.0)
 
 
 def relaxed_with_duals(relaxed_slp, *args, **kwargs):

@@ -18,7 +18,7 @@ import pytest
 from onebit_oracles import brute_force_onebit, certificates, cold_start, dual_value
 
 from irsprecode import phase
-from irsprecode.ao import alternating_optimize, frame_margins
+from irsprecode.ao import SolverConfig, alternating_optimize, frame_margins
 from irsprecode.channel import (
     PhaseShifts,
     drop_users,
@@ -36,7 +36,6 @@ from irsprecode.harness import (
     write_csv,
 )
 from irsprecode.onebit import (
-    SolverConfig,
     build_coefficients,
     dual_gradient,
     mirror_descent,
@@ -158,8 +157,8 @@ def test_criterion_03_brute_force_band():
         rng = np.random.default_rng(i)
         coeff, _, _, _ = _slot_instance(rng, m=4, k=2, order=4)
         _, bf_val = brute_force_onebit(coeff)
-        opts = SolverConfig()
-        cert = certificates(*solve_symbol(coeff, opts, cold_start(coeff, opts)), coeff, opts)
+        mu = SolverConfig().mu
+        cert = certificates(*solve_symbol(coeff, mu, cold_start(coeff, mu)), coeff, mu)
         if cert.onebit_lower_bound <= bf_val + 1e-12:
             bound_ok += 1
         if cert.objective <= bf_val + 0.05 * (bf_val - cert.onebit_lower_bound) + 1e-12:
@@ -181,8 +180,7 @@ def test_criterion_04_fractional_entries():
         order = (4, 8)[i % 2]
         rng = np.random.default_rng(1000 + i)
         coeff, _, _, _ = _slot_instance(rng, m=32, k=k, order=order, power=1.0, n=8)
-        opts = SolverConfig(mu=1e-6)
-        xrel, md = solve_relaxed(coeff, opts, cold_start(coeff, opts))
+        xrel, md = solve_relaxed(coeff, 1e-6, cold_start(coeff, 1e-6))
         n_frac = int(np.sum(np.abs(xrel) < coeff.amplitude * (1 - 1e-6)))
         if n_frac <= 2 * k - 1:
             ok_count += 1
@@ -227,7 +225,8 @@ def test_criterion_05_lse_sandwich_and_feasibility():
             probes += 1
         start = len(projected)
         with patch.object(phase, "project_unit_modulus", spy):
-            res = apg_optimize(coeffs, rng.standard_normal(coeffs.n_lifted), SolverConfig())
+            res = apg_optimize(coeffs, rng.standard_normal(coeffs.n_lifted),
+                               SolverConfig().delta)
         assert len(projected) >= start + 1 + res.n_iter  # the start and every iterate
         n = coeffs.n_lifted // 2
         for tb in projected[start:] + [res.theta_bar]:
@@ -301,8 +300,8 @@ def test_criterion_08_sep_bound_validity():
     theta = PhaseShifts.random(4, np.random.default_rng(2))
     h_eff = effective_matrix(ch, theta)
     coeffs = [build_coefficients(h_eff, sym.symbols[:, t], c, 100.0) for t in range(3)]
-    opts = SolverConfig()
-    xbar = np.stack([solve_symbol(coeff, opts, cold_start(coeff, opts))[0] for coeff in coeffs])
+    mu = SolverConfig().mu
+    xbar = np.stack([solve_symbol(coeff, mu, cold_start(coeff, mu))[0] for coeff in coeffs])
     x = xbar[:, :8] + 1j * xbar[:, 8:]
     margins = frame_margins(ch, theta, x, sym)
     assert margins.min() > 0

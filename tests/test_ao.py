@@ -12,6 +12,7 @@ from onebit_oracles import cold_start
 from irsprecode import ao, harness, onebit, phase
 from irsprecode.ao import (
     MARGIN_RTOL,
+    SolverConfig,
     alternating_optimize,
     best_round,
     frame_margins,
@@ -24,7 +25,7 @@ from irsprecode.channel import (
     sample_channels,
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
-from irsprecode.onebit import OneBitFrame, SolverConfig, build_coefficients, solve_symbol
+from irsprecode.onebit import OneBitFrame, build_coefficients, solve_symbol
 from irsprecode.phase import apg_optimize, build_phase_coefficients, max_constraint
 
 QPSK = PskConstellation(4)
@@ -117,12 +118,12 @@ def test_trace_replicates_hand_driven_steps():
         h_eff = effective_matrix(ch, ph)
         coeffs = [build_coefficients(h_eff, sym.symbols[:, t], QPSK, POWER)
                   for t in range(sym.n_slots)]
-        results = [solve_symbol(coeff, cfg, cold_start(coeff, cfg)) for coeff in coeffs]
+        results = [solve_symbol(coeff, cfg.mu, cold_start(coeff, cfg.mu)) for coeff in coeffs]
         assert rec.md_converged == [md.converged for _, md in results]
         assert np.array_equal(rec.lams, np.stack([md.lam for _, md in results]))
         fr = OneBitFrame(xbar=np.stack([xbar for xbar, _ in results]), amplitude=amplitude)
         coeffs = build_phase_coefficients(ch, fr, sym)
-        apg = apg_optimize(coeffs, ph.theta_bar, cfg)
+        apg = apg_optimize(coeffs, ph.theta_bar, cfg.delta)
         start, ph = ph, PhaseShifts.from_theta_bar(apg.theta_bar)
         worst = float(frame_margins(ch, ph, fr, sym).min())
         assert rec.worst_margin == worst
@@ -183,8 +184,8 @@ def test_returns_best_round_and_stops_on_the_first_stop_rule(seed, m, n, k, t, o
     ch, sym = instance(seed, m=m, n=n, k=k, t=t, order=order)
     moved = []  # per round, whether its phase step changed the phases
 
-    def phase_spy(ch, frame, symbols, phases, opts, real=ao._phase_step):
-        out = real(ch, frame, symbols, phases, opts)
+    def phase_spy(ch, frame, symbols, phases, delta, real=ao._phase_step):
+        out = real(ch, frame, symbols, phases, delta)
         moved.append(not np.array_equal(out[0].theta, phases.theta))
         return out
 
@@ -250,8 +251,8 @@ def _ref_single_run(ch, symbols, power, opts, rng):
     design = None
     for _ in range(ao.AO_MAX_OUTER):
         frame, lams, md_converged = ao._x_step(effective_matrix(ch, phases), symbols,
-                                               power, opts)
-        phases, apg_converged = ao._phase_step(ch, frame, symbols, phases, opts)
+                                               power, opts.mu)
+        phases, apg_converged = ao._phase_step(ch, frame, symbols, phases, opts.delta)
         worst = float(frame_margins(ch, phases, frame, symbols).min())
         rounds.append((worst, md_converged, apg_converged, lams))
         if len(rounds) > 1 and not improves(worst, rounds[-2][0]):
@@ -366,14 +367,14 @@ def test_phase_step_hands_back_its_start_exactly_when_apg_kept_it(seed, m, n, k,
     opts = SolverConfig()
     phases = PhaseShifts.random(n, np.random.default_rng(seed))
     for _ in range(2):
-        frame = ao._x_step(effective_matrix(ch, phases), sym, POWER, opts)[0]
+        frame = ao._x_step(effective_matrix(ch, phases), sym, POWER, opts.mu)[0]
         coeffs = build_phase_coefficients(ch, frame, sym)
-        res = apg_optimize(coeffs, phases.theta_bar, opts)
+        res = apg_optimize(coeffs, phases.theta_bar, opts.delta)
         kept = not (res.best_iter and res.value < max_constraint(phases.theta_bar, coeffs))
         event("kept its start" if kept else "moved")
         if kept and res.best_iter:
             event("APG moved by an ulp of its projected start")
-        out, _ = ao._phase_step(ch, frame, sym, phases, opts)
+        out, _ = ao._phase_step(ch, frame, sym, phases, opts.delta)
         assert (out is phases) == kept
         if not kept:
             assert max_constraint(out.theta_bar, coeffs) < max_constraint(phases.theta_bar,

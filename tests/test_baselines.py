@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from onebit_oracles import brute_force_onebit, cold_start, relaxed_with_duals
 
 from irsprecode import onebit
-from irsprecode.ao import alternating_optimize
+from irsprecode.ao import SolverConfig, alternating_optimize
 from irsprecode.baselines import (
     SCHEMES,
     no_irs_variant,
@@ -25,7 +25,6 @@ from irsprecode.channel import (
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame
 from irsprecode.onebit import (
-    SolverConfig,
     build_coefficients,
     mbi_round,
     solve_relaxed,
@@ -34,6 +33,7 @@ from irsprecode.onebit import (
 )
 
 QPSK = PskConstellation(4)
+MU = SolverConfig().mu  # the joint design's default mu
 
 
 def channels(seed, m=8, n=4, k=3):
@@ -110,7 +110,7 @@ def test_power_must_be_positive_and_finite(power):
     h_eff = effective_matrix(ch, PhaseShifts.ones(4))
     sym = SymbolFrame.random(QPSK, 3, 2, rng)
     x = crandn(rng, (2, 8))
-    calls = [lambda: relaxed_slp(h_eff, sym, power), lambda: zf_precode(h_eff, sym, power),
+    calls = [lambda: relaxed_slp(h_eff, sym, power, MU), lambda: zf_precode(h_eff, sym, power),
              lambda: quantize_onebit(x, power), lambda: rescale_to_power(x, power),
              lambda: build_coefficients(h_eff, sym.symbols[:, 0], QPSK, power)]
     for call in calls:
@@ -121,20 +121,19 @@ def test_power_must_be_positive_and_finite(power):
 def test_relaxed_bound_dominates_brute_force():
     # weak duality: relax_value - mu*P/2 can never exceed the best one-bit
     # objective, and no box point can beat relax_value in regularized terms
-    opts = SolverConfig()
     power = 100.0
     for seed in range(20):
         ch, rng = channels(seed, m=4, n=2, k=2)
         phases = PhaseShifts.random(2, rng)
         h_eff = effective_matrix(ch, phases)
         sym = SymbolFrame.random(QPSK, 2, 1, rng)
-        res, duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power, opts=opts)
+        res, duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power, mu=MU)
         relax_value = -duals[0]
         coeff = build_coefficients(h_eff, sym.symbols[:, 0], QPSK, power)
         _, bf_val = brute_force_onebit(coeff)
-        assert relax_value - opts.mu * power / 2 <= bf_val + 1e-12
+        assert relax_value - MU * power / 2 <= bf_val + 1e-12
         xbar = np.concatenate([res.x[0].real, res.x[0].imag])
-        reg = worst_objective(xbar, coeff) + opts.mu * (xbar @ xbar) / 2
+        reg = worst_objective(xbar, coeff) + MU * (xbar @ xbar) / 2
         assert reg >= relax_value - 1e-12
         s = coeff.amplitude
         assert np.abs(xbar).max() <= s + 1e-12
@@ -148,17 +147,17 @@ def test_relaxed_rejects_a_start_block_of_another_shape():
     sym = SymbolFrame.random(QPSK, 3, 3, rng)
     for rows in (5, 2):
         with pytest.raises(ValueError, match=r"\(T, 2K\) = \(3, 6\)"):
-            relaxed_slp(h_eff, sym, 100.0, lam0=np.full((rows, 6), 1.0 / 6))
+            relaxed_slp(h_eff, sym, 100.0, MU, lam0=np.full((rows, 6), 1.0 / 6))
     with pytest.raises(ValueError, match=r"\(3, 6\)"):
-        relaxed_slp(h_eff, sym, 100.0, lam0=np.full((3, 4), 0.25))
+        relaxed_slp(h_eff, sym, 100.0, MU, lam0=np.full((3, 4), 0.25))
 
 
 def test_relaxed_large_mu_shrinks_solution():
     ch, rng = channels(100, m=4, n=2, k=2)
     h_eff = effective_matrix(ch, PhaseShifts.ones(2))
     sym = SymbolFrame.random(QPSK, 2, 1, rng)
-    small = relaxed_slp(h_eff, sym, power=100.0, opts=SolverConfig(mu=1e-4))
-    big = relaxed_slp(h_eff, sym, power=100.0, opts=SolverConfig(mu=1e6))
+    small = relaxed_slp(h_eff, sym, power=100.0, mu=1e-4)
+    big = relaxed_slp(h_eff, sym, power=100.0, mu=1e6)
     assert np.linalg.norm(big.x) < 1e-3 * np.linalg.norm(small.x)
 
 
@@ -168,14 +167,13 @@ def test_relaxed_matches_onebit_solver_internal_stage(mu):
     phases = PhaseShifts.random(3, rng)
     h_eff = effective_matrix(ch, phases)
     sym = SymbolFrame.random(QPSK, 3, 4, rng)
-    opts = SolverConfig(mu=mu)
-    res, duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power=100.0, opts=opts)
+    res, duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power=100.0, mu=mu)
     m = 6
     for t in range(4):
         coeff = build_coefficients(h_eff, sym.symbols[:, t], QPSK, 100.0)
-        lam0 = cold_start(coeff, opts)
-        xbar, md = solve_symbol(coeff, opts, lam0)
-        xrel, _ = solve_relaxed(coeff, opts, lam0)
+        lam0 = cold_start(coeff, mu)
+        xbar, md = solve_symbol(coeff, mu, lam0)
+        xrel, _ = solve_relaxed(coeff, mu, lam0)
         assert np.array_equal(xbar, mbi_round(xrel, coeff))  # the one-bit solver's stage
         assert np.array_equal(res.x[t], xrel[:m] + 1j * xrel[m:])
         assert duals[t] == md.value
@@ -207,9 +205,9 @@ def check_warm_box_after_ao(order, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(onebit, "mirror_descent", spy)
-        cold, cold_duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power, cfg)
+        cold, cold_duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power, cfg.mu)
         runs.clear()
-        warm, warm_duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power, cfg,
+        warm, warm_duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power, cfg.mu,
                                               trace[-1].lams)
     assert len(runs) == sym.n_slots  # one MD call per slot at the default mu
     assert all(md.n_iter == 0 for md in runs)

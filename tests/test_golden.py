@@ -31,7 +31,7 @@ from onebit_oracles import cold_start
 from irsprecode import baselines, onebit
 from irsprecode.channel import PhaseShifts, drop_users, effective_matrix, sample_channels
 from irsprecode.constellation import PskConstellation
-from irsprecode.harness import run_experiment
+from irsprecode.harness import SolverConfig, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -150,10 +150,10 @@ def test_cold_starts_that_md_certifies_pass_the_first_order_check(monkeypatch):
         blocks.append(block)
         return block
 
-    def spy(coeff, opts, lam0, real=onebit.solve_relaxed):
-        xrel, md = real(coeff, opts, lam0)
+    def spy(coeff, mu, lam0, real=onebit.solve_relaxed):
+        xrel, md = real(coeff, mu, lam0)
         cold = any(np.may_share_memory(lam0, b) for b in blocks)
-        calls.append((coeff, opts.mu, md, cold))
+        calls.append((coeff, mu, md, cold))
         return xrel, md
 
     monkeypatch.setattr(onebit, "model_starts", start_spy)
@@ -161,7 +161,7 @@ def test_cold_starts_that_md_certifies_pass_the_first_order_check(monkeypatch):
     monkeypatch.setattr(baselines, "solve_relaxed", spy)
     run_experiment(WORKLOADS["paper"].config(0, 1))
     assert len(calls) == 300
-    opts = onebit.SolverConfig()
+    mu = SolverConfig().mu
     for i in range(60):
         rng = np.random.default_rng(1000 + i)
         k, c = (2, 3, 4)[i % 3], PskConstellation((4, 8)[i % 2])
@@ -169,7 +169,7 @@ def test_cold_starts_that_md_certifies_pass_the_first_order_check(monkeypatch):
         h_eff = effective_matrix(ch, PhaseShifts.random(8, rng))
         sym = c.points[rng.integers(0, c.order, k)]
         coeff = onebit.build_coefficients(h_eff, sym, c, 1.0)
-        onebit.solve_relaxed(coeff, opts, cold_start(coeff, opts))
+        onebit.solve_relaxed(coeff, mu, cold_start(coeff, mu))
     assert len(calls) == 360 and all(md.converged for _, _, md, _ in calls)
     gaps = []
     for coeff, mu, md, cold in calls:
@@ -186,7 +186,7 @@ _DIGESTS_UNDER_PIN = """
 import json, sys
 from bench import digest, machine_info
 from workloads import WORKLOADS
-from irsprecode.harness import run_experiment
+from irsprecode.harness import SolverConfig, run_experiment
 print(json.dumps({"blas_threads": machine_info()["blas_threads"], "digests": {
     name: digest(run_experiment(WORKLOADS[name].config(0, n)))
     for name, n in json.loads(sys.argv[1]).items()}}))

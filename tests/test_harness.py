@@ -63,8 +63,8 @@ def fixed_design(seed=0, m=6, k=2, t=3):
     phases = PhaseShifts.random(4, rng)
     h_eff = effective_matrix(ch, phases)
     coeffs = [build_coefficients(h_eff, symbols.symbols[:, j], QPSK, 100.0) for j in range(t)]
-    opts = SolverConfig()
-    xbar = np.stack([solve_symbol(coeff, opts, cold_start(coeff, opts))[0] for coeff in coeffs])
+    mu = SolverConfig().mu
+    xbar = np.stack([solve_symbol(coeff, mu, cold_start(coeff, mu))[0] for coeff in coeffs])
     x = xbar[:, :m] + 1j * xbar[:, m:]
     return ch, phases, x, symbols
 
@@ -321,7 +321,8 @@ class TestSimulate:
                 zf_precode(effective_matrix(ch, phases), symbols, 100.0).x, 100.0)
         elif design == "relaxed":
             x = baselines.rescale_to_power(
-                baselines.relaxed_slp(effective_matrix(ch, phases), symbols, 100.0).x, 100.0)
+                baselines.relaxed_slp(effective_matrix(ch, phases), symbols, 100.0,
+                                      SolverConfig().mu).x, 100.0)
         elif design == "onebit-md":
             x, phases, _ = ao.alternating_optimize(ch, symbols, 100.0, rng)
         else:
@@ -811,9 +812,9 @@ def shared_phase_boxes(monkeypatch, cfg) -> list:
         iters.append(md.n_iter)
         return md
 
-    def box_spy(h_eff, symbols, power, opts, lam0):
+    def box_spy(h_eff, symbols, power, mu, lam0):
         iters.clear()
-        res, duals = relaxed_with_duals(real_box, h_eff, symbols, power, opts, lam0)
+        res, duals = relaxed_with_duals(real_box, h_eff, symbols, power, mu, lam0)
         boxes.append((h_eff, symbols, lam0, list(iters), res, duals))
         return res
 
@@ -827,8 +828,8 @@ def shared_phase_boxes(monkeypatch, cfg) -> list:
             zip(designs, boxes)):
         ch = channel_realization(cfg.seed, i, cfg.m, cfg.n, cfg.k)
         assert np.array_equal(h_eff, effective_matrix(ch, phases))
-        cold, cold_duals = relaxed_with_duals(real_box, h_eff, symbols, cfg.power, cfg.solver,
-                                              None)
+        cold, cold_duals = relaxed_with_duals(real_box, h_eff, symbols, cfg.power,
+                                              cfg.solver.mu, None)
         same = (np.array_equal(duals, cold_duals) and np.array_equal(res.x, cold.x)
                 and np.array_equal(res.converged, cold.converged))
         out.append((trace, lam0, box_iters, same))
@@ -870,8 +871,8 @@ class TestRunExperiment:
             designs.append(real_ao(*args, **kwargs))
             return designs[-1]
 
-        def box_spy(h_eff, symbols, power, opts, lam0):
-            res, duals = relaxed_with_duals(real_box, h_eff, symbols, power, opts, lam0)
+        def box_spy(h_eff, symbols, power, mu, lam0):
+            res, duals = relaxed_with_duals(real_box, h_eff, symbols, power, mu, lam0)
             boxes.append((h_eff, symbols, lam0, res, duals))
             return res
 
@@ -879,7 +880,6 @@ class TestRunExperiment:
         monkeypatch.setattr(hn, "relaxed_slp", box_spy)
         run_experiment(cfg)
         assert len(boxes) == len(designs) == cfg.n_channels
-        opts = cfg.solver
         for i, ((_, phases, trace), (h_eff, symbols, lam0, res, duals)) in enumerate(
                 zip(designs, boxes)):
             if policy == "shared":
@@ -890,7 +890,7 @@ class TestRunExperiment:
             ch = channel_realization(cfg.seed, i, cfg.m, cfg.n, cfg.k)
             assert np.array_equal(h_eff, effective_matrix(ch, phases))
             direct, direct_duals = relaxed_with_duals(real_box, h_eff, symbols, cfg.power,
-                                                      opts, None)
+                                                      cfg.solver.mu, None)
             assert np.array_equal(duals, direct_duals)
             for name in ("x", "converged"):
                 assert np.array_equal(getattr(res, name), getattr(direct, name))

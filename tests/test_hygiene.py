@@ -7,7 +7,10 @@ module's __all__ (a re-export).
 The README's Python blocks are checked against irsprecode.__all__, its
 "Library" example is run and its JSON config loads. Every SolverConfig
 field is read by some package code outside the class, so no setting is dead,
-and the README's solver-key table lists exactly those fields. The package
+and the README's solver-key table lists exactly those fields. A solver takes
+the numbers it reads: only ao (the loop that reads every setting), harness
+and __init__ name SolverConfig, and no public solver of onebit, phase or
+baselines has a default for mu or delta. The package
 needs numpy only: no module imports scipy, and importing the harness leaves
 it and the process pool module unloaded. No module reads the process
 environment, so solver behaviour is set by arguments alone. Mirror
@@ -80,13 +83,13 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-INPUT_RULES = {"check_real", "check_count", "is_real", "check_matrix"}
+INPUT_RULES = {"check_real", "check_count", "is_real", "check_matrix", "field_values"}
 
 
 def input_rules_from_elsewhere(source: str) -> list:
-    """Line of each import of an input rule of checks.py (check_real,
-    check_count, is_real, check_matrix) from another module, and of each read
-    of one as an attribute of a name other than checks."""
+    """Line of each import of an input rule of checks.py (INPUT_RULES) from
+    another module, and of each read of one as an attribute of a name other
+    than checks."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] != "checks"
@@ -379,9 +382,33 @@ def test_cold_starts_have_one_home():
         assert callers == want, name
 
 
+def public_functions(module) -> list:
+    """(name, function) of each public function defined in module."""
+    return [(name, obj) for name, obj in vars(module).items()
+            if inspect.isfunction(obj) and not name.startswith("_")
+            and obj.__module__ == module.__name__]
+
+
 def test_per_slot_solvers_take_their_start():
     onebit = importlib.import_module("irsprecode.onebit")
     defaults = [f"{name}({p.name})" for name in PER_SLOT_SOLVERS
                 for p in inspect.signature(getattr(onebit, name)).parameters.values()
                 if p.default is not inspect.Parameter.empty]
     assert defaults == []
+    # nor does any public solver default the setting it reads
+    takers = {f"{fn_name}({p.name})": p.default for name in ("onebit", "phase", "baselines")
+              for fn_name, fn in public_functions(importlib.import_module(f"irsprecode.{name}"))
+              for p in inspect.signature(fn).parameters.values() if p.name in ("mu", "delta")}
+    assert {"frame_slots(mu)", "relaxed_slp(mu)", "apg_optimize(delta)"} <= set(takers)
+    assert [key for key, default in takers.items() if default is not inspect.Parameter.empty] == []
+
+
+def test_only_the_loop_that_reads_the_settings_names_solver_config():
+    # ao's alternating_optimize reads mu, delta and n_starts; harness holds
+    # the settings in ExperimentConfig and __init__ exports them. Every other
+    # module takes the numbers themselves
+    offenders = sorted(p.name for p in PACKAGE_DIR.rglob("*.py")
+                       if p.name not in ("ao.py", "harness.py", "__init__.py")
+                       and re.search(r"\bSolverConfig\b", p.read_text()))
+    assert offenders == []
+    assert re.search(r"\bclass SolverConfig\b", (PACKAGE_DIR / "ao.py").read_text())

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from onebit_oracles import certificates, cold_start, continued
 
 from irsprecode import onebit
+from irsprecode.ao import SolverConfig
 from irsprecode.channel import PhaseShifts, drop_users, effective_matrix, sample_channels
 from irsprecode.checks import check_real
 from irsprecode.constellation import PskConstellation, SymbolFrame
@@ -29,7 +30,6 @@ from irsprecode.onebit import (
     MU_STAGES,
     CoefficientMatrix,
     OneBitFrame,
-    SolverConfig,
     build_coefficients,
     frame_slots,
     mbi_round,
@@ -125,15 +125,15 @@ def _former_recover_x(lam, c, s, mu):
     return np.negative(x, out=x)
 
 
-def _former_solve_relaxed(c, s, opts, lam0):
+def _former_solve_relaxed(c, s, mu, lam0):
     """The former solve_relaxed: the MU_STAGES chain, then recover_x, which
     formed C lam again."""
     lam = lam0
     for stage_mu, stage_tol in MU_STAGES:
-        if stage_mu > opts.mu:
+        if stage_mu > mu:
             lam = _former_mirror_descent(c, s, stage_mu, stage_tol, lam)[0]
-    md = _former_mirror_descent(c, s, opts.mu, onebit.MD_TOL, lam)
-    return _former_recover_x(md[0], c, s, opts.mu), md
+    md = _former_mirror_descent(c, s, mu, onebit.MD_TOL, lam)
+    return _former_recover_x(md[0], c, s, mu), md
 
 
 def _parent_mirror_descent(coeff, mu, tol, lam0=None):
@@ -199,22 +199,22 @@ def _parent_mirror_descent(coeff, mu, tol, lam0=None):
     return lam, f, converged, it, residual, y
 
 
-def _parent_cold_solve_symbol(coeff, opts):
+def _parent_cold_solve_symbol(coeff, mu):
     """The parent's solve_symbol without a start: its model_start start, the
     MU_STAGES chain, recovery, MBI and its four certificates. Returns
     (xbar, objective, xbar_relaxed, relax_value, onebit_lower_bound, md), md
     as _parent_mirror_descent returns it."""
-    lam = model_starts([coeff], max(opts.mu, MU_STAGES[0][0]))[0]
+    lam = model_starts([coeff], max(mu, MU_STAGES[0][0]))[0]
     for stage_mu, stage_tol in MU_STAGES:
-        if stage_mu > opts.mu:
+        if stage_mu > mu:
             lam = _parent_mirror_descent(coeff, stage_mu, stage_tol, lam)[0]
-    md = _parent_mirror_descent(coeff, opts.mu, onebit.MD_TOL, lam)
-    xrel = onebit._recover(md[5], coeff.amplitude, opts.mu)
+    md = _parent_mirror_descent(coeff, mu, onebit.MD_TOL, lam)
+    xrel = onebit._recover(md[5], coeff.amplitude, mu)
     xbar = mbi_round(xrel, coeff)
     relax_value = -md[1]
     power_total = coeff.n_lifted * coeff.amplitude ** 2
     return (xbar, float(np.maximum.reduce(coeff.c.T @ xbar)), xrel, relax_value,
-            relax_value - opts.mu * power_total / 2.0, md)
+            relax_value - mu * power_total / 2.0, md)
 
 
 def _former_mbi_round(xbar_relaxed, c, s, fractional_tol=onebit.FRACTIONAL_TOL):
@@ -340,7 +340,6 @@ def test_solve_symbol_bit_exact(seed, order, size, layout, start, mu, integer_h)
     m, k, n = size
     h_eff, sym, c = _slot(rng, m, k, n, order, 100.0, integer_h)
     c_f, s = _former_build_coefficients(h_eff, sym, c, 100.0)
-    opts = SolverConfig(mu=mu)
     if start == "model":
         lam0 = model_starts([CoefficientMatrix(c=c_f, amplitude=s)], max(mu, MU_STAGES[0][0]))[0]
     elif start == "uniform":
@@ -355,13 +354,13 @@ def test_solve_symbol_bit_exact(seed, order, size, layout, start, mu, integer_h)
     coeff = CoefficientMatrix(c=_laid_out(c_f, layout), amplitude=s)
     with patch.object(onebit, "MD_MAX_ITER", 60):
         if start == "model":
-            start_at_mu = cold_start(CoefficientMatrix(c=c_f, amplitude=s), opts)
+            start_at_mu = cold_start(CoefficientMatrix(c=c_f, amplitude=s), mu)
         else:
             start_at_mu = continued(coeff, mu, lam0)
-        xbar, md_symbol = solve_symbol(coeff, opts, start_at_mu)
-        xrel, md = solve_relaxed(coeff, opts, start_at_mu)
+        xbar, md_symbol = solve_symbol(coeff, mu, start_at_mu)
+        xrel, md = solve_relaxed(coeff, mu, start_at_mu)
         want_xrel, (lam, value, converged, n_iter, residual) = _former_solve_relaxed(
-            c_f, s, opts, lam0)
+            c_f, s, mu, lam0)
     want_x = _former_mbi_round(want_xrel, c_f, s)
     want_obj = float(np.maximum.reduce(c_f.T @ want_x))
     relax_value = -value
@@ -371,7 +370,7 @@ def test_solve_symbol_bit_exact(seed, order, size, layout, start, mu, integer_h)
         assert (got.converged, got.n_iter) == (converged, n_iter)
         assert _same(got.residual, residual)
         assert _same(got.y, c_f @ lam)
-    cert = certificates(xbar, md_symbol, coeff, opts)
+    cert = certificates(xbar, md_symbol, coeff, mu)
     assert _same(xbar, want_x) and _same(cert.objective, want_obj)
     assert _same(cert.relax_value, relax_value)
     power_total = 2 * m * s ** 2
@@ -392,18 +391,17 @@ def test_cold_solve_symbol_equals_the_parents(seed, order, size, mu, integer_h):
     m, k, n = size
     h_eff, sym, c = _slot(rng, m, k, n, order, 100.0, integer_h)
     coeff = build_coefficients(h_eff, sym, c, 100.0)
-    opts = SolverConfig(mu=mu)
     with patch.object(onebit, "MD_MAX_ITER", 60):
         want_x, want_obj, want_xrel, want_relax, want_lower, want_md = (
-            _parent_cold_solve_symbol(coeff, opts))
-        lam0 = cold_start(coeff, opts)
-        xbar, md = solve_symbol(coeff, opts, lam0)
-        xrel, _ = solve_relaxed(coeff, opts, lam0)
+            _parent_cold_solve_symbol(coeff, mu))
+        lam0 = cold_start(coeff, mu)
+        xbar, md = solve_symbol(coeff, mu, lam0)
+        xrel, _ = solve_relaxed(coeff, mu, lam0)
     assert _same(xbar, want_x) and _same(xrel, want_xrel)
     for got, want in zip((md.lam, md.value, md.converged, md.n_iter, md.residual, md.y),
                          want_md):
         assert _same(got, want)
-    cert = certificates(xbar, md, coeff, opts)
+    cert = certificates(xbar, md, coeff, mu)
     assert _same(cert.objective, want_obj)
     assert _same(cert.relax_value, want_relax)
     assert _same(cert.onebit_lower_bound, want_lower)
@@ -460,9 +458,8 @@ def test_solve_relaxed_recovers_from_mds_own_product(lam0):
     if lam0 == "mixed":
         lam0 = 0.5 * rng.dirichlet(np.ones(8)) + 0.5 / 8
     for mu in (5e-4, 2e-5):
-        opts = SolverConfig(mu=mu)
-        start = cold_start(coeff, opts) if lam0 is None else continued(coeff, mu, lam0)
-        xrel, md = solve_relaxed(coeff, opts, start)
+        start = cold_start(coeff, mu) if lam0 is None else continued(coeff, mu, lam0)
+        xrel, md = solve_relaxed(coeff, mu, start)
         assert _same(xrel, onebit.recover_x(md.lam, coeff, mu))
         assert _same(md.y, coeff.c @ md.lam)
 
@@ -483,26 +480,28 @@ def test_results_do_not_depend_on_memory_order(seed, order):
     symbols = SymbolFrame.random(PskConstellation(order), 4, 50, rng)
     opts = SolverConfig()
     slots = frame_slots(effective_matrix(ch, PhaseShifts.random(16, rng)), symbols, 100.0,
-                        opts)
+                        opts.mu)
     coeffs = [coeff for coeff, _ in slots]
     copies = [CoefficientMatrix(c=np.ascontiguousarray(coeff.c), amplitude=coeff.amplitude)
               for coeff in coeffs]
     starts = np.stack([lam0 for _, lam0 in slots])
     assert _same(onebit.cold_starts(copies, opts.mu), starts)
-    results = [solve_symbol(coeff, opts, lam0) for coeff, lam0 in slots]
+    results = [solve_symbol(coeff, opts.mu, lam0) for coeff, lam0 in slots]
     for (coeff, lam0), copy, (xbar, md) in zip(slots, copies, results):
-        other_xbar, other_md = solve_symbol(copy, opts, lam0)
+        other_xbar, other_md = solve_symbol(copy, opts.mu, lam0)
         assert _same(other_xbar, xbar)
         assert _same(other_md.lam, md.lam) and _same(other_md.value, md.value)
-        for got, want in zip(certificates(other_xbar, other_md, copy, opts),
-                             certificates(xbar, md, coeff, opts)):
+        for got, want in zip(certificates(other_xbar, other_md, copy, opts.mu),
+                             certificates(xbar, md, coeff, opts.mu)):
             assert _same(got, want)
-        assert _same(solve_relaxed(copy, opts, lam0)[0], solve_relaxed(coeff, opts, lam0)[0])
+        assert _same(solve_relaxed(copy, opts.mu, lam0)[0],
+                     solve_relaxed(coeff, opts.mu, lam0)[0])
     frame = OneBitFrame.from_slots([xbar for xbar, _ in results], 100.0)
     coeffs = build_phase_coefficients(ch, frame, symbols)
     copy = PhaseCoefficients(eta=np.ascontiguousarray(coeffs.eta), vbar=coeffs.vbar)
     theta0 = PhaseShifts.random(16, rng).theta_bar
-    want, got = apg_optimize(coeffs, theta0, opts), apg_optimize(copy, theta0, opts)
+    want, got = (apg_optimize(coeffs, theta0, opts.delta),
+                 apg_optimize(copy, theta0, opts.delta))
     assert _same(got.theta_bar, want.theta_bar)
     assert _same(got.value, want.value)
     assert (got.n_iter, got.best_iter) == (want.n_iter, want.best_iter)

@@ -10,7 +10,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from onebit_oracles import (
     brute_force_onebit,
@@ -24,6 +24,7 @@ from onebit_oracles import (
 from scipy.optimize import linprog
 
 from irsprecode import checks, onebit
+from irsprecode.ao import SolverConfig
 from irsprecode.baselines import no_irs_variant
 from irsprecode.channel import (
     PhaseShifts,
@@ -39,7 +40,6 @@ from irsprecode.onebit import (
     WARM_START_MIX,
     CoefficientMatrix,
     OneBitFrame,
-    SolverConfig,
     _sigma_max_sq,
     build_coefficients,
     dual_gradient,
@@ -53,6 +53,8 @@ from irsprecode.onebit import (
 )
 
 QPSK = PskConstellation(4)
+MU = SolverConfig().mu  # the joint design's default mu
+SCALE_EXPONENT = int(np.log2(checks.COEFF_RANGE))
 
 
 def random_instance(rng, m=8, k=2, order=4, power=100.0, n=4):
@@ -432,7 +434,7 @@ def test_md_monotone_objective_trace(seed, order, size, start):
         mp.setattr(onebit, "MD_MAX_ITER", 400)
         mp.setattr(onebit, "_clipped_value", value_spy)
         mp.setattr(onebit, "_dual_grad", grad_spy)
-        res = mirror_descent(coeff, SolverConfig().mu, tol, lam0=_start(rng, coeff, start))
+        res = mirror_descent(coeff, MU, tol, lam0=_start(rng, coeff, start))
     values = np.array(accepted)
     assert values.size == res.n_iter + 1 and values[-1] == res.value
     assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1]))
@@ -554,7 +556,7 @@ def test_md_matches_the_reference_loop(seed, order, size, start, mu):
     # iterates are not compared. At mu = 1e-6 the same perturbation also
     # moved the reference's iteration of convergence (seed 0, 16-PSK, 64x8,
     # zero-holding start: 320 -> 315), so there only md's own value is checked
-    assert MU_STAGES[0][0] == SolverConfig().mu
+    assert MU_STAGES[0][0] == MU
     rng = np.random.default_rng(seed)
     m, k, n = size
     coeff, _, _, _ = random_instance(rng, m=m, k=k, order=order, n=n)
@@ -568,7 +570,7 @@ def test_md_matches_the_reference_loop(seed, order, size, start, mu):
             return
         lam, value, converged, n_iter, residual = _md_reference(coeff, mu, MD_TOL, lam0)
     assert (md.n_iter, md.converged) == (n_iter, converged)
-    if mu < SolverConfig().mu:
+    if mu < MU:
         return
     assert np.abs(md.lam - lam).sum() <= 1e-12
     assert abs(md.value - value) <= 1e-12 * abs(value)
@@ -594,7 +596,7 @@ def test_md_step_rule_tries_fewer_points(monkeypatch):
             for double_always in totals:
                 calls.clear()
                 _, _, converged, _, _ = _md_reference(
-                    coeff, SolverConfig().mu, MD_TOL, lam0, double_always)
+                    coeff, MU, MD_TOL, lam0, double_always)
                 assert converged
                 totals[double_always] += len(calls) - 1
     assert totals[False] < totals[True], totals
@@ -699,19 +701,16 @@ def _mbi_round_reference(xbar_relaxed, coeff, fractional_tol=1e-6):
         w = cand[:, j].copy()
 
 
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1),
-       size=st.one_of(st.tuples(st.integers(1, 8), st.integers(1, 3)),
-                      st.sampled_from([(32, 4), (128, 14)])),
-       order=st.sampled_from([2, 4, 8]), saturated=st.sampled_from([0.0, 0.4, 1.0]),
-       integer_c=st.booleans(), coarse_x=st.booleans())
-def test_mbi_bit_exact_against_reference_loop(seed, size, order, saturated, integer_c,
-                                             coarse_x):
-    # BPSK (order 2, cot = 0), integer coefficients and three-level relaxed
-    # points make exact ties in the best-flip choice common. The desk
-    # (M=32, K=4) and paper (M=128, K=14) sizes are drawn too, where the
-    # delta block has 2K rows and up to 2M columns and, with no saturated
-    # entries, every entry is fractional
+MBI_INSTANCES = dict(
+    seed=st.integers(0, 2 ** 32 - 1),
+    size=st.one_of(st.tuples(st.integers(1, 8), st.integers(1, 3)),
+                   st.sampled_from([(32, 4), (128, 14)])),
+    order=st.sampled_from([2, 4, 8]), saturated=st.sampled_from([0.0, 0.4, 1.0]),
+    integer_c=st.booleans(), coarse_x=st.booleans())
+
+
+def _mbi_instance(seed, size, order, saturated, integer_c, coarse_x):
+    """(slot, relaxed point) drawn from MBI_INSTANCES' arguments."""
     rng = np.random.default_rng(seed)
     m, k = size
     coeff, _, _, _ = random_instance(rng, m=m, k=k, order=order)
@@ -725,7 +724,42 @@ def test_mbi_bit_exact_against_reference_loop(seed, size, order, saturated, inte
         xrel = s * rng.uniform(-1, 1, size=coeff.n_lifted)
     sat = rng.random(coeff.n_lifted) < saturated
     xrel[sat] = s * rng.choice([-1.0, 1.0], size=int(sat.sum()))
+    return coeff, xrel
+
+
+@settings(max_examples=300, deadline=None)
+@given(**MBI_INSTANCES)
+def test_mbi_bit_exact_against_reference_loop(**instance):
+    # BPSK (order 2, cot = 0), integer coefficients and three-level relaxed
+    # points make exact ties in the best-flip choice common. The desk
+    # (M=32, K=4) and paper (M=128, K=14) sizes are drawn too, where the
+    # delta block has 2K rows and up to 2M columns and, with no saturated
+    # entries, every entry is fractional
+    coeff, xrel = _mbi_instance(**instance)
     assert np.array_equal(mbi_round(xrel, coeff), _mbi_round_reference(xrel, coeff))
+
+
+@settings(max_examples=300, deadline=None)
+@given(**MBI_INSTANCES, k=st.integers(-SCALE_EXPONENT, SCALE_EXPONENT))
+def test_mbi_round_is_exact_under_power_of_two_scaling(k, **instance):
+    # scaling C, s and the relaxed point by 2^k scales every flip delta and
+    # constraint value by 4^k exactly, so the same flips win and the design
+    # scales by 2^k bit for bit. Only the k whose scaled matrix lies in the
+    # admitted range, and whose products |c_ij| s 4^k (the flip deltas and
+    # the terms of C^T x) and scaled relaxed entries stay normal floats, count
+    coeff, xrel = _mbi_instance(**instance)
+    c, s = np.ldexp(coeff.c, k), np.ldexp(coeff.amplitude, k)
+    peak = np.abs(c).max()
+    assume(peak == 0 or 1 / checks.COEFF_RANGE <= peak <= checks.COEFF_RANGE)
+    products = np.abs(coeff.c[coeff.c != 0]) * coeff.amplitude
+    normal = np.finfo(float).tiny
+    if products.size:
+        # a sum of 2M terms below 2^e_hi each stays below 2^1023
+        e_hi = np.frexp(products.max())[1] + 2 * k + int(np.ceil(np.log2(coeff.n_lifted)))
+        assume(e_hi <= 1023 and np.ldexp(products.min(), 2 * k) >= normal)
+    assume(np.all(np.abs(np.ldexp(xrel[xrel != 0], k)) >= normal))
+    scaled = mbi_round(np.ldexp(xrel, k), CoefficientMatrix(c=c, amplitude=s))
+    assert np.array_equal(scaled, np.ldexp(mbi_round(xrel, coeff), k))
 
 
 def test_mbi_bit_exact_at_every_fractional_count():
@@ -744,9 +778,9 @@ def test_mbi_bit_exact_at_every_fractional_count():
 
 # --- solve_symbol ------------------------------------------------------------
 
-def _solve_cold(coeff, opts=SolverConfig()):
-    """solve_symbol of coeff from its cold start: (xbar, md)."""
-    return solve_symbol(coeff, opts, cold_start(coeff, opts))
+def _solve_cold(coeff, mu=MU):
+    """solve_symbol of coeff at mu from its cold start: (xbar, md)."""
+    return solve_symbol(coeff, mu, cold_start(coeff, mu))
 
 
 def test_solve_symbol_trivial_single_antenna_bpsk():
@@ -764,7 +798,7 @@ def test_solve_symbol_band_against_brute_force():
     hits = 0
     for _ in range(30):
         coeff, _, _, _ = random_instance(rng, m=4, k=2)
-        cert = certificates(*_solve_cold(coeff), coeff, SolverConfig())
+        cert = certificates(*_solve_cold(coeff), coeff, MU)
         _, bf = brute_force_onebit(coeff)
         assert cert.onebit_lower_bound <= bf + 1e-12
         if cert.objective <= bf + 0.05 * (bf - cert.onebit_lower_bound) + 1e-12:
@@ -781,10 +815,9 @@ def test_solve_symbol_between_lower_bound_and_sign_rounding(seed, m, k, order, p
     # improving flips
     rng = np.random.default_rng(seed)
     coeff, _, _, _ = random_instance(rng, m=m, k=k, order=order, power=power)
-    opts = SolverConfig()
-    lam0 = cold_start(coeff, opts)
-    xrel, _ = solve_relaxed(coeff, opts, lam0)
-    cert = certificates(*solve_symbol(coeff, opts, lam0), coeff, opts)
+    lam0 = cold_start(coeff, MU)
+    xrel, _ = solve_relaxed(coeff, MU, lam0)
+    cert = certificates(*solve_symbol(coeff, MU, lam0), coeff, MU)
     s = coeff.amplitude
     signs = np.where(xrel >= 0, s, -s)
     tol = 1e-12 * (1.0 + s * np.abs(coeff.c).sum())
@@ -803,19 +836,18 @@ def test_solve_symbol_deterministic_given_seed():
     assert np.array_equal(ma.lam, mb.lam) and ma.value == mb.value
     # solve_symbol once took an rng before lam0; one still passed there fails
     with pytest.raises(TypeError):
-        solve_symbol(coeff, SolverConfig(), np.random.default_rng(5))
+        solve_symbol(coeff, MU, np.random.default_rng(5))
     # and every argument is required: a start is the caller's to give
     with pytest.raises(TypeError):
-        solve_symbol(coeff, SolverConfig())
+        solve_symbol(coeff, MU)
 
 
 def test_solve_relaxed_shared_path_bit_exact():
     rng = np.random.default_rng(18)
     coeff, _, _, _ = random_instance(rng, m=6, k=2)
-    opts = SolverConfig()
-    lam0 = cold_start(coeff, opts)
-    xbar, md_symbol = solve_symbol(coeff, opts, lam0)
-    xrel, md = solve_relaxed(coeff, opts, lam0)
+    lam0 = cold_start(coeff, MU)
+    xbar, md_symbol = solve_symbol(coeff, MU, lam0)
+    xrel, md = solve_relaxed(coeff, MU, lam0)
     assert np.array_equal(xbar, mbi_round(xrel, coeff))
     assert np.array_equal(md_symbol.lam, md.lam) and md_symbol.value == md.value
 
@@ -834,7 +866,7 @@ def box_lp_value(coeff):
     return float(res.fun)
 
 
-def check_box_band(coeff, opts=SolverConfig()):
+def check_box_band(coeff, mu=MU):
     """Check a cold solve_symbol's certificates and designs against v_box;
     returns (v_box, the certificates).
 
@@ -843,15 +875,15 @@ def check_box_band(coeff, opts=SolverConfig()):
     regularized box optimum, which relax_value reaches up to the dual point's
     suboptimality; that is at most its Frank-Wolfe gap, the only slack MD's
     tolerance leaves."""
-    lam0 = cold_start(coeff, opts)
-    xbar, md = solve_symbol(coeff, opts, lam0)
-    cert = certificates(xbar, md, coeff, opts)
+    lam0 = cold_start(coeff, mu)
+    xbar, md = solve_symbol(coeff, mu, lam0)
+    cert = certificates(xbar, md, coeff, mu)
     v = box_lp_value(coeff)
-    g = dual_gradient(md.lam, coeff, opts.mu)
+    g = dual_gradient(md.lam, coeff, mu)
     eps = float(g @ md.lam - g.min())
     lp_tol = 1e-9 * (1.0 + abs(v))  # HiGHS's optimality tolerance
     s = coeff.amplitude
-    assert np.all(np.abs(solve_relaxed(coeff, opts, lam0)[0]) <= s)
+    assert np.all(np.abs(solve_relaxed(coeff, mu, lam0)[0]) <= s)
     assert cert.onebit_lower_bound <= v + lp_tol
     assert v <= cert.relax_value + eps + lp_tol
     assert cert.objective >= v - lp_tol
@@ -912,20 +944,19 @@ def test_mixed_warm_start_recovers_a_zeroed_optimal_entry():
     # certifies the optimum of a face as converged; mixed, it reaches the
     # cold relax value -f_mu
     rng = np.random.default_rng(20)
-    opts = SolverConfig()
-    mu = opts.mu
+    mu = MU
     for _ in range(5):
         coeff, _, _, _ = random_instance(rng, m=8, k=3)
-        _, cold = solve_relaxed(coeff, opts, cold_start(coeff, opts))
+        _, cold = solve_relaxed(coeff, mu, cold_start(coeff, mu))
         i = int(np.argmax(cold.lam))
         assert cold.lam[i] > 0.1
         lam0 = cold.lam.copy()
         lam0[i] = 0.0
         lam0 /= lam0.sum()
-        _, raw = solve_relaxed(coeff, opts, lam0)
+        _, raw = solve_relaxed(coeff, mu, lam0)
         assert raw.converged and raw.lam[i] == 0.0
         assert -raw.value < -cold.value - _fw_gap(cold.lam, coeff, mu)
-        _, warm = solve_relaxed(coeff, opts, _mixed(lam0))
+        _, warm = solve_relaxed(coeff, mu, _mixed(lam0))
         assert warm.converged and warm.lam[i] > 0.1
         bound = max(_fw_gap(warm.lam, coeff, mu), _fw_gap(cold.lam, coeff, mu))
         assert abs(warm.value - cold.value) <= bound
@@ -938,17 +969,16 @@ def test_mixed_warm_start_agrees_with_cold_start_on_desk_slots(seed, drift):
     # moved by up to drift radians per element
     rng = np.random.default_rng(seed)
     c = QPSK
-    opts = SolverConfig()
-    mu = opts.mu
+    mu = MU
     ch = sample_channels(drop_users(4, rng), 32, 16, rng)
     theta = np.exp(2j * np.pi * rng.random(16))
     moved = theta * np.exp(1j * drift * rng.uniform(-1, 1, 16))
     sym = c.points[rng.integers(0, 4, 4)]
     before = build_coefficients(effective_matrix(ch, PhaseShifts(theta)), sym, c, 100.0)
-    _, prev = solve_relaxed(before, opts, cold_start(before, opts))
+    _, prev = solve_relaxed(before, mu, cold_start(before, mu))
     coeff = build_coefficients(effective_matrix(ch, PhaseShifts(moved)), sym, c, 100.0)
-    _, cold = solve_relaxed(coeff, opts, cold_start(coeff, opts))
-    _, warm = solve_relaxed(coeff, opts, _mixed(prev.lam))
+    _, cold = solve_relaxed(coeff, mu, cold_start(coeff, mu))
+    _, warm = solve_relaxed(coeff, mu, _mixed(prev.lam))
     assert cold.converged and warm.converged
     bound = max(_fw_gap(warm.lam, coeff, mu), _fw_gap(cold.lam, coeff, mu))
     assert abs(warm.value - cold.value) <= bound
@@ -966,7 +996,7 @@ def test_model_start_is_an_interior_simplex_point(seed, order, size, zero):
                                      n=n)
     if zero:
         coeff = CoefficientMatrix(c=np.zeros_like(coeff.c), amplitude=coeff.amplitude)
-    lam = model_starts([coeff], SolverConfig().mu)[0]
+    lam = model_starts([coeff], MU)[0]
     assert lam.shape == (2 * k,) and np.isfinite(lam).all() and lam.min() > 0
     assert abs(lam.sum() - 1.0) <= 1e-12
     if zero:
@@ -1007,7 +1037,7 @@ def test_model_starts_take_a_slot_whose_weight_sum_overflows_without_a_warning(s
         CoefficientMatrix(c=_scaled_gaussian(seed, (2, 6), -497), amplitude=1.0)
     g = _scaled_gaussian(seed, (2, 6), 0)
     c = np.ldexp(g, -449 - np.frexp(np.abs(g).max())[1])
-    lam = model_starts([CoefficientMatrix(c=c, amplitude=1.0)], SolverConfig().mu)[0]
+    lam = model_starts([CoefficientMatrix(c=c, amplitude=1.0)], MU)[0]
     assert np.isfinite(lam).all() and lam.min() > 0 and abs(lam.sum() - 1.0) <= 1e-12
 
 
@@ -1017,11 +1047,24 @@ def test_model_starts_keep_a_singular_slot_apart_from_the_slot_stacked_with_it()
     singular = CoefficientMatrix(c=np.random.default_rng(0).standard_normal((2, 6)),
                                  amplitude=1.0)
     plain, _, _, _ = random_instance(np.random.default_rng(1), m=1, k=3)
-    mu = SolverConfig().mu
+    mu = MU
     rows = model_starts([singular, plain], mu)
     assert np.array_equal(rows[0], model_starts([singular], mu)[0])
     assert np.array_equal(rows[1], model_starts([plain], mu)[0])
     assert not np.array_equal(rows[0], rows[1])
+
+
+@pytest.mark.parametrize("starts", [onebit.cold_starts, onebit.model_starts],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("mu", [np.nan, -1.0, 0.0, np.inf])
+def test_starts_reject_a_mu_that_is_not_finite_and_positive(starts, mu):
+    # at NaN both once returned uniform rows without a warning; at -1 and 0
+    # cold_starts returned rows the MU_STAGES carried, as if they were starts
+    # for that mu, and model_starts warned at 0 and inf
+    rng = np.random.default_rng(22)
+    coeffs = [random_instance(rng, m=6, k=8)[0] for _ in range(3)]
+    with pytest.raises(ValueError, match="mu must be a finite positive number"):
+        starts(coeffs, mu)
 
 
 def test_coefficient_matrix_admits_exactly_the_magnitude_range():
@@ -1038,9 +1081,6 @@ def test_coefficient_matrix_admits_exactly_the_magnitude_range():
         for sign in (1.0, -1.0):
             with pytest.raises(ValueError, match=r"finite.*2\^\[-450, 450\]"):
                 CoefficientMatrix(c=np.array([[0.0, sign * peak], [0.0, 0.0]]), amplitude=1.0)
-
-
-SCALE_EXPONENT = int(np.log2(checks.COEFF_RANGE))
 
 
 @settings(max_examples=15, deadline=None)
@@ -1065,8 +1105,7 @@ def test_slot_solvers_run_clean_and_scale_free_over_the_magnitude_range(seed, or
                                      order=order, n=n)
     c = np.ldexp(coeff.c, 1 - np.frexp(np.abs(coeff.c).max())[1])  # max |c| in [1, 2)
     s = coeff.amplitude
-    opts = SolverConfig()
-    mu = opts.mu
+    mu = MU
     want = model_starts([CoefficientMatrix(c=c, amplitude=s)], mu)[0]
     exponents = (k, -SCALE_EXPONENT, SCALE_EXPONENT - 1)
     with warnings.catch_warnings():
@@ -1078,7 +1117,7 @@ def test_slot_solvers_run_clean_and_scale_free_over_the_magnitude_range(seed, or
         scaled_rows = model_starts(scaled, mu)
         assert all(np.array_equal(row, want) for row in scaled_rows)
         slot, row = (unit[0], unit_rows[0]) if unit_s else (scaled[0], scaled_rows[0])
-        xbar, md = solve_symbol(slot, opts, row)
+        xbar, md = solve_symbol(slot, mu, row)
     assert np.isfinite(md.value) and np.all(np.abs(xbar) == slot.amplitude)
     for j in (-SCALE_EXPONENT - 1, SCALE_EXPONENT + 1):
         with pytest.raises(ValueError, match="finite"):
@@ -1268,10 +1307,9 @@ def test_model_start_agrees_with_a_uniform_start(seed, order, size):
     m, k, n = size
     coeff, _, _, _ = random_instance(np.random.default_rng(seed), m=m, k=k, order=order,
                                      n=n)
-    opts = SolverConfig()
-    mu = opts.mu
-    _, cold = solve_relaxed(coeff, opts, cold_start(coeff, opts))
-    _, uniform = solve_relaxed(coeff, opts, _uniform(coeff))
+    mu = MU
+    _, cold = solve_relaxed(coeff, mu, cold_start(coeff, mu))
+    _, uniform = solve_relaxed(coeff, mu, _uniform(coeff))
     assert cold.converged and uniform.converged
     bound = max(_fw_gap(cold.lam, coeff, mu), _fw_gap(uniform.lam, coeff, mu))
     assert abs(cold.value - uniform.value) <= bound
@@ -1295,21 +1333,20 @@ def test_model_start_takes_fewer_md_iterations(monkeypatch):
         return md
 
     monkeypatch.setattr(onebit, "mirror_descent", spy)
-    slots = [(m, coeff, SolverConfig().mu) for m, coeff, _ in _step_rule_slots()]
+    slots = [(m, coeff, MU) for m, coeff, _ in _step_rule_slots()]
     rng = np.random.default_rng(21)
     for order in (2, 8, 16):
         slots += [(order, random_instance(rng, m=32, k=4, order=order, n=16)[0],
-                   SolverConfig().mu) for _ in range(30)]
+                   MU) for _ in range(30)]
     slots += [("staged", coeff, 2e-5) for m, coeff, _ in _step_rule_slots() if m == 32]
     totals = {}
     for key, coeff, mu in slots:
-        opts = SolverConfig(mu=mu)
         total = totals.setdefault(key, [0, 0, 0])
-        for i, start in enumerate((lambda: cold_start(coeff, opts),
+        for i, start in enumerate((lambda: cold_start(coeff, mu),
                                    lambda: continued(coeff, mu, quadratic_model_start(coeff)),
                                    lambda: continued(coeff, mu, _uniform(coeff)))):
             iters.clear()
-            assert solve_relaxed(coeff, opts, start())[1].converged
+            assert solve_relaxed(coeff, mu, start())[1].converged
             total[i] += sum(iters)
     assert all(new < oracle < uniform for new, oracle, uniform in totals.values()), totals
 
@@ -1325,9 +1362,9 @@ def test_solve_relaxed_rejects_warm_start_off_the_simplex():
            np.full(n + 1, 1.0 / (n + 1)), np.r_[np.nan, np.full(n - 1, 1.0 / (n - 1))],
            np.r_[np.inf, np.zeros(n - 1)], np.r_[-np.inf, np.full(n - 1, 1.0 / (n - 1))])
     for lam0 in bad:
-        for mu in (SolverConfig().mu, 1e-5):  # above and below the MU_STAGES
+        for mu in (MU, 1e-5):  # above and below the MU_STAGES
             with pytest.raises(ValueError, match="simplex"):
-                solve_relaxed(coeff, SolverConfig(mu=mu), lam0)
+                solve_relaxed(coeff, mu, lam0)
 
 
 # --- brute force -------------------------------------------------------------
@@ -1352,9 +1389,8 @@ def test_brute_force_beats_random_signs_and_relaxation_bound():
         x = s * rng.choice([-1.0, 1.0], coeff.n_lifted)
         assert bf <= worst_objective(x, coeff) + 1e-12
     # box relaxation optimum lower-bounds the one-bit optimum
-    opts = SolverConfig(mu=5e-4)
     with patch.object(onebit, "MD_TOL", 1e-9):
-        xrel, md = solve_relaxed(coeff, opts, cold_start(coeff, opts))
+        xrel, md = solve_relaxed(coeff, 5e-4, cold_start(coeff, 5e-4))
     power = coeff.n_lifted * s**2
     assert -md.value - 5e-4 * power / 2 <= bf + 1e-12
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
 from irsprecode import phase
+from irsprecode.ao import SolverConfig
 from irsprecode.channel import (
     ChannelSet,
     PhaseShifts,
@@ -18,7 +19,7 @@ from irsprecode.channel import (
     sample_channels,
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
-from irsprecode.onebit import OneBitFrame, SolverConfig, _sigma_max_sq
+from irsprecode.onebit import OneBitFrame, _sigma_max_sq
 from irsprecode.phase import (
     APG_MAX_ITER,
     APG_PATIENCE,
@@ -34,6 +35,7 @@ from irsprecode.phase import (
 )
 
 QPSK = PskConstellation(4)
+DELTA = SolverConfig().delta  # the joint design's default smoothing width
 
 
 def random_setup(rng, m=6, n=4, k=2, t=3, order=4, power=100.0):
@@ -419,8 +421,8 @@ def test_apg_iterates_feasible_and_best_tracked():
     ch, frame, sym, c = random_setup(rng, m=6, n=4, k=2, t=3)
     coeffs = build_phase_coefficients(ch, frame, sym)
     init = random_theta_bar(4, rng)
-    res = apg_optimize(coeffs, init)
-    want, _, iterates = _ref_apg(coeffs, init, SolverConfig(), APG_MAX_ITER)
+    res = apg_optimize(coeffs, init, DELTA)
+    want, _, iterates = _ref_apg(coeffs, init, DELTA, APG_MAX_ITER)
     assert res.n_iter == want.n_iter == len(iterates)
     n = 4
     for tb, _ in iterates:
@@ -435,7 +437,7 @@ def test_apg_iterates_feasible_and_best_tracked():
 def test_apg_rejects_a_phase_vector_of_another_length():
     coeffs = PhaseCoefficients(eta=np.ones((4, 2)), vbar=np.zeros(2))
     with pytest.raises(ValueError, match="phase vector length"):
-        apg_optimize(coeffs, np.ones(6))
+        apg_optimize(coeffs, np.ones(6), DELTA)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -445,7 +447,7 @@ def test_apg_rejects_a_start_that_is_not_finite(bad):
     rng = np.random.default_rng(0)
     coeffs = PhaseCoefficients(eta=rng.standard_normal((4, 6)), vbar=rng.standard_normal(6))
     with pytest.raises(ValueError, match="finite"):
-        apg_optimize(coeffs, np.array([bad, 1.0, 0.0, 1.0]))
+        apg_optimize(coeffs, np.array([bad, 1.0, 0.0, 1.0]), DELTA)
 
 
 @settings(deadline=None)
@@ -469,7 +471,7 @@ def test_apg_runs_clean_over_the_magnitude_range(seed, n, n_cols, k):
     coeffs = PhaseCoefficients(eta=np.ldexp(eta, k), vbar=np.ldexp(vbar, k))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = apg_optimize(coeffs, init, SolverConfig(delta=np.ldexp(1e-2, k)))
+        res = apg_optimize(coeffs, init, np.ldexp(1e-2, k))
     assert res.n_iter > 0
     assert np.abs(np.hypot(*res.theta_bar.reshape(2, -1)) - 1.0).max() <= 1e-15
     assert res.value == max_constraint(res.theta_bar, coeffs)
@@ -483,10 +485,10 @@ def test_apg_sandwich_at_returned_point():
     rng = np.random.default_rng(10)
     ch, frame, sym, c = random_setup(rng)
     coeffs = build_phase_coefficients(ch, frame, sym)
-    opts = SolverConfig(delta=1e-2)
-    res = apg_optimize(coeffs, random_theta_bar(4, rng), opts)
-    slack = opts.delta * np.log(coeffs.n_constraints)
-    assert res.value <= lse_value(res.theta_bar, coeffs, opts.delta) <= res.value + slack
+    delta = 1e-2
+    res = apg_optimize(coeffs, random_theta_bar(4, rng), delta)
+    slack = delta * np.log(coeffs.n_constraints)
+    assert res.value <= lse_value(res.theta_bar, coeffs, delta) <= res.value + slack
 
 
 def test_apg_single_direction_circle_oracle():
@@ -496,7 +498,7 @@ def test_apg_single_direction_circle_oracle():
         g = rng.standard_normal(2)
         eta = np.stack([g, np.zeros(2)], axis=1)
         coeffs = PhaseCoefficients(eta=eta, vbar=np.array([0.0, -1e3]))
-        res = apg_optimize(coeffs, random_theta_bar(1, rng), SolverConfig(delta=1e-2))
+        res = apg_optimize(coeffs, random_theta_bar(1, rng), 1e-2)
         ang = np.linspace(0, 2 * np.pi, 20001)
         grid = np.min(np.cos(ang) * g[0] + np.sin(ang) * g[1])
         want = -np.hypot(g[0], g[1])
@@ -507,7 +509,7 @@ def test_apg_single_direction_circle_oracle():
 def test_apg_zero_eta_immediate():
     coeffs = PhaseCoefficients(eta=np.zeros((4, 6)), vbar=np.linspace(-1, 1, 6))
     init = np.array([1.0, 0.0, 0.0, 1.0])
-    res = apg_optimize(coeffs, init, SolverConfig())
+    res = apg_optimize(coeffs, init, DELTA)
     assert res.converged and res.n_iter == res.best_iter == 0
     assert res.value == pytest.approx(1.0)
     assert np.array_equal(res.theta_bar, init)
@@ -518,8 +520,8 @@ def test_apg_deterministic():
     ch, frame, sym, c = random_setup(rng)
     coeffs = build_phase_coefficients(ch, frame, sym)
     init = random_theta_bar(4, rng)
-    a = apg_optimize(coeffs, init, SolverConfig())
-    b = apg_optimize(coeffs, init, SolverConfig())
+    a = apg_optimize(coeffs, init, DELTA)
+    b = apg_optimize(coeffs, init, DELTA)
     assert np.array_equal(a.theta_bar, b.theta_bar)
     assert a.value == b.value and a.n_iter == b.n_iter
 
@@ -531,7 +533,7 @@ def test_apg_improves_over_init_on_protocol_instances():
         ch, frame, sym, c = random_setup(rng, m=8, n=8, k=2, t=4)
         coeffs = build_phase_coefficients(ch, frame, sym)
         init = random_theta_bar(8, rng)
-        res = apg_optimize(coeffs, init, SolverConfig())
+        res = apg_optimize(coeffs, init, DELTA)
         assert res.value <= max_constraint(init, coeffs) + 1e-15
         if res.value < max_constraint(init, coeffs) - 1e-12:
             better += 1
@@ -539,17 +541,20 @@ def test_apg_improves_over_init_on_protocol_instances():
 
 
 def test_apg_option_validation():
-    for bad in (dict(delta=0.0), dict(delta=np.nan), dict(delta=np.inf)):
+    # the smoothing width fails both in the settings and in APG's own call
+    coeffs = PhaseCoefficients(eta=np.ones((4, 2)), vbar=np.zeros(2))
+    for bad in (0.0, -1.0, np.nan, np.inf, True, "0.01"):
         with pytest.raises(ValueError):
-            SolverConfig(**bad)
+            SolverConfig(delta=bad)
+        with pytest.raises(ValueError, match="delta must be a finite positive number"):
+            apg_optimize(coeffs, np.array([1.0, 0.0, 0.0, 1.0]), bad)
     # APG stops by patience or at its cap only; the iterate-change tolerance
     # is gone, and the cap is phase.APG_MAX_ITER
     for key, value in (("apg_tol", 1e-6), ("apg_max_iter", 500)):
         with pytest.raises(ValueError, match=rf"unknown solver config keys: \['{key}'\]"):
             SolverConfig.from_dict({key: value})
-    coeffs = PhaseCoefficients(eta=np.ones((4, 2)), vbar=np.zeros(2))
     with pytest.raises(ValueError):
-        apg_optimize(coeffs, np.ones(6), SolverConfig())
+        apg_optimize(coeffs, np.ones(6), DELTA)
 
 
 # test-local copy of the APG loop before value, gradient and true objective
@@ -582,12 +587,11 @@ def _ref_grad(tb, coeffs, delta):
     return coeffs.eta @ (e / e.sum())
 
 
-def _ref_apg(coeffs, theta_bar_init, opts, max_iter):
+def _ref_apg(coeffs, theta_bar_init, delta, max_iter):
     """The APG loop written out plainly: (result, why it stopped, the
     (iterate, true objective) of every iteration). Every projection goes
     through phase.project_unit_modulus, as apg_optimize's do, so one spy
     sees both loops' projected points."""
-    delta = opts.delta
     theta = phase.project_unit_modulus(theta_bar_init)
     lipschitz = _sigma_max_sq(coeffs.eta) / delta
     if lipschitz == 0.0:
@@ -675,11 +679,10 @@ def _check_against_reference(seed, kind, n, n_cols, delta, max_iter):
     init = random_theta_bar(coeffs.n_lifted // 2, rng)
     if kind == "repeated-max":
         init = np.round(init)  # integer start: exact constraint values
-    opts = SolverConfig(delta=delta)
     with patch.object(phase, "APG_MAX_ITER", max_iter):
-        got, got_points = _projected_points(lambda: apg_optimize(coeffs, init, opts))
+        got, got_points = _projected_points(lambda: apg_optimize(coeffs, init, delta))
     (want, reason, iterates), want_points = _projected_points(
-        lambda: _ref_apg(coeffs, init, opts, max_iter))
+        lambda: _ref_apg(coeffs, init, delta, max_iter))
     assert np.array_equal(got.theta_bar, want.theta_bar)
     assert (got.value, got.converged, got.n_iter, got.best_iter) == (
         want.value, want.converged, want.n_iter, want.best_iter)
