@@ -170,10 +170,6 @@ class PhaseShifts:
         self.theta = theta
 
     @property
-    def n_elements(self) -> int:
-        return self.theta.size
-
-    @property
     def theta_bar(self) -> np.ndarray:
         """Real lifting [Re(theta); Im(theta)] of length 2N."""
         return np.concatenate([self.theta.real, self.theta.imag])

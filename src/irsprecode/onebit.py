@@ -113,10 +113,6 @@ class CoefficientMatrix:
         check_real("amplitude", self.amplitude, positive=True)
 
     @property
-    def n_lifted(self) -> int:
-        return self.c.shape[0]
-
-    @property
     def n_constraints(self) -> int:
         return self.c.shape[1]
 
@@ -151,16 +147,6 @@ def worst_objective(xbar, coeff: CoefficientMatrix) -> float:
     return float(np.maximum.reduce(coeff.c.T @ np.asarray(xbar, dtype=float)))
 
 
-def dual_gradient(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
-    """Gradient of f_mu; equals -C^T xbar*(lam) with xbar* from recover_x.
-    Bit-equal to mirror_descent's, which runs the same kernels; y_c comes from
-    _clipped_value, the one home of the clip, and its Huber value goes unused."""
-    check_real("mu", mu, positive=True)
-    s = coeff.amplitude
-    y_c, _ = _clipped_value(coeff.c @ np.asarray(lam, dtype=float), s, mu * s)
-    return _dual_grad(coeff.c.T, y_c, s, mu * s)
-
-
 def _clipped_value(y, s: float, rho: float):
     """(y_c, s sum huber_rho(y)) for y = C lam, y_c = clip(y, +/-rho)."""
     y_c = np.maximum(y, -rho)
@@ -179,14 +165,9 @@ def _sigma_max_sq(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(gram)[-1])
 
 
-def recover_x(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
-    """Inner minimizer xbar*(lam) = -clip(C lam / mu, [-s, s]) of the box problem."""
-    check_real("mu", mu, positive=True)
-    return _recover(coeff.c @ np.asarray(lam, dtype=float), coeff.amplitude, mu)
-
-
 def _recover(y, s: float, mu: float) -> np.ndarray:
-    """recover_x's xbar from y = C lam; y is left as it is."""
+    """The box problem's inner minimizer xbar*(lam) = -clip(C lam / mu, [-s, s])
+    from y = C lam; y is left as it is."""
     # -clip(y / mu) is clip(y / -mu), since the quotient and the clip flip
     # signs exactly; the clip as in-place ufuncs on the fresh quotient, which
     # skip np.clip's dispatch
@@ -439,7 +420,7 @@ def solve_relaxed(coeff: CoefficientMatrix, mu: float, lam0: np.ndarray):
     at mu (for a cold solve, its row of frame_slots); returns (xbar_relaxed, md).
     """
     md = mirror_descent(coeff, mu, MD_TOL, lam0)
-    # recover_x of md.lam, from the product C lam that MD formed for it
+    # the inner minimizer at md.lam, from the product C lam that MD formed for it
     return _recover(md.y, coeff.amplitude, mu), md
 
 

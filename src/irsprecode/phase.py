@@ -62,10 +62,6 @@ class PhaseCoefficients:
     def n_lifted(self) -> int:
         return self.eta.shape[0]
 
-    @property
-    def n_constraints(self) -> int:
-        return self.eta.shape[1]
-
 
 def build_phase_coefficients(ch: ChannelSet, frame, symbols: SymbolFrame) -> PhaseCoefficients:
     """Assemble (eta, vbar) from channels, transmit frame, and symbols.

@@ -3,11 +3,16 @@
 brute_force_onebit enumerates every sign pattern of a small slot, so it
 gives the exact minimum of the one-bit problem that mirror descent and MBI
 approach; tests bound the solver's gap to it and check the relaxation's
-lower bound against it.
+lower bound against it. exact_onebit takes the same minimum from a mixed
+integer program, so it reaches slots too large to enumerate.
 
 huber and dual_value evaluate the smoothed dual from its definition, one
 Huber term per lifted entry; mirror descent takes the same value from the
-clipped image instead, and tests compare the two.
+clipped image instead, and tests compare the two. dual_gradient and
+recover_x are the dual's gradient and the primal point at a dual point, run
+on mirror descent's own kernels (onebit._clipped_value, _dual_grad and
+_recover), so the gradient and primal checks test the arithmetic the solver
+runs, bit for bit.
 
 cold_start is the start a frame's cold solve of a slot takes, and tests
 take their cold starts from it; continued carries any other start through the
@@ -25,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from irsprecode import baselines, onebit
 from irsprecode.checks import check_real
@@ -32,6 +38,9 @@ from irsprecode.onebit import (
     MU_STAGES,
     WARM_START_MIX,
     CoefficientMatrix,
+    _clipped_value,
+    _dual_grad,
+    _recover,
     worst_objective,
 )
 
@@ -51,6 +60,23 @@ def dual_value(lam, coeff: CoefficientMatrix, mu: float) -> float:
     s = coeff.amplitude
     y = coeff.c @ np.asarray(lam, dtype=float)
     return float(s * huber(y, mu * s).sum())
+
+
+def dual_gradient(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
+    """Gradient of f_mu; equals -C^T xbar*(lam) with xbar* from recover_x.
+    Bit-equal to mirror_descent's, as it runs the same kernels; the Huber
+    value that _clipped_value returns with y_c goes unused."""
+    check_real("mu", mu, positive=True)
+    s = coeff.amplitude
+    y_c, _ = _clipped_value(coeff.c @ np.asarray(lam, dtype=float), s, mu * s)
+    return _dual_grad(coeff.c.T, y_c, s, mu * s)
+
+
+def recover_x(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
+    """Inner minimizer xbar*(lam) = -clip(C lam / mu, [-s, s]) of the box
+    problem, as solve_relaxed recovers it from MD's product C lam."""
+    check_real("mu", mu, positive=True)
+    return _recover(coeff.c @ np.asarray(lam, dtype=float), coeff.amplitude, mu)
 
 
 def cold_start(coeff: CoefficientMatrix, mu: float) -> np.ndarray:
@@ -85,7 +111,7 @@ def certificates(xbar, md, coeff: CoefficientMatrix, mu: float) -> Certificates:
     one-bit optimum, because every one-bit point has ||xbar||^2 = P.
     """
     relax_value = -md.value
-    power_total = coeff.n_lifted * coeff.amplitude ** 2
+    power_total = coeff.c.shape[0] * coeff.amplitude ** 2
     return Certificates(worst_objective(xbar, coeff), relax_value,
                         relax_value - mu * power_total / 2.0)
 
@@ -138,7 +164,7 @@ def brute_force_onebit(coeff: CoefficientMatrix):
     Ties resolve to the smallest code, i.e. the lexicographically first
     pattern in (-s first) coordinate order. Returns (xbar, value).
     """
-    n = coeff.n_lifted
+    n = coeff.c.shape[0]
     if n > 24:
         raise ValueError(f"brute force capped at 2M <= 24, got {n}")
     s = coeff.amplitude
@@ -157,3 +183,25 @@ def brute_force_onebit(coeff: CoefficientMatrix):
             best_code = int(codes[i])
     signs = ((best_code >> shifts) & 1) * 2 - 1
     return signs.astype(float) * s, best_val
+
+
+def exact_onebit(coeff: CoefficientMatrix):
+    """Minimizer of max_k c_k^T xbar over the one-bit alphabet by
+    scipy.optimize.milp: xbar = s (2b - 1) for 2M binaries b, and one free
+    t with one row c_k^T xbar <= t per column k of C, minimizing t. With no
+    relative gap allowed, the optimum is exact up to HiGHS's absolute gap
+    of 1e-6. Returns (xbar, value), value = max_k c_k^T xbar of the returned
+    xbar; raises RuntimeError if the solver reports no optimum."""
+    s = coeff.amplitude
+    n, n_con = coeff.c.shape
+    # c_k^T s (2b - 1) <= t, i.e. 2 s c_k^T b - t <= s sum(c_k)
+    rows = np.hstack([2.0 * s * coeff.c.T, -np.ones((n_con, 1))])
+    res = milp(np.r_[np.zeros(n), 1.0],
+               constraints=LinearConstraint(rows, -np.inf, s * coeff.c.sum(axis=0)),
+               integrality=np.r_[np.ones(n), 0.0],
+               bounds=Bounds(np.r_[np.zeros(n), -np.inf], np.r_[np.ones(n), np.inf]),
+               options={"mip_rel_gap": 0.0})
+    if res.status != 0:
+        raise RuntimeError(f"milp found no optimum: {res.message}")
+    xbar = np.where(res.x[:n] > 0.5, s, -s)
+    return xbar, worst_objective(xbar, coeff)

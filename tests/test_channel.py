@@ -166,7 +166,6 @@ def test_channel_set_stores_complex_2d_arrays():
 def test_phase_shifts_validation_and_lifting():
     theta = np.exp(1j * np.array([0.3, -1.2, 2.9]))
     p = PhaseShifts(theta)
-    assert p.n_elements == 3
     tb = p.theta_bar
     assert tb.shape == (6,)
     assert np.allclose(tb[:3] + 1j * tb[3:], theta)

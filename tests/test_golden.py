@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from onebit_oracles import cold_start
+from onebit_oracles import cold_start, dual_gradient
 
 from irsprecode import baselines, onebit
 from irsprecode.channel import PhaseShifts, drop_users, effective_matrix, sample_channels
@@ -174,7 +174,7 @@ def test_cold_starts_that_md_certifies_pass_the_first_order_check(monkeypatch):
     gaps = []
     for coeff, mu, md, cold in calls:
         if cold and md.n_iter == 0:
-            g = onebit.dual_gradient(md.lam, coeff, mu)
+            g = dual_gradient(md.lam, coeff, mu)
             s = coeff.amplitude
             gaps.append((g @ md.lam - g.min()) / (md.value + s * mu * s))
     assert len(gaps) >= 100 and max(gaps) <= onebit.START_GAP_RTOL, max(gaps)

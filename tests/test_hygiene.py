@@ -23,11 +23,16 @@ onebit.frame_slots calls cold_starts, and only cold_starts and
 onebit.solve_relaxed call mirror_descent; the per-slot solvers take their
 start, with no default for it or any other parameter. The solvers' matrix rule has one home too: no package module but
 checks.py names asfortranarray or COEFF_RANGE.
+The package holds what a run reaches: under sys.setprofile, the runs the
+package exists for (the benchmark's workloads, every scheme and both
+commands of the command line) enter every def in src/irsprecode but the few
+that UNREACHED excuses, each with its reason (README surface, a helper of
+it, or a name perfbench imports). Test-only helpers live in tests/.
 """
 
 import ast
 import dataclasses
-import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -40,6 +45,8 @@ from pathlib import Path
 import pytest
 
 import irsprecode
+from irsprecode import cli
+from irsprecode.baselines import SCHEMES
 from irsprecode.harness import ExperimentConfig, SolverConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -412,3 +419,151 @@ def test_only_the_loop_that_reads_the_settings_names_solver_config():
                        and re.search(r"\bSolverConfig\b", p.read_text()))
     assert offenders == []
     assert re.search(r"\bclass SolverConfig\b", (PACKAGE_DIR / "ao.py").read_text())
+
+
+def first_lines(source: str) -> dict:
+    """{qualified name: first line} of each def in a module, methods and
+    nested functions included ("K.m", "f.inner"), dunder methods excepted.
+    The first line is the one a code object reports as co_firstlineno: a
+    decorated def's first decorator."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            inner = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{prefix}{child.name}."
+                if (not isinstance(child, ast.ClassDef)
+                        and not (child.name.startswith("__") and child.name.endswith("__"))):
+                    found[prefix + child.name] = min(
+                        [child.lineno] + [d.lineno for d in child.decorator_list])
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def entered_code(run) -> set:
+    """(resolved file, first line) of each Python function entered while
+    run() runs, as sys.setprofile sees its calls."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in seen}
+
+
+def unreached_defs(path: Path, entered: set) -> list:
+    """Qualified name of each def of the module at path that no entered
+    code object starts at."""
+    key = str(path.resolve())
+    return sorted(name for name, line in first_lines(path.read_text()).items()
+                  if (key, line) not in entered)
+
+
+def test_scan_flags_only_unreached_defs(tmp_path):
+    path = tmp_path / "probe_module.py"
+    path.write_text("import functools\n"
+                    "def used():\n    return helper()\n"
+                    "def helper():\n    return [x for x in (1,)]\n"
+                    "def unused():\n    pass\n"
+                    "square = lambda v: v * v\n"
+                    "class K:\n"
+                    "    def __repr__(self):\n        return 'K'\n"
+                    "    @property\n    def size(self):\n        return 1\n"
+                    "    @functools.cache\n    def cached(self):\n        return 2\n"
+                    "    def method(self):\n        def inner():\n            pass\n"
+                    "        return inner\n")
+    spec = importlib.util.spec_from_file_location("probe_module", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    entered = entered_code(lambda: (module.used(), module.K().size, module.K().method()))
+    assert unreached_defs(path, entered) == ["K.cached", "K.method.inner", "unused"]
+
+
+def package_traffic(tmp: Path) -> None:
+    """The runs the package exists for: the benchmark's desk, bercurve and
+    paper workloads at one channel each, every scheme at 16-PSK, and both
+    commands of the command line."""
+    # a cached function that an earlier test filled would not be entered
+    for name, module in list(sys.modules.items()):
+        if name.startswith("irsprecode."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+    desk = dict(m=32, n=16, k=4, t=50, seed=314, n_channels=1,
+                noise_grid_db=(22.0, 26.0, 30.0, 34.0, 38.0, 42.0),
+                schemes=("onebit-md", "relaxed", "relaxed-quant", "zf-quant", "onebit-md-noirs"))
+    bercurve = dict(desk, seed=2718, n_noise=400,
+                    noise_grid_db=tuple(float(v) for v in range(20, 51, 2)),
+                    schemes=("zf-quant", "zf-quant-noirs", "relaxed-quant-noirs", "relaxed-noirs"))
+    for fields in (desk, bercurve,
+                   dict(n_channels=1),  # the defaults are the paper's geometry and schemes
+                   # fresh phases for the baselines, and 300 draws x 4 users x
+                   # 10 slots = 12,000 receive points a block: the crossing table
+                   dict(m=8, n=4, k=4, t=10, order=16, n_noise=300, n_channels=1,
+                        schemes=tuple(SCHEMES), theta_policy="random")):
+        # through JSON, as perfbench/bench.py hands a workload to its run;
+        # to_dict writes the settings as a "solver" object
+        text = json.dumps(ExperimentConfig(**fields).to_dict())
+        irsprecode.run_experiment(ExperimentConfig.from_dict(json.loads(text)))
+    config = tmp / "run.json"
+    config.write_text(json.dumps({"m": 4, "n": 2, "k": 1, "t": 2, "n_channels": 1}))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp / "run.csv"),
+                     "--schemes", "onebit-md,relaxed"]) == 0
+    assert cli.main(["fixtures", "dump", "--out", str(tmp / "ch.json"),
+                     "--m", "2", "--n", "2", "--k", "1"]) == 0
+
+
+# the package defs that package_traffic does not enter, each with why it
+# stays: the README documents it as library surface, perfbench imports it,
+# or it is a helper of the README def named
+UNREACHED = {
+    "channel.ChannelSet.from_dict": "README",
+    "channel.pairs_to_complex": "channel.ChannelSet.from_dict",
+    "constellation.q_function": "README",
+    "constellation.sep_upper_bound": "README",
+    "onebit.worst_objective": "perfbench",
+}
+
+
+def test_every_package_function_is_reached(tmp_path):
+    entered = entered_code(lambda: package_traffic(tmp_path))
+    unreached = {f"{p.stem}.{name}" for p in sorted(PACKAGE_DIR.glob("*.py"))
+                 for name in unreached_defs(p, entered)}
+    assert sorted(unreached - set(UNREACHED)) == []
+    # and each excused def is still defined and still unreached
+    assert sorted(set(UNREACHED) - unreached) == []
+
+
+def perfbench_imports() -> set:
+    """"module.name" of each name a file under perfbench/ imports from a
+    module of the package."""
+    found = set()
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("irsprecode."):
+                found.update(f"{node.module.split('.', 1)[1]}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_each_unreached_def_has_its_reason():
+    imported = perfbench_imports()
+    for name, reason in UNREACHED.items():
+        module, qualname = name.split(".", 1)
+        if reason == "README":
+            assert all(re.search(rf"\b{part}\b", README) for part in qualname.split(".")), name
+        elif reason == "perfbench":
+            assert name in imported, name
+        else:  # a helper of the README def named
+            assert UNREACHED[reason] == "README", name
+            source = (PACKAGE_DIR / f"{module}.py").read_text()
+            assert reason.split(".", 1)[1] in calls_of(source, qualname.split(".")[-1]), name

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from onebit_oracles import certificates, cold_start, continued
+from onebit_oracles import certificates, cold_start, continued, recover_x
 
 from irsprecode import onebit
 from irsprecode.ao import SolverConfig
@@ -212,7 +212,7 @@ def _parent_cold_solve_symbol(coeff, mu):
     xrel = onebit._recover(md[5], coeff.amplitude, mu)
     xbar = mbi_round(xrel, coeff)
     relax_value = -md[1]
-    power_total = coeff.n_lifted * coeff.amplitude ** 2
+    power_total = coeff.c.shape[0] * coeff.amplitude ** 2
     return (xbar, float(np.maximum.reduce(coeff.c.T @ xbar)), xrel, relax_value,
             relax_value - mu * power_total / 2.0, md)
 
@@ -460,7 +460,7 @@ def test_solve_relaxed_recovers_from_mds_own_product(lam0):
     for mu in (5e-4, 2e-5):
         start = cold_start(coeff, mu) if lam0 is None else continued(coeff, mu, lam0)
         xrel, md = solve_relaxed(coeff, mu, start)
-        assert _same(xrel, onebit.recover_x(md.lam, coeff, mu))
+        assert _same(xrel, recover_x(md.lam, coeff, mu))
         assert _same(md.y, coeff.c @ md.lam)
 
 

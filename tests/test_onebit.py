@@ -17,9 +17,12 @@ from onebit_oracles import (
     certificates,
     cold_start,
     continued,
+    dual_gradient,
     dual_value,
+    exact_onebit,
     huber,
     quadratic_model_start,
+    recover_x,
 )
 from scipy.optimize import linprog
 
@@ -42,11 +45,9 @@ from irsprecode.onebit import (
     OneBitFrame,
     _sigma_max_sq,
     build_coefficients,
-    dual_gradient,
     mbi_round,
     mirror_descent,
     model_starts,
-    recover_x,
     solve_relaxed,
     solve_symbol,
     worst_objective,
@@ -88,7 +89,7 @@ def test_build_coefficients_amplitude_and_shape():
     coeff, h_eff, sym, c = random_instance(rng, m=6, k=3, power=12.0)
     assert coeff.c.shape == (12, 6)
     assert coeff.amplitude == pytest.approx(np.sqrt(12.0 / 12.0))
-    assert coeff.n_lifted == 12 and coeff.n_constraints == 6
+    assert coeff.c.shape[0] == 12 and coeff.n_constraints == 6
 
 
 def test_bpsk_b_part_is_zero():
@@ -106,7 +107,7 @@ def test_worst_objective_is_negated_margin():
         coeff, h_eff, sym, c = random_instance(rng, m=5, k=3,
                                                order=int(rng.choice([2, 4, 8])))
         s = coeff.amplitude
-        xbar = s * rng.choice([-1.0, 1.0], size=coeff.n_lifted)
+        xbar = s * rng.choice([-1.0, 1.0], size=coeff.c.shape[0])
         m = h_eff.shape[1]
         x = xbar[:m] + 1j * xbar[m:]
         z = (h_eff @ x) * np.conj(sym)
@@ -331,8 +332,8 @@ def test_recover_x_and_worst_objective_bit_exact_against_formulas(seed, order, s
     xrel = recover_x(lam, coeff, mu)
     assert xrel.tobytes() == _recover_x_clip(lam, coeff, mu).tobytes()
     s = coeff.amplitude
-    for xbar in (xrel, np.where(rng.random(coeff.n_lifted) < 0.5, s, -s),
-                 s * rng.integers(-1, 2, size=coeff.n_lifted)):
+    for xbar in (xrel, np.where(rng.random(coeff.c.shape[0]) < 0.5, s, -s),
+                 s * rng.integers(-1, 2, size=coeff.c.shape[0])):
         got, want = worst_objective(xbar, coeff), _worst_objective_max(xbar, coeff)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
@@ -620,9 +621,9 @@ def test_mbi_exhaustive_oracle_small_fractional_sets():
     for _ in range(100):
         coeff, _, _, _ = random_instance(rng, m=4, k=2)
         s = coeff.amplitude
-        xrel = s * rng.uniform(-1, 1, size=coeff.n_lifted)
+        xrel = s * rng.uniform(-1, 1, size=coeff.c.shape[0])
         # force some entries to look saturated
-        sat = rng.random(coeff.n_lifted) < 0.4
+        sat = rng.random(coeff.c.shape[0]) < 0.4
         xrel[sat] = s * np.sign(xrel[sat] + 0.5)
         got = mbi_round(xrel, coeff)
         frac = np.flatnonzero(np.abs(xrel) < s * (1 - 1e-6))
@@ -648,7 +649,7 @@ def test_mbi_never_worse_than_sign_rounding():
     for _ in range(50):
         coeff, _, _, _ = random_instance(rng, m=8, k=3)
         s = coeff.amplitude
-        xrel = s * np.clip(rng.standard_normal(coeff.n_lifted), -1, 1)
+        xrel = s * np.clip(rng.standard_normal(coeff.c.shape[0]), -1, 1)
         naive = np.where(xrel >= 0, s, -s)
         got = mbi_round(xrel, coeff)
         assert worst_objective(got, coeff) <= worst_objective(naive, coeff) + 1e-12
@@ -658,7 +659,7 @@ def test_mbi_saturated_input_returned_as_signs():
     rng = np.random.default_rng(14)
     coeff, _, _, _ = random_instance(rng, m=4, k=2)
     s = coeff.amplitude
-    xrel = s * rng.choice([-1.0, 1.0], size=coeff.n_lifted)
+    xrel = s * rng.choice([-1.0, 1.0], size=coeff.c.shape[0])
     got = mbi_round(xrel, coeff)
     assert np.array_equal(got, xrel)
 
@@ -719,10 +720,10 @@ def _mbi_instance(seed, size, order, saturated, integer_c, coarse_x):
                                   amplitude=coeff.amplitude)
     s = coeff.amplitude
     if coarse_x:
-        xrel = s * rng.choice([-0.5, 0.0, 0.5], size=coeff.n_lifted)
+        xrel = s * rng.choice([-0.5, 0.0, 0.5], size=coeff.c.shape[0])
     else:
-        xrel = s * rng.uniform(-1, 1, size=coeff.n_lifted)
-    sat = rng.random(coeff.n_lifted) < saturated
+        xrel = s * rng.uniform(-1, 1, size=coeff.c.shape[0])
+    sat = rng.random(coeff.c.shape[0]) < saturated
     xrel[sat] = s * rng.choice([-1.0, 1.0], size=int(sat.sum()))
     return coeff, xrel
 
@@ -755,7 +756,7 @@ def test_mbi_round_is_exact_under_power_of_two_scaling(k, **instance):
     normal = np.finfo(float).tiny
     if products.size:
         # a sum of 2M terms below 2^e_hi each stays below 2^1023
-        e_hi = np.frexp(products.max())[1] + 2 * k + int(np.ceil(np.log2(coeff.n_lifted)))
+        e_hi = np.frexp(products.max())[1] + 2 * k + int(np.ceil(np.log2(coeff.c.shape[0])))
         assume(e_hi <= 1023 and np.ldexp(products.min(), 2 * k) >= normal)
     assume(np.all(np.abs(np.ldexp(xrel[xrel != 0], k)) >= normal))
     scaled = mbi_round(np.ldexp(xrel, k), CoefficientMatrix(c=c, amplitude=s))
@@ -770,9 +771,9 @@ def test_mbi_bit_exact_at_every_fractional_count():
     rng = np.random.default_rng(30)
     coeff, _, _, _ = random_instance(rng, m=32, k=4)
     s = coeff.amplitude
-    for n_frac in np.repeat(np.arange(1, coeff.n_lifted + 1), 3):
-        xrel = s * rng.choice([-1.0, 1.0], size=coeff.n_lifted)
-        xrel[rng.permutation(coeff.n_lifted)[:n_frac]] = s * rng.uniform(-0.5, 0.5, n_frac)
+    for n_frac in np.repeat(np.arange(1, coeff.c.shape[0] + 1), 3):
+        xrel = s * rng.choice([-1.0, 1.0], size=coeff.c.shape[0])
+        xrel[rng.permutation(coeff.c.shape[0])[:n_frac]] = s * rng.uniform(-0.5, 0.5, n_frac)
         assert np.array_equal(mbi_round(xrel, coeff), _mbi_round_reference(xrel, coeff)), n_frac
 
 
@@ -1386,13 +1387,36 @@ def test_brute_force_beats_random_signs_and_relaxation_bound():
     s = coeff.amplitude
     _, bf = brute_force_onebit(coeff)
     for _ in range(1000):
-        x = s * rng.choice([-1.0, 1.0], coeff.n_lifted)
+        x = s * rng.choice([-1.0, 1.0], coeff.c.shape[0])
         assert bf <= worst_objective(x, coeff) + 1e-12
     # box relaxation optimum lower-bounds the one-bit optimum
     with patch.object(onebit, "MD_TOL", 1e-9):
         xrel, md = solve_relaxed(coeff, 5e-4, cold_start(coeff, 5e-4))
-    power = coeff.n_lifted * s**2
+    power = coeff.c.shape[0] * s**2
     assert -md.value - 5e-4 * power / 2 <= bf + 1e-12
+
+
+def test_exact_onebit_equals_brute_force():
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        coeff, _, _, _ = random_instance(rng, m=4, k=2)
+        xbar, val = exact_onebit(coeff)
+        assert np.all(np.abs(xbar) == coeff.amplitude)
+        assert val == worst_objective(xbar, coeff)
+        assert val == pytest.approx(brute_force_onebit(coeff)[1], rel=0, abs=1e-12)
+
+
+def test_mbi_between_the_exact_optimum_and_the_box():
+    # negated worst margins at a size past brute force (2M = 32): the box LP
+    # lower-bounds the exact one-bit optimum, which MBI's rounding cannot beat
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        coeff, _, _, _ = random_instance(rng, m=16, k=4, n=8)
+        xbar, _ = solve_symbol(coeff, MU, cold_start(coeff, MU))
+        v = box_lp_value(coeff)
+        exact = exact_onebit(coeff)[1]
+        assert v <= exact + 1e-9 * (1.0 + abs(v))  # HiGHS's LP optimality tolerance
+        assert exact <= worst_objective(xbar, coeff) + 1e-6  # its MIP absolute gap
 
 
 def test_brute_force_dimension_guard():
