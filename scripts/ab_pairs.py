@@ -13,9 +13,12 @@ from each copy. The base runs first in the first pair, the change in the
 second, and so on, so that neither side always runs second on a machine the
 other has just warmed. The script writes BENCH_<workload>_base.json and
 BENCH_<workload>_change.json, each with the run's machine line, the per-seed
-values and digests, and each metric's median and quartiles. It prints, per
-end-to-end metric of the change's BENCHMARK.json, how many pairs each side
-won; a tie counts for neither.
+values and digests, each metric's median and quartiles, and the verdicts.
+It prints, per end-to-end metric of the change's BENCHMARK.json, how many
+pairs each side won (a tie counts for neither) and a verdict: "gain" when the
+change won at least 9 of every 10 pairs and its median beats the base's by
+more than the base's interquartile range, "worse" in the mirror case, and
+"unresolved" otherwise.
 Standard library only; a run that fails its correctness gate stops the script.
 """
 
@@ -95,6 +98,26 @@ def pairs_won(base: dict, change: dict, better: dict) -> dict:
     return won
 
 
+def verdict(won: tuple, base: dict, change: dict, direction: str) -> str:
+    """"gain", "worse" or "unresolved" for one metric, from pairs_won's
+    (change wins, base wins, ties), the two sides' side_summary entries and
+    the metric's direction ("higher" or "lower" is better).
+
+    A side must win at least 9 of every 10 pairs, ties included in the
+    count, and its median must beat the other's by more than q3 - q1 of the
+    base.
+    """
+    wins, losses, ties = won
+    pairs = wins + losses + ties
+    gap = (change["median"] - base["median"]) * (1 if direction == "higher" else -1)
+    iqr = base["q3"] - base["q1"]
+    if 10 * wins >= 9 * pairs and gap > iqr:
+        return "gain"
+    if 10 * losses >= 9 * pairs and -gap > iqr:
+        return "worse"
+    return "unresolved"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="checkout run as the parent")
@@ -122,6 +145,10 @@ def main(argv=None) -> int:
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     values = {side: {seed: r["values"] for seed, r in runs[side].items()} for side in sides}
+    summary = {side: side_summary(values[side]) for side in sides}
+    won = pairs_won(values["base"], values["change"], better)
+    verdicts = {name: verdict(won[name], summary["base"][name], summary["change"][name],
+                              direction) for name, direction in better.items()}
     for side, checkout in sides.items():
         path = args.out_dir / f"BENCH_{args.workload}_{side}.json"
         path.write_text(json.dumps({
@@ -132,17 +159,16 @@ def main(argv=None) -> int:
             "machine": next(iter(runs[side].values()))["machine"],
             "seeds": values[side],
             "digests": {seed: r["digest"] for seed, r in runs[side].items()},
-            "summary": side_summary(values[side]),
+            "summary": summary[side],
+            "verdicts": verdicts,
         }, indent=1) + "\n")
         print(f"wrote {path}")
 
-    summary = {side: side_summary(values[side]) for side in sides}
-    for name, (wins, losses, ties) in pairs_won(values["base"], values["change"],
-                                                better).items():
+    for name, (wins, losses, ties) in won.items():
         b, c = summary["base"][name], summary["change"][name]
         print(f"{name:<16} base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}] -> "
               f"change {c['median']:.6g}  pairs won by change {wins}, base {losses}, "
-              f"tied {ties}")
+              f"tied {ties}  {verdicts[name]}")
     return 0
 
 

@@ -37,7 +37,6 @@ def zf_precode(h_eff: np.ndarray, symbols: SymbolFrame, power: float) -> ZfFrame
     ||x_t||^2 = power, which keeps H x_t proportional to s_t (zero multiuser
     interference before quantization).
     """
-    h_eff = np.atleast_2d(np.asarray(h_eff, dtype=complex))
     k, m = h_eff.shape
     if symbols.n_users != k:
         raise ValueError(f"symbol frame has {symbols.n_users} users, channel has {k}")
@@ -59,7 +58,6 @@ def quantize_onebit(x: np.ndarray, power: float) -> OneBitFrame:
     s = onebit_amplitude(power, M) for the frame's M = x.shape[1] antennas;
     zeros quantize to +s by convention.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=complex))
     s = onebit_amplitude(power, x.shape[1])
     return OneBitFrame(xbar=np.where(np.concatenate([x.real, x.imag], axis=1) >= 0, s, -s),
                        amplitude=s)
@@ -106,7 +104,6 @@ def rescale_to_power(x: np.ndarray, power: float) -> np.ndarray:
     the matching unquantized full-power design. Zero slots stay zero.
     """
     check_real("power", power, positive=True)
-    x = np.atleast_2d(np.asarray(x, dtype=complex))
     norms = np.linalg.norm(x, axis=1)
     scale = np.ones_like(norms)
     ok = norms > 0

@@ -28,8 +28,7 @@ USER_RADIUS = 10.0
 
 
 def path_loss(distance, ref_gain: float, exponent: float):
-    """Linear power gain ref_gain * d**(-exponent)."""
-    distance = np.asarray(distance, dtype=float)
+    """Linear power gain ref_gain * d**(-exponent) at distance d, a float or array."""
     if not np.all(distance > 0):
         raise ValueError("path loss needs a positive distance")
     return ref_gain * distance ** (-exponent)

@@ -283,12 +283,10 @@ def decide_block(noise: NoiseBlock, zz: np.ndarray, a: float,
 
 
 def margin(z, c: PskConstellation):
-    """Safety margin of a rotated receive point z = h^H x conj(s).
-
-    Returns Re{z} - |Im{z}| * cot(pi/L). Positive iff z lies strictly inside
-    the sector of the nominal symbol; zero on the boundary.
+    """Safety margin of a rotated receive point z = h^H x conj(s), a complex
+    number or array: Re{z} - |Im{z}| * cot(pi/L). Positive iff z lies strictly
+    inside the sector of the nominal symbol; zero on the boundary.
     """
-    z = np.asarray(z)
     return z.real - np.abs(z.imag) * c.cot_half_sector
 
 

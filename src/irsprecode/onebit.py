@@ -123,12 +123,10 @@ def build_coefficients(h_eff, symbols, constellation: PskConstellation,
 
     Args:
         h_eff: (K, M) complex array whose rows are the effective rows h_k^H.
-        symbols: length-K intended constellation points for this slot.
+        symbols: length-K complex array of this slot's intended points.
         constellation: the PSK alphabet (sets cot(pi/L)).
         power: total transmit power P; the one-bit amplitude is sqrt(P/2M).
     """
-    h_eff = np.atleast_2d(np.asarray(h_eff, dtype=complex))
-    symbols = np.asarray(symbols, dtype=complex).ravel()
     k, m = h_eff.shape
     if symbols.size != k:
         raise ValueError("one symbol per user required")
@@ -142,9 +140,9 @@ def build_coefficients(h_eff, symbols, constellation: PskConstellation,
     return CoefficientMatrix(c=ct.T, amplitude=onebit_amplitude(power, m))
 
 
-def worst_objective(xbar, coeff: CoefficientMatrix) -> float:
+def worst_objective(xbar: np.ndarray, coeff: CoefficientMatrix) -> float:
     """max_k c_k^T xbar, the negated worst-user margin of a lifted signal."""
-    return float(np.maximum.reduce(coeff.c.T @ np.asarray(xbar, dtype=float)))
+    return float(np.maximum.reduce(coeff.c.T @ xbar))
 
 
 def _clipped_value(y, s: float, rho: float):
@@ -424,7 +422,7 @@ def solve_relaxed(coeff: CoefficientMatrix, mu: float, lam0: np.ndarray):
     return _recover(md.y, coeff.amplitude, mu), md
 
 
-def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, *,
+def mbi_round(xbar_relaxed: np.ndarray, coeff: CoefficientMatrix, *,
               fractional_tol: float = FRACTIONAL_TOL) -> np.ndarray:
     """Round a box point to the one-bit alphabet by block improvement.
 
@@ -443,7 +441,6 @@ def mbi_round(xbar_relaxed, coeff: CoefficientMatrix, *,
     passes over contiguous rows.
     """
     s = coeff.amplitude
-    xbar_relaxed = np.asarray(xbar_relaxed, dtype=float)
     x = np.where(xbar_relaxed >= 0, s, -s)
     frac = (np.abs(xbar_relaxed) < s * (1.0 - fractional_tol)).nonzero()[0]
     if frac.size == 0:

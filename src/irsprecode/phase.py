@@ -94,9 +94,9 @@ def build_phase_coefficients(ch: ChannelSet, frame, symbols: SymbolFrame) -> Pha
     return PhaseCoefficients(eta=eta, vbar=vbar)
 
 
-def _constraint_values(theta_bar, coeffs: PhaseCoefficients) -> np.ndarray:
+def _constraint_values(theta_bar: np.ndarray, coeffs: PhaseCoefficients) -> np.ndarray:
     """All constraint values eta_j^T theta_bar + vbar_j."""
-    return np.asarray(theta_bar, dtype=float) @ coeffs.eta + coeffs.vbar
+    return theta_bar @ coeffs.eta + coeffs.vbar
 
 
 def _lse(vals: np.ndarray, delta: float, eta: np.ndarray | None = None):
@@ -145,12 +145,11 @@ def lse_gradient(theta_bar, coeffs: PhaseCoefficients, delta: float) -> np.ndarr
     return _lse(_constraint_values(theta_bar, coeffs), delta, coeffs.eta)[1]
 
 
-def project_unit_modulus(theta_bar) -> np.ndarray:
+def project_unit_modulus(theta_bar: np.ndarray) -> np.ndarray:
     """Normalize every (theta_bar_n, theta_bar_{n+N}) pair to the unit circle.
 
     An exactly zero pair has no direction; it maps to (1, 0) by convention.
     """
-    theta_bar = np.asarray(theta_bar, dtype=float)
     if theta_bar.ndim != 1 or theta_bar.size % 2:
         raise ValueError("lifted phases must be a real 2N-vector")
     pairs = theta_bar.reshape(2, -1)

@@ -1,10 +1,11 @@
-"""scripts/ab_pairs.py's summaries (pairs won per metric, medians, quartiles)
-and the fresh copy each side runs from.
+"""scripts/ab_pairs.py's summaries (pairs won per metric, medians, quartiles,
+verdicts) and the fresh copy each side runs from.
 
 The script itself runs the benchmark from two checkouts and is not run here.
 """
 
 import importlib.util
+import json
 import shutil
 import statistics
 import subprocess
@@ -37,6 +38,60 @@ def test_side_summary_gives_the_median_and_quartiles_of_each_metric():
     assert summary["x"] == {"median": 3.0, "q1": q1, "q3": q3}
     assert summary["y"] == {"median": -3.0, "q1": -q3, "q3": -q1}
     assert ab_pairs.side_summary({7: {"x": 2.5}}) == {"x": {"median": 2.5, "q1": 2.5, "q3": 2.5}}
+
+
+BASE = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.2, 9.8]  # IQR 0.4
+
+
+def verdict_of(base_values, change_values, direction="higher"):
+    """The verdict on one metric of two synthetic sides, a pair per index."""
+    base = {seed: {"m": v} for seed, v in enumerate(base_values)}
+    change = {seed: {"m": v} for seed, v in enumerate(change_values)}
+    won = ab_pairs.pairs_won(base, change, {"m": direction})["m"]
+    return ab_pairs.verdict(won, ab_pairs.side_summary(base)["m"],
+                            ab_pairs.side_summary(change)["m"], direction)
+
+
+@pytest.mark.parametrize("change, direction, want", [
+    ([v + 1.0 for v in BASE], "higher", "gain"),
+    ([v - 1.0 for v in BASE], "lower", "gain"),
+    ([v + 1.0 for v in BASE[:9]] + BASE[9:], "higher", "gain"),  # 9 wins, a tie
+    ([v + 1.0 for v in BASE[:9]] + [BASE[9] - 1.0], "higher", "gain"),  # 9 wins, a loss
+    ([v - 1.0 for v in BASE], "higher", "worse"),
+    ([v + 1.0 for v in BASE], "lower", "worse"),
+    ([v - 1.0 for v in BASE[:9]] + BASE[9:], "higher", "worse"),
+    ([v + 1.0 for v in BASE[:8]] + BASE[8:], "higher", "unresolved"),  # 8 wins, 2 ties
+    ([v + 1.0 for v in BASE[:8]] + [v - 0.1 for v in BASE[8:]], "higher", "unresolved"),
+    ([v + 0.1 for v in BASE], "higher", "unresolved"),  # 10/10, gap 0.1 inside the IQR
+    ([v - 0.1 for v in BASE], "higher", "unresolved"),
+    (BASE, "higher", "unresolved"),  # all tied
+])
+def test_verdict_needs_nine_in_ten_pairs_and_a_gap_beyond_the_base_iqr(change, direction, want):
+    assert verdict_of(BASE, change, direction) == want
+
+
+def test_main_prints_and_writes_the_verdicts(tmp_path, monkeypatch, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "rate", "better": "higher"}, {"name": "time", "better": "lower"}]}))
+
+    def run_once(checkout, workload, seed, seconds):
+        shift = 1.0 if checkout.name == "change" else 0.0
+        return {"values": {"rate": BASE[seed] + shift, "time": BASE[seed] + 0.1 * shift},
+                "digest": "d" * 64, "machine": {"cpu": "test"}}
+
+    monkeypatch.setattr(ab_pairs, "fresh_copy", lambda checkout, dest: dest)
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    out = tmp_path / "out"
+    assert ab_pairs.main(["--base", str(tmp_path / "base"), "--change", str(change),
+                          "--workload", "w", "--seeds", "0-9", "--out-dir", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "pairs won by change 10, base 0, tied 0  gain" in printed
+    assert "pairs won by change 0, base 10, tied 0  unresolved" in printed
+    for side in ("base", "change"):
+        written = json.loads((out / f"BENCH_w_{side}.json").read_text())
+        assert written["verdicts"] == {"rate": "gain", "time": "unresolved"}
 
 
 @pytest.mark.parametrize("text, seeds", [("0-9", list(range(10))), ("11", [11]),

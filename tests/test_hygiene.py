@@ -23,6 +23,10 @@ onebit.frame_slots calls cold_starts, and only cold_starts and
 onebit.solve_relaxed call mirror_descent; the per-slot solvers take their
 start, with no default for it or any other parameter. The solvers' matrix rule has one home too: no package module but
 checks.py names asfortranarray or COEFF_RANGE.
+Inputs are converted at the door: no package def passes one of its own
+parameters to np.asarray, np.atleast_2d or np.array, but the few that
+CONVERSION_DOORS excuses, each with its reason (an entry type, a README
+function, or a def that keeps its own copy).
 The package holds what a run reaches: under sys.setprofile, the runs the
 package exists for (the benchmark's workloads, every scheme and both
 commands of the command line) enter every def in src/irsprecode but the few
@@ -154,6 +158,71 @@ def test_the_solver_matrix_rule_has_one_home():
                  if p.name != "checks.py" and (lines := matrix_rule_uses(p.read_text()))}
     assert offenders == {}
     assert matrix_rule_uses((PACKAGE_DIR / "checks.py").read_text())
+
+
+CONVERTERS = {"asarray", "atleast_2d", "array"}
+
+
+def parameter_conversions(source: str) -> list:
+    """(qualified def name, line) of each call of np.asarray, np.atleast_2d or
+    np.array, as an attribute of anything or a bare name, whose first
+    argument is a bare parameter of an enclosing def ("K.m", "f.inner")."""
+    found = []
+
+    def visit(node, prefix, params):
+        for child in ast.iter_child_nodes(node):
+            inner, names = prefix, params
+            if isinstance(child, ast.ClassDef):
+                inner = f"{prefix}{child.name}."
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                inner = f"{prefix}{child.name}."
+                names = params | {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+            elif (isinstance(child, ast.Call) and child.args
+                  and getattr(child.func, "attr", getattr(child.func, "id", None)) in CONVERTERS
+                  and isinstance(child.args[0], ast.Name) and child.args[0].id in params):
+                found.append((prefix.rstrip("."), child.lineno))
+            visit(child, inner, names)
+
+    visit(ast.parse(source), "", frozenset())
+    return sorted(found)
+
+
+def test_conversion_scan_flags_parameters_only():
+    src = ("import numpy as np\n"
+           "def f(a, *, b):\n    a = np.asarray(a)\n    c = np.array(b, dtype=float)\n"
+           "    return np.asarray(c), np.array([a]), np.asarray(a.x)\n"
+           "class K:\n    def m(self, x):\n        def inner():\n"
+           "            return np.atleast_2d(np.asarray(x, dtype=complex))\n"
+           "        return np.atleast_2d(self.x), inner\n"
+           "def g(v):\n    return v\nw = np.asarray(g)\n")
+    assert parameter_conversions(src) == [("K.m.inner", 9), ("f", 3), ("f", 4)]
+
+
+# the package defs that may convert a parameter, each with why: data enters
+# the program there (an entry type, or a function of the README's surface),
+# or the def keeps its own copy of what it is given
+CONVERSION_DOORS = {
+    "channel.PhaseShifts.__init__": "entry type",
+    "channel.PhaseShifts.from_theta_bar": "entry type",
+    "channel.pairs_to_complex": "README",
+    "channel.sample_channels": "README",
+    "constellation._check_indices": "entry type: SymbolFrame's indices",
+    "constellation.q_function": "README",
+    "constellation.sep_upper_bound": "README",
+    "onebit.frame_array": "a plain array or a frame, as the phase step takes either",
+    "onebit.mirror_descent": "its own copy of its start, which the loop updates",
+}
+
+
+def test_kernels_take_the_arrays_the_package_builds():
+    # a kernel whose package callers all pass the right ndarray converts
+    # nothing: conversion happens where data enters the program
+    flagged = [(f"{p.stem}.{name}", line) for p in sorted(PACKAGE_DIR.glob("*.py"))
+               for name, line in parameter_conversions(p.read_text())]
+    assert [(name, line) for name, line in flagged if name not in CONVERSION_DOORS] == []
+    # and each excused def still converts one
+    assert sorted(set(CONVERSION_DOORS) - {name for name, _ in flagged}) == []
 
 
 def test_exported_names_resolve():

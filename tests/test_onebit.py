@@ -5,6 +5,7 @@ computations (finite differences, dense grids, exhaustive enumeration)
 implemented inside the tests themselves.
 """
 
+import functools
 import warnings
 from unittest.mock import patch
 
@@ -28,7 +29,7 @@ from scipy.optimize import linprog
 
 from irsprecode import checks, onebit
 from irsprecode.ao import SolverConfig
-from irsprecode.baselines import no_irs_variant
+from irsprecode.baselines import no_irs_variant, relaxed_slp
 from irsprecode.channel import (
     PhaseShifts,
     drop_users,
@@ -45,6 +46,7 @@ from irsprecode.onebit import (
     OneBitFrame,
     _sigma_max_sq,
     build_coefficients,
+    frame_slots,
     mbi_round,
     mirror_descent,
     model_starts,
@@ -351,12 +353,26 @@ def test_dual_value_convex_on_segments():
 
 
 def test_positive_mu_required():
+    # the package's slot solvers, the box baseline (cold and from a warm
+    # block) and a frame's cold starts reject a mu that is not a finite
+    # positive number, as do the oracles
     coeff = CoefficientMatrix(c=np.ones((2, 2)), amplitude=1.0)
     lam = np.array([0.5, 0.5])
-    for fn in (dual_value, dual_gradient, recover_x):
-        for mu in (0.0, np.nan, np.inf):
-            with pytest.raises(ValueError):
-                fn(lam, coeff, mu)
+    rng = np.random.default_rng(7)
+    _, h_eff, _, _ = random_instance(rng)  # K = 2 users
+    symbols = SymbolFrame.random(QPSK, 2, 3, rng)
+    warm = np.full((3, 4), 0.25)  # one (2K,) simplex point per slot
+    calls = [lambda mu: solve_relaxed(coeff, mu, lam), lambda mu: solve_symbol(coeff, mu, lam),
+             lambda mu: relaxed_slp(h_eff, symbols, 100.0, mu),
+             lambda mu: relaxed_slp(h_eff, symbols, 100.0, mu, warm),
+             lambda mu: frame_slots(h_eff, symbols, 100.0, mu)]
+    calls += [functools.partial(fn, lam, coeff) for fn in (dual_value, dual_gradient, recover_x)]
+    for mu in (0.0, -1.0, np.nan, np.inf):
+        for call in calls:
+            with pytest.raises(ValueError, match="mu must be a finite positive number"):
+                call(mu)
+    for call in calls:  # each call runs at a valid mu
+        call(MU)
 
 
 def test_solver_option_validation():
