@@ -17,8 +17,9 @@ values and digests, each metric's median and quartiles, and the verdicts.
 It prints, per end-to-end metric of the change's BENCHMARK.json, how many
 pairs each side won (a tie counts for neither) and a verdict: "gain" when the
 change won at least 9 of every 10 pairs and its median beats the base's by
-more than the base's interquartile range, "worse" in the mirror case, and
-"unresolved" otherwise.
+more than the base's interquartile range, "worse" in the mirror case,
+"tied" when every pair tied (as bit-identical results do), and "unresolved"
+otherwise.
 Standard library only; a run that fails its correctness gate stops the script.
 """
 
@@ -99,16 +100,18 @@ def pairs_won(base: dict, change: dict, better: dict) -> dict:
 
 
 def verdict(won: tuple, base: dict, change: dict, direction: str) -> str:
-    """"gain", "worse" or "unresolved" for one metric, from pairs_won's
-    (change wins, base wins, ties), the two sides' side_summary entries and
-    the metric's direction ("higher" or "lower" is better).
+    """"gain", "worse", "tied" or "unresolved" for one metric, from
+    pairs_won's (change wins, base wins, ties), the two sides' side_summary
+    entries and the metric's direction ("higher" or "lower" is better).
 
     A side must win at least 9 of every 10 pairs, ties included in the
     count, and its median must beat the other's by more than q3 - q1 of the
-    base.
+    base. A metric that tied on every pair is "tied".
     """
     wins, losses, ties = won
     pairs = wins + losses + ties
+    if ties == pairs:
+        return "tied"
     gap = (change["median"] - base["median"]) * (1 if direction == "higher" else -1)
     iqr = base["q3"] - base["q1"]
     if 10 * wins >= 9 * pairs and gap > iqr:

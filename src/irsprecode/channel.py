@@ -28,7 +28,8 @@ USER_RADIUS = 10.0
 
 
 def path_loss(distance, ref_gain: float, exponent: float):
-    """Linear power gain ref_gain * d**(-exponent) at distance d, a float or array."""
+    """Linear power gain ref_gain * d**(-exponent) at each distance d of an
+    array: NumPy's power loop for every link, as libm's scalar pow can differ."""
     if not np.all(distance > 0):
         raise ValueError("path loss needs a positive distance")
     return ref_gain * distance ** (-exponent)
@@ -149,7 +150,7 @@ def sample_channels(user_pos, n_antennas: int, n_elements: int,
         raise ValueError("user_pos must be a (K, 2) array with K >= 1")
     k = user_pos.shape[0]
     gain_d = path_loss(np.linalg.norm(user_pos - BS_POS, axis=1), *DIRECT_LOSS)
-    gain_g = path_loss(np.linalg.norm(np.subtract(IRS_POS, BS_POS)), *HOP_LOSS)
+    gain_g = path_loss(np.linalg.norm([np.subtract(IRS_POS, BS_POS)], axis=1), *HOP_LOSS)
     gain_r = path_loss(np.linalg.norm(user_pos - IRS_POS, axis=1), *HOP_LOSS)
     h_d = np.sqrt(gain_d)[:, None] * crandn(rng, (k, n_antennas))
     g = np.sqrt(gain_g) * crandn(rng, (n_elements, n_antennas))

@@ -145,10 +145,15 @@ def worst_objective(xbar: np.ndarray, coeff: CoefficientMatrix) -> float:
     return float(np.maximum.reduce(coeff.c.T @ xbar))
 
 
-def _clipped_value(y, s: float, rho: float):
-    """(y_c, s sum huber_rho(y)) for y = C lam, y_c = clip(y, +/-rho)."""
+def _clip(y, rho):
+    """clip(y, +/-rho) as a fresh array; the ufuncs skip np.clip's dispatch."""
     y_c = np.maximum(y, -rho)
-    np.minimum(y_c, rho, out=y_c)
+    return np.minimum(y_c, rho, out=y_c)
+
+
+def _clipped_value(y, s: float, rho: float):
+    """(y_c, s sum huber_rho(y)) for y = C lam, y_c = _clip(y, rho)."""
+    y_c = _clip(y, rho)
     return y_c, s / rho * float(y_c @ (y - 0.5 * y_c))
 
 
@@ -166,22 +171,16 @@ def _sigma_max_sq(a: np.ndarray) -> float:
 def _recover(y, s: float, mu: float) -> np.ndarray:
     """The box problem's inner minimizer xbar*(lam) = -clip(C lam / mu, [-s, s])
     from y = C lam; y is left as it is."""
-    # -clip(y / mu) is clip(y / -mu), since the quotient and the clip flip
-    # signs exactly; the clip as in-place ufuncs on the fresh quotient, which
-    # skip np.clip's dispatch
-    x = np.divide(y, -mu)
-    np.maximum(x, -s, out=x)
-    return np.minimum(x, s, out=x)
+    # -clip(y / mu) is clip(y / -mu): the quotient and the clip flip signs exactly
+    return _clip(np.divide(y, -mu), s)
 
 
 @dataclass
 class MdResult:
     lam: np.ndarray
-    value: float
     converged: bool
     n_iter: int
-    residual: float
-    y: np.ndarray  # C lam, the product value was computed from
+    y: np.ndarray  # C lam, from which solve_relaxed recovers the primal point
 
 
 def mirror_descent(coeff: CoefficientMatrix, mu: float, tol: float,
@@ -199,8 +198,8 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float, tol: float,
     it was accepted without backtracking. f_mu never increases beyond rounding.
     Stops after MD_MAX_ITER iterations, or once the KL gradient-mapping
     residual with unit reference step, r(lam) = ||T_1(lam) - lam||_1, which
-    vanishes exactly at simplex-KKT points, is at most tol. The result keeps
-    y = C lam of its lam, from which solve_relaxed recovers the primal point.
+    vanishes exactly at simplex-KKT points, is at most tol; a call that stops
+    at its first test takes no f_mu. The result keeps y = C lam of its lam.
     """
     check_real("mu", mu, positive=True)
     check_real("tol", tol, positive=False)
@@ -218,7 +217,7 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float, tol: float,
     if not lam_min >= 0 or not abs(vsum(lam) - 1.0) <= 1e-9:
         raise ValueError("start must be a point on the simplex")
     y = c @ lam
-    y_c, f = _clipped_value(y, s, rho)
+    y_c = _clip(y, rho)
 
     # log(lam) is carried over from the softmax normalization, so the loop never
     # takes it of lam; exact zeros give -inf and stay zero through exp, and a
@@ -248,6 +247,7 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float, tol: float,
             sigma_sq = _sigma_max_sq(ct)
             safe_step = mu / sigma_sq if sigma_sq > 0 else 1.0
             step = first = safe_step  # first: the step an iteration tries first
+            f = _clipped_value(y, s, rho)[1]  # what the backtracking model reads
         if step == first:  # no halving; a step that just failed is not raised
             step *= 2.0
         first = step
@@ -268,8 +268,7 @@ def mirror_descent(coeff: CoefficientMatrix, mu: float, tol: float,
         lam, y, y_c, f = lam_new, y_new, y_c_new, f_new
         log_lam = w - log_se
 
-    return MdResult(lam=lam, value=f, converged=converged, n_iter=it,
-                    residual=residual, y=y)
+    return MdResult(lam=lam, converged=converged, n_iter=it, y=y)
 
 
 # uniform-point weight of a model_starts row: an exact zero in lam stays zero
@@ -364,8 +363,7 @@ def model_starts(coeffs, mu: float) -> np.ndarray:
             np.matmul(c_w.T, c_w, out=g[t])
     # the Frank-Wolfe gap, as _clipped_value and _dual_grad give it per slot
     y = (c @ lam[..., None])[..., 0]
-    y_c = np.maximum(y, -rho[:, None])
-    np.minimum(y_c, rho[:, None], out=y_c)
+    y_c = _clip(y, rho[:, None])
     f = s / rho * (y_c[:, None, :] @ (y - 0.5 * y_c)[..., None])[:, 0, 0]
     grad = (ct @ y_c[..., None])[..., 0] * (s / rho)[:, None]
     gap = (grad[:, None, :] @ lam[..., None])[:, 0, 0] - grad.min(axis=1)

@@ -10,9 +10,13 @@ huber and dual_value evaluate the smoothed dual from its definition, one
 Huber term per lifted entry; mirror descent takes the same value from the
 clipped image instead, and tests compare the two. dual_gradient and
 recover_x are the dual's gradient and the primal point at a dual point, run
-on mirror descent's own kernels (onebit._clipped_value, _dual_grad and
-_recover), so the gradient and primal checks test the arithmetic the solver
-runs, bit for bit.
+on mirror descent's own kernels (onebit._clip, _dual_grad and _recover), so
+the gradient and primal checks test the arithmetic the solver runs, bit for
+bit. An MdResult keeps neither the dual value nor the residual, which no run
+reads: md_value takes f_mu at its point from its product md.y through
+onebit._clipped_value, the value MD's backtracking model reads there, and
+md_residual takes the KL gradient-mapping residual at a point as MD's first
+stop test takes it at its start.
 
 cold_start is the start a frame's cold solve of a slot takes, and tests
 take their cold starts from it; continued carries any other start through the
@@ -38,6 +42,7 @@ from irsprecode.onebit import (
     MU_STAGES,
     WARM_START_MIX,
     CoefficientMatrix,
+    _clip,
     _clipped_value,
     _dual_grad,
     _recover,
@@ -64,12 +69,37 @@ def dual_value(lam, coeff: CoefficientMatrix, mu: float) -> float:
 
 def dual_gradient(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
     """Gradient of f_mu; equals -C^T xbar*(lam) with xbar* from recover_x.
-    Bit-equal to mirror_descent's, as it runs the same kernels; the Huber
-    value that _clipped_value returns with y_c goes unused."""
+    Bit-equal to mirror_descent's, as it runs the same kernels."""
     check_real("mu", mu, positive=True)
     s = coeff.amplitude
-    y_c, _ = _clipped_value(coeff.c @ np.asarray(lam, dtype=float), s, mu * s)
+    y_c = _clip(coeff.c @ np.asarray(lam, dtype=float), mu * s)
     return _dual_grad(coeff.c.T, y_c, s, mu * s)
+
+
+def md_value(md, coeff: CoefficientMatrix, mu: float) -> float:
+    """f_mu(md.lam) for an MdResult md of a solve of coeff at mu, from its
+    product md.y = C lam: bit-equal to the value mirror_descent computes at
+    that point whenever it computes one."""
+    check_real("mu", mu, positive=True)
+    s = coeff.amplitude
+    return _clipped_value(md.y, s, mu * s)[1]
+
+
+def md_residual(lam, coeff: CoefficientMatrix, mu: float) -> float:
+    """The KL gradient-mapping residual ||T_1(lam) - lam||_1 at a simplex
+    point lam, bit-equal to mirror_descent's first stop test from the start
+    lam. At a point MD stepped to, MD carries log lam from its softmax, which
+    can differ from np.log(lam) in the last bits."""
+    check_real("mu", mu, positive=True)
+    lam = np.array(lam, dtype=float)
+    s = coeff.amplitude
+    gap = np.log(lam, out=np.full(lam.size, -np.inf), where=lam > 0)
+    gap -= _dual_grad(coeff.c.T, _clip(coeff.c @ lam, mu * s), s, mu * s)
+    gap -= np.maximum.reduce(gap)
+    np.exp(gap, out=gap)
+    gap /= np.add.reduce(gap)
+    gap -= lam
+    return float(np.add.reduce(np.abs(gap, out=gap)))
 
 
 def recover_x(lam, coeff: CoefficientMatrix, mu: float) -> np.ndarray:
@@ -110,7 +140,7 @@ def certificates(xbar, md, coeff: CoefficientMatrix, mu: float) -> Certificates:
     onebit_lower_bound = relax_value - mu P / 2 lower-bounds the unregularized
     one-bit optimum, because every one-bit point has ||xbar||^2 = P.
     """
-    relax_value = -md.value
+    relax_value = -md_value(md, coeff, mu)
     power_total = coeff.c.shape[0] * coeff.amplitude ** 2
     return Certificates(worst_objective(xbar, coeff), relax_value,
                         relax_value - mu * power_total / 2.0)
@@ -118,18 +148,18 @@ def certificates(xbar, md, coeff: CoefficientMatrix, mu: float) -> Certificates:
 
 def relaxed_with_duals(relaxed_slp, *args, **kwargs):
     """(relaxed_slp(*args, **kwargs), its per-slot dual values f_mu(lam)),
-    the values read off its baselines.solve_relaxed calls by a spy."""
-    mds = []
+    md_value of each of its baselines.solve_relaxed calls, seen by a spy."""
+    values = []
 
-    def spy(*solve_args, real=baselines.solve_relaxed):
-        out = real(*solve_args)
-        mds.append(out[1])
+    def spy(coeff, mu, lam0, real=baselines.solve_relaxed):
+        out = real(coeff, mu, lam0)
+        values.append(md_value(out[1], coeff, mu))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(baselines, "solve_relaxed", spy)
         res = relaxed_slp(*args, **kwargs)
-    return res, np.array([md.value for md in mds])
+    return res, np.array(values)
 
 
 def quadratic_model_start(coeff: CoefficientMatrix) -> np.ndarray:

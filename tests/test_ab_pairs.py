@@ -64,7 +64,9 @@ def verdict_of(base_values, change_values, direction="higher"):
     ([v + 1.0 for v in BASE[:8]] + [v - 0.1 for v in BASE[8:]], "higher", "unresolved"),
     ([v + 0.1 for v in BASE], "higher", "unresolved"),  # 10/10, gap 0.1 inside the IQR
     ([v - 0.1 for v in BASE], "higher", "unresolved"),
-    (BASE, "higher", "unresolved"),  # all tied
+    (BASE, "higher", "tied"),  # all tied, as bit-identical results are
+    (BASE, "lower", "tied"),
+    (BASE[:9] + [BASE[9] + 1.0], "higher", "unresolved"),  # 9 ties, a win
 ])
 def test_verdict_needs_nine_in_ten_pairs_and_a_gap_beyond_the_base_iqr(change, direction, want):
     assert verdict_of(BASE, change, direction) == want
@@ -74,11 +76,13 @@ def test_main_prints_and_writes_the_verdicts(tmp_path, monkeypatch, capsys):
     change = tmp_path / "change"
     change.mkdir()
     (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "rate", "better": "higher"}, {"name": "time", "better": "lower"}]}))
+        {"name": "rate", "better": "higher"}, {"name": "time", "better": "lower"},
+        {"name": "ok", "better": "higher"}]}))
 
     def run_once(checkout, workload, seed, seconds):
         shift = 1.0 if checkout.name == "change" else 0.0
-        return {"values": {"rate": BASE[seed] + shift, "time": BASE[seed] + 0.1 * shift},
+        return {"values": {"rate": BASE[seed] + shift, "time": BASE[seed] + 0.1 * shift,
+                           "ok": 1.0},
                 "digest": "d" * 64, "machine": {"cpu": "test"}}
 
     monkeypatch.setattr(ab_pairs, "fresh_copy", lambda checkout, dest: dest)
@@ -89,9 +93,10 @@ def test_main_prints_and_writes_the_verdicts(tmp_path, monkeypatch, capsys):
     printed = capsys.readouterr().out
     assert "pairs won by change 10, base 0, tied 0  gain" in printed
     assert "pairs won by change 0, base 10, tied 0  unresolved" in printed
+    assert "pairs won by change 0, base 0, tied 10  tied" in printed
     for side in ("base", "change"):
         written = json.loads((out / f"BENCH_w_{side}.json").read_text())
-        assert written["verdicts"] == {"rate": "gain", "time": "unresolved"}
+        assert written["verdicts"] == {"rate": "gain", "time": "unresolved", "ok": "tied"}
 
 
 @pytest.mark.parametrize("text, seeds", [("0-9", list(range(10))), ("11", [11]),

@@ -15,16 +15,18 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from counting_oracles import expected_errors
 from onebit_oracles import (
     brute_force_onebit,
     certificates,
     cold_start,
     dual_gradient,
     dual_value,
+    md_value,
     recover_x,
 )
 
-from irsprecode import phase
+from irsprecode import harness, phase
 from irsprecode.ao import SolverConfig, alternating_optimize, frame_margins
 from irsprecode.channel import (
     PhaseShifts,
@@ -37,6 +39,7 @@ from irsprecode.harness import (
     ExperimentConfig,
     channel_realization,
     draw_noise,
+    inv_db_to_sigma2,
     run_experiment,
     simulate_transmission,
     timing_report,
@@ -89,7 +92,8 @@ def test_criterion_01_dual_primal_consistency():
         n_conv += md.converged
         x = recover_x(md.lam, coeff, mu)
         lhs = worst_objective(x, coeff) + 0.5 * mu * float(x @ x)
-        gap = abs(lhs - (-md.value)) / (1e-6 * (1.0 + abs(md.value)))
+        value = md_value(md, coeff, mu)
+        gap = abs(lhs - (-value)) / (1e-6 * (1.0 + abs(value)))
         worst_gap = max(worst_gap, gap)
     elapsed = time.perf_counter() - t0
     ok = worst_gap <= 1.0 and n_conv == 100 and elapsed < 30.0
@@ -414,6 +418,53 @@ def test_criterion_11_timing_report():
     ok = rec.mean_runtime_s > 0 and "onebit-md" in report and len(report) > 0
     _verdict(11, ok, f"timing report emitted; onebit-md mean design time "
                      f"{rec.mean_runtime_s:.3f}s per channel (informational)")
+
+
+# --- 12: the BER orderings at the paper's geometry, on exact expectations ----
+
+# the default config is the paper's geometry; onebit-md-noirs is criterion 9's
+# fifth scheme
+PAPER_CONFIG = ExperimentConfig(n_channels=100, record_runtime=False,
+                                schemes=ExperimentConfig().schemes + ("onebit-md-noirs",))
+
+
+@pytest.mark.slow
+def test_criterion_12_paper_scale_ordering(monkeypatch):
+    # each design as simulate_transmission sees it, scored at the two highest
+    # noise points by its exact expected per-channel BER; criterion 9's
+    # non-overlap rule on those values, where a tie holds no ordering (README)
+    cfg = PAPER_CONFIG
+    sigma2s = [inv_db_to_sigma2(db) for db in cfg.noise_grid_db[-2:]]
+    expected = []
+    real = harness.simulate_transmission
+
+    def spy(frame, phases, ch, symbols, sigma2, noise):
+        if sigma2 in sigma2s:
+            bits, _ = expected_errors(frame, phases, ch, symbols, sigma2)
+            expected.append(bits.sum() / (bits.size * symbols.constellation.bits_per_symbol))
+        return real(frame, phases, ch, symbols, sigma2, noise)
+
+    monkeypatch.setattr(harness, "simulate_transmission", spy)
+    t0 = time.perf_counter()
+    _, detail = run_experiment(cfg, keep_channel_detail=True)
+    elapsed = time.perf_counter() - t0
+    # one call per channel, scheme (in cfg.schemes order) and noise point
+    ber = np.array(expected).reshape(cfg.n_channels, len(cfg.schemes), len(sigma2s))
+    column = {scheme: i for i, scheme in enumerate(cfg.schemes)}
+    gap, z_min = np.inf, np.inf
+    for a, b in ORDERINGS:
+        both = np.array([d[a].ok and d[b].ok for d in detail])
+        for j in range(len(sigma2s)):
+            va, vb = ber[both, column[a], j], ber[both, column[b], j]
+            se_a, se_b = (v.std(ddof=1) / math.sqrt(v.size) for v in (va, vb))
+            gap = min(gap, (vb.mean() - se_b) - (va.mean() + se_a))
+            diff = vb - va  # informational: the paired difference in its own SEs
+            z_min = min(z_min, diff.mean() / (diff.std(ddof=1) / math.sqrt(diff.size)))
+    ok = gap > 0 and elapsed < 600.0
+    _verdict(12, ok, f"all 8 BER orderings hold on the exact expected BER at "
+                     f"{cfg.noise_grid_db[-2]:g} and {cfg.noise_grid_db[-1]:g} dB, paper "
+                     f"geometry, {cfg.n_channels} channels (min separation {gap:.2e}, "
+                     f"min paired difference {z_min:.1f} SE), {elapsed:.0f}s")
 
 
 # --- the paper's premise: a larger surface raises the worst margin ------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from onebit_oracles import brute_force_onebit, cold_start, relaxed_with_duals
+from onebit_oracles import brute_force_onebit, cold_start, md_value, relaxed_with_duals
 
 from irsprecode import onebit
 from irsprecode.ao import SolverConfig, alternating_optimize
@@ -176,7 +176,7 @@ def test_relaxed_matches_onebit_solver_internal_stage(mu):
         xrel, _ = solve_relaxed(coeff, mu, lam0)
         assert np.array_equal(xbar, mbi_round(xrel, coeff))  # the one-bit solver's stage
         assert np.array_equal(res.x[t], xrel[:m] + 1j * xrel[m:])
-        assert duals[t] == md.value
+        assert duals[t] == md_value(md, coeff, mu)
         assert res.converged[t] == md.converged
 
 

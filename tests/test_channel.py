@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from irsprecode import channel
 from irsprecode.channel import (
     BS_POS,
     DIRECT_LOSS,
@@ -38,6 +39,28 @@ def test_path_loss_properties():
         path_loss(0.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         path_loss(-3.0, 1.0, 2.0)
+
+
+def test_every_link_takes_its_distances_as_an_array(monkeypatch):
+    # a NumPy scalar distance is raised to its power by libm's pow and an
+    # array by NumPy's power loop, and the two differ in the last bit at some
+    # distances (x = 3.8585575305464355 at exponent 2.2 on a Xeon with
+    # glibc); so sample_channels passes every link's distances, the surface
+    # hop's included, as a 1-D array
+    seen = []
+
+    def spy(distance, *args):
+        seen.append(distance)
+        return path_loss(distance, *args)
+
+    rng = np.random.default_rng(5)
+    user_pos = drop_users(3, rng)
+    want = sample_channels(user_pos, 8, 4, np.random.default_rng(6))
+    monkeypatch.setattr(channel, "path_loss", spy)
+    got = sample_channels(user_pos, 8, 4, np.random.default_rng(6))
+    assert all(isinstance(d, np.ndarray) and d.ndim == 1 for d in seen)
+    assert [d.size for d in seen] == [3, 1, 3]
+    assert all(np.array_equal(getattr(got, a), getattr(want, a)) for a in ("h_d", "g", "h_r"))
 
 
 def test_default_hop_split_matches_cascade_product():

@@ -17,7 +17,7 @@ from counting_oracles import (
 )
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from onebit_oracles import cold_start, relaxed_with_duals
+from onebit_oracles import cold_start, md_residual, relaxed_with_duals
 
 from irsprecode import ao, baselines, constellation, harness, onebit, phase
 from irsprecode.ao import AoIterationRecord, frame_margins
@@ -765,8 +765,9 @@ SETTING_READERS = {
 # gives it
 CAP_READERS = {
     "MD_TOL": (onebit, 1e-2, onebit, "mirror_descent",
-               lambda calls: any(md.converged and md.residual > 1e-6
-                                 for md in uniform_replays(calls))),
+               lambda calls: any(
+                   md.converged and md_residual(md.lam, a["coeff"], a["mu"]) > 1e-6
+                   for (a, _), md in zip(calls, uniform_replays(calls)))),
     "MD_MAX_ITER": (onebit, 2, onebit, "mirror_descent",
                     lambda calls: max(md.n_iter for md in uniform_replays(calls)) == 2),
     "APG_MAX_ITER": (phase, 2, ao, "apg_optimize",

@@ -31,7 +31,10 @@ The package holds what a run reaches: under sys.setprofile, the runs the
 package exists for (the benchmark's workloads, every scheme and both
 commands of the command line) enter every def in src/irsprecode but the few
 that UNREACHED excuses, each with its reason (README surface, a helper of
-it, or a name perfbench imports). Test-only helpers live in tests/.
+it, or a name perfbench imports). Test-only helpers live in tests/. The same
+holds for fields: the same runs plus one traced benchmark pass read every
+field of every package dataclass but the few that UNREAD excuses, each with
+its reason (the README names it, or a file under perfbench/ reads it).
 """
 
 import ast
@@ -54,6 +57,11 @@ from irsprecode.baselines import SCHEMES
 from irsprecode.harness import ExperimentConfig, SolverConfig
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import bench  # noqa: E402
+from test_bench import SMALL  # noqa: E402
+from tracing import Tracer  # noqa: E402
+
 SOURCES = sorted(p for d in ("src", "tests", "perfbench")
                  for p in (ROOT / d).rglob("*.py"))
 PACKAGE_DIR = Path(irsprecode.__file__).resolve().parent
@@ -636,3 +644,103 @@ def test_each_unreached_def_has_its_reason():
             assert UNREACHED[reason] == "README", name
             source = (PACKAGE_DIR / f"{module}.py").read_text()
             assert reason.split(".", 1)[1] in calls_of(source, qualname.split(".")[-1]), name
+
+
+def package_dataclasses() -> dict:
+    """{"module.Class": (class, its field names)} of each dataclass that a
+    module of the package defines."""
+    found = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        module = importlib.import_module(f"irsprecode.{path.stem}")
+        for obj in vars(module).values():
+            if (inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                found[f"{path.stem}.{obj.__qualname__}"] = (
+                    obj, frozenset(f.name for f in dataclasses.fields(obj)))
+    return found
+
+
+def fields_read(classes: dict, run) -> set:
+    """"module.Class.field" of each field of classes (as package_dataclasses
+    gives them) that any code reads while run() runs, the class's own methods
+    included: each class's __getattribute__ is patched to record the read."""
+    read = set()
+
+    def recorder(label, names):
+        def getattribute(self, name):
+            if name in names:
+                read.add(f"{label}.{name}")
+            return object.__getattribute__(self, name)
+        return getattribute
+
+    with pytest.MonkeyPatch.context() as mp:
+        for label, (cls, names) in classes.items():
+            mp.setattr(cls, "__getattribute__", recorder(label, names))
+        run()
+    return read
+
+
+def test_field_scan_records_every_read(tmp_path):
+    path = tmp_path / "probe_fields.py"
+    path.write_text("from dataclasses import dataclass\n"
+                    "@dataclass(frozen=True)\n"
+                    "class K:\n    a: int\n    b: int\n    c: int = 0\n"
+                    "    def __post_init__(self):\n        assert self.a >= 0\n"
+                    "    @property\n    def total(self):\n        return self.b + 1\n")
+    spec = importlib.util.spec_from_file_location("probe_fields", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    classes = {"probe.K": (module.K, frozenset(("a", "b", "c")))}
+    assert fields_read(classes, lambda: module.K(1, 2).total) == {"probe.K.a", "probe.K.b"}
+    assert fields_read(classes, lambda: module.K(1, 2, 3).c) == {"probe.K.a", "probe.K.c"}
+    # and the patch is gone afterwards
+    assert "__getattribute__" not in vars(module.K)
+
+
+def traced_small_pass() -> None:
+    """One traced pass of the benchmark's SMALL config (every scheme), run
+    as perfbench/run.py traces a workload: its counters read the MD and APG
+    results that no package code reads."""
+    with Tracer():
+        bench.timed_call(SMALL)
+
+
+# the package dataclass fields that no run reads, each with why it stays:
+# the README documents it, or a file under perfbench/ reads it
+UNREAD = {}
+
+
+def test_every_result_field_is_read(tmp_path):
+    classes = package_dataclasses()
+    read = fields_read(classes, lambda: (package_traffic(tmp_path), traced_small_pass()))
+    fields = {f"{label}.{name}" for label, (_, names) in classes.items() for name in names}
+    assert sorted(fields - read - set(UNREAD)) == []
+    # and each excused field is still defined and still unread
+    assert sorted(set(UNREAD) - (fields - read)) == []
+
+
+def unexcused(entries: dict) -> list:
+    """Each "module.Class.field" of an UNREAD-style map whose reason does not
+    hold: "README" needs the README to name the class and, in backticks, the
+    field; "perfbench" needs a file under perfbench/ to read the field as an
+    attribute."""
+    perfbench_reads = set().union(*(attributes_read(p.read_text(), "")
+                                    for p in sorted((ROOT / "perfbench").rglob("*.py"))))
+    bad = []
+    for name, reason in entries.items():
+        cls_name, field_name = name.split(".")[-2:]
+        held = {"README": re.search(rf"\b{cls_name}\b", README)
+                and f"`{field_name}`" in README,
+                "perfbench": field_name in perfbench_reads}.get(reason)
+        if not held:
+            bad.append(name)
+    return bad
+
+
+def test_each_unread_field_has_its_reason():
+    probe = {"onebit.MdResult.n_iter": "perfbench", "onebit.MdResult.lam": "perfbench",
+             "harness.ExperimentConfig.n_noise": "README", "onebit.MdResult.no_field": "README",
+             "onebit.Nowhere.n_noise": "README", "onebit.MdResult.y": "tests"}
+    assert unexcused(probe) == ["onebit.MdResult.lam", "onebit.MdResult.no_field",
+                                "onebit.Nowhere.n_noise", "onebit.MdResult.y"]
+    assert unexcused(UNREAD) == []

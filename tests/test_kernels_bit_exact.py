@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from onebit_oracles import certificates, cold_start, continued, recover_x
+from onebit_oracles import certificates, cold_start, continued, md_value, recover_x
 
 from irsprecode import onebit
 from irsprecode.ao import SolverConfig
@@ -65,7 +65,7 @@ def _former_build_coefficients(h_eff, symbols, constellation, power):
 
 def _former_mirror_descent(c, s, mu, md_tol, lam0):
     """The former mirror_descent on the matrix c as stored; returns
-    (lam, value, converged, n_iter, residual)."""
+    (lam, value, converged, n_iter)."""
     n = c.shape[1]
     rho = mu * s
     ct = np.ascontiguousarray(c.T)
@@ -115,7 +115,7 @@ def _former_mirror_descent(c, s, mu, md_tol, lam0):
             step *= 0.5
         lam, y_c, f = lam_new, y_c_new, f_new
         log_lam = w - log_se
-    return lam, f, converged, it, residual
+    return lam, f, converged, it
 
 
 def _former_recover_x(lam, c, s, mu):
@@ -138,7 +138,7 @@ def _former_solve_relaxed(c, s, mu, lam0):
 
 def _parent_mirror_descent(coeff, mu, tol, lam0=None):
     """The parent's mirror_descent at (mu, tol), whose start without lam0 was
-    the uniform point; returns (lam, value, converged, n_iter, residual, y)."""
+    the uniform point; returns (lam, value, converged, n_iter, y)."""
     c = coeff.c
     ct = c.T
     n = c.shape[1]
@@ -196,7 +196,7 @@ def _parent_mirror_descent(coeff, mu, tol, lam0=None):
             step *= 0.5
         lam, y, y_c, f = lam_new, y_new, y_c_new, f_new
         log_lam = w - log_se
-    return lam, f, converged, it, residual, y
+    return lam, f, converged, it, y
 
 
 def _parent_cold_solve_symbol(coeff, mu):
@@ -209,7 +209,7 @@ def _parent_cold_solve_symbol(coeff, mu):
         if stage_mu > mu:
             lam = _parent_mirror_descent(coeff, stage_mu, stage_tol, lam)[0]
     md = _parent_mirror_descent(coeff, mu, onebit.MD_TOL, lam)
-    xrel = onebit._recover(md[5], coeff.amplitude, mu)
+    xrel = onebit._recover(md[4], coeff.amplitude, mu)
     xbar = mbi_round(xrel, coeff)
     relax_value = -md[1]
     power_total = coeff.c.shape[0] * coeff.amplitude ** 2
@@ -359,16 +359,15 @@ def test_solve_symbol_bit_exact(seed, order, size, layout, start, mu, integer_h)
             start_at_mu = continued(coeff, mu, lam0)
         xbar, md_symbol = solve_symbol(coeff, mu, start_at_mu)
         xrel, md = solve_relaxed(coeff, mu, start_at_mu)
-        want_xrel, (lam, value, converged, n_iter, residual) = _former_solve_relaxed(
+        want_xrel, (lam, value, converged, n_iter) = _former_solve_relaxed(
             c_f, s, mu, lam0)
     want_x = _former_mbi_round(want_xrel, c_f, s)
     want_obj = float(np.maximum.reduce(c_f.T @ want_x))
     relax_value = -value
     assert _same(xrel, want_xrel)
     for got in (md_symbol, md):
-        assert _same(got.lam, lam) and _same(got.value, value)
+        assert _same(got.lam, lam) and _same(md_value(got, coeff, mu), value)
         assert (got.converged, got.n_iter) == (converged, n_iter)
-        assert _same(got.residual, residual)
         assert _same(got.y, c_f @ lam)
     cert = certificates(xbar, md_symbol, coeff, mu)
     assert _same(xbar, want_x) and _same(cert.objective, want_obj)
@@ -398,8 +397,8 @@ def test_cold_solve_symbol_equals_the_parents(seed, order, size, mu, integer_h):
         xbar, md = solve_symbol(coeff, mu, lam0)
         xrel, _ = solve_relaxed(coeff, mu, lam0)
     assert _same(xbar, want_x) and _same(xrel, want_xrel)
-    for got, want in zip((md.lam, md.value, md.converged, md.n_iter, md.residual, md.y),
-                         want_md):
+    for got, want in zip((md.lam, md_value(md, coeff, mu), md.converged, md.n_iter, md.y),
+                         want_md, strict=True):
         assert _same(got, want)
     cert = certificates(xbar, md, coeff, mu)
     assert _same(cert.objective, want_obj)
@@ -421,8 +420,8 @@ def test_mirror_descent_from_the_uniform_point_equals_the_parents_default(
     with patch.object(onebit, "MD_MAX_ITER", 60):
         want = _parent_mirror_descent(coeff, mu, onebit.MD_TOL)
         md = onebit.mirror_descent(coeff, mu, onebit.MD_TOL, np.full(2 * k, 1.0 / (2 * k)))
-    for got, want_value in zip((md.lam, md.value, md.converged, md.n_iter, md.residual, md.y),
-                               want):
+    for got, want_value in zip((md.lam, md_value(md, coeff, mu), md.converged, md.n_iter,
+                                md.y), want, strict=True):
         assert _same(got, want_value)
 
 
@@ -490,7 +489,8 @@ def test_results_do_not_depend_on_memory_order(seed, order):
     for (coeff, lam0), copy, (xbar, md) in zip(slots, copies, results):
         other_xbar, other_md = solve_symbol(copy, opts.mu, lam0)
         assert _same(other_xbar, xbar)
-        assert _same(other_md.lam, md.lam) and _same(other_md.value, md.value)
+        assert _same(other_md.lam, md.lam)
+        assert _same(md_value(other_md, copy, opts.mu), md_value(md, coeff, opts.mu))
         for got, want in zip(certificates(other_xbar, other_md, copy, opts.mu),
                              certificates(xbar, md, coeff, opts.mu)):
             assert _same(got, want)

@@ -22,6 +22,8 @@ from onebit_oracles import (
     dual_value,
     exact_onebit,
     huber,
+    md_residual,
+    md_value,
     quadratic_model_start,
     recover_x,
 )
@@ -273,15 +275,18 @@ def test_dual_gradient_is_the_gradient_mirror_descent_runs():
         assert np.array_equal(dual_gradient(lam, coeff, mu),
                               md_gradient_reference(lam, coeff, mu))
         # mirror descent's residual at the uniform start comes from that
-        # gradient
+        # gradient: its first stop test passes at a tolerance of exactly the
+        # oracle's residual and fails one ulp below it
         n = coeff.n_constraints
         uniform = np.full(n, 1.0 / n)
         w = np.log(uniform) - dual_gradient(uniform, coeff, mu)
         w -= w.max()
         e = np.exp(w)
+        residual = md_residual(uniform, coeff, mu)
+        assert residual == float(np.abs(e / e.sum() - uniform).sum())
         with patch.object(onebit, "MD_MAX_ITER", 0):
-            md = mirror_descent(coeff, mu, MD_TOL, uniform)
-        assert md.residual == float(np.abs(e / e.sum() - uniform).sum())
+            assert mirror_descent(coeff, mu, residual, uniform).converged
+            assert not mirror_descent(coeff, mu, np.nextafter(residual, 0), uniform).converged
 
 
 def test_recover_x_branch_cases():
@@ -419,7 +424,7 @@ def test_md_two_column_grid_oracle():
         p = np.linspace(0.0, 1.0, 10001)
         grid = np.stack([p, 1 - p])
         vals = coeff.amplitude * huber(coeff.c @ grid, mu * coeff.amplitude).sum(axis=0)
-        assert res.value <= vals.min() + 1e-4 * (1 + abs(vals.min()))
+        assert md_value(res, coeff, mu) <= vals.min() + 1e-4 * (1 + abs(vals.min()))
 
 
 @settings(max_examples=100, deadline=None)
@@ -429,22 +434,24 @@ def test_md_two_column_grid_oracle():
 def test_md_monotone_objective_trace(seed, order, size, start):
     # every accepted step passes the sufficient-decrease test or sits at the
     # safe step, whichever step the previous iteration ended on. Spies on the
-    # two kernels read the values off: the value of the accepted point is the
-    # last one computed before each gradient.
+    # two kernels read the values off: the start's value is the first one
+    # computed, once MD takes a first step, and each later accepted point's is
+    # the last one computed before its gradient. A call that stops at its
+    # first test computes none.
     rng = np.random.default_rng(seed)
     m, k, n = size
     coeff, _, _, _ = random_instance(rng, m=m, k=k, order=order, n=n)
     tol = 1e-8
     clipped_value, dual_grad = onebit._clipped_value, onebit._dual_grad
-    last, accepted = [], []
+    computed, marks = [], []
 
     def value_spy(*args):
         out = clipped_value(*args)
-        last[:] = [out[1]]
+        computed.append(out[1])
         return out
 
     def grad_spy(*args):
-        accepted.append(last[0])
+        marks.append(len(computed))
         return dual_grad(*args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -452,11 +459,15 @@ def test_md_monotone_objective_trace(seed, order, size, start):
         mp.setattr(onebit, "_clipped_value", value_spy)
         mp.setattr(onebit, "_dual_grad", grad_spy)
         res = mirror_descent(coeff, MU, tol, lam0=_start(rng, coeff, start))
-    values = np.array(accepted)
-    assert values.size == res.n_iter + 1 and values[-1] == res.value
-    assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1]))
+    if res.n_iter == 0:
+        assert computed == []
+    else:
+        values = np.array(computed[:1] + [computed[i - 1] for i in marks[1:]])
+        assert values.size == res.n_iter + 1 and values[-1] == md_value(res, coeff, MU)
+        assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1]))
     if res.converged:
-        assert res.residual <= tol
+        # MD carries log lam from its softmax, the oracle takes np.log(lam)
+        assert md_residual(res.lam, coeff, MU) <= tol + 1e-12
 
 
 def test_md_reports_nonconvergence_instead_of_failing(monkeypatch):
@@ -466,7 +477,29 @@ def test_md_reports_nonconvergence_instead_of_failing(monkeypatch):
     res = mirror_descent(coeff, 5e-4, 1e-14, _uniform(coeff))
     assert not res.converged
     assert res.n_iter == 2
-    assert np.isfinite(res.value)
+    assert np.isfinite(md_value(res, coeff, 5e-4))
+
+
+def test_a_first_test_stop_takes_no_huber_value(monkeypatch):
+    # a call that stops at its first residual test, as nearly every desk and
+    # bercurve call does from its cold start, evaluates no f_mu: the value
+    # kernel may raise there and the result keeps its bits. A call that steps
+    # takes f_mu at its start for the backtracking model
+    rng = np.random.default_rng(21)
+    coeff, _, _, _ = random_instance(rng, m=32, k=4, n=16)
+    start = cold_start(coeff, MU)
+    assert md_residual(start, coeff, MU) <= MD_TOL  # a certified start
+    want = mirror_descent(coeff, MU, MD_TOL, start)
+
+    def no_value(*args):
+        raise AssertionError("f_mu evaluated")
+
+    monkeypatch.setattr(onebit, "_clipped_value", no_value)
+    got = mirror_descent(coeff, MU, MD_TOL, start)
+    assert (got.converged, got.n_iter) == (want.converged, want.n_iter) == (True, 0)
+    assert np.array_equal(got.lam, want.lam) and np.array_equal(got.y, want.y)
+    with pytest.raises(AssertionError, match="f_mu evaluated"):
+        mirror_descent(coeff, MU, MD_TOL, _uniform(coeff))
 
 
 @pytest.mark.parametrize("shape", [(64, 8), (8, 64), (256, 28), (32, 400), (64, 2800),
@@ -582,15 +615,16 @@ def test_md_matches_the_reference_loop(seed, order, size, start, mu):
     lam0 = _start(rng, coeff, "mixed" if start == "zero-matrix" else start)
     with patch.object(onebit, "MD_MAX_ITER", 400):
         md = mirror_descent(coeff, mu, MD_TOL, lam0=lam0)
-        assert abs(md.value - dual_value(md.lam, coeff, mu)) <= 1e-12 * abs(md.value)
+        value = md_value(md, coeff, mu)
+        assert abs(value - dual_value(md.lam, coeff, mu)) <= 1e-12 * abs(value)
         if mu < MU_STAGES[-1][0]:
             return
-        lam, value, converged, n_iter, residual = _md_reference(coeff, mu, MD_TOL, lam0)
+        lam, value, converged, n_iter, _ = _md_reference(coeff, mu, MD_TOL, lam0)
     assert (md.n_iter, md.converged) == (n_iter, converged)
     if mu < MU:
         return
     assert np.abs(md.lam - lam).sum() <= 1e-12
-    assert abs(md.value - value) <= 1e-12 * abs(value)
+    assert abs(md_value(md, coeff, mu) - value) <= 1e-12 * abs(value)
 
 
 def test_md_step_rule_tries_fewer_points(monkeypatch):
@@ -850,7 +884,8 @@ def test_solve_symbol_deterministic_given_seed():
     (xa, ma), (xb, mb) = _solve_cold(coeff), _solve_cold(coeff)
     assert np.array_equal(xa, xb)
     assert worst_objective(xa, coeff) == worst_objective(xb, coeff)
-    assert np.array_equal(ma.lam, mb.lam) and ma.value == mb.value
+    assert np.array_equal(ma.lam, mb.lam)
+    assert md_value(ma, coeff, MU) == md_value(mb, coeff, MU)
     # solve_symbol once took an rng before lam0; one still passed there fails
     with pytest.raises(TypeError):
         solve_symbol(coeff, MU, np.random.default_rng(5))
@@ -866,7 +901,8 @@ def test_solve_relaxed_shared_path_bit_exact():
     xbar, md_symbol = solve_symbol(coeff, MU, lam0)
     xrel, md = solve_relaxed(coeff, MU, lam0)
     assert np.array_equal(xbar, mbi_round(xrel, coeff))
-    assert np.array_equal(md_symbol.lam, md.lam) and md_symbol.value == md.value
+    assert np.array_equal(md_symbol.lam, md.lam)
+    assert md_value(md_symbol, coeff, MU) == md_value(md, coeff, MU)
 
 
 # --- box relaxation against an exact LP -------------------------------------
@@ -972,11 +1008,12 @@ def test_mixed_warm_start_recovers_a_zeroed_optimal_entry():
         lam0 /= lam0.sum()
         _, raw = solve_relaxed(coeff, mu, lam0)
         assert raw.converged and raw.lam[i] == 0.0
-        assert -raw.value < -cold.value - _fw_gap(cold.lam, coeff, mu)
+        cold_value = md_value(cold, coeff, mu)
+        assert -md_value(raw, coeff, mu) < -cold_value - _fw_gap(cold.lam, coeff, mu)
         _, warm = solve_relaxed(coeff, mu, _mixed(lam0))
         assert warm.converged and warm.lam[i] > 0.1
         bound = max(_fw_gap(warm.lam, coeff, mu), _fw_gap(cold.lam, coeff, mu))
-        assert abs(warm.value - cold.value) <= bound
+        assert abs(md_value(warm, coeff, mu) - cold_value) <= bound
 
 
 @settings(max_examples=25, deadline=None)
@@ -998,7 +1035,7 @@ def test_mixed_warm_start_agrees_with_cold_start_on_desk_slots(seed, drift):
     _, warm = solve_relaxed(coeff, mu, _mixed(prev.lam))
     assert cold.converged and warm.converged
     bound = max(_fw_gap(warm.lam, coeff, mu), _fw_gap(cold.lam, coeff, mu))
-    assert abs(warm.value - cold.value) <= bound
+    assert abs(md_value(warm, coeff, mu) - md_value(cold, coeff, mu)) <= bound
 
 
 @settings(max_examples=80, deadline=None)
@@ -1135,7 +1172,7 @@ def test_slot_solvers_run_clean_and_scale_free_over_the_magnitude_range(seed, or
         assert all(np.array_equal(row, want) for row in scaled_rows)
         slot, row = (unit[0], unit_rows[0]) if unit_s else (scaled[0], scaled_rows[0])
         xbar, md = solve_symbol(slot, mu, row)
-    assert np.isfinite(md.value) and np.all(np.abs(xbar) == slot.amplitude)
+    assert np.isfinite(md_value(md, slot, mu)) and np.all(np.abs(xbar) == slot.amplitude)
     for j in (-SCALE_EXPONENT - 1, SCALE_EXPONENT + 1):
         with pytest.raises(ValueError, match="finite"):
             CoefficientMatrix(c=np.ldexp(c, j), amplitude=1.0)
@@ -1329,7 +1366,7 @@ def test_model_start_agrees_with_a_uniform_start(seed, order, size):
     _, uniform = solve_relaxed(coeff, mu, _uniform(coeff))
     assert cold.converged and uniform.converged
     bound = max(_fw_gap(cold.lam, coeff, mu), _fw_gap(uniform.lam, coeff, mu))
-    assert abs(cold.value - uniform.value) <= bound
+    assert abs(md_value(cold, coeff, mu) - md_value(uniform, coeff, mu)) <= bound
 
 
 def test_model_start_takes_fewer_md_iterations(monkeypatch):
@@ -1409,7 +1446,7 @@ def test_brute_force_beats_random_signs_and_relaxation_bound():
     with patch.object(onebit, "MD_TOL", 1e-9):
         xrel, md = solve_relaxed(coeff, 5e-4, cold_start(coeff, 5e-4))
     power = coeff.c.shape[0] * s**2
-    assert -md.value - 5e-4 * power / 2 <= bf + 1e-12
+    assert -md_value(md, coeff, 5e-4) - 5e-4 * power / 2 <= bf + 1e-12
 
 
 def test_exact_onebit_equals_brute_force():
