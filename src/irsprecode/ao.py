@@ -34,7 +34,7 @@ import numpy as np
 from .channel import ChannelSet, PhaseShifts, effective_matrix
 from .checks import check_count, check_real, field_values
 from .constellation import SymbolFrame, margin
-from .onebit import OneBitFrame, frame_array, frame_slots, solve_symbol
+from .onebit import OneBitFrame, frame_slots, solve_symbol
 from .phase import apg_optimize, build_phase_coefficients, max_constraint
 
 # a round improves when its worst margin rises by more than this, relative:
@@ -90,8 +90,12 @@ class AoIterationRecord:
 
 def receive_points(ch: ChannelSet, phases: PhaseShifts, frame,
                    symbols: SymbolFrame) -> np.ndarray:
-    """Noise-free K x T receive points of a design for a K x T symbol frame."""
-    z = effective_matrix(ch, phases) @ frame_array(frame).T
+    """Noise-free K x T receive points of a design for a K x T symbol frame.
+
+    frame is a frame with a complex (T, M) view .x, such as OneBitFrame, or
+    a plain complex (T, M) array."""
+    x = frame.x if hasattr(frame, "x") else np.atleast_2d(np.asarray(frame, dtype=complex))
+    z = effective_matrix(ch, phases) @ x.T
     if symbols.indices.shape != z.shape:
         raise ValueError(f"symbols are {symbols.indices.shape}, receive points {z.shape}")
     return z
@@ -183,7 +187,7 @@ def _phase_step(ch: ChannelSet, frame, symbols: SymbolFrame,
     phases as given when no APG iterate beat their own objective (APG
     measures its start projected, an ulp off at times), so that rounding
     cannot hide a fixed point."""
-    coeffs = build_phase_coefficients(ch, frame, symbols)
+    coeffs = build_phase_coefficients(ch, frame.x, symbols)
     res = apg_optimize(coeffs, phases.theta_bar, delta)
     if res.best_iter and res.value < max_constraint(phases.theta_bar, coeffs):
         phases = PhaseShifts.from_theta_bar(res.theta_bar)

@@ -21,21 +21,15 @@ from .onebit import OneBitFrame, frame_slots, onebit_amplitude, solve_relaxed
 RANK_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ZfFrame:
-    """Continuous zero-forcing frame; full_rank is False when the effective
-    channel was rank deficient and a thresholded pseudoinverse was used."""
-
-    x: np.ndarray
-    full_rank: bool
-
-
-def zf_precode(h_eff: np.ndarray, symbols: SymbolFrame, power: float) -> ZfFrame:
-    """Zero-forcing precoder W = H^H (H H^H)^{-1} with per-slot power scaling.
+def zf_precode(h_eff: np.ndarray, symbols: SymbolFrame, power: float):
+    """Zero-forcing precoder W = H^H (H H^H)^{-1} with per-slot power scaling;
+    returns (x, full_rank).
 
     Each slot transmits x_t = gamma_t * W s_t with gamma_t chosen so that
     ||x_t||^2 = power, which keeps H x_t proportional to s_t (zero multiuser
-    interference before quantization).
+    interference before quantization). x is the complex (T, M) frame;
+    full_rank is False when the effective channel was rank deficient and a
+    thresholded pseudoinverse was used.
     """
     k, m = h_eff.shape
     if symbols.n_users != k:
@@ -49,7 +43,7 @@ def zf_precode(h_eff: np.ndarray, symbols: SymbolFrame, power: float) -> ZfFrame
     else:
         w = np.linalg.pinv(h_eff, rcond=RANK_RTOL)
 
-    return ZfFrame(x=rescale_to_power((w @ symbols.symbols).T, power), full_rank=full_rank)
+    return rescale_to_power((w @ symbols.symbols).T, power), full_rank
 
 
 def quantize_onebit(x: np.ndarray, power: float) -> OneBitFrame:
@@ -63,21 +57,11 @@ def quantize_onebit(x: np.ndarray, power: float) -> OneBitFrame:
                        amplitude=s)
 
 
-@dataclass(frozen=True)
-class RelaxedFrame:
-    """Per-slot box-relaxation output.
-
-    x: (T, M) complex frame with real/imag parts in [-s, s].
-    converged: per-slot mirror-descent convergence flags.
-    """
-
-    x: np.ndarray
-    converged: np.ndarray
-
-
 def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float, mu: float,
-                lam0: np.ndarray | None = None) -> RelaxedFrame:
-    """Box-relaxed symbol-level precoder: the one-bit solver without rounding.
+                lam0: np.ndarray | None = None):
+    """Box-relaxed symbol-level precoder: the one-bit solver without rounding;
+    returns (x, converged), the (T, M) complex frame with real and imaginary
+    parts in [-s, s] and the per-slot mirror-descent convergence flags.
 
     Runs the identical coefficient construction and dual solve (solve_relaxed)
     at mu as the one-bit path, so its per-slot relaxed points match that
@@ -92,8 +76,7 @@ def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float, mu: float
                for coeff, start in frame_slots(h_eff, symbols, power, mu, lam0)]
     xrel = np.stack([xrel for xrel, _ in results])
     m = xrel.shape[1] // 2
-    return RelaxedFrame(x=xrel[:, :m] + 1j * xrel[:, m:],
-                        converged=np.array([md.converged for _, md in results]))
+    return xrel[:, :m] + 1j * xrel[:, m:], np.array([md.converged for _, md in results])
 
 
 def rescale_to_power(x: np.ndarray, power: float) -> np.ndarray:

@@ -269,9 +269,9 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         warm = (phases is ao_phases and trace[-1].stop != "cap"
                 and all(trace[-1].md_converged))
         lam0 = trace[-1].lams if warm else None
-        res = relaxed_slp(effective_matrix(channel, phases), symbols,
-                          cfg.power, cfg.solver.mu, lam0)
-        return (rescale_to_power(res.x, cfg.power), _status(res.converged.all()),
+        x, converged = relaxed_slp(effective_matrix(channel, phases), symbols,
+                                   cfg.power, cfg.solver.mu, lam0)
+        return (rescale_to_power(x, cfg.power), _status(converged.all()),
                 time.perf_counter() - t0)
 
     out = {}
@@ -296,9 +296,9 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
             frame = quantize_onebit(x, cfg.power)
             runtime += time.perf_counter() - t0
         else:  # "zf-quant"
-            zf = zf_precode(effective_matrix(channel, phases), symbols, cfg.power)
-            frame = quantize_onebit(zf.x, cfg.power)
-            status = "ok" if zf.full_rank else "rank-deficient"
+            x, full_rank = zf_precode(effective_matrix(channel, phases), symbols, cfg.power)
+            frame = quantize_onebit(x, cfg.power)
+            status = "ok" if full_rank else "rank-deficient"
             runtime = time.perf_counter() - t0
         counts = [simulate_transmission(frame, phases, channel, symbols,
                                         inv_db_to_sigma2(db), noise)

@@ -88,14 +88,6 @@ class OneBitFrame:
         return cls(xbar=xbars, amplitude=onebit_amplitude(power, len(xbars[0]) // 2))
 
 
-def frame_array(frame) -> np.ndarray:
-    """Complex (T, M) transmit array of a plain array or of a frame with a
-    complex (T, M) view .x, such as OneBitFrame."""
-    if hasattr(frame, "x"):
-        return frame.x
-    return np.atleast_2d(np.asarray(frame, dtype=complex))
-
-
 @dataclass(frozen=True)
 class CoefficientMatrix:
     """Real 2M x 2K constraint matrix for one slot.

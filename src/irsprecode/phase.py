@@ -27,7 +27,7 @@ import numpy as np
 from .channel import ChannelSet
 from .checks import check_matrix, check_real
 from .constellation import SymbolFrame
-from .onebit import _sigma_max_sq, frame_array
+from .onebit import _sigma_max_sq
 
 # apg_optimize stops after this many iterations in a row without a new best
 # true objective: over the 1040 solves of desk seeds 0-19 (20 channels each)
@@ -63,14 +63,10 @@ class PhaseCoefficients:
         return self.eta.shape[0]
 
 
-def build_phase_coefficients(ch: ChannelSet, frame, symbols: SymbolFrame) -> PhaseCoefficients:
-    """Assemble (eta, vbar) from channels, transmit frame, and symbols.
-
-    frame may be a OneBitFrame (or anything with a complex .x of shape
-    (T, M)) or a plain complex (T, M) array; the phase step treats both the
-    one-bit design and continuous baselines uniformly.
-    """
-    x = frame_array(frame)
+def build_phase_coefficients(ch: ChannelSet, x: np.ndarray,
+                             symbols: SymbolFrame) -> PhaseCoefficients:
+    """Assemble (eta, vbar) from channels, the complex (T, M) transmit array x
+    (a OneBitFrame's .x), and symbols."""
     s = symbols.symbols  # (K, T)
     k, t = s.shape
     if x.shape != (t, ch.h_d.shape[1]):

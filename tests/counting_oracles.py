@@ -18,9 +18,8 @@ Monte-Carlo count may stray from them.
 import numpy as np
 from scipy.special import ndtr
 
-from irsprecode.channel import effective_matrix
+from irsprecode.ao import receive_points
 from irsprecode.constellation import PskConstellation, decide_index
-from irsprecode.onebit import frame_array
 
 # popcount for 4-bit Gray labels, enough for L <= 16
 _POPCOUNT4 = np.array([bin(i).count("1") for i in range(16)], dtype=np.int64)
@@ -72,7 +71,7 @@ def reference_bit_errors(sent_index, decided_index, c: PskConstellation):
 
 def reference_simulate_transmission(frame, phases, ch, symbols, sigma2, noise):
     """(bit_errors, sym_errors, bits, syms), as harness.simulate_transmission."""
-    z = effective_matrix(ch, phases) @ frame_array(frame).T
+    z = receive_points(ch, phases, frame, symbols)
     # each part is Re/Im z plus the scaled noise part; the complex product
     # a * (nr + j*ni) computes nr*a - ni*0, which can turn a -0 part into +0
     noise, a = noise.planar, np.sqrt(sigma2 / 2.0)
@@ -94,7 +93,7 @@ def expected_errors(frame, phases, ch, symbols, sigma2):
     u = Re w + Im w, v = Im w - Re w and n_u, n_v independent N(0, sigma2);
     so a point expects Q(u / sigma) + Q(-v / sigma) bit errors.
     """
-    w = effective_matrix(ch, phases) @ frame_array(frame).T * np.conj(symbols.symbols)
+    w = receive_points(ch, phases, frame, symbols) * np.conj(symbols.symbols)
     order = symbols.constellation.order
     if order == 2:
         p = ndtr(-w.real / np.sqrt(sigma2 / 2.0))
@@ -117,7 +116,7 @@ def symbol_error_bounds(frame, phases, ch, symbols, sigma2):
     N(0, sigma2 / 2) noise component, so the point leaves half-plane i with
     probability Qi = Q(di / sqrt(sigma2 / 2)); it errs when it leaves either.
     """
-    w = effective_matrix(ch, phases) @ frame_array(frame).T * np.conj(symbols.symbols)
+    w = receive_points(ch, phases, frame, symbols) * np.conj(symbols.symbols)
     half = np.pi / symbols.constellation.order
     scale = np.sqrt(sigma2 / 2.0)
     q1 = ndtr(-(w.real * np.sin(half) - w.imag * np.cos(half)) / scale)

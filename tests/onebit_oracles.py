@@ -22,7 +22,7 @@ cold_start is the start a frame's cold solve of a slot takes, and tests
 take their cold starts from it; continued carries any other start through the
 mu-continuation the same way; certificates gives the relaxation values of a
 slot design that the solver does not compute, and relaxed_with_duals the
-per-slot dual values of a box solve, which its RelaxedFrame does not keep.
+per-slot dual values of a box solve, which relaxed_slp does not return.
 
 quadratic_model_start is the cold start the solver used before it took the
 Huber clipping into account: the minimizer of the dual's quadratic model

@@ -15,7 +15,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from counting_oracles import expected_errors
+from counting_oracles import expected_errors, symbol_error_bounds
 from onebit_oracles import (
     brute_force_onebit,
     certificates,
@@ -428,20 +428,21 @@ PAPER_CONFIG = ExperimentConfig(n_channels=100, record_runtime=False,
                                 schemes=ExperimentConfig().schemes + ("onebit-md-noirs",))
 
 
-@pytest.mark.slow
-def test_criterion_12_paper_scale_ordering(monkeypatch):
-    # each design as simulate_transmission sees it, scored at the two highest
-    # noise points by its exact expected per-channel BER; criterion 9's
-    # non-overlap rule on those values, where a tie holds no ordering (README)
-    cfg = PAPER_CONFIG
+def _check_paper_orderings(monkeypatch, cfg, score, claim):
+    """Run cfg with a simulate_transmission spy that scores each design, as
+    it sees it, at the two highest noise points: score(frame, phases, ch,
+    symbols, sigma2) gives a lower and an upper bound on its per-channel
+    error rate. Criterion 12's verdict, headed by claim: every one of
+    criterion 9's orderings holds, where a <= b holds at a point when the
+    mean of a's upper bound plus its SE lies below the mean of b's lower
+    bound minus its SE, over the channels where both are ok."""
     sigma2s = [inv_db_to_sigma2(db) for db in cfg.noise_grid_db[-2:]]
-    expected = []
+    scores = []
     real = harness.simulate_transmission
 
     def spy(frame, phases, ch, symbols, sigma2, noise):
         if sigma2 in sigma2s:
-            bits, _ = expected_errors(frame, phases, ch, symbols, sigma2)
-            expected.append(bits.sum() / (bits.size * symbols.constellation.bits_per_symbol))
+            scores.append(score(frame, phases, ch, symbols, sigma2))
         return real(frame, phases, ch, symbols, sigma2, noise)
 
     monkeypatch.setattr(harness, "simulate_transmission", spy)
@@ -449,22 +450,49 @@ def test_criterion_12_paper_scale_ordering(monkeypatch):
     _, detail = run_experiment(cfg, keep_channel_detail=True)
     elapsed = time.perf_counter() - t0
     # one call per channel, scheme (in cfg.schemes order) and noise point
-    ber = np.array(expected).reshape(cfg.n_channels, len(cfg.schemes), len(sigma2s))
+    lower, upper = np.array(scores).reshape(cfg.n_channels, len(cfg.schemes),
+                                            len(sigma2s), 2).transpose(3, 0, 1, 2)
     column = {scheme: i for i, scheme in enumerate(cfg.schemes)}
     gap, z_min = np.inf, np.inf
     for a, b in ORDERINGS:
         both = np.array([d[a].ok and d[b].ok for d in detail])
         for j in range(len(sigma2s)):
-            va, vb = ber[both, column[a], j], ber[both, column[b], j]
+            va, vb = upper[both, column[a], j], lower[both, column[b], j]
             se_a, se_b = (v.std(ddof=1) / math.sqrt(v.size) for v in (va, vb))
             gap = min(gap, (vb.mean() - se_b) - (va.mean() + se_a))
             diff = vb - va  # informational: the paired difference in its own SEs
             z_min = min(z_min, diff.mean() / (diff.std(ddof=1) / math.sqrt(diff.size)))
     ok = gap > 0 and elapsed < 600.0
-    _verdict(12, ok, f"all 8 BER orderings hold on the exact expected BER at "
-                     f"{cfg.noise_grid_db[-2]:g} and {cfg.noise_grid_db[-1]:g} dB, paper "
-                     f"geometry, {cfg.n_channels} channels (min separation {gap:.2e}, "
-                     f"min paired difference {z_min:.1f} SE), {elapsed:.0f}s")
+    _verdict(12, ok, f"{claim} at {cfg.noise_grid_db[-2]:g} and {cfg.noise_grid_db[-1]:g} "
+                     f"dB, paper geometry, {cfg.n_channels} channels (min separation "
+                     f"{gap:.2e}, min paired difference {z_min:.1f} SE), {elapsed:.0f}s")
+
+
+@pytest.mark.slow
+def test_criterion_12_paper_scale_ordering(monkeypatch):
+    # each design scored by its exact expected per-channel BER, a lower and
+    # an upper bound that are one value; criterion 9's non-overlap rule on
+    # those values, where a tie holds no ordering (README)
+    def ber(frame, phases, ch, symbols, sigma2):
+        bits, _ = expected_errors(frame, phases, ch, symbols, sigma2)
+        value = bits.sum() / (bits.size * symbols.constellation.bits_per_symbol)
+        return value, value
+
+    _check_paper_orderings(monkeypatch, PAPER_CONFIG, ber,
+                           "all 8 BER orderings hold on the exact expected BER")
+
+
+@pytest.mark.slow
+def test_criterion_12_paper_scale_ordering_8psk(monkeypatch):
+    # 8-PSK has no closed form: each design is scored by the bounds of
+    # symbol_error_bounds on its expected per-channel SER (README)
+    def ser_bounds(frame, phases, ch, symbols, sigma2):
+        lower, upper = symbol_error_bounds(frame, phases, ch, symbols, sigma2)
+        return lower.mean(), upper.mean()
+
+    cfg = dataclasses.replace(PAPER_CONFIG, order=8)
+    _check_paper_orderings(monkeypatch, cfg, ser_bounds,
+                           "all 8 8-PSK SER orderings hold on the SER bounds")
 
 
 # --- the paper's premise: a larger surface raises the worst margin ------------

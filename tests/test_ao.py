@@ -122,7 +122,7 @@ def test_trace_replicates_hand_driven_steps():
         assert rec.md_converged == [md.converged for _, md in results]
         assert np.array_equal(rec.lams, np.stack([md.lam for _, md in results]))
         fr = OneBitFrame(xbar=np.stack([xbar for xbar, _ in results]), amplitude=amplitude)
-        coeffs = build_phase_coefficients(ch, fr, sym)
+        coeffs = build_phase_coefficients(ch, fr.x, sym)
         apg = apg_optimize(coeffs, ph.theta_bar, cfg.delta)
         start, ph = ph, PhaseShifts.from_theta_bar(apg.theta_bar)
         worst = float(frame_margins(ch, ph, fr, sym).min())
@@ -368,7 +368,7 @@ def test_phase_step_hands_back_its_start_exactly_when_apg_kept_it(seed, m, n, k,
     phases = PhaseShifts.random(n, np.random.default_rng(seed))
     for _ in range(2):
         frame = ao._x_step(effective_matrix(ch, phases), sym, POWER, opts.mu)[0]
-        coeffs = build_phase_coefficients(ch, frame, sym)
+        coeffs = build_phase_coefficients(ch, frame.x, sym)
         res = apg_optimize(coeffs, phases.theta_bar, opts.delta)
         kept = not (res.best_iter and res.value < max_constraint(phases.theta_bar, coeffs))
         event("kept its start" if kept else "moved")

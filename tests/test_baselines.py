@@ -43,9 +43,9 @@ def channels(seed, m=8, n=4, k=3):
 
 def test_zf_scalar_channel():
     sym = SymbolFrame(np.zeros((1, 1), dtype=int), QPSK)
-    res = zf_precode(np.array([[1.0 + 0j]]), sym, power=9.0)
-    assert res.full_rank
-    assert res.x == pytest.approx(np.array([[3.0 + 0j]]))
+    x, full_rank = zf_precode(np.array([[1.0 + 0j]]), sym, power=9.0)
+    assert full_rank
+    assert x == pytest.approx(np.array([[3.0 + 0j]]))
 
 
 def test_zf_inverts_channel():
@@ -53,30 +53,30 @@ def test_zf_inverts_channel():
     for _ in range(10):
         h = crandn(rng, (3, 8))
         sym = SymbolFrame.random(QPSK, 3, 5, rng)
-        res = zf_precode(h, sym, power=4.0)
-        assert res.full_rank
+        x, full_rank = zf_precode(h, sym, power=4.0)
+        assert full_rank
         # noiseless receive point is a positive multiple of the sent symbol
-        y = h @ res.x.T
+        y = h @ x.T
         ratio = y / sym.symbols
         assert np.allclose(ratio.imag, 0.0, atol=1e-10)
         assert np.allclose(ratio, ratio[0:1, :], atol=1e-10)
         assert ratio.real.min() > 0
-        assert np.allclose(np.linalg.norm(res.x, axis=1) ** 2, 4.0)
+        assert np.allclose(np.linalg.norm(x, axis=1) ** 2, 4.0)
 
 
 def test_zf_rank_deficient_flagged():
     h = np.array([[1.0 + 0j, 2.0], [2.0, 4.0]])  # rank 1
     sym = SymbolFrame.random(QPSK, 2, 3, np.random.default_rng(1))
-    res = zf_precode(h, sym, power=1.0)
-    assert not res.full_rank
-    assert np.all(np.isfinite(res.x))
+    x, full_rank = zf_precode(h, sym, power=1.0)
+    assert not full_rank
+    assert np.all(np.isfinite(x))
 
 
 def test_zf_more_users_than_antennas_flagged():
     rng = np.random.default_rng(2)
     h = crandn(rng, (4, 2))
     sym = SymbolFrame.random(QPSK, 4, 2, rng)
-    assert not zf_precode(h, sym, power=1.0).full_rank
+    assert not zf_precode(h, sym, power=1.0)[1]
 
 
 def test_zf_rejects_a_frame_of_another_user_count():
@@ -127,12 +127,12 @@ def test_relaxed_bound_dominates_brute_force():
         phases = PhaseShifts.random(2, rng)
         h_eff = effective_matrix(ch, phases)
         sym = SymbolFrame.random(QPSK, 2, 1, rng)
-        res, duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power, mu=MU)
+        (x, _), duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power, mu=MU)
         relax_value = -duals[0]
         coeff = build_coefficients(h_eff, sym.symbols[:, 0], QPSK, power)
         _, bf_val = brute_force_onebit(coeff)
         assert relax_value - MU * power / 2 <= bf_val + 1e-12
-        xbar = np.concatenate([res.x[0].real, res.x[0].imag])
+        xbar = np.concatenate([x[0].real, x[0].imag])
         reg = worst_objective(xbar, coeff) + MU * (xbar @ xbar) / 2
         assert reg >= relax_value - 1e-12
         s = coeff.amplitude
@@ -156,9 +156,9 @@ def test_relaxed_large_mu_shrinks_solution():
     ch, rng = channels(100, m=4, n=2, k=2)
     h_eff = effective_matrix(ch, PhaseShifts.ones(2))
     sym = SymbolFrame.random(QPSK, 2, 1, rng)
-    small = relaxed_slp(h_eff, sym, power=100.0, mu=1e-4)
-    big = relaxed_slp(h_eff, sym, power=100.0, mu=1e6)
-    assert np.linalg.norm(big.x) < 1e-3 * np.linalg.norm(small.x)
+    small, _ = relaxed_slp(h_eff, sym, power=100.0, mu=1e-4)
+    big, _ = relaxed_slp(h_eff, sym, power=100.0, mu=1e6)
+    assert np.linalg.norm(big) < 1e-3 * np.linalg.norm(small)
 
 
 @pytest.mark.parametrize("mu", [5e-4, 1e-4, 2e-5])
@@ -167,7 +167,7 @@ def test_relaxed_matches_onebit_solver_internal_stage(mu):
     phases = PhaseShifts.random(3, rng)
     h_eff = effective_matrix(ch, phases)
     sym = SymbolFrame.random(QPSK, 3, 4, rng)
-    res, duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power=100.0, mu=mu)
+    (x, converged), duals = relaxed_with_duals(relaxed_slp, h_eff, sym, power=100.0, mu=mu)
     m = 6
     for t in range(4):
         coeff = build_coefficients(h_eff, sym.symbols[:, t], QPSK, 100.0)
@@ -175,9 +175,9 @@ def test_relaxed_matches_onebit_solver_internal_stage(mu):
         xbar, md = solve_symbol(coeff, mu, lam0)
         xrel, _ = solve_relaxed(coeff, mu, lam0)
         assert np.array_equal(xbar, mbi_round(xrel, coeff))  # the one-bit solver's stage
-        assert np.array_equal(res.x[t], xrel[:m] + 1j * xrel[m:])
+        assert np.array_equal(x[t], xrel[:m] + 1j * xrel[m:])
         assert duals[t] == md_value(md, coeff, mu)
-        assert res.converged[t] == md.converged
+        assert converged[t] == md.converged
 
 
 def check_warm_box_after_ao(order, seed):
@@ -212,8 +212,8 @@ def check_warm_box_after_ao(order, seed):
     assert len(runs) == sym.n_slots  # one MD call per slot at the default mu
     assert all(md.n_iter == 0 for md in runs)
     assert np.array_equal(warm_duals, cold_duals)
-    for name in ("x", "converged"):
-        assert np.array_equal(getattr(warm, name), getattr(cold, name))
+    for got, want in zip(warm, cold):  # x and converged
+        assert np.array_equal(got, want)
     return rule
 
 
@@ -251,7 +251,7 @@ def test_no_irs_phase_coefficients_vanish():
     sym = SymbolFrame.random(QPSK, 2, 2, rng)
     s = np.sqrt(100.0 / 8)
     frame = OneBitFrame(xbar=s * rng.choice([-1.0, 1.0], size=(2, 8)), amplitude=s)
-    coeffs = build_phase_coefficients(no_irs_variant(ch), frame, sym)
+    coeffs = build_phase_coefficients(no_irs_variant(ch), frame.x, sym)
     assert np.all(coeffs.eta == 0)
     assert np.all(np.isfinite(coeffs.vbar))
 

@@ -282,7 +282,7 @@ class TestSimulate:
         ch = channel_realization(seed % 1000, 0, 8, 4, 3)
         phases = PhaseShifts.random(4, rng)
         symbols = SymbolFrame.random(c, 3, 5, rng)
-        x = zf_precode(effective_matrix(ch, phases), symbols, 100.0).x
+        x, _ = zf_precode(effective_matrix(ch, phases), symbols, 100.0)
         x = x + wobble * np.abs(x).mean() * (rng.standard_normal(x.shape)
                                              + 1j * rng.standard_normal(x.shape))
         worst = frame_margins(ch, phases, x, symbols).min()
@@ -318,11 +318,11 @@ class TestSimulate:
         symbols = SymbolFrame.random(c, k, t, rng)
         if design == "zf-quant":
             x = baselines.quantize_onebit(
-                zf_precode(effective_matrix(ch, phases), symbols, 100.0).x, 100.0)
+                zf_precode(effective_matrix(ch, phases), symbols, 100.0)[0], 100.0)
         elif design == "relaxed":
             x = baselines.rescale_to_power(
                 baselines.relaxed_slp(effective_matrix(ch, phases), symbols, 100.0,
-                                      SolverConfig().mu).x, 100.0)
+                                      SolverConfig().mu)[0], 100.0)
         elif design == "onebit-md":
             x, phases, _ = ao.alternating_optimize(ch, symbols, 100.0, rng)
         else:
@@ -719,8 +719,8 @@ class TestCrossingTable:
             symbols = SymbolFrame.random(QPSK, 4, 50, rng)
             phases = PhaseShifts.random(16, rng)
             noise = draw_noise(400, 4, 50, rng)
-            zf = zf_precode(effective_matrix(ch, phases), symbols, 100.0)
-            frame = quantize_onebit(zf.x, 100.0)
+            x, _ = zf_precode(effective_matrix(ch, phases), symbols, 100.0)
+            frame = quantize_onebit(x, 100.0)
             for db in range(20, 51, 2):
                 simulate_transmission(frame, phases, ch, symbols, inv_db_to_sigma2(db), noise)
                 points += noise.planar[0].size
@@ -831,8 +831,8 @@ def shared_phase_boxes(monkeypatch, cfg) -> list:
         assert np.array_equal(h_eff, effective_matrix(ch, phases))
         cold, cold_duals = relaxed_with_duals(real_box, h_eff, symbols, cfg.power,
                                               cfg.solver.mu, None)
-        same = (np.array_equal(duals, cold_duals) and np.array_equal(res.x, cold.x)
-                and np.array_equal(res.converged, cold.converged))
+        same = np.array_equal(duals, cold_duals) and all(
+            np.array_equal(got, want) for got, want in zip(res, cold))  # x and converged
         out.append((trace, lam0, box_iters, same))
     return out
 
@@ -893,8 +893,8 @@ class TestRunExperiment:
             direct, direct_duals = relaxed_with_duals(real_box, h_eff, symbols, cfg.power,
                                                       cfg.solver.mu, None)
             assert np.array_equal(duals, direct_duals)
-            for name in ("x", "converged"):
-                assert np.array_equal(getattr(res, name), getattr(direct, name))
+            for got, want in zip(res, direct):  # x and converged
+                assert np.array_equal(got, want)
 
     def test_box_at_the_joint_designs_phases_is_cold_after_a_round_cap_stop(
             self, monkeypatch):

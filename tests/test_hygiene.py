@@ -39,6 +39,7 @@ its reason (the README names it, or a file under perfbench/ reads it).
 
 import ast
 import dataclasses
+import functools
 import importlib.util
 import inspect
 import json
@@ -211,6 +212,8 @@ def test_conversion_scan_flags_parameters_only():
 # the program there (an entry type, or a function of the README's surface),
 # or the def keeps its own copy of what it is given
 CONVERSION_DOORS = {
+    "ao.receive_points": "a plain array or a frame, as the README's frame_margins and "
+                         "simulate_transmission take either",
     "channel.PhaseShifts.__init__": "entry type",
     "channel.PhaseShifts.from_theta_bar": "entry type",
     "channel.pairs_to_complex": "README",
@@ -218,7 +221,6 @@ CONVERSION_DOORS = {
     "constellation._check_indices": "entry type: SymbolFrame's indices",
     "constellation.q_function": "README",
     "constellation.sep_upper_bound": "README",
-    "onebit.frame_array": "a plain array or a frame, as the phase step takes either",
     "onebit.mirror_descent": "its own copy of its start, which the loop updates",
 }
 
@@ -498,31 +500,44 @@ def test_only_the_loop_that_reads_the_settings_names_solver_config():
     assert re.search(r"\bclass SolverConfig\b", (PACKAGE_DIR / "ao.py").read_text())
 
 
-def first_lines(source: str) -> dict:
-    """{qualified name: first line} of each def in a module, methods and
-    nested functions included ("K.m", "f.inner"), dunder methods excepted.
-    The first line is the one a code object reports as co_firstlineno: a
-    decorated def's first decorator."""
+def package_defs(module) -> dict:
+    """{qualified name: code object} of each def of an imported module:
+    its functions, the methods, property accessors and cached properties of
+    its classes (under functools.cache and other wrappers too), and the defs
+    nested in any of these ("K.m", "f.inner"). Lambdas, comprehensions and
+    dunder methods are left out. The code objects come from the module as it
+    was imported, so an edit to its file afterwards changes nothing."""
     found = {}
 
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            inner = prefix
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = f"{prefix}{child.name}."
-                if (not isinstance(child, ast.ClassDef)
-                        and not (child.name.startswith("__") and child.name.endswith("__"))):
-                    found[prefix + child.name] = min(
-                        [child.lineno] + [d.lineno for d in child.decorator_list])
-            visit(child, inner)
+    def add(name, code):
+        if not (code.co_name.startswith("__") and code.co_name.endswith("__")):
+            found[name] = code
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType) and not const.co_name.startswith("<"):
+                add(f"{name}.{const.co_name}", const)
 
-    visit(ast.parse(source), "")
+    def functions(obj) -> list:
+        if isinstance(obj, property):
+            return [obj.fget, obj.fset, obj.fdel]
+        if isinstance(obj, (staticmethod, classmethod)):
+            obj = obj.__func__
+        elif isinstance(obj, functools.cached_property):
+            obj = obj.func
+        return [inspect.unwrap(obj)]
+
+    for obj in vars(module).values():
+        members = vars(obj).values() if inspect.isclass(obj) else [obj]
+        for member in members:
+            for fn in functions(member):
+                if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                        and fn.__name__ != "<lambda>"):
+                    add(fn.__qualname__, fn.__code__)
     return found
 
 
 def entered_code(run) -> set:
-    """(resolved file, first line) of each Python function entered while
-    run() runs, as sys.setprofile sees its calls."""
+    """The code object of each Python function entered while run() runs, as
+    sys.setprofile sees its calls."""
     seen = set()
 
     def profile(frame, event, arg):
@@ -535,15 +550,13 @@ def entered_code(run) -> set:
         run()
     finally:
         sys.setprofile(previous)
-    return {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in seen}
+    return seen
 
 
-def unreached_defs(path: Path, entered: set) -> list:
-    """Qualified name of each def of the module at path that no entered
-    code object starts at."""
-    key = str(path.resolve())
-    return sorted(name for name, line in first_lines(path.read_text()).items()
-                  if (key, line) not in entered)
+def unreached_defs(module, entered: set) -> list:
+    """Qualified name of each def of an imported module (package_defs) whose
+    code object was not entered."""
+    return sorted(name for name, code in package_defs(module).items() if code not in entered)
 
 
 def test_scan_flags_only_unreached_defs(tmp_path):
@@ -563,7 +576,11 @@ def test_scan_flags_only_unreached_defs(tmp_path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     entered = entered_code(lambda: (module.used(), module.K().size, module.K().method()))
-    assert unreached_defs(path, entered) == ["K.cached", "K.method.inner", "unused"]
+    want = ["K.cached", "K.method.inner", "unused"]
+    assert unreached_defs(module, entered) == want
+    # an edit to the file after import, which moves every def, changes nothing
+    path.write_text("# edited\n" * 3 + path.read_text())
+    assert unreached_defs(module, entered) == want
 
 
 def package_traffic(tmp: Path) -> None:
@@ -615,7 +632,8 @@ UNREACHED = {
 def test_every_package_function_is_reached(tmp_path):
     entered = entered_code(lambda: package_traffic(tmp_path))
     unreached = {f"{p.stem}.{name}" for p in sorted(PACKAGE_DIR.glob("*.py"))
-                 for name in unreached_defs(p, entered)}
+                 for name in unreached_defs(importlib.import_module(f"irsprecode.{p.stem}"),
+                                            entered)}
     assert sorted(unreached - set(UNREACHED)) == []
     # and each excused def is still defined and still unreached
     assert sorted(set(UNREACHED) - unreached) == []

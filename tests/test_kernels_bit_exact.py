@@ -497,7 +497,7 @@ def test_results_do_not_depend_on_memory_order(seed, order):
         assert _same(solve_relaxed(copy, opts.mu, lam0)[0],
                      solve_relaxed(coeff, opts.mu, lam0)[0])
     frame = OneBitFrame.from_slots([xbar for xbar, _ in results], 100.0)
-    coeffs = build_phase_coefficients(ch, frame, symbols)
+    coeffs = build_phase_coefficients(ch, frame.x, symbols)
     copy = PhaseCoefficients(eta=np.ascontiguousarray(coeffs.eta), vbar=coeffs.vbar)
     theta0 = PhaseShifts.random(16, rng).theta_bar
     want, got = (apg_optimize(coeffs, theta0, opts.delta),

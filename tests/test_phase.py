@@ -73,7 +73,7 @@ def test_phase_coefficients_match_direct_margin():
         k, t = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         order = int(rng.choice([2, 4, 8]))
         ch, frame, sym, c = random_setup(rng, m=5, n=4, k=k, t=t, order=order)
-        coeffs = build_phase_coefficients(ch, frame, sym)
+        coeffs = build_phase_coefficients(ch, frame.x, sym)
         phases = PhaseShifts.random(4, rng)
         h_eff = effective_matrix(ch, phases)
         z = (h_eff @ frame.x.T).T * np.conj(sym.symbols).T  # (T, K)
@@ -88,7 +88,7 @@ def test_phase_coefficients_zero_g_direct_only():
     rng = np.random.default_rng(1)
     ch, frame, sym, c = random_setup(rng)
     ch0 = ChannelSet(h_d=ch.h_d, g=np.zeros_like(ch.g), h_r=ch.h_r)
-    coeffs = build_phase_coefficients(ch0, frame, sym)
+    coeffs = build_phase_coefficients(ch0, frame.x, sym)
     assert np.all(coeffs.eta == 0)
     # vbar alone carries the direct-link margins
     h_eff = np.conj(ch.h_d)
@@ -107,7 +107,7 @@ def test_phase_coefficients_dimension_errors():
         build_phase_coefficients(ch, bad, sym)
     sym_bad = SymbolFrame.random(c, 3, 3, np.random.default_rng(0))  # wrong K
     with pytest.raises(ValueError):
-        build_phase_coefficients(ch, frame, sym_bad)
+        build_phase_coefficients(ch, frame.x, sym_bad)
     with pytest.raises(ValueError):
         PhaseCoefficients(eta=np.ones((3, 2)), vbar=np.zeros(2))
     with pytest.raises(ValueError):
@@ -121,7 +121,7 @@ def test_phase_coefficients_dimension_errors():
         build_phase_coefficients(ch, frame.x[:1], sym)
     one_user, _, _, _ = random_setup(rng, m=6, k=1, t=3)
     with pytest.raises(ValueError, match="one channel row per user"):
-        build_phase_coefficients(one_user, frame, sym)
+        build_phase_coefficients(one_user, frame.x, sym)
 
 
 def _gaussian_eta(exponent: int) -> np.ndarray:
@@ -193,7 +193,7 @@ def test_lse_equal_terms_closed_form():
 def test_lse_sandwich_on_random_probes():
     rng = np.random.default_rng(4)
     ch, frame, sym, c = random_setup(rng, m=6, n=4, k=2, t=3)
-    coeffs = build_phase_coefficients(ch, frame, sym)
+    coeffs = build_phase_coefficients(ch, frame.x, sym)
     delta = 1e-2
     slack = delta * np.log(coeffs.eta.shape[1])
     for _ in range(1000):
@@ -221,7 +221,7 @@ def test_lse_gradient_zero_eta():
 def test_lse_gradient_is_softmax_combination():
     rng = np.random.default_rng(5)
     ch, frame, sym, c = random_setup(rng)
-    coeffs = build_phase_coefficients(ch, frame, sym)
+    coeffs = build_phase_coefficients(ch, frame.x, sym)
     tb = random_theta_bar(4, rng)
     delta = 1e-2
     vals = tb @ coeffs.eta + coeffs.vbar
@@ -265,7 +265,7 @@ def test_lse_gradient_finite_difference():
     rng = np.random.default_rng(6)
     for _ in range(20):
         ch, frame, sym, c = random_setup(rng, m=5, n=3, k=2, t=2)
-        coeffs = build_phase_coefficients(ch, frame, sym)
+        coeffs = build_phase_coefficients(ch, frame.x, sym)
         tb = random_theta_bar(3, rng)
         delta = 1e-2
         g = lse_gradient(tb, coeffs, delta)
@@ -419,7 +419,7 @@ def test_apg_iterates_feasible_and_best_tracked():
     # iterations bit for bit
     rng = np.random.default_rng(9)
     ch, frame, sym, c = random_setup(rng, m=6, n=4, k=2, t=3)
-    coeffs = build_phase_coefficients(ch, frame, sym)
+    coeffs = build_phase_coefficients(ch, frame.x, sym)
     init = random_theta_bar(4, rng)
     res = apg_optimize(coeffs, init, DELTA)
     want, _, iterates = _ref_apg(coeffs, init, DELTA, APG_MAX_ITER)
@@ -484,7 +484,7 @@ def test_apg_runs_clean_over_the_magnitude_range(seed, n, n_cols, k):
 def test_apg_sandwich_at_returned_point():
     rng = np.random.default_rng(10)
     ch, frame, sym, c = random_setup(rng)
-    coeffs = build_phase_coefficients(ch, frame, sym)
+    coeffs = build_phase_coefficients(ch, frame.x, sym)
     delta = 1e-2
     res = apg_optimize(coeffs, random_theta_bar(4, rng), delta)
     slack = delta * np.log(coeffs.eta.shape[1])
@@ -518,7 +518,7 @@ def test_apg_zero_eta_immediate():
 def test_apg_deterministic():
     rng = np.random.default_rng(12)
     ch, frame, sym, c = random_setup(rng)
-    coeffs = build_phase_coefficients(ch, frame, sym)
+    coeffs = build_phase_coefficients(ch, frame.x, sym)
     init = random_theta_bar(4, rng)
     a = apg_optimize(coeffs, init, DELTA)
     b = apg_optimize(coeffs, init, DELTA)
@@ -531,7 +531,7 @@ def test_apg_improves_over_init_on_protocol_instances():
     better = 0
     for _ in range(20):
         ch, frame, sym, c = random_setup(rng, m=8, n=8, k=2, t=4)
-        coeffs = build_phase_coefficients(ch, frame, sym)
+        coeffs = build_phase_coefficients(ch, frame.x, sym)
         init = random_theta_bar(8, rng)
         res = apg_optimize(coeffs, init, DELTA)
         assert res.value <= max_constraint(init, coeffs) + 1e-15
@@ -666,7 +666,7 @@ def _check_against_reference(seed, kind, n, n_cols, delta, max_iter):
         order = {"bpsk": 2, "qpsk": 4, "16psk": 16}[kind]
         ch, frame, sym, c = random_setup(rng, m=4, n=n, k=2, t=max(1, n_cols // 4),
                                          order=order)
-        coeffs = build_phase_coefficients(ch, frame, sym)
+        coeffs = build_phase_coefficients(ch, frame.x, sym)
     elif kind == "repeated-max":
         eta = rng.integers(-3, 4, size=(2 * n, 2 * n_cols)).astype(float)
         vbar = rng.integers(-2, 3, size=2 * n_cols).astype(float)
