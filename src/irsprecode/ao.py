@@ -34,7 +34,7 @@ import numpy as np
 from .channel import ChannelSet, PhaseShifts, effective_matrix
 from .checks import check_count, check_real, field_values
 from .constellation import SymbolFrame, margin
-from .onebit import OneBitFrame, frame_slots, solve_symbol
+from .onebit import frame_slots, onebit_frame, solve_symbol
 from .phase import apg_optimize, build_phase_coefficients, max_constraint
 
 # a round improves when its worst margin rises by more than this, relative:
@@ -78,7 +78,7 @@ class AoIterationRecord:
     md_converged: list
     apg_converged: bool
     lams: np.ndarray
-    frame: OneBitFrame
+    frame: np.ndarray  # (T, M) complex, from onebit.onebit_frame
     phases: PhaseShifts
     stop: str | None
 
@@ -92,9 +92,10 @@ def receive_points(ch: ChannelSet, phases: PhaseShifts, frame,
                    symbols: SymbolFrame) -> np.ndarray:
     """Noise-free K x T receive points of a design for a K x T symbol frame.
 
-    frame is a frame with a complex (T, M) view .x, such as OneBitFrame, or
-    a plain complex (T, M) array."""
-    x = frame.x if hasattr(frame, "x") else np.atleast_2d(np.asarray(frame, dtype=complex))
+    frame is the design's complex (T, M) transmit array, as the package
+    builds it or as a caller of frame_margins or simulate_transmission
+    passes it."""
+    x = np.atleast_2d(np.asarray(frame, dtype=complex))
     z = effective_matrix(ch, phases) @ x.T
     if symbols.indices.shape != z.shape:
         raise ValueError(f"symbols are {symbols.indices.shape}, receive points {z.shape}")
@@ -121,7 +122,8 @@ def alternating_optimize(ch: ChannelSet, symbols: SymbolFrame, power: float,
     frame and phases are the design of the best round, best_round(trace):
     the round before the last when the last did not improve, else the last
     (at most AO_MAX_OUTER rounds run). The trace holds every round that
-    ran. frame is always a OneBitFrame. rng drives every random draw of the
+    ran. frame is the complex (T, M) array of onebit.onebit_frame, every
+    real and imaginary part at +/-s. rng drives every random draw of the
     run (the harness passes per-channel substreams). The signal step solves
     at opts.mu and the phase step smooths at opts.delta.
 
@@ -177,7 +179,7 @@ def _x_step(h_eff, symbols: SymbolFrame, power: float, mu: float):
     frame_slots; returns (frame, (T, 2K) dual points, md statuses)."""
     results = [solve_symbol(coeff, mu, lam0)
                for coeff, lam0 in frame_slots(h_eff, symbols, power, mu)]
-    return (OneBitFrame.from_slots([xbar for xbar, _ in results], power),
+    return (onebit_frame([xbar for xbar, _ in results], power),
             np.stack([md.lam for _, md in results]), [md.converged for _, md in results])
 
 
@@ -187,7 +189,7 @@ def _phase_step(ch: ChannelSet, frame, symbols: SymbolFrame,
     phases as given when no APG iterate beat their own objective (APG
     measures its start projected, an ulp off at times), so that rounding
     cannot hide a fixed point."""
-    coeffs = build_phase_coefficients(ch, frame.x, symbols)
+    coeffs = build_phase_coefficients(ch, frame, symbols)
     res = apg_optimize(coeffs, phases.theta_bar, delta)
     if res.best_iter and res.value < max_constraint(phases.theta_bar, coeffs):
         phases = PhaseShifts.from_theta_bar(res.theta_bar)

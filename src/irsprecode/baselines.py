@@ -15,7 +15,7 @@ import numpy as np
 from .channel import ChannelSet
 from .checks import check_real
 from .constellation import SymbolFrame
-from .onebit import OneBitFrame, frame_slots, onebit_amplitude, solve_relaxed
+from .onebit import frame_slots, onebit_amplitude, onebit_frame, solve_relaxed
 
 # singular values below max(sv) * this are treated as zero in the ZF inverse
 RANK_RTOL = 1e-10
@@ -46,15 +46,16 @@ def zf_precode(h_eff: np.ndarray, symbols: SymbolFrame, power: float):
     return rescale_to_power((w @ symbols.symbols).T, power), full_rank
 
 
-def quantize_onebit(x: np.ndarray, power: float) -> OneBitFrame:
-    """Elementwise sign quantization of real and imaginary parts to +/- s.
+def quantize_onebit(x: np.ndarray, power: float) -> np.ndarray:
+    """Elementwise sign quantization of real and imaginary parts to +/- s;
+    returns the one-bit frame as onebit_frame builds it, a read-only complex
+    (T, M) array.
 
     s = onebit_amplitude(power, M) for the frame's M = x.shape[1] antennas;
     zeros quantize to +s by convention.
     """
     s = onebit_amplitude(power, x.shape[1])
-    return OneBitFrame(xbar=np.where(np.concatenate([x.real, x.imag], axis=1) >= 0, s, -s),
-                       amplitude=s)
+    return onebit_frame(np.where(np.concatenate([x.real, x.imag], axis=1) >= 0, s, -s), power)
 
 
 def relaxed_slp(h_eff: np.ndarray, symbols: SymbolFrame, power: float, mu: float,

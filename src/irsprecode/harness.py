@@ -29,7 +29,7 @@ from .baselines import (
 from .channel import ChannelSet, PhaseShifts, drop_users, effective_matrix, sample_channels
 from .checks import check_count, check_real, field_values, is_real
 from .constellation import NoiseBlock, PskConstellation, SymbolFrame, bit_errors, decide_block
-from .onebit import OneBitFrame, frame_slots, solve_symbol
+from .onebit import frame_slots, onebit_frame, solve_symbol
 
 # substream tags; the joint design (AO) is the only design that draws. A new
 # tag for a stream changes every result of a seed
@@ -271,8 +271,9 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         lam0 = trace[-1].lams if warm else None
         x, converged = relaxed_slp(effective_matrix(channel, phases), symbols,
                                    cfg.power, cfg.solver.mu, lam0)
-        return (rescale_to_power(x, cfg.power), _status(converged.all()),
-                time.perf_counter() - t0)
+        x = rescale_to_power(x, cfg.power)
+        x.flags.writeable = False  # the cached design serves two schemes
+        return x, _status(converged.all()), time.perf_counter() - t0
 
     out = {}
     for scheme in cfg.schemes:
@@ -285,7 +286,7 @@ def _run_channel(cfg: ExperimentConfig, index: int) -> dict:
         elif spec.x_mode == "onebit":
             results = [solve_symbol(coeff, cfg.solver.mu, lam0) for coeff, lam0
                        in frame_slots(np.conj(bare.h_d), symbols, cfg.power, cfg.solver.mu)]
-            frame = OneBitFrame.from_slots([xbar for xbar, _ in results], cfg.power)
+            frame = onebit_frame([xbar for xbar, _ in results], cfg.power)
             status = _status(all(md.converged for _, md in results))
             runtime = time.perf_counter() - t0
         elif spec.x_mode == "relaxed":

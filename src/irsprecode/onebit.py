@@ -19,7 +19,6 @@ by maximum-block-improvement over its fractional entries.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -43,49 +42,25 @@ def onebit_amplitude(power: float, n_antennas: int) -> float:
     return math.sqrt(power / (2 * n_antennas))
 
 
-@dataclass(frozen=True)
-class OneBitFrame:
-    """T transmit vectors with every lifted entry at exactly +/-s.
+def onebit_frame(xbars, power: float) -> np.ndarray:
+    """The complex (T, M) one-bit frame of T lifted slot designs xbars, rows
+    in {-s, +s}^{2M} with s = onebit_amplitude(power, M).
 
-    xbar rows live in {-s, +s}^{2M}; the complex view puts the first M
-    entries on the real axis and the last M on the imaginary axis, so each
-    antenna output is one of the four points (+/-s, +/-s).
+    Row t's first M entries go on the real axis and its last M on the
+    imaginary axis, so each antenna output is one of the four points
+    (+/-s, +/-s). The array is the frame's own read-only copy. A frame with
+    no slot, an odd row length or an entry whose magnitude is not exactly s
+    raises ValueError.
     """
-
-    xbar: np.ndarray  # (T, 2M)
-    amplitude: float
-
-    def __post_init__(self):
-        # the frame's own read-only copy, so the cached x always matches it
-        xbar = np.atleast_2d(np.array(self.xbar, dtype=float))
-        xbar.flags.writeable = False
-        object.__setattr__(self, "xbar", xbar)
-        if xbar.ndim != 2 or xbar.shape[1] % 2 or not xbar.size:
-            raise ValueError("frame must be T x 2M with T, M >= 1")
-        check_real("amplitude", self.amplitude, positive=True)
-        if not np.all(np.abs(xbar) == self.amplitude):
-            raise ValueError("every entry must have magnitude exactly s")
-
-    @property
-    def n_antennas(self) -> int:
-        return self.xbar.shape[1] // 2
-
-    @functools.cached_property
-    def x(self) -> np.ndarray:
-        """Complex (T, M) view of the frame, built once and read-only."""
-        m = self.n_antennas
-        x = self.xbar[:, :m] + 1j * self.xbar[:, m:]
-        x.flags.writeable = False
-        return x
-
-    @classmethod
-    def from_slots(cls, xbars, power: float) -> "OneBitFrame":
-        """Stack per-slot lifted one-bit designs, each in {-s, +s}^{2M} with
-        s = onebit_amplitude(power, M), into a frame. The list of rows goes to
-        the constructor as it is, whose copy is the frame's one copy."""
-        if not xbars:
-            raise ValueError("a frame needs at least one slot")
-        return cls(xbar=xbars, amplitude=onebit_amplitude(power, len(xbars[0]) // 2))
+    xbar = np.asarray(xbars, dtype=float)
+    if xbar.ndim != 2 or xbar.shape[1] % 2 or not xbar.size:
+        raise ValueError("frame must be T x 2M with T, M >= 1")
+    m = xbar.shape[1] // 2
+    if not np.all(np.abs(xbar) == onebit_amplitude(power, m)):
+        raise ValueError("every entry must have magnitude exactly s")
+    x = xbar[:, :m] + 1j * xbar[:, m:]
+    x.flags.writeable = False
+    return x
 
 
 @dataclass(frozen=True)

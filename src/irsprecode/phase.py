@@ -66,7 +66,7 @@ class PhaseCoefficients:
 def build_phase_coefficients(ch: ChannelSet, x: np.ndarray,
                              symbols: SymbolFrame) -> PhaseCoefficients:
     """Assemble (eta, vbar) from channels, the complex (T, M) transmit array x
-    (a OneBitFrame's .x), and symbols."""
+    (AO's one-bit frame, as onebit.onebit_frame builds it), and symbols."""
     s = symbols.symbols  # (K, T)
     k, t = s.shape
     if x.shape != (t, ch.h_d.shape[1]):

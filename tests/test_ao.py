@@ -25,7 +25,7 @@ from irsprecode.channel import (
     sample_channels,
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
-from irsprecode.onebit import OneBitFrame, build_coefficients, solve_symbol
+from irsprecode.onebit import build_coefficients, onebit_frame, solve_symbol
 from irsprecode.phase import apg_optimize, build_phase_coefficients, max_constraint
 
 QPSK = PskConstellation(4)
@@ -45,7 +45,8 @@ def test_single_round_runs_each_step_once(monkeypatch):
     monkeypatch.setattr(ao, "AO_MAX_OUTER", 1)
     frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(1))
     assert len(trace) == 1
-    assert isinstance(frame, OneBitFrame)
+    assert isinstance(frame, np.ndarray) and frame.dtype == complex
+    assert frame.shape == (sym.n_slots, 4) and not frame.flags.writeable
     assert isinstance(phases, PhaseShifts)
     assert len(trace[0].md_converged) == sym.n_slots
     assert isinstance(trace[0].apg_converged, bool)
@@ -55,7 +56,7 @@ def test_deterministic_given_seed():
     ch, sym = instance(1)
     f1, p1, t1 = alternating_optimize(ch, sym, POWER, np.random.default_rng(7))
     f2, p2, t2 = alternating_optimize(ch, sym, POWER, np.random.default_rng(7))
-    assert np.array_equal(f1.xbar, f2.xbar)
+    assert np.array_equal(f1, f2)
     assert np.array_equal(p1.theta, p2.theta)
     assert [r.worst_margin for r in t1] == [r.worst_margin for r in t2]
 
@@ -64,9 +65,9 @@ def test_feasibility_of_outputs():
     ch, sym = instance(2)
     frame, phases, _ = alternating_optimize(ch, sym, POWER, np.random.default_rng(3))
     s = np.sqrt(POWER / (2 * 4))
-    assert np.all(np.abs(frame.xbar) == s)
+    assert np.all(np.abs(frame.real) == s) and np.all(np.abs(frame.imag) == s)
     assert np.abs(np.abs(phases.theta) - 1.0).max() <= 1e-12
-    assert np.sum(frame.xbar ** 2, axis=1) == pytest.approx(POWER)
+    assert np.sum(np.abs(frame) ** 2, axis=1) == pytest.approx(POWER)
 
 
 def improves(worst, prev):
@@ -95,7 +96,7 @@ def test_a_rise_of_one_ulp_stops_the_loop(monkeypatch):
     assert trace[1].worst_margin == np.nextafter(trace[0].worst_margin, np.inf)
     assert [rec.stop for rec in trace] == [None, "margin"]
     assert best_round(trace) is trace[0]
-    assert np.array_equal(frame.xbar, first.xbar)
+    assert np.array_equal(frame, first)
     assert np.array_equal(phases.theta, first_phases.theta)
 
 
@@ -105,13 +106,11 @@ def test_trace_replicates_hand_driven_steps():
     # rounds with their designs, record the rule that stopped it on the round
     # where the rules say, and return the last round that improved
     ch, sym = instance(4)
-    m = 4
     cfg = SolverConfig()
     frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(11))
 
     rng = np.random.default_rng(11)
     ph = PhaseShifts.random(4, rng)
-    amplitude = float(np.sqrt(POWER / (2 * m)))
     returned = None  # (frame, phases) of the last round that improved
     prev = None
     for i, rec in enumerate(trace, start=1):
@@ -121,13 +120,13 @@ def test_trace_replicates_hand_driven_steps():
         results = [solve_symbol(coeff, cfg.mu, cold_start(coeff, cfg.mu)) for coeff in coeffs]
         assert rec.md_converged == [md.converged for _, md in results]
         assert np.array_equal(rec.lams, np.stack([md.lam for _, md in results]))
-        fr = OneBitFrame(xbar=np.stack([xbar for xbar, _ in results]), amplitude=amplitude)
-        coeffs = build_phase_coefficients(ch, fr.x, sym)
+        fr = onebit_frame([xbar for xbar, _ in results], POWER)  # every entry at +/-s
+        coeffs = build_phase_coefficients(ch, fr, sym)
         apg = apg_optimize(coeffs, ph.theta_bar, cfg.delta)
         start, ph = ph, PhaseShifts.from_theta_bar(apg.theta_bar)
         worst = float(frame_margins(ch, ph, fr, sym).min())
         assert rec.worst_margin == worst
-        assert np.array_equal(rec.frame.xbar, fr.xbar) and rec.frame.amplitude == amplitude
+        assert np.array_equal(rec.frame, fr)
         assert np.array_equal(rec.phases.theta, ph.theta)
         improved = prev is None or improves(worst, prev)
         if improved:
@@ -144,8 +143,8 @@ def test_trace_replicates_hand_driven_steps():
     # this instance stops on a round that did not improve, well before the
     # cap, and that round is not the one returned
     assert 1 < len(trace) < ao.AO_MAX_OUTER and not improved
-    assert not np.array_equal(fr.xbar, returned[0].xbar)
-    assert np.array_equal(frame.xbar, returned[0].xbar)
+    assert not np.array_equal(fr, returned[0])
+    assert np.array_equal(frame, returned[0])
     assert np.array_equal(phases.theta, returned[1].theta)
 
 
@@ -283,8 +282,7 @@ def test_fixed_point_stop_returns_the_design_of_the_loop_without_it(seed, m, n, 
                                                     np.random.default_rng(seed), cfg)
         want_frame, want_phases, want = _ref_single_run(ch, sym, POWER, cfg,
                                                         np.random.default_rng(seed))
-    assert np.array_equal(frame.xbar, want_frame.xbar)
-    assert frame.amplitude == want_frame.amplitude
+    assert np.array_equal(frame, want_frame)
     assert np.array_equal(phases.theta, want_phases.theta)
     rule = stop_rule(trace, max_outer, initial_phases(ch, seed))
     repeat = rule == "fixed point" and len(trace) < max_outer
@@ -325,8 +323,8 @@ def test_zero_reflected_path_stops_at_a_fixed_point_after_round_one(monkeypatch)
     assert trace[0].stop == "fixed point"
     assert best_round(trace) is trace[0]
     assert np.array_equal(phases.theta, start.theta)
-    assert np.array_equal(frame.xbar, first.xbar)
-    assert np.array_equal(steps[0][0].xbar, first.xbar)
+    assert np.array_equal(frame, first)
+    assert np.array_equal(steps[0][0], first)
 
 
 def test_a_phase_step_that_keeps_its_start_stops_the_loop_there():
@@ -368,7 +366,7 @@ def test_phase_step_hands_back_its_start_exactly_when_apg_kept_it(seed, m, n, k,
     phases = PhaseShifts.random(n, np.random.default_rng(seed))
     for _ in range(2):
         frame = ao._x_step(effective_matrix(ch, phases), sym, POWER, opts.mu)[0]
-        coeffs = build_phase_coefficients(ch, frame.x, sym)
+        coeffs = build_phase_coefficients(ch, frame, sym)
         res = apg_optimize(coeffs, phases.theta_bar, opts.delta)
         kept = not (res.best_iter and res.value < max_constraint(phases.theta_bar, coeffs))
         event("kept its start" if kept else "moved")
@@ -403,7 +401,8 @@ def test_inner_nonconvergence_propagates_as_status(monkeypatch):
     frame, phases, trace = alternating_optimize(ch, sym, POWER, np.random.default_rng(9),
                                                 SolverConfig())
     assert any(not c for rec in trace for c in rec.md_converged)
-    assert isinstance(frame, OneBitFrame)  # output still feasible
+    s = np.sqrt(POWER / (2 * 4))  # output still feasible
+    assert np.all(np.abs(frame.real) == s) and np.all(np.abs(frame.imag) == s)
 
 
 def test_multi_start_selects_best_of_its_runs():
@@ -443,7 +442,7 @@ def test_multi_start_keeps_the_start_whose_returned_round_is_best(seed, order, m
     event("a start stopped by the margin rule"
           if any(run[2][-1].stop == "margin" for run in runs) else "no margin stop")
     assert [rec.worst_margin for rec in trace] == [rec.worst_margin for rec in want]
-    assert np.array_equal(frame.xbar, want_frame.xbar)
+    assert np.array_equal(frame, want_frame)
     assert np.array_equal(phases.theta, want_phases.theta)
 
 
@@ -452,10 +451,10 @@ def test_frame_margins_matches_direct_computation():
     rng = np.random.default_rng(0)
     phases = PhaseShifts.random(3, rng)
     s = np.sqrt(POWER / 10)
-    frame = OneBitFrame(xbar=s * rng.choice([-1.0, 1.0], size=(4, 10)), amplitude=s)
+    frame = onebit_frame(s * rng.choice([-1.0, 1.0], size=(4, 10)), POWER)
     got = frame_margins(ch, phases, frame, sym)
     h_eff = effective_matrix(ch, phases)
-    z = (h_eff @ frame.x.T) * np.conj(sym.symbols)
+    z = (h_eff @ frame.T) * np.conj(sym.symbols)
     assert got.shape == (3, 4)
     assert np.allclose(got, margin(z, QPSK), atol=1e-14)
 
@@ -472,7 +471,7 @@ def test_config_validation():
         SolverConfig.from_dict({"ao_max_outer": 20})
     # 1-slot and 1-user symbols used to be broadcast against the 2 x 2
     # receive points
-    frame = OneBitFrame(xbar=np.ones((2, 8)), amplitude=1.0)
+    frame = onebit_frame(np.ones((2, 8)), 8.0)  # s = sqrt(8 / 8) = 1
     for bad in (sym.indices[:, :1], sym.indices[:1]):
         with pytest.raises(ValueError, match="symbols"):
             frame_margins(ch, PhaseShifts.ones(4), frame, SymbolFrame(bad, QPSK))

@@ -90,16 +90,16 @@ def test_quantize_signs_and_amplitude():
     x = np.array([[3.0 - 2.0j, -0.5 + 4.0j]])
     frame = quantize_onebit(x, power=16.0)
     s = np.sqrt(16.0 / 4)
-    assert np.array_equal(frame.x, np.array([[s - 1j * s, -s + 1j * s]]))
+    assert np.array_equal(frame, np.array([[s - 1j * s, -s + 1j * s]]))
 
 
 def test_quantize_idempotent_and_zero_convention():
     s = np.sqrt(9.0 / 4)
     x = np.array([[s + 1j * s, -s - 1j * s]])
     again = quantize_onebit(x, power=9.0)
-    assert np.array_equal(again.x, x)
+    assert np.array_equal(again, x)
     zero = quantize_onebit(np.zeros((2, 2), dtype=complex), power=9.0)
-    assert np.array_equal(zero.x, np.full((2, 2), s + 1j * s))
+    assert np.array_equal(zero, np.full((2, 2), s + 1j * s))
 
 
 @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf, 0.0])
@@ -244,14 +244,14 @@ def test_no_irs_zeroes_reflected_path():
 
 
 def test_no_irs_phase_coefficients_vanish():
-    from irsprecode.onebit import OneBitFrame
+    from irsprecode.onebit import onebit_frame
     from irsprecode.phase import build_phase_coefficients
 
     ch, rng = channels(103, m=4, n=3, k=2)
     sym = SymbolFrame.random(QPSK, 2, 2, rng)
     s = np.sqrt(100.0 / 8)
-    frame = OneBitFrame(xbar=s * rng.choice([-1.0, 1.0], size=(2, 8)), amplitude=s)
-    coeffs = build_phase_coefficients(no_irs_variant(ch), frame.x, sym)
+    frame = onebit_frame(s * rng.choice([-1.0, 1.0], size=(2, 8)), 100.0)
+    coeffs = build_phase_coefficients(no_irs_variant(ch), frame, sym)
     assert np.all(coeffs.eta == 0)
     assert np.all(np.isfinite(coeffs.vbar))
 

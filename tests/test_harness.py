@@ -6,6 +6,7 @@ import functools
 import inspect
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -1124,6 +1125,51 @@ class TestRunExperiment:
         assert all(r.mean_runtime_s > 0.0 for r in timed)
         report = timing_report(timed)
         assert "onebit-md" in report and "mean design time" in report
+
+    @pytest.mark.parametrize("box_schemes", [("relaxed-quant", "relaxed"),
+                                             ("relaxed", "relaxed-quant")])
+    def test_design_time_holds_the_solves_each_design_ran(self, monkeypatch, box_schemes):
+        # a fake clock that only the design calls advance, each by its own
+        # amount: both box schemes carry the one box solve, relaxed-quant
+        # adds its quantization once whichever of the two runs the box, and
+        # onebit-md carries AO's time
+        clock = [0.0]
+        calls = []
+        for name, tick in (("alternating_optimize", 100.0), ("relaxed_slp", 10.0),
+                           ("quantize_onebit", 1.0)):
+            def timed(*args, real=getattr(harness, name), name=name, tick=tick):
+                calls.append(name)
+                clock[0] += tick
+                return real(*args)
+
+            monkeypatch.setattr(harness, name, timed)
+        monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        out = harness._run_channel(small_cfg(n_channels=1, schemes=box_schemes + ("onebit-md",)), 0)
+        assert sorted(calls) == ["alternating_optimize", "quantize_onebit", "relaxed_slp"]
+        assert {scheme: o.runtime_s for scheme, o in out.items()} == {
+            "relaxed": 10.0, "relaxed-quant": 11.0, "onebit-md": 100.0}
+
+    def test_every_scored_design_is_a_read_only_complex_array(self, monkeypatch):
+        # each scheme's design reaches frame_margins and every
+        # simulate_transmission call as one read-only complex (T, M) array;
+        # a one-bit design has every real and imaginary part at exactly +/-s
+        cfg = small_cfg(n_channels=1, schemes=tuple(SCHEMES))
+        scored = spy_on(monkeypatch, harness, "frame_margins")
+        simulated = spy_on(monkeypatch, harness, "simulate_transmission")
+        harness._run_channel(cfg, 0)
+        n_points = len(cfg.noise_grid_db)
+        assert len(scored) == len(cfg.schemes)
+        assert len(simulated) == len(cfg.schemes) * n_points
+        s = np.sqrt(cfg.power / (2 * cfg.m))
+        for i, (scheme, (args, _)) in enumerate(zip(cfg.schemes, scored)):
+            frame = args["frame"]
+            assert type(frame) is np.ndarray and frame.dtype == complex, scheme
+            assert frame.shape == (cfg.t, cfg.m) and not frame.flags.writeable, scheme
+            assert all(sim["frame"] is frame
+                       for sim, _ in simulated[i * n_points:(i + 1) * n_points]), scheme
+            if SCHEMES[scheme].x_mode != "relaxed":
+                assert np.all(np.abs(frame.real) == s), scheme
+                assert np.all(np.abs(frame.imag) == s), scheme
 
     def test_margin_ordering_across_schemes(self):
         # unquantized proxy >= joint one-bit design >= naive quantization,

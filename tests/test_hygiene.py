@@ -212,8 +212,8 @@ def test_conversion_scan_flags_parameters_only():
 # the program there (an entry type, or a function of the README's surface),
 # or the def keeps its own copy of what it is given
 CONVERSION_DOORS = {
-    "ao.receive_points": "a plain array or a frame, as the README's frame_margins and "
-                         "simulate_transmission take either",
+    "ao.receive_points": "README: the transmit array a caller passes to frame_margins or "
+                         "simulate_transmission",
     "channel.PhaseShifts.__init__": "entry type",
     "channel.PhaseShifts.from_theta_bar": "entry type",
     "channel.pairs_to_complex": "README",
@@ -222,6 +222,7 @@ CONVERSION_DOORS = {
     "constellation.q_function": "README",
     "constellation.sep_upper_bound": "README",
     "onebit.mirror_descent": "its own copy of its start, which the loop updates",
+    "onebit.onebit_frame": "the slot rows it stacks into the frame's own read-only copy",
 }
 
 
@@ -256,7 +257,7 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, "README.md", "exec"), namespace)
     # the printed worst margin is the returned design's, i.e. the best round's
     assert float(capsys.readouterr().out) == irsprecode.best_round(namespace["trace"]).worst_margin
-    assert namespace["frame"].x.shape == (50, 32)
+    assert namespace["frame"].shape == (50, 32)
 
 
 def test_readme_config_loads():

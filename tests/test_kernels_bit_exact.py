@@ -29,11 +29,11 @@ from irsprecode.constellation import PskConstellation, SymbolFrame
 from irsprecode.onebit import (
     MU_STAGES,
     CoefficientMatrix,
-    OneBitFrame,
     build_coefficients,
     frame_slots,
     mbi_round,
     model_starts,
+    onebit_frame,
     solve_relaxed,
     solve_symbol,
 )
@@ -496,8 +496,8 @@ def test_results_do_not_depend_on_memory_order(seed, order):
             assert _same(got, want)
         assert _same(solve_relaxed(copy, opts.mu, lam0)[0],
                      solve_relaxed(coeff, opts.mu, lam0)[0])
-    frame = OneBitFrame.from_slots([xbar for xbar, _ in results], 100.0)
-    coeffs = build_phase_coefficients(ch, frame.x, symbols)
+    frame = onebit_frame([xbar for xbar, _ in results], 100.0)
+    coeffs = build_phase_coefficients(ch, frame, symbols)
     copy = PhaseCoefficients(eta=np.ascontiguousarray(coeffs.eta), vbar=coeffs.vbar)
     theta0 = PhaseShifts.random(16, rng).theta_bar
     want, got = (apg_optimize(coeffs, theta0, opts.delta),

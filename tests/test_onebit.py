@@ -45,13 +45,13 @@ from irsprecode.onebit import (
     START_GAP_RTOL,
     WARM_START_MIX,
     CoefficientMatrix,
-    OneBitFrame,
     _sigma_max_sq,
     build_coefficients,
     frame_slots,
     mbi_round,
     mirror_descent,
     model_starts,
+    onebit_frame,
     solve_relaxed,
     solve_symbol,
     worst_objective,
@@ -119,43 +119,40 @@ def test_worst_objective_is_negated_margin():
 
 
 def test_onebit_frame_validation():
-    OneBitFrame(xbar=[[2.0, -2.0]], amplitude=2.0)
-    for xbar, amplitude in (([[2.0, -2.0]], 0.0), ([[2.0, 1.0]], 2.0), ([[2.0]], 2.0),
-                            ([[np.nan, np.nan]], np.nan), ([[np.inf, -np.inf]], np.inf)):
+    onebit_frame([[2.0, -2.0]], 8.0)  # s = sqrt(8 / 2) = 2
+    for xbar, power in (([[2.0, -2.0]], 0.0), ([[2.0, 1.0]], 8.0), ([[2.0]], 8.0),
+                        ([[np.nan, np.nan]], np.nan), ([[np.inf, -np.inf]], np.inf)):
         with pytest.raises(ValueError):
-            OneBitFrame(xbar=xbar, amplitude=amplitude)
-    # an empty xbar used to become a (1, 0) frame, and True an amplitude of 1
-    for xbar in (np.array([]), np.zeros((0, 2)), np.zeros((2, 0))):
+            onebit_frame(xbar, power)
+    # no slot or no antenna is no frame, and True is no power
+    for xbar in ([], np.array([]), np.zeros((0, 2)), np.zeros((2, 0))):
         with pytest.raises(ValueError, match="T, M >= 1"):
-            OneBitFrame(xbar=xbar, amplitude=1.0)
-    with pytest.raises(ValueError, match="amplitude"):
-        OneBitFrame(xbar=[[1.0, -1.0]], amplitude=True)
+            onebit_frame(xbar, 1.0)
+    with pytest.raises(ValueError, match="power"):
+        onebit_frame([[1.0, -1.0]], True)
 
 
-def test_onebit_frame_from_slots_copies_its_rows_once():
+def test_onebit_frame_copies_its_rows_once():
     rows = [np.array([2.0, -2.0, -2.0, 2.0]), np.array([-2.0, -2.0, 2.0, 2.0])]
-    frame = OneBitFrame.from_slots(rows, 16.0)  # s = sqrt(16 / 4) = 2
+    x = onebit_frame(rows, 16.0)  # s = sqrt(16 / 4) = 2
     rows[0][0] = -2.0  # the frame keeps its own copy
-    assert np.array_equal(frame.xbar, [[2.0, -2.0, -2.0, 2.0], [-2.0, -2.0, 2.0, 2.0]])
-    assert frame.amplitude == 2.0 and not frame.xbar.flags.writeable
-    with pytest.raises(ValueError, match="one slot"):
-        OneBitFrame.from_slots([], 16.0)
-    with pytest.raises(ValueError, match="magnitude"):
-        OneBitFrame.from_slots(rows, 4.0)
-
-
-def test_onebit_frame_x_is_built_once_and_read_only():
-    xbar = np.array([[2.0, -2.0, -2.0, 2.0], [-2.0, -2.0, 2.0, 2.0]])
-    frame = OneBitFrame(xbar=xbar, amplitude=2.0)
-    xbar[0, 0] = -2.0  # the frame keeps its own copy
-    x = frame.x
-    assert x is frame.x
-    assert np.array_equal(x, frame.xbar[:, :2] + 1j * frame.xbar[:, 2:])
     assert np.array_equal(x, [[2 - 2j, -2 + 2j], [-2 + 2j, -2 + 2j]])
-    for array in (x, frame.xbar):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0, 0] = 0.0
+    assert not x.flags.writeable
+    with pytest.raises(ValueError, match="magnitude"):
+        onebit_frame(rows, 4.0)
+
+
+def test_onebit_frame_is_a_read_only_complex_array():
+    xbar = np.array([[2.0, -2.0, -2.0, 2.0], [-2.0, -2.0, 2.0, 2.0]])
+    x = onebit_frame(xbar, 16.0)
+    want = xbar[:, :2] + 1j * xbar[:, 2:]
+    xbar[0, 0] = -2.0  # the frame keeps its own copy
+    assert isinstance(x, np.ndarray) and x.dtype == complex and x.shape == (2, 2)
+    assert np.array_equal(x, want)
+    assert np.array_equal(x, [[2 - 2j, -2 + 2j], [-2 + 2j, -2 + 2j]])
+    assert not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0, 0] = 0.0
 
 
 def test_coefficient_matrix_validation():

@@ -19,7 +19,7 @@ from irsprecode.channel import (
     sample_channels,
 )
 from irsprecode.constellation import PskConstellation, SymbolFrame, margin
-from irsprecode.onebit import OneBitFrame, _sigma_max_sq
+from irsprecode.onebit import _sigma_max_sq, onebit_frame
 from irsprecode.phase import (
     APG_MAX_ITER,
     APG_PATIENCE,
@@ -44,7 +44,7 @@ def random_setup(rng, m=6, n=4, k=2, t=3, order=4, power=100.0):
     sym = SymbolFrame.random(c, k, t, rng)
     s = np.sqrt(power / (2 * m))
     xbar = s * rng.choice([-1.0, 1.0], size=(t, 2 * m))
-    return ch, OneBitFrame(xbar=xbar, amplitude=s), sym, c
+    return ch, onebit_frame(xbar, power), sym, c
 
 
 def random_theta_bar(n, rng):
@@ -73,10 +73,10 @@ def test_phase_coefficients_match_direct_margin():
         k, t = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         order = int(rng.choice([2, 4, 8]))
         ch, frame, sym, c = random_setup(rng, m=5, n=4, k=k, t=t, order=order)
-        coeffs = build_phase_coefficients(ch, frame.x, sym)
+        coeffs = build_phase_coefficients(ch, frame, sym)
         phases = PhaseShifts.random(4, rng)
         h_eff = effective_matrix(ch, phases)
-        z = (h_eff @ frame.x.T).T * np.conj(sym.symbols).T  # (T, K)
+        z = (h_eff @ frame.T).T * np.conj(sym.symbols).T  # (T, K)
         alpha = margin(z, c)
         vals = phases.theta_bar @ coeffs.eta + coeffs.vbar
         kt = k * t
@@ -88,11 +88,11 @@ def test_phase_coefficients_zero_g_direct_only():
     rng = np.random.default_rng(1)
     ch, frame, sym, c = random_setup(rng)
     ch0 = ChannelSet(h_d=ch.h_d, g=np.zeros_like(ch.g), h_r=ch.h_r)
-    coeffs = build_phase_coefficients(ch0, frame.x, sym)
+    coeffs = build_phase_coefficients(ch0, frame, sym)
     assert np.all(coeffs.eta == 0)
     # vbar alone carries the direct-link margins
     h_eff = np.conj(ch.h_d)
-    z = (h_eff @ frame.x.T).T * np.conj(sym.symbols).T
+    z = (h_eff @ frame.T).T * np.conj(sym.symbols).T
     alpha = margin(z, c)
     kt = sym.n_users * sym.n_slots
     pair_max = np.maximum(coeffs.vbar[:kt], coeffs.vbar[kt:])
@@ -107,7 +107,7 @@ def test_phase_coefficients_dimension_errors():
         build_phase_coefficients(ch, bad, sym)
     sym_bad = SymbolFrame.random(c, 3, 3, np.random.default_rng(0))  # wrong K
     with pytest.raises(ValueError):
-        build_phase_coefficients(ch, frame.x, sym_bad)
+        build_phase_coefficients(ch, frame, sym_bad)
     with pytest.raises(ValueError):
         PhaseCoefficients(eta=np.ones((3, 2)), vbar=np.zeros(2))
     with pytest.raises(ValueError):
@@ -118,10 +118,10 @@ def test_phase_coefficients_dimension_errors():
     # a one-slot frame and a one-user channel would broadcast against the
     # symbols' T = 3 and K = 2
     with pytest.raises(ValueError, match="T x M"):
-        build_phase_coefficients(ch, frame.x[:1], sym)
+        build_phase_coefficients(ch, frame[:1], sym)
     one_user, _, _, _ = random_setup(rng, m=6, k=1, t=3)
     with pytest.raises(ValueError, match="one channel row per user"):
-        build_phase_coefficients(one_user, frame.x, sym)
+        build_phase_coefficients(one_user, frame, sym)
 
 
 def _gaussian_eta(exponent: int) -> np.ndarray:
@@ -193,7 +193,7 @@ def test_lse_equal_terms_closed_form():
 def test_lse_sandwich_on_random_probes():
     rng = np.random.default_rng(4)
     ch, frame, sym, c = random_setup(rng, m=6, n=4, k=2, t=3)
-    coeffs = build_phase_coefficients(ch, frame.x, sym)
+    coeffs = build_phase_coefficients(ch, frame, sym)
     delta = 1e-2
     slack = delta * np.log(coeffs.eta.shape[1])
     for _ in range(1000):
@@ -221,7 +221,7 @@ def test_lse_gradient_zero_eta():
 def test_lse_gradient_is_softmax_combination():
     rng = np.random.default_rng(5)
     ch, frame, sym, c = random_setup(rng)
-    coeffs = build_phase_coefficients(ch, frame.x, sym)
+    coeffs = build_phase_coefficients(ch, frame, sym)
     tb = random_theta_bar(4, rng)
     delta = 1e-2
     vals = tb @ coeffs.eta + coeffs.vbar
@@ -265,7 +265,7 @@ def test_lse_gradient_finite_difference():
     rng = np.random.default_rng(6)
     for _ in range(20):
         ch, frame, sym, c = random_setup(rng, m=5, n=3, k=2, t=2)
-        coeffs = build_phase_coefficients(ch, frame.x, sym)
+        coeffs = build_phase_coefficients(ch, frame, sym)
         tb = random_theta_bar(3, rng)
         delta = 1e-2
         g = lse_gradient(tb, coeffs, delta)
@@ -419,7 +419,7 @@ def test_apg_iterates_feasible_and_best_tracked():
     # iterations bit for bit
     rng = np.random.default_rng(9)
     ch, frame, sym, c = random_setup(rng, m=6, n=4, k=2, t=3)
-    coeffs = build_phase_coefficients(ch, frame.x, sym)
+    coeffs = build_phase_coefficients(ch, frame, sym)
     init = random_theta_bar(4, rng)
     res = apg_optimize(coeffs, init, DELTA)
     want, _, iterates = _ref_apg(coeffs, init, DELTA, APG_MAX_ITER)
@@ -484,7 +484,7 @@ def test_apg_runs_clean_over_the_magnitude_range(seed, n, n_cols, k):
 def test_apg_sandwich_at_returned_point():
     rng = np.random.default_rng(10)
     ch, frame, sym, c = random_setup(rng)
-    coeffs = build_phase_coefficients(ch, frame.x, sym)
+    coeffs = build_phase_coefficients(ch, frame, sym)
     delta = 1e-2
     res = apg_optimize(coeffs, random_theta_bar(4, rng), delta)
     slack = delta * np.log(coeffs.eta.shape[1])
@@ -518,7 +518,7 @@ def test_apg_zero_eta_immediate():
 def test_apg_deterministic():
     rng = np.random.default_rng(12)
     ch, frame, sym, c = random_setup(rng)
-    coeffs = build_phase_coefficients(ch, frame.x, sym)
+    coeffs = build_phase_coefficients(ch, frame, sym)
     init = random_theta_bar(4, rng)
     a = apg_optimize(coeffs, init, DELTA)
     b = apg_optimize(coeffs, init, DELTA)
@@ -531,7 +531,7 @@ def test_apg_improves_over_init_on_protocol_instances():
     better = 0
     for _ in range(20):
         ch, frame, sym, c = random_setup(rng, m=8, n=8, k=2, t=4)
-        coeffs = build_phase_coefficients(ch, frame.x, sym)
+        coeffs = build_phase_coefficients(ch, frame, sym)
         init = random_theta_bar(8, rng)
         res = apg_optimize(coeffs, init, DELTA)
         assert res.value <= max_constraint(init, coeffs) + 1e-15
@@ -666,7 +666,7 @@ def _check_against_reference(seed, kind, n, n_cols, delta, max_iter):
         order = {"bpsk": 2, "qpsk": 4, "16psk": 16}[kind]
         ch, frame, sym, c = random_setup(rng, m=4, n=n, k=2, t=max(1, n_cols // 4),
                                          order=order)
-        coeffs = build_phase_coefficients(ch, frame.x, sym)
+        coeffs = build_phase_coefficients(ch, frame, sym)
     elif kind == "repeated-max":
         eta = rng.integers(-3, 4, size=(2 * n, 2 * n_cols)).astype(float)
         vbar = rng.integers(-2, 3, size=2 * n_cols).astype(float)
